@@ -1,9 +1,10 @@
-"""Dual-optimization landing guidance for reusable launch vehicles.
+"""Fuel-optimal landing trajectory planning for reusable launch vehicles.
 
-Fuel-optimal SCP trajectory planning with coast-phase ignition timing, a
-receding-horizon SCP tracking law, an embedded primal-dual conic solver,
-and a 6-DOF simulation plus Monte-Carlo harness that validates the closed
-guidance loop.
+A quadratic fit of the ballistic coast couples the ignition time to the
+burn's initial state; a sequential convex programming (SCP) planner then
+solves the free-final-time powered descent with lossless thrust relaxation,
+each convex subproblem going to an embedded primal-dual conic
+interior-point solver.
 """
 
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ Each iteration factorizes the quasi-definite KKT matrix
     [ A           -eps I       0         ]
     [ G            0          -(W'W + eps I) ]
 
-with a sparse LU (fixed pivot order, deterministic), followed by iterative
-refinement against the unregularized system. Cone algebra is vectorized
+with SuperLU (``scipy.sparse.linalg.splu`` at its defaults: COLAMD column
+ordering and partial pivoting), followed by iterative refinement against
+the unregularized system. Cone algebra is vectorized
 over groups of equal-dimension SOC blocks.
 """
 
@@ -42,7 +43,6 @@ class SolverSettings:
     infeas_window: int = 10      # stalled iterations before declaring infeasible
     centrality_correctors: int = 2   # Gondzio corrector rounds per iteration
     stall_accept: float = 50.0   # gap-tolerance factor accepted at a hard stall
-    trace: object = None         # optional callable(dict) per iteration
 
 
 class _Cones:
@@ -263,14 +263,6 @@ def solve_robust(program: ConicProgram,
     return last
 
 
-def _safe_identity(cones: _Cones) -> np.ndarray:
-    u = np.zeros(cones.dim)
-    u[cones.nn] = 1.0
-    for idx in cones.soc.values():
-        u[idx[:, 0]] = 1.0
-    return u
-
-
 def solve(program: ConicProgram,
           settings: SolverSettings = SolverSettings()) -> SolverSolution:
     """Solve the conic program; deterministic for identical inputs."""
@@ -334,7 +326,7 @@ def solve(program: ConicProgram,
         return sol
 
     # Initial point: one KKT solve with W = I, then shift into the cones.
-    ident = _NTScaling(cones, _safe_identity(cones), _safe_identity(cones))
+    ident = _NTScaling(cones, cones.identity(), cones.identity())
     lu0 = factor(ident.w2_entries(reg))
     init = lu0.solve(np.concatenate([-c, b, h]))
     x = init[:n]
@@ -521,10 +513,6 @@ def solve(program: ConicProgram,
             ds = ds + ds_c
             alpha_p, alpha_d = ap_new, ad_new
 
-        if settings.trace is not None:
-            settings.trace(dict(iteration=iteration, mu=mu, pres=pres,
-                                dres=dres, sigma=sigma, alpha_p=alpha_p,
-                                alpha_d=alpha_d))
         # Hard stall: the direction no longer moves the iterate. When the
         # iterate is feasible to tolerance and the gap is within a bounded
         # factor of target, accept it (double-precision factorizations

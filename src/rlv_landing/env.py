@@ -20,8 +20,11 @@ Conventions
 - Every aero quantity is a smooth function of beta = alpha_T**2, which keeps
   the analytic Jacobians finite through the retro-thrust condition alpha = 0.
 
-All Jacobians here are hand-derived; the test suite checks each against
-central finite differences.
+The translational model (f and its Jacobian) and the aerodynamic load
+constraint are each written once, over arrays with a leading batch axis, so
+one call serves a single node or a whole trajectory. The 3-DOF, planning and
+tracking forms are wrappers around them. All Jacobians here are
+hand-derived; the test suite checks each against central finite differences.
 """
 
 from __future__ import annotations
@@ -53,45 +56,6 @@ class AeroOptions:
 
 
 @dataclass(frozen=True)
-class TranslationalState:
-    """Position/velocity/mass triple for the planning dynamics."""
-
-    r: np.ndarray
-    v: np.ndarray
-    m: float
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.r, self.v, [self.m]])
-
-    @staticmethod
-    def from_array(x: np.ndarray) -> "TranslationalState":
-        x = np.asarray(x, float)
-        return TranslationalState(x[0:3].copy(), x[3:6].copy(), float(x[6]))
-
-
-@dataclass(frozen=True)
-class TrackingState:
-    """Translational state augmented with pitch, yaw and thrust magnitude."""
-
-    r: np.ndarray
-    v: np.ndarray
-    m: float
-    theta: float
-    psi: float
-    Gamma: float
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(
-            [self.r, self.v, [self.m, self.theta, self.psi, self.Gamma]])
-
-    @staticmethod
-    def from_array(x: np.ndarray) -> "TrackingState":
-        x = np.asarray(x, float)
-        return TrackingState(x[0:3].copy(), x[3:6].copy(), float(x[6]),
-                             float(x[7]), float(x[8]), float(x[9]))
-
-
-@dataclass(frozen=True)
 class AtmosphereSample:
     rho: float       # density [kg/m^3]
     P_atm: float     # ambient pressure [Pa]
@@ -108,19 +72,19 @@ class AeroCoefficients:
 
 def atmosphere(altitude: float, speed: float | None = None) -> AtmosphereSample:
     """Exponential atmosphere sampled at geometric altitude [m]."""
-    h = max(float(altitude), 0.0)
-    rho = RHO0 * math.exp(-h / H_SCALE)
-    p = P0 * math.exp(-h / H_SCALE)
+    rho = air_density(altitude)
     q = 0.5 * rho * speed * speed if speed is not None else None
-    return AtmosphereSample(rho=rho, P_atm=p, q_bar=q)
+    return AtmosphereSample(rho=rho, P_atm=ambient_pressure(altitude), q_bar=q)
 
 
-def ambient_pressure(altitude: float) -> float:
-    return P0 * math.exp(-max(float(altitude), 0.0) / H_SCALE)
+def ambient_pressure(altitude):
+    """Ambient pressure [Pa] at altitude [m], elementwise; clamped at h = 0."""
+    return P0 * np.exp(-np.maximum(altitude, 0.0) / H_SCALE)
 
 
-def air_density(altitude: float) -> float:
-    return RHO0 * math.exp(-max(float(altitude), 0.0) / H_SCALE)
+def air_density(altitude):
+    """Air density [kg/m^3] at altitude [m], elementwise; clamped at h = 0."""
+    return RHO0 * np.exp(-np.maximum(altitude, 0.0) / H_SCALE)
 
 
 def total_aoa(T: np.ndarray, v: np.ndarray) -> float:
@@ -154,20 +118,21 @@ def aero_coefficients(alpha_T: float, q_bar: float,
     return AeroCoefficients(C_L=C_L, C_D=C_D, C_z=C_z, C_L_comp=C_L_comp)
 
 
-def _sinc_pair(alpha: float, beta: float) -> tuple[float, float]:
-    """sinc(alpha) = sin(alpha)/alpha and its derivative w.r.t. beta = alpha^2."""
-    if alpha < 1e-4:
-        s = 1.0 - beta / 6.0 + beta * beta / 120.0
-        ds = -1.0 / 6.0 + beta / 60.0
-    else:
-        s = math.sin(alpha) / alpha
-        ds = (math.cos(alpha) - s) / (2.0 * beta)
-    return s, ds
+def _sinc_pair(alpha, beta):
+    """sinc(alpha) = sin(alpha)/alpha and its derivative w.r.t. beta = alpha^2,
+    elementwise; a series below alpha = 1e-4."""
+    small = alpha < 1e-4
+    a = np.where(small, 1.0, alpha)
+    s = np.sin(a) / a
+    s_small = 1.0 - beta / 6.0 + beta * beta / 120.0
+    ds = (np.cos(a) - s) / (2.0 * np.where(small, 1.0, beta))
+    return (np.where(small, s_small, s),
+            np.where(small, -1.0 / 6.0 + beta / 60.0, ds))
 
 
-def lift_slope(beta: float, vp: VehicleParams,
-               opts: AeroOptions) -> tuple[float, float]:
-    """Effective lift slope E(beta) and dE/dbeta, beta = alpha_T^2.
+def lift_slope(beta, vp: VehicleParams, opts: AeroOptions):
+    """Effective lift slope E(beta) and dE/dbeta, elementwise in beta =
+    alpha_T^2.
 
     Uncompensated: E = C_L_alpha. Compensated: E = C_L'/alpha_T evaluated
     pointwise, which stays finite as alpha_T -> 0 (limit C_L_alpha -
@@ -177,19 +142,14 @@ def lift_slope(beta: float, vp: VehicleParams,
         return 0.0, 0.0
     if not opts.lift_compensation:
         return vp.C_L_alpha, 0.0
-    alpha = math.sqrt(max(beta, 0.0))
+    alpha = np.sqrt(np.maximum(beta, 0.0))
     ratio = vp.l_cp / vp.l_c
     s, ds = _sinc_pair(alpha, beta)
-    c = math.cos(alpha)
+    c = np.cos(alpha)
     C_D = vp.C_D0 + vp.C_D2 * beta
     E = vp.C_L_alpha - ratio * (vp.C_L_alpha * c + C_D * s)
     dE = -ratio * (-vp.C_L_alpha * s / 2.0 + vp.C_D2 * s + C_D * ds)
     return E, dE
-
-
-def drag_coefficient(beta: float, vp: VehicleParams) -> tuple[float, float]:
-    """C_D(beta) and dC_D/dbeta for beta = alpha_T^2."""
-    return vp.C_D0 + vp.C_D2 * beta, vp.C_D2
 
 
 def lift_force(T: np.ndarray, v: np.ndarray, rho: float, s_ref: float,
@@ -206,118 +166,182 @@ def lift_force(T: np.ndarray, v: np.ndarray, rho: float, s_ref: float,
     return q_bar * s_ref * slope * direction
 
 
-def _aoa_beta_grads(T: np.ndarray, v: np.ndarray):
-    """alpha, beta = alpha^2, and the stable gradients of beta w.r.t. T, v."""
-    nT = np.linalg.norm(T)
-    nv = np.linalg.norm(v)
-    Tv = float(T @ v)
-    u = -Tv
-    w = float(np.linalg.norm(np.cross(T, v)))
-    alpha = math.atan2(w, u)
-    beta = alpha * alpha
-    sin_a = w / (nT * nv)
-    # alpha/sin(alpha): -> 1 at alpha = 0; clamped near alpha = pi (thrust
-    # along velocity never occurs during a landing burn).
-    asr = alpha / max(sin_a, 1e-12) if alpha > 1e-9 else 1.0
-    asr = min(asr, 1e9)
-    q_T = nv * nv * T - Tv * v
-    q_v = nT * nT * v - Tv * T
-    denom = nT * nT * nv * nv
-    scale = 2.0 * asr * u / (nT * nv)
-    g_T = (scale * q_T + 2.0 * alpha * w * v) / denom
-    g_v = (scale * q_v + 2.0 * alpha * w * T) / denom
-    return alpha, beta, g_T, g_v
+def _dot(a, b):
+    """Dot product over the last axis. A stacked matmul keeps the BLAS dot
+    that a single 1-D product uses, so every node rounds the same way."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def aero_force(r_z: float, v: np.ndarray, T: np.ndarray, vp: VehicleParams,
-               opts: AeroOptions) -> np.ndarray:
-    """Total aerodynamic force (drag + lift) for the guidance-side model."""
-    return aero_force_jac(r_z, v, T, vp, opts)[0]
+def _norm(a):
+    return np.sqrt(_dot(a, a))
 
 
-def aero_force_jac(r_z: float, v: np.ndarray, T: np.ndarray,
-                   vp: VehicleParams, opts: AeroOptions):
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _pow(x, p):
+    """x**p through the C library's pow at every element. numpy's vectorized
+    power rounds differently, and the terms of dP/dT cancel at vertical
+    thrust, so the rounding decides which Jacobian entries are exact zeros
+    and with them the sparsity pattern of the subproblem."""
+    return np.asarray(np.frompyfunc(math.pow, 2, 1)(x, p), float)
+
+
+def aero_force_jac(r_z, v, T, vp: VehicleParams, opts: AeroOptions,
+                   jacobian: bool = True):
     """Aero force and its Jacobians w.r.t. r_z, v and T.
 
-    Returns (F, dF_drz (3,), dF_dv (3,3), dF_dT (3,3)). Below V_EPS airspeed
+    r_z has shape (...,), v and T (..., 3). Returns (F (..., 3),
+    dF_drz (..., 3), dF_dv (..., 3, 3), dF_dT (..., 3, 3)); the three
+    Jacobians are None when ``jacobian`` is false. Below V_EPS airspeed
     everything is zero; with thrust off the zero-incidence coast model is
     used (drag at C_D0, no lift) and dF_dT = 0.
     """
+    r_z = np.asarray(r_z, float)
     v = np.asarray(v, float)
     T = np.asarray(T, float)
-    nv = np.linalg.norm(v)
-    zero = np.zeros(3), np.zeros(3), np.zeros((3, 3)), np.zeros((3, 3))
-    if nv < V_EPS:
-        return zero
+    nv = _norm(v)
+    nT = _norm(T)
+    aero = nv >= V_EPS
+    thrust = aero & (nT > T_EPS)
+    # Unit stand-ins keep the masked-out nodes finite.
+    nv = np.where(aero, nv, 1.0)
+    nT = np.where(thrust, nT, 1.0)
 
     h = -r_z
     rho = air_density(h)
-    drho_drz = rho / H_SCALE if h > 0.0 else 0.0
     q_bar = 0.5 * rho * nv * nv
-    dqbar_drz = 0.5 * drho_drz * nv * nv
-    vhat = v / nv
+    vhat = v / nv[..., None]
     s = vp.s_ref
 
-    nT = np.linalg.norm(T)
-    if nT <= T_EPS:
-        # Engine-off coast: zero angle of attack assumed.
-        C_D = vp.C_D0
-        F = -q_bar * s * C_D * vhat
-        dF_drz = -dqbar_drz * s * C_D * vhat
-        dF_dv = -s * C_D * (np.outer(vhat, rho * v)
-                            + q_bar * (np.eye(3) - np.outer(vhat, vhat)) / nv)
-        return F, dF_drz, dF_dv, np.zeros((3, 3))
-
-    alpha, beta, gb_T, gb_v = _aoa_beta_grads(T, v)
-    C_D, dCD = drag_coefficient(beta, vp)
+    # Engine-off coast is the same model at zero incidence with no lift.
+    Tv = _dot(T, v)
+    w = _norm(np.cross(T, v))
+    alpha = np.where(thrust, np.arctan2(w, -Tv), 0.0)
+    beta = alpha * alpha
+    C_D = vp.C_D0 + vp.C_D2 * beta
     E, dE = lift_slope(beta, vp, opts)
+    E = np.where(thrust, E, 0.0)
+    PV = Tv[..., None] * v - (nv * nv)[..., None] * T
+    P_vec = PV / (nT * nv * nv)[..., None]
+    F = ((-q_bar * s * C_D)[..., None] * vhat
+         + (q_bar * s * E)[..., None] * P_vec)
+    on = aero[..., None]
+    if not jacobian:
+        return np.where(on, F, 0.0), None, None, None
 
-    Tv = float(T @ v)
-    PV = Tv * v - nv * nv * T
-    P_vec = PV / (nT * nv * nv)
-    dPV_dT = np.outer(v, v) - nv * nv * np.eye(3)
-    dPV_dv = Tv * np.eye(3) + np.outer(v, T) - 2.0 * np.outer(T, v)
-    dP_dT = dPV_dT / (nT * nv * nv) - np.outer(PV, T) / (nT ** 3 * nv * nv)
-    dP_dv = dPV_dv / (nT * nv * nv) - 2.0 * np.outer(PV, v) / (nT * nv ** 4)
+    # Stable gradients of beta w.r.t. T and v. alpha/sin(alpha) -> 1 at
+    # alpha = 0 and is clamped near alpha = pi (thrust along velocity never
+    # occurs during a landing burn).
+    sin_a = w / (nT * nv)
+    asr = np.where(alpha > 1e-9, alpha / np.maximum(sin_a, 1e-12), 1.0)
+    asr = np.minimum(asr, 1e9)
+    denom = (nT * nT * nv * nv)[..., None]
+    scale = (2.0 * asr * -Tv / (nT * nv))[..., None]
+    aw = (2.0 * alpha * w)[..., None]
+    q_T = (nv * nv)[..., None] * T - Tv[..., None] * v
+    q_v = (nT * nT)[..., None] * v - Tv[..., None] * T
+    burn = thrust[..., None]
+    gb_T = np.where(burn, (scale * q_T + aw * v) / denom, 0.0)
+    gb_v = np.where(burn, (scale * q_v + aw * T) / denom, 0.0)
+    dE = np.where(thrust, dE, 0.0)
+    dCD = vp.C_D2
 
-    F_drag = -q_bar * s * C_D * vhat
-    F_lift = q_bar * s * E * P_vec
-    F = F_drag + F_lift
+    eye = np.eye(3)
+    nT_, nv_ = nT[..., None, None], nv[..., None, None]
+    dPV_dT = _outer(v, v) - nv_ * nv_ * eye
+    dPV_dv = Tv[..., None, None] * eye + _outer(v, T) - 2.0 * _outer(T, v)
+    dP_dT = (dPV_dT / (nT_ * nv_ * nv_)
+             - _outer(PV, T) / (_pow(nT_, 3) * nv_ * nv_))
+    dP_dv = (dPV_dv / (nT_ * nv_ * nv_)
+             - 2.0 * _outer(PV, v) / (nT_ * _pow(nv_, 4)))
 
-    dF_drz = dqbar_drz * s * (-C_D * vhat + E * P_vec)
+    drho_drz = np.where(h > 0.0, rho / H_SCALE, 0.0)
+    dqbar_drz = 0.5 * drho_drz * nv * nv
+    dF_drz = (dqbar_drz * s)[..., None] * (-C_D[..., None] * vhat
+                                           + E[..., None] * P_vec)
 
-    dF_dT = (-q_bar * s * dCD * np.outer(vhat, gb_T)
-             + q_bar * s * (np.outer(P_vec, dE * gb_T) + E * dP_dT))
+    qs = (q_bar * s)[..., None, None]
+    dF_dT = (-qs * dCD * _outer(vhat, gb_T)
+             + qs * (_outer(P_vec, dE[..., None] * gb_T)
+                     + E[..., None, None] * dP_dT))
 
-    dqbar_dv = rho * v
-    dvhat_dv = (np.eye(3) - np.outer(vhat, vhat)) / nv
-    dF_dv = (-s * (C_D * np.outer(vhat, dqbar_dv)
-                   + q_bar * dCD * np.outer(vhat, gb_v)
-                   + q_bar * C_D * dvhat_dv)
-             + s * (np.outer(P_vec, E * dqbar_dv + q_bar * dE * gb_v)
-                    + q_bar * E * dP_dv))
-    return F, dF_drz, dF_dv, dF_dT
+    dqbar_dv = rho[..., None] * v
+    dvhat_dv = (eye - _outer(vhat, vhat)) / nv_
+    dF_dv = (-s * (C_D[..., None, None] * _outer(vhat, dqbar_dv)
+                   + (q_bar * dCD)[..., None, None] * _outer(vhat, gb_v)
+                   + (q_bar * C_D)[..., None, None] * dvhat_dv)
+             + s * (_outer(P_vec, E[..., None] * dqbar_dv
+                           + (q_bar * dE)[..., None] * gb_v)
+                    + (q_bar * E)[..., None, None] * dP_dv))
+
+    on3 = on[..., None]
+    return (np.where(on, F, 0.0), np.where(on, dF_drz, 0.0),
+            np.where(on3, dF_dv, 0.0), np.where(on3, dF_dT, 0.0))
 
 
-def dynamics_3dof(x: np.ndarray, T: np.ndarray, vp: VehicleParams,
+def translational_dynamics(z, vp: VehicleParams,
+                           opts: AeroOptions = AeroOptions(),
+                           jacobian: bool = True):
+    """The translational model f(z) (..., 7) and J = df/dz (..., 7, 11).
+
+    z = (r, v, m, T, Gamma) has shape (..., 11): thrust, drag and lift,
+    gravity, and a mass flow driven by the magnitude Gamma plus the
+    back-pressure loss at the current altitude. J is None when
+    ``jacobian`` is false.
+    """
+    z = np.asarray(z, float)
+    r_z, v, m = z[..., 2], z[..., 3:6], z[..., 6]
+    T, Gamma = z[..., 7:10], z[..., 10]
+    if np.any(m <= 0.0) or not np.all(np.isfinite(z)):
+        raise DegenerateStateError("degenerate planning node")
+    F, dF_drz, dF_dv, dF_dT = aero_force_jac(r_z, v, T, vp, opts, jacobian)
+    P_e = ambient_pressure(-r_z)
+    mdot_coeff = 1.0 / (vp.g_ref * vp.Isp)
+    m1 = m[..., None]
+
+    f = np.empty(z.shape[:-1] + (7,))
+    f[..., 0:3] = v
+    f[..., 3:6] = (T + F) / m1 + vp.gravity
+    f[..., 6] = -(Gamma + P_e * vp.A_exit) * mdot_coeff
+    if not jacobian:
+        return f, None
+
+    dPe_drz = np.where(-r_z > 0.0, P_e / H_SCALE, 0.0)
+    J = np.zeros(z.shape[:-1] + (7, 11))
+    J[..., 0:3, 3:6] = np.eye(3)
+    J[..., 3:6, 2] = dF_drz / m1
+    J[..., 3:6, 3:6] = dF_dv / m1[..., None]
+    J[..., 3:6, 6] = -(T + F) / (m1 * m1)
+    J[..., 3:6, 7:10] = (np.eye(3) + dF_dT) / m1[..., None]
+    J[..., 6, 2] = -dPe_drz * vp.A_exit * mdot_coeff
+    J[..., 6, 10] = -mdot_coeff
+    return f, J
+
+
+# The planning OCP's dynamics over z = (r, v, m, T, Gamma) are the kernel
+# itself; the relaxed magnitude Gamma drives the mass flow.
+planner_jacobian = translational_dynamics
+
+
+def planner_rhs(z, vp: VehicleParams,
+                opts: AeroOptions = AeroOptions()) -> np.ndarray:
+    """Planning OCP dynamics f(z); equals dynamics_3dof when Gamma = ||T||."""
+    return translational_dynamics(z, vp, opts, jacobian=False)[0]
+
+
+def dynamics_3dof(x, T, vp: VehicleParams,
                   opts: AeroOptions = AeroOptions()) -> np.ndarray:
     """Physical translational dynamics: x = (r, v, m), control = thrust vector.
 
     Mass flow uses the delivered thrust magnitude plus the back-pressure
     loss term evaluated at the current altitude.
     """
-    x = np.asarray(x, float)
     T = np.asarray(T, float)
-    r, v, m = x[0:3], x[3:6], x[6]
-    if m <= 0.0:
-        raise DegenerateStateError("mass must be positive")
-    F_aero = aero_force(r[2], v, T, vp, opts)
-    P_e = ambient_pressure(-r[2])
-    xdot = np.empty(7)
-    xdot[0:3] = v
-    xdot[3:6] = (T + F_aero) / m + vp.gravity
-    xdot[6] = -(np.linalg.norm(T) + P_e * vp.A_exit) / (vp.g_ref * vp.Isp)
-    return xdot
+    z = np.concatenate([np.asarray(x, float), T,
+                        _norm(T)[..., None]], axis=-1)
+    return translational_dynamics(z, vp, opts, jacobian=False)[0]
 
 
 def thrust_from_attitude(theta: float, psi: float, Gamma: float) -> np.ndarray:
@@ -348,6 +372,20 @@ def attitude_from_thrust(T: np.ndarray) -> tuple[float, float]:
     return theta, psi
 
 
+def _tracker_node(x: np.ndarray):
+    """Planning node z of a tracking state x = (r, v, m, theta, psi, Gamma),
+    with T = Gamma d(theta, psi), and dz[7:11]/d(theta, psi, Gamma) (4x3)."""
+    theta, psi, Gamma = x[7], x[8], x[9]
+    d, dd_dtheta, dd_dpsi = thrust_direction_jac(theta, psi)
+    z = np.concatenate([x[0:7], Gamma * d, [Gamma]])
+    dz = np.zeros((4, 3))
+    dz[0:3, 0] = Gamma * dd_dtheta
+    dz[0:3, 1] = Gamma * dd_dpsi
+    dz[0:3, 2] = d
+    dz[3, 2] = 1.0
+    return z, dz
+
+
 def dynamics_5dof(x: np.ndarray, u: np.ndarray, vp: VehicleParams,
                   opts: AeroOptions = AeroOptions()) -> np.ndarray:
     """Tracking dynamics: x = (r, v, m, theta, psi, Gamma), u = commands."""
@@ -370,181 +408,70 @@ def tracker_B(vp: VehicleParams) -> np.ndarray:
 def tracker_rhs(x: np.ndarray, vp: VehicleParams,
                 opts: AeroOptions = AeroOptions()) -> np.ndarray:
     """Autonomous part f(x) of the tracking dynamics (commands enter via B)."""
-    x = np.asarray(x, float)
-    r, v, m = x[0:3], x[3:6], x[6]
-    theta, psi, Gamma = x[7], x[8], x[9]
-    if m <= 0.0:
-        raise DegenerateStateError("mass must be positive")
-    T = thrust_from_attitude(theta, psi, Gamma)
-    F_aero = aero_force(r[2], v, T, vp, opts)
-    P_e = ambient_pressure(-r[2])
-    f = np.empty(10)
-    f[0:3] = v
-    f[3:6] = (T + F_aero) / m + vp.gravity
-    f[6] = -(Gamma + P_e * vp.A_exit) / (vp.g_ref * vp.Isp)
-    f[7] = -theta / vp.tau_theta
-    f[8] = -psi / vp.tau_theta
-    f[9] = -Gamma / vp.tau_T
-    return f
+    return tracker_jacobian(x, vp, opts)[0]
 
 
 def tracker_jacobian(x: np.ndarray, vp: VehicleParams,
                      opts: AeroOptions = AeroOptions()):
-    """f(x) and A = df/dx (10x10) of the autonomous tracking dynamics."""
-    x = np.asarray(x, float)
-    r, v, m = x[0:3], x[3:6], x[6]
-    theta, psi, Gamma = x[7], x[8], x[9]
-    if m <= 0.0 or not np.all(np.isfinite(x)):
-        raise DegenerateStateError("degenerate tracking state")
-    d, dd_dtheta, dd_dpsi = thrust_direction_jac(theta, psi)
-    T = Gamma * d
-    F, dF_drz, dF_dv, dF_dT = aero_force_jac(r[2], v, T, vp, opts)
-    P_e = ambient_pressure(-r[2])
-    dPe_drz = P_e / H_SCALE if -r[2] > 0.0 else 0.0
-    mdot_coeff = 1.0 / (vp.g_ref * vp.Isp)
+    """f(x) and A = df/dx (10x10) of the autonomous tracking dynamics.
 
-    f = np.empty(10)
-    f[0:3] = v
-    f[3:6] = (T + F) / m + vp.gravity
-    f[6] = -(Gamma + P_e * vp.A_exit) * mdot_coeff
-    f[7] = -theta / vp.tau_theta
-    f[8] = -psi / vp.tau_theta
-    f[9] = -Gamma / vp.tau_T
-
-    A = np.zeros((10, 10))
-    A[0:3, 3:6] = np.eye(3)
-    eye_plus = np.eye(3) + dF_dT
-    A[3:6, 2] = dF_drz / m
-    A[3:6, 3:6] = dF_dv / m
-    A[3:6, 6] = -(T + F) / (m * m)
-    A[3:6, 7] = eye_plus @ (Gamma * dd_dtheta) / m
-    A[3:6, 8] = eye_plus @ (Gamma * dd_dpsi) / m
-    A[3:6, 9] = eye_plus @ d / m
-    A[6, 2] = -dPe_drz * vp.A_exit * mdot_coeff
-    A[6, 9] = -mdot_coeff
-    A[7, 7] = -1.0 / vp.tau_theta
-    A[8, 8] = -1.0 / vp.tau_theta
-    A[9, 9] = -1.0 / vp.tau_T
-    return f, A
-
-
-def planner_rhs(z: np.ndarray, vp: VehicleParams,
-                opts: AeroOptions = AeroOptions()) -> np.ndarray:
-    """Planning OCP dynamics over z = (r, v, m, T, Gamma).
-
-    The relaxed magnitude Gamma drives the mass flow; at the converged
-    optimum ||T|| = Gamma makes this identical to dynamics_3dof.
+    The translational rows are the kernel's, chained through
+    T = Gamma d(theta, psi); pitch, yaw and thrust magnitude follow
+    first-order lags toward their commands.
     """
-    z = np.asarray(z, float)
-    r, v, m, T, Gamma = z[0:3], z[3:6], z[6], z[7:10], z[10]
-    if m <= 0.0:
-        raise DegenerateStateError("mass must be positive")
-    F_aero = aero_force(r[2], v, T, vp, opts)
-    P_e = ambient_pressure(-r[2])
-    f = np.empty(7)
-    f[0:3] = v
-    f[3:6] = (T + F_aero) / m + vp.gravity
-    f[6] = -(Gamma + P_e * vp.A_exit) / (vp.g_ref * vp.Isp)
-    return f
+    x = np.asarray(x, float)
+    z, dz = _tracker_node(x)
+    f7, J = translational_dynamics(z, vp, opts)
+    lag = -tracker_B(vp)[7:10]
+    A = np.zeros((10, 10))
+    A[0:7, 0:7] = J[:, 0:7]
+    A[0:7, 7:10] = J[:, 7:11] @ dz
+    A[7:10, 7:10] = lag
+    return np.concatenate([f7, lag @ x[7:10]]), A
 
 
-def planner_jacobian(z: np.ndarray, vp: VehicleParams,
-                     opts: AeroOptions = AeroOptions()):
-    """f(z) and J = df/dz (7x11) for the planning OCP dynamics."""
-    z = np.asarray(z, float)
-    r, v, m, T, Gamma = z[0:3], z[3:6], z[6], z[7:10], z[10]
-    if m <= 0.0 or not np.all(np.isfinite(z)):
-        raise DegenerateStateError("degenerate planning node")
-    F, dF_drz, dF_dv, dF_dT = aero_force_jac(r[2], v, T, vp, opts)
-    P_e = ambient_pressure(-r[2])
-    dPe_drz = P_e / H_SCALE if -r[2] > 0.0 else 0.0
-    mdot_coeff = 1.0 / (vp.g_ref * vp.Isp)
-
-    f = np.empty(7)
-    f[0:3] = v
-    f[3:6] = (T + F) / m + vp.gravity
-    f[6] = -(Gamma + P_e * vp.A_exit) * mdot_coeff
-
-    J = np.zeros((7, 11))
-    J[0:3, 3:6] = np.eye(3)
-    J[3:6, 2] = dF_drz / m
-    J[3:6, 3:6] = dF_dv / m
-    J[3:6, 6] = -(T + F) / (m * m)
-    J[3:6, 7:10] = (np.eye(3) + dF_dT) / m
-    J[6, 2] = -dPe_drz * vp.A_exit * mdot_coeff
-    J[6, 10] = -mdot_coeff
-    return f, J
-
-
-def _load_angle(q_bar: float, L_lim: float) -> tuple[float, float]:
+def _load_angle(q_bar, L_lim: float):
     """Clamped load-bound angle a = min(L_lim/q_bar, pi) and da/dq_bar."""
-    if q_bar <= L_lim / math.pi:
-        return math.pi, 0.0
-    return L_lim / q_bar, -L_lim / (q_bar * q_bar)
+    clamp = q_bar <= L_lim / math.pi
+    q = np.where(clamp, 1.0, q_bar)
+    return (np.where(clamp, math.pi, L_lim / q),
+            np.where(clamp, 0.0, -L_lim / (q * q)))
 
 
-def load_constraint_planner(z: np.ndarray, vp: VehicleParams, L_lim: float):
-    """Aerodynamic load constraint g_L <= 0 and its gradient over z (11,).
+def load_constraint_planner(z, vp: VehicleParams, L_lim: float):
+    """Aerodynamic load constraint g_L <= 0 and its gradient over z (..., 11).
 
     g_L = T.v + Gamma ||v|| cos(min(L_lim/q_bar, pi)), the planner form with
-    ||T|| replaced by the relaxed magnitude.
+    ||T|| replaced by the relaxed magnitude. Near-zero airspeed keeps the
+    bilinear term only, with the direction convention v/||v|| -> 0.
     """
     z = np.asarray(z, float)
-    r, v, T, Gamma = z[0:3], z[3:6], z[7:10], z[10]
-    nv = np.linalg.norm(v)
-    grad = np.zeros(11)
-    if nv < V_EPS:
-        # Near-zero airspeed: keep the bilinear term only, with the
-        # direction convention v/||v|| -> 0.
-        g = float(T @ v)
-        grad[3:6] = T
-        grad[7:10] = v
-        return g, grad
-    h = -r[2]
+    r_z, v, T, Gamma = z[..., 2], z[..., 3:6], z[..., 7:10], z[..., 10]
+    nv = _norm(v)
+    aero = nv >= V_EPS
+    nv = np.where(aero, nv, 1.0)
+    h = -r_z
     rho = air_density(h)
-    drho_drz = rho / H_SCALE if h > 0.0 else 0.0
+    drho_drz = np.where(h > 0.0, rho / H_SCALE, 0.0)
     q_bar = 0.5 * rho * nv * nv
     a, da_dq = _load_angle(q_bar, L_lim)
-    c_a, s_a = math.cos(a), math.sin(a)
-    dca_dq = -s_a * da_dq
+    c_a = np.where(aero, np.cos(a), 0.0)
+    dca_dq = np.where(aero, -np.sin(a) * da_dq, 0.0)
 
-    g = float(T @ v) + Gamma * nv * c_a
-    vhat = v / nv
-    grad[2] = Gamma * nv * dca_dq * (0.5 * drho_drz * nv * nv)
-    grad[3:6] = T + Gamma * (c_a * vhat + nv * dca_dq * rho * v)
-    grad[7:10] = v
-    grad[10] = nv * c_a
+    g = _dot(T, v) + Gamma * nv * c_a
+    vhat = v / nv[..., None]
+    grad = np.zeros(z.shape)
+    grad[..., 2] = Gamma * nv * dca_dq * (0.5 * drho_drz * nv * nv)
+    grad[..., 3:6] = T + Gamma[..., None] * (
+        c_a[..., None] * vhat + (nv * dca_dq * rho)[..., None] * v)
+    grad[..., 7:10] = v
+    grad[..., 10] = nv * c_a
     return g, grad
 
 
 def load_constraint_tracker(x: np.ndarray, vp: VehicleParams, L_lim: float):
     """Aerodynamic load constraint and gradient over the tracking state (10,)."""
     x = np.asarray(x, float)
-    r, v = x[0:3], x[3:6]
-    theta, psi, Gamma = x[7], x[8], x[9]
-    d, dd_dtheta, dd_dpsi = thrust_direction_jac(theta, psi)
-    nv = np.linalg.norm(v)
-    grad = np.zeros(10)
-    if nv < V_EPS:
-        g = Gamma * float(d @ v)
-        grad[3:6] = Gamma * d
-        grad[7] = Gamma * float(dd_dtheta @ v)
-        grad[8] = Gamma * float(dd_dpsi @ v)
-        grad[9] = float(d @ v)
-        return g, grad
-    h = -r[2]
-    rho = air_density(h)
-    drho_drz = rho / H_SCALE if h > 0.0 else 0.0
-    q_bar = 0.5 * rho * nv * nv
-    a, da_dq = _load_angle(q_bar, L_lim)
-    c_a, s_a = math.cos(a), math.sin(a)
-    dca_dq = -s_a * da_dq
-
-    g = Gamma * float(d @ v) + Gamma * nv * c_a
-    vhat = v / nv
-    grad[2] = Gamma * nv * dca_dq * (0.5 * drho_drz * nv * nv)
-    grad[3:6] = Gamma * d + Gamma * (c_a * vhat + nv * dca_dq * rho * v)
-    grad[7] = Gamma * float(dd_dtheta @ v)
-    grad[8] = Gamma * float(dd_dpsi @ v)
-    grad[9] = float(d @ v) + nv * c_a
-    return g, grad
+    z, dz = _tracker_node(x)
+    g, grad_z = load_constraint_planner(z, vp, L_lim)
+    return g, np.concatenate([grad_z[0:7], grad_z[7:11] @ dz])

@@ -32,7 +32,6 @@ class VehicleParams:
     """Physical booster model: geometry, propulsion, actuation, aero."""
 
     l_total: float = 42.6        # vehicle length [m]
-    d_ref: float = 3.66          # reference length / body diameter [m] (unused by the dynamics)
     s_ref: float = 10.52         # aerodynamic reference area [m^2]
     A_exit: float = 0.6648       # nozzle exit area [m^2]
     m0: float = 36079.0          # initial (wet) mass [kg]

@@ -163,16 +163,14 @@ def fit_coast_polynomial(coast: CoastTrajectory,
                     max_residual_r=float(res_r), max_residual_v=float(res_v))
 
 
-def tilt_limit_profile(t: float, t_f: float, t_theta: float,
-                       theta_lim_max: float) -> float:
-    """Time-varying tilt bound: constant, then a parabolic taper to vertical."""
+def tilt_limit_profile(t, t_f: float, t_theta: float, theta_lim_max: float):
+    """Time-varying tilt bound, elementwise in t: constant, then a parabolic
+    taper to vertical."""
     if t_theta <= 0.0:
-        return theta_lim_max
-    if t <= t_f - t_theta:
-        return theta_lim_max
+        return np.full(np.shape(t), theta_lim_max)
     K_theta = 2.0 * theta_lim_max / (t_theta * t_theta)
-    dt = max(t_f - t, 0.0)
-    return 0.5 * K_theta * dt * dt
+    dt = np.maximum(t_f - t, 0.0)
+    return np.where(t <= t_f - t_theta, theta_lim_max, 0.5 * K_theta * dt * dt)
 
 
 def initial_guess_planning(boundary: PlanningBoundary, cfg: PlanningConfig,
@@ -202,25 +200,20 @@ def initial_guess_planning(boundary: PlanningBoundary, cfg: PlanningConfig,
     Z[:, 0:3] = r0 * (1.0 - tau)[:, None]
     Z[:, 3:6] = v0 * (1.0 - tau)[:, None]
     mid = 0.5 * (vp.T_min + vp.T_max)
-    gamma = np.array([mid - vp.A_exit * env.ambient_pressure(-rz)
-                      for rz in Z[:, 2]])
-    Z[:, 9] = -gamma          # T_z straight up
-    Z[:, 10] = gamma
+    P_e = env.ambient_pressure(-Z[:, 2])
+    Z[:, 9] = -(mid - vp.A_exit * P_e)     # T_z straight up
+    Z[:, 10] = -Z[:, 9]
     # Mass from integrating the Gamma profile (gross flow = Gamma + Pe*Ae).
-    m = np.empty(N + 1)
-    m[0] = m0
-    dt = eta / N
-    for k in range(N):
-        flow_k = (Z[k, 10] + env.ambient_pressure(-Z[k, 2]) * vp.A_exit)
-        flow_k1 = (Z[k + 1, 10] + env.ambient_pressure(-Z[k + 1, 2]) * vp.A_exit)
-        m[k + 1] = m[k] - 0.5 * dt * (flow_k + flow_k1) / (vp.g_ref * vp.Isp)
-    Z[:, 6] = m
+    flow = Z[:, 10] + P_e * vp.A_exit
+    dm = 0.5 * (eta / N) * (flow[:-1] + flow[1:]) / (vp.g_ref * vp.Isp)
+    Z[:, 6] = np.subtract.accumulate(np.concatenate([[m0], dm]))
     return PlanningReference(N=N, eta=eta, t_c=t_c, Z=Z)
 
 
 @dataclass(frozen=True)
 class LinearizedNode:
-    """Trapezoidal-row ingredients at one reference node."""
+    """Trapezoidal-row ingredients at one reference node, or at a stack of
+    nodes along a leading axis."""
 
     A: np.ndarray      # eta_ref * df/dZ  (7 x 11)
     C: np.ndarray      # f(Z_ref)         (7,)
@@ -232,16 +225,33 @@ class LinearizedNode:
 def linearize_planning(z_node: np.ndarray, eta_ref: float,
                        vp: VehicleParams, cfg: PlanningConfig,
                        opts: AeroOptions, node_index: int = -1) -> LinearizedNode:
-    """Linearize dynamics and load constraint at one reference node."""
-    z_node = np.asarray(z_node, float)
-    if not np.all(np.isfinite(z_node)) or z_node[6] <= 0.0 or z_node[IDX_GAMMA] <= 0.0:
+    """Linearize dynamics and load constraint at one reference node (11,),
+    or at every node of an (n, 11) stack in one kernel call.
+
+    ``node_index`` names a single node in the error message; a stack names
+    its first degenerate row.
+    """
+    z = np.asarray(z_node, float)
+    bad = (~np.all(np.isfinite(z), axis=-1) | (z[..., 6] <= 0.0)
+           | (z[..., IDX_GAMMA] <= 0.0))
+    if np.any(bad):
+        k = node_index if z.ndim == 1 else int(np.flatnonzero(bad)[0])
         raise DegenerateStateError(
-            f"degenerate planning reference at node {node_index}")
-    f, J = env.planner_jacobian(z_node, vp, opts)
+            f"degenerate planning reference at node {k}")
+    f, J = env.planner_jacobian(z, vp, opts)
     A = eta_ref * J
-    D = -A @ z_node
-    g, grad = env.load_constraint_planner(z_node, vp, cfg.L_lim)
+    D = -(A @ z[..., None])[..., 0]
+    g, grad = env.load_constraint_planner(z, vp, cfg.L_lim)
     return LinearizedNode(A=A, C=f, D=D, g_load=g, grad_load=grad)
+
+
+def _csr(entries, shape) -> sp.csr_matrix:
+    """CSR matrix from (rows, cols, vals) triples, each broadcast to a common
+    shape; zero values are not stored and repeated positions are summed."""
+    flat = [[x.ravel() for x in np.broadcast_arrays(*e)] for e in entries]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*flat))
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 class PlanningProblem:
@@ -265,7 +275,6 @@ class PlanningProblem:
         self.idx_eta = NZ * (self.N + 1)
         self.idx_tc = self.idx_eta + 1 if self.with_tc else None
         self._scaling_bounds: tuple[np.ndarray, np.ndarray] | None = None
-        self.last_program: ConicProgram | None = None
 
     # -- variable layout helpers -------------------------------------------------
 
@@ -291,211 +300,136 @@ class PlanningProblem:
     def scaling_bounds(self, ref: PlanningReference):
         if self._scaling_bounds is not None:
             return self._scaling_bounds
-        N, vp = self.N, self.vp
-        lo = np.empty(self.n_vars)
-        hi = np.empty(self.n_vars)
+        vp = self.vp
         r, v = ref.r, ref.v
-        for axis in range(3):
-            span = max(r[:, axis].max() - r[:, axis].min(), 1.0)
-            pad = 0.5 * span + 200.0
-            lo_r, hi_r = r[:, axis].min() - pad, r[:, axis].max() + pad
-            span_v = max(v[:, axis].max() - v[:, axis].min(), 1.0)
-            pad_v = 0.5 * span_v + 30.0
-            lo_v, hi_v = v[:, axis].min() - pad_v, v[:, axis].max() + pad_v
-            for k in range(N + 1):
-                base = NZ * k
-                lo[base + axis], hi[base + axis] = lo_r, hi_r
-                lo[base + 3 + axis], hi[base + 3 + axis] = lo_v, hi_v
-        for k in range(N + 1):
-            base = NZ * k
-            lo[base + 6], hi[base + 6] = vp.m_dry_floor, vp.m0 * 1.001
-            for axis in range(3):
-                lo[base + 7 + axis], hi[base + 7 + axis] = -vp.T_max, vp.T_max
-            lo[base + IDX_GAMMA], hi[base + IDX_GAMMA] = 0.0, vp.T_max
-        lo[self.idx_eta], hi[self.idx_eta] = 0.5 * ref.eta, 2.0 * ref.eta
+        pad_r = 0.5 * np.maximum(r.max(0) - r.min(0), 1.0) + 200.0
+        pad_v = 0.5 * np.maximum(v.max(0) - v.min(0), 1.0) + 30.0
+        T_max = np.full(3, vp.T_max)
+        node_lo = np.concatenate([r.min(0) - pad_r, v.min(0) - pad_v,
+                                  [vp.m_dry_floor], -T_max, [0.0]])
+        node_hi = np.concatenate([r.max(0) + pad_r, v.max(0) + pad_v,
+                                  [vp.m0 * 1.001], T_max, [vp.T_max]])
+        lo = [np.tile(node_lo, self.N + 1), [0.5 * ref.eta]]
+        hi = [np.tile(node_hi, self.N + 1), [2.0 * ref.eta]]
         if self.with_tc:
-            lo[self.idx_tc], hi[self.idx_tc] = self.cfg.tc_window
-            if hi[self.idx_tc] - lo[self.idx_tc] < 1e-9:
-                lo[self.idx_tc] -= 0.5
-                hi[self.idx_tc] += 0.5
-        self._scaling_bounds = (lo, hi)
+            lo_tc, hi_tc = self.cfg.tc_window
+            if hi_tc - lo_tc < 1e-9:
+                lo_tc, hi_tc = lo_tc - 0.5, hi_tc + 0.5
+            lo.append([lo_tc])
+            hi.append([hi_tc])
+        self._scaling_bounds = (np.concatenate(lo), np.concatenate(hi))
         return self._scaling_bounds
 
     # -- SCP adapter interface ------------------------------------------------------
 
     def build(self, ref: PlanningReference) -> ConicProgram:
         N, vp, cfg = self.N, self.vp, self.cfg
-        eta_ref = ref.eta
-        nodes = [linearize_planning(ref.Z[k], eta_ref, vp, cfg, self.opts, k)
-                 for k in range(N + 1)]
-
-        rows_A, cols_A, vals_A, b_rows = [], [], [], []
-        row = 0
-
-        def add_entry(r_, c_, v_):
-            rows_A.append(r_)
-            cols_A.append(c_)
-            vals_A.append(v_)
-
-        def add_block(r0, cols, block):
-            block = np.atleast_2d(block)
-            for i in range(block.shape[0]):
-                for j, cj in enumerate(cols):
-                    if block[i, j] != 0.0:
-                        add_entry(r0 + i, cj, block[i, j])
+        eta_ref, Z = ref.eta, ref.Z
+        lin = linearize_planning(Z, eta_ref, vp, cfg, self.opts)
+        node = NZ * np.arange(N + 1)          # first column of each node
+        col_gamma = node + IDX_GAMMA
 
         # Trapezoidal dynamics rows: X_{k+1} - X_k - (1/2N)(...) = rhs.
         half = 1.0 / (2.0 * N)
-        for k in range(N):
-            nk, nk1 = nodes[k], nodes[k + 1]
-            sl_k = self.node_slice(k)
-            sl_k1 = self.node_slice(k + 1)
-            cols_k = list(range(sl_k.start, sl_k.stop))
-            cols_k1 = list(range(sl_k1.start, sl_k1.stop))
-            add_block(row, cols_k1[:NX], np.eye(NX))
-            add_block(row, cols_k[:NX], -np.eye(NX))
-            add_block(row, cols_k, -half * nk.A)
-            add_block(row, cols_k1, -half * nk1.A)
-            Ccol = -half * (nk.C + nk1.C)
-            for i in range(NX):
-                if Ccol[i] != 0.0:
-                    add_entry(row + i, self.idx_eta, Ccol[i])
-            rhs = half * (nk.D + nk1.D)
-            b_rows.extend(rhs)
-            row += NX
+        n_dyn = NX * N
+        dyn = np.arange(n_dyn).reshape(N, NX)
+        cols_k = node[:-1, None] + np.arange(NZ)
+        state_k = node[:-1, None] + np.arange(NX)
+        M = -half * lin.A
+        eq = [(dyn[:, :, None], cols_k[:, None, :], M[:-1]),
+              (dyn[:, :, None], cols_k[:, None, :] + NZ, M[1:]),
+              (dyn, state_k, -1.0),
+              (dyn, state_k + NZ, 1.0),
+              (dyn, self.idx_eta, -half * (lin.C[:-1] + lin.C[1:]))]
+        b_dyn = half * (lin.D[:-1] + lin.D[1:])
 
-        # Boundary rows.
-        sl0 = self.node_slice(0)
+        # Boundary rows: initial position, velocity and mass, then the
+        # terminal pad condition r = v = 0.
+        initial = n_dyn + np.arange(NX)
+        eq.append((initial, np.arange(NX), 1.0))
         if self.with_tc:
             fit = self.boundary.coast_fit
             tc_ref = ref.t_c
             lin_vec = np.array([2.0 * tc_ref, 1.0, 0.0])
             const_vec = np.array([-tc_ref * tc_ref, 0.0, 1.0])
-            for (K, offset) in ((fit.K_r, 0), (fit.K_v, 3)):
-                slope = K @ lin_vec
-                const = K @ const_vec
-                for i in range(3):
-                    add_entry(row, sl0.start + offset + i, 1.0)
-                    add_entry(row, self.idx_tc, -slope[i])
-                    b_rows.append(const[i])
-                    row += 1
+            slope = np.concatenate([fit.K_r @ lin_vec, fit.K_v @ lin_vec])
+            eq.append((initial[:6], self.idx_tc, -slope))
+            start = np.concatenate([fit.K_r @ const_vec, fit.K_v @ const_vec])
         else:
-            for i, val in enumerate(np.concatenate(
-                    [self.boundary.r_now, self.boundary.v_now])):
-                add_entry(row, sl0.start + i, 1.0)
-                b_rows.append(float(val))
-                row += 1
-        add_entry(row, sl0.start + 6, 1.0)
-        b_rows.append(self.boundary.m0)
-        row += 1
-        # Terminal pad condition r = v = 0.
-        slN = self.node_slice(N)
-        for i in range(6):
-            add_entry(row, slN.start + i, 1.0)
-            b_rows.append(0.0)
-            row += 1
+            start = np.concatenate([self.boundary.r_now, self.boundary.v_now])
+        eq.append((n_dyn + NX + np.arange(6), node[-1] + np.arange(6), 1.0))
 
         # Nodes whose tilt bound is numerically zero (the taper end) would pin
         # their SOC cone to a boundary ray; encode vertical thrust exactly as
         # equalities instead and drop the pinned cone.
-        vertical = []
-        for k in range(N + 1):
-            t_k = eta_ref * k / N
-            if tilt_limit_profile(t_k, eta_ref, cfg.t_theta,
-                                  cfg.theta_lim_max) < 1e-5:
-                vertical.append(k)
-                base = NZ * k
-                for col, gamma_coef in ((base + 7, 0.0), (base + 8, 0.0),
-                                        (base + 9, 1.0)):
-                    add_entry(row, col, 1.0)
-                    if gamma_coef:
-                        add_entry(row, base + IDX_GAMMA, gamma_coef)
-                    b_rows.append(0.0)
-                    row += 1
-        vertical_set = set(vertical)
+        theta_lim = tilt_limit_profile(eta_ref * np.arange(N + 1) / N, eta_ref,
+                                       cfg.t_theta, cfg.theta_lim_max)
+        vertical = theta_lim < 1e-5
+        vert = node[vertical]
+        vrows = n_dyn + NX + 6 + np.arange(3 * vert.size).reshape(-1, 3)
+        eq.append((vrows, vert[:, None] + np.array([7, 8, 9]), 1.0))
+        eq.append((vrows[:, 2], vert + IDX_GAMMA, 1.0))
 
-        n_eq = row
-        A_mat = sp.csr_matrix((vals_A, (rows_A, cols_A)),
-                              shape=(n_eq, self.n_vars))
-        b_vec = np.asarray(b_rows, float)
+        n_eq = n_dyn + NX + 6 + vrows.size
+        A_mat = _csr(eq, (n_eq, self.n_vars))
+        b_vec = np.zeros(n_eq)
+        b_vec[:n_dyn] = b_dyn.ravel()
+        b_vec[initial] = np.append(start, self.boundary.m0)
 
-        # Inequality rows (nonnegative orthant), then SOC blocks.
-        rows_G, cols_G, vals_G, h_rows = [], [], [], []
-        g_row = 0
+        # Inequality rows (nonnegative orthant), then SOC blocks. Each node
+        # owns a run of rows: two Gamma bounds, the tilt row T_z +
+        # cos(theta_lim) Gamma <= 0 unless vertical, and the linearized
+        # aerodynamic load row. In the clamped regime (q_bar <= L_lim/pi) the
+        # true constraint T.v <= Gamma ||v|| is already implied by the cone,
+        # so the load row is dropped there, as it is at the current state.
+        speed = np.linalg.norm(Z[:, 3:6], axis=1)
+        q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
+        load = (q_bar > cfg.L_lim / math.pi) & (speed >= env.V_EPS)
+        if self.boundary.mode == "current-state":
+            load[0] = False
+        tilt = ~vertical
+        count = 2 + tilt + load
+        first = np.cumsum(count) - count
+        tilt_rows = (first + 2)[tilt]
+        load_rows = (first + 2 + tilt)[load]
+        ineq = [(first, col_gamma, -1.0),
+                (first + 1, col_gamma, 1.0),
+                (tilt_rows, node[tilt] + 9, 1.0),
+                (tilt_rows, col_gamma[tilt], np.cos(theta_lim[tilt])),
+                (load_rows[:, None], node[load, None] + np.arange(NZ),
+                 lin.grad_load[load])]
+        # Thrust-magnitude rate rows on the reference time step, then the
+        # dilation hard bounds and the ignition window.
+        rate = count.sum() + 2 * np.arange(N)
+        ineq += [(rate, col_gamma[1:], 1.0), (rate, col_gamma[:-1], -1.0),
+                 (rate + 1, col_gamma[:-1], 1.0),
+                 (rate + 1, col_gamma[1:], -1.0)]
+        box_cols = [self.idx_eta] + ([self.idx_tc] if self.with_tc else [])
+        box = rate[-1] + 2 + np.arange(2 * len(box_cols))
+        ineq.append((box, np.repeat(box_cols, 2),
+                     np.tile([-1.0, 1.0], len(box_cols))))
+        n_nonneg = box[-1] + 1
 
-        def add_ineq(cols, coefs, bound):
-            nonlocal g_row
-            for cj, vj in zip(cols, coefs):
-                if vj != 0.0:
-                    rows_G.append(g_row)
-                    cols_G.append(cj)
-                    vals_G.append(vj)
-            h_rows.append(bound)
-            g_row += 1
+        # SOC blocks ||T_k|| <= Gamma_k below the orthant rows; vertical
+        # nodes satisfy the bound by construction.
+        n_soc = int(tilt.sum())
+        soc = n_nonneg + np.arange(4 * n_soc).reshape(-1, 4)
+        ineq.append((soc, node[tilt, None] + np.array([IDX_GAMMA, 7, 8, 9]),
+                     -1.0))
+        G_mat = _csr(ineq, (n_nonneg + soc.size, self.n_vars))
 
-        skip_first_load = self.boundary.mode == "current-state"
-        for k in range(N + 1):
-            base = NZ * k
-            h_alt = -ref.Z[k, 2]
-            P_e = env.ambient_pressure(h_alt)
-            g_lo = vp.T_min * (1.0 + cfg.mu_T) - P_e * vp.A_exit
-            g_hi = vp.T_max * (1.0 - cfg.mu_T) - P_e * vp.A_exit
-            add_ineq([base + IDX_GAMMA], [-1.0], -g_lo)
-            add_ineq([base + IDX_GAMMA], [1.0], g_hi)
-            # Tilt rows: T_z + cos(theta_lim(t_k)) * Gamma <= 0; vertical
-            # nodes carry thrust-direction equalities instead.
-            if k not in vertical_set:
-                t_k = eta_ref * k / N
-                theta_lim = tilt_limit_profile(t_k, eta_ref, cfg.t_theta,
-                                               cfg.theta_lim_max)
-                add_ineq([base + 9, base + IDX_GAMMA],
-                         [1.0, math.cos(theta_lim)], 0.0)
-            # Linearized aerodynamic load rows. In the clamped regime
-            # (q_bar <= L_lim/pi) the true constraint T.v <= Gamma ||v|| is
-            # already implied by the cone, so the row is dropped there.
-            if not (k == 0 and skip_first_load):
-                nd = nodes[k]
-                speed = np.linalg.norm(ref.Z[k, 3:6])
-                q_bar = 0.5 * env.air_density(-ref.Z[k, 2]) * speed * speed
-                if q_bar > cfg.L_lim / math.pi and speed >= env.V_EPS:
-                    cols = list(range(base, base + NZ))
-                    bound = float(nd.grad_load @ ref.Z[k] - nd.g_load)
-                    add_ineq(cols, nd.grad_load, bound)
-        # Thrust-magnitude rate rows on the reference time step.
-        dG = vp.Tdot_lim * eta_ref / N
-        for k in range(N):
-            gk = NZ * k + IDX_GAMMA
-            gk1 = NZ * (k + 1) + IDX_GAMMA
-            add_ineq([gk1, gk], [1.0, -1.0], dG)
-            add_ineq([gk, gk1], [1.0, -1.0], dG)
-        # Dilation hard bounds, and the ignition window.
-        add_ineq([self.idx_eta], [-1.0], -cfg.eta_bounds[0])
-        add_ineq([self.idx_eta], [1.0], cfg.eta_bounds[1])
+        P_e = env.ambient_pressure(-Z[:, 2])
+        h_vec = np.zeros(G_mat.shape[0])
+        h_vec[first] = -(vp.T_min * (1.0 + cfg.mu_T) - P_e * vp.A_exit)
+        h_vec[first + 1] = vp.T_max * (1.0 - cfg.mu_T) - P_e * vp.A_exit
+        h_vec[load_rows] = (np.einsum("ki,ki->k", lin.grad_load[load], Z[load])
+                            - lin.g_load[load])
+        h_vec[rate] = h_vec[rate + 1] = vp.Tdot_lim * eta_ref / N
+        bounds = [-cfg.eta_bounds[0], cfg.eta_bounds[1]]
         if self.with_tc:
             lo_tc, hi_tc = self.boundary.coast_fit.window
-            add_ineq([self.idx_tc], [-1.0], -lo_tc)
-            add_ineq([self.idx_tc], [1.0], hi_tc)
-
-        n_nonneg = g_row
-        # SOC blocks ||T_k|| <= Gamma_k appended below the orthant rows;
-        # vertical nodes satisfy the bound by construction.
-        n_soc = 0
-        for k in range(N + 1):
-            if k in vertical_set:
-                continue
-            base = NZ * k
-            for j, col in enumerate((base + IDX_GAMMA, base + 7, base + 8,
-                                     base + 9)):
-                rows_G.append(g_row + j)
-                cols_G.append(col)
-                vals_G.append(-1.0)
-            h_rows.extend([0.0, 0.0, 0.0, 0.0])
-            g_row += 4
-            n_soc += 1
-
-        G_mat = sp.csr_matrix((vals_G, (rows_G, cols_G)),
-                              shape=(g_row, self.n_vars))
-        h_vec = np.asarray(h_rows, float)
+            bounds += [-lo_tc, hi_tc]
+        h_vec[box] = bounds
         cones = [ConeBlock(NONNEG, n_nonneg)] + \
                 [ConeBlock(SOC, 4) for _ in range(n_soc)]
 
@@ -509,7 +443,6 @@ class PlanningProblem:
         scaled.c = scaled.c + c     # scaled cost of the affine program is zero
         add_trust_region(scaled, scaled.scaling.scale(self.stack(ref)),
                          self.cfg.W_tr)
-        self.last_program = scaled
         return scaled
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:

@@ -397,3 +397,104 @@ class TestLoadConstraint:
                 continue
             g, _ = load_constraint_planner(z, VP, 3.0e3)
             assert (g <= 0) == (q_bar * alpha <= 3.0e3 + 1e-9)
+
+
+class TestKernelBranches:
+    """Batched kernels on the nodes ``random_planner_node`` never reaches."""
+
+    L_LIM = 3.0e3
+    MODES = (AeroOptions(), AeroOptions(lift_compensation=False),
+             AeroOptions(drag_only=True))
+
+    @staticmethod
+    def _node(r, v, T, Gamma=None, m=30000.0):
+        T = np.asarray(T, float)
+        Gamma = np.linalg.norm(T) * 1.02 if Gamma is None else Gamma
+        return np.concatenate([r, v, [m], T, [Gamma]])
+
+    def _batch(self):
+        """Mixed nodes and, per node, the columns where f is not smooth."""
+        v_retro = np.array([10.0, -5.0, 120.0])
+        side = np.cross(v_retro, [0.0, 0.0, 1.0])
+        T_retro = -4e5 * v_retro / np.linalg.norm(v_retro) \
+            + 20.0 * side / np.linalg.norm(side)
+        rng = np.random.default_rng(31)
+        cases = [
+            # engine off: the model switches at ||T|| = T_EPS
+            (self._node([100, -50, -3000], [20, 5, 150], np.zeros(3), 4.2e5),
+             slice(7, 10)),
+            # below V_EPS airspeed
+            (self._node([30, 10, -800], [0.05, 0, 0.02], [1e4, 0, -5e5]),
+             None),
+            # terminal node: v = 0 on the pad, h = 0 is the density kink
+            (self._node([0, 0, 0], [0, 0, 0], [0, 0, -4.5e5]), slice(2, 3)),
+            # near retro-thrust: the small-alpha sinc series
+            (self._node([-200, 100, -2500], v_retro, T_retro), None),
+            # q_bar <= L_lim/pi: the clamped load angle
+            (self._node([0, 0, -2000], [20, 5, 22], [1e5, 2e4, -3e5]), None),
+            # below ground: h <= 0 clamps the density
+            (self._node([40, 0, 5], [3, 2, 40], [3e4, 1e4, -6e5]), None),
+            (random_planner_node(rng, VP), None),
+            (random_planner_node(rng, VP), None),
+        ]
+        Z = np.array([z for z, _ in cases])
+        return Z, [kink for _, kink in cases]
+
+    def test_batch_reaches_every_branch(self):
+        Z, _ = self._batch()
+        speed = np.linalg.norm(Z[:, 3:6], axis=1)
+        assert np.linalg.norm(Z[0, 7:10]) <= env.T_EPS
+        assert speed[1] < env.V_EPS and speed[2] == 0.0
+        assert total_aoa(Z[3, 7:10], Z[3, 3:6]) < 1e-4
+        q_bar = 0.5 * env.air_density(-Z[4, 2]) * speed[4] ** 2
+        assert q_bar <= self.L_LIM / math.pi
+        assert -Z[5, 2] < 0.0
+        g, _ = load_constraint_planner(Z, VP, self.L_LIM)
+        Tv = np.einsum("ki,ki->k", Z[:, 7:10], Z[:, 3:6])
+        # Clamped angle pi: g = T.v - Gamma ||v||; no airspeed: g = T.v.
+        assert g[4] == pytest.approx(Tv[4] - Z[4, 10] * speed[4], rel=1e-12)
+        assert g[1] == pytest.approx(Tv[1], rel=1e-12)
+
+    def test_batch_rows_equal_single_nodes(self):
+        Z, _ = self._batch()
+
+        def close(batch, single):
+            scale = max(np.abs(single).max(), 1e-300)
+            assert np.abs(batch - single).max() <= 1e-14 * scale
+
+        for opts in self.MODES:
+            f, J = planner_jacobian(Z, VP, opts)
+            assert f.shape == (len(Z), 7) and J.shape == (len(Z), 7, 11)
+            for k, z in enumerate(Z):
+                f1, J1 = planner_jacobian(z, VP, opts)
+                close(f[k], f1)
+                close(J[k], J1)
+                close(planner_rhs(z, VP, opts), f1)
+        g, grad = load_constraint_planner(Z, VP, self.L_LIM)
+        for k, z in enumerate(Z):
+            g1, grad1 = load_constraint_planner(z, VP, self.L_LIM)
+            close(np.array([g[k]]), np.array([g1]))
+            close(grad[k], grad1)
+
+    def test_jacobian_fd_where_smooth(self):
+        Z, kinks = self._batch()
+        for opts in self.MODES:
+            _, J = planner_jacobian(Z, VP, opts)
+            for z, Jk, kink in zip(Z, J, kinks):
+                J_fd = central_diff_jacobian(
+                    lambda zz: planner_rhs(zz, VP, opts), z)
+                smooth = np.ones(11, bool)
+                if kink is not None:
+                    smooth[kink] = False
+                assert rel_jac_error(Jk[:, smooth], J_fd[:, smooth]) < 1e-5
+            # Engine off: no incidence, so thrust enters only as T/m.
+            np.testing.assert_array_equal(J[0, 3:6, 7:10], np.eye(3) / Z[0, 6])
+
+    def test_load_gradient_fd(self):
+        Z, _ = self._batch()
+        _, grad = load_constraint_planner(Z, VP, self.L_LIM)
+        for z, gk in zip(Z, grad):
+            grad_fd = central_diff_jacobian(
+                lambda zz: np.array(
+                    [load_constraint_planner(zz, VP, self.L_LIM)[0]]), z)
+            assert rel_jac_error(gk[None, :], grad_fd) < 1e-5

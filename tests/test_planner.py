@@ -243,6 +243,39 @@ class TestBuildStructure:
         expected_nonneg = 2 * (N + 1) + (N + 1 - n_vertical) + n_load + 2 * N + 4
         assert prog.cones[0].dim == expected_nonneg
 
+    def test_current_state_counts(self):
+        # Current-state boundary: no t_c column, 7 boundary rows (r, v, m
+        # pinned to the state), no load row at the first node and no
+        # ignition-window bounds.
+        cfg = PlanningConfig(N=40)
+        boundary = PlanningBoundary(
+            mode="current-state", m0=33000.0,
+            r_now=np.array([-300.0, -250.0, -3500.0]),
+            v_now=np.array([40.0, 35.0, 230.0]))
+        prob = PlanningProblem(boundary, VP, cfg)
+        ref = initial_guess_planning(boundary, cfg, VP)
+        prog = prob.build(ref)
+        N = cfg.N
+        assert prog.n == NZ * (N + 1) + 1
+        n_vertical = sum(
+            1 for k in range(N + 1)
+            if tilt_limit_profile(ref.eta * k / N, ref.eta, cfg.t_theta,
+                                  cfg.theta_lim_max) < 1e-5)
+        assert n_vertical >= 1
+        assert prog.A.shape[0] == 7 * N + 7 + 6 + 3 * n_vertical
+        soc = [cb for cb in prog.cones if cb.kind == "soc"]
+        assert len(soc) == N + 1 - n_vertical
+        loaded = []
+        for k in range(N + 1):
+            speed = np.linalg.norm(ref.Z[k, 3:6])
+            q_bar = 0.5 * env.air_density(-ref.Z[k, 2]) * speed * speed
+            loaded.append(q_bar > cfg.L_lim / math.pi and speed >= env.V_EPS)
+        assert loaded[0]          # the first node would carry a load row
+        n_load = sum(loaded[1:])
+        expected_nonneg = (2 * (N + 1) + (N + 1 - n_vertical) + n_load
+                           + 2 * N + 2)
+        assert prog.cones[0].dim == expected_nonneg
+
     def test_gamma_bound_value(self):
         # At sea level with Table-2 numbers: 816 kN * 0.95 - 67.36 kN.
         prob, cfg = make_problem(N=10)
