@@ -8,16 +8,22 @@ SOCPs with quadratic cost:
     minimize    0.5 x' P x + c' x
     subject to  A x = b,  G x + s = h,  s in K.
 
-Each iteration factorizes the quasi-definite KKT matrix
+Each iteration factorizes the KKT matrix
 
     [ P + eps I    A'          G'        ]
     [ A           -eps I       0         ]
     [ G            0          -(W'W + eps I) ]
 
-with SuperLU (``scipy.sparse.linalg.splu`` at its defaults: COLAMD column
-ordering and partial pivoting), followed by iterative refinement against
-the unregularized system. Cone algebra is vectorized
-over groups of equal-dimension SOC blocks.
+followed by iterative refinement against the unregularized system. The
+matrix is symmetric quasi-definite (a positive definite block, and the
+negative of one, on the diagonal), so every symmetric permutation of it has
+an LU factorization with the pivots on the diagonal, stable without row
+pivoting (Vanderbei, SIAM J. Optim. 1995). SuperLU runs in symmetric mode
+with no pivoting: the first factorization of a solve takes a minimum-degree
+ordering of A' + A, the matrix is then stored permuted by it, and each later
+iteration writes only the -(W'W + eps I) values into that fixed pattern and
+factors it in natural order. Cone algebra is vectorized over groups of
+equal-dimension SOC blocks.
 """
 
 from __future__ import annotations
@@ -236,6 +242,106 @@ class _NTScaling:
         return np.concatenate(parts) if parts else np.empty(0)
 
 
+def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
+    """Sparse LU of a symmetric quasi-definite matrix, pivots on the diagonal.
+
+    The ordering is a minimum-degree ordering of A' + A, or, with
+    ``natural``, none (for a matrix already permuted by one).
+    """
+    return spla.splu(K, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+class _Kkt:
+    """The KKT system of one solve, in a fixed CSC pattern.
+
+    Only the -(W^2 + reg I) block changes between iterations; ``factor``
+    writes its values into ``K.data`` through ``w2_slots``. The first
+    factorization orders the matrix, and K is then stored permuted by that
+    ordering, so later factorizations keep it; their solves permute the
+    right-hand side and the solution.
+    """
+
+    def __init__(self, P, A, G, cones: _Cones, reg: float):
+        n, me = P.shape[0], A.shape[0]
+        dim = n + me + G.shape[0]
+        self.P, self.A, self.G = P, A, G
+        self.AT, self.GT = A.T.tocsr(), G.T.tocsr()
+        self.reg = reg
+        top = sp.bmat([[P + reg * sp.eye(n), A.T, G.T],
+                       [A, -reg * sp.eye(me) if me else None, None]],
+                      format="coo") if me else \
+            sp.hstack([P + reg * sp.eye(n), A.T, G.T], format="coo")
+        Gcoo = G.tocoo()
+        # Pattern of the -W^2 block: nonneg diagonal, dense SOC blocks, in
+        # the order w2_entries emits values.
+        w2_rows = [cones.nn + n + me]
+        w2_cols = [cones.nn + n + me]
+        for idx in cones.soc.values():
+            shifted = idx + n + me
+            w2_rows.append(np.repeat(shifted, idx.shape[1], axis=1).reshape(-1))
+            w2_cols.append(np.tile(shifted, (1, idx.shape[1])).reshape(-1))
+        w2_rows = np.concatenate(w2_rows)
+        w2_cols = np.concatenate(w2_cols)
+        rows = np.concatenate([top.row, Gcoo.row + n + me, w2_rows])
+        cols = np.concatenate([top.col, Gcoo.col, w2_cols])
+        vals = np.concatenate([top.data, Gcoo.data, np.zeros(w2_rows.size)])
+        # Canonical CSC: rows sorted within each column, so an entry's slot
+        # is the rank of its column-major key.
+        self.K = sp.csc_matrix((vals, (rows, cols)), shape=(dim, dim))
+        keys = np.repeat(np.arange(dim), np.diff(self.K.indptr)) * dim \
+            + self.K.indices
+        self.w2_slots = np.searchsorted(keys, w2_cols * dim + w2_rows)
+        self.position = None     # position[i]: where row/column i sits in K
+        self.order = None        # its inverse
+        self.scaling = None
+        self._lu_solve = None
+
+    def factor(self, scaling: _NTScaling) -> None:
+        """Refill the W^2 block from the NT scaling and factor K."""
+        self.scaling = scaling
+        self.K.data[self.w2_slots] = -scaling.w2_entries(self.reg)
+        if self.order is None:
+            lu = factor_quasidefinite(self.K)
+            self._permute(lu.perm_c)
+            self._lu_solve = lu.solve
+        else:
+            lu = factor_quasidefinite(self.K, natural=True)
+            # Not through self: a cycle would hold each solve's LU factors
+            # until the cyclic garbage collector runs.
+            order, position = self.order, self.position
+            self._lu_solve = lambda rhs: lu.solve(rhs[order])[position]
+
+    def _permute(self, position: np.ndarray) -> None:
+        """Store K as K[order][:, order]; the W^2 slots follow."""
+        K, dim = self.K, self.K.shape[0]
+        rows = position[K.indices]
+        cols = position[np.repeat(np.arange(dim), np.diff(K.indptr))]
+        moved = np.lexsort((rows, cols))
+        slot = np.empty_like(moved)
+        slot[moved] = np.arange(moved.size)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=dim))])
+        self.K = sp.csc_matrix((K.data[moved], rows[moved], indptr), shape=K.shape)
+        self.w2_slots = slot[self.w2_slots]
+        self.position, self.order = position, np.argsort(position)
+
+    def apply(self, xyz: np.ndarray) -> np.ndarray:
+        """The unregularized KKT matrix at the current scaling times xyz."""
+        n, me = self.P.shape[0], self.A.shape[0]
+        x_, y_, z_ = xyz[:n], xyz[n:n + me], xyz[n + me:]
+        r1 = (self.P @ x_) + self.AT @ y_ + self.GT @ z_
+        r2 = self.A @ x_
+        r3 = self.G @ x_ - self.scaling.apply_sq(z_)
+        return np.concatenate([r1, r2, r3])
+
+    def solve(self, rhs: np.ndarray, refine_steps: int) -> np.ndarray:
+        """Solve with the last factorization, refined against ``apply``."""
+        sol = self._lu_solve(rhs)
+        for _ in range(refine_steps):
+            sol = sol + self._lu_solve(rhs - self.apply(sol))
+        return sol
+
+
 def solve_robust(program: ConicProgram,
                  settings: SolverSettings = SolverSettings()) -> SolverSolution:
     """Solve with a deterministic fallback ladder of numerical settings.
@@ -280,55 +386,14 @@ def solve(program: ConicProgram,
     if mi == 0:
         return _solve_equality_only(program, c, P, A, b, settings)
 
-    reg = settings.reg
     P_eff = P if P is not None else sp.csr_matrix((n, n))
-    dim = n + me + mi
-    top = sp.bmat([[P_eff + reg * sp.eye(n), A.T, G.T],
-                   [A, -reg * sp.eye(me) if me else None, None]],
-                  format="coo") if me else \
-        sp.hstack([P_eff + reg * sp.eye(n), A.T, G.T], format="coo")
-    Gcoo = G.tocoo()
-    const_rows = np.concatenate([top.row, Gcoo.row + n + me])
-    const_cols = np.concatenate([top.col, Gcoo.col])
-    const_vals = np.concatenate([top.data, Gcoo.data])
-
-    # Sparsity pattern of the -W^2 block: nonneg diagonal, dense SOC blocks,
-    # in the same order w2_entries emits values.
-    w2_rows = [cones.nn + n + me]
-    w2_cols = [cones.nn + n + me]
-    for idx in cones.soc.values():
-        shifted = idx + n + me
-        rr = np.repeat(shifted, idx.shape[1], axis=1)
-        cc = np.tile(shifted, (1, idx.shape[1]))
-        w2_rows.append(rr.reshape(-1))
-        w2_cols.append(cc.reshape(-1))
-    w2_rows = np.concatenate(w2_rows)
-    w2_cols = np.concatenate(w2_cols)
-    all_rows = np.concatenate([const_rows, w2_rows])
-    all_cols = np.concatenate([const_cols, w2_cols])
-
-    def factor(w2_vals: np.ndarray):
-        vals = np.concatenate([const_vals, -w2_vals])
-        K = sp.csc_matrix((vals, (all_rows, all_cols)), shape=(dim, dim))
-        return spla.splu(K)
-
-    def kkt_apply(xyz: np.ndarray, scaling: _NTScaling) -> np.ndarray:
-        x_, y_, z_ = xyz[:n], xyz[n:n + me], xyz[n + me:]
-        r1 = (P_eff @ x_) + A.T @ y_ + G.T @ z_
-        r2 = A @ x_
-        r3 = G @ x_ - scaling.apply_sq(z_)
-        return np.concatenate([r1, r2, r3])
-
-    def kkt_solve(lu, rhs: np.ndarray, scaling: _NTScaling) -> np.ndarray:
-        sol = lu.solve(rhs)
-        for _ in range(settings.refine_steps):
-            sol = sol + lu.solve(rhs - kkt_apply(sol, scaling))
-        return sol
+    kkt = _Kkt(P_eff, A, G, cones, settings.reg)
+    AT, GT = kkt.AT, kkt.GT
 
     # Initial point: one KKT solve with W = I, then shift into the cones.
     ident = _NTScaling(cones, cones.identity(), cones.identity())
-    lu0 = factor(ident.w2_entries(reg))
-    init = lu0.solve(np.concatenate([-c, b, h]))
+    kkt.factor(ident)
+    init = kkt.solve(np.concatenate([-c, b, h]), refine_steps=0)
     x = init[:n]
     y = init[n:n + me]
     z0 = init[n + me:]
@@ -352,7 +417,7 @@ def solve(program: ConicProgram,
 
     for iteration in range(1, settings.max_iter + 1):
         iters = iteration
-        r_dual = (P_eff @ x) + c + A.T @ y + G.T @ z
+        r_dual = (P_eff @ x) + c + AT @ y + GT @ z
         r_eq = A @ x - b
         r_ineq = G @ x + s - h
         gap = float(s @ z)
@@ -386,7 +451,7 @@ def solve(program: ConicProgram,
         # Infeasibility: approximate Farkas certificate carried by the duals,
         # confirmed after sustained lack of progress.
         dual_scale = max(_norm_inf(z), _norm_inf(y), 1.0)
-        farkas_res = _norm_inf(A.T @ y + G.T @ z) / dual_scale
+        farkas_res = _norm_inf(AT @ y + GT @ z) / dual_scale
         farkas_gap = (float(b @ y) + float(h @ z)) / dual_scale
         certificate = farkas_res < 1e-8 and farkas_gap < -1e-10
         total_res = max(pres, dres, mu)
@@ -417,7 +482,7 @@ def solve(program: ConicProgram,
         scaling = _NTScaling(cones, s, z)
         lam = scaling.apply(z)
         try:
-            lu = factor(scaling.w2_entries(reg))
+            kkt.factor(scaling)
         except RuntimeError:
             status = "numerical_failure"
             break
@@ -426,7 +491,7 @@ def solve(program: ConicProgram,
         d_s = cones.product(lam, lam)
         rhs = np.concatenate([-r_dual, -r_eq,
                               -r_ineq + scaling.apply(cones.divide(lam, d_s))])
-        sol = kkt_solve(lu, rhs, scaling)
+        sol = kkt.solve(rhs, settings.refine_steps)
         dx_a = sol[:n]
         dz_a = sol[n + me:]
         # Slack step from the primal row: keeps G x + s - h contracting
@@ -443,7 +508,7 @@ def solve(program: ConicProgram,
         d_s = cones.product(lam, lam) - sigma * mu * e + corr
         rhs = np.concatenate([-r_dual, -r_eq,
                               -r_ineq + scaling.apply(cones.divide(lam, d_s))])
-        sol = kkt_solve(lu, rhs, scaling)
+        sol = kkt.solve(rhs, settings.refine_steps)
         dx, dy = sol[:n], sol[n:n + me]
         dz = sol[n + me:]
         ds = -r_ineq - G @ dx
@@ -500,7 +565,7 @@ def solve(program: ConicProgram,
             d_corr = v_trial - target
             rhs_c = np.concatenate([np.zeros(n + me),
                                     scaling.apply(cones.divide(lam, d_corr))])
-            sol_c = kkt_solve(lu, rhs_c, scaling)
+            sol_c = kkt.solve(rhs_c, settings.refine_steps)
             dx_c = sol_c[:n]
             dz_c = sol_c[n + me:]
             ds_c = -G @ dx_c
@@ -543,7 +608,7 @@ def solve(program: ConicProgram,
     pobj = program.objective_value(x)
     r_eq = A @ x - b
     r_ineq = G @ x + s - h
-    r_dual = (P_eff @ x) + c + A.T @ y + G.T @ z
+    r_dual = (P_eff @ x) + c + AT @ y + GT @ z
     return SolverSolution(
         x=x, y=y, z=z, s=s, status=status, iterations=iters,
         objective=pobj, gap=gap,
@@ -571,7 +636,7 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
                  [A, -reg * sp.eye(me) if me else None]], format="csc") \
         if me else (P_eff + reg * sp.eye(n)).tocsc()
     try:
-        lu = spla.splu(K)
+        lu = factor_quasidefinite(K)
         sol = lu.solve(np.concatenate([-c, b]))
         for _ in range(2 * settings.refine_steps):
             r1 = -c - (P_eff @ sol[:n]) - (A.T @ sol[n:] if me else 0.0)

@@ -22,10 +22,9 @@ from typing import Any, Callable, Protocol
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .conic import (NONNEG, ConicProgram, SolverSettings, SolverSolution,
-                    cone_violation, solve_robust)
+                    cone_violation, factor_quasidefinite, solve_robust)
 
 
 # The projection holds inequality rows this close to their bound (rows are
@@ -143,8 +142,8 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     violated orthant rows and SOC blocks onto their bounds and holds those
     within ACTIVE_TOL of their bounds at their value, all to first order;
     an SOC block enters through g = ||s_1|| - s_0 with s = h - G x. It
-    solves the KKT system [[I, J'], [J, -1e-10 I]]; the regularization
-    admits dependent rows.
+    solves the quasi-definite KKT system [[I, J'], [J, -1e-10 I]]; the
+    regularization admits dependent rows.
     """
     rows, residual = [], []
     if program.A is not None:
@@ -178,7 +177,7 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     K = sp.bmat([[sp.eye(x.size), J.T], [J, -1e-10 * sp.eye(m)]],
                 format="csc")
     rhs = np.concatenate([np.zeros(x.size), -np.concatenate(residual)])
-    return x + spla.splu(K).solve(rhs)[:x.size]
+    return x + factor_quasidefinite(K).solve(rhs)[:x.size]
 
 
 def _project(adapter: SubproblemAdapter,

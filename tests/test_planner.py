@@ -7,9 +7,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from rlv_landing import env
 from rlv_landing.conic import SolverSettings
+from rlv_landing.conic.ipm import _Cones, _Kkt, _NTScaling, factor_quasidefinite
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
     NZ,
@@ -318,6 +320,23 @@ class TestBuildStructure:
         slack = prog.h - prog.G @ x_ref
         nonneg = prog.cones[0].dim
         assert slack[:nonneg].min() > -1e-7
+
+
+class TestKktFactorization:
+    def test_symmetric_ordering_halves_the_fill(self):
+        # The IPM's first KKT matrix (W = I) of the first N=30 subproblem:
+        # the pivot-free symmetric ordering fills it to at most half of
+        # what SuperLU's defaults (COLAMD, partial pivoting) do.
+        prob, cfg = make_problem(N=30)
+        prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
+        cones = _Cones(prog.cones)
+        kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones,
+                   SolverSettings().reg)
+        kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
+        K = kkt.K[kkt.position][:, kkt.position]
+        ours = factor_quasidefinite(K)
+        default = spla.splu(K)
+        assert ours.L.nnz + ours.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
 
 
 class TestPlanningScp:

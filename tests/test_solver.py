@@ -2,11 +2,16 @@
 scaling equivalence, KKT verification, determinism, and dump/load.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlv_landing.conic import (
     NONNEG,
@@ -21,6 +26,7 @@ from rlv_landing.conic import (
     solve,
     verify_kkt,
 )
+from rlv_landing.conic.ipm import _Cones, _Kkt, _NTScaling
 
 
 def lp(c, G, h, A=None, b=None):
@@ -84,6 +90,39 @@ def random_feasible_qp(rng, n=None, m=None, with_eq=False):
         A = rng.normal(size=(1, n))
         b = A @ x0
     return P, q, G, h, A, b
+
+
+def interior_point(rng, cones, margin=(0.1, 1.5)):
+    """A point strictly inside the product of cone blocks."""
+    parts = []
+    for cb in cones:
+        if cb.kind == NONNEG:
+            parts.append(rng.uniform(*margin, size=cb.dim))
+        else:
+            u = rng.normal(size=cb.dim - 1)
+            parts.append(np.concatenate([[np.linalg.norm(u) + rng.uniform(*margin)], u]))
+    return np.concatenate(parts)
+
+
+def random_feasible_conic(rng, n, me, cones, rank):
+    """A conic program with strictly feasible primal and dual points, so
+    that an optimum exists; P = M M' with M of the given rank (None at 0)."""
+    mi = sum(cb.dim for cb in cones)
+    G = rng.normal(size=(mi, n))
+    A = rng.normal(size=(me, n))
+    x0, s0 = rng.normal(size=n), interior_point(rng, cones)
+    h, b = G @ x0 + s0, A @ x0
+    scale = max(1.0, np.abs(h).max(), np.abs(b).max(initial=0.0))
+    M = rng.normal(size=(n, rank))
+    P = M @ M.T if rank else None
+    z0, y0 = interior_point(rng, cones), rng.normal(size=me)
+    c = -(G.T @ z0 + A.T @ y0 + (P @ rng.normal(size=n) if rank else 0.0))
+    prog = ConicProgram(c=c / max(1.0, np.abs(c).max()), G=sp.csr_matrix(G),
+                        h=h / scale, cones=list(cones),
+                        P=sp.csr_matrix(P) if rank else None)
+    if me:
+        prog.A, prog.b = sp.csr_matrix(A), b / scale
+    return prog
 
 
 class TestHandFixtures:
@@ -242,6 +281,90 @@ class TestSolutionQuality:
         sol2 = solve(prog)
         assert sol1.x.tobytes() == sol2.x.tobytes()
         assert sol1.iterations == sol2.iterations
+
+
+MIXED_CONES = [ConeBlock(NONNEG, 3), ConeBlock(SOC, 3), ConeBlock(SOC, 4),
+               ConeBlock(NONNEG, 2), ConeBlock(SOC, 3)]
+
+
+class TestQuasiDefiniteKkt:
+    """The IPM's KKT matrix: refilled in place in a pattern permuted by the
+    first factorization's ordering, factored without pivoting."""
+
+    @staticmethod
+    def fresh(prog, scaling, reg):
+        """The KKT matrix assembled afresh, the -(W^2 + reg I) block from
+        W^2 applied to unit vectors."""
+        n, me, mi = prog.n, prog.A.shape[0], prog.G.shape[0]
+        W2 = np.column_stack([scaling.apply_sq(e) for e in np.eye(mi)])
+        return sp.bmat([[prog.P + reg * sp.eye(n), prog.A.T, prog.G.T],
+                        [prog.A, -reg * sp.eye(me), None],
+                        [prog.G, None, -(sp.csr_matrix(W2) + reg * sp.eye(mi))]],
+                       format="csc")
+
+    def test_refill_matches_fresh_assembly(self):
+        rng = np.random.default_rng(41)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        reg = SolverSettings().reg
+        cones = _Cones(prog.cones)
+        kkt = _Kkt(prog.P, prog.A, prog.G, cones, reg)
+        kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
+        assert not np.array_equal(kkt.position, np.arange(kkt.K.shape[0]))
+        for _ in range(5):
+            scaling = _NTScaling(cones, interior_point(rng, prog.cones),
+                                 interior_point(rng, prog.cones))
+            kkt.factor(scaling)
+            coo = kkt.K.tocoo()
+            refilled = sp.csc_matrix(
+                (coo.data, (kkt.order[coo.row], kkt.order[coo.col])),
+                shape=kkt.K.shape)
+            fresh = self.fresh(prog, scaling, reg)
+            np.testing.assert_array_equal(refilled.indptr, fresh.indptr)
+            np.testing.assert_array_equal(refilled.indices, fresh.indices)
+            np.testing.assert_allclose(refilled.data, fresh.data, rtol=0,
+                                       atol=1e-15 * np.abs(fresh.data).max())
+
+            rhs = rng.normal(size=kkt.K.shape[0])
+            lu = spla.splu(fresh)
+            unreg = self.fresh(prog, scaling, 0.0)
+            expected = lu.solve(rhs)
+            for _ in range(2):
+                expected = expected + lu.solve(rhs - unreg @ expected)
+            np.testing.assert_allclose(kkt.solve(rhs, refine_steps=2), expected,
+                                       rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    def test_freed_without_the_cycle_collector(self):
+        # Each solve's KKT system and LU factors go when the solve returns;
+        # a reference cycle would keep them until a collection and show up
+        # in the plans' peak memory.
+        rng = np.random.default_rng(43)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        cones = _Cones(prog.cones)
+        gc.disable()
+        try:
+            kkt = _Kkt(prog.P, prog.A, prog.G, cones, SolverSettings().reg)
+            for _ in range(2):
+                kkt.factor(_NTScaling(cones, interior_point(rng, prog.cones),
+                                      interior_point(rng, prog.cones)))
+            ref = weakref.ref(kkt)
+            del kkt
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+           me=st.integers(0, 3), rank=st.integers(0, 8),
+           blocks=st.lists(st.one_of(
+               st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 5)),
+               st.builds(ConeBlock, st.just(SOC), st.integers(2, 5))),
+               min_size=1, max_size=4))
+    def test_random_feasible_programs_solve(self, seed, n, me, rank, blocks):
+        prog = random_feasible_conic(np.random.default_rng(seed), n,
+                                     min(me, n - 1), blocks, min(rank, n))
+        sol = solve(prog)
+        assert sol.status == "optimal"
+        assert verify_kkt(prog, sol).worst < 1e-8
 
 
 class TestScaling:
