@@ -2,12 +2,15 @@
 
 Run from the repository root (outside tier-1, whose testpaths is tests/):
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_4.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_5.json
 
 The fixture is the first SCP subproblem of the nominal ignition-fit plan
 (the planner tests' initial state): one ``PlanningProblem.build``, one IPM
 solve of it, and one factorization of the IPM's first KKT matrix, by
 SuperLU at its defaults and by the IPM's own quasi-definite factorization.
+The whole-plan cases time ``run_scp`` to convergence from the initial
+guess: ignition-fit from that state at N=30 and N=100, and current-state
+from the mid-course state of the replan tests at N=100.
 """
 
 import numpy as np
@@ -20,18 +23,33 @@ from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (PlanningBoundary, PlanningProblem,
                                  fit_coast_polynomial, initial_guess_planning,
                                  propagate_coast)
+from rlv_landing.scp import ScpSettings, run_scp
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
 V0 = np.array([58.8, 58.8, 391.0])
+R_MID = np.array([-300.0, -250.0, -3500.0])   # the replan tests' mid-course state
+V_MID = np.array([40.0, 35.0, 230.0])
+M_MID = 33000.0
+
+
+def ignition_fit(N):
+    cfg = PlanningConfig(N=N)
+    coast = propagate_coast(R0, V0, VP.m0, VP, horizon=16.0, step=cfg.coast_step)
+    boundary = PlanningBoundary(mode="ignition-fit", m0=VP.m0,
+                                coast_fit=fit_coast_polynomial(coast, cfg.tc_window))
+    return boundary, cfg
+
+
+def current_state(N):
+    boundary = PlanningBoundary(mode="current-state", m0=M_MID,
+                                r_now=R_MID, v_now=V_MID)
+    return boundary, PlanningConfig(N=N)
 
 
 @pytest.fixture(scope="module")
 def subproblem():
-    cfg = PlanningConfig(N=100)
-    coast = propagate_coast(R0, V0, VP.m0, VP, horizon=16.0, step=cfg.coast_step)
-    boundary = PlanningBoundary(mode="ignition-fit", m0=VP.m0,
-                                coast_fit=fit_coast_polynomial(coast, cfg.tc_window))
+    boundary, cfg = ignition_fit(100)
     prob = PlanningProblem(boundary, VP, cfg)
     ref = initial_guess_planning(boundary, cfg, VP)
     return prob, ref, prob.build(ref)
@@ -95,3 +113,21 @@ def test_kkt_refactor_natural_n100(benchmark, subproblem):
     order = np.argsort(factor(K).perm_c)
     lu = benchmark(factor, K[order][:, order].tocsc(), natural=True)
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
+
+
+@pytest.mark.parametrize("boundary_at, N", [(ignition_fit, 30),
+                                            (ignition_fit, 100),
+                                            (current_state, 100)],
+                         ids=["ignition-n30", "ignition-n100", "replan-n100"])
+def test_plan(benchmark, boundary_at, N):
+    """A whole plan: run_scp from the initial guess to convergence."""
+    boundary, cfg = boundary_at(N)
+    prob = PlanningProblem(boundary, VP, cfg)
+    ref0 = initial_guess_planning(boundary, cfg, VP)
+    settings = ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr)
+    out = benchmark.pedantic(run_scp, args=(prob, ref0, settings),
+                             rounds=3, iterations=1)
+    assert out.converged
+    benchmark.extra_info["scp_iters"] = out.iterations
+    benchmark.extra_info["ipm_iters"] = sum(rec.solver_iterations
+                                            for rec in out.log)

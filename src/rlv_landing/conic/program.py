@@ -113,6 +113,7 @@ class SolverSolution:
     y: np.ndarray | None = None  # equality multipliers
     z: np.ndarray | None = None  # cone multipliers
     s: np.ndarray | None = None  # cone slacks
+    attempts: int = 1            # solves run for this result (solve_robust's ladder)
 
     @property
     def optimal(self) -> bool:

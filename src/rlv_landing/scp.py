@@ -61,6 +61,7 @@ class ScpIterationRecord:
     #                              nan after a last iteration without a
     #                              small step, where nothing reads it)
     projected: bool              # the Gauss-Newton projection ran
+    solver_attempts: int = 1     # solves the subproblem took (ladder rungs)
 
 
 @dataclass
@@ -223,7 +224,8 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
             log.append(ScpIterationRecord(iteration, float("nan"),
                                           solution.objective, solution.status,
                                           solution.iterations, millis,
-                                          float("nan"), False))
+                                          float("nan"), False,
+                                          solution.attempts))
             raise ScpFailure(f"subproblem solve returned {solution.status}",
                              iteration, log, solution.status)
 
@@ -248,7 +250,8 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
         t1 = time.perf_counter()
         log.append(ScpIterationRecord(iteration, j_tr, solution.objective,
                                       solution.status, solution.iterations,
-                                      (t1 - t0) * 1e3, residual, projected))
+                                      (t1 - t0) * 1e3, residual, projected,
+                                      solution.attempts))
         t0 = t1
 
         if small_step and residual <= EPS_FEASIBLE:

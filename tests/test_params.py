@@ -1,0 +1,21 @@
+"""Scenario YAML I/O: a round trip through a file, and unknown names."""
+
+import pytest
+import yaml
+
+from rlv_landing.params import Scenario, load_scenario, scenario_to_dict
+
+
+def test_default_scenario_round_trips_through_yaml(tmp_path):
+    data = scenario_to_dict(Scenario())
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert scenario_to_dict(load_scenario(path)) == data
+
+
+@pytest.mark.parametrize("text", ["bogus: {}\n", "planning:\n  bogus: 1\n"])
+def test_unknown_names_raise(tmp_path, text):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(KeyError, match="bogus"):
+        load_scenario(path)

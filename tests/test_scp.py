@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from rlv_landing.conic import (ConeBlock, ConicProgram, NONNEG, SOC,
-                               make_scaling)
+                               make_scaling, solve_robust)
 from rlv_landing.scp import (
     EPS_FEASIBLE,
     ScpFailure,
@@ -146,6 +146,25 @@ class TestRunScp:
             run_scp(Bad(1e-9), 0.0, ScpSettings(1e-10, 10, 1e-9))
         assert err.value.iteration == 1
         assert err.value.status in ("infeasible", "numerical_failure")
+
+    def test_records_solver_attempts(self):
+        def two_attempts(program, settings):
+            sol = solve_robust(program, settings)
+            sol.attempts = 2
+            return sol
+
+        def infeasible(program, settings):
+            sol = solve_robust(program, settings)
+            sol.status, sol.attempts = "infeasible", 3
+            return sol
+
+        fixture = _LinearFixture(w_tr=1e-9)
+        settings = ScpSettings(1e-10, 10, 1e-9)
+        out = run_scp(fixture, -5.0, settings, solve_fn=two_attempts)
+        assert [rec.solver_attempts for rec in out.log] == [2] * out.iterations
+        with pytest.raises(ScpFailure) as err:
+            run_scp(fixture, -5.0, settings, solve_fn=infeasible)
+        assert err.value.log[-1].solver_attempts == 3
 
     def test_max_iter_not_converged(self):
         # A strong trust region freezes progress; the loop must stop at the

@@ -19,13 +19,16 @@ from rlv_landing.conic import (
     ConeBlock,
     ConicProgram,
     SolverSettings,
+    SolverSolution,
     cone_violation,
     dump_program,
     load_program,
     scale_program,
     solve,
+    solve_robust,
     verify_kkt,
 )
+from rlv_landing.conic import ipm
 from rlv_landing.conic.ipm import _Cones, _Kkt, _NTScaling
 
 
@@ -205,6 +208,59 @@ class TestHandFixtures:
         sol = solve(prog)
         assert sol.optimal
         np.testing.assert_allclose(sol.x, [1.0, 1.0, 2.0, 1.0], atol=1e-7)
+
+
+class TestRetryPolicy:
+    """solve_robust retries a stall next to a solution, and nothing else."""
+
+    @staticmethod
+    def count_solves(monkeypatch, solve_fn=None):
+        calls = []
+        inner = solve_fn or ipm.solve
+
+        def counted(program, settings):
+            calls.append(settings)
+            return inner(program, settings)
+
+        monkeypatch.setattr(ipm, "solve", counted)
+        return calls
+
+    def test_far_stall_is_not_retried(self, monkeypatch):
+        # x >= 1 and x <= 0 under test_scp's trust-region QP: the first
+        # solve stalls with primal residual 0.5, far from feasibility.
+        prog = ConicProgram(c=np.array([-60.0]),
+                            P=sp.csr_matrix([[200.0 + 2e-9]]),
+                            G=sp.csr_matrix([[-10.0], [10.0]]),
+                            h=np.array([-1.0, 0.0]),
+                            cones=[ConeBlock(NONNEG, 2)], obj_offset=9.0)
+        calls = self.count_solves(monkeypatch)
+        sol = solve_robust(prog)
+        assert sol.status != "optimal"
+        assert sol.primal_res > ipm.FAR_FROM_FEASIBLE * SolverSettings().tol_feas
+        assert len(calls) == 1
+        assert sol.attempts == 1
+
+    def test_near_feasible_stall_is_retried(self, monkeypatch):
+        stalled = SolverSolution(x=np.zeros(1), status="numerical_failure",
+                                 iterations=30, objective=0.0, gap=1e-6,
+                                 rel_gap=1e-6, primal_res=1e-9, dual_res=1e-9)
+        solved = SolverSolution(x=np.ones(1), status="optimal", iterations=12,
+                                objective=0.0, gap=1e-10, rel_gap=1e-10,
+                                primal_res=1e-10, dual_res=1e-10)
+        results = iter([stalled, solved])
+        calls = self.count_solves(monkeypatch, lambda p, s: next(results))
+        sol = solve_robust(lp([1.0], [[-1.0]], [0.0]))
+        assert len(calls) == 2
+        assert calls[1] != calls[0]
+        assert sol.status == "optimal"
+        assert sol.attempts == 2
+
+    def test_optimal_first_solve_is_final(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        sol = solve_robust(lp([1.0], [[-1.0]], [-2.0]))
+        assert sol.optimal
+        assert len(calls) == 1
+        assert sol.attempts == 1
 
 
 class TestOracleAgreement:
