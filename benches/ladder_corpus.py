@@ -11,7 +11,8 @@ benchmark times. Each SCP subproblem goes through a wrapped
 A call whose first solve is no verdict (optimal, infeasible, unbounded) is a
 ladder, whether or not it then retried. Each ladder prints one JSON line:
 
-- ``set``, ``plan``, ``scp_iter``: which subproblem;
+- ``set``, ``plan``, ``scp_iter``: which subproblem solve of the plan (a
+  full-tolerance re-solve of a small step counts as one more);
 - ``first_status``, ``first_primal_res``, ``first_gap``: how rung 1 ended;
 - ``rung``: the solve that ended the ladder, 1 if nothing was retried;
 - ``status``: the status ``solve_robust`` returned; ``retry_s``: seconds

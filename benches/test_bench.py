@@ -8,10 +8,16 @@ The fixture is the first SCP subproblem of the nominal ignition-fit plan
 (the planner tests' initial state): one ``PlanningProblem.build``, one IPM
 solve of it, and one factorization of the IPM's first KKT matrix, by
 SuperLU at its defaults and by the IPM's own quasi-definite factorization.
+The warm case solves the plan's third subproblem as ``run_scp`` does: at
+``scp.INEXACT_TOL``, from the second subproblem's solution at that
+tolerance. (The second subproblem has one load row fewer than the first, so
+the first solution is no start for it.)
 The whole-plan cases time ``run_scp`` to convergence from the initial
 guess: ignition-fit from that state at N=30 and N=100, and current-state
 from the mid-course state of the replan tests at N=100.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (PlanningBoundary, PlanningProblem,
                                  fit_coast_polynomial, initial_guess_planning,
                                  propagate_coast)
+from rlv_landing import scp
 from rlv_landing.scp import ScpSettings, run_scp
 
 VP = VehicleParams()
@@ -86,6 +93,24 @@ def test_build_n100(benchmark, subproblem):
 def test_ipm_solve_n100(benchmark, subproblem):
     sol = benchmark(ipm.solve, subproblem[2])
     assert sol.status == "optimal"
+
+
+def test_ipm_solve_warm_n100(benchmark, subproblem):
+    tol = getattr(scp, "INEXACT_TOL", None)
+    if tol is None:
+        pytest.skip("no inexact subproblem solves in this tree")
+    prob, ref, prog = subproblem
+    inexact = replace(SolverSettings(), tol_feas=tol, tol_gap=tol)
+    for _ in range(2):
+        start = ipm.solve(prog, inexact)
+        ref = prob.decode(ref, start.x)
+        prog = prob.build(ref)
+        prog.start = start
+    sol = benchmark(ipm.solve, prog, inexact)
+    assert sol.status == "optimal" and sol.warm
+    benchmark.extra_info["ipm_iters"] = sol.iterations
+    benchmark.extra_info["cold_ipm_iters"] = \
+        ipm.solve(replace(prog, start=None), inexact).iterations
 
 
 def test_kkt_factor_default_n100(benchmark, subproblem):

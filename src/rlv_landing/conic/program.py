@@ -62,6 +62,9 @@ class ConicProgram:
     scaling: VariableScaling | None = None
     obj_offset: float = 0.0
     var_names: list[str] | None = None
+    # Initial-iterate hint for the IPM, typically the solution of a nearby
+    # program; ignored when its shapes do not match this program's.
+    start: SolverSolution | None = None
 
     @property
     def n(self) -> int:
@@ -114,6 +117,7 @@ class SolverSolution:
     z: np.ndarray | None = None  # cone multipliers
     s: np.ndarray | None = None  # cone slacks
     attempts: int = 1            # solves run for this result (solve_robust's ladder)
+    warm: bool = False           # the IPM started from the program's start
 
     @property
     def optimal(self) -> bool:

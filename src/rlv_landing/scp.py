@@ -12,12 +12,21 @@ linearization error of the last step is left in the rows. When only that
 residual is left, Gauss-Newton projections of the reference onto the rebuilt
 rows close the O(step^2) gap; the projected reference is accepted only if
 the program built about it passes the same test.
+
+Each subproblem is first solved inexactly, at tolerances of INEXACT_TOL,
+from the previous subproblem's solution: far from the fixed point a step
+needs only to be good enough to linearize about. A step whose J_tr passes
+the step test is solved again, from the inexact solution, at the caller's
+tolerances, and J_tr and the next reference come from that re-solve. So a
+converged plan is a full-tolerance subproblem solution that passes the
+fixed-point test; a re-solved step that fails the step test costs one more
+SCP iteration and converges nothing.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Protocol
 
 import numpy as np
@@ -38,6 +47,9 @@ PROJECTION_STEPS = 2
 # Fixed-point test: threshold on the residual of the rows rebuilt about the
 # reference (scaled variables, equilibrated rows).
 EPS_FEASIBLE = 1e-7
+# IPM tolerance (tol_feas and tol_gap) of a subproblem solve before its step
+# is small; the caller's tolerances apply from the step test on.
+INEXACT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -54,14 +66,15 @@ class ScpIterationRecord:
     J_tr: float
     objective: float
     solver_status: str
-    solver_iterations: int
+    solver_iterations: int       # IPM iterations of every solve of the step
     millis: float
     residual: float              # fixed-point residual the stopping rule read
     #                              (of the projection, if it was accepted;
     #                              nan after a last iteration without a
     #                              small step, where nothing reads it)
     projected: bool              # the Gauss-Newton projection ran
-    solver_attempts: int = 1     # solves the subproblem took (ladder rungs)
+    solver_attempts: int = 1     # ladder rungs of the solve the step came from
+    resolved: bool = False       # the step came from the full-tolerance re-solve
 
 
 @dataclass
@@ -204,34 +217,50 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
             solve_fn: Callable[..., SolverSolution] = solve_robust) -> ScpOutcome:
     """Iterate build/solve/update until the reference is a fixed point.
 
-    Converged means J_tr < eps_converge and a fixed-point residual (of the
-    reference, or of its projection onto the rebuilt rows) at most
-    EPS_FEASIBLE. Raises ScpFailure when a subproblem is not solved to
-    optimality or when J_tr grows by the divergence factor on consecutive
-    iterations.
+    Converged means J_tr < eps_converge, from a solve at ``solver_settings``,
+    and a fixed-point residual (of the reference, or of its projection onto
+    the rebuilt rows) at most EPS_FEASIBLE. Raises ScpFailure when a
+    subproblem is not solved to optimality or when J_tr grows by the
+    divergence factor on consecutive iterations.
     """
     reference = initial_reference
     log: list[ScpIterationRecord] = []
     prev_jtr = None
     growth_count = 0
+    inexact = replace(solver_settings,
+                      tol_feas=max(solver_settings.tol_feas, INEXACT_TOL),
+                      tol_gap=max(solver_settings.tol_gap, INEXACT_TOL))
+    solution = None
     t0 = time.perf_counter()
     program = adapter.build(reference)
 
     for iteration in range(1, settings.max_iter + 1):
-        solution = solve_fn(program, solver_settings)
+        x_ref = adapter.reference_vector(reference)
+
+        def step_cost(sol: SolverSolution) -> float:
+            dx = sol.x - x_ref
+            return settings.W_tr * float(dx @ dx)
+
+        program.start = solution
+        solution = solve_fn(program, inexact)
+        solver_iterations, resolved = solution.iterations, False
+        if solution.optimal and inexact != solver_settings and \
+                step_cost(solution) < settings.eps_converge:
+            program.start = solution
+            solution = solve_fn(program, solver_settings)
+            solver_iterations += solution.iterations
+            resolved = True
         if solution.status != "optimal":
             millis = (time.perf_counter() - t0) * 1e3
             log.append(ScpIterationRecord(iteration, float("nan"),
                                           solution.objective, solution.status,
-                                          solution.iterations, millis,
+                                          solver_iterations, millis,
                                           float("nan"), False,
-                                          solution.attempts))
+                                          solution.attempts, resolved))
             raise ScpFailure(f"subproblem solve returned {solution.status}",
                              iteration, log, solution.status)
 
-        x_ref = adapter.reference_vector(reference)
-        dx = solution.x - x_ref
-        j_tr = settings.W_tr * float(dx @ dx)
+        j_tr = step_cost(solution)
         reference = adapter.decode(reference, solution.x)
         small_step = j_tr < settings.eps_converge
         residual, projected = float("nan"), False
@@ -249,9 +278,9 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
                     reference, residual = found
         t1 = time.perf_counter()
         log.append(ScpIterationRecord(iteration, j_tr, solution.objective,
-                                      solution.status, solution.iterations,
+                                      solution.status, solver_iterations,
                                       (t1 - t0) * 1e3, residual, projected,
-                                      solution.attempts))
+                                      solution.attempts, resolved))
         t0 = t1
 
         if small_step and residual <= EPS_FEASIBLE:

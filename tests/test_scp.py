@@ -8,9 +8,10 @@ import pytest
 import scipy.sparse as sp
 
 from rlv_landing.conic import (ConeBlock, ConicProgram, NONNEG, SOC,
-                               make_scaling, solve_robust)
+                               SolverSettings, make_scaling, solve_robust)
 from rlv_landing.scp import (
     EPS_FEASIBLE,
+    INEXACT_TOL,
     ScpFailure,
     ScpSettings,
     add_trust_region,
@@ -165,6 +166,55 @@ class TestRunScp:
         with pytest.raises(ScpFailure) as err:
             run_scp(fixture, -5.0, settings, solve_fn=infeasible)
         assert err.value.log[-1].solver_attempts == 3
+
+    def test_inexact_solves_until_the_step_is_small(self):
+        # Newton steps toward sqrt(2) from 1: J_tr is 2.5e-3, 6.9e-5 and
+        # 6e-8 before the fourth step passes the step test at 1e-8.
+        solves = []
+
+        def recorded(program, settings):
+            solves.append((settings.tol_feas, settings.tol_gap, program.start))
+            return solve_robust(program, settings)
+
+        fixture = _SquareRootFixture(w_tr=1.0)
+        solver_settings = SolverSettings()
+        out = run_scp(fixture, 1.0, ScpSettings(1e-8, 10, 1.0),
+                      solver_settings, solve_fn=recorded)
+        assert out.converged
+        assert out.iterations == 4
+        assert len(solves) == out.iterations + 1
+        assert [tols for *tols, _ in solves[:-1]] == \
+            [[INEXACT_TOL, INEXACT_TOL]] * out.iterations
+        assert solves[-1][:2] == (solver_settings.tol_feas,
+                                  solver_settings.tol_gap)
+        assert solves[-1][2] is not None and solves[-1][2].optimal
+        assert solves[0][2] is None
+        assert all(start is not None for *_, start in solves[1:])
+        assert [rec.resolved for rec in out.log] == [False] * 3 + [True]
+        assert out.log[-1].J_tr < 1e-8
+
+    def test_loose_small_step_is_not_enough(self):
+        # The inexact solves claim no move at all; the full-tolerance
+        # re-solve of the first step moves from -5 to 3, so that step
+        # converges nothing and the plan takes one more iteration.
+        fixture = _LinearFixture(w_tr=1e-9)
+        refs = []
+        build = fixture.build
+        fixture.build = lambda ref: refs.append(ref) or build(ref)
+
+        def still(program, settings):
+            sol = solve_robust(program, settings)
+            if settings.tol_feas == INEXACT_TOL:
+                sol.x = fixture.reference_vector(refs[-1])
+            return sol
+
+        settings = ScpSettings(1e-10, 10, 1e-9)
+        out = run_scp(fixture, -5.0, settings, solve_fn=still)
+        assert out.log[0].resolved
+        assert out.log[0].J_tr > settings.eps_converge
+        assert out.converged
+        assert out.iterations == 2
+        assert out.reference == pytest.approx(3.0, abs=1e-6)
 
     def test_max_iter_not_converged(self):
         # A strong trust region freezes progress; the loop must stop at the

@@ -5,6 +5,7 @@ scaling equivalence, KKT verification, determinism, and dump/load.
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ class TestRetryPolicy:
         calls = self.count_solves(monkeypatch)
         sol = solve_robust(prog)
         assert sol.status != "optimal"
-        assert sol.primal_res > ipm.FAR_FROM_FEASIBLE * SolverSettings().tol_feas
+        assert sol.primal_res > ipm.FAR_FROM_FEASIBLE
         assert len(calls) == 1
         assert sol.attempts == 1
 
@@ -254,6 +255,18 @@ class TestRetryPolicy:
         assert calls[1] != calls[0]
         assert sol.status == "optimal"
         assert sol.attempts == 2
+
+    def test_boundary_is_absolute(self, monkeypatch):
+        # A stall at primal residual 1e-3 is far from feasibility at any
+        # tolerance, also at the 1e-4 of an inexact SCP solve.
+        stalled = SolverSolution(x=np.zeros(1), status="numerical_failure",
+                                 iterations=30, objective=0.0, gap=1e-3,
+                                 rel_gap=1e-3, primal_res=1e-3, dual_res=1e-9)
+        calls = self.count_solves(monkeypatch, lambda p, s: stalled)
+        loose = SolverSettings(tol_feas=1e-4, tol_gap=1e-4)
+        sol = solve_robust(lp([1.0], [[-1.0]], [0.0]), loose)
+        assert len(calls) == 1
+        assert sol.attempts == 1
 
     def test_optimal_first_solve_is_final(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
@@ -421,6 +434,94 @@ class TestQuasiDefiniteKkt:
         sol = solve(prog)
         assert sol.status == "optimal"
         assert verify_kkt(prog, sol).worst < 1e-8
+
+
+class TestWarmStart:
+    """A solve from ``program.start``: used when its shapes match the
+    program, ignored (a cold solve) when they do not, and left out of the
+    retries of solve_robust."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
+           me=st.integers(0, 3),
+           blocks=st.lists(st.one_of(
+               st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 5)),
+               st.builds(ConeBlock, st.just(SOC), st.integers(2, 5))),
+               min_size=1, max_size=4))
+    def test_perturbed_program_from_previous_optimum(self, seed, n, me, blocks):
+        # P + I makes the objective strongly convex, so both solves pin down
+        # the one optimum to about their KKT residual; h moves along a point
+        # inside the cones, so the perturbed program stays feasible.
+        rng = np.random.default_rng(seed)
+        prog = random_feasible_conic(rng, n, min(me, n - 1), blocks, n)
+        prog.P = prog.P + sp.eye(n, format="csr")
+        first = solve(prog)
+        assert first.optimal
+        perturbed = replace(
+            prog, c=prog.c + 1e-2 * rng.normal(size=n),
+            h=prog.h + 1e-2 * interior_point(rng, blocks), start=first)
+        warm = solve(perturbed)
+        assert warm.warm
+        assert warm.status == "optimal"
+        assert verify_kkt(perturbed, warm).worst < 1e-8
+        # Same optimum as a cold solve. At tolerance 1e-8 two correct solves
+        # can differ by over 1e-6 in x: a weakly active cone row turns the
+        # 1e-8 gap into an x error of gap / multiplier. So compare at 1e-10.
+        tight = SolverSettings(tol_feas=1e-10, tol_gap=1e-10)
+        warm = solve(perturbed, tight)
+        cold = solve(replace(perturbed, start=None), tight)
+        assert warm.warm and not cold.warm
+        assert warm.optimal and cold.optimal
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-6)
+
+    def test_start_near_the_optimum_saves_iterations(self):
+        rng = np.random.default_rng(47)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        first = solve(prog)
+        perturbed = replace(
+            prog, c=prog.c + 1e-2 * rng.normal(size=prog.n),
+            h=prog.h + 1e-2 * interior_point(rng, MIXED_CONES))
+        cold = solve(perturbed)
+        warm = solve(replace(perturbed, start=first))
+        assert warm.optimal and cold.optimal
+        assert warm.iterations < cold.iterations
+
+    @pytest.mark.parametrize("field", ["x", "y", "z", "s"])
+    def test_start_of_wrong_shape_is_a_cold_solve(self, field):
+        rng = np.random.default_rng(47)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        cold = solve(prog)
+        start = replace(cold, **{field: np.append(getattr(cold, field), 0.0)})
+        sol = solve(replace(prog, start=start))
+        assert not sol.warm
+        assert sol.status == cold.status
+        assert sol.iterations == cold.iterations
+        for name in ("x", "y", "z", "s"):
+            assert np.array_equal(getattr(sol, name), getattr(cold, name))
+
+    def test_retries_are_cold(self, monkeypatch):
+        stalled = SolverSolution(x=np.zeros(1), status="numerical_failure",
+                                 iterations=30, objective=0.0, gap=1e-6,
+                                 rel_gap=1e-6, primal_res=1e-9, dual_res=1e-9)
+        solved = SolverSolution(x=np.ones(1), status="optimal", iterations=12,
+                                objective=0.0, gap=1e-10, rel_gap=1e-10,
+                                primal_res=1e-10, dual_res=1e-10)
+        results = iter([stalled, stalled, solved])
+        starts = []
+
+        def recorded(program, settings):
+            starts.append(program.start)
+            return next(results)
+
+        monkeypatch.setattr(ipm, "solve", recorded)
+        hint = replace(solved, x=np.full(1, 2.0))
+        prog = lp([1.0], [[-1.0]], [0.0])
+        prog.start = hint
+        sol = solve_robust(prog)
+        assert sol.optimal and sol.attempts == 3
+        assert starts[0] is hint
+        assert starts[1:] == [None, None]
+        assert prog.start is hint
 
 
 class TestScaling:
