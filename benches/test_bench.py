@@ -2,7 +2,7 @@
 
 Run from the repository root (outside tier-1, whose testpaths is tests/):
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_5.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_8.json
 
 The fixture is the first SCP subproblem of the nominal ignition-fit plan
 (the planner tests' initial state): one ``PlanningProblem.build``, one IPM
@@ -11,7 +11,9 @@ SuperLU at its defaults and by the IPM's own quasi-definite factorization.
 The warm case solves the plan's third subproblem as ``run_scp`` does: at
 ``scp.INEXACT_TOL``, from the second subproblem's solution at that
 tolerance. (The second subproblem has one load row fewer than the first, so
-the first solution is no start for it.)
+the first solution is no start for it.) The re-solve case solves that
+subproblem again at the default tolerance, from its own inexact solution,
+as ``run_scp`` does once a step is small.
 The whole-plan cases time ``run_scp`` to convergence from the initial
 guess: ignition-fit from that state at N=30 and N=100, and current-state
 from the mid-course state of the replan tests at N=100.
@@ -95,7 +97,10 @@ def test_ipm_solve_n100(benchmark, subproblem):
     assert sol.status == "optimal"
 
 
-def test_ipm_solve_warm_n100(benchmark, subproblem):
+@pytest.fixture(scope="module")
+def third_subproblem(subproblem):
+    """The nominal plan's third subproblem, with the second one's solution
+    at ``scp.INEXACT_TOL`` as its start, as ``run_scp`` solves it."""
     tol = getattr(scp, "INEXACT_TOL", None)
     if tol is None:
         pytest.skip("no inexact subproblem solves in this tree")
@@ -106,11 +111,27 @@ def test_ipm_solve_warm_n100(benchmark, subproblem):
         ref = prob.decode(ref, start.x)
         prog = prob.build(ref)
         prog.start = start
+    return prog, inexact
+
+
+def test_ipm_solve_warm_n100(benchmark, third_subproblem):
+    prog, inexact = third_subproblem
     sol = benchmark(ipm.solve, prog, inexact)
     assert sol.status == "optimal" and sol.warm
     benchmark.extra_info["ipm_iters"] = sol.iterations
     benchmark.extra_info["cold_ipm_iters"] = \
         ipm.solve(replace(prog, start=None), inexact).iterations
+
+
+def test_ipm_resolve_n100(benchmark, third_subproblem):
+    """The full-tolerance re-solve of a small step: the third subproblem at
+    the default 1e-8, from its own solution at ``scp.INEXACT_TOL``."""
+    prog = replace(third_subproblem[0])   # a copy that owns its start
+    prog.start = ipm.solve(prog, third_subproblem[1])
+    sol = benchmark(ipm.solve, prog)
+    assert sol.status == "optimal" and sol.warm
+    benchmark.extra_info["ipm_iters"] = sol.iterations
+    benchmark.extra_info["resumed"] = getattr(sol, "resumed", False)
 
 
 def test_kkt_factor_default_n100(benchmark, subproblem):

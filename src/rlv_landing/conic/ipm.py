@@ -19,23 +19,35 @@ matrix is symmetric quasi-definite (a positive definite block, and the
 negative of one, on the diagonal), so every symmetric permutation of it has
 an LU factorization with the pivots on the diagonal, stable without row
 pivoting (Vanderbei, SIAM J. Optim. 1995). SuperLU runs in symmetric mode
-with no pivoting: the first factorization of a solve takes a minimum-degree
-ordering of A' + A, the matrix is then stored permuted by it, and each later
-iteration writes only the -(W'W + eps I) values into that fixed pattern and
-factors it in natural order. Cone algebra is vectorized over groups of
+with no pivoting. K is stored permuted by a minimum-degree ordering of
+A' + A, and each iteration writes only the -(W'W + eps I) values into that
+fixed pattern and factors it in natural order; every KKT solve and its
+refinement run in that ordering, with the residual from one product with
+the stored matrix. The ordering comes from the first factorization of a
+solve, or from the solution the solve starts from: a solve leaves its
+analysis (ordering, permuted pattern, value slots) on its result, and a
+warm solve whose P, A, G and cones have the start's pattern reuses it, so
+a run of same-pattern SCP subproblems takes one ordering (the split of one
+symbolic analysis and numeric refactorizations, as in Clarabel: Goulart &
+Chen, arXiv:2405.12762). Cone algebra is vectorized over groups of
 equal-dimension SOC blocks.
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
 previous SCP subproblem): x and y as they are, s and z moved into the cone
 interior along the identity by at least WARM_SHIFT (Yildirim & Wright,
-SIAM J. Optim. 2002). A start whose shapes do not match the program is
-ignored, and the solve is then the same as a cold one.
+SIAM J. Optim. 2002). A start that is the solution of this same program
+object, such as the inexact solve a full-tolerance re-solve follows, is
+resumed: its s and z are kept, and moved only if they are not interior
+(Skajaa, Andersen & Ye, Math. Prog. Comp. 2013). A start whose shapes do
+not match the program is ignored, and the solve is then the same as a cold
+one.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +61,8 @@ from .program import NONNEG, SOC, ConeBlock, ConicProgram, SolverSolution
 # Absolute, so a solve at a loose tolerance gets the same verdicts and
 # retries as one at the default 1e-8.
 FAR_FROM_FEASIBLE = 1e-5
-# Distance a warm start's s and z are moved inside the cones. On the
+# Distance a warm start's s and z are moved inside the cones, for a start
+# from another program (a start from the same program is resumed). On the
 # nominal N=100 ignition-fit plan, warm starts alone took 136, 124, 117 and
 # 117 IPM iterations at shifts of 1, 0.1, 0.01 and 0.001 (147 cold).
 WARM_SHIFT = 1e-2
@@ -122,6 +135,12 @@ class _Cones:
         return u
 
     def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
+        """Largest alpha with u + alpha du in the cones, for u inside them.
+
+        An SOC block is taken to the identity by the Lorentz transform of
+        its J-normalized u; the step of the transformed direction rho is
+        1 / (||rho_1|| - rho_0), and unbounded where that is not positive.
+        """
         alpha = np.inf
         if self.nn.size:
             un, dn = u[self.nn], du[self.nn]
@@ -130,20 +149,16 @@ class _Cones:
                 alpha = min(alpha, float((-un[neg] / dn[neg]).min()))
         for idx in self.soc.values():
             ub, db = u[idx], du[idx]
-            a = db[:, 0] ** 2 - np.sum(db[:, 1:] ** 2, axis=1)
-            bq = 2.0 * (ub[:, 0] * db[:, 0] - np.sum(ub[:, 1:] * db[:, 1:], axis=1))
-            cq = np.maximum(ub[:, 0] ** 2 - np.sum(ub[:, 1:] ** 2, axis=1), 0.0)
-            disc = bq * bq - 4.0 * a * cq
-            sq = np.sqrt(np.maximum(disc, 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r1 = np.where((np.abs(a) > 1e-14) & (disc >= 0), (-bq - sq) / (2 * a), np.inf)
-                r2 = np.where((np.abs(a) > 1e-14) & (disc >= 0), (-bq + sq) / (2 * a), np.inf)
-                rl = np.where((np.abs(a) <= 1e-14) & (np.abs(bq) > 1e-14), -cq / bq, np.inf)
-                rt = np.where(db[:, 0] < 0, -ub[:, 0] / db[:, 0], np.inf)
-            for roots in (r1, r2, rl, rt):
-                pos = roots[roots > 1e-14]
-                if pos.size:
-                    alpha = min(alpha, float(pos.min()))
+            norm_j = np.sqrt(ub[:, 0] ** 2 - np.sum(ub[:, 1:] ** 2, axis=1))
+            ubar = ub / norm_j[:, None]
+            dbar = db / norm_j[:, None]
+            rho0 = ubar[:, 0] * dbar[:, 0] \
+                - np.sum(ubar[:, 1:] * dbar[:, 1:], axis=1)
+            rho1 = dbar[:, 1:] - ubar[:, 1:] \
+                * ((rho0 + dbar[:, 0]) / (ubar[:, 0] + 1.0))[:, None]
+            worst = float((np.linalg.norm(rho1, axis=1) - rho0).max())
+            if worst > 0.0:
+                alpha = min(alpha, 1.0 / worst)
         return alpha
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -274,94 +289,159 @@ def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
+def _pattern(P, A, G, cones: _Cones) -> list[np.ndarray]:
+    """What the KKT pattern is made of: the shapes, the CSR patterns of P,
+    A and G, and the layout of the cones."""
+    return [np.array([P.shape[0], A.shape[0], G.shape[0]]),
+            P.indptr, P.indices, A.indptr, A.indices, G.indptr, G.indices,
+            cones.nn, np.array(list(cones.soc)), *cones.soc.values()]
+
+
+def _entries(P, A, G, cones: _Cones) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the KKT entries, unpermuted: the values of
+    ``_Kkt``'s value vector (P, reg I, A', A, -reg I, G', G), then the
+    -(W^2 + reg I) block in the order w2_entries emits them (nonneg
+    diagonal, dense SOC blocks)."""
+    n, me = P.shape[0], A.shape[0]
+
+    def rows_of(M):
+        return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+
+    P_rows, A_rows, G_rows = rows_of(P), rows_of(A) + n, rows_of(G) + n + me
+    diag_x, diag_y = np.arange(n), np.arange(n, n + me)
+    w2_rows, w2_cols = [cones.nn + n + me], [cones.nn + n + me]
+    for idx in cones.soc.values():
+        shifted = idx + n + me
+        w2_rows.append(np.repeat(shifted, idx.shape[1], axis=1).reshape(-1))
+        w2_cols.append(np.tile(shifted, (1, idx.shape[1])).reshape(-1))
+    rows = np.concatenate([P_rows, diag_x, A.indices, A_rows, diag_y,
+                           G.indices, G_rows, *w2_rows])
+    cols = np.concatenate([P.indices, diag_x, A_rows, A.indices, diag_y,
+                           G_rows, G.indices, *w2_cols])
+    return rows.astype(np.int64), cols.astype(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class _Analysis:
+    """The symbolic analysis of one KKT pattern, left on the solution for a
+    later solve of a program with the same pattern: the ordering, the CSC
+    pattern of K permuted by it, and the slot in that pattern of each value
+    ``_Kkt`` writes (``value_slots``: P, reg I, A', A, -reg I, G', G;
+    ``w2_slots``: -(W^2 + reg I)). It outlives the solve, so it holds only
+    index arrays of its own: no LU, and nothing shared with a matrix that
+    SuperLU was given."""
+
+    pattern: list[np.ndarray]
+    position: np.ndarray     # position[i]: where row/column i sits in K
+    order: np.ndarray        # its inverse
+    indptr: np.ndarray
+    indices: np.ndarray
+    value_slots: np.ndarray
+    w2_slots: np.ndarray
+
+    def matches(self, pattern: list[np.ndarray]) -> bool:
+        return len(pattern) == len(self.pattern) and all(
+            np.array_equal(a, b) for a, b in zip(pattern, self.pattern))
+
+
 class _Kkt:
-    """The KKT system of one solve, in a fixed CSC pattern.
+    """The KKT system of one solve, stored permuted by a fill-reducing
+    ordering in a fixed CSC pattern.
 
     Only the -(W^2 + reg I) block changes between iterations; ``factor``
-    writes its values into ``K.data`` through ``w2_slots``. The first
-    factorization orders the matrix, and K is then stored permuted by that
-    ordering, so later factorizations keep it; their solves permute the
-    right-hand side and the solution.
+    writes its values into ``K.data`` through ``w2_slots``. Given an
+    analysis of the same pattern, K is filled straight into its permuted
+    pattern and every factorization is in natural order. Otherwise K is
+    assembled, the first factorization takes a minimum-degree ordering, K
+    is then stored permuted by it, and ``analysis`` keeps it for the next
+    solve. ``solve`` works in K's ordering throughout.
     """
 
-    def __init__(self, P, A, G, cones: _Cones, reg: float):
+    def __init__(self, P, A, G, cones: _Cones, reg: float,
+                 analysis: _Analysis | None = None):
+        P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
         n, me = P.shape[0], A.shape[0]
         dim = n + me + G.shape[0]
-        self.P, self.A, self.G = P, A, G
-        self.AT, self.GT = A.T.tocsr(), G.T.tocsr()
         self.reg = reg
-        top = sp.bmat([[P + reg * sp.eye(n), A.T, G.T],
-                       [A, -reg * sp.eye(me) if me else None, None]],
-                      format="coo") if me else \
-            sp.hstack([P + reg * sp.eye(n), A.T, G.T], format="coo")
-        Gcoo = G.tocoo()
-        # Pattern of the -W^2 block: nonneg diagonal, dense SOC blocks, in
-        # the order w2_entries emits values.
-        w2_rows = [cones.nn + n + me]
-        w2_cols = [cones.nn + n + me]
-        for idx in cones.soc.values():
-            shifted = idx + n + me
-            w2_rows.append(np.repeat(shifted, idx.shape[1], axis=1).reshape(-1))
-            w2_cols.append(np.tile(shifted, (1, idx.shape[1])).reshape(-1))
-        w2_rows = np.concatenate(w2_rows)
-        w2_cols = np.concatenate(w2_cols)
-        rows = np.concatenate([top.row, Gcoo.row + n + me, w2_rows])
-        cols = np.concatenate([top.col, Gcoo.col, w2_cols])
-        vals = np.concatenate([top.data, Gcoo.data, np.zeros(w2_rows.size)])
-        # Canonical CSC: rows sorted within each column, so an entry's slot
-        # is the rank of its column-major key.
-        self.K = sp.csc_matrix((vals, (rows, cols)), shape=(dim, dim))
-        keys = np.repeat(np.arange(dim), np.diff(self.K.indptr)) * dim \
-            + self.K.indices
-        self.w2_slots = np.searchsorted(keys, w2_cols * dim + w2_rows)
-        self.position = None     # position[i]: where row/column i sits in K
-        self.order = None        # its inverse
-        self.scaling = None
-        self._lu_solve = None
+        # reg * sign: K minus diag(reg_sign) is the unregularized matrix.
+        self._reg_sign = np.concatenate([np.full(n, reg),
+                                         np.full(dim - n, -reg)])
+        values = np.concatenate([P.data, np.full(n, reg), A.data, A.data,
+                                 np.full(me, -reg), G.data, G.data])
+        pattern = _pattern(P, A, G, cones)
+        self.reordered = False   # this solve took its own ordering
+        if analysis is not None and analysis.matches(pattern):
+            self._use(analysis, np.bincount(analysis.value_slots, values,
+                                            analysis.indices.size),
+                      analysis.indptr.copy(), analysis.indices.copy())
+            return
+        self.analysis = self.position = self.order = None
+        rows, cols = _entries(P, A, G, cones)
+        keys, slots = np.unique(cols * dim + rows, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+        self.K = sp.csc_matrix(
+            (np.bincount(slots[:values.size], values, keys.size),
+             (keys % dim).astype(np.intc), indptr.astype(np.intc)),
+            shape=(dim, dim))
+        self.w2_slots = slots[values.size:]
+        self._unordered = pattern, slots
+
+    def _use(self, analysis: _Analysis, data, indptr, indices) -> None:
+        """Store K in the analysis's ordering, from its permuted values."""
+        dim = analysis.position.size
+        self.analysis = analysis
+        self.position, self.order = analysis.position, analysis.order
+        self.w2_slots = analysis.w2_slots
+        self.K = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
+        self._reg_sign = self._reg_sign[self.order]
 
     def factor(self, scaling: _NTScaling) -> None:
         """Refill the W^2 block from the NT scaling and factor K."""
-        self.scaling = scaling
         self.K.data[self.w2_slots] = -scaling.w2_entries(self.reg)
-        if self.order is None:
-            lu = factor_quasidefinite(self.K)
-            self._permute(lu.perm_c)
-            self._lu_solve = lu.solve
-        else:
-            lu = factor_quasidefinite(self.K, natural=True)
-            # Not through self: a cycle would hold each solve's LU factors
-            # until the cyclic garbage collector runs.
-            order, position = self.order, self.position
-            self._lu_solve = lambda rhs: lu.solve(rhs[order])[position]
+        if self.analysis is not None:
+            self._lu_solve = factor_quasidefinite(self.K, natural=True).solve
+            return
+        lu = factor_quasidefinite(self.K)
+        # A copy: perm_c is a view that would keep the LU alive.
+        self._permute(np.array(lu.perm_c))
+        # Not through self: a cycle would hold each solve's LU factors
+        # until the cyclic garbage collector runs.
+        position, order = self.position, self.order
+        self._lu_solve = lambda rhs: lu.solve(rhs[position])[order]
 
     def _permute(self, position: np.ndarray) -> None:
-        """Store K as K[order][:, order]; the W^2 slots follow."""
+        """Store K as K[order][:, order] and keep the analysis."""
         K, dim = self.K, self.K.shape[0]
-        rows = position[K.indices]
+        pattern, slots = self._unordered
+        del self._unordered
+        rows = position[K.indices].astype(np.int64)
         cols = position[np.repeat(np.arange(dim), np.diff(K.indptr))]
-        moved = np.lexsort((rows, cols))
-        slot = np.empty_like(moved)
+        cols = cols.astype(np.int64)
+        moved = np.argsort(cols * dim + rows)
+        slot = np.empty(moved.size, dtype=np.intc)
         slot[moved] = np.arange(moved.size)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=dim))])
-        self.K = sp.csc_matrix((K.data[moved], rows[moved], indptr), shape=K.shape)
-        self.w2_slots = slot[self.w2_slots]
-        self.position, self.order = position, np.argsort(position)
-
-    def apply(self, xyz: np.ndarray) -> np.ndarray:
-        """The unregularized KKT matrix at the current scaling times xyz."""
-        n, me = self.P.shape[0], self.A.shape[0]
-        x_, y_, z_ = xyz[:n], xyz[n:n + me], xyz[n + me:]
-        r1 = (self.P @ x_) + self.AT @ y_ + self.GT @ z_
-        r2 = self.A @ x_
-        r3 = self.G @ x_ - self.scaling.apply_sq(z_)
-        return np.concatenate([r1, r2, r3])
+        slots = slot[slots]
+        n_values = slots.size - self.w2_slots.size
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(cols, minlength=dim))]).astype(np.intc)
+        indices = rows[moved].astype(np.intc)
+        analysis = _Analysis(
+            pattern=[np.array(a) for a in pattern], position=position,
+            order=np.argsort(position).astype(np.intc), indptr=indptr.copy(),
+            indices=indices.copy(), value_slots=slots[:n_values],
+            w2_slots=slots[n_values:])
+        self._use(analysis, K.data[moved], indptr, indices)
+        self.reordered = True
 
     def solve(self, rhs: np.ndarray, refine_steps: int) -> np.ndarray:
-        """Solve with the last factorization, refined against ``apply``."""
+        """Solve with the last factorization, refined against the
+        unregularized matrix, all in K's ordering."""
+        rhs = rhs[self.order]
         sol = self._lu_solve(rhs)
         for _ in range(refine_steps):
-            sol = sol + self._lu_solve(rhs - self.apply(sol))
-        return sol
+            sol = sol + self._lu_solve(
+                rhs - (self.K @ sol - self._reg_sign * sol))
+        return sol[self.position]
 
 
 def solve_robust(program: ConicProgram,
@@ -426,17 +506,21 @@ def solve(program: ConicProgram,
         return _solve_equality_only(program, c, P, A, b, settings)
 
     P_eff = P if P is not None else sp.csr_matrix((n, n))
-    kkt = _Kkt(P_eff, A, G, cones, settings.reg)
-    AT, GT = kkt.AT, kkt.GT
+    AT, GT = A.T.tocsr(), G.T.tocsr()
 
     start = program.start
     warm = start is not None and all(
         v is not None and v.size == size
         for v, size in ((start.x, n), (start.y, me), (start.z, mi),
                         (start.s, mi)))
+    resumed = warm and start._program is not None \
+        and start._program() is program
+    kkt = _Kkt(P_eff, A, G, cones, settings.reg,
+               start._analysis if warm else None)
     if warm:
         x, y = start.x.copy(), start.y.copy()
-        s, z = cones.shift_warm(start.s), cones.shift_warm(start.z)
+        s, z = (u.copy() if resumed and cones.interior_violation(u) < 0
+                else cones.shift_warm(u) for u in (start.s, start.z))
     else:
         # Cold: one KKT solve with W = I, then shift into the cones.
         ident = _NTScaling(cones, cones.identity(), cones.identity())
@@ -664,6 +748,8 @@ def solve(program: ConicProgram,
         primal_res=max(_norm_inf(r_eq) / max(1.0, _norm_inf(b)),
                        _norm_inf(r_ineq) / max(1.0, _norm_inf(h))),
         dual_res=_norm_inf(r_dual) / max(1.0, _norm_inf(c)), warm=warm,
+        reordered=kkt.reordered, resumed=resumed, _analysis=kkt.analysis,
+        _program=weakref.ref(program),
     )
 
 
@@ -695,7 +781,7 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
                               s=np.zeros(0), status="numerical_failure",
                               iterations=1, objective=math.nan, gap=math.nan,
                               rel_gap=math.nan, primal_res=math.nan,
-                              dual_res=math.nan)
+                              dual_res=math.nan, reordered=True)
     x, y = sol[:n], sol[n:]
     r_dual = (P_eff @ x) + c + (A.T @ y if me else 0.0)
     r_eq = A @ x - b if me else np.zeros(0)
@@ -705,7 +791,8 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
     return SolverSolution(x=x, y=y, z=np.zeros(0), s=np.zeros(0),
                           status="optimal" if ok else "numerical_failure",
                           iterations=1, objective=program.objective_value(x),
-                          gap=0.0, rel_gap=0.0, primal_res=pres, dual_res=dres)
+                          gap=0.0, rel_gap=0.0, primal_res=pres, dual_res=dres,
+                          reordered=True)
 
 
 def _norm_inf(v: np.ndarray) -> float:

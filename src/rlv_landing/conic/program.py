@@ -14,8 +14,10 @@ to physical units.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +65,9 @@ class ConicProgram:
     obj_offset: float = 0.0
     var_names: list[str] | None = None
     # Initial-iterate hint for the IPM, typically the solution of a nearby
-    # program; ignored when its shapes do not match this program's.
+    # program; ignored when its shapes do not match this program's. Its KKT
+    # analysis is reused when the pattern matches, and a solution of this
+    # same program object is resumed as it is (see ipm).
     start: SolverSolution | None = None
 
     @property
@@ -118,6 +122,14 @@ class SolverSolution:
     s: np.ndarray | None = None  # cone slacks
     attempts: int = 1            # solves run for this result (solve_robust's ladder)
     warm: bool = False           # the IPM started from the program's start
+    reordered: bool = False      # the solve took its own KKT ordering
+    resumed: bool = False        # the start was this program's own iterate
+    # For a later solve from this one: the KKT analysis, reused when the
+    # pattern matches, and the program solved (weakly, since that program
+    # may hold this solution as its start).
+    _analysis: Any = field(default=None, repr=False, compare=False)
+    _program: weakref.ref | None = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def optimal(self) -> bool:

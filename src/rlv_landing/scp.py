@@ -16,11 +16,15 @@ the program built about it passes the same test.
 Each subproblem is first solved inexactly, at tolerances of INEXACT_TOL,
 from the previous subproblem's solution: far from the fixed point a step
 needs only to be good enough to linearize about. A step whose J_tr passes
-the step test is solved again, from the inexact solution, at the caller's
-tolerances, and J_tr and the next reference come from that re-solve. So a
-converged plan is a full-tolerance subproblem solution that passes the
-fixed-point test; a re-solved step that fails the step test costs one more
-SCP iteration and converges nothing.
+the step test is solved again at the caller's tolerances, and J_tr and the
+next reference come from that re-solve. The re-solve resumes the inexact
+solve's own iterate: the program is the same object, so the IPM keeps that
+solution's slacks and multipliers as they are, where a start from the
+previous subproblem is moved into the cones first, and a subproblem whose
+KKT pattern is the previous one's reuses its ordering. So a converged plan
+is a full-tolerance subproblem solution that passes the fixed-point test; a
+re-solved step that fails the step test costs one more SCP iteration and
+converges nothing.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import gc
 import itertools
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ class TestHandFixtures:
         assert sol.status in ("infeasible", "max_iter", "numerical_failure")
         assert sol.status == "infeasible"
 
+    @pytest.mark.parametrize("delta, tol, status, primal_res", [
+        (1e-3, 1e-4, "infeasible", 5e-4),
+        (1e-5, 1e-8, "numerical_failure", 5e-6),
+    ])
+    def test_growth_window_verdict(self, delta, tol, status, primal_res):
+        # x >= delta and x <= 0: the iterates stop improving and the growth
+        # window gives the verdict. A stall farther from feasibility than
+        # FAR_FROM_FEASIBLE, an absolute residual, is infeasible at any
+        # tolerance; one nearer is a numerical failure.
+        prog = lp([1.0], [[-1.0], [1.0]], [-delta, 0.0])
+        sol = solve(prog, SolverSettings(tol_feas=tol, tol_gap=tol))
+        assert sol.status == status
+        assert sol.primal_res == pytest.approx(primal_res, rel=0.1)
+
     def test_unbounded_lp(self):
         sol = solve(lp([-1.0], [[-1.0]], [0.0]))
         assert sol.status != "optimal"
@@ -352,13 +367,29 @@ class TestSolutionQuality:
         assert sol1.iterations == sol2.iterations
 
 
+class CountingSpla:
+    """Stands in for ``scipy.sparse.linalg`` inside ``ipm``, recording the
+    column ordering each factorization asked for."""
+
+    def __init__(self):
+        self.orderings = []
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def splu(self, K, **kwargs):
+        self.orderings.append(kwargs.get("permc_spec"))
+        return spla.splu(K, **kwargs)
+
+
 MIXED_CONES = [ConeBlock(NONNEG, 3), ConeBlock(SOC, 3), ConeBlock(SOC, 4),
                ConeBlock(NONNEG, 2), ConeBlock(SOC, 3)]
 
 
 class TestQuasiDefiniteKkt:
     """The IPM's KKT matrix: refilled in place in a pattern permuted by the
-    first factorization's ordering, factored without pivoting."""
+    first factorization's ordering, or by a reused analysis, factored
+    without pivoting and solved in that ordering."""
 
     @staticmethod
     def fresh(prog, scaling, reg):
@@ -402,6 +433,41 @@ class TestQuasiDefiniteKkt:
             np.testing.assert_allclose(kkt.solve(rhs, refine_steps=2), expected,
                                        rtol=0, atol=1e-10 * np.abs(expected).max())
 
+    def test_solves_in_the_factor_ordering(self):
+        # Every KKT solve, with the first (minimum-degree) factorization, a
+        # later one, and one on a reused analysis, refined in K's ordering
+        # against the unregularized matrix assembled afresh.
+        rng = np.random.default_rng(53)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        reg = SolverSettings().reg
+        cones = _Cones(prog.cones)
+        first = _Kkt(prog.P, prog.A, prog.G, cones, reg)
+        for i in range(3):
+            kkt = first if i < 2 else \
+                _Kkt(prog.P, prog.A, prog.G, cones, reg, first.analysis)
+            scaling = _NTScaling(cones, interior_point(rng, prog.cones),
+                                 interior_point(rng, prog.cones))
+            kkt.factor(scaling)
+            assert kkt.reordered == (kkt is first)
+            rhs = rng.normal(size=kkt.K.shape[0])
+            residual = rhs - self.fresh(prog, scaling, 0.0) @ kkt.solve(rhs, 2)
+            assert np.abs(residual).max() <= 1e-12 * np.abs(rhs).max()
+
+    def test_reused_analysis_fills_the_same_matrix(self):
+        rng = np.random.default_rng(59)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        reg = SolverSettings().reg
+        cones = _Cones(prog.cones)
+        scaling = _NTScaling(cones, interior_point(rng, prog.cones),
+                             interior_point(rng, prog.cones))
+        first = _Kkt(prog.P, prog.A, prog.G, cones, reg)
+        first.factor(scaling)
+        again = _Kkt(prog.P, prog.A, prog.G, cones, reg, first.analysis)
+        again.factor(scaling)
+        assert again.analysis is first.analysis
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(again.K, name), getattr(first.K, name))
+
     def test_freed_without_the_cycle_collector(self):
         # Each solve's KKT system and LU factors go when the solve returns;
         # a reference cycle would keep them until a collection and show up
@@ -436,10 +502,48 @@ class TestQuasiDefiniteKkt:
         assert verify_kkt(prog, sol).worst < 1e-8
 
 
+class TestStepLength:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           blocks=st.lists(st.one_of(
+               st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 5)),
+               st.builds(ConeBlock, st.just(SOC), st.integers(2, 5))),
+               min_size=1, max_size=4))
+    def test_max_step_is_the_boundary(self, seed, blocks):
+        # The closed-form step against a bisection on the interior test:
+        # u + t du is inside the cones for t below the step, outside above.
+        rng = np.random.default_rng(seed)
+        cones = _Cones(blocks)
+        u = interior_point(rng, blocks, margin=(1e-3, 1.0))
+        du = rng.normal(size=u.size) * 10.0 ** rng.uniform(-2, 2)
+        alpha = cones.max_step(u, du)
+
+        def inside(t):
+            return cones.interior_violation(u + t * du) < 0
+
+        if np.isinf(alpha):
+            assert inside(1e8)
+            return
+        assert inside(0.999 * alpha)
+        lo, hi = 0.0, 2.0 * alpha
+        for _ in range(60):
+            if not inside(hi):
+                break
+            lo, hi = hi, 2.0 * hi
+        assert not inside(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        assert alpha == pytest.approx(hi, rel=1e-8)
+
+
 class TestWarmStart:
     """A solve from ``program.start``: used when its shapes match the
     program, ignored (a cold solve) when they do not, and left out of the
-    retries of solve_robust."""
+    retries of solve_robust. Its KKT analysis is reused when the pattern
+    matches, and a start from the same program is resumed unshifted."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
@@ -460,8 +564,12 @@ class TestWarmStart:
         perturbed = replace(
             prog, c=prog.c + 1e-2 * rng.normal(size=n),
             h=prog.h + 1e-2 * interior_point(rng, blocks), start=first)
-        warm = solve(perturbed)
-        assert warm.warm
+        spla_ = CountingSpla()
+        with mock.patch.object(ipm, "spla", spla_):
+            warm = solve(perturbed)
+        # The same pattern as the start's: its ordering is reused.
+        assert spla_.orderings and set(spla_.orderings) == {"NATURAL"}
+        assert warm.warm and not warm.reordered and not warm.resumed
         assert warm.status == "optimal"
         assert verify_kkt(perturbed, warm).worst < 1e-8
         # Same optimum as a cold solve. At tolerance 1e-8 two correct solves
@@ -498,6 +606,53 @@ class TestWarmStart:
         assert sol.iterations == cold.iterations
         for name in ("x", "y", "z", "s"):
             assert np.array_equal(getattr(sol, name), getattr(cold, name))
+
+    def test_start_of_other_pattern_is_analyzed_afresh(self):
+        rng = np.random.default_rng(47)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        first = solve(prog)
+        G = prog.G.copy()
+        G.data[0] = 0.0
+        G.eliminate_zeros()
+        other = replace(prog, G=G, start=first)
+        sol = solve(other)
+        stripped = solve(replace(other, start=replace(first, _analysis=None)))
+        assert sol.warm and sol.reordered
+        assert sol.status == stripped.status == "optimal"
+        assert sol.iterations == stripped.iterations
+        for name in ("x", "y", "z", "s"):
+            assert np.array_equal(getattr(sol, name), getattr(stripped, name))
+
+    def test_resolve_resumes_its_own_iterate(self):
+        rng = np.random.default_rng(47)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        loose = solve(prog, SolverSettings(tol_feas=1e-4, tol_gap=1e-4))
+        prog.start = loose
+        resumed = solve(prog)
+        # The same start given to a copy of the program is shifted.
+        shifted = solve(replace(prog))
+        assert resumed.resumed and not shifted.resumed and shifted.warm
+        assert resumed.optimal and shifted.optimal
+        assert verify_kkt(prog, resumed).worst < 1e-8
+        assert resumed.iterations < shifted.iterations
+        # A resumed s outside the cones is moved inside.
+        prog.start = replace(loose, s=np.zeros_like(loose.s))
+        sol = solve(prog)
+        assert sol.resumed and sol.optimal
+
+    def test_solution_holds_its_program_weakly(self):
+        # A program whose start is its own solution is no reference cycle:
+        # it goes, with its solution, without the cyclic collector.
+        rng = np.random.default_rng(47)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        gc.disable()
+        try:
+            prog.start = solve(prog)
+            ref = weakref.ref(prog)
+            del prog
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_retries_are_cold(self, monkeypatch):
         stalled = SolverSolution(x=np.zeros(1), status="numerical_failure",
