@@ -2,7 +2,7 @@
 
 Run from the repository root (outside tier-1, whose testpaths is tests/):
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_8.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_9.json
 
 The fixture is the first SCP subproblem of the nominal ignition-fit plan
 (the planner tests' initial state): one ``PlanningProblem.build``, one IPM
@@ -64,7 +64,12 @@ def subproblem():
     return prob, ref, prob.build(ref)
 
 
-def first_kkt(prog, reg=SolverSettings().reg) -> sp.csc_matrix:
+# The IPM's KKT regularization: a module constant, or a settings field in
+# trees before it was one.
+KKT_REG = getattr(ipm, "REG", None) or SolverSettings().reg
+
+
+def first_kkt(prog, reg=KKT_REG) -> sp.csc_matrix:
     """The IPM's first KKT matrix (W = I): -(W^2 + reg I) stored as the IPM
     stores it, dense on each SOC block (explicit zeros off the diagonal)."""
     n, me = prog.n, prog.A.shape[0]

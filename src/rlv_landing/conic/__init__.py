@@ -1,6 +1,6 @@
 """Embedded sparse convex solver: programs, scaling, IPM, KKT verification."""
 
-from .ipm import SolverSettings, factor_quasidefinite, solve, solve_robust
+from .ipm import SolverSettings, factor_quasidefinite, solve
 from .program import (
     NONNEG,
     SOC,
@@ -16,7 +16,7 @@ from .verify import KktReport, cone_violation, verify_kkt
 
 __all__ = [
     "NONNEG", "SOC", "ConeBlock", "ConicProgram", "SolverSolution",
-    "VariableScaling", "SolverSettings", "solve", "solve_robust", "scale_program",
+    "VariableScaling", "SolverSettings", "solve", "scale_program",
     "factor_quasidefinite",
     "make_scaling", "verify_kkt", "KktReport", "cone_violation",
     "dump_program", "load_program",

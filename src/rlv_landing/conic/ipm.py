@@ -42,6 +42,11 @@ resumed: its s and z are kept, and moved only if they are not interior
 (Skajaa, Andersen & Ye, Math. Prog. Comp. 2013). A start whose shapes do
 not match the program is ignored, and the solve is then the same as a cold
 one.
+
+A call is one solve, with its numerics fixed by the constants below, as in
+Clarabel; the caller chooses only the tolerances (``SolverSettings``). A
+solve that ends without a verdict returns as it ended: nothing retries it
+under other numerics.
 """
 
 from __future__ import annotations
@@ -57,28 +62,37 @@ import scipy.sparse.linalg as spla
 from .program import NONNEG, SOC, ConeBlock, ConicProgram, SolverSolution
 
 # Primal residual above which a stalled solve is far from feasibility: the
-# growth window calls it infeasible, and solve_robust does not retry it.
-# Absolute, so a solve at a loose tolerance gets the same verdicts and
-# retries as one at the default 1e-8.
+# growth window calls it infeasible, and a stall nearer than this a
+# numerical failure. Absolute, so a solve at a loose tolerance gets the same
+# verdicts as one at the default 1e-8.
 FAR_FROM_FEASIBLE = 1e-5
 # Distance a warm start's s and z are moved inside the cones, for a start
 # from another program (a start from the same program is resumed). On the
 # nominal N=100 ignition-fit plan, warm starts alone took 136, 124, 117 and
 # 117 IPM iterations at shifts of 1, 0.1, 0.01 and 0.001 (147 cold).
 WARM_SHIFT = 1e-2
+MAX_ITER = 100
+REG = 1e-9                 # static regularization of the KKT system
+REFINE_STEPS = 2           # refinement steps of each KKT solve
+STEP_DAMPING = 0.99        # fraction of the step to the cone boundary taken
+INFEAS_WINDOW = 10         # stalled iterations before the growth-window verdict
+# Gondzio corrector rounds per iteration; they save 13 IPM iterations on the
+# nominal N=100 ignition-fit plan.
+CENTRALITY_CORRECTORS = 2
+# Gap-tolerance factor accepted at a hard stall. On 129 benchmark plans
+# (3 workloads: reference sets and 16 states each of seeds 5 and 6), it
+# made 27 of 837 subproblem solves optimal.
+STALL_ACCEPT = 50.0
 
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """The tolerances of a solve: the SCP loop solves at a loose one first
+    and at the full one once its step is small. Every other number of the
+    solver is a module constant."""
+
     tol_feas: float = 1e-8
     tol_gap: float = 1e-8
-    max_iter: int = 100
-    reg: float = 1e-9            # static regularization of the KKT system
-    refine_steps: int = 2
-    step_damping: float = 0.99
-    infeas_window: int = 10      # stalled iterations before declaring infeasible
-    centrality_correctors: int = 2   # Gondzio corrector rounds per iteration
-    stall_accept: float = 50.0   # gap-tolerance factor accepted at a hard stall
 
 
 class _Cones:
@@ -357,17 +371,16 @@ class _Kkt:
     solve. ``solve`` works in K's ordering throughout.
     """
 
-    def __init__(self, P, A, G, cones: _Cones, reg: float,
+    def __init__(self, P, A, G, cones: _Cones,
                  analysis: _Analysis | None = None):
         P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
         n, me = P.shape[0], A.shape[0]
         dim = n + me + G.shape[0]
-        self.reg = reg
-        # reg * sign: K minus diag(reg_sign) is the unregularized matrix.
-        self._reg_sign = np.concatenate([np.full(n, reg),
-                                         np.full(dim - n, -reg)])
-        values = np.concatenate([P.data, np.full(n, reg), A.data, A.data,
-                                 np.full(me, -reg), G.data, G.data])
+        # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
+        self._reg_sign = np.concatenate([np.full(n, REG),
+                                         np.full(dim - n, -REG)])
+        values = np.concatenate([P.data, np.full(n, REG), A.data, A.data,
+                                 np.full(me, -REG), G.data, G.data])
         pattern = _pattern(P, A, G, cones)
         self.reordered = False   # this solve took its own ordering
         if analysis is not None and analysis.matches(pattern):
@@ -397,7 +410,7 @@ class _Kkt:
 
     def factor(self, scaling: _NTScaling) -> None:
         """Refill the W^2 block from the NT scaling and factor K."""
-        self.K.data[self.w2_slots] = -scaling.w2_entries(self.reg)
+        self.K.data[self.w2_slots] = -scaling.w2_entries(REG)
         if self.analysis is not None:
             self._lu_solve = factor_quasidefinite(self.K, natural=True).solve
             return
@@ -446,46 +459,11 @@ class _Kkt:
 
 def solve_robust(program: ConicProgram,
                  settings: SolverSettings = SolverSettings()) -> SolverSolution:
-    """Solve, retrying a near-feasible stall under other numerics.
-
-    Rung 1 is ``settings``, from the program's start if it has one. Its
-    result is final when it is a verdict (optimal, infeasible, unbounded),
-    and also when it stalled far from feasibility: primal residual above
-    FAR_FROM_FEASIBLE, the absolute boundary at which ``solve``'s growth
-    window calls a stall infeasible, whatever the tolerance. Only a stall
-    next to a solution runs rungs 2-4, which retry the same tolerances cold
-    (without the start) under other regularization, refinement depth and
-    step damping. ``attempts`` on the result counts the solves run.
-
-    The policy rests on a corpus of 225 plans of the planning benchmark
-    (its reference sets and 16 states of each of seeds 5-8, per workload),
-    replayed with ``benches/ladder_corpus.py``. With every subproblem
-    solved at 1e-8, rung 1 ended without a verdict on 69 subproblems. The
-    ladder rescued 15 of them, each after a stall with primal residual at
-    most 1.4e-7. The 52 stalls above 1e-5 took 196 of the 226 retries and
-    were rescued by none, and a fifth rung rescued nothing. Since the SCP
-    loop solves at 1e-4 first, the 54 first solves there that end without
-    a verdict all stall at primal residual 6.9e-5 or more, and the same
-    corpus runs no retry.
-    """
-    from dataclasses import replace
-
-    ladder = (
-        settings,
-        replace(settings, reg=1e-10, refine_steps=2),
-        replace(settings, reg=1e-8, refine_steps=3, step_damping=0.95),
-        replace(settings, reg=1e-10, refine_steps=4, step_damping=0.9),
-    )
-    for attempt, variant in enumerate(ladder, start=1):
-        sol = solve(program, variant)
-        sol.attempts = attempt
-        if sol.status in ("optimal", "infeasible", "unbounded"):
-            return sol
-        if attempt == 1:
-            if sol.primal_res > FAR_FROM_FEASIBLE:
-                return sol
-            program = replace(program, start=None)
-    return sol
+    """``solve``, under the name that ``planbench/planning.py`` and
+    ``planbench/spans.py`` still call; the next change to planbench deletes
+    it. It calls ``solve`` through the module, so a wrapper of ``ipm.solve``
+    sees every solve."""
+    return solve(program, settings)
 
 
 def solve(program: ConicProgram,
@@ -515,8 +493,7 @@ def solve(program: ConicProgram,
                         (start.s, mi)))
     resumed = warm and start._program is not None \
         and start._program() is program
-    kkt = _Kkt(P_eff, A, G, cones, settings.reg,
-               start._analysis if warm else None)
+    kkt = _Kkt(P_eff, A, G, cones, start._analysis if warm else None)
     if warm:
         x, y = start.x.copy(), start.y.copy()
         s, z = (u.copy() if resumed and cones.interior_violation(u) < 0
@@ -547,7 +524,7 @@ def solve(program: ConicProgram,
     stall_count = 0
     mu_prev = np.inf
 
-    for iteration in range(1, settings.max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         iters = iteration
         r_dual = (P_eff @ x) + c + AT @ y + GT @ z
         r_eq = A @ x - b
@@ -595,7 +572,7 @@ def solve(program: ConicProgram,
         if certificate and (growth_count >= 3 or farkas_gap < -1e-6):
             status = "infeasible"
             break
-        if growth_count >= settings.infeas_window and mu > settings.tol_gap:
+        if growth_count >= INFEAS_WINDOW and mu > settings.tol_gap:
             status = "infeasible" if pres > FAR_FROM_FEASIBLE \
                 else "numerical_failure"
             break
@@ -623,7 +600,7 @@ def solve(program: ConicProgram,
         d_s = cones.product(lam, lam)
         rhs = np.concatenate([-r_dual, -r_eq,
                               -r_ineq + scaling.apply(cones.divide(lam, d_s))])
-        sol = kkt.solve(rhs, settings.refine_steps)
+        sol = kkt.solve(rhs, REFINE_STEPS)
         dx_a = sol[:n]
         dz_a = sol[n + me:]
         # Slack step from the primal row: keeps G x + s - h contracting
@@ -640,14 +617,14 @@ def solve(program: ConicProgram,
         d_s = cones.product(lam, lam) - sigma * mu * e + corr
         rhs = np.concatenate([-r_dual, -r_eq,
                               -r_ineq + scaling.apply(cones.divide(lam, d_s))])
-        sol = kkt.solve(rhs, settings.refine_steps)
+        sol = kkt.solve(rhs, REFINE_STEPS)
         dx, dy = sol[:n], sol[n:n + me]
         dz = sol[n + me:]
         ds = -r_ineq - G @ dx
 
         def step_pair(ds_, dz_):
-            ap = min(1.0, settings.step_damping * cones.max_step(s, ds_))
-            ad = min(1.0, settings.step_damping * cones.max_step(z, dz_))
+            ap = min(1.0, STEP_DAMPING * cones.max_step(s, ds_))
+            ad = min(1.0, STEP_DAMPING * cones.max_step(z, dz_))
             # With a quadratic term the P dx cross-coupling re-pollutes the
             # dual equation under split steps; use a common length then.
             if P is not None:
@@ -685,7 +662,7 @@ def solve(program: ConicProgram,
         # products toward the target, accepting a corrector only when it
         # enlarges the step.
         mu_target = max(sigma * mu, 1e-2 * mu)
-        for _ in range(settings.centrality_correctors):
+        for _ in range(CENTRALITY_CORRECTORS):
             if min(alpha_p, alpha_d) > 0.95:
                 break
             ap_t = min(1.0, 1.5 * alpha_p + 0.3)
@@ -697,7 +674,7 @@ def solve(program: ConicProgram,
             d_corr = v_trial - target
             rhs_c = np.concatenate([np.zeros(n + me),
                                     scaling.apply(cones.divide(lam, d_corr))])
-            sol_c = kkt.solve(rhs_c, settings.refine_steps)
+            sol_c = kkt.solve(rhs_c, REFINE_STEPS)
             dx_c = sol_c[:n]
             dz_c = sol_c[n + me:]
             ds_c = -G @ dx_c
@@ -722,7 +699,7 @@ def solve(program: ConicProgram,
         if stall_count >= 3 or not np.isfinite(alpha_p + alpha_d) \
                 or max(alpha_p, alpha_d) < 1e-10:
             if pres < settings.tol_feas and dres < settings.tol_feas \
-                    and mu < settings.stall_accept * settings.tol_gap:
+                    and mu < STALL_ACCEPT * settings.tol_gap:
                 status = "optimal"
             else:
                 status = "numerical_failure"
@@ -765,17 +742,11 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
                               s=np.zeros(0), status=status, iterations=0,
                               objective=program.obj_offset, gap=0.0, rel_gap=0.0,
                               primal_res=0.0, dual_res=_norm_inf(c))
-    reg = settings.reg
-    K = sp.bmat([[P_eff + reg * sp.eye(n), A.T],
-                 [A, -reg * sp.eye(me) if me else None]], format="csc") \
-        if me else (P_eff + reg * sp.eye(n)).tocsc()
+    cones = _Cones([])
+    kkt = _Kkt(P_eff, A, sp.csr_matrix((0, n)), cones)
     try:
-        lu = factor_quasidefinite(K)
-        sol = lu.solve(np.concatenate([-c, b]))
-        for _ in range(2 * settings.refine_steps):
-            r1 = -c - (P_eff @ sol[:n]) - (A.T @ sol[n:] if me else 0.0)
-            r2 = b - A @ sol[:n] if me else np.zeros(0)
-            sol = sol + lu.solve(np.concatenate([r1, r2]))
+        kkt.factor(_NTScaling(cones, np.zeros(0), np.zeros(0)))
+        sol = kkt.solve(np.concatenate([-c, b]), REFINE_STEPS)
     except RuntimeError:
         return SolverSolution(x=np.zeros(n), y=np.zeros(me), z=np.zeros(0),
                               s=np.zeros(0), status="numerical_failure",
@@ -783,16 +754,15 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
                               rel_gap=math.nan, primal_res=math.nan,
                               dual_res=math.nan, reordered=True)
     x, y = sol[:n], sol[n:]
-    r_dual = (P_eff @ x) + c + (A.T @ y if me else 0.0)
-    r_eq = A @ x - b if me else np.zeros(0)
-    pres = _norm_inf(r_eq) / max(1.0, _norm_inf(b))
-    dres = _norm_inf(np.atleast_1d(r_dual)) / max(1.0, _norm_inf(c))
+    r_dual = (P_eff @ x) + c + A.T @ y
+    pres = _norm_inf(A @ x - b) / max(1.0, _norm_inf(b))
+    dres = _norm_inf(r_dual) / max(1.0, _norm_inf(c))
     ok = pres < settings.tol_feas * 100 and dres < settings.tol_feas * 100
     return SolverSolution(x=x, y=y, z=np.zeros(0), s=np.zeros(0),
                           status="optimal" if ok else "numerical_failure",
                           iterations=1, objective=program.objective_value(x),
                           gap=0.0, rel_gap=0.0, primal_res=pres, dual_res=dres,
-                          reordered=True)
+                          reordered=kkt.reordered)
 
 
 def _norm_inf(v: np.ndarray) -> float:

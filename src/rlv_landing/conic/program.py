@@ -64,10 +64,10 @@ class ConicProgram:
     scaling: VariableScaling | None = None
     obj_offset: float = 0.0
     var_names: list[str] | None = None
-    # Initial-iterate hint for the IPM, typically the solution of a nearby
-    # program; ignored when its shapes do not match this program's. Its KKT
-    # analysis is reused when the pattern matches, and a solution of this
-    # same program object is resumed as it is (see ipm).
+    # Initial-iterate hint for the IPM's one solve, typically the solution of
+    # a nearby program; ignored when its shapes do not match this program's.
+    # Its KKT analysis is reused when the pattern matches, and a solution of
+    # this same program object is resumed as it is (see ipm).
     start: SolverSolution | None = None
 
     @property
@@ -120,7 +120,6 @@ class SolverSolution:
     y: np.ndarray | None = None  # equality multipliers
     z: np.ndarray | None = None  # cone multipliers
     s: np.ndarray | None = None  # cone slacks
-    attempts: int = 1            # solves run for this result (solve_robust's ladder)
     warm: bool = False           # the IPM started from the program's start
     reordered: bool = False      # the solve took its own KKT ordering
     resumed: bool = False        # the start was this program's own iterate

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -158,7 +158,7 @@ class GuidanceConfig:
     r_lim: float = 10.0              # re-plan position error trigger [m]
     track_delay: float = 0.050       # tracking solution latency [s]
     plan_delay: float = 0.500        # planning solution latency [s]
-    replan_cooldown: float = 2.0     # min spacing between re-plan attempts [s]
+    replan_cooldown: float = 2.0     # min spacing between re-plans [s]
     baseline_h: float = 5.0          # analytic law time-to-go shaping [s]
     baseline_kr: float = 4.836       # analytic law position gain
 
@@ -304,11 +304,3 @@ def scenario_to_dict(scn: Scenario) -> dict[str, Any]:
     for section in _SECTION_TYPES:
         out[section] = clean(getattr(scn, section))
     return out
-
-
-def with_updates(scn: Scenario, **section_updates: dict[str, Any]) -> Scenario:
-    """Return a copy of the scenario with per-section field replacements."""
-    kwargs = {}
-    for section, updates in section_updates.items():
-        kwargs[section] = replace(getattr(scn, section), **updates)
-    return replace(scn, **kwargs)

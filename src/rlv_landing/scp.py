@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .conic import (NONNEG, ConicProgram, SolverSettings, SolverSolution,
-                    cone_violation, factor_quasidefinite, solve_robust)
+                    cone_violation, factor_quasidefinite, solve)
 
 
 # The projection holds inequality rows this close to their bound (rows are
@@ -54,6 +54,8 @@ EPS_FEASIBLE = 1e-7
 # IPM tolerance (tol_feas and tol_gap) of a subproblem solve before its step
 # is small; the caller's tolerances apply from the step test on.
 INEXACT_TOL = 1e-4
+# J_tr growth, on two consecutive iterations, that aborts the loop.
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class ScpSettings:
     eps_converge: float          # step test: threshold on J_tr
     max_iter: int
     W_tr: float                  # scalar trust-region weight on scaled deviations
-    divergence_factor: float = 10.0   # J_tr growth triggering an abort
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class ScpIterationRecord:
     #                              nan after a last iteration without a
     #                              small step, where nothing reads it)
     projected: bool              # the Gauss-Newton projection ran
-    solver_attempts: int = 1     # ladder rungs of the solve the step came from
     resolved: bool = False       # the step came from the full-tolerance re-solve
 
 
@@ -126,7 +126,7 @@ def trust_region_cost(Z: np.ndarray, Z_ref: np.ndarray,
     """Soft trust-region cost sum_k dZ_k' W dZ_k for stacked node variables."""
     dZ = np.asarray(Z, float) - np.asarray(Z_ref, float)
     if np.isscalar(W_tr):
-        return float(W_tr) * float(np.sum(dZ * dZ))
+        return float(W_tr) * float(dZ.ravel() @ dZ.ravel())
     dZ = np.atleast_2d(dZ)
     return float(np.einsum("ki,ij,kj->", dZ, np.asarray(W_tr, float), dZ))
 
@@ -218,14 +218,14 @@ def _project(adapter: SubproblemAdapter,
 def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
             settings: ScpSettings,
             solver_settings: SolverSettings = SolverSettings(),
-            solve_fn: Callable[..., SolverSolution] = solve_robust) -> ScpOutcome:
+            solve_fn: Callable[..., SolverSolution] = solve) -> ScpOutcome:
     """Iterate build/solve/update until the reference is a fixed point.
 
     Converged means J_tr < eps_converge, from a solve at ``solver_settings``,
     and a fixed-point residual (of the reference, or of its projection onto
     the rebuilt rows) at most EPS_FEASIBLE. Raises ScpFailure when a
-    subproblem is not solved to optimality or when J_tr grows by the
-    divergence factor on consecutive iterations.
+    subproblem is not solved to optimality or when J_tr grows by
+    DIVERGENCE_FACTOR on consecutive iterations.
     """
     reference = initial_reference
     log: list[ScpIterationRecord] = []
@@ -240,16 +240,12 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
 
     for iteration in range(1, settings.max_iter + 1):
         x_ref = adapter.reference_vector(reference)
-
-        def step_cost(sol: SolverSolution) -> float:
-            dx = sol.x - x_ref
-            return settings.W_tr * float(dx @ dx)
-
         program.start = solution
         solution = solve_fn(program, inexact)
         solver_iterations, resolved = solution.iterations, False
         if solution.optimal and inexact != solver_settings and \
-                step_cost(solution) < settings.eps_converge:
+                trust_region_cost(solution.x, x_ref, settings.W_tr) \
+                < settings.eps_converge:
             program.start = solution
             solution = solve_fn(program, solver_settings)
             solver_iterations += solution.iterations
@@ -259,12 +255,11 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
             log.append(ScpIterationRecord(iteration, float("nan"),
                                           solution.objective, solution.status,
                                           solver_iterations, millis,
-                                          float("nan"), False,
-                                          solution.attempts, resolved))
+                                          float("nan"), False, resolved))
             raise ScpFailure(f"subproblem solve returned {solution.status}",
                              iteration, log, solution.status)
 
-        j_tr = step_cost(solution)
+        j_tr = trust_region_cost(solution.x, x_ref, settings.W_tr)
         reference = adapter.decode(reference, solution.x)
         small_step = j_tr < settings.eps_converge
         residual, projected = float("nan"), False
@@ -284,14 +279,14 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
         log.append(ScpIterationRecord(iteration, j_tr, solution.objective,
                                       solution.status, solver_iterations,
                                       (t1 - t0) * 1e3, residual, projected,
-                                      solution.attempts, resolved))
+                                      resolved))
         t0 = t1
 
         if small_step and residual <= EPS_FEASIBLE:
             return ScpOutcome(converged=True, iterations=iteration,
                               reference=reference, log=log)
 
-        if prev_jtr is not None and j_tr > settings.divergence_factor * prev_jtr:
+        if prev_jtr is not None and j_tr > DIVERGENCE_FACTOR * prev_jtr:
             growth_count += 1
             if growth_count >= 2:
                 raise ScpFailure("trust-region cost diverging", iteration,

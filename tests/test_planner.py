@@ -10,7 +10,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from rlv_landing import env
-from rlv_landing.conic import SolverSettings
 from rlv_landing.conic.ipm import _Cones, _Kkt, _NTScaling, factor_quasidefinite
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
@@ -330,8 +329,7 @@ class TestKktFactorization:
         prob, cfg = make_problem(N=30)
         prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
         cones = _Cones(prog.cones)
-        kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones,
-                   SolverSettings().reg)
+        kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones)
         kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
         K = kkt.K[kkt.position][:, kkt.position]
         ours = factor_quasidefinite(K)

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from rlv_landing.conic import (ConeBlock, ConicProgram, NONNEG, SOC,
-                               SolverSettings, make_scaling, solve_robust)
+                               SolverSettings, make_scaling, solve)
 from rlv_landing.scp import (
     EPS_FEASIBLE,
     INEXACT_TOL,
@@ -148,25 +148,6 @@ class TestRunScp:
         assert err.value.iteration == 1
         assert err.value.status in ("infeasible", "numerical_failure")
 
-    def test_records_solver_attempts(self):
-        def two_attempts(program, settings):
-            sol = solve_robust(program, settings)
-            sol.attempts = 2
-            return sol
-
-        def infeasible(program, settings):
-            sol = solve_robust(program, settings)
-            sol.status, sol.attempts = "infeasible", 3
-            return sol
-
-        fixture = _LinearFixture(w_tr=1e-9)
-        settings = ScpSettings(1e-10, 10, 1e-9)
-        out = run_scp(fixture, -5.0, settings, solve_fn=two_attempts)
-        assert [rec.solver_attempts for rec in out.log] == [2] * out.iterations
-        with pytest.raises(ScpFailure) as err:
-            run_scp(fixture, -5.0, settings, solve_fn=infeasible)
-        assert err.value.log[-1].solver_attempts == 3
-
     def test_inexact_solves_until_the_step_is_small(self):
         # Newton steps toward sqrt(2) from 1: J_tr is 2.5e-3, 6.9e-5 and
         # 6e-8 before the fourth step passes the step test at 1e-8.
@@ -174,7 +155,7 @@ class TestRunScp:
 
         def recorded(program, settings):
             solves.append((settings.tol_feas, settings.tol_gap, program.start))
-            return solve_robust(program, settings)
+            return solve(program, settings)
 
         fixture = _SquareRootFixture(w_tr=1.0)
         solver_settings = SolverSettings()
@@ -203,7 +184,7 @@ class TestRunScp:
         fixture.build = lambda ref: refs.append(ref) or build(ref)
 
         def still(program, settings):
-            sol = solve_robust(program, settings)
+            sol = solve(program, settings)
             if settings.tol_feas == INEXACT_TOL:
                 sol.x = fixture.reference_vector(refs[-1])
             return sol

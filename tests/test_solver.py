@@ -21,13 +21,11 @@ from rlv_landing.conic import (
     ConeBlock,
     ConicProgram,
     SolverSettings,
-    SolverSolution,
     cone_violation,
     dump_program,
     load_program,
     scale_program,
     solve,
-    solve_robust,
     verify_kkt,
 )
 from rlv_landing.conic import ipm
@@ -146,6 +144,23 @@ class TestHandFixtures:
         np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
         assert sol.objective == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n, me", [(5, 0), (6, 2), (8, 5)])
+    def test_equality_qp_matches_dense_kkt(self, n, me):
+        # No cones: one KKT solve, against a dense solve of
+        # [[P, A'], [A, 0]] [x; y] = [-c; b] with P > 0, A of full row rank.
+        rng = np.random.default_rng(61 + n)
+        M = rng.normal(size=(n, n))
+        P = M @ M.T + np.eye(n)
+        A = rng.normal(size=(me, n))
+        c, b = rng.normal(size=n), rng.normal(size=me)
+        prog = ConicProgram(c=c, P=sp.csr_matrix(P), A=sp.csr_matrix(A), b=b)
+        sol = solve(prog)
+        K = np.block([[P, A.T], [A, np.zeros((me, me))]])
+        expected = np.linalg.solve(K, np.concatenate([-c, b]))
+        assert sol.optimal
+        np.testing.assert_allclose(sol.x, expected[:n], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sol.y, expected[n:], rtol=0, atol=1e-10)
+
     def test_soc_norm(self):
         # min z s.t. ||(x, y)|| <= z, x = 3, y = 4  ->  z = 5
         prog = ConicProgram(
@@ -226,69 +241,21 @@ class TestHandFixtures:
         np.testing.assert_allclose(sol.x, [1.0, 1.0, 2.0, 1.0], atol=1e-7)
 
 
-class TestRetryPolicy:
-    """solve_robust retries a stall next to a solution, and nothing else."""
+def test_solve_robust_is_one_solve(monkeypatch):
+    # The name planbench calls: one call of ipm.solve, through the module,
+    # and its result as it is.
+    calls = []
+    result = object()
 
-    @staticmethod
-    def count_solves(monkeypatch, solve_fn=None):
-        calls = []
-        inner = solve_fn or ipm.solve
+    def counted(program, settings):
+        calls.append((program, settings))
+        return result
 
-        def counted(program, settings):
-            calls.append(settings)
-            return inner(program, settings)
-
-        monkeypatch.setattr(ipm, "solve", counted)
-        return calls
-
-    def test_far_stall_is_not_retried(self, monkeypatch):
-        # x >= 1 and x <= 0 under test_scp's trust-region QP: the first
-        # solve stalls with primal residual 0.5, far from feasibility.
-        prog = ConicProgram(c=np.array([-60.0]),
-                            P=sp.csr_matrix([[200.0 + 2e-9]]),
-                            G=sp.csr_matrix([[-10.0], [10.0]]),
-                            h=np.array([-1.0, 0.0]),
-                            cones=[ConeBlock(NONNEG, 2)], obj_offset=9.0)
-        calls = self.count_solves(monkeypatch)
-        sol = solve_robust(prog)
-        assert sol.status != "optimal"
-        assert sol.primal_res > ipm.FAR_FROM_FEASIBLE
-        assert len(calls) == 1
-        assert sol.attempts == 1
-
-    def test_near_feasible_stall_is_retried(self, monkeypatch):
-        stalled = SolverSolution(x=np.zeros(1), status="numerical_failure",
-                                 iterations=30, objective=0.0, gap=1e-6,
-                                 rel_gap=1e-6, primal_res=1e-9, dual_res=1e-9)
-        solved = SolverSolution(x=np.ones(1), status="optimal", iterations=12,
-                                objective=0.0, gap=1e-10, rel_gap=1e-10,
-                                primal_res=1e-10, dual_res=1e-10)
-        results = iter([stalled, solved])
-        calls = self.count_solves(monkeypatch, lambda p, s: next(results))
-        sol = solve_robust(lp([1.0], [[-1.0]], [0.0]))
-        assert len(calls) == 2
-        assert calls[1] != calls[0]
-        assert sol.status == "optimal"
-        assert sol.attempts == 2
-
-    def test_boundary_is_absolute(self, monkeypatch):
-        # A stall at primal residual 1e-3 is far from feasibility at any
-        # tolerance, also at the 1e-4 of an inexact SCP solve.
-        stalled = SolverSolution(x=np.zeros(1), status="numerical_failure",
-                                 iterations=30, objective=0.0, gap=1e-3,
-                                 rel_gap=1e-3, primal_res=1e-3, dual_res=1e-9)
-        calls = self.count_solves(monkeypatch, lambda p, s: stalled)
-        loose = SolverSettings(tol_feas=1e-4, tol_gap=1e-4)
-        sol = solve_robust(lp([1.0], [[-1.0]], [0.0]), loose)
-        assert len(calls) == 1
-        assert sol.attempts == 1
-
-    def test_optimal_first_solve_is_final(self, monkeypatch):
-        calls = self.count_solves(monkeypatch)
-        sol = solve_robust(lp([1.0], [[-1.0]], [-2.0]))
-        assert sol.optimal
-        assert len(calls) == 1
-        assert sol.attempts == 1
+    monkeypatch.setattr(ipm, "solve", counted)
+    prog = lp([1.0], [[-1.0]], [-2.0])
+    loose = SolverSettings(tol_feas=1e-4, tol_gap=1e-4)
+    assert ipm.solve_robust(prog, loose) is result
+    assert calls == [(prog, loose)]
 
 
 class TestOracleAgreement:
@@ -405,9 +372,9 @@ class TestQuasiDefiniteKkt:
     def test_refill_matches_fresh_assembly(self):
         rng = np.random.default_rng(41)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        reg = SolverSettings().reg
+        reg = ipm.REG
         cones = _Cones(prog.cones)
-        kkt = _Kkt(prog.P, prog.A, prog.G, cones, reg)
+        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
         kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
         assert not np.array_equal(kkt.position, np.arange(kkt.K.shape[0]))
         for _ in range(5):
@@ -439,12 +406,11 @@ class TestQuasiDefiniteKkt:
         # against the unregularized matrix assembled afresh.
         rng = np.random.default_rng(53)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        reg = SolverSettings().reg
         cones = _Cones(prog.cones)
-        first = _Kkt(prog.P, prog.A, prog.G, cones, reg)
+        first = _Kkt(prog.P, prog.A, prog.G, cones)
         for i in range(3):
             kkt = first if i < 2 else \
-                _Kkt(prog.P, prog.A, prog.G, cones, reg, first.analysis)
+                _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
             scaling = _NTScaling(cones, interior_point(rng, prog.cones),
                                  interior_point(rng, prog.cones))
             kkt.factor(scaling)
@@ -456,13 +422,12 @@ class TestQuasiDefiniteKkt:
     def test_reused_analysis_fills_the_same_matrix(self):
         rng = np.random.default_rng(59)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        reg = SolverSettings().reg
         cones = _Cones(prog.cones)
         scaling = _NTScaling(cones, interior_point(rng, prog.cones),
                              interior_point(rng, prog.cones))
-        first = _Kkt(prog.P, prog.A, prog.G, cones, reg)
+        first = _Kkt(prog.P, prog.A, prog.G, cones)
         first.factor(scaling)
-        again = _Kkt(prog.P, prog.A, prog.G, cones, reg, first.analysis)
+        again = _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
         again.factor(scaling)
         assert again.analysis is first.analysis
         for name in ("indptr", "indices", "data"):
@@ -477,7 +442,7 @@ class TestQuasiDefiniteKkt:
         cones = _Cones(prog.cones)
         gc.disable()
         try:
-            kkt = _Kkt(prog.P, prog.A, prog.G, cones, SolverSettings().reg)
+            kkt = _Kkt(prog.P, prog.A, prog.G, cones)
             for _ in range(2):
                 kkt.factor(_NTScaling(cones, interior_point(rng, prog.cones),
                                       interior_point(rng, prog.cones)))
@@ -541,9 +506,9 @@ class TestStepLength:
 
 class TestWarmStart:
     """A solve from ``program.start``: used when its shapes match the
-    program, ignored (a cold solve) when they do not, and left out of the
-    retries of solve_robust. Its KKT analysis is reused when the pattern
-    matches, and a start from the same program is resumed unshifted."""
+    program, and ignored (a cold solve) when they do not. Its KKT analysis
+    is reused when the pattern matches, and a start from the same program is
+    resumed unshifted."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
@@ -653,30 +618,6 @@ class TestWarmStart:
             assert ref() is None
         finally:
             gc.enable()
-
-    def test_retries_are_cold(self, monkeypatch):
-        stalled = SolverSolution(x=np.zeros(1), status="numerical_failure",
-                                 iterations=30, objective=0.0, gap=1e-6,
-                                 rel_gap=1e-6, primal_res=1e-9, dual_res=1e-9)
-        solved = SolverSolution(x=np.ones(1), status="optimal", iterations=12,
-                                objective=0.0, gap=1e-10, rel_gap=1e-10,
-                                primal_res=1e-10, dual_res=1e-10)
-        results = iter([stalled, stalled, solved])
-        starts = []
-
-        def recorded(program, settings):
-            starts.append(program.start)
-            return next(results)
-
-        monkeypatch.setattr(ipm, "solve", recorded)
-        hint = replace(solved, x=np.full(1, 2.0))
-        prog = lp([1.0], [[-1.0]], [0.0])
-        prog.start = hint
-        sol = solve_robust(prog)
-        assert sol.optimal and sol.attempts == 3
-        assert starts[0] is hint
-        assert starts[1:] == [None, None]
-        assert prog.start is hint
 
 
 class TestScaling:
