@@ -12,17 +12,22 @@ plan prints one JSON line:
 - ``set``, ``plan``: which state;
 - ``outcome``, ``scp_iters``: how the plan ended, as planbench reports it;
 - ``propellant_kg``: the propellant of a converged plan, else null;
+- ``problems``: the ``planning.check`` problems of a converged plan;
+- ``z_hash``: the first 16 hex digits of the SHA-256 of the returned
+  ``Z``'s bytes, or null when the plan returned none;
 - ``stalls``: the status and primal residual of each subproblem solve that
   ended without a verdict (optimal, infeasible, unbounded).
 
 A last line holds the totals. The same file runs on any tree whose
 ``ipm.solve`` takes a program and settings, so it compares two commits
-plan by plan.
+plan by plan: two trees give the same answers when their plan lines (all
+but the last, which holds timings) are the same, as ``diff`` shows.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -91,6 +96,9 @@ def main(argv=None) -> int:
                 "outcome": result.outcome, "scp_iters": result.scp_iters,
                 "propellant_kg": result.propellant_kg
                 if result.converged else None,
+                "problems": result.problems,
+                "z_hash": None if result.Z is None else
+                hashlib.sha256(result.Z.tobytes()).hexdigest()[:16],
                 "stalls": recorder.stalls}), flush=True)
     totals["plan_s"] = round(totals["plan_s"], 3)
     print(json.dumps({"totals": totals}))

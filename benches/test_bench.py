@@ -177,7 +177,7 @@ def test_plan(benchmark, boundary_at, N):
     ref0 = initial_guess_planning(boundary, cfg, VP)
     settings = ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr)
     out = benchmark.pedantic(run_scp, args=(prob, ref0, settings),
-                             rounds=3, iterations=1)
+                             rounds=10, iterations=1)
     assert out.converged
     benchmark.extra_info["scp_iters"] = out.iterations
     benchmark.extra_info["ipm_iters"] = sum(rec.solver_iterations

@@ -1,5 +1,7 @@
-"""Embedded sparse convex solver: programs, scaling, IPM, KKT verification."""
+"""Embedded sparse convex solver: programs, the cone layout, scaling, IPM,
+KKT verification."""
 
+from .cones import Cones
 from .ipm import SolverSettings, factor_quasidefinite, solve
 from .program import (
     NONNEG,
@@ -8,16 +10,13 @@ from .program import (
     ConicProgram,
     SolverSolution,
     VariableScaling,
-    dump_program,
-    load_program,
 )
 from .scaling import make_scaling, scale_program
 from .verify import KktReport, cone_violation, verify_kkt
 
 __all__ = [
-    "NONNEG", "SOC", "ConeBlock", "ConicProgram", "SolverSolution",
+    "NONNEG", "SOC", "ConeBlock", "Cones", "ConicProgram", "SolverSolution",
     "VariableScaling", "SolverSettings", "solve", "scale_program",
     "factor_quasidefinite",
     "make_scaling", "verify_kkt", "KktReport", "cone_violation",
-    "dump_program", "load_program",
 ]

@@ -29,8 +29,8 @@ analysis (ordering, permuted pattern, value slots) on its result, and a
 warm solve whose P, A, G and cones have the start's pattern reuses it, so
 a run of same-pattern SCP subproblems takes one ordering (the split of one
 symbolic analysis and numeric refactorizations, as in Clarabel: Goulart &
-Chen, arXiv:2405.12762). Cone algebra is vectorized over groups of
-equal-dimension SOC blocks.
+Chen, arXiv:2405.12762). The cone algebra is ``cones.Cones``, the one
+reader of the cone layout.
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
@@ -59,7 +59,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .program import NONNEG, SOC, ConeBlock, ConicProgram, SolverSolution
+from .cones import Cones
+from .program import ConicProgram, SolverSolution
 
 # Primal residual above which a stalled solve is far from feasibility: the
 # growth window calls it infeasible, and a stall nearer than this a
@@ -95,128 +96,6 @@ class SolverSettings:
     tol_gap: float = 1e-8
 
 
-class _Cones:
-    """Vectorized cone algebra over the inequality rows.
-
-    Nonnegative coordinates are gathered into one index vector; SOC blocks
-    are grouped by dimension into (n_blocks, dim) index matrices so all
-    per-block formulas run as stacked numpy operations.
-    """
-
-    def __init__(self, cones: list[ConeBlock]):
-        nn_idx = []
-        soc_groups: dict[int, list[np.ndarray]] = {}
-        start = 0
-        for cb in cones:
-            idx = np.arange(start, start + cb.dim)
-            if cb.kind == NONNEG:
-                nn_idx.append(idx)
-            else:
-                soc_groups.setdefault(cb.dim, []).append(idx)
-            start += cb.dim
-        self.dim = start
-        self.nn = np.concatenate(nn_idx) if nn_idx else np.empty(0, dtype=int)
-        self.soc = {d: np.vstack(rows) for d, rows in soc_groups.items()}
-        self.n_soc = sum(v.shape[0] for v in self.soc.values())
-        self.degree = self.nn.size + self.n_soc
-
-    def identity(self) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[self.nn] = 1.0
-        for idx in self.soc.values():
-            e[idx[:, 0]] = 1.0
-        return e
-
-    def interior_violation(self, u: np.ndarray) -> float:
-        worst = -np.inf
-        if self.nn.size:
-            worst = max(worst, float(-u[self.nn].min()))
-        for idx in self.soc.values():
-            blocks = u[idx]
-            margin = np.linalg.norm(blocks[:, 1:], axis=1) - blocks[:, 0]
-            worst = max(worst, float(margin.max()))
-        return worst
-
-    def shift_warm(self, u: np.ndarray) -> np.ndarray:
-        """u moved WARM_SHIFT deep into the cones along the identity."""
-        shift = max(WARM_SHIFT, self.interior_violation(u) + WARM_SHIFT)
-        return u + shift * self.identity()
-
-    def shift_into_interior(self, u: np.ndarray) -> np.ndarray:
-        viol = self.interior_violation(u)
-        if viol >= -math.sqrt(np.finfo(float).eps):
-            return u + (1.0 + viol) * self.identity()
-        return u
-
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        """Largest alpha with u + alpha du in the cones, for u inside them.
-
-        An SOC block is taken to the identity by the Lorentz transform of
-        its J-normalized u; the step of the transformed direction rho is
-        1 / (||rho_1|| - rho_0), and unbounded where that is not positive.
-        """
-        alpha = np.inf
-        if self.nn.size:
-            un, dn = u[self.nn], du[self.nn]
-            neg = dn < 0
-            if np.any(neg):
-                alpha = min(alpha, float((-un[neg] / dn[neg]).min()))
-        for idx in self.soc.values():
-            ub, db = u[idx], du[idx]
-            norm_j = np.sqrt(ub[:, 0] ** 2 - np.sum(ub[:, 1:] ** 2, axis=1))
-            ubar = ub / norm_j[:, None]
-            dbar = db / norm_j[:, None]
-            rho0 = ubar[:, 0] * dbar[:, 0] \
-                - np.sum(ubar[:, 1:] * dbar[:, 1:], axis=1)
-            rho1 = dbar[:, 1:] - ubar[:, 1:] \
-                * ((rho0 + dbar[:, 0]) / (ubar[:, 0] + 1.0))[:, None]
-            worst = float((np.linalg.norm(rho1, axis=1) - rho0).max())
-            if worst > 0.0:
-                alpha = min(alpha, 1.0 / worst)
-        return alpha
-
-    def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.nn] = u[self.nn] * v[self.nn]
-        for idx in self.soc.values():
-            ub, vb = u[idx], v[idx]
-            out[idx[:, 0]] = np.sum(ub * vb, axis=1)
-            out.flat[idx[:, 1:]] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
-        return out
-
-    def divide(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve lam o x = d blockwise."""
-        out = np.zeros(self.dim)
-        out[self.nn] = d[self.nn] / lam[self.nn]
-        for idx in self.soc.values():
-            lb, db = lam[idx], d[idx]
-            det = lb[:, 0] ** 2 - np.sum(lb[:, 1:] ** 2, axis=1)
-            x0 = (lb[:, 0] * db[:, 0] - np.sum(lb[:, 1:] * db[:, 1:], axis=1)) / det
-            out[idx[:, 0]] = x0
-            out.flat[idx[:, 1:]] = (db[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
-        return out
-
-    def clip_eigenvalues(self, v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        """Project blockwise spectral values of v onto [lo, hi].
-
-        Nonnegative coordinates clip directly; SOC blocks clip their two
-        Jordan eigenvalues v0 +/- ||v1|| and are reassembled.
-        """
-        out = v.copy()
-        out[self.nn] = np.clip(v[self.nn], lo, hi)
-        for idx in self.soc.values():
-            vb = v[idx]
-            nv1 = np.linalg.norm(vb[:, 1:], axis=1)
-            e1 = np.clip(vb[:, 0] + nv1, lo, hi)
-            e2 = np.clip(vb[:, 0] - nv1, lo, hi)
-            out[idx[:, 0]] = 0.5 * (e1 + e2)
-            unit = np.divide(vb[:, 1:], nv1[:, None],
-                             out=np.zeros_like(vb[:, 1:]),
-                             where=nv1[:, None] > 1e-300)
-            out.flat[idx[:, 1:]] = 0.5 * (e1 - e2)[:, None] * unit
-        return out
-
-
 class _NTScaling:
     """Nesterov-Todd scaling point: W z = W^{-1} s = lambda, W symmetric.
 
@@ -225,7 +104,7 @@ class _NTScaling:
     are stacked per dimension group and reused for every apply.
     """
 
-    def __init__(self, cones: _Cones, s: np.ndarray, z: np.ndarray):
+    def __init__(self, cones: Cones, s: np.ndarray, z: np.ndarray):
         self.cones = cones
         self.w_nn = np.sqrt(s[cones.nn] / z[cones.nn]) if cones.nn.size else np.empty(0)
         self.soc_mats: dict[int, np.ndarray] = {}
@@ -303,7 +182,7 @@ def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
-def _pattern(P, A, G, cones: _Cones) -> list[np.ndarray]:
+def _pattern(P, A, G, cones: Cones) -> list[np.ndarray]:
     """What the KKT pattern is made of: the shapes, the CSR patterns of P,
     A and G, and the layout of the cones."""
     return [np.array([P.shape[0], A.shape[0], G.shape[0]]),
@@ -311,7 +190,7 @@ def _pattern(P, A, G, cones: _Cones) -> list[np.ndarray]:
             cones.nn, np.array(list(cones.soc)), *cones.soc.values()]
 
 
-def _entries(P, A, G, cones: _Cones) -> tuple[np.ndarray, np.ndarray]:
+def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the KKT entries, unpermuted: the values of
     ``_Kkt``'s value vector (P, reg I, A', A, -reg I, G', G), then the
     -(W^2 + reg I) block in the order w2_entries emits them (nonneg
@@ -371,7 +250,7 @@ class _Kkt:
     solve. ``solve`` works in K's ordering throughout.
     """
 
-    def __init__(self, P, A, G, cones: _Cones,
+    def __init__(self, P, A, G, cones: Cones,
                  analysis: _Analysis | None = None):
         P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
         n, me = P.shape[0], A.shape[0]
@@ -478,7 +357,7 @@ def solve(program: ConicProgram,
     G = program.G.tocsr() if program.G is not None else sp.csr_matrix((0, n))
     h = np.asarray(program.h, float) if program.h is not None else np.zeros(0)
     me, mi = A.shape[0], G.shape[0]
-    cones = _Cones(program.cones)
+    cones = Cones(program.cones)
 
     if mi == 0:
         return _solve_equality_only(program, c, P, A, b, settings)
@@ -497,7 +376,8 @@ def solve(program: ConicProgram,
     if warm:
         x, y = start.x.copy(), start.y.copy()
         s, z = (u.copy() if resumed and cones.interior_violation(u) < 0
-                else cones.shift_warm(u) for u in (start.s, start.z))
+                else cones.shift_warm(u, WARM_SHIFT)
+                for u in (start.s, start.z))
     else:
         # Cold: one KKT solve with W = I, then shift into the cones.
         ident = _NTScaling(cones, cones.identity(), cones.identity())
@@ -742,7 +622,7 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
                               s=np.zeros(0), status=status, iterations=0,
                               objective=program.obj_offset, gap=0.0, rel_gap=0.0,
                               primal_res=0.0, dual_res=_norm_inf(c))
-    cones = _Cones([])
+    cones = Cones([])
     kkt = _Kkt(P_eff, A, sp.csr_matrix((0, n)), cones)
     try:
         kkt.factor(_NTScaling(cones, np.zeros(0), np.zeros(0)))

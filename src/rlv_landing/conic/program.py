@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -138,99 +137,3 @@ class SolverSolution:
         if program.scaling is None:
             return self.x
         return program.scaling.unscale(self.x)
-
-
-def _write_matrix(lines: list[str], tag: str, mat: sp.spmatrix) -> None:
-    coo = mat.tocoo()
-    lines.append(f"{tag} {coo.shape[0]} {coo.shape[1]} {coo.nnz}")
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        lines.append(f"{i} {j} {float(v)!r}")
-
-
-def _write_vector(lines: list[str], tag: str, vec: np.ndarray) -> None:
-    lines.append(f"{tag} {len(vec)}")
-    lines.extend(repr(float(v)) for v in vec)
-
-
-def dump_program(program: ConicProgram, path: str | Path) -> None:
-    """Write the program as text; floats use repr for exact round-trip."""
-    lines = [f"conicprogram 1 {program.n}"]
-    _write_vector(lines, "c", np.asarray(program.c, float))
-    lines.append(f"obj_offset {program.obj_offset!r}")
-    if program.P is not None:
-        _write_matrix(lines, "P", program.P)
-    if program.A is not None:
-        _write_matrix(lines, "A", program.A)
-        _write_vector(lines, "b", np.asarray(program.b, float))
-    if program.G is not None:
-        _write_matrix(lines, "G", program.G)
-        _write_vector(lines, "h", np.asarray(program.h, float))
-        lines.append("cones " + " ".join(f"{cb.kind}:{cb.dim}" for cb in program.cones))
-    if program.scaling is not None:
-        _write_vector(lines, "scale_offset", program.scaling.offset)
-        _write_vector(lines, "scale_half", program.scaling.half_range)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_program(path: str | Path) -> ConicProgram:
-    """Read back a program written by dump_program."""
-    tokens = Path(path).read_text(encoding="utf-8").splitlines()
-    pos = 0
-
-    def next_line() -> str:
-        nonlocal pos
-        line = tokens[pos]
-        pos += 1
-        return line
-
-    header = next_line().split()
-    if header[0] != "conicprogram":
-        raise ValueError("not a conic program dump")
-    n = int(header[2])
-
-    def read_vector(tag: str) -> np.ndarray:
-        head = next_line().split()
-        assert head[0] == tag, f"expected {tag}, got {head[0]}"
-        count = int(head[1])
-        return np.array([float(next_line()) for _ in range(count)])
-
-    def read_matrix(head: list[str]) -> sp.csr_matrix:
-        rows_n, cols_n, nnz = int(head[1]), int(head[2]), int(head[3])
-        rows, cols, vals = [], [], []
-        for _ in range(nnz):
-            i, j, v = next_line().split()
-            rows.append(int(i))
-            cols.append(int(j))
-            vals.append(float(v))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(rows_n, cols_n))
-
-    prog = ConicProgram(c=read_vector("c"))
-    prog.obj_offset = float(next_line().split()[1])
-    scaling_parts = {}
-    while pos < len(tokens):
-        line = tokens[pos]
-        if not line.strip():
-            pos += 1
-            continue
-        tag = line.split()[0]
-        if tag == "P":
-            prog.P = read_matrix(next_line().split())
-        elif tag == "A":
-            prog.A = read_matrix(next_line().split())
-            prog.b = read_vector("b")
-        elif tag == "G":
-            prog.G = read_matrix(next_line().split())
-            prog.h = read_vector("h")
-        elif tag == "cones":
-            parts = next_line().split()[1:]
-            prog.cones = [ConeBlock(kind=p.split(":")[0], dim=int(p.split(":")[1]))
-                          for p in parts]
-        elif tag in ("scale_offset", "scale_half"):
-            scaling_parts[tag] = read_vector(tag)
-        else:
-            raise ValueError(f"unknown section {tag!r}")
-    if scaling_parts:
-        prog.scaling = VariableScaling(offset=scaling_parts["scale_offset"],
-                                       half_range=scaling_parts["scale_half"])
-    prog.validate()
-    return prog

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .cones import Cones
 from .program import ConicProgram, VariableScaling
 
 
@@ -44,17 +45,9 @@ def equilibrate_rows(program: ConicProgram) -> ConicProgram:
         G = program.G.tocsr()
         h = np.asarray(program.h, float)
         row_max = np.abs(G).max(axis=1).toarray().ravel()
-        scale = np.ones(G.shape[0])
-        start = 0
-        for cb in program.cones:
-            block = slice(start, start + cb.dim)
-            if cb.kind == "nonneg":
-                s = np.maximum(np.maximum(row_max[block], np.abs(h[block])), 1e-12)
-                scale[block] = s
-            else:
-                s = max(row_max[block].max(), np.abs(h[block]).max(), 1e-12)
-                scale[block] = s
-            start += cb.dim
+        scale = np.maximum(np.maximum(row_max, np.abs(h)), 1e-12)
+        for idx in Cones(program.cones).soc.values():
+            scale[idx] = scale[idx].max(axis=1, keepdims=True)
         D = sp.diags(1.0 / scale)
         program.G = (D @ G).tocsr()
         program.h = h / scale

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .program import NONNEG, ConicProgram, SolverSolution
+from .cones import Cones
+from .program import ConicProgram, SolverSolution
 
 
 @dataclass(frozen=True)
@@ -25,16 +26,7 @@ class KktReport:
 
 def cone_violation(program: ConicProgram, u: np.ndarray) -> float:
     """Max distance of u outside its cone blocks (0 when inside)."""
-    worst = 0.0
-    start = 0
-    for cb in program.cones:
-        block = u[start:start + cb.dim]
-        if cb.kind == NONNEG:
-            worst = max(worst, float(np.max(-block, initial=0.0)))
-        else:
-            worst = max(worst, float(np.linalg.norm(block[1:]) - block[0]))
-        start += cb.dim
-    return max(worst, 0.0)
+    return max(Cones(program.cones).interior_violation(u), 0.0)
 
 
 def verify_kkt(program: ConicProgram, solution: SolverSolution) -> KktReport:

@@ -222,14 +222,6 @@ class Scenario:
     sim: SimConfig = field(default_factory=SimConfig)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
 
-    @property
-    def r0_vec(self) -> np.ndarray:
-        return np.asarray(self.r0, float)
-
-    @property
-    def v0_vec(self) -> np.ndarray:
-        return np.asarray(self.v0, float)
-
 
 _SECTION_TYPES = {
     "vehicle": VehicleParams,

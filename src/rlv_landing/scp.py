@@ -36,7 +36,7 @@ from typing import Any, Callable, Protocol
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import (NONNEG, ConicProgram, SolverSettings, SolverSolution,
+from .conic import (Cones, ConicProgram, SolverSettings, SolverSolution,
                     cone_violation, factor_quasidefinite, solve)
 
 
@@ -87,10 +87,6 @@ class ScpOutcome:
     iterations: int
     reference: Any               # final reference (a fixed point if converged)
     log: list[ScpIterationRecord] = field(default_factory=list)
-
-    @property
-    def total_millis(self) -> float:
-        return sum(rec.millis for rec in self.log)
 
 
 class ScpFailure(RuntimeError):
@@ -169,27 +165,32 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
         residual.append(program.A @ x - program.b)
     if program.G is not None:
         s = program.h - program.G @ x
-        w_row, w_col, w_val, g = [], [], [], []
-        start = 0
-        for cb in program.cones:
-            block = np.arange(start, start + cb.dim)
-            start += cb.dim
-            if cb.kind == NONNEG:
-                near = block[s[block] < ACTIVE_TOL]
-                w_row.extend(len(g) + np.arange(near.size))
-                w_col.extend(near)
-                w_val.extend(np.ones(near.size))
-                g.extend(-s[near])
-                continue
-            norm = float(np.linalg.norm(s[block[1:]]))
-            if norm > 0.0 and norm - s[block[0]] > -ACTIVE_TOL:
-                w_row.extend([len(g)] * cb.dim)
-                w_col.extend(block)
-                w_val.extend(np.concatenate([[1.0], -s[block[1:]] / norm]))
-                g.append(norm - s[block[0]])
-        W = sp.csr_matrix((w_val, (w_row, w_col)), shape=(len(g), s.size))
+        cones = Cones(program.cones)
+        # W has a row per row of G: a held orthant row or SOC block fills
+        # its first one, and the rows nothing fills are dropped, so the
+        # held rows keep G's order.
+        near = cones.nn[s[cones.nn] < ACTIVE_TOL]
+        w_row, w_col, w_val = [near], [near], [np.ones(near.size)]
+        g = np.zeros(s.size)
+        g[near] = -s[near]
+        for idx in cones.soc.values():
+            sb = s[idx]
+            # A stacked matmul rounds like np.linalg.norm's 1-D dot.
+            norm = np.sqrt((sb[:, None, 1:] @ sb[:, 1:, None])[:, 0, 0])
+            on = (norm > 0.0) & (norm - sb[:, 0] > -ACTIVE_TOL)
+            top = idx[on, 0]
+            w_row.append(np.repeat(top, idx.shape[1]))
+            w_col.append(idx[on].ravel())
+            w_val.append(np.column_stack(
+                [np.ones(top.size), -sb[on, 1:] / norm[on, None]]).ravel())
+            g[top] = norm[on] - sb[on, 0]
+        w_row = np.concatenate(w_row)
+        held = np.unique(w_row)
+        W = sp.csr_matrix(
+            (np.concatenate(w_val), (w_row, np.concatenate(w_col))),
+            shape=(s.size, s.size))[held]
         rows.append(W @ program.G)
-        residual.append(np.maximum(g, 0.0))
+        residual.append(np.maximum(g[held], 0.0))
     J = sp.vstack(rows, format="csc")
     m = J.shape[0]
     K = sp.bmat([[sp.eye(x.size), J.T], [J, -1e-10 * sp.eye(m)]],

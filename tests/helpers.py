@@ -1,10 +1,17 @@
-"""Shared numerical test utilities: finite differences and random states."""
+"""Shared numerical test utilities: finite differences, random states and a
+cone layout."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from rlv_landing.conic import NONNEG, SOC, ConeBlock
 from rlv_landing.params import VehicleParams
+
+# Orthant rows between SOC blocks of two dimensions, an order the planner
+# never emits: rows 0-2 SOC, 3-4 orthant, 5-6 SOC, 7 orthant.
+INTERLEAVED_CONES = [ConeBlock(SOC, 3), ConeBlock(NONNEG, 2),
+                     ConeBlock(SOC, 2), ConeBlock(NONNEG, 1)]
 
 
 def central_diff_jacobian(fun, x, eps_scale=1e-6):

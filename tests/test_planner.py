@@ -10,7 +10,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from rlv_landing import env
-from rlv_landing.conic.ipm import _Cones, _Kkt, _NTScaling, factor_quasidefinite
+from rlv_landing.conic.cones import Cones
+from rlv_landing.conic.ipm import _Kkt, _NTScaling, factor_quasidefinite
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
     NZ,
@@ -328,7 +329,7 @@ class TestKktFactorization:
         # what SuperLU's defaults (COLAMD, partial pivoting) do.
         prob, cfg = make_problem(N=30)
         prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
-        cones = _Cones(prog.cones)
+        cones = Cones(prog.cones)
         kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones)
         kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
         K = kkt.K[kkt.position][:, kkt.position]

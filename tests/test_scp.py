@@ -8,17 +8,22 @@ import pytest
 import scipy.sparse as sp
 
 from rlv_landing.conic import (ConeBlock, ConicProgram, NONNEG, SOC,
-                               SolverSettings, make_scaling, solve)
+                               SolverSettings, cone_violation, make_scaling,
+                               solve)
 from rlv_landing.scp import (
+    ACTIVE_TOL,
     EPS_FEASIBLE,
     INEXACT_TOL,
     ScpFailure,
     ScpSettings,
     add_trust_region,
     fixed_point_residual,
+    project_onto_rows,
     run_scp,
     trust_region_cost,
 )
+
+from helpers import INTERLEAVED_CONES
 
 
 class TestTrustRegionCost:
@@ -255,3 +260,82 @@ class TestRunScp:
             pytest.approx(0.5)
         assert fixed_point_residual(prog, np.array([1.0, -0.25])) == \
             pytest.approx(0.5)
+
+
+# Slacks h - G x on INTERLEAVED_CONES, rows 0-2 | 3-4 | 5-6 | 7. Each block
+# kind is violated, held (within ACTIVE_TOL of its bound) and inactive at
+# one of them; the worst violation is row 7's, row 3's and the SOC(2)
+# block's, and of their negatives the SOC(3) block's.
+INTERLEAVED_SLACKS = {
+    "soc3-violated": [0.5, 0.6, 0.48, 5e-5, 0.7, 0.4, -0.39995, -0.3],
+    "soc3-held": [0.50005, 0.3, 0.4, -0.2, 3e-5, 1.0, 0.2, 0.9],
+    "soc3-inactive": [1.0, 0.1, -0.2, 0.5, -0.05, 0.1, -0.6, 2e-5],
+}
+
+
+def _blocks(cones):
+    start = 0
+    for cb in cones:
+        yield cb.kind, np.arange(start, start + cb.dim)
+        start += cb.dim
+
+
+class TestInterleavedLayout:
+    """The cone layout read on orthant rows between SOC blocks of two
+    dimensions, against per-block loops over the cone list."""
+
+    @staticmethod
+    def program(slack):
+        rng = np.random.default_rng(67)
+        n = 9
+        G, A, x = (rng.normal(size=(8, n)), rng.normal(size=(1, n)),
+                   rng.normal(size=n))
+        prog = ConicProgram(c=np.zeros(n), A=sp.csr_matrix(A), b=A @ x + 0.1,
+                            G=sp.csr_matrix(G), h=np.asarray(slack) + G @ x,
+                            cones=INTERLEAVED_CONES)
+        return prog, x
+
+    @staticmethod
+    def reference_projection(prog, x):
+        """The Gauss-Newton step of project_onto_rows, one block at a time,
+        through a dense solve."""
+        G, s = prog.G.toarray(), prog.h - prog.G @ x
+        rows, residual = [prog.A.toarray()], [prog.A @ x - prog.b]
+        for kind, block in _blocks(prog.cones):
+            if kind == NONNEG:
+                for i in block[s[block] < ACTIVE_TOL]:
+                    rows.append(G[i])
+                    residual.append([max(-s[i], 0.0)])
+                continue
+            norm = np.linalg.norm(s[block[1:]])
+            if norm > 0.0 and norm - s[block[0]] > -ACTIVE_TOL:
+                weights = np.concatenate([[1.0], -s[block[1:]] / norm])
+                rows.append(weights @ G[block])
+                residual.append([max(norm - s[block[0]], 0.0)])
+        J, r = np.vstack(rows), np.concatenate(residual)
+        n, m = x.size, J.shape[0]
+        K = np.block([[np.eye(n), J.T], [J, -1e-10 * np.eye(m)]])
+        return x + np.linalg.solve(K, np.concatenate([np.zeros(n), -r]))[:n]
+
+    @pytest.mark.parametrize("name", INTERLEAVED_SLACKS)
+    def test_projection_matches_block_loop(self, name):
+        prog, x = self.program(INTERLEAVED_SLACKS[name])
+        expected = self.reference_projection(prog, x)
+        np.testing.assert_allclose(project_onto_rows(prog, x), expected,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", INTERLEAVED_SLACKS)
+    def test_cone_violation_matches_block_loop(self, name):
+        prog, _ = self.program(INTERLEAVED_SLACKS[name])
+        for u in (np.asarray(INTERLEAVED_SLACKS[name]),
+                  -np.asarray(INTERLEAVED_SLACKS[name])):
+            worst = 0.0
+            for kind, block in _blocks(prog.cones):
+                if kind == NONNEG:
+                    worst = max(worst, float(np.max(-u[block])))
+                else:
+                    worst = max(worst, float(np.linalg.norm(u[block[1:]])
+                                             - u[block[0]]))
+            assert cone_violation(prog, u) == pytest.approx(worst, abs=1e-12)
+        inside = np.array([1.0, 0.1, 0.2, 0.3, 0.4, 1.0, 0.5, 0.6])
+        assert cone_violation(prog, inside) == 0.0

@@ -1,5 +1,5 @@
 """Conic solver tests: hand fixtures, the active-set enumeration oracle,
-scaling equivalence, KKT verification, determinism, and dump/load.
+scaling equivalence, KKT verification and determinism.
 """
 
 import gc
@@ -22,14 +22,16 @@ from rlv_landing.conic import (
     ConicProgram,
     SolverSettings,
     cone_violation,
-    dump_program,
-    load_program,
     scale_program,
     solve,
     verify_kkt,
 )
 from rlv_landing.conic import ipm
-from rlv_landing.conic.ipm import _Cones, _Kkt, _NTScaling
+from rlv_landing.conic.cones import Cones
+from rlv_landing.conic.ipm import _Kkt, _NTScaling
+from rlv_landing.conic.scaling import equilibrate_rows
+
+from helpers import INTERLEAVED_CONES
 
 
 def lp(c, G, h, A=None, b=None):
@@ -373,7 +375,7 @@ class TestQuasiDefiniteKkt:
         rng = np.random.default_rng(41)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         reg = ipm.REG
-        cones = _Cones(prog.cones)
+        cones = Cones(prog.cones)
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
         kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
         assert not np.array_equal(kkt.position, np.arange(kkt.K.shape[0]))
@@ -406,7 +408,7 @@ class TestQuasiDefiniteKkt:
         # against the unregularized matrix assembled afresh.
         rng = np.random.default_rng(53)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = _Cones(prog.cones)
+        cones = Cones(prog.cones)
         first = _Kkt(prog.P, prog.A, prog.G, cones)
         for i in range(3):
             kkt = first if i < 2 else \
@@ -422,7 +424,7 @@ class TestQuasiDefiniteKkt:
     def test_reused_analysis_fills_the_same_matrix(self):
         rng = np.random.default_rng(59)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = _Cones(prog.cones)
+        cones = Cones(prog.cones)
         scaling = _NTScaling(cones, interior_point(rng, prog.cones),
                              interior_point(rng, prog.cones))
         first = _Kkt(prog.P, prog.A, prog.G, cones)
@@ -439,7 +441,7 @@ class TestQuasiDefiniteKkt:
         # in the plans' peak memory.
         rng = np.random.default_rng(43)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = _Cones(prog.cones)
+        cones = Cones(prog.cones)
         gc.disable()
         try:
             kkt = _Kkt(prog.P, prog.A, prog.G, cones)
@@ -478,7 +480,7 @@ class TestStepLength:
         # The closed-form step against a bisection on the interior test:
         # u + t du is inside the cones for t below the step, outside above.
         rng = np.random.default_rng(seed)
-        cones = _Cones(blocks)
+        cones = Cones(blocks)
         u = interior_point(rng, blocks, margin=(1e-3, 1.0))
         du = rng.normal(size=u.size) * 10.0 ** rng.uniform(-2, 2)
         alpha = cones.max_step(u, du)
@@ -657,22 +659,25 @@ class TestScaling:
             assert sol_scaled.objective == pytest.approx(direct.objective, abs=1e-6)
 
 
-class TestDumpLoad:
-    def test_round_trip_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        P, q, G, h, A, b = random_feasible_qp(rng, n=4, m=5, with_eq=True)
-        prog = ConicProgram(c=q, P=sp.csr_matrix(P), G=sp.csr_matrix(G), h=h,
-                            cones=[ConeBlock(NONNEG, G.shape[0])],
-                            A=sp.csr_matrix(A), b=np.atleast_1d(b),
-                            obj_offset=0.125)
-        path = tmp_path / "prog.txt"
-        dump_program(prog, path)
-        loaded = load_program(path)
-        assert np.array_equal(loaded.c, prog.c)
-        assert np.array_equal(loaded.h, prog.h)
-        assert np.array_equal(loaded.P.toarray(), prog.P.toarray())
-        assert np.array_equal(loaded.A.toarray(), prog.A.toarray())
-        assert loaded.obj_offset == prog.obj_offset
-        assert loaded.cones == prog.cones
-        sol1, sol2 = solve(prog), solve(loaded)
-        assert sol1.x.tobytes() == sol2.x.tobytes()
+    def test_equilibrate_rows_one_scalar_per_soc_block(self):
+        rng = np.random.default_rng(61)
+        prog = random_feasible_conic(rng, n=5, me=1, cones=INTERLEAVED_CONES,
+                                     rank=5)
+        G, h = prog.G.toarray(), prog.h
+        row_scale = np.maximum(np.abs(G).max(axis=1), np.abs(h))
+        soc_blocks, nn_rows = (slice(0, 3), slice(5, 7)), [3, 4, 7]
+        for block in soc_blocks:
+            # Rows of one block need different scalars of their own.
+            assert row_scale[block].min() < 0.9 * row_scale[block].max()
+        eq = equilibrate_rows(replace(prog))
+        divisor = h / eq.h
+        np.testing.assert_allclose(eq.G.toarray() * divisor[:, None], G,
+                                   rtol=1e-15, atol=0)
+        for block in soc_blocks:
+            np.testing.assert_allclose(divisor[block], row_scale[block].max(),
+                                       rtol=1e-15)
+        np.testing.assert_allclose(divisor[nn_rows], row_scale[nn_rows],
+                                   rtol=1e-15)
+        before, after = solve(prog), solve(eq)
+        assert before.optimal and after.optimal
+        np.testing.assert_allclose(after.x, before.x, rtol=0, atol=1e-9)
