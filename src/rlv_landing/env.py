@@ -1,6 +1,6 @@
 """Vehicle environment: atmosphere, aerodynamic forces with optional lift
-compensation, thrust attitude maps, and the continuous-time dynamics used by
-the planning (3-DOF) and tracking (5-DOF) optimal control problems.
+compensation, and the continuous-time translational (3-DOF) dynamics of the
+planning optimal control problem.
 
 Conventions
 -----------
@@ -22,9 +22,9 @@ Conventions
 
 The translational model (f and its Jacobian) and the aerodynamic load
 constraint are each written once, over arrays with a leading batch axis, so
-one call serves a single node or a whole trajectory. The 3-DOF, planning and
-tracking forms are wrappers around them. All Jacobians here are
-hand-derived; the test suite checks each against central finite differences.
+one call serves a single node or a whole trajectory. The 3-DOF and planning
+forms are wrappers around them. All Jacobians here are hand-derived; the
+test suite checks each against central finite differences.
 """
 
 from __future__ import annotations
@@ -56,25 +56,11 @@ class AeroOptions:
 
 
 @dataclass(frozen=True)
-class AtmosphereSample:
-    rho: float       # density [kg/m^3]
-    P_atm: float     # ambient pressure [Pa]
-    q_bar: float | None = None   # dynamic pressure [Pa] when speed supplied
-
-
-@dataclass(frozen=True)
 class AeroCoefficients:
     C_L: float
     C_D: float
     C_z: float
     C_L_comp: float
-
-
-def atmosphere(altitude: float, speed: float | None = None) -> AtmosphereSample:
-    """Exponential atmosphere sampled at geometric altitude [m]."""
-    rho = air_density(altitude)
-    q = 0.5 * rho * speed * speed if speed is not None else None
-    return AtmosphereSample(rho=rho, P_atm=ambient_pressure(altitude), q_bar=q)
 
 
 def ambient_pressure(altitude):
@@ -344,92 +330,6 @@ def dynamics_3dof(x, T, vp: VehicleParams,
     return translational_dynamics(z, vp, opts, jacobian=False)[0]
 
 
-def thrust_from_attitude(theta: float, psi: float, Gamma: float) -> np.ndarray:
-    """Thrust vector from pitch/yaw (Y-Z sequence) and magnitude."""
-    cp, sp = math.cos(psi), math.sin(psi)
-    ct, st = math.cos(theta), math.sin(theta)
-    return Gamma * np.array([cp * ct, sp, -cp * st])
-
-
-def thrust_direction_jac(theta: float, psi: float):
-    """Unit thrust direction d(theta, psi) and its angle derivatives."""
-    cp, sp = math.cos(psi), math.sin(psi)
-    ct, st = math.cos(theta), math.sin(theta)
-    d = np.array([cp * ct, sp, -cp * st])
-    dd_dtheta = np.array([-cp * st, 0.0, -cp * ct])
-    dd_dpsi = np.array([-sp * ct, cp, sp * st])
-    return d, dd_dtheta, dd_dpsi
-
-
-def attitude_from_thrust(T: np.ndarray) -> tuple[float, float]:
-    """Pitch/yaw recovering thrust_from_attitude, psi in (-pi/2, pi/2)."""
-    T = np.asarray(T, float)
-    nT = np.linalg.norm(T)
-    if nT <= T_EPS:
-        raise DegenerateStateError("zero thrust has no attitude")
-    psi = math.asin(np.clip(T[1] / nT, -1.0, 1.0))
-    theta = math.atan2(-T[2], T[0])
-    return theta, psi
-
-
-def _tracker_node(x: np.ndarray):
-    """Planning node z of a tracking state x = (r, v, m, theta, psi, Gamma),
-    with T = Gamma d(theta, psi), and dz[7:11]/d(theta, psi, Gamma) (4x3)."""
-    theta, psi, Gamma = x[7], x[8], x[9]
-    d, dd_dtheta, dd_dpsi = thrust_direction_jac(theta, psi)
-    z = np.concatenate([x[0:7], Gamma * d, [Gamma]])
-    dz = np.zeros((4, 3))
-    dz[0:3, 0] = Gamma * dd_dtheta
-    dz[0:3, 1] = Gamma * dd_dpsi
-    dz[0:3, 2] = d
-    dz[3, 2] = 1.0
-    return z, dz
-
-
-def dynamics_5dof(x: np.ndarray, u: np.ndarray, vp: VehicleParams,
-                  opts: AeroOptions = AeroOptions()) -> np.ndarray:
-    """Tracking dynamics: x = (r, v, m, theta, psi, Gamma), u = commands."""
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    f = tracker_rhs(x, vp, opts)
-    f[7:10] += tracker_B(vp)[7:10] @ u
-    return f
-
-
-def tracker_B(vp: VehicleParams) -> np.ndarray:
-    """Constant control-effectiveness matrix of the tracking dynamics."""
-    B = np.zeros((10, 3))
-    B[7, 0] = 1.0 / vp.tau_theta
-    B[8, 1] = 1.0 / vp.tau_theta
-    B[9, 2] = 1.0 / vp.tau_T
-    return B
-
-
-def tracker_rhs(x: np.ndarray, vp: VehicleParams,
-                opts: AeroOptions = AeroOptions()) -> np.ndarray:
-    """Autonomous part f(x) of the tracking dynamics (commands enter via B)."""
-    return tracker_jacobian(x, vp, opts)[0]
-
-
-def tracker_jacobian(x: np.ndarray, vp: VehicleParams,
-                     opts: AeroOptions = AeroOptions()):
-    """f(x) and A = df/dx (10x10) of the autonomous tracking dynamics.
-
-    The translational rows are the kernel's, chained through
-    T = Gamma d(theta, psi); pitch, yaw and thrust magnitude follow
-    first-order lags toward their commands.
-    """
-    x = np.asarray(x, float)
-    z, dz = _tracker_node(x)
-    f7, J = translational_dynamics(z, vp, opts)
-    lag = -tracker_B(vp)[7:10]
-    A = np.zeros((10, 10))
-    A[0:7, 0:7] = J[:, 0:7]
-    A[0:7, 7:10] = J[:, 7:11] @ dz
-    A[7:10, 7:10] = lag
-    return np.concatenate([f7, lag @ x[7:10]]), A
-
-
 def _load_angle(q_bar, L_lim: float):
     """Clamped load-bound angle a = min(L_lim/q_bar, pi) and da/dq_bar."""
     clamp = q_bar <= L_lim / math.pi
@@ -467,11 +367,3 @@ def load_constraint_planner(z, vp: VehicleParams, L_lim: float):
     grad[..., 7:10] = v
     grad[..., 10] = nv * c_a
     return g, grad
-
-
-def load_constraint_tracker(x: np.ndarray, vp: VehicleParams, L_lim: float):
-    """Aerodynamic load constraint and gradient over the tracking state (10,)."""
-    x = np.asarray(x, float)
-    z, dz = _tracker_node(x)
-    g, grad_z = load_constraint_planner(z, vp, L_lim)
-    return g, np.concatenate([grad_z[0:7], grad_z[7:11] @ dz])

@@ -1,4 +1,4 @@
-"""Sequential convex programming loop shared by the planner and tracker.
+"""Sequential convex programming loop over a subproblem adapter.
 
 Each iteration linearizes about the current reference, builds a scaled convex
 subproblem, solves it, and measures the soft trust-region cost J_tr (the

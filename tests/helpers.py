@@ -53,21 +53,6 @@ def random_planner_node(rng, vp: VehicleParams) -> np.ndarray:
     return np.concatenate([r, v, [m], T, [Gamma]])
 
 
-def random_tracker_state(rng, vp: VehicleParams) -> np.ndarray:
-    """Random x = (r, v, m, theta, psi, Gamma) in the flight envelope."""
-    r = np.array([rng.uniform(-2000, 2000), rng.uniform(-2000, 2000),
-                  -rng.uniform(500, 8000)])
-    speed = rng.uniform(30, 400)
-    v_dir = _random_unit(rng)
-    v_dir[2] = abs(v_dir[2])
-    v = speed * v_dir / np.linalg.norm(v_dir)
-    m = rng.uniform(26000, vp.m0)
-    theta = rng.uniform(np.radians(55), np.radians(125))
-    psi = rng.uniform(-np.radians(25), np.radians(25))
-    Gamma = rng.uniform(0.45, 0.95) * vp.T_max
-    return np.concatenate([r, v, [m, theta, psi, Gamma]])
-
-
 def _random_unit(rng):
     u = rng.normal(size=3)
     return u / np.linalg.norm(u)

@@ -1,5 +1,7 @@
 """Scenario YAML I/O: a round trip through a file, and unknown names."""
 
+import re
+
 import pytest
 import yaml
 
@@ -13,9 +15,12 @@ def test_default_scenario_round_trips_through_yaml(tmp_path):
     assert scenario_to_dict(load_scenario(path)) == data
 
 
-@pytest.mark.parametrize("text", ["bogus: {}\n", "planning:\n  bogus: 1\n"])
+@pytest.mark.parametrize("text", ["bogus: {}\n", "planning:\n  bogus: 1\n",
+                                  "tracking: {}\n", "sim: {}\n"])
 def test_unknown_names_raise(tmp_path, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(KeyError, match="bogus"):
+    # The last key named is the unknown one.
+    name = re.findall(r"(\w+):", text)[-1]
+    with pytest.raises(KeyError, match=name):
         load_scenario(path)
