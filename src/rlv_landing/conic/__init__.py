@@ -1,17 +1,10 @@
 """Embedded sparse convex solver: programs, the cone layout, scaling, IPM,
 KKT verification."""
 
-from .cones import Cones
+from .cones import NONNEG, SOC, ConeBlock, Cones
 from .ipm import SolverSettings, factor_quasidefinite, solve
-from .program import (
-    NONNEG,
-    SOC,
-    ConeBlock,
-    ConicProgram,
-    SolverSolution,
-    VariableScaling,
-)
-from .scaling import make_scaling, scale_program
+from .program import ConicProgram, SolverSolution
+from .scaling import VariableScaling, make_scaling, scale_program
 from .verify import KktReport, cone_violation, verify_kkt
 
 __all__ = [

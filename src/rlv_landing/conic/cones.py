@@ -1,19 +1,34 @@
 """The cone layout of the inequality rows, and the algebra over it.
 
 K is a product of nonnegative-orthant rows and second-order cone blocks,
-listed top to bottom in G's row order (see program). ``Cones`` is the one
-reader of that list: the IPM, the row equilibration, the residual check and
-the SCP projection all take the layout from it. Cone algebra is vectorized
-over groups of equal-dimension SOC blocks.
+listed top to bottom in G's row order as ``ConeBlock``s. ``Cones`` is the
+one reader of that list; a program builds it once (``ConicProgram.layout``)
+and the IPM, the row equilibration, the residual check and the SCP
+projection all read it from there. Cone algebra is vectorized over groups
+of equal-dimension SOC blocks.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .program import NONNEG, ConeBlock
+NONNEG = "nonneg"
+SOC = "soc"
+
+
+@dataclass(frozen=True)
+class ConeBlock:
+    kind: str   # NONNEG or SOC
+    dim: int
+
+    def __post_init__(self):
+        if self.kind not in (NONNEG, SOC):
+            raise ValueError(f"unknown cone kind {self.kind!r}")
+        if self.dim < 1 or (self.kind == SOC and self.dim < 2):
+            raise ValueError("bad cone dimension")
 
 
 class Cones:

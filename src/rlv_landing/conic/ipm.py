@@ -29,8 +29,8 @@ analysis (ordering, permuted pattern, value slots) on its result, and a
 warm solve whose P, A, G and cones have the start's pattern reuses it, so
 a run of same-pattern SCP subproblems takes one ordering (the split of one
 symbolic analysis and numeric refactorizations, as in Clarabel: Goulart &
-Chen, arXiv:2405.12762). The cone algebra is ``cones.Cones``, the one
-reader of the cone layout.
+Chen, arXiv:2405.12762). The cone algebra is ``cones.Cones``, the layout
+the program built once (``ConicProgram.layout``).
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
@@ -143,15 +143,6 @@ class _NTScaling:
         out[cn.nn] = self.w_nn * u[cn.nn]
         for d, idx in cn.soc.items():
             out.flat[idx] = np.einsum("nij,nj->ni", self.soc_mats[d], u[idx])
-        return out
-
-    def apply_sq(self, u: np.ndarray) -> np.ndarray:
-        """W^2 u."""
-        out = np.zeros_like(u)
-        cn = self.cones
-        out[cn.nn] = (self.w_nn ** 2) * u[cn.nn]
-        for d, idx in cn.soc.items():
-            out.flat[idx] = np.einsum("nij,nj->ni", self.soc_sq[d], u[idx])
         return out
 
     def apply_inv(self, u: np.ndarray) -> np.ndarray:
@@ -351,18 +342,14 @@ def solve(program: ConicProgram,
     program.validate()
     n = program.n
     c = np.asarray(program.c, float)
-    P = program.P.tocsr() if program.P is not None else None
-    A = program.A.tocsr() if program.A is not None else sp.csr_matrix((0, n))
-    b = np.asarray(program.b, float) if program.b is not None else np.zeros(0)
-    G = program.G.tocsr() if program.G is not None else sp.csr_matrix((0, n))
-    h = np.asarray(program.h, float) if program.h is not None else np.zeros(0)
+    P, A, G = program.P.tocsr(), program.A.tocsr(), program.G.tocsr()
+    b, h = np.asarray(program.b, float), np.asarray(program.h, float)
     me, mi = A.shape[0], G.shape[0]
-    cones = Cones(program.cones)
+    cones = program.layout
 
     if mi == 0:
         return _solve_equality_only(program, c, P, A, b, settings)
 
-    P_eff = P if P is not None else sp.csr_matrix((n, n))
     AT, GT = A.T.tocsr(), G.T.tocsr()
 
     start = program.start
@@ -372,7 +359,7 @@ def solve(program: ConicProgram,
                         (start.s, mi)))
     resumed = warm and start._program is not None \
         and start._program() is program
-    kkt = _Kkt(P_eff, A, G, cones, start._analysis if warm else None)
+    kkt = _Kkt(P, A, G, cones, start._analysis if warm else None)
     if warm:
         x, y = start.x.copy(), start.y.copy()
         s, z = (u.copy() if resumed and cones.interior_violation(u) < 0
@@ -406,7 +393,7 @@ def solve(program: ConicProgram,
 
     for iteration in range(1, MAX_ITER + 1):
         iters = iteration
-        r_dual = (P_eff @ x) + c + AT @ y + GT @ z
+        r_dual = (P @ x) + c + AT @ y + GT @ z
         r_eq = A @ x - b
         r_ineq = G @ x + s - h
         gap = float(s @ z)
@@ -507,7 +494,7 @@ def solve(program: ConicProgram,
             ad = min(1.0, STEP_DAMPING * cones.max_step(z, dz_))
             # With a quadratic term the P dx cross-coupling re-pollutes the
             # dual equation under split steps; use a common length then.
-            if P is not None:
+            if P.nnz:
                 ap = ad = min(ap, ad)
             return ap, ad
 
@@ -597,7 +584,7 @@ def solve(program: ConicProgram,
     pobj = program.objective_value(x)
     r_eq = A @ x - b
     r_ineq = G @ x + s - h
-    r_dual = (P_eff @ x) + c + AT @ y + GT @ z
+    r_dual = (P @ x) + c + AT @ y + GT @ z
     return SolverSolution(
         x=x, y=y, z=z, s=s, status=status, iterations=iters,
         objective=pobj, gap=gap,
@@ -615,15 +602,14 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
     """Direct KKT solve when there are no cone constraints."""
     n = program.n
     me = A.shape[0]
-    P_eff = P if P is not None else sp.csr_matrix((n, n))
-    if me == 0 and P is None:
+    if me == 0 and not P.nnz:
         status = "unbounded" if np.any(c != 0) else "optimal"
         return SolverSolution(x=np.zeros(n), y=np.zeros(0), z=np.zeros(0),
                               s=np.zeros(0), status=status, iterations=0,
                               objective=program.obj_offset, gap=0.0, rel_gap=0.0,
                               primal_res=0.0, dual_res=_norm_inf(c))
-    cones = Cones([])
-    kkt = _Kkt(P_eff, A, sp.csr_matrix((0, n)), cones)
+    cones = program.layout
+    kkt = _Kkt(P, A, program.G.tocsr(), cones)
     try:
         kkt.factor(_NTScaling(cones, np.zeros(0), np.zeros(0)))
         sol = kkt.solve(np.concatenate([-c, b]), REFINE_STEPS)
@@ -634,7 +620,7 @@ def _solve_equality_only(program: ConicProgram, c, P, A, b,
                               rel_gap=math.nan, primal_res=math.nan,
                               dual_res=math.nan, reordered=True)
     x, y = sol[:n], sol[n:]
-    r_dual = (P_eff @ x) + c + A.T @ y
+    r_dual = (P @ x) + c + A.T @ y
     pres = _norm_inf(A @ x - b) / max(1.0, _norm_inf(b))
     dres = _norm_inf(r_dual) / max(1.0, _norm_inf(c))
     ok = pres < settings.tol_feas * 100 and dres < settings.tol_feas * 100

@@ -7,9 +7,9 @@ The canonical form is
                 G x + s = h,   s in K
 
 where K is a product of nonnegative-orthant and second-order cone blocks
-listed top to bottom in the same row order as G. P is optional and PSD.
-An optional per-variable affine scaling record maps solver variables back
-to physical units.
+listed top to bottom in the same row order as G. P is PSD. Every block is
+always present: a program without equality rows has an A with no rows, and
+one without a quadratic term an all-zero P.
 """
 
 from __future__ import annotations
@@ -21,53 +21,47 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-NONNEG = "nonneg"
-SOC = "soc"
+from .cones import ConeBlock, Cones
 
 
-@dataclass(frozen=True)
-class ConeBlock:
-    kind: str   # NONNEG or SOC
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in (NONNEG, SOC):
-            raise ValueError(f"unknown cone kind {self.kind!r}")
-        if self.dim < 1 or (self.kind == SOC and self.dim < 2):
-            raise ValueError("bad cone dimension")
+def _left_out() -> sp.csr_matrix:
+    """The default of a matrix block, sized by ``ConicProgram.__post_init__``."""
+    return sp.csr_matrix((0, 0))
 
 
-@dataclass(frozen=True)
-class VariableScaling:
-    """Affine map x_physical = offset + half_range * x_scaled."""
-
-    offset: np.ndarray
-    half_range: np.ndarray
-
-    def scale(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, float) - self.offset) / self.half_range
-
-    def unscale(self, x_scaled: np.ndarray) -> np.ndarray:
-        return self.offset + self.half_range * np.asarray(x_scaled, float)
+def _no_rows() -> np.ndarray:
+    return np.zeros(0)
 
 
 @dataclass
 class ConicProgram:
     c: np.ndarray
-    A: sp.spmatrix | None = None
-    b: np.ndarray | None = None
-    G: sp.spmatrix | None = None
-    h: np.ndarray | None = None
+    A: sp.spmatrix = field(default_factory=_left_out)
+    b: np.ndarray = field(default_factory=_no_rows)
+    G: sp.spmatrix = field(default_factory=_left_out)
+    h: np.ndarray = field(default_factory=_no_rows)
     cones: list[ConeBlock] = field(default_factory=list)
-    P: sp.spmatrix | None = None
-    scaling: VariableScaling | None = None
+    P: sp.spmatrix = field(default_factory=_left_out)
     obj_offset: float = 0.0
-    var_names: list[str] | None = None
     # Initial-iterate hint for the IPM's one solve, typically the solution of
     # a nearby program; ignored when its shapes do not match this program's.
     # Its KKT analysis is reused when the pattern matches, and a solution of
     # this same program object is resumed as it is (see ipm).
     start: SolverSolution | None = None
+
+    def __post_init__(self):
+        # A block left out has a column per variable: A and G no rows, P
+        # all zeros.
+        n = self.n
+        for name, rows in (("A", 0), ("G", 0), ("P", n)):
+            if getattr(self, name).shape == (0, 0):
+                setattr(self, name, sp.csr_matrix((rows, n)))
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "cones":
+            # The layout every reader takes, built once per cone list.
+            super().__setattr__("layout", Cones(value))
 
     @property
     def n(self) -> int:
@@ -75,35 +69,26 @@ class ConicProgram:
 
     @property
     def n_eq(self) -> int:
-        return 0 if self.A is None else self.A.shape[0]
+        return self.A.shape[0]
 
     @property
     def n_ineq(self) -> int:
-        return 0 if self.G is None else self.G.shape[0]
+        return self.G.shape[0]
 
     def validate(self) -> None:
         n = self.n
-        if self.A is not None:
-            if self.A.shape[1] != n or self.b is None or len(self.b) != self.A.shape[0]:
-                raise ValueError("equality block dimensions inconsistent")
-        if self.G is not None:
-            if self.G.shape[1] != n or self.h is None or len(self.h) != self.G.shape[0]:
-                raise ValueError("inequality block dimensions inconsistent")
-            if sum(cb.dim for cb in self.cones) != self.G.shape[0]:
-                raise ValueError("cone dimensions do not cover the inequality rows")
-        elif self.cones:
-            raise ValueError("cones listed without an inequality block")
-        if self.P is not None and self.P.shape != (n, n):
+        if self.A.shape[1] != n or len(self.b) != self.A.shape[0]:
+            raise ValueError("equality block dimensions inconsistent")
+        if self.G.shape[1] != n or len(self.h) != self.G.shape[0]:
+            raise ValueError("inequality block dimensions inconsistent")
+        if self.layout.dim != self.G.shape[0]:
+            raise ValueError("cone dimensions do not cover the inequality rows")
+        if self.P.shape != (n, n):
             raise ValueError("quadratic term has wrong shape")
-        if self.scaling is not None and (
-                self.scaling.offset.size != n or self.scaling.half_range.size != n):
-            raise ValueError("scaling record does not cover every variable")
 
     def objective_value(self, x: np.ndarray) -> float:
-        val = float(self.c @ x) + self.obj_offset
-        if self.P is not None:
-            val += 0.5 * float(x @ (self.P @ x))
-        return val
+        return float(self.c @ x) + self.obj_offset \
+            + 0.5 * float(x @ (self.P @ x))
 
 
 @dataclass
@@ -132,8 +117,3 @@ class SolverSolution:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-    def x_physical(self, program: ConicProgram) -> np.ndarray:
-        if program.scaling is None:
-            return self.x
-        return program.scaling.unscale(self.x)

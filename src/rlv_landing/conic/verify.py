@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import Cones
 from .program import ConicProgram, SolverSolution
 
 
@@ -26,35 +25,23 @@ class KktReport:
 
 def cone_violation(program: ConicProgram, u: np.ndarray) -> float:
     """Max distance of u outside its cone blocks (0 when inside)."""
-    return max(Cones(program.cones).interior_violation(u), 0.0)
+    return max(program.layout.interior_violation(u), 0.0)
 
 
 def verify_kkt(program: ConicProgram, solution: SolverSolution) -> KktReport:
     """Residual norms of the KKT conditions at the given solution."""
     x = solution.x
-    c = np.asarray(program.c, float)
-    stat = c.copy()
-    if program.P is not None:
-        stat = stat + program.P @ x
-    primal_eq = 0.0
-    if program.A is not None:
-        stat = stat + program.A.T @ solution.y
-        primal_eq = float(np.abs(program.A @ x - program.b).max())
-    primal_cone = 0.0
-    dual_cone = 0.0
-    comp = 0.0
-    if program.G is not None:
-        stat = stat + program.G.T @ solution.z
-        s = solution.s if solution.s is not None else np.asarray(program.h) - program.G @ x
-        resid = program.G @ x + s - np.asarray(program.h)
-        primal_cone = max(float(np.abs(resid).max(initial=0.0)),
-                          cone_violation(program, s))
-        dual_cone = cone_violation(program, solution.z)
-        comp = abs(float(s @ solution.z))
+    stat = np.asarray(program.c, float) + program.P @ x \
+        + program.A.T @ solution.y + program.G.T @ solution.z
+    h = np.asarray(program.h)
+    s = solution.s if solution.s is not None else h - program.G @ x
+    primal_cone = max(
+        float(np.abs(program.G @ x + s - h).max(initial=0.0)),
+        cone_violation(program, s))
     return KktReport(
         stationarity=float(np.abs(stat).max(initial=0.0)),
-        primal_eq=primal_eq,
+        primal_eq=float(np.abs(program.A @ x - program.b).max(initial=0.0)),
         primal_cone=primal_cone,
-        dual_cone=dual_cone,
-        complementarity=comp,
+        dual_cone=cone_violation(program, solution.z),
+        complementarity=abs(float(s @ solution.z)),
     )

@@ -94,8 +94,7 @@ def compensated_lift_coeff(C_L: float, C_D: float, alpha_T: float,
     return C_L - (l_cp / l_c) * C_z
 
 
-def aero_coefficients(alpha_T: float, q_bar: float,
-                      vp: VehicleParams) -> AeroCoefficients:
+def aero_coefficients(alpha_T: float, vp: VehicleParams) -> AeroCoefficients:
     """Evaluate the synthetic coefficient model at a total angle of attack."""
     C_L = vp.C_L_alpha * alpha_T
     C_D = vp.C_D0 + vp.C_D2 * alpha_T * alpha_T

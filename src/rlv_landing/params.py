@@ -97,37 +97,23 @@ class PlanningConfig:
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    """Guidance executive: re-plan trigger, computation delays, baseline law."""
+    """Guidance executive: the latency budget plan timings are judged
+    against."""
 
-    r_lim: float = 10.0              # re-plan position error trigger [m]
-    track_delay: float = 0.050       # tracking solution latency [s]
     plan_delay: float = 0.500        # planning solution latency [s]
-    replan_cooldown: float = 2.0     # min spacing between re-plans [s]
-    baseline_h: float = 5.0          # analytic law time-to-go shaping [s]
-    baseline_kr: float = 4.836       # analytic law position gain
 
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Monte-Carlo dispersion campaign settings."""
+    """Monte-Carlo dispersion campaign: the SDs the benchmark's dispersed
+    initial states are drawn with."""
 
-    n_samples: int = 100
-    seed: int = 0
     sd_r0: float = 100.0            # SD of initial position offset magnitude [m]
     sd_v0: float = 15.0             # SD of initial velocity offset magnitude [m/s]
-    dCD_range: tuple[float, float] = (-0.15, 0.15)
-    dCL_range: tuple[float, float] = (-0.15, 0.15)
-    wind_speed_range: tuple[float, float] = (0.0, 8.0)
-    wind_azimuth_range: tuple[float, float] = (0.0, 2.0 * math.pi)
-    jobs: int = 0                   # 0 -> use available cores
 
     def __post_init__(self):
         if self.sd_r0 < 0 or self.sd_v0 < 0:
             raise ValueError("dispersion SDs must be nonnegative")
-        for name in ("dCD_range", "dCL_range", "wind_speed_range", "wind_azimuth_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} must be ordered")
 
 
 @dataclass(frozen=True)
@@ -149,8 +135,7 @@ _SECTION_TYPES = {
     "campaign": CampaignConfig,
 }
 
-_TUPLE_FIELDS = {"tc_window", "eta_bounds", "dCD_range", "dCL_range",
-                 "wind_speed_range", "wind_azimuth_range"}
+_TUPLE_FIELDS = {"tc_window", "eta_bounds"}
 
 
 def _coerce(cls: type, data: dict[str, Any]) -> Any:

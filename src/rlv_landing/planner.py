@@ -36,6 +36,7 @@ from .conic import (
     SOC,
     ConeBlock,
     ConicProgram,
+    VariableScaling,
     make_scaling,
     scale_program,
 )
@@ -263,9 +264,9 @@ def _csr(entries, shape) -> sp.csr_matrix:
 class PlanningProblem:
     """Subproblem factory for one SCP run of the planning OCP.
 
-    The variable scaling is computed once from the initial reference and
-    reused for every iteration so that trust-region costs and convergence
-    thresholds stay comparable across iterations.
+    The variable scaling is made once, from the bounds about the first
+    reference, and used for every iteration, so that trust-region costs and
+    convergence thresholds stay comparable across iterations.
     """
 
     def __init__(self, boundary: PlanningBoundary, vp: VehicleParams,
@@ -281,6 +282,7 @@ class PlanningProblem:
         self.idx_eta = NZ * (self.N + 1)
         self.idx_tc = self.idx_eta + 1 if self.with_tc else None
         self._scaling_bounds: tuple[np.ndarray, np.ndarray] | None = None
+        self._scaling: VariableScaling | None = None
 
     # -- variable layout helpers -------------------------------------------------
 
@@ -325,6 +327,12 @@ class PlanningProblem:
             hi.append([hi_tc])
         self._scaling_bounds = (np.concatenate(lo), np.concatenate(hi))
         return self._scaling_bounds
+
+    def scaling(self, ref: PlanningReference) -> VariableScaling:
+        """The plan's one scaling record, made from ``scaling_bounds``."""
+        if self._scaling is None:
+            self._scaling = make_scaling(*self.scaling_bounds(ref))
+        return self._scaling
 
     # -- SCP adapter interface ------------------------------------------------------
 
@@ -492,21 +500,19 @@ class PlanningProblem:
 
         program = ConicProgram(c=np.zeros(self.n_vars), A=A_mat, b=b_vec,
                                G=G_mat, h=h_vec, cones=cones)
-        lo, hi = self.scaling_bounds(ref)
-        scaled = equilibrate_rows(scale_program(program, lo, hi))
+        # Looked up in this module at call time, so a wrapper of either sees
+        # every call.
+        scaled = equilibrate_rows(scale_program(program, self.scaling(ref)))
         # Objective: -m_N in scaled units, plus the soft trust region.
         c = np.zeros(self.n_vars)
         c[self.node_slice(self.N).start + 6] = -1.0
         scaled.c = scaled.c + c     # scaled cost of the affine program is zero
-        add_trust_region(scaled, scaled.scaling.scale(self.stack(ref)),
-                         self.cfg.W_tr)
+        add_trust_region(scaled, self.reference_vector(ref), self.cfg.W_tr)
         return scaled
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:
-        lo, hi = self.scaling_bounds(ref)
-        return make_scaling(lo, hi).scale(self.stack(ref))
+        return self.scaling(ref).scale(self.stack(ref))
 
     def decode(self, ref: PlanningReference,
                x_scaled: np.ndarray) -> PlanningReference:
-        lo, hi = self.scaling_bounds(ref)
-        return self.unstack(make_scaling(lo, hi).unscale(x_scaled))
+        return self.unstack(self.scaling(ref).unscale(x_scaled))

@@ -36,7 +36,7 @@ from typing import Any, Callable, Protocol
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import (Cones, ConicProgram, SolverSettings, SolverSolution,
+from .conic import (ConicProgram, SolverSettings, SolverSolution,
                     cone_violation, factor_quasidefinite, solve)
 
 
@@ -131,8 +131,7 @@ def add_trust_region(program: ConicProgram, x_ref_scaled: np.ndarray,
                      weight: float) -> None:
     """Fold J_tr = weight * ||x - x_ref||^2 into the (scaled) objective."""
     n = program.n
-    quad = 2.0 * weight * sp.eye(n, format="csc")
-    program.P = quad if program.P is None else (program.P + quad).tocsc()
+    program.P = (program.P + 2.0 * weight * sp.eye(n, format="csc")).tocsc()
     program.c = np.asarray(program.c, float) - 2.0 * weight * x_ref_scaled
     program.obj_offset += weight * float(x_ref_scaled @ x_ref_scaled)
 
@@ -140,13 +139,8 @@ def add_trust_region(program: ConicProgram, x_ref_scaled: np.ndarray,
 def fixed_point_residual(program: ConicProgram, x: np.ndarray) -> float:
     """Largest violation of the program's rows at x: the equality residual
     and the distance of h - G x outside its cones."""
-    residual = 0.0
-    if program.A is not None:
-        residual = float(np.abs(program.A @ x - program.b).max(initial=0.0))
-    if program.G is not None:
-        residual = max(residual,
-                       cone_violation(program, program.h - program.G @ x))
-    return residual
+    return max(float(np.abs(program.A @ x - program.b).max(initial=0.0)),
+               cone_violation(program, program.h - program.G @ x))
 
 
 def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
@@ -159,43 +153,38 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     solves the quasi-definite KKT system [[I, J'], [J, -1e-10 I]]; the
     regularization admits dependent rows.
     """
-    rows, residual = [], []
-    if program.A is not None:
-        rows.append(sp.csr_matrix(program.A))
-        residual.append(program.A @ x - program.b)
-    if program.G is not None:
-        s = program.h - program.G @ x
-        cones = Cones(program.cones)
-        # W has a row per row of G: a held orthant row or SOC block fills
-        # its first one, and the rows nothing fills are dropped, so the
-        # held rows keep G's order.
-        near = cones.nn[s[cones.nn] < ACTIVE_TOL]
-        w_row, w_col, w_val = [near], [near], [np.ones(near.size)]
-        g = np.zeros(s.size)
-        g[near] = -s[near]
-        for idx in cones.soc.values():
-            sb = s[idx]
-            # A stacked matmul rounds like np.linalg.norm's 1-D dot.
-            norm = np.sqrt((sb[:, None, 1:] @ sb[:, 1:, None])[:, 0, 0])
-            on = (norm > 0.0) & (norm - sb[:, 0] > -ACTIVE_TOL)
-            top = idx[on, 0]
-            w_row.append(np.repeat(top, idx.shape[1]))
-            w_col.append(idx[on].ravel())
-            w_val.append(np.column_stack(
-                [np.ones(top.size), -sb[on, 1:] / norm[on, None]]).ravel())
-            g[top] = norm[on] - sb[on, 0]
-        w_row = np.concatenate(w_row)
-        held = np.unique(w_row)
-        W = sp.csr_matrix(
-            (np.concatenate(w_val), (w_row, np.concatenate(w_col))),
-            shape=(s.size, s.size))[held]
-        rows.append(W @ program.G)
-        residual.append(np.maximum(g[held], 0.0))
-    J = sp.vstack(rows, format="csc")
+    s = program.h - program.G @ x
+    cones = program.layout
+    # W has a row per row of G: a held orthant row or SOC block fills its
+    # first one, and the rows nothing fills are dropped, so the held rows
+    # keep G's order.
+    near = cones.nn[s[cones.nn] < ACTIVE_TOL]
+    w_row, w_col, w_val = [near], [near], [np.ones(near.size)]
+    g = np.zeros(s.size)
+    g[near] = -s[near]
+    for idx in cones.soc.values():
+        sb = s[idx]
+        # A stacked matmul rounds like np.linalg.norm's 1-D dot.
+        norm = np.sqrt((sb[:, None, 1:] @ sb[:, 1:, None])[:, 0, 0])
+        on = (norm > 0.0) & (norm - sb[:, 0] > -ACTIVE_TOL)
+        top = idx[on, 0]
+        w_row.append(np.repeat(top, idx.shape[1]))
+        w_col.append(idx[on].ravel())
+        w_val.append(np.column_stack(
+            [np.ones(top.size), -sb[on, 1:] / norm[on, None]]).ravel())
+        g[top] = norm[on] - sb[on, 0]
+    w_row = np.concatenate(w_row)
+    held = np.unique(w_row)
+    W = sp.csr_matrix(
+        (np.concatenate(w_val), (w_row, np.concatenate(w_col))),
+        shape=(s.size, s.size))[held]
+    J = sp.vstack([program.A, W @ program.G], format="csc")
+    residual = np.concatenate([program.A @ x - program.b,
+                               np.maximum(g[held], 0.0)])
     m = J.shape[0]
     K = sp.bmat([[sp.eye(x.size), J.T], [J, -1e-10 * sp.eye(m)]],
                 format="csc")
-    rhs = np.concatenate([np.zeros(x.size), -np.concatenate(residual)])
+    rhs = np.concatenate([np.zeros(x.size), -residual])
     return x + factor_quasidefinite(K).solve(rhs)[:x.size]
 
 

@@ -82,21 +82,21 @@ class TestTotalAoa:
 
 class TestAeroCoefficients:
     def test_zero_incidence(self):
-        c = aero_coefficients(0.0, 1e4, VP)
+        c = aero_coefficients(0.0, VP)
         assert c.C_L == 0.0
         assert c.C_D == VP.C_D0
         assert c.C_z == 0.0
         assert c.C_L_comp == 0.0
 
     def test_linear_slope(self):
-        c = aero_coefficients(0.1, 1e4, VP)
+        c = aero_coefficients(0.1, VP)
         assert c.C_L == pytest.approx(VP.C_L_alpha * 0.1)
 
     def test_cz_identity(self):
         # C_z = C_L cos(a) + C_D sin(a) with C_L = 0.5, C_D = 1.2, a = 0.1
         cz = 0.5 * math.cos(0.1) + 1.2 * math.sin(0.1)
         assert cz == pytest.approx(0.6173, abs=5e-5)
-        c = aero_coefficients(0.1, 1e4, VP)
+        c = aero_coefficients(0.1, VP)
         assert c.C_z == pytest.approx(
             c.C_L * math.cos(0.1) + c.C_D * math.sin(0.1), rel=1e-12)
 
@@ -138,7 +138,7 @@ class TestLiftSlope:
     def test_matches_pointwise_ratio(self):
         for alpha in (1e-3, 0.05, 0.3, 1.0):
             E, _ = lift_slope(alpha**2, VP, AeroOptions())
-            c = aero_coefficients(alpha, 1e4, VP)
+            c = aero_coefficients(alpha, VP)
             assert E == pytest.approx(c.C_L_comp / alpha, rel=1e-9)
 
     def test_derivative_matches_fd(self):
@@ -206,7 +206,7 @@ class TestAeroForce:
                 rho = air_density(-z[2])
                 q_bar = 0.5 * rho * (v @ v)
                 alpha = total_aoa(T, v)
-                c = aero_coefficients(alpha, q_bar, VP)
+                c = aero_coefficients(alpha, VP)
                 if opts.drag_only:
                     slope = 0.0
                 elif opts.lift_compensation:

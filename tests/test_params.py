@@ -16,7 +16,9 @@ def test_default_scenario_round_trips_through_yaml(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["bogus: {}\n", "planning:\n  bogus: 1\n",
-                                  "tracking: {}\n", "sim: {}\n"])
+                                  "tracking: {}\n", "sim: {}\n",
+                                  "guidance:\n  r_lim: 10\n",
+                                  "campaign:\n  jobs: 0\n"])
 def test_unknown_names_raise(tmp_path, text):
     path = tmp_path / "scenario.yaml"
     path.write_text(text, encoding="utf-8")

@@ -4,12 +4,15 @@ SCP solve to convergence on a reduced grid.
 """
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from rlv_landing import env
+from rlv_landing import env, planner, scp
+from rlv_landing.conic import ipm, scaling
 from rlv_landing.conic.cones import Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling, factor_quasidefinite
 from rlv_landing.params import PlanningConfig, VehicleParams
@@ -289,6 +292,17 @@ class TestBuildStructure:
                            + 2 * N + 2)
         assert prog.cones[0].dim == expected_nonneg
 
+    def test_rows_stored_in_descending_column_order(self):
+        # The IPM's products add up each row in its stored order, and the
+        # planner's answers were fixed with rows stored this way (see
+        # conic.scaling._scale_columns).
+        prob, cfg = make_problem(N=10)
+        prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
+        for M in (prog.A, prog.G):
+            rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+            same_row = rows[1:] == rows[:-1]
+            assert np.all(np.diff(M.indices)[same_row] < 0)
+
     def test_gamma_bound_value(self):
         # At sea level with Table-2 numbers: 816 kN * 0.95 - 67.36 kN.
         prob, cfg = make_problem(N=10)
@@ -431,3 +445,82 @@ class TestPlanningScp:
         thrust = np.linalg.norm(ref.T, axis=1)
         assert np.all(thrust >= gamma_min * (1.0 - 1e-6))
         assert np.any(thrust <= gamma_min * (1.0 + 1e-6))   # bound is active
+
+
+# What planbench/spans.py wraps and planbench/planning.py calls, by module.
+# The benchmark skips a hook whose target is gone and reports the per-layer
+# metrics that need it as None, so a rename would pass unnoticed there.
+BENCH_NAMES = {
+    planner: ("propagate_coast", "fit_coast_polynomial",
+              "initial_guess_planning", "linearize_planning",
+              "scale_program", "equilibrate_rows", "PlanningBoundary",
+              "PlanningProblem", "NZ"),
+    planner.PlanningProblem: ("build", "scaling_bounds"),
+    env: ("planner_jacobian", "planner_rhs", "DegenerateStateError"),
+    scp: ("run_scp", "ScpSettings", "ScpFailure"),
+    ipm: ("solve", "solve_robust", "spla"),
+    ipm.spla: ("splu",),
+}
+
+
+class TestBenchmarkHooks:
+    def test_hooked_names_exist(self):
+        missing = [f"{getattr(owner, '__name__', owner)}.{name}"
+                   for owner, names in BENCH_NAMES.items()
+                   for name in names if not hasattr(owner, name)]
+        assert not missing
+
+    def test_build_calls_each_hooked_layer_once(self, monkeypatch):
+        # The tracer patches module attributes, so a build must reach each
+        # layer through its module to be timed.
+        calls = Counter()
+        for owner, name in ((planner, "linearize_planning"),
+                            (env, "planner_jacobian"),
+                            (planner, "scale_program"),
+                            (planner, "equilibrate_rows")):
+            def counted(*args, _fn=getattr(owner, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        prob, cfg = make_problem(N=10)
+        prob.build(initial_guess_planning(prob.boundary, cfg, VP))
+        assert calls == {"linearize_planning": 1, "planner_jacobian": 1,
+                         "scale_program": 1, "equilibrate_rows": 1}
+
+
+class TestConeLayout:
+    def test_one_layout_per_built_program(self, monkeypatch):
+        # Over a nominal N=30 plan, each program the planner builds makes its
+        # cone layout once, and no reader of the layout makes another.
+        readers = {fn.__code__ for fn in (ipm.solve, scp.fixed_point_residual,
+                                          scp.project_onto_rows,
+                                          scaling.equilibrate_rows)}
+        layouts, inside = [], []
+        init = Cones.__init__
+
+        def counted_init(self, cones):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code in readers:
+                    inside.append(frame.f_code.co_name)
+                frame = frame.f_back
+            layouts.append(self)
+            init(self, cones)
+
+        programs = []
+        build = PlanningProblem._build
+
+        def counted_build(self, ref, exact):
+            programs.append(build(self, ref, exact))
+            return programs[-1]
+
+        monkeypatch.setattr(Cones, "__init__", counted_init)
+        monkeypatch.setattr(PlanningProblem, "_build", counted_build)
+        prob, cfg = make_problem(N=30)
+        out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
+                      ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
+        assert out.converged
+        assert inside == []
+        assert len(layouts) == len(programs)
+        assert [p.layout for p in programs] == layouts

@@ -70,7 +70,6 @@ class _LinearFixture:
             cones=[ConeBlock(NONNEG, 1)],
             obj_offset=9.0,
         )
-        prog.scaling = self.scaling
         add_trust_region(prog, self.reference_vector(reference), self.w_tr)
         return prog
 
@@ -103,7 +102,6 @@ class _SquareRootFixture:
             h=np.array([0.0]),
             cones=[ConeBlock(NONNEG, 1)],
         )
-        prog.scaling = self.scaling
         add_trust_region(prog, self.reference_vector(reference), self.w_tr)
         return prog
 

@@ -22,6 +22,7 @@ from rlv_landing.conic import (
     ConicProgram,
     SolverSettings,
     cone_violation,
+    make_scaling,
     scale_program,
     solve,
     verify_kkt,
@@ -111,7 +112,8 @@ def interior_point(rng, cones, margin=(0.1, 1.5)):
 
 def random_feasible_conic(rng, n, me, cones, rank):
     """A conic program with strictly feasible primal and dual points, so
-    that an optimum exists; P = M M' with M of the given rank (None at 0)."""
+    that an optimum exists; P = M M' with M of the given rank (all zeros
+    at 0)."""
     mi = sum(cb.dim for cb in cones)
     G = rng.normal(size=(mi, n))
     A = rng.normal(size=(me, n))
@@ -124,7 +126,7 @@ def random_feasible_conic(rng, n, me, cones, rank):
     c = -(G.T @ z0 + A.T @ y0 + (P @ rng.normal(size=n) if rank else 0.0))
     prog = ConicProgram(c=c / max(1.0, np.abs(c).max()), G=sp.csr_matrix(G),
                         h=h / scale, cones=list(cones),
-                        P=sp.csr_matrix(P) if rank else None)
+                        P=sp.csr_matrix(P if rank else (n, n)))
     if me:
         prog.A, prog.b = sp.csr_matrix(A), b / scale
     return prog
@@ -363,9 +365,10 @@ class TestQuasiDefiniteKkt:
     @staticmethod
     def fresh(prog, scaling, reg):
         """The KKT matrix assembled afresh, the -(W^2 + reg I) block from
-        W^2 applied to unit vectors."""
+        W applied twice to unit vectors."""
         n, me, mi = prog.n, prog.A.shape[0], prog.G.shape[0]
-        W2 = np.column_stack([scaling.apply_sq(e) for e in np.eye(mi)])
+        W2 = np.column_stack([scaling.apply(scaling.apply(e))
+                              for e in np.eye(mi)])
         return sp.bmat([[prog.P + reg * sp.eye(n), prog.A.T, prog.G.T],
                         [prog.A, -reg * sp.eye(me), None],
                         [prog.G, None, -(sp.csr_matrix(W2) + reg * sp.eye(mi))]],
@@ -624,22 +627,18 @@ class TestWarmStart:
 
 class TestScaling:
     def test_midpoint_maps_to_zero(self):
-        from rlv_landing.conic import make_scaling
         rec = make_scaling(np.array([0.0]), np.array([10.0]))
         assert rec.scale(np.array([5.0]))[0] == 0.0
         assert rec.unscale(rec.scale(np.array([7.3])))[0] == pytest.approx(7.3, abs=1e-12)
 
     def test_unit_box_is_identity(self):
-        from rlv_landing.conic import make_scaling
         rec = make_scaling(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         x = np.array([0.3, -0.8])
         np.testing.assert_allclose(rec.scale(x), x)
 
     def test_degenerate_bounds_error_names_variable(self):
-        prog = lp([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
-        prog.var_names = ["alpha", "beta"]
-        with pytest.raises(ValueError, match="beta"):
-            scale_program(prog, np.array([0.0, 2.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="variable #1:"):
+            make_scaling(np.array([0.0, 2.0]), np.array([1.0, 2.0]))
 
     def test_scaled_lp_same_argmin(self):
         rng = np.random.default_rng(31)
@@ -651,13 +650,33 @@ class TestScaling:
             direct = solve(prog)
             lo = direct.x - rng.uniform(1.0, 5.0, size=4)
             hi = direct.x + rng.uniform(1.0, 5.0, size=4)
-            scaled = scale_program(prog, lo, hi)
+            record = make_scaling(lo, hi)
+            kept = [M.copy() for M in (prog.A, prog.G, prog.P)]
+            scaled = scale_program(replace(prog), record)
+            # The caller's matrices are left as they were.
+            for M, copy in zip((prog.A, prog.G, prog.P), kept):
+                assert np.array_equal(M.data, copy.data)
+                assert np.array_equal(M.indices, copy.indices)
             sol_scaled = solve(scaled)
             assert sol_scaled.optimal
-            np.testing.assert_allclose(sol_scaled.x_physical(scaled), direct.x,
+            np.testing.assert_allclose(record.unscale(sol_scaled.x), direct.x,
                                        atol=1e-6)
             assert sol_scaled.objective == pytest.approx(direct.objective, abs=1e-6)
 
+    def test_equilibrate_rows_skips_rows_without_entries(self):
+        # Row maxima come from the stored entries only: a row that stores
+        # none, between rows that do, is scaled by |h| alone (or the floor).
+        G = np.array([[3.0, -4.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
+        h = np.array([1.0, 2.0, 0.25, 0.0])
+        prog = lp([1.0, 1.0], G, h, A=[[0.0, 0.0], [2.0, -8.0]], b=[0.0, 4.0])
+        eq = equilibrate_rows(replace(prog))
+        divisor = np.array([4.0, 2.0, 0.5, 1e-12])
+        np.testing.assert_allclose(eq.h, h / divisor, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(eq.G.toarray(), G / divisor[:, None],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(eq.b, [0.0, 0.5], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(eq.A.toarray(), [[0.0, 0.0], [0.25, -1.0]],
+                                   rtol=1e-15, atol=0)
 
     def test_equilibrate_rows_one_scalar_per_soc_block(self):
         rng = np.random.default_rng(61)
