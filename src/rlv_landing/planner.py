@@ -9,9 +9,9 @@ Dynamics are linearized about a reference as
     Abar = eta_ref * df/dZ,  Cbar = f(Z_ref),  Dbar = -eta_ref * (df/dZ) Z_ref
 
 and discretized with the trapezoidal rule. The thrust magnitude is the
-variable Gamma with the cone ||T_k|| <= Gamma_k, which is empirically tight
-at convergence; the upper thrust bound acts on Gamma. The non-convex lower
-bound ||T_k|| >= Gamma_min,k is linearized about the reference thrust
+variable Gamma with the cone ||T_k|| <= Gamma_k, tight at a converged plan
+(``relaxation_gap``); the upper thrust bound acts on Gamma. The non-convex
+lower bound ||T_k|| >= Gamma_min,k is linearized about the reference thrust
 direction as (Tbar_k / ||Tbar_k||) . T_k >= Gamma_min,k, which implies
 Gamma_k >= Gamma_min,k through the cone and, at minimum throttle, ties the
 thrust to its reference direction: a bound on Gamma alone leaves the thrust
@@ -24,7 +24,7 @@ through a quadratic least-squares fit of the coast trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -516,3 +516,9 @@ class PlanningProblem:
     def decode(self, ref: PlanningReference,
                x_scaled: np.ndarray) -> PlanningReference:
         return self.unstack(self.scaling(ref).unscale(x_scaled))
+
+    def relaxation_gap(self, ref: PlanningReference) -> float:
+        """How far the thrust cone is from tight:
+        max_k | ||T_k|| - Gamma_k | / Gamma_k."""
+        T_norm = np.linalg.norm(ref.T, axis=1)
+        return float((np.abs(T_norm - ref.Gamma) / ref.Gamma).max())

@@ -7,7 +7,8 @@ variables). The solution becomes the next reference, and the program built
 about it is the next iteration's subproblem. Convergence means a fixed point
 of the linearization: J_tr is below its threshold and the new reference
 satisfies the rows of the program built about it (equality residual, orthant
-and cone violation) within tolerance. A small step alone is not enough: the
+and cone violation) within tolerance, with its relaxation tight (the
+adapter's ``relaxation_gap``). A small step alone is not enough: the
 linearization error of the last step is left in the rows. When only that
 residual is left, Gauss-Newton projections of the reference onto the rebuilt
 rows close the O(step^2) gap; the projected reference is accepted only if
@@ -51,6 +52,10 @@ PROJECTION_STEPS = 2
 # Fixed-point test: threshold on the residual of the rows rebuilt about the
 # reference (scaled variables, equilibrated rows).
 EPS_FEASIBLE = 1e-7
+# Largest relaxation gap (``SubproblemAdapter.relaxation_gap``) of a
+# converged reference: the bound planbench's ``planning.check`` holds a
+# converged plan's thrust relaxation to.
+RELAXATION_TOL = 1e-6
 # IPM tolerance (tol_feas and tol_gap) of a subproblem solve before its step
 # is small; the caller's tolerances apply from the step test on.
 INEXACT_TOL = 1e-4
@@ -105,7 +110,9 @@ class SubproblemAdapter(Protocol):
 
     ``projection_program`` gives the rows the Gauss-Newton projection uses:
     ``build``'s rows, or rows that also carry a dependence on the reference
-    that ``build`` leaves out.
+    that ``build`` leaves out. ``relaxation_gap`` measures how far the
+    reference is from the solution of the problem the subproblems relax
+    (0 for a family without a relaxation).
     """
 
     def build(self, reference: Any) -> ConicProgram: ...
@@ -115,6 +122,8 @@ class SubproblemAdapter(Protocol):
     def reference_vector(self, reference: Any) -> np.ndarray: ...
 
     def decode(self, reference: Any, x_scaled: np.ndarray) -> Any: ...
+
+    def relaxation_gap(self, reference: Any) -> float: ...
 
 
 def trust_region_cost(Z: np.ndarray, Z_ref: np.ndarray,
@@ -212,8 +221,9 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
     """Iterate build/solve/update until the reference is a fixed point.
 
     Converged means J_tr < eps_converge, from a solve at ``solver_settings``,
-    and a fixed-point residual (of the reference, or of its projection onto
-    the rebuilt rows) at most EPS_FEASIBLE. Raises ScpFailure when a
+    a fixed-point residual (of the reference, or of its projection onto
+    the rebuilt rows) at most EPS_FEASIBLE, and a relaxation gap of that
+    reference at most RELAXATION_TOL. Raises ScpFailure when a
     subproblem is not solved to optimality or when J_tr grows by
     DIVERGENCE_FACTOR on consecutive iterations.
     """
@@ -272,7 +282,8 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
                                       resolved))
         t0 = t1
 
-        if small_step and residual <= EPS_FEASIBLE:
+        if small_step and residual <= EPS_FEASIBLE and \
+                adapter.relaxation_gap(reference) <= RELAXATION_TOL:
             return ScpOutcome(converged=True, iterations=iteration,
                               reference=reference, log=log)
 

@@ -351,6 +351,34 @@ class TestKktFactorization:
         default = spla.splu(K)
         assert ours.L.nnz + ours.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
 
+    def test_direction_solves_refine_only_as_needed(self, monkeypatch):
+        # Over the nominal N=30 plan, the IPM's direction solves (predictor,
+        # corrector, Gondzio) take fewer than 2 LU solves each: two fixed
+        # refinement steps took 3, the residual rule takes 1.17.
+        lu_solves, per_direction = [], []
+        factor, solve = _Kkt.factor, _Kkt.solve
+
+        def counted_factor(self, scaling):
+            factor(self, scaling)
+            inner = self._lu_solve
+            self._lu_solve = lambda rhs: lu_solves.append(1) or inner(rhs)
+
+        def counted_solve(self, rhs, tol):
+            before = len(lu_solves)
+            out = solve(self, rhs, tol)
+            if tol == ipm.REFINE_TOL:
+                per_direction.append(len(lu_solves) - before)
+            return out
+
+        monkeypatch.setattr(_Kkt, "factor", counted_factor)
+        monkeypatch.setattr(_Kkt, "solve", counted_solve)
+        prob, cfg = make_problem(N=30)
+        out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
+                      ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
+        assert out.converged
+        assert len(per_direction) > 100
+        assert sum(per_direction) < 2 * len(per_direction)
+
 
 class TestPlanningScp:
     def test_converges_small_grid(self):

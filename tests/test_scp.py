@@ -14,6 +14,7 @@ from rlv_landing.scp import (
     ACTIVE_TOL,
     EPS_FEASIBLE,
     INEXACT_TOL,
+    RELAXATION_TOL,
     ScpFailure,
     ScpSettings,
     add_trust_region,
@@ -82,6 +83,9 @@ class _LinearFixture:
     def decode(self, reference, x_scaled):
         return float(self.scaling.unscale(x_scaled)[0])
 
+    def relaxation_gap(self, reference):
+        return 0.0
+
 
 class _SquareRootFixture:
     """min 0 s.t. x^2 = 2 and x >= 0, linearized about x_ref as the row
@@ -113,6 +117,9 @@ class _SquareRootFixture:
 
     def decode(self, reference, x_scaled):
         return float(self.scaling.unscale(x_scaled)[0])
+
+    def relaxation_gap(self, reference):
+        return 0.0
 
 
 class TestRunScp:
@@ -232,6 +239,36 @@ class TestRunScp:
         assert out.log[0].projected
         assert out.log[0].residual == pytest.approx(0.25, rel=1e-6)
         assert out.reference == pytest.approx(1.5, rel=1e-6)
+
+    def test_fixed_point_with_a_loose_relaxation_is_not_converged(self):
+        # The linear fixture reaches its fixed point in one step, but the
+        # stub reports its relaxation ten times looser than RELAXATION_TOL
+        # until the third check: the loop keeps iterating, and converges
+        # only once the gap closes.
+        checks = []
+
+        class Loose(_LinearFixture):
+            def __init__(self, w_tr, tight_from):
+                super().__init__(w_tr)
+                self.tight_from = tight_from
+
+            def relaxation_gap(self, reference):
+                checks.append(reference)
+                return 0.0 if len(checks) >= self.tight_from \
+                    else 10.0 * RELAXATION_TOL
+
+        settings = ScpSettings(1e-10, 4, 1e-9)
+        out = run_scp(Loose(1e-9, tight_from=np.inf), 3.0, settings)
+        assert not out.converged
+        assert out.iterations == settings.max_iter
+        assert all(rec.J_tr < settings.eps_converge for rec in out.log)
+        assert all(rec.residual <= EPS_FEASIBLE for rec in out.log)
+        assert len(checks) == settings.max_iter
+
+        checks.clear()
+        out = run_scp(Loose(1e-9, tight_from=3), 3.0, settings)
+        assert out.converged
+        assert out.iterations == 3
 
     def test_projection_closes_the_gap(self):
         fixture = _SquareRootFixture(w_tr=1.0)

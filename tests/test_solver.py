@@ -4,6 +4,7 @@ scaling equivalence, KKT verification and determinism.
 
 import gc
 import itertools
+import math
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -21,7 +22,6 @@ from rlv_landing.conic import (
     ConeBlock,
     ConicProgram,
     SolverSettings,
-    cone_violation,
     make_scaling,
     scale_program,
     solve,
@@ -402,7 +402,7 @@ class TestQuasiDefiniteKkt:
             expected = lu.solve(rhs)
             for _ in range(2):
                 expected = expected + lu.solve(rhs - unreg @ expected)
-            np.testing.assert_allclose(kkt.solve(rhs, refine_steps=2), expected,
+            np.testing.assert_allclose(kkt.solve(rhs, tol=0.0), expected,
                                        rtol=0, atol=1e-10 * np.abs(expected).max())
 
     def test_solves_in_the_factor_ordering(self):
@@ -421,8 +421,60 @@ class TestQuasiDefiniteKkt:
             kkt.factor(scaling)
             assert kkt.reordered == (kkt is first)
             rhs = rng.normal(size=kkt.K.shape[0])
-            residual = rhs - self.fresh(prog, scaling, 0.0) @ kkt.solve(rhs, 2)
+            residual = rhs - self.fresh(prog, scaling, 0.0) @ kkt.solve(rhs, 0.0)
             assert np.abs(residual).max() <= 1e-12 * np.abs(rhs).max()
+
+    @staticmethod
+    def factored(seed):
+        rng = np.random.default_rng(seed)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        cones = Cones(prog.cones)
+        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
+        scaling = _NTScaling(cones, interior_point(rng, prog.cones),
+                             interior_point(rng, prog.cones))
+        kkt.factor(scaling)
+        return prog, scaling, kkt, rng.normal(size=kkt.K.shape[0])
+
+    @staticmethod
+    def count_lu_solves(kkt, bad_call=None):
+        """Count the calls of the factor's solve; the ``bad_call``-th
+        returns 1000 times the LU solve, a step that raises the residual."""
+        calls = []
+        inner = kkt._lu_solve
+
+        def counted(rhs):
+            calls.append(rhs)
+            out = inner(rhs)
+            return 1e3 * out if len(calls) == bad_call else out
+
+        kkt._lu_solve = counted
+        return calls
+
+    def test_refines_only_while_the_residual_needs_it(self):
+        prog, scaling, kkt, rhs = self.factored(61)
+        first = kkt.solve(rhs, math.inf)
+        residual = rhs - self.fresh(prog, scaling, 0.0) @ first
+        relative = np.abs(residual).max() / max(1.0, np.abs(rhs).max())
+        assert relative > 0.0
+        calls = self.count_lu_solves(kkt)
+        # The first residual meets the tolerance: one LU solve, no residual
+        # step.
+        np.testing.assert_array_equal(kkt.solve(rhs, 2.0 * relative), first)
+        assert len(calls) == 1
+        # It misses it: one refinement step meets it, and ends the
+        # refinement.
+        calls.clear()
+        refined = kkt.solve(rhs, 0.5 * relative)
+        assert len(calls) == 2
+        after = rhs - self.fresh(prog, scaling, 0.0) @ refined
+        assert np.abs(after).max() < np.abs(residual).max()
+
+    def test_step_that_raises_the_residual_is_dropped(self):
+        prog, scaling, kkt, rhs = self.factored(67)
+        first = kkt.solve(rhs, math.inf)
+        calls = self.count_lu_solves(kkt, bad_call=2)
+        np.testing.assert_array_equal(kkt.solve(rhs, 0.0), first)
+        assert len(calls) == 2
 
     def test_reused_analysis_fills_the_same_matrix(self):
         rng = np.random.default_rng(59)
