@@ -18,10 +18,13 @@ plan prints one JSON line:
 - ``stalls``: the status and primal residual of each subproblem solve that
   ended without a verdict (optimal, infeasible, unbounded).
 
-A last line holds the totals. The same file runs on any tree whose
-``ipm.solve`` takes a program and settings, so it compares two commits
-plan by plan: two trees give the same answers when their plan lines (all
-but the last, which holds timings) are the same, as ``diff`` shows.
+A last line holds the totals, among them ``builds`` (calls of
+``planner.linearize_planning``, which every subproblem build makes once)
+and ``projection_steps`` (calls of ``scp.project_onto_rows``). The same
+file runs on any tree whose ``ipm.solve`` takes a program and settings, so
+it compares two commits plan by plan: two trees give the same answers when
+their plan lines (all but the last, which holds timings and counts) are the
+same, as ``diff`` shows.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ class SolveRecorder:
         return sol
 
 
+def count_calls(owner, name: str, totals: dict, key: str) -> None:
+    """Replace ``owner.name`` with a wrapper that adds one to
+    ``totals[key]`` per call."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        totals[key] += 1
+        return fn(*args, **kwargs)
+
+    setattr(owner, name, counted)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
@@ -70,6 +85,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "planbench")]
     import planning
     import scenarios
+    from rlv_landing import planner, scp
     from rlv_landing.conic import ipm
 
     workload = planning.WORKLOADS[args.workload]
@@ -81,7 +97,10 @@ def main(argv=None) -> int:
 
     recorder = SolveRecorder(ipm)
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
-              "solves": 0, "stalls": 0, "outcomes": {}}
+              "solves": 0, "stalls": 0, "builds": 0, "projection_steps": 0,
+              "outcomes": {}}
+    count_calls(planner, "linearize_planning", totals, "builds")
+    count_calls(scp, "project_onto_rows", totals, "projection_steps")
     for name, states in sets:
         for i, state in enumerate(states):
             result = planning.plan(workload, state, recorder)

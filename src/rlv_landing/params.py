@@ -93,6 +93,12 @@ class PlanningConfig:
             raise ValueError("t_theta must be nonnegative")
         if self.N < 2:
             raise ValueError("need at least 2 intervals")
+        if not 0 < self.eta_bounds[0] < self.eta_bounds[1]:
+            raise ValueError("eta_bounds must satisfy 0 < lower < upper")
+        if self.tc_window[0] > self.tc_window[1]:
+            raise ValueError("tc_window must satisfy lower <= upper")
+        if self.max_scp_iter < 1:
+            raise ValueError("max_scp_iter must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .conic import (
 )
 from .conic.scaling import equilibrate_rows
 from .env import AeroOptions, DegenerateStateError
-from .params import H_SCALE, PlanningConfig, VehicleParams
+from .params import PlanningConfig, VehicleParams
 from .scp import add_trust_region
 
 NZ = 11          # per-node variables (r, v, m, T, Gamma)
@@ -337,32 +337,16 @@ class PlanningProblem:
     # -- SCP adapter interface ------------------------------------------------------
 
     def build(self, ref: PlanningReference) -> ConicProgram:
-        """The scaled SOCP subproblem linearized about ``ref``."""
-        return self._build(ref, exact=False)
+        """The scaled SOCP subproblem linearized about ``ref``.
 
-    def projection_program(self, ref: PlanningReference) -> ConicProgram:
-        """The rows ``run_scp`` projects onto: ``build`` with the columns
-        listed in ``_build`` added, which the projection's small step can
-        carry."""
-        return self._build(ref, exact=True)
-
-    def _build(self, ref: PlanningReference, exact: bool) -> ConicProgram:
-        """The program about ``ref``, with or without three columns.
-
-        Three row families depend on reference values that they carry no
-        column for unless ``exact`` is set:
-
-        - The thrust bound rows depend on r_z through the back-pressure loss
-          A_exit P_e(h). Its column raises the KKT fill at N=100 by about a
-          sixth.
-        - The thrust-rate rows have the bound Tdot_lim eta / N, linear in
-          eta. Its column couples eta to every node and raises the fill from
-          0.19M to 0.27M nonzeros.
-        - The tilt rows in the terminal taper depend on eta through
-          theta_lim(eta (1 - s_k)). With that column the first subproblem
-          fails: the tangent of cos(theta_lim) passes 1 once eta drops by an
-          eighth to a quarter, and the first step from the initial guess
-          shortens the burn by more.
+        Three row families depend on reference values they carry no column
+        for. An r_z column in the thrust bounds' back-pressure loss
+        A_exit P_e(h) and an eta column in the rate bound Tdot_lim eta / N
+        raised the N=100 KKT fill by 1/6 and 0.19M -> 0.27M under SuperLU's
+        column ordering, and add none under the IPM's minimum-degree one. An
+        eta column in the taper tilt bound cos(theta_lim(eta (1 - s_k)))
+        fails the first subproblem: its tangent passes 1 once eta drops by
+        an eighth, and the first step from the initial guess cuts more.
         """
         N, vp, cfg = self.N, self.vp, self.cfg
         eta_ref, Z = ref.eta, ref.Z
@@ -434,11 +418,6 @@ class PlanningProblem:
         if self.boundary.mode == "current-state":
             load[0] = False
         tilt = ~vertical
-        # In the taper theta_lim = (K/2) (eta (1 - s_k))^2, so d/deta of
-        # cos(theta_lim) Gamma is -sin(theta_lim) (2 theta_lim / eta) Gamma.
-        taper = exact & (eta_ref * (1.0 - np.arange(N + 1) / N) < cfg.t_theta)
-        tilt_eta = np.where(taper, -np.sin(theta_lim) * 2.0 * theta_lim
-                            / eta_ref * Z[:, IDX_GAMMA], 0.0)
         count = 2 + tilt + load
         first = np.cumsum(count) - count
         tilt_rows = (first + 2)[tilt]
@@ -446,27 +425,20 @@ class PlanningProblem:
         ineq = [(first + 1, col_gamma, 1.0),
                 (tilt_rows, node[tilt] + 9, 1.0),
                 (tilt_rows, col_gamma[tilt], np.cos(theta_lim[tilt])),
-                (tilt_rows, self.idx_eta, tilt_eta[tilt]),
                 (load_rows[:, None], node[load, None] + np.arange(NZ),
                  lin.grad_load[load])]
         # Thrust bounds: the lower one on the thrust along its reference
         # direction, the upper one on Gamma, both net of the back-pressure
-        # loss (linearized in r_z when exact). Then the thrust-magnitude
-        # rate rows |Gamma_{k+1} - Gamma_k| <= Tdot_lim eta / N, the
+        # loss at the reference altitude. Then the thrust-magnitude rate
+        # rows |Gamma_{k+1} - Gamma_k| <= Tdot_lim eta / N, the
         # dilation hard bounds and the ignition window.
         direction = Z[:, 7:10] / T_norm[:, None]
-        P_e = env.ambient_pressure(-Z[:, 2])
-        dPe_drz = np.where(exact & (-Z[:, 2] > 0.0), P_e / H_SCALE, 0.0)
-        ineq += [(first[:, None], node[:, None] + np.array([7, 8, 9]),
-                  -direction),
-                 (first, node + 2, -vp.A_exit * dPe_drz),
-                 (first + 1, node + 2, vp.A_exit * dPe_drz)]
+        ineq.append((first[:, None], node[:, None] + np.array([7, 8, 9]),
+                     -direction))
         rate = count.sum() + 2 * np.arange(N)
-        rate_eta = -vp.Tdot_lim / N if exact else 0.0
         ineq += [(rate, col_gamma[1:], 1.0), (rate, col_gamma[:-1], -1.0),
                  (rate + 1, col_gamma[:-1], 1.0),
-                 (rate + 1, col_gamma[1:], -1.0),
-                 (np.append(rate, rate + 1), self.idx_eta, rate_eta)]
+                 (rate + 1, col_gamma[1:], -1.0)]
         box_cols = [self.idx_eta] + ([self.idx_tc] if self.with_tc else [])
         box = rate[-1] + 2 + np.arange(2 * len(box_cols))
         ineq.append((box, np.repeat(box_cols, 2),
@@ -481,13 +453,11 @@ class PlanningProblem:
                      -1.0))
         G_mat = _csr(ineq, (n_nonneg + soc.size, self.n_vars))
 
-        # Back-pressure loss A_exit P_e(r_z) ~= loss + A_exit dPe_drz r_z.
-        loss = vp.A_exit * (P_e - dPe_drz * Z[:, 2])
+        loss = vp.A_exit * env.ambient_pressure(-Z[:, 2])
         h_vec = np.zeros(G_mat.shape[0])
         h_vec[first] = loss - vp.T_min * (1.0 + cfg.mu_T)
         h_vec[first + 1] = vp.T_max * (1.0 - cfg.mu_T) - loss
-        h_vec[tilt_rows] = tilt_eta[tilt] * eta_ref
-        h_vec[rate] = h_vec[rate + 1] = (vp.Tdot_lim / N + rate_eta) * eta_ref
+        h_vec[rate] = h_vec[rate + 1] = vp.Tdot_lim / N * eta_ref
         h_vec[load_rows] = (np.einsum("ki,ki->k", lin.grad_load[load], Z[load])
                             - lin.g_load[load])
         bounds = [-cfg.eta_bounds[0], cfg.eta_bounds[1]]

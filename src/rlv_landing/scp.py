@@ -10,9 +10,9 @@ satisfies the rows of the program built about it (equality residual, orthant
 and cone violation) within tolerance, with its relaxation tight (the
 adapter's ``relaxation_gap``). A small step alone is not enough: the
 linearization error of the last step is left in the rows. When only that
-residual is left, Gauss-Newton projections of the reference onto the rebuilt
-rows close the O(step^2) gap; the projected reference is accepted only if
-the program built about it passes the same test.
+residual is left, Gauss-Newton steps onto the rows built about the reference,
+and then about each projected one, close the O(step^2) gap; a projected
+reference is accepted only if the program built about it passes the same test.
 
 Each subproblem is first solved inexactly, at tolerances of INEXACT_TOL,
 from the previous subproblem's solution: far from the fixed point a step
@@ -108,16 +108,13 @@ class ScpFailure(RuntimeError):
 class SubproblemAdapter(Protocol):
     """What the SCP loop needs from a problem family.
 
-    ``projection_program`` gives the rows the Gauss-Newton projection uses:
-    ``build``'s rows, or rows that also carry a dependence on the reference
-    that ``build`` leaves out. ``relaxation_gap`` measures how far the
-    reference is from the solution of the problem the subproblems relax
-    (0 for a family without a relaxation).
+    ``build``'s program is the subproblem, the fixed-point test and the
+    rows of the Gauss-Newton projection. ``relaxation_gap`` measures how
+    far the reference is from the solution of the problem the subproblems
+    relax (0 for a family without a relaxation).
     """
 
     def build(self, reference: Any) -> ConicProgram: ...
-
-    def projection_program(self, reference: Any) -> ConicProgram: ...
 
     def reference_vector(self, reference: Any) -> np.ndarray: ...
 
@@ -126,14 +123,10 @@ class SubproblemAdapter(Protocol):
     def relaxation_gap(self, reference: Any) -> float: ...
 
 
-def trust_region_cost(Z: np.ndarray, Z_ref: np.ndarray,
-                      W_tr: float | np.ndarray) -> float:
-    """Soft trust-region cost sum_k dZ_k' W dZ_k for stacked node variables."""
+def trust_region_cost(Z: np.ndarray, Z_ref: np.ndarray, W_tr: float) -> float:
+    """Soft trust-region cost W_tr ||Z - Z_ref||^2 for stacked variables."""
     dZ = np.asarray(Z, float) - np.asarray(Z_ref, float)
-    if np.isscalar(W_tr):
-        return float(W_tr) * float(dZ.ravel() @ dZ.ravel())
-    dZ = np.atleast_2d(dZ)
-    return float(np.einsum("ki,ij,kj->", dZ, np.asarray(W_tr, float), dZ))
+    return float(W_tr) * float(dZ.ravel() @ dZ.ravel())
 
 
 def add_trust_region(program: ConicProgram, x_ref_scaled: np.ndarray,
@@ -197,20 +190,19 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     return x + factor_quasidefinite(K).solve(rhs)[:x.size]
 
 
-def _project(adapter: SubproblemAdapter,
-             reference: Any) -> tuple[Any, float] | None:
-    """Gauss-Newton projections of the reference onto the adapter's
-    projection rows rebuilt about it; the first projected reference whose
-    fixed-point residual (of ``build``, as everywhere in the loop) is within
-    EPS_FEASIBLE, with that residual, or None."""
+def _project(adapter: SubproblemAdapter, reference: Any,
+             program: ConicProgram) -> tuple[Any, float, ConicProgram] | None:
+    """Gauss-Newton steps from the reference onto ``program``, built about
+    it, then onto the program built about each result; the first result
+    within EPS_FEASIBLE, with its residual and program, or None."""
     for _ in range(PROJECTION_STEPS):
-        x = project_onto_rows(adapter.projection_program(reference),
-                              adapter.reference_vector(reference))
+        x = project_onto_rows(program, adapter.reference_vector(reference))
         reference = adapter.decode(reference, x)
-        residual = fixed_point_residual(adapter.build(reference),
+        program = adapter.build(reference)
+        residual = fixed_point_residual(program,
                                         adapter.reference_vector(reference))
         if residual <= EPS_FEASIBLE:
-            return reference, residual
+            return reference, residual, program
     return None
 
 
@@ -272,9 +264,9 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
                 program, adapter.reference_vector(reference))
             projected = small_step and residual > EPS_FEASIBLE
             if projected:
-                found = _project(adapter, reference)
+                found = _project(adapter, reference, program)
                 if found is not None:
-                    reference, residual = found
+                    reference, residual, program = found
         t1 = time.perf_counter()
         log.append(ScpIterationRecord(iteration, j_tr, solution.objective,
                                       solution.status, solver_iterations,

@@ -1,4 +1,5 @@
-"""Scenario YAML I/O: a round trip through a file, and unknown names."""
+"""Scenario YAML I/O: a round trip through a file, unknown names and
+out-of-range planning values."""
 
 import re
 
@@ -25,4 +26,16 @@ def test_unknown_names_raise(tmp_path, text):
     # The last key named is the unknown one.
     name = re.findall(r"(\w+):", text)[-1]
     with pytest.raises(KeyError, match=name):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("name, value", [("eta_bounds", [120, 1]),
+                                         ("tc_window", [15, 0]),
+                                         ("max_scp_iter", 0)])
+def test_out_of_range_planning_values_raise(tmp_path, name, value):
+    # Rejected when loaded, not later as a failed or empty plan.
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({"planning": {name: value}}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=name):
         load_scenario(path)

@@ -520,7 +520,8 @@ class TestBenchmarkHooks:
 class TestConeLayout:
     def test_one_layout_per_built_program(self, monkeypatch):
         # Over a nominal N=30 plan, each program the planner builds makes its
-        # cone layout once, and no reader of the layout makes another.
+        # cone layout once, no reader of the layout makes another, and the
+        # projection reads only programs that ``build`` returned.
         readers = {fn.__code__ for fn in (ipm.solve, scp.fixed_point_residual,
                                           scp.project_onto_rows,
                                           scaling.equilibrate_rows)}
@@ -536,15 +537,21 @@ class TestConeLayout:
             layouts.append(self)
             init(self, cones)
 
-        programs = []
-        build = PlanningProblem._build
+        programs, projected = [], []
+        build = PlanningProblem.build
+        project = scp.project_onto_rows
 
-        def counted_build(self, ref, exact):
-            programs.append(build(self, ref, exact))
+        def counted_build(self, ref):
+            programs.append(build(self, ref))
             return programs[-1]
 
+        def recorded_project(program, x):
+            projected.append(program)
+            return project(program, x)
+
         monkeypatch.setattr(Cones, "__init__", counted_init)
-        monkeypatch.setattr(PlanningProblem, "_build", counted_build)
+        monkeypatch.setattr(PlanningProblem, "build", counted_build)
+        monkeypatch.setattr(scp, "project_onto_rows", recorded_project)
         prob, cfg = make_problem(N=30)
         out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
                       ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
@@ -552,3 +559,6 @@ class TestConeLayout:
         assert inside == []
         assert len(layouts) == len(programs)
         assert [p.layout for p in programs] == layouts
+        assert projected
+        built = {id(p) for p in programs}
+        assert all(id(p) in built for p in projected)

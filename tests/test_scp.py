@@ -46,12 +46,6 @@ class TestTrustRegionCost:
         j2 = trust_region_cost(Z_ref + 2 * dZ, Z_ref, 0.7)
         assert j2 == pytest.approx(4 * j1, rel=1e-12)
 
-    def test_matrix_weight(self):
-        W = np.diag([1.0, 2.0, 3.0])
-        Z_ref = np.zeros((2, 3))
-        Z = np.ones((2, 3))
-        assert trust_region_cost(Z, Z_ref, W) == pytest.approx(2 * 6.0)
-
 
 class _LinearFixture:
     """A convex-from-the-start problem: min (x-3)^2 s.t. x >= 1, 'linearized'
@@ -73,9 +67,6 @@ class _LinearFixture:
         )
         add_trust_region(prog, self.reference_vector(reference), self.w_tr)
         return prog
-
-    def projection_program(self, reference):
-        return self.build(reference)
 
     def reference_vector(self, reference):
         return self.scaling.scale(np.array([reference]))
@@ -108,9 +99,6 @@ class _SquareRootFixture:
         )
         add_trust_region(prog, self.reference_vector(reference), self.w_tr)
         return prog
-
-    def projection_program(self, reference):
-        return self.build(reference)
 
     def reference_vector(self, reference):
         return self.scaling.scale(np.array([reference]))
@@ -230,10 +218,16 @@ class TestRunScp:
     def test_small_step_off_the_fixed_point_is_not_converged(self):
         # From x = 1 the first step lands on 1.5 with J_tr = 2.5e-3, below
         # eps_converge, while the rebuilt row misses by 1.5^2 - 2 = 0.25 and
-        # two projection steps leave it at 6e-6.
+        # two projection steps leave it at 6e-6. Each projection step builds
+        # once, about its result: with the builds about 1 and 1.5 that makes
+        # four.
         fixture = _SquareRootFixture(w_tr=1.0)
+        builds = []
+        build = fixture.build
+        fixture.build = lambda ref: builds.append(ref) or build(ref)
         settings = ScpSettings(1e-2, 1, 1.0)
         out = run_scp(fixture, 1.0, settings)
+        assert len(builds) == 4
         assert out.log[0].J_tr < settings.eps_converge
         assert not out.converged
         assert out.log[0].projected
@@ -271,11 +265,18 @@ class TestRunScp:
         assert out.iterations == 3
 
     def test_projection_closes_the_gap(self):
+        # Both iterations project, in two steps each. Each step projects
+        # onto the rows built before it and builds once, about its result:
+        # three builds per iteration and the first subproblem's make seven.
         fixture = _SquareRootFixture(w_tr=1.0)
+        builds = []
+        build = fixture.build
+        fixture.build = lambda ref: builds.append(ref) or build(ref)
         settings = ScpSettings(1e-2, 10, 1.0)
         out = run_scp(fixture, 1.0, settings)
         assert out.converged
         assert out.iterations == 2
+        assert len(builds) == 7
         assert out.log[-1].projected
         assert out.log[-1].residual <= EPS_FEASIBLE
         assert abs(out.reference ** 2 - 2.0) <= EPS_FEASIBLE
