@@ -11,6 +11,7 @@ plan prints one JSON line:
 
 - ``set``, ``plan``: which state;
 - ``outcome``, ``scp_iters``: how the plan ended, as planbench reports it;
+- ``ipm_iters``: the IPM iterations of every subproblem solve of the plan;
 - ``propellant_kg``: the propellant of a converged plan, else null;
 - ``problems``: the ``planning.check`` problems of a converged plan;
 - ``z_hash``: the first 16 hex digits of the SHA-256 of the returned
@@ -18,7 +19,7 @@ plan prints one JSON line:
 - ``stalls``: the status and primal residual of each subproblem solve that
   ended without a verdict (optimal, infeasible, unbounded).
 
-A last line holds the totals, among them ``builds`` (calls of
+A last line holds the totals, among them ``ipm_iters``, ``builds`` (calls of
 ``planner.linearize_planning``, which every subproblem build makes once)
 and ``projection_steps`` (calls of ``scp.project_onto_rows``). The same
 file runs on any tree whose ``ipm.solve`` takes a program and settings, so
@@ -46,16 +47,17 @@ class SolveRecorder:
 
     def __init__(self, ipm):
         self.ipm = ipm
-        self.solves = 0
+        self.solves = self.ipm_iters = 0
         self.stalls: list[dict] = []
 
     def plan_span(self):
-        self.solves, self.stalls = 0, []
+        self.solves, self.ipm_iters, self.stalls = 0, 0, []
         return nullcontext()
 
     def solve_fn(self, program, settings):
         sol = self.ipm.solve(program, settings)
         self.solves += 1
+        self.ipm_iters += sol.iterations
         if sol.status not in VERDICTS:
             self.stalls.append({"status": sol.status,
                                 "primal_res": sol.primal_res})
@@ -97,8 +99,8 @@ def main(argv=None) -> int:
 
     recorder = SolveRecorder(ipm)
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
-              "solves": 0, "stalls": 0, "builds": 0, "projection_steps": 0,
-              "outcomes": {}}
+              "solves": 0, "ipm_iters": 0, "stalls": 0, "builds": 0,
+              "projection_steps": 0, "outcomes": {}}
     count_calls(planner, "linearize_planning", totals, "builds")
     count_calls(scp, "project_onto_rows", totals, "projection_steps")
     for name, states in sets:
@@ -107,12 +109,14 @@ def main(argv=None) -> int:
             totals["plans"] += 1
             totals["plan_s"] += result.seconds
             totals["solves"] += recorder.solves
+            totals["ipm_iters"] += recorder.ipm_iters
             totals["stalls"] += len(recorder.stalls)
             outcomes = totals["outcomes"]
             outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
             print(json.dumps({
                 "workload": workload.name, "set": name, "plan": i,
                 "outcome": result.outcome, "scp_iters": result.scp_iters,
+                "ipm_iters": recorder.ipm_iters,
                 "propellant_kg": result.propellant_kg
                 if result.converged else None,
                 "problems": result.problems,

@@ -94,7 +94,8 @@ class ConicProgram:
 @dataclass
 class SolverSolution:
     x: np.ndarray
-    status: str                  # optimal | infeasible | unbounded | max_iter | numerical_failure
+    status: str                  # optimal | infeasible | numerical_failure
+    #                              | max_iter; unbounded only without cone rows
     iterations: int
     objective: float
     gap: float

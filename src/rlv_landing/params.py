@@ -57,7 +57,7 @@ class VehicleParams:
         if self.Isp <= 0 or self.s_ref <= 0 or self.m0 <= 0:
             raise ValueError("Isp, s_ref and m0 must be positive")
         if self.l_c <= 0:
-            raise ValueError("hinge arm must be positive")
+            raise ValueError("l_c (hinge arm) must be positive")
 
     @property
     def gravity(self) -> np.ndarray:
@@ -92,7 +92,7 @@ class PlanningConfig:
         if self.t_theta < 0:
             raise ValueError("t_theta must be nonnegative")
         if self.N < 2:
-            raise ValueError("need at least 2 intervals")
+            raise ValueError("N must be at least 2 intervals")
         if not 0 < self.eta_bounds[0] < self.eta_bounds[1]:
             raise ValueError("eta_bounds must satisfy 0 < lower < upper")
         if self.tc_window[0] > self.tc_window[1]:
@@ -119,7 +119,7 @@ class CampaignConfig:
 
     def __post_init__(self):
         if self.sd_r0 < 0 or self.sd_v0 < 0:
-            raise ValueError("dispersion SDs must be nonnegative")
+            raise ValueError("sd_r0 and sd_v0 must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -181,12 +181,10 @@ def tilt_limit_profile(t, t_f: float, t_theta: float, theta_lim_max: float):
 
 
 def initial_guess_planning(boundary: PlanningBoundary, cfg: PlanningConfig,
-                           vp: VehicleParams,
-                           t_c_guess: float | None = None,
-                           eta_guess: float | None = None) -> PlanningReference:
+                           vp: VehicleParams) -> PlanningReference:
     """Straight-line reference with vertical mid-throttle thrust."""
     if boundary.mode == "ignition-fit":
-        t_c = 0.5 * sum(boundary.coast_fit.window) if t_c_guess is None else t_c_guess
+        t_c = 0.5 * sum(boundary.coast_fit.window)
         r0 = boundary.coast_fit.position(t_c)
         v0 = boundary.coast_fit.velocity(t_c)
     else:
@@ -195,11 +193,8 @@ def initial_guess_planning(boundary: PlanningBoundary, cfg: PlanningConfig,
         v0 = np.asarray(boundary.v_now, float)
     m0 = boundary.m0
 
-    if eta_guess is None:
-        accel = 0.5 * (vp.T_min + vp.T_max) / m0 - vp.g_ref
-        eta = float(np.clip(np.linalg.norm(v0) / accel, 5.0, 60.0))
-    else:
-        eta = eta_guess
+    accel = 0.5 * (vp.T_min + vp.T_max) / m0 - vp.g_ref
+    eta = float(np.clip(np.linalg.norm(v0) / accel, 5.0, 60.0))
 
     N = cfg.N
     tau = np.arange(N + 1) / N
@@ -270,12 +265,12 @@ class PlanningProblem:
     """
 
     def __init__(self, boundary: PlanningBoundary, vp: VehicleParams,
-                 cfg: PlanningConfig, opts: AeroOptions | None = None):
+                 cfg: PlanningConfig):
         self.boundary = boundary
         self.vp = vp
         self.cfg = cfg
-        self.opts = opts if opts is not None else AeroOptions(
-            lift_compensation=cfg.lift_compensation, drag_only=cfg.drag_only)
+        self.opts = AeroOptions(lift_compensation=cfg.lift_compensation,
+                                drag_only=cfg.drag_only)
         self.N = cfg.N
         self.with_tc = boundary.mode == "ignition-fit"
         self.n_vars = NZ * (self.N + 1) + 1 + (1 if self.with_tc else 0)

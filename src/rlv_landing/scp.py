@@ -11,8 +11,8 @@ and cone violation) within tolerance, with its relaxation tight (the
 adapter's ``relaxation_gap``). A small step alone is not enough: the
 linearization error of the last step is left in the rows. When only that
 residual is left, Gauss-Newton steps onto the rows built about the reference,
-and then about each projected one, close the O(step^2) gap; a projected
-reference is accepted only if the program built about it passes the same test.
+and then about each projected one, close the O(step^2) gap; the last
+projected reference is the next one, and converges only if it passes the test.
 
 Each subproblem is first solved inexactly, at tolerances of INEXACT_TOL,
 from the previous subproblem's solution: far from the fixed point a step
@@ -59,8 +59,6 @@ RELAXATION_TOL = 1e-6
 # IPM tolerance (tol_feas and tol_gap) of a subproblem solve before its step
 # is small; the caller's tolerances apply from the step test on.
 INEXACT_TOL = 1e-4
-# J_tr growth, on two consecutive iterations, that aborts the loop.
-DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class ScpIterationRecord:
     solver_iterations: int       # IPM iterations of every solve of the step
     millis: float
     residual: float              # fixed-point residual the stopping rule read
-    #                              (of the projection, if it was accepted;
+    #                              (of the projection, if it ran;
     #                              nan after a last iteration without a
     #                              small step, where nothing reads it)
     projected: bool              # the Gauss-Newton projection ran
@@ -95,7 +93,7 @@ class ScpOutcome:
 
 
 class ScpFailure(RuntimeError):
-    """Subproblem solve failed or the iteration diverged."""
+    """A subproblem solve did not end optimal."""
 
     def __init__(self, message: str, iteration: int,
                  log: list[ScpIterationRecord], status: str):
@@ -191,10 +189,11 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
 
 
 def _project(adapter: SubproblemAdapter, reference: Any,
-             program: ConicProgram) -> tuple[Any, float, ConicProgram] | None:
+             program: ConicProgram) -> tuple[Any, float, ConicProgram]:
     """Gauss-Newton steps from the reference onto ``program``, built about
-    it, then onto the program built about each result; the first result
-    within EPS_FEASIBLE, with its residual and program, or None."""
+    it, then onto the program built about each result, until a result is
+    within EPS_FEASIBLE or PROJECTION_STEPS are taken; the last result,
+    with its residual and program."""
     for _ in range(PROJECTION_STEPS):
         x = project_onto_rows(program, adapter.reference_vector(reference))
         reference = adapter.decode(reference, x)
@@ -202,8 +201,8 @@ def _project(adapter: SubproblemAdapter, reference: Any,
         residual = fixed_point_residual(program,
                                         adapter.reference_vector(reference))
         if residual <= EPS_FEASIBLE:
-            return reference, residual, program
-    return None
+            break
+    return reference, residual, program
 
 
 def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
@@ -215,14 +214,12 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
     Converged means J_tr < eps_converge, from a solve at ``solver_settings``,
     a fixed-point residual (of the reference, or of its projection onto
     the rebuilt rows) at most EPS_FEASIBLE, and a relaxation gap of that
-    reference at most RELAXATION_TOL. Raises ScpFailure when a
-    subproblem is not solved to optimality or when J_tr grows by
-    DIVERGENCE_FACTOR on consecutive iterations.
+    reference at most RELAXATION_TOL. Raises ScpFailure when a subproblem
+    is not solved to optimality; otherwise the loop runs to
+    ``settings.max_iter``, whatever J_tr does.
     """
     reference = initial_reference
     log: list[ScpIterationRecord] = []
-    prev_jtr = None
-    growth_count = 0
     inexact = replace(solver_settings,
                       tol_feas=max(solver_settings.tol_feas, INEXACT_TOL),
                       tol_gap=max(solver_settings.tol_gap, INEXACT_TOL))
@@ -264,9 +261,8 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
                 program, adapter.reference_vector(reference))
             projected = small_step and residual > EPS_FEASIBLE
             if projected:
-                found = _project(adapter, reference, program)
-                if found is not None:
-                    reference, residual, program = found
+                reference, residual, program = _project(adapter, reference,
+                                                        program)
         t1 = time.perf_counter()
         log.append(ScpIterationRecord(iteration, j_tr, solution.objective,
                                       solution.status, solver_iterations,
@@ -278,15 +274,6 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
                 adapter.relaxation_gap(reference) <= RELAXATION_TOL:
             return ScpOutcome(converged=True, iterations=iteration,
                               reference=reference, log=log)
-
-        if prev_jtr is not None and j_tr > DIVERGENCE_FACTOR * prev_jtr:
-            growth_count += 1
-            if growth_count >= 2:
-                raise ScpFailure("trust-region cost diverging", iteration,
-                                 log, "numerical_failure")
-        else:
-            growth_count = 0
-        prev_jtr = j_tr
 
     return ScpOutcome(converged=False, iterations=settings.max_iter,
                       reference=reference, log=log)

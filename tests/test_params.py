@@ -1,5 +1,5 @@
 """Scenario YAML I/O: a round trip through a file, unknown names and
-out-of-range planning values."""
+out-of-range values."""
 
 import re
 
@@ -29,13 +29,20 @@ def test_unknown_names_raise(tmp_path, text):
         load_scenario(path)
 
 
-@pytest.mark.parametrize("name, value", [("eta_bounds", [120, 1]),
-                                         ("tc_window", [15, 0]),
-                                         ("max_scp_iter", 0)])
+@pytest.mark.parametrize("name, value", [
+    ("eta_bounds", [120, 1]), ("tc_window", [15, 0]), ("max_scp_iter", 0),
+    ("mu_T", 0.5), ("L_lim", 0.0), ("t_theta", -1.0), ("N", 1),
+    ("T_min", 0.0), ("T_max", 4e5), ("Isp", 0.0), ("s_ref", 0.0),
+    ("m0", -1.0), ("l_c", 0.0), ("sd_r0", -1.0), ("sd_v0", -1.0)])
 def test_out_of_range_planning_values_raise(tmp_path, name, value):
-    # Rejected when loaded, not later as a failed or empty plan.
+    # Rejected when loaded, not later as a failed or empty plan, by an error
+    # that names the key set: one check of each vehicle, planning and
+    # campaign value.
+    data = scenario_to_dict(Scenario())
+    section = next(key for key, values in data.items()
+                   if isinstance(values, dict) and name in values)
     path = tmp_path / "scenario.yaml"
-    path.write_text(yaml.safe_dump({"planning": {name: value}}),
+    path.write_text(yaml.safe_dump({section: {name: value}}),
                     encoding="utf-8")
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
         load_scenario(path)

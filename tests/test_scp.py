@@ -218,9 +218,10 @@ class TestRunScp:
     def test_small_step_off_the_fixed_point_is_not_converged(self):
         # From x = 1 the first step lands on 1.5 with J_tr = 2.5e-3, below
         # eps_converge, while the rebuilt row misses by 1.5^2 - 2 = 0.25 and
-        # two projection steps leave it at 6e-6. Each projection step builds
-        # once, about its result: with the builds about 1 and 1.5 that makes
-        # four.
+        # two projection steps, to 17/12 and 577/408, leave it at 6e-6.
+        # That projection is kept, though it misses EPS_FEASIBLE. Each
+        # projection step builds once, about its result: with the builds
+        # about 1 and 1.5 that makes four.
         fixture = _SquareRootFixture(w_tr=1.0)
         builds = []
         build = fixture.build
@@ -231,8 +232,11 @@ class TestRunScp:
         assert out.log[0].J_tr < settings.eps_converge
         assert not out.converged
         assert out.log[0].projected
-        assert out.log[0].residual == pytest.approx(0.25, rel=1e-6)
-        assert out.reference == pytest.approx(1.5, rel=1e-6)
+        assert out.log[0].residual == pytest.approx(577**2 / 408**2 - 2,
+                                                    rel=1e-6)
+        assert out.log[0].residual > EPS_FEASIBLE
+        assert out.reference == builds[-1] == pytest.approx(577 / 408,
+                                                            rel=1e-12)
 
     def test_fixed_point_with_a_loose_relaxation_is_not_converged(self):
         # The linear fixture reaches its fixed point in one step, but the
@@ -265,9 +269,12 @@ class TestRunScp:
         assert out.iterations == 3
 
     def test_projection_closes_the_gap(self):
-        # Both iterations project, in two steps each. Each step projects
-        # onto the rows built before it and builds once, about its result:
-        # three builds per iteration and the first subproblem's make seven.
+        # The first iteration projects in two steps, each onto the rows
+        # built before it and building once, about its result; it ends 6e-6
+        # off the rows, and the second subproblem is built about that
+        # projection. The second step is small enough to need none: the
+        # builds about 1, 1.5, the two projections and the second step's
+        # result make five.
         fixture = _SquareRootFixture(w_tr=1.0)
         builds = []
         build = fixture.build
@@ -276,8 +283,8 @@ class TestRunScp:
         out = run_scp(fixture, 1.0, settings)
         assert out.converged
         assert out.iterations == 2
-        assert len(builds) == 7
-        assert out.log[-1].projected
+        assert len(builds) == 5
+        assert out.log[0].projected and not out.log[-1].projected
         assert out.log[-1].residual <= EPS_FEASIBLE
         assert abs(out.reference ** 2 - 2.0) <= EPS_FEASIBLE
 

@@ -262,6 +262,28 @@ def test_solve_robust_is_one_solve(monkeypatch):
     assert calls == [(prog, loose)]
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ConicProgram(c=np.zeros(2), A=sp.csr_matrix((1, 3)),
+                          b=np.zeros(1)), "equality block"),
+    (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((1, 2)),
+                          h=np.zeros(2), cones=[ConeBlock(NONNEG, 1)]),
+     "inequality block"),
+    (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((2, 2)),
+                          h=np.zeros(2), cones=[ConeBlock(NONNEG, 1)]),
+     "cone dimensions"),
+    (lambda: ConicProgram(c=np.zeros(2), P=sp.csr_matrix((2, 3))),
+     "quadratic term"),
+    (lambda: ConeBlock("psd", 3), "unknown cone kind"),
+    (lambda: ConeBlock(NONNEG, 0), "bad cone dimension"),
+    (lambda: ConeBlock(SOC, 1), "bad cone dimension"),
+], ids=["equality", "inequality", "cones", "quadratic", "cone-kind",
+        "nonneg-dim", "soc-dim"])
+def test_inconsistent_program_raises(make, message):
+    # A cone block is checked when made, a program when solved.
+    with pytest.raises(ValueError, match=message):
+        solve(make())
+
+
 class TestOracleAgreement:
     def test_random_qps_match_active_set_oracle(self):
         rng = np.random.default_rng(2024)
