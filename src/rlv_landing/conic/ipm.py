@@ -3,7 +3,7 @@
 Mehrotra predictor-corrector path following with Nesterov-Todd scaling on
 second-order cone blocks. The quadratic objective is kept natively in the
 KKT system (no epigraph lift), so the same code path covers LPs, QPs and
-SOCPs with quadratic cost:
+SOCPs with quadratic cost, each with at least one cone row:
 
     minimize    0.5 x' P x + c' x
     subject to  A x = b,  G x + s = h,  s in K.
@@ -32,9 +32,8 @@ as in Clarabel: Goulart & Chen, arXiv:2405.12762). The cone algebra is
 A KKT solve is one LU solve, refined against the unregularized matrix only
 while its residual is above a tolerance and each step lowers it, as in
 Clarabel (``_Kkt.solve``). The IPM's directions are solved to REFINE_TOL,
-since later iterations correct a direction's error; the direct solve of a
-program without cones to 0, since that solve is the answer; the cold start
-is not refined.
+since later iterations correct a direction's error; the cold start is not
+refined (a tolerance of infinity).
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
@@ -52,12 +51,11 @@ Clarabel; the caller chooses only the tolerances (``SolverSettings``). A
 solve that ends without a verdict returns as it ended: nothing retries it
 under other numerics.
 
-A program with cone rows ends ``optimal`` (tolerances met: the best iterate
-of a few polish iterations, also if the solve then stalls), ``infeasible``
-(an approximate Farkas certificate, or a stall far from feasibility),
-``numerical_failure`` (a non-finite residual, an iterate off the cone
-interior, a failed factorization or another stall) or ``max_iter``. Only
-the direct solve of a program without cone rows can say ``unbounded``.
+A solve ends ``optimal`` (tolerances met: the best iterate of a few polish
+iterations, also if the solve then stalls), ``infeasible`` (an approximate
+Farkas certificate, or a stall far from feasibility), ``numerical_failure``
+(a non-finite residual, an iterate off the cone interior, a failed
+factorization or another stall) or ``max_iter``.
 """
 
 from __future__ import annotations
@@ -120,7 +118,7 @@ class _NTScaling:
 
     def __init__(self, cones: Cones, s: np.ndarray, z: np.ndarray):
         self.cones = cones
-        self.w_nn = np.sqrt(s[cones.nn] / z[cones.nn]) if cones.nn.size else np.empty(0)
+        self.w_nn = np.sqrt(s[cones.nn] / z[cones.nn])
         self.soc_mats: dict[int, np.ndarray] = {}
         self.soc_inv: dict[int, np.ndarray] = {}
         self.soc_sq: dict[int, np.ndarray] = {}
@@ -169,12 +167,12 @@ class _NTScaling:
 
     def w2_entries(self, reg: float) -> np.ndarray:
         """Values of W^2 + reg I laid out to match the KKT sparsity pattern."""
-        parts = [self.w_nn ** 2 + reg] if self.w_nn.size else []
+        parts = [self.w_nn ** 2 + reg]
         for d in self.cones.soc:
             blocks = self.soc_sq[d].copy()
             blocks[:, np.arange(d), np.arange(d)] += reg
             parts.append(blocks.reshape(-1))
-        return np.concatenate(parts) if parts else np.empty(0)
+        return np.concatenate(parts)
 
 
 def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
@@ -375,11 +373,17 @@ def solve(program: ConicProgram,
     b, h = np.asarray(program.b, float), np.asarray(program.h, float)
     me, mi = A.shape[0], G.shape[0]
     cones = program.layout
-
-    if mi == 0:
-        return _solve_equality_only(program, c, P, A, b, settings)
-
     AT, GT = A.T.tocsr(), G.T.tocsr()
+
+    def residuals(x, y, z, s):
+        """The KKT residuals, and the scaled ones the tolerances judge."""
+        r_dual = (P @ x) + c + AT @ y + GT @ z
+        r_eq = A @ x - b
+        r_ineq = G @ x + s - h
+        pres = max(_norm_inf(r_eq) / max(1.0, _norm_inf(b)),
+                   _norm_inf(r_ineq) / max(1.0, _norm_inf(h)))
+        dres = _norm_inf(r_dual) / max(1.0, _norm_inf(c))
+        return r_dual, r_eq, r_ineq, pres, dres
 
     start = program.start
     warm = start is not None and all(
@@ -415,16 +419,10 @@ def solve(program: ConicProgram,
     mu_prev = np.inf
 
     for iteration in range(1, MAX_ITER + 1):
-        r_dual = (P @ x) + c + AT @ y + GT @ z
-        r_eq = A @ x - b
-        r_ineq = G @ x + s - h
+        r_dual, r_eq, r_ineq, pres, dres = residuals(x, y, z, s)
         gap = float(s @ z)
         mu = gap / cones.degree
         pobj = program.objective_value(x)
-
-        pres = max(_norm_inf(r_eq) / max(1.0, _norm_inf(b)),
-                   _norm_inf(r_ineq) / max(1.0, _norm_inf(h)))
-        dres = _norm_inf(r_dual) / max(1.0, _norm_inf(c))
         rel_gap = gap / max(1.0, abs(pobj))
 
         if not np.isfinite(pres + dres + gap):
@@ -476,31 +474,16 @@ def solve(program: ConicProgram,
             status = "numerical_failure"
             break
 
-        # Predictor (affine) direction.
-        d_s = cones.product(lam, lam)
-        rhs = np.concatenate([-r_dual, -r_eq,
-                              -r_ineq + scaling.apply(cones.divide(lam, d_s))])
-        sol = kkt.solve(rhs, REFINE_TOL)
-        dx_a = sol[:n]
-        dz_a = sol[n + me:]
-        # Slack step from the primal row: keeps G x + s - h contracting
-        # exactly even when the scaled-space formula would cancel.
-        ds_a = -r_ineq - G @ dx_a
-
-        ap_aff = min(1.0, cones.max_step(s, ds_a))
-        ad_aff = min(1.0, cones.max_step(z, dz_a))
-        gap_aff = float((s + ap_aff * ds_a) @ (z + ad_aff * dz_a))
-        sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0) if gap > 0 else 0.0
-
-        # Corrector (combined) direction.
-        corr = cones.product(scaling.apply_inv(ds_a), scaling.apply(dz_a))
-        d_s = cones.product(lam, lam) - sigma * mu * e + corr
-        rhs = np.concatenate([-r_dual, -r_eq,
-                              -r_ineq + scaling.apply(cones.divide(lam, d_s))])
-        sol = kkt.solve(rhs, REFINE_TOL)
-        dx, dy = sol[:n], sol[n:n + me]
-        dz = sol[n + me:]
-        ds = -r_ineq - G @ dx
+        def direction(r_dual, r_eq, r_ineq, d_s):
+            """The Newton step that cancels the residuals and sets
+            lam o (W^{-1} ds + W dz) = -d_s. ds comes from the primal row:
+            G x + s - h then contracts exactly, even where the scaled-space
+            formula would cancel."""
+            sol = kkt.solve(np.concatenate(
+                [-r_dual, -r_eq,
+                 -r_ineq + scaling.apply(cones.divide(lam, d_s))]), REFINE_TOL)
+            dx = sol[:n]
+            return dx, sol[n:n + me], sol[n + me:], -r_ineq - G @ dx
 
         def step_pair(ds_, dz_):
             ap = min(1.0, STEP_DAMPING * cones.max_step(s, ds_))
@@ -511,6 +494,19 @@ def solve(program: ConicProgram,
                 ap = ad = min(ap, ad)
             return ap, ad
 
+        # Predictor (affine) direction.
+        _, _, dz_a, ds_a = direction(r_dual, r_eq, r_ineq,
+                                     cones.product(lam, lam))
+        ap_aff = min(1.0, cones.max_step(s, ds_a))
+        ad_aff = min(1.0, cones.max_step(z, dz_a))
+        gap_aff = float((s + ap_aff * ds_a) @ (z + ad_aff * dz_a))
+        sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0) if gap > 0 else 0.0
+
+        # Corrector (combined) direction.
+        corr = cones.product(scaling.apply_inv(ds_a), scaling.apply(dz_a))
+        dx, dy, dz, ds = direction(
+            r_dual, r_eq, r_ineq,
+            cones.product(lam, lam) - sigma * mu * e + corr)
         alpha_p, alpha_d = step_pair(ds, dz)
 
         # Gondzio centrality correctors: push outlier complementarity
@@ -526,20 +522,12 @@ def solve(program: ConicProgram,
                                     scaling.apply(z + ad_t * dz))
             target = cones.clip_eigenvalues(v_trial, 0.1 * mu_target,
                                             10.0 * mu_target)
-            d_corr = v_trial - target
-            rhs_c = np.concatenate([np.zeros(n + me),
-                                    scaling.apply(cones.divide(lam, d_corr))])
-            sol_c = kkt.solve(rhs_c, REFINE_TOL)
-            dx_c = sol_c[:n]
-            dz_c = sol_c[n + me:]
-            ds_c = -G @ dx_c
+            dx_c, dy_c, dz_c, ds_c = direction(
+                np.zeros(n), np.zeros(me), np.zeros(mi), v_trial - target)
             ap_new, ad_new = step_pair(ds + ds_c, dz + dz_c)
             if min(ap_new, ad_new) <= min(alpha_p, alpha_d) * 1.01:
                 break
-            dx = dx + dx_c
-            dy = dy + sol_c[n:n + me]
-            dz = dz + dz_c
-            ds = ds + ds_c
+            dx, dy, dz, ds = dx + dx_c, dy + dy_c, dz + dz_c, ds + ds_c
             alpha_p, alpha_d = ap_new, ad_new
 
         # Hard stall: the direction no longer moves the iterate. A solve
@@ -565,53 +553,14 @@ def solve(program: ConicProgram,
 
     gap = float(s @ z)
     pobj = program.objective_value(x)
-    r_eq = A @ x - b
-    r_ineq = G @ x + s - h
-    r_dual = (P @ x) + c + AT @ y + GT @ z
+    *_, pres, dres = residuals(x, y, z, s)
     return SolverSolution(
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
-        objective=pobj, gap=gap,
-        rel_gap=gap / max(1.0, abs(pobj)),
-        primal_res=max(_norm_inf(r_eq) / max(1.0, _norm_inf(b)),
-                       _norm_inf(r_ineq) / max(1.0, _norm_inf(h))),
-        dual_res=_norm_inf(r_dual) / max(1.0, _norm_inf(c)), warm=warm,
+        objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),
+        primal_res=pres, dual_res=dres, warm=warm,
         reordered=kkt.reordered, resumed=resumed, _analysis=kkt.analysis,
         _program=weakref.ref(program),
     )
-
-
-def _solve_equality_only(program: ConicProgram, c, P, A, b,
-                         settings: SolverSettings) -> SolverSolution:
-    """Direct KKT solve when there are no cone constraints."""
-    n = program.n
-    me = A.shape[0]
-    if me == 0 and not P.nnz:
-        status = "unbounded" if np.any(c != 0) else "optimal"
-        return SolverSolution(x=np.zeros(n), y=np.zeros(0), z=np.zeros(0),
-                              s=np.zeros(0), status=status, iterations=0,
-                              objective=program.obj_offset, gap=0.0, rel_gap=0.0,
-                              primal_res=0.0, dual_res=_norm_inf(c))
-    cones = program.layout
-    kkt = _Kkt(P, A, program.G.tocsr(), cones)
-    try:
-        kkt.factor(_NTScaling(cones, np.zeros(0), np.zeros(0)))
-        sol = kkt.solve(np.concatenate([-c, b]), 0.0)
-    except RuntimeError:
-        return SolverSolution(x=np.zeros(n), y=np.zeros(me), z=np.zeros(0),
-                              s=np.zeros(0), status="numerical_failure",
-                              iterations=1, objective=math.nan, gap=math.nan,
-                              rel_gap=math.nan, primal_res=math.nan,
-                              dual_res=math.nan, reordered=True)
-    x, y = sol[:n], sol[n:]
-    r_dual = (P @ x) + c + A.T @ y
-    pres = _norm_inf(A @ x - b) / max(1.0, _norm_inf(b))
-    dres = _norm_inf(r_dual) / max(1.0, _norm_inf(c))
-    ok = pres < settings.tol_feas * 100 and dres < settings.tol_feas * 100
-    return SolverSolution(x=x, y=y, z=np.zeros(0), s=np.zeros(0),
-                          status="optimal" if ok else "numerical_failure",
-                          iterations=1, objective=program.objective_value(x),
-                          gap=0.0, rel_gap=0.0, primal_res=pres, dual_res=dres,
-                          reordered=kkt.reordered)
 
 
 def _norm_inf(v: np.ndarray) -> float:

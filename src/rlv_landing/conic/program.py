@@ -9,7 +9,7 @@ The canonical form is
 where K is a product of nonnegative-orthant and second-order cone blocks
 listed top to bottom in the same row order as G. P is PSD. Every block is
 always present: a program without equality rows has an A with no rows, and
-one without a quadratic term an all-zero P.
+one without a quadratic term an all-zero P. K has at least one row.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ class ConicProgram:
             raise ValueError("cone dimensions do not cover the inequality rows")
         if self.P.shape != (n, n):
             raise ValueError("quadratic term has wrong shape")
+        if not self.G.shape[0]:
+            raise ValueError("program has no cone rows")
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.c @ x) + self.obj_offset \
@@ -95,7 +97,7 @@ class ConicProgram:
 class SolverSolution:
     x: np.ndarray
     status: str                  # optimal | infeasible | numerical_failure
-    #                              | max_iter; unbounded only without cone rows
+    #                              | max_iter
     iterations: int
     objective: float
     gap: float
@@ -106,7 +108,8 @@ class SolverSolution:
     z: np.ndarray | None = None  # cone multipliers
     s: np.ndarray | None = None  # cone slacks
     warm: bool = False           # the IPM started from the program's start
-    reordered: bool = False      # the solve took its own KKT ordering
+    reordered: bool = False      # the solve took its own KKT ordering:
+    #                              its start carried no analysis that matched
     resumed: bool = False        # the start was this program's own iterate
     # For a later solve from this one: the KKT analysis, reused when the
     # pattern matches, and the program solved (weakly, since that program

@@ -139,32 +139,6 @@ class TestHandFixtures:
         assert sol.optimal
         assert sol.x[0] == pytest.approx(1.0, abs=1e-8)
 
-    def test_equality_qp(self):
-        # min x^2 + y^2 s.t. x + y = 2  ->  (1, 1), objective 2
-        prog = ConicProgram(c=np.zeros(2), P=sp.csr_matrix(2 * np.eye(2)),
-                            A=sp.csr_matrix([[1.0, 1.0]]), b=np.array([2.0]))
-        sol = solve(prog)
-        assert sol.optimal
-        np.testing.assert_allclose(sol.x, [1.0, 1.0], atol=1e-8)
-        assert sol.objective == pytest.approx(2.0, abs=1e-8)
-
-    @pytest.mark.parametrize("n, me", [(5, 0), (6, 2), (8, 5)])
-    def test_equality_qp_matches_dense_kkt(self, n, me):
-        # No cones: one KKT solve, against a dense solve of
-        # [[P, A'], [A, 0]] [x; y] = [-c; b] with P > 0, A of full row rank.
-        rng = np.random.default_rng(61 + n)
-        M = rng.normal(size=(n, n))
-        P = M @ M.T + np.eye(n)
-        A = rng.normal(size=(me, n))
-        c, b = rng.normal(size=n), rng.normal(size=me)
-        prog = ConicProgram(c=c, P=sp.csr_matrix(P), A=sp.csr_matrix(A), b=b)
-        sol = solve(prog)
-        K = np.block([[P, A.T], [A, np.zeros((me, me))]])
-        expected = np.linalg.solve(K, np.concatenate([-c, b]))
-        assert sol.optimal
-        np.testing.assert_allclose(sol.x, expected[:n], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(sol.y, expected[n:], rtol=0, atol=1e-10)
-
     def test_soc_norm(self):
         # min z s.t. ||(x, y)|| <= z, x = 3, y = 4  ->  z = 5
         prog = ConicProgram(
@@ -273,11 +247,14 @@ def test_solve_robust_is_one_solve(monkeypatch):
      "cone dimensions"),
     (lambda: ConicProgram(c=np.zeros(2), P=sp.csr_matrix((2, 3))),
      "quadratic term"),
+    (lambda: ConicProgram(c=np.zeros(2), P=sp.csr_matrix(np.eye(2)),
+                          A=sp.csr_matrix([[1.0, 1.0]]), b=np.ones(1)),
+     "no cone rows"),
     (lambda: ConeBlock("psd", 3), "unknown cone kind"),
     (lambda: ConeBlock(NONNEG, 0), "bad cone dimension"),
     (lambda: ConeBlock(SOC, 1), "bad cone dimension"),
-], ids=["equality", "inequality", "cones", "quadratic", "cone-kind",
-        "nonneg-dim", "soc-dim"])
+], ids=["equality", "inequality", "cones", "quadratic", "cone-free",
+        "cone-kind", "nonneg-dim", "soc-dim"])
 def test_inconsistent_program_raises(make, message):
     # A cone block is checked when made, a program when solved.
     with pytest.raises(ValueError, match=message):
