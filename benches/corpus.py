@@ -16,8 +16,9 @@ plan prints one JSON line:
 - ``problems``: the ``planning.check`` problems of a converged plan;
 - ``z_hash``: the first 16 hex digits of the SHA-256 of the returned
   ``Z``'s bytes, or null when the plan returned none;
-- ``stalls``: the status and primal residual of each subproblem solve that
-  ended without a verdict (optimal, infeasible, unbounded).
+- ``stalls``: the status, primal residual, IPM iterations and ``resumed``
+  flag of each subproblem solve that ended without a verdict (optimal,
+  infeasible).
 
 A last line holds the totals, among them ``ipm_iters``, ``builds`` (calls of
 ``planner.linearize_planning``, which every subproblem build makes once)
@@ -39,7 +40,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-VERDICTS = ("optimal", "infeasible", "unbounded")
+VERDICTS = ("optimal", "infeasible")
 
 
 class SolveRecorder:
@@ -60,7 +61,9 @@ class SolveRecorder:
         self.ipm_iters += sol.iterations
         if sol.status not in VERDICTS:
             self.stalls.append({"status": sol.status,
-                                "primal_res": sol.primal_res})
+                                "primal_res": sol.primal_res,
+                                "iterations": sol.iterations,
+                                "resumed": sol.resumed})
         return sol
 
 

@@ -55,7 +55,7 @@ A solve ends ``optimal`` (tolerances met: the best iterate of a few polish
 iterations, also if the solve then stalls), ``infeasible`` (an approximate
 Farkas certificate, or a stall far from feasibility), ``numerical_failure``
 (a non-finite residual, an iterate off the cone interior, a failed
-factorization or another stall) or ``max_iter``.
+factorization or a stall near feasibility) or ``max_iter``.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ import scipy.sparse.linalg as spla
 from .cones import Cones
 from .program import ConicProgram, SolverSolution
 
-# Primal residual above which a stalled solve is far from feasibility: the
-# growth window calls it infeasible, and a stall nearer than this a
+# Primal residual above which a stalled solve is far from feasibility:
+# ``_stall_status`` calls it infeasible, and a stall nearer than this a
 # numerical failure. Absolute, so a solve at a loose tolerance gets the same
 # verdicts as one at the default 1e-8.
 FAR_FROM_FEASIBLE = 1e-5
@@ -457,8 +457,7 @@ def solve(program: ConicProgram,
             status = "infeasible"
             break
         if growth_count >= INFEAS_WINDOW and mu > settings.tol_gap:
-            status = "infeasible" if pres > FAR_FROM_FEASIBLE \
-                else "numerical_failure"
+            status = _stall_status(pres)
             break
 
         if gap <= 0.0 or cones.interior_violation(s) >= 0.0 \
@@ -538,9 +537,8 @@ def solve(program: ConicProgram,
         else:
             stall_count = 0
         mu_prev = mu
-        if stall_count >= 3 or not np.isfinite(alpha_p + alpha_d) \
-                or max(alpha_p, alpha_d) < 1e-10:
-            status = "numerical_failure"
+        if stall_count >= 3 or max(alpha_p, alpha_d) < 1e-10:
+            status = _stall_status(pres)
             break
         x = x + alpha_p * dx
         s = s + alpha_p * ds
@@ -561,6 +559,12 @@ def solve(program: ConicProgram,
         reordered=kkt.reordered, resumed=resumed, _analysis=kkt.analysis,
         _program=weakref.ref(program),
     )
+
+
+def _stall_status(pres: float) -> str:
+    """The verdict of a stall: the growth window, or a step that no longer
+    moves the iterate."""
+    return "infeasible" if pres > FAR_FROM_FEASIBLE else "numerical_failure"
 
 
 def _norm_inf(v: np.ndarray) -> float:

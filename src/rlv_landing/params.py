@@ -87,8 +87,11 @@ class PlanningConfig:
     def __post_init__(self):
         if not (0 <= self.mu_T < 0.5):
             raise ValueError("mu_T must lie in [0, 0.5)")
-        if self.L_lim <= 0:
-            raise ValueError("L_lim must be positive")
+        for key in ("L_lim", "W_tr", "eps_scp", "coast_step"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
+        if not 0 < self.theta_lim_max < math.pi / 2:
+            raise ValueError("theta_lim_max must lie in (0, pi/2)")
         if self.t_theta < 0:
             raise ValueError("t_theta must be nonnegative")
         if self.N < 2:

@@ -194,6 +194,18 @@ class TestHandFixtures:
         assert sol.status == status
         assert sol.primal_res == pytest.approx(primal_res, rel=0.1)
 
+    def test_hard_stall_far_from_feasibility_is_infeasible(self):
+        # min x^2 / 2 s.t. x >= 1 and x <= 0: three short steps that do not
+        # lower mu end the solve (the hard stall) before the duals form a
+        # Farkas certificate or the growth window fills. Either exit labels
+        # a stall by its distance to feasibility.
+        prog = lp([0.0], [[-1.0], [1.0]], [-1.0, 0.0])
+        prog.P = sp.csr_matrix([[1.0]])
+        sol = solve(prog)
+        assert sol.iterations < ipm.INFEAS_WINDOW
+        assert sol.status == "infeasible"
+        assert sol.primal_res == pytest.approx(0.5, rel=0.1)
+
     def test_unbounded_lp(self):
         sol = solve(lp([-1.0], [[-1.0]], [0.0]))
         assert sol.status != "optimal"
