@@ -4,10 +4,12 @@ Run from the repository root (outside tier-1, whose testpaths is tests/):
 
     PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_9.json
 
-The fixture is the first SCP subproblem of the nominal ignition-fit plan
-(the planner tests' initial state): one ``PlanningProblem.build``, one IPM
-solve of it, and one factorization of the IPM's first KKT matrix, by
-SuperLU at its defaults and by the IPM's own quasi-definite factorization.
+The coast case makes the nominal ignition-fit boundary (the planner tests'
+initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
+The fixture is the first SCP subproblem of the plan from that state: one
+``PlanningProblem.build``, one IPM solve of it, and one factorization of
+the IPM's first KKT matrix, by SuperLU at its defaults and by the IPM's own
+quasi-definite factorization.
 The warm case solves the plan's third subproblem as ``run_scp`` does: at
 ``scp.INEXACT_TOL``, from the second subproblem's solution at that
 tolerance. (The second subproblem has one load row fewer than the first, so
@@ -54,6 +56,12 @@ def current_state(N):
     boundary = PlanningBoundary(mode="current-state", m0=M_MID,
                                 r_now=R_MID, v_now=V_MID)
     return boundary, PlanningConfig(N=N)
+
+
+def test_coast(benchmark):
+    boundary, _ = benchmark(ignition_fit, 100)
+    benchmark.extra_info["max_residual_r"] = \
+        boundary.coast_fit.max_residual_r
 
 
 @pytest.fixture(scope="module")

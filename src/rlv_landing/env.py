@@ -23,7 +23,9 @@ Conventions
 The translational model (f and its Jacobian) and the aerodynamic load
 constraint are each written once, over arrays with a leading batch axis, so
 one call serves a single node or a whole trajectory. The 3-DOF and planning
-forms are wrappers around them. All Jacobians here are hand-derived; the
+forms are wrappers around them. The engine-off coast, integrated one node
+at a time, has its own float form (``coast_dynamics``), which the tests
+hold bit-equal to the kernel. All Jacobians here are hand-derived; the
 test suite checks each against central finite differences.
 """
 
@@ -327,6 +329,32 @@ def dynamics_3dof(x, T, vp: VehicleParams,
     z = np.concatenate([np.asarray(x, float), T,
                         _norm(T)[..., None]], axis=-1)
     return translational_dynamics(z, vp, opts, jacobian=False)[0]
+
+
+def coast_dynamics(x, vp: VehicleParams) -> list[float]:
+    """``translational_dynamics`` at T = 0 under
+    ``AeroOptions(drag_only=True)``: the engine-off coast f(x) for one state
+    x = (r, v, m) of 7 floats, returned as a list of 7 floats.
+
+    It rounds exactly as the kernel does: the same operations in the same
+    order, with ||v||^2 through ``_dot`` and one ``np.exp`` for density and
+    back-pressure, whose roundings a float sum of squares and ``math.exp``
+    do not reproduce.
+    """
+    _, _, rz, vx, vy, vz, m = x
+    if m <= 0.0 or not all(map(math.isfinite, x)):
+        raise DegenerateStateError("degenerate coast state")
+    v = np.array((vx, vy, vz))
+    nv = math.sqrt(_dot(v, v))
+    e = float(np.exp(-max(-rz, 0.0) / H_SCALE))
+    ax = ay = az = 0.0
+    if nv >= V_EPS:
+        drag = -(0.5 * (RHO0 * e) * nv * nv) * vp.s_ref * vp.C_D0
+        ax, ay, az = drag * (vx / nv), drag * (vy / nv), drag * (vz / nv)
+    # Gravity is (0, 0, g_ref); adding its zeros turns a -0.0 into 0.0, as
+    # the kernel's T + F does.
+    return [vx, vy, vz, ax / m + 0.0, ay / m + 0.0, az / m + vp.g_ref,
+            -((P0 * e) * vp.A_exit) * (1.0 / (vp.g_ref * vp.Isp))]
 
 
 def _load_angle(q_bar, L_lim: float):

@@ -121,28 +121,35 @@ class PlanningReference:
 def propagate_coast(r0: np.ndarray, v0: np.ndarray, m0: float,
                     vp: VehicleParams, horizon: float,
                     step: float = 0.25) -> CoastTrajectory:
-    """RK4 ballistic propagation with zero thrust and zero angle of attack."""
+    """RK4 ballistic propagation with zero thrust and zero angle of attack.
+
+    Samples every ``step`` seconds up to ``horizon`` and stops at the first
+    sample on or below the ground (``truncated``). The stages evaluate
+    ``env.coast_dynamics`` on floats in the array form's order of
+    operations, so the samples equal RK4 over ``env.dynamics_3dof`` bit for
+    bit. A stage with m <= 0 or a non-finite state raises
+    ``DegenerateStateError``.
+    """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    opts = AeroOptions(drag_only=True)   # zero-alpha coast: drag only
-    x = np.concatenate([np.asarray(r0, float), np.asarray(v0, float), [m0]])
-    zero_T = np.zeros(3)
-
-    def f(state):
-        return env.dynamics_3dof(state, zero_T, vp, opts)
-
+    if not step > 0:
+        raise ValueError("step must be positive")
+    f = env.coast_dynamics
+    x = [*map(float, r0), *map(float, v0), float(m0)]
+    half, sixth = 0.5 * step, step / 6.0
     n_steps = int(round(horizon / step))
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
     truncated = False
     for i in range(n_steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * step * k1)
-        k3 = f(x + 0.5 * step * k2)
-        k4 = f(x + step * k3)
-        x = x + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = f(x, vp)
+        k2 = f([a + half * k for a, k in zip(x, k1)], vp)
+        k3 = f([a + half * k for a, k in zip(x, k2)], vp)
+        k4 = f([a + step * k for a, k in zip(x, k3)], vp)
+        x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+             for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
         times.append((i + 1) * step)
-        states.append(x.copy())
+        states.append(x)
         if x[2] >= 0.0:
             truncated = True
             break

@@ -255,6 +255,31 @@ class TestDynamics3Dof:
         assert np.allclose(xdot[3:6], T / VP.m0 + VP.gravity)
 
 
+class TestCoastDynamics:
+    def test_equals_the_kernel_bitwise(self):
+        # Altitudes from 60 km to below the ground (r_z > 0), and about a
+        # fifth of the speeds under V_EPS. The atmosphere's exp is where a
+        # float rewrite would round differently, so most states sit where
+        # it is neither 1 nor 0.
+        rng = np.random.default_rng(17)
+        opts = AeroOptions(drag_only=True)
+        xs = []
+        for i in range(2000):
+            r = np.array([*rng.uniform(-1e3, 1e3, 2), rng.uniform(-60e3, 500.0)])
+            v = rng.normal(0.0, 0.04 if i % 4 == 0 else 300.0, 3)
+            xs.append(np.concatenate([r, v, [rng.uniform(1e3, 4e4)]]))
+        assert sum(np.linalg.norm(x[3:6]) < env.V_EPS for x in xs) > 300
+        got = [env.coast_dynamics(list(x), VP) for x in xs]
+        want = [dynamics_3dof(x, np.zeros(3), VP, opts) for x in xs]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m, r_z", [(0.0, -3e3), (-1.0, -3e3),
+                                        (VP.m0, math.nan), (VP.m0, math.inf)])
+    def test_degenerate_state_raises(self, m, r_z):
+        with pytest.raises(DegenerateStateError):
+            env.coast_dynamics([0.0, 0.0, r_z, 10.0, 0.0, 100.0, m], VP)
+
+
 class TestJacobians:
     def test_planner_jacobian_fd(self):
         rng = np.random.default_rng(42)

@@ -74,6 +74,61 @@ class TestCoast:
         assert coast.truncated
         assert coast.times[-1] < 15.0
 
+    @pytest.mark.parametrize("horizon, step, name", [(-1.0, 0.25, "horizon"),
+                                                     (5.0, 0.0, "step"),
+                                                     (5.0, -0.25, "step")])
+    def test_bad_horizon_or_step_raises(self, horizon, step, name):
+        with pytest.raises(ValueError, match=name):
+            propagate_coast(R0, V0, VP.m0, VP, horizon=horizon, step=step)
+
+    def test_equals_rk4_over_the_kernel_bitwise(self):
+        # The reference is RK4 written over dynamics_3dof on arrays, the
+        # physical model: nominal, ground-truncated and vacuum coasts. The
+        # coast from 1 km is one whose samples change when the atmosphere's
+        # exp rounds as math.exp does.
+        opts = env.AeroOptions(drag_only=True)
+
+        def f(x):
+            return env.dynamics_3dof(x, np.zeros(3), VP, opts)
+
+        cases = [(R0, V0, 16.0, False),
+                 (np.array([0.0, 0.0, -1000.0]), V0, 15.0, True),
+                 (np.array([0.0, 0.0, -500e3]), np.array([10.0, -5.0, 40.0]),
+                  5.0, False)]
+        for r0, v0, horizon, truncated in cases:
+            step = 0.25
+            x = np.concatenate([r0, v0, [VP.m0]])
+            times, states = [0.0], [x]
+            for i in range(int(round(horizon / step))):
+                k1 = f(x)
+                k2 = f(x + 0.5 * step * k1)
+                k3 = f(x + 0.5 * step * k2)
+                k4 = f(x + step * k3)
+                x = x + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                times.append((i + 1) * step)
+                states.append(x)
+                if x[2] >= 0.0:
+                    break
+            states = np.array(states)
+            coast = propagate_coast(r0, v0, VP.m0, VP, horizon=horizon,
+                                    step=step)
+            assert coast.truncated == truncated
+            assert coast.times.tobytes() == np.array(times).tobytes()
+            assert coast.r.tobytes() == states[:, 0:3].tobytes()
+            assert coast.v.tobytes() == states[:, 3:6].tobytes()
+
+    def test_skips_the_batched_kernel(self, monkeypatch):
+        calls = Counter()
+
+        def counted(*args, _fn=env.translational_dynamics, **kwargs):
+            calls["translational_dynamics"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(env, "translational_dynamics", counted)
+        coast = propagate_coast(R0, V0, VP.m0, VP, horizon=16.0, step=0.25)
+        assert coast.times.size == 65
+        assert not calls
+
 
 class TestCoastFit:
     def test_recovers_exact_quadratic(self):
