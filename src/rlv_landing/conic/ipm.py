@@ -376,14 +376,18 @@ def solve(program: ConicProgram,
     AT, GT = A.T.tocsr(), G.T.tocsr()
 
     def residuals(x, y, z, s):
-        """The KKT residuals, and the scaled ones the tolerances judge."""
-        r_dual = (P @ x) + c + AT @ y + GT @ z
+        """The KKT residuals, the scaled ones the tolerances judge, the
+        objective, and A'y + G'z for the Farkas test: P x, A'y and G'z are
+        each formed once."""
+        Px, ATy, GTz = P @ x, AT @ y, GT @ z
+        r_dual = Px + c + ATy + GTz
         r_eq = A @ x - b
         r_ineq = G @ x + s - h
         pres = max(_norm_inf(r_eq) / max(1.0, _norm_inf(b)),
                    _norm_inf(r_ineq) / max(1.0, _norm_inf(h)))
         dres = _norm_inf(r_dual) / max(1.0, _norm_inf(c))
-        return r_dual, r_eq, r_ineq, pres, dres
+        pobj = float(c @ x) + program.obj_offset + 0.5 * float(x @ Px)
+        return r_dual, r_eq, r_ineq, pres, dres, pobj, ATy + GTz
 
     start = program.start
     warm = start is not None and all(
@@ -419,10 +423,10 @@ def solve(program: ConicProgram,
     mu_prev = np.inf
 
     for iteration in range(1, MAX_ITER + 1):
-        r_dual, r_eq, r_ineq, pres, dres = residuals(x, y, z, s)
+        r_dual, r_eq, r_ineq, pres, dres, pobj, dual_rows = \
+            residuals(x, y, z, s)
         gap = float(s @ z)
         mu = gap / cones.degree
-        pobj = program.objective_value(x)
         rel_gap = gap / max(1.0, abs(pobj))
 
         if not np.isfinite(pres + dres + gap):
@@ -444,7 +448,7 @@ def solve(program: ConicProgram,
         # Infeasibility: approximate Farkas certificate carried by the duals,
         # confirmed after sustained lack of progress.
         dual_scale = max(_norm_inf(z), _norm_inf(y), 1.0)
-        farkas_res = _norm_inf(AT @ y + GT @ z) / dual_scale
+        farkas_res = _norm_inf(dual_rows) / dual_scale
         farkas_gap = (float(b @ y) + float(h @ z)) / dual_scale
         certificate = farkas_res < 1e-8 and farkas_gap < -1e-10
         total_res = max(pres, dres, mu)
@@ -467,6 +471,7 @@ def solve(program: ConicProgram,
 
         scaling = _NTScaling(cones, s, z)
         lam = scaling.apply(z)
+        lam_sq = cones.product(lam, lam)
         try:
             kkt.factor(scaling)
         except RuntimeError:
@@ -494,8 +499,7 @@ def solve(program: ConicProgram,
             return ap, ad
 
         # Predictor (affine) direction.
-        _, _, dz_a, ds_a = direction(r_dual, r_eq, r_ineq,
-                                     cones.product(lam, lam))
+        _, _, dz_a, ds_a = direction(r_dual, r_eq, r_ineq, lam_sq)
         ap_aff = min(1.0, cones.max_step(s, ds_a))
         ad_aff = min(1.0, cones.max_step(z, dz_a))
         gap_aff = float((s + ap_aff * ds_a) @ (z + ad_aff * dz_a))
@@ -505,7 +509,7 @@ def solve(program: ConicProgram,
         corr = cones.product(scaling.apply_inv(ds_a), scaling.apply(dz_a))
         dx, dy, dz, ds = direction(
             r_dual, r_eq, r_ineq,
-            cones.product(lam, lam) - sigma * mu * e + corr)
+            lam_sq - sigma * mu * e + corr)
         alpha_p, alpha_d = step_pair(ds, dz)
 
         # Gondzio centrality correctors: push outlier complementarity
@@ -550,8 +554,7 @@ def solve(program: ConicProgram,
         x, y, z, s = candidate
 
     gap = float(s @ z)
-    pobj = program.objective_value(x)
-    *_, pres, dres = residuals(x, y, z, s)
+    *_, pres, dres, pobj, _ = residuals(x, y, z, s)
     return SolverSolution(
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
         objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),

@@ -88,10 +88,6 @@ class ConicProgram:
         if not self.G.shape[0]:
             raise ValueError("program has no cone rows")
 
-    def objective_value(self, x: np.ndarray) -> float:
-        return float(self.c @ x) + self.obj_offset \
-            + 0.5 * float(x @ (self.P @ x))
-
 
 @dataclass
 class SolverSolution:
