@@ -9,7 +9,9 @@ initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
 The fixture is the first SCP subproblem of the plan from that state: one
 ``PlanningProblem.build``, one IPM solve of it, and one factorization of
 the IPM's first KKT matrix, by SuperLU at its defaults and by the IPM's own
-quasi-definite factorization.
+quasi-definite factorization. The natural-order refactorization of that
+matrix, as every later IPM iteration factors it, is timed at N=100 and on
+the first N=30 subproblem.
 The warm case solves the plan's third subproblem as ``run_scp`` does: at
 ``scp.INEXACT_TOL``, from the second subproblem's solution at that
 tolerance. (The second subproblem has one load row fewer than the first, so
@@ -64,12 +66,16 @@ def test_coast(benchmark):
         boundary.coast_fit.max_residual_r
 
 
-@pytest.fixture(scope="module")
-def subproblem():
-    boundary, cfg = ignition_fit(100)
+def first_subproblem(N):
+    boundary, cfg = ignition_fit(N)
     prob = PlanningProblem(boundary, VP, cfg)
     ref = initial_guess_planning(boundary, cfg, VP)
     return prob, ref, prob.build(ref)
+
+
+@pytest.fixture(scope="module")
+def subproblem():
+    return first_subproblem(100)
 
 
 # The IPM's KKT regularization: a module constant, or a settings field in
@@ -162,16 +168,24 @@ def test_kkt_factor_quasidefinite_n100(benchmark, subproblem):
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
-def test_kkt_refactor_natural_n100(benchmark, subproblem):
+def refactor_natural(benchmark, prog):
     """A later IPM iteration: the matrix already permuted by the first
     factorization's ordering, factored in natural order."""
     factor = getattr(ipm, "factor_quasidefinite", None)
     if factor is None:
         pytest.skip("no quasi-definite factorization in this tree")
-    K = first_kkt(subproblem[2])
+    K = first_kkt(prog)
     order = np.argsort(factor(K).perm_c)
     lu = benchmark(factor, K[order][:, order].tocsc(), natural=True)
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
+
+
+def test_kkt_refactor_natural_n100(benchmark, subproblem):
+    refactor_natural(benchmark, subproblem[2])
+
+
+def test_kkt_refactor_natural_n30(benchmark):
+    refactor_natural(benchmark, first_subproblem(30)[2])
 
 
 @pytest.mark.parametrize("boundary_at, N", [(ignition_fit, 30),

@@ -29,6 +29,12 @@ ordering (the split of one symbolic analysis and numeric refactorizations,
 as in Clarabel: Goulart & Chen, arXiv:2405.12762). The cone algebra is
 ``cones.Cones``, the layout the program built once (``ConicProgram.layout``).
 
+SuperLU factors without supernode panels (``factor_quasidefinite``): at
+about 12 nonzeros per factor column they cost more than they save (Demmel
+et al., SIAM J. Matrix Anal. Appl. 1999), and without them a factorization
+takes about 30% less time with the same fill. The settings are constants;
+scipy 1.17.1 corrupts the heap at ``panel_size=64``.
+
 A KKT solve is one LU solve, refined against the unregularized matrix only
 while its residual is above a tolerance and each step lowers it, as in
 Clarabel (``_Kkt.solve``). The IPM's directions are solved to REFINE_TOL,
@@ -180,9 +186,25 @@ def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
 
     The ordering is a minimum-degree ordering of A' + A, or, with
     ``natural``, none (for a matrix already permuted by one).
+
+    SuperLU runs with ``relax=1, panel_size=1``: no relaxed supernodes and
+    one-column panels. The pivots and the fill (to one stored entry) stay
+    those of scipy's defaults; only the order in which updates are added up
+    changes, so answers move in their last bits. Both are constants: in
+    scipy 1.17.1, ``panel_size=64`` corrupts the heap within 50
+    factorizations of an N=30 KKT, which a tier-1 test checks.
     """
+    # Chosen over relax x panel_size in {1, 2, 4, 8}^2 and the defaults, on
+    # every IPM factorization of the nominal ignition-fit plans (N=100: 3 by
+    # minimum degree, 66 in natural order; N=30: 2 and 41), 25 interleaved
+    # rounds, one BLAS thread, 2-core host. panel_size=1 was fastest at every
+    # relax. Factor time per plan, medians (quartiles), defaults -> (1, 1):
+    # N=100 286 (253-300) -> 201 (153-213) ms, N=30 58.9 (56.8-61.0) -> 38.5
+    # (31.9-41.7) ms. nnz(L) + nnz(U) stayed the same, but for one stored
+    # entry in 3 of those plans' 116, projections included.
     return spla.splu(K, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+                     diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                     options=dict(SymmetricMode=True))
 
 
 def _pattern(P, A, G, cones: Cones) -> list[np.ndarray]:

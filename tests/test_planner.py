@@ -4,11 +4,15 @@ SCP solve to convergence on a reduced grid.
 """
 
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rlv_landing import env, planner, scp
@@ -391,20 +395,79 @@ class TestBuildStructure:
         assert slack[:nonneg].min() > -1e-7
 
 
+def first_kkt_n30():
+    """The IPM's first KKT matrix (W = I) of the first N=30 subproblem, in
+    its own row and column order."""
+    prob, cfg = make_problem(N=30)
+    prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
+    cones = Cones(prog.cones)
+    kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones)
+    kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
+    return kkt.K[kkt.position][:, kkt.position].tocsc()
+
+
+# Run in a child process: factors the saved KKT 25 times by minimum degree
+# and 25 times in natural order after that ordering.
+FACTOR_50_TIMES = """
+import sys
+import numpy as np
+import scipy.sparse as sp
+from rlv_landing.conic.ipm import factor_quasidefinite
+K = sp.load_npz(sys.argv[1]).tocsc()
+order = np.argsort(factor_quasidefinite(K).perm_c)
+permuted = K[order][:, order].tocsc()
+for _ in range(25):
+    factor_quasidefinite(K)
+    factor_quasidefinite(permuted, natural=True)
+"""
+
+
 class TestKktFactorization:
     def test_symmetric_ordering_halves_the_fill(self):
-        # The IPM's first KKT matrix (W = I) of the first N=30 subproblem:
-        # the pivot-free symmetric ordering fills it to at most half of
-        # what SuperLU's defaults (COLAMD, partial pivoting) do.
-        prob, cfg = make_problem(N=30)
-        prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
-        cones = Cones(prog.cones)
-        kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones)
-        kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
-        K = kkt.K[kkt.position][:, kkt.position]
+        # The pivot-free symmetric ordering fills the first N=30 KKT to at
+        # most half of what SuperLU's defaults (COLAMD, partial pivoting) do.
+        K = first_kkt_n30()
         ours = factor_quasidefinite(K)
         default = spla.splu(K)
         assert ours.L.nnz + ours.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
+
+    @pytest.mark.parametrize("natural", [False, True],
+                             ids=["minimum-degree", "natural"])
+    def test_supernode_settings_keep_fill_and_accuracy(self, natural):
+        # The supernode settings change only the order in which SuperLU
+        # adds up the updates: the fill is that of the same call at scipy's
+        # supernode defaults, and a solve is as accurate, within 10x.
+        K = first_kkt_n30()
+        if natural:
+            order = np.argsort(factor_quasidefinite(K).perm_c)
+            K = K[order][:, order].tocsc()
+        ours = factor_quasidefinite(K, natural=natural)
+        default = spla.splu(
+            K, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        assert ours.L.nnz + ours.U.nnz == default.L.nnz + default.U.nnz
+        rhs = np.random.default_rng(18).standard_normal(K.shape[0])
+
+        def residual(lu):
+            return np.abs(K @ lu.solve(rhs) - rhs).max()
+
+        assert residual(ours) <= 10.0 * residual(default)
+
+    def test_factorization_leaves_the_heap_intact(self, tmp_path):
+        # SuperLU's panel_size=64 corrupts the heap in scipy 1.17.1: a
+        # process that factors this KKT 50 times with it aborts, at exit or
+        # when the debug allocator checks a free. The factorization runs 50
+        # times in a child process under that allocator and must exit 0.
+        path = tmp_path / "kkt.npz"
+        sp.save_npz(path, first_kkt_n30())
+        src = str(Path(ipm.__file__).resolve().parents[2])
+        child_env = dict(os.environ, PYTHONMALLOC="debug",
+                         PYTHONPATH=os.pathsep.join(
+                             filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", FACTOR_50_TIMES, str(path)],
+            env=child_env, capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr[-2000:]
 
     def test_direction_solves_refine_only_as_needed(self, monkeypatch):
         # Over the nominal N=30 plan, the IPM's direction solves (predictor,
