@@ -2,7 +2,7 @@
 
 Run from the repository root (outside tier-1, whose testpaths is tests/):
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_9.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_19.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -18,11 +18,17 @@ tolerance. (The second subproblem has one load row fewer than the first, so
 the first solution is no start for it.) The re-solve case solves that
 subproblem again at the default tolerance, from its own inexact solution,
 as ``run_scp`` does once a step is small.
+The cone-algebra cases time one IPM iteration's cone work at the eighth
+iterate of the cold solve of the first subproblem (15 and 16 iterations at
+N=30 and N=100): the interior test of s and z, the NT scaling, three pairs
+of step lengths along the step that iteration takes, and the cone rows of
+the predictor's right-hand side, W (lambda \\ lambda o lambda).
 The whole-plan cases time ``run_scp`` to convergence from the initial
 guess: ignition-fit from that state at N=30 and N=100, and current-state
 from the mid-course state of the replan tests at N=100.
 """
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -186,6 +192,54 @@ def test_kkt_refactor_natural_n100(benchmark, subproblem):
 
 def test_kkt_refactor_natural_n30(benchmark):
     refactor_natural(benchmark, first_subproblem(30)[2])
+
+
+def mid_solve(prog, k=8):
+    """The cold solve's iterate (s, z) after k - 1 IPM iterations, and the
+    step (ds, dz) its k-th iteration takes."""
+    points = []
+    for iterations in (k - 1, k):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ipm, "MAX_ITER", iterations)
+            sol = ipm.solve(prog)
+        points.append((sol.s, sol.z))
+    (s, z), (s1, z1) = points
+    return prog.layout, s, z, s1 - s, z1 - z
+
+
+def cone_pass(cones, s, z, ds, dz):
+    """One IPM iteration's cone work, as the tree's IPM does it."""
+    if hasattr(cones, "points"):
+        iterate = cones.points(s, z)
+        iterate.violations()
+        scaling = ipm._NTScaling(iterate)
+        lam = scaling.lam.u[0]
+        for _ in range(3):
+            iterate.max_steps(ds, dz)
+        return scaling.rhs(cones.product(lam, lam))
+    cones.interior_violation(s)
+    cones.interior_violation(z)
+    scaling = ipm._NTScaling(cones, s, z)
+    lam = scaling.apply(z)
+    for _ in range(3):
+        cones.max_step(s, ds)
+        cones.max_step(z, dz)
+    return scaling.apply(cones.divide(lam, cones.product(lam, lam)))
+
+
+def cone_algebra(benchmark, prog):
+    args = mid_solve(prog)
+    rhs = benchmark(cone_pass, *args)
+    # The same bits in every tree that keeps them.
+    benchmark.extra_info["rhs_sha256"] = hashlib.sha256(rhs.tobytes()).hexdigest()[:16]
+
+
+def test_cone_algebra_n30(benchmark):
+    cone_algebra(benchmark, first_subproblem(30)[2])
+
+
+def test_cone_algebra_n100(benchmark, subproblem):
+    cone_algebra(benchmark, subproblem[2])
 
 
 @pytest.mark.parametrize("boundary_at, N", [(ignition_fit, 30),

@@ -55,6 +55,7 @@ class Cones:
         self.soc = {d: np.vstack(rows) for d, rows in soc_groups.items()}
         self.n_soc = sum(v.shape[0] for v in self.soc.values())
         self.degree = self.nn.size + self.n_soc
+        self._stacked: dict[int, tuple] = {}
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
@@ -63,15 +64,32 @@ class Cones:
             e[idx[:, 0]] = 1.0
         return e
 
+    def points(self, *u: np.ndarray) -> ConePoints:
+        """The cone data of the points ``u``, stacked: the IPM's iterate is
+        ``points(s, z)``."""
+        return ConePoints(self, np.array(u))
+
+    def stacked(self, k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Where the orthant rows (k, n_nn) and the SOC blocks (k, n, d) of
+        a (k, dim) stack of points sit in it, flattened: one ``take``
+        gathers them for every point."""
+        if k not in self._stacked:
+            offset = self.dim * np.arange(k)[:, None]
+            self._stacked[k] = (offset + self.nn, {
+                d: offset[:, :, None] + idx for d, idx in self.soc.items()})
+        return self._stacked[k]
+
+    def join(self, nn: np.ndarray, soc: dict[int, np.ndarray]) -> np.ndarray:
+        """The vector with ``nn`` on the orthant rows and the blocks
+        ``soc[d]`` (n, d) on each SOC group."""
+        out = np.empty(self.dim)
+        out[self.nn] = nn
+        for d, idx in self.soc.items():
+            out.flat[idx] = soc[d]
+        return out
+
     def interior_violation(self, u: np.ndarray) -> float:
-        worst = -np.inf
-        if self.nn.size:
-            worst = max(worst, float(-u[self.nn].min()))
-        for idx in self.soc.values():
-            blocks = u[idx]
-            margin = np.linalg.norm(blocks[:, 1:], axis=1) - blocks[:, 0]
-            worst = max(worst, float(margin.max()))
-        return worst
+        return self.points(u).violations()[0]
 
     def shift_warm(self, u: np.ndarray, depth: float) -> np.ndarray:
         """u moved ``depth`` deep into the cones along the identity."""
@@ -84,53 +102,9 @@ class Cones:
             return u + (1.0 + viol) * self.identity()
         return u
 
-    def max_step(self, u: np.ndarray, du: np.ndarray) -> float:
-        """Largest alpha with u + alpha du in the cones, for u inside them.
-
-        An SOC block is taken to the identity by the Lorentz transform of
-        its J-normalized u; the step of the transformed direction rho is
-        1 / (||rho_1|| - rho_0), and unbounded where that is not positive.
-        """
-        alpha = np.inf
-        if self.nn.size:
-            un, dn = u[self.nn], du[self.nn]
-            neg = dn < 0
-            if np.any(neg):
-                alpha = min(alpha, float((-un[neg] / dn[neg]).min()))
-        for idx in self.soc.values():
-            ub, db = u[idx], du[idx]
-            norm_j = np.sqrt(ub[:, 0] ** 2 - np.sum(ub[:, 1:] ** 2, axis=1))
-            ubar = ub / norm_j[:, None]
-            dbar = db / norm_j[:, None]
-            rho0 = ubar[:, 0] * dbar[:, 0] \
-                - np.sum(ubar[:, 1:] * dbar[:, 1:], axis=1)
-            rho1 = dbar[:, 1:] - ubar[:, 1:] \
-                * ((rho0 + dbar[:, 0]) / (ubar[:, 0] + 1.0))[:, None]
-            worst = float((np.linalg.norm(rho1, axis=1) - rho0).max())
-            if worst > 0.0:
-                alpha = min(alpha, 1.0 / worst)
-        return alpha
-
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.nn] = u[self.nn] * v[self.nn]
-        for idx in self.soc.values():
-            ub, vb = u[idx], v[idx]
-            out[idx[:, 0]] = np.sum(ub * vb, axis=1)
-            out.flat[idx[:, 1:]] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
-        return out
-
-    def divide(self, lam: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Solve lam o x = d blockwise."""
-        out = np.zeros(self.dim)
-        out[self.nn] = d[self.nn] / lam[self.nn]
-        for idx in self.soc.values():
-            lb, db = lam[idx], d[idx]
-            det = lb[:, 0] ** 2 - np.sum(lb[:, 1:] ** 2, axis=1)
-            x0 = (lb[:, 0] * db[:, 0] - np.sum(lb[:, 1:] * db[:, 1:], axis=1)) / det
-            out[idx[:, 0]] = x0
-            out.flat[idx[:, 1:]] = (db[:, 1:] - x0[:, None] * lb[:, 1:]) / lb[:, :1]
-        return out
+        return self.join(u[self.nn] * v[self.nn], {
+            d: soc_product(u[idx], v[idx]) for d, idx in self.soc.items()})
 
     def clip_eigenvalues(self, v: np.ndarray, lo: float, hi: float) -> np.ndarray:
         """Project blockwise spectral values of v onto [lo, hi].
@@ -138,16 +112,107 @@ class Cones:
         Nonnegative coordinates clip directly; SOC blocks clip their two
         Jordan eigenvalues v0 +/- ||v1|| and are reassembled.
         """
-        out = v.copy()
-        out[self.nn] = np.clip(v[self.nn], lo, hi)
-        for idx in self.soc.values():
+        soc = {}
+        for d, idx in self.soc.items():
             vb = v[idx]
-            nv1 = np.linalg.norm(vb[:, 1:], axis=1)
-            e1 = np.clip(vb[:, 0] + nv1, lo, hi)
-            e2 = np.clip(vb[:, 0] - nv1, lo, hi)
-            out[idx[:, 0]] = 0.5 * (e1 + e2)
+            nv1 = np.sqrt(np.add.reduce(vb[:, 1:] ** 2, axis=1))
+            e1 = (vb[:, 0] + nv1).clip(lo, hi)
+            e2 = (vb[:, 0] - nv1).clip(lo, hi)
+            out = soc[d] = np.empty_like(vb)
+            out[:, 0] = 0.5 * (e1 + e2)
             unit = np.divide(vb[:, 1:], nv1[:, None],
                              out=np.zeros_like(vb[:, 1:]),
                              where=nv1[:, None] > 1e-300)
-            out.flat[idx[:, 1:]] = 0.5 * (e1 - e2)[:, None] * unit
-        return out
+            out[:, 1:] = 0.5 * (e1 - e2)[:, None] * unit
+        return self.join(v[self.nn].clip(lo, hi), soc)
+
+
+class ConePoints:
+    """The cone data of a stack of points, computed once and read by every
+    evaluation at them: the IPM forms it once per iterate, for (s, z).
+
+    ``u`` is the (k, dim) stack; ``nn`` holds its orthant rows (k, n_nn) and
+    ``soc[d]`` its SOC blocks of dimension d (k, n, d). Per SOC group,
+    ``tail_sq[d]`` holds ||u_1||^2 and ``norm_sq[d]`` the J-norm square
+    u_0^2 - ||u_1||^2 of each block (k, n), ``norm[d]`` the J-norm (floored
+    at 1e-150 off the interior) and ``bar[d]`` the blocks divided by it.
+    A formula over the stack adds up each point's terms as it would for
+    that point alone: a reduction over the last axis of a (k, n, d) array
+    sums as it does on (n, d).
+    """
+
+    def __init__(self, cones: Cones, u: np.ndarray):
+        self.cones, self.u = cones, u
+        nn, soc = cones.stacked(len(u))
+        self.nn = u.take(nn)
+        self.soc, self.tail_sq, self.norm_sq, self.norm, self.bar = \
+            {}, {}, {}, {}, {}
+        for d, idx in soc.items():
+            b = self.soc[d] = u.take(idx)
+            tail_sq = self.tail_sq[d] = np.add.reduce(b[..., 1:] ** 2, axis=-1)
+            norm_sq = self.norm_sq[d] = b[..., 0] ** 2 - tail_sq
+            norm = self.norm[d] = np.sqrt(np.maximum(norm_sq, 1e-300))
+            self.bar[d] = b / norm[..., None]
+
+    def violations(self) -> list[float]:
+        """How far each point lies outside the cones: the largest of -u over
+        the orthant rows and ||u_1|| - u_0 over the SOC blocks (negative
+        inside)."""
+        worst = [-np.inf] * len(self.u)
+        if self.nn.shape[1]:
+            worst = [max(w, v)
+                     for w, v in zip(worst, (-self.nn.min(axis=1)).tolist())]
+        for d, b in self.soc.items():
+            margin = (np.sqrt(self.tail_sq[d]) - b[..., 0]).max(axis=-1)
+            worst = [max(w, v) for w, v in zip(worst, margin.tolist())]
+        return worst
+
+    def max_steps(self, *du: np.ndarray) -> list[float]:
+        """For each point u, inside the cones, and its direction du, the
+        largest alpha with u + alpha du in the cones, all in one pass.
+
+        An SOC block is taken to the identity by the Lorentz transform of
+        its J-normalized u; the step of the transformed direction rho is
+        1 / (||rho_1|| - rho_0), and unbounded where that is not positive.
+        """
+        du = np.array(du)
+        nn, soc = self.cones.stacked(len(du))
+        dn = du.take(nn)
+        neg = dn < 0
+        ratio = np.divide(-self.nn, dn, out=np.full(dn.shape, np.inf),
+                          where=neg)
+        alpha = ratio.min(axis=1, initial=np.inf).tolist()
+        for d, idx in soc.items():
+            ubar = self.bar[d]
+            dbar = du.take(idx) / self.norm[d][..., None]
+            rho0 = ubar[..., 0] * dbar[..., 0] \
+                - np.add.reduce(ubar[..., 1:] * dbar[..., 1:], axis=-1)
+            rho1 = dbar[..., 1:] - ubar[..., 1:] \
+                * ((rho0 + dbar[..., 0]) / (ubar[..., 0] + 1.0))[..., None]
+            worst = np.sqrt(np.add.reduce(rho1 * rho1, axis=-1)) - rho0
+            for i, w in enumerate(worst.max(axis=-1).tolist()):
+                if w > 0.0:
+                    alpha[i] = min(alpha[i], 1.0 / w)
+        return alpha
+
+    def divide(self, d: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Solve lam o x = d blockwise, for the one point lam of the stack:
+        x on the orthant rows, and x's SOC blocks (n, dim) per group."""
+        x_soc = {}
+        for dim, idx in self.cones.soc.items():
+            lb, db = self.soc[dim][0], d[idx]
+            x = x_soc[dim] = np.empty_like(db)
+            x[:, 0] = (lb[:, 0] * db[:, 0]
+                       - np.add.reduce(lb[:, 1:] * db[:, 1:], axis=1)) \
+                / self.norm_sq[dim][0]
+            x[:, 1:] = (db[:, 1:] - x[:, :1] * lb[:, 1:]) / lb[:, :1]
+        return d[self.cones.nn] / self.nn[0], x_soc
+
+
+def soc_product(ub: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The Jordan product u o v = (u'v, u_0 v_1 + v_0 u_1) of SOC blocks
+    (n, d)."""
+    out = np.empty_like(ub)
+    out[:, 0] = np.add.reduce(ub * vb, axis=1)
+    out[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
+    return out

@@ -74,7 +74,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cones import Cones
+from .cones import ConePoints, Cones, soc_product
 from .program import ConicProgram, SolverSolution
 
 # Primal residual above which a stalled solve is far from feasibility:
@@ -119,23 +119,22 @@ class _NTScaling:
 
     SOC blocks use W = eta * Wbar with Wbar = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]
     built from the hyperbolic-unit vector wbar; the dense per-block matrices
-    are stacked per dimension group and reused for every apply.
+    are stacked per dimension group and reused for every apply. It is built
+    from the iterate's cone data, ``Cones.points(s, z)``, and holds lambda's
+    (``lam``), which every direction of the iteration reads.
     """
 
-    def __init__(self, cones: Cones, s: np.ndarray, z: np.ndarray):
-        self.cones = cones
-        self.w_nn = np.sqrt(s[cones.nn] / z[cones.nn])
+    def __init__(self, iterate: ConePoints):
+        cones = self.cones = iterate.cones
+        s_nn, z_nn = iterate.nn
+        self.w_nn = np.sqrt(s_nn / z_nn)
         self.soc_mats: dict[int, np.ndarray] = {}
         self.soc_inv: dict[int, np.ndarray] = {}
         self.soc_sq: dict[int, np.ndarray] = {}
         for d, idx in cones.soc.items():
-            sb, zb = s[idx], z[idx]
-            rs = np.sqrt(np.maximum(sb[:, 0] ** 2 - np.sum(sb[:, 1:] ** 2, axis=1), 1e-300))
-            rz = np.sqrt(np.maximum(zb[:, 0] ** 2 - np.sum(zb[:, 1:] ** 2, axis=1), 1e-300))
-            s_bar = sb / rs[:, None]
-            z_bar = zb / rz[:, None]
-            gamma = np.sqrt((1.0 + np.sum(s_bar * z_bar, axis=1)) / 2.0)
-            wbar = np.empty_like(sb)
+            (rs, rz), (s_bar, z_bar) = iterate.norm[d], iterate.bar[d]
+            gamma = np.sqrt((1.0 + np.add.reduce(s_bar * z_bar, axis=1)) / 2.0)
+            wbar = np.empty_like(s_bar)
             wbar[:, 0] = (s_bar[:, 0] + z_bar[:, 0]) / (2 * gamma)
             wbar[:, 1:] = (s_bar[:, 1:] - z_bar[:, 1:]) / (2 * gamma[:, None])
             eta = np.sqrt(rs / rz)
@@ -154,22 +153,28 @@ class _NTScaling:
             Winv[:, 1:, 0] *= -1.0
             self.soc_inv[d] = Winv / eta[:, None, None]
             self.soc_sq[d] = np.einsum("nij,njk->nik", Wmat, Wmat)
+        self.lam = cones.points(self.apply(iterate.u[1]))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
         cn = self.cones
-        out[cn.nn] = self.w_nn * u[cn.nn]
-        for d, idx in cn.soc.items():
-            out.flat[idx] = np.einsum("nij,nj->ni", self.soc_mats[d], u[idx])
-        return out
+        return cn.join(self.w_nn * u[cn.nn], {
+            d: np.einsum("nij,nj->ni", self.soc_mats[d], u[idx])
+            for d, idx in cn.soc.items()})
 
-    def apply_inv(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
+    def rhs(self, d: np.ndarray) -> np.ndarray:
+        """W (lambda \\ d): the cone rows of a direction's right-hand side."""
+        x_nn, x_soc = self.lam.divide(d)
+        return self.cones.join(self.w_nn * x_nn, {
+            dim: np.einsum("nij,nj->ni", self.soc_mats[dim], x)
+            for dim, x in x_soc.items()})
+
+    def scaled_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(W^{-1} u) o (W v)."""
         cn = self.cones
-        out[cn.nn] = u[cn.nn] / self.w_nn
-        for d, idx in cn.soc.items():
-            out.flat[idx] = np.einsum("nij,nj->ni", self.soc_inv[d], u[idx])
-        return out
+        return cn.join((u[cn.nn] / self.w_nn) * (self.w_nn * v[cn.nn]), {
+            d: soc_product(np.einsum("nij,nj->ni", self.soc_inv[d], u[idx]),
+                           np.einsum("nij,nj->ni", self.soc_mats[d], v[idx]))
+            for d, idx in cn.soc.items()})
 
     def w2_entries(self, reg: float) -> np.ndarray:
         """Values of W^2 + reg I laid out to match the KKT sparsity pattern."""
@@ -426,14 +431,22 @@ def solve(program: ConicProgram,
                 else cones.shift_warm(u, WARM_SHIFT)
                 for u in (start.s, start.z))
     else:
-        # Cold: one KKT solve with W = I, then shift into the cones.
-        kkt.factor(_NTScaling(cones, e, e))
-        init = kkt.solve(np.concatenate([-c, b, h]), math.inf)
-        x = init[:n]
-        y = init[n:n + me]
-        z0 = init[n + me:]
-        s = cones.shift_into_interior(-z0.copy())
-        z = cones.shift_into_interior(z0.copy())
+        # Cold: one KKT solve with W = I, then shift into the cones. If the
+        # factorization fails (a non-finite P, A or G), the solve starts
+        # from (0, 0, e, e), and its first iteration ends it as the loop's
+        # guards find it: a non-finite residual, or the same factorization.
+        x, y, s, z = np.zeros(n), np.zeros(me), e, e
+        try:
+            kkt.factor(_NTScaling(cones.points(e, e)))
+        except RuntimeError:
+            pass
+        else:
+            init = kkt.solve(np.concatenate([-c, b, h]), math.inf)
+            x = init[:n]
+            y = init[n:n + me]
+            z0 = init[n + me:]
+            s = cones.shift_into_interior(-z0.copy())
+            z = cones.shift_into_interior(z0.copy())
 
     best_res = np.inf
     growth_count = 0
@@ -486,13 +499,13 @@ def solve(program: ConicProgram,
             status = _stall_status(pres)
             break
 
-        if gap <= 0.0 or cones.interior_violation(s) >= 0.0 \
-                or cones.interior_violation(z) >= 0.0:
+        iterate = cones.points(s, z)
+        if gap <= 0.0 or any(v >= 0.0 for v in iterate.violations()):
             status = "numerical_failure"
             break
 
-        scaling = _NTScaling(cones, s, z)
-        lam = scaling.apply(z)
+        scaling = _NTScaling(iterate)
+        lam = scaling.lam.u[0]
         lam_sq = cones.product(lam, lam)
         try:
             kkt.factor(scaling)
@@ -506,14 +519,13 @@ def solve(program: ConicProgram,
             G x + s - h then contracts exactly, even where the scaled-space
             formula would cancel."""
             sol = kkt.solve(np.concatenate(
-                [-r_dual, -r_eq,
-                 -r_ineq + scaling.apply(cones.divide(lam, d_s))]), REFINE_TOL)
+                [-r_dual, -r_eq, -r_ineq + scaling.rhs(d_s)]), REFINE_TOL)
             dx = sol[:n]
             return dx, sol[n:n + me], sol[n + me:], -r_ineq - G @ dx
 
         def step_pair(ds_, dz_):
-            ap = min(1.0, STEP_DAMPING * cones.max_step(s, ds_))
-            ad = min(1.0, STEP_DAMPING * cones.max_step(z, dz_))
+            ap, ad = (min(1.0, STEP_DAMPING * a)
+                      for a in iterate.max_steps(ds_, dz_))
             # With a quadratic term the P dx cross-coupling re-pollutes the
             # dual equation under split steps; use a common length then.
             if P.nnz:
@@ -522,13 +534,12 @@ def solve(program: ConicProgram,
 
         # Predictor (affine) direction.
         _, _, dz_a, ds_a = direction(r_dual, r_eq, r_ineq, lam_sq)
-        ap_aff = min(1.0, cones.max_step(s, ds_a))
-        ad_aff = min(1.0, cones.max_step(z, dz_a))
+        ap_aff, ad_aff = (min(1.0, a) for a in iterate.max_steps(ds_a, dz_a))
         gap_aff = float((s + ap_aff * ds_a) @ (z + ad_aff * dz_a))
         sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0) if gap > 0 else 0.0
 
         # Corrector (combined) direction.
-        corr = cones.product(scaling.apply_inv(ds_a), scaling.apply(dz_a))
+        corr = scaling.scaled_product(ds_a, dz_a)
         dx, dy, dz, ds = direction(
             r_dual, r_eq, r_ineq,
             lam_sq - sigma * mu * e + corr)
@@ -543,8 +554,7 @@ def solve(program: ConicProgram,
                 break
             ap_t = min(1.0, 1.5 * alpha_p + 0.3)
             ad_t = min(1.0, 1.5 * alpha_d + 0.3)
-            v_trial = cones.product(scaling.apply_inv(s + ap_t * ds),
-                                    scaling.apply(z + ad_t * dz))
+            v_trial = scaling.scaled_product(s + ap_t * ds, z + ad_t * dz)
             target = cones.clip_eigenvalues(v_trial, 0.1 * mu_target,
                                             10.0 * mu_target)
             dx_c, dy_c, dz_c, ds_c = direction(

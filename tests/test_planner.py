@@ -17,7 +17,7 @@ import scipy.sparse.linalg as spla
 
 from rlv_landing import env, planner, scp
 from rlv_landing.conic import ipm, scaling
-from rlv_landing.conic.cones import Cones
+from rlv_landing.conic.cones import ConePoints, Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling, factor_quasidefinite
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
@@ -402,7 +402,7 @@ def first_kkt_n30():
     prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
     cones = Cones(prog.cones)
     kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones)
-    kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
+    kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
     return kkt.K[kkt.position][:, kkt.position].tocsc()
 
 
@@ -680,3 +680,30 @@ class TestConeLayout:
         assert projected
         built = {id(p) for p in programs}
         assert all(id(p) in built for p in projected)
+
+    def test_one_cone_pass_per_ipm_iteration(self, monkeypatch):
+        # Solving the first N=30 subproblem forms each iterate's cone data,
+        # the stack (s, z), once: one per KKT factorization, the cold
+        # start's (e, e) and then one per iteration that takes a step (the
+        # last one meets the tolerances at its top and takes none). Every
+        # other stack is one point: lambda, once per scaling, and the cold
+        # start's two shifts into the cones.
+        stacks, factors = [], []
+        init, factor = ConePoints.__init__, _Kkt.factor
+
+        def counted_init(self, cones, u):
+            stacks.append(len(u))
+            init(self, cones, u)
+
+        def counted_factor(self, scaling):
+            factors.append(scaling)
+            factor(self, scaling)
+
+        monkeypatch.setattr(ConePoints, "__init__", counted_init)
+        monkeypatch.setattr(_Kkt, "factor", counted_factor)
+        prob, cfg = make_problem(N=30)
+        sol = ipm.solve(prob.build(initial_guess_planning(prob.boundary, cfg, VP)))
+        assert sol.status == "optimal" and not sol.warm
+        assert stacks.count(2) == len(factors) == sol.iterations
+        assert stacks.count(1) == len(factors) + 2
+        assert len(stacks) == 2 * len(factors) + 2

@@ -273,6 +273,25 @@ def test_inconsistent_program_raises(make, message):
         solve(make())
 
 
+@pytest.mark.parametrize("where, value", [
+    ("G", math.nan), ("P", math.nan), ("A", math.nan), ("h", math.nan),
+    ("c", math.inf), ("G", math.inf)])
+def test_non_finite_data_is_a_numerical_failure(where, value):
+    # A non-finite entry in the data ends the solve at its first iteration
+    # with a verdict, not an exception: a NaN in P, A or G makes the cold
+    # start's factorization fail.
+    data = dict(G=np.array([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]]),
+                h=np.array([0.0, 0.0, -1.0]), c=np.array([1.0, 2.0]),
+                A=np.array([[1.0, -1.0]]), P=np.zeros((2, 2)))
+    data[where].flat[0] = value
+    prog = ConicProgram(c=data["c"], P=sp.csr_matrix(data["P"]),
+                        A=sp.csr_matrix(data["A"]), b=np.zeros(1),
+                        G=sp.csr_matrix(data["G"]), h=data["h"],
+                        cones=[ConeBlock(NONNEG, 3)])
+    sol = solve(prog)
+    assert (sol.status, sol.iterations) == ("numerical_failure", 1)
+
+
 class TestOracleAgreement:
     def test_random_qps_match_active_set_oracle(self):
         rng = np.random.default_rng(2024)
@@ -391,11 +410,11 @@ class TestQuasiDefiniteKkt:
         reg = ipm.REG
         cones = Cones(prog.cones)
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-        kkt.factor(_NTScaling(cones, cones.identity(), cones.identity()))
+        kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
         assert not np.array_equal(kkt.position, np.arange(kkt.K.shape[0]))
         for _ in range(5):
-            scaling = _NTScaling(cones, interior_point(rng, prog.cones),
-                                 interior_point(rng, prog.cones))
+            scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
+                                              interior_point(rng, prog.cones)))
             kkt.factor(scaling)
             coo = kkt.K.tocoo()
             refilled = sp.csc_matrix(
@@ -427,8 +446,8 @@ class TestQuasiDefiniteKkt:
         for i in range(3):
             kkt = first if i < 2 else \
                 _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
-            scaling = _NTScaling(cones, interior_point(rng, prog.cones),
-                                 interior_point(rng, prog.cones))
+            scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
+                                              interior_point(rng, prog.cones)))
             kkt.factor(scaling)
             assert kkt.reordered == (kkt is first)
             rhs = rng.normal(size=kkt.K.shape[0])
@@ -441,8 +460,8 @@ class TestQuasiDefiniteKkt:
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = Cones(prog.cones)
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-        scaling = _NTScaling(cones, interior_point(rng, prog.cones),
-                             interior_point(rng, prog.cones))
+        scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
+                                          interior_point(rng, prog.cones)))
         kkt.factor(scaling)
         return prog, scaling, kkt, rng.normal(size=kkt.K.shape[0])
 
@@ -491,8 +510,8 @@ class TestQuasiDefiniteKkt:
         rng = np.random.default_rng(59)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = Cones(prog.cones)
-        scaling = _NTScaling(cones, interior_point(rng, prog.cones),
-                             interior_point(rng, prog.cones))
+        scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
+                                          interior_point(rng, prog.cones)))
         first = _Kkt(prog.P, prog.A, prog.G, cones)
         first.factor(scaling)
         again = _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
@@ -512,8 +531,8 @@ class TestQuasiDefiniteKkt:
         try:
             kkt = _Kkt(prog.P, prog.A, prog.G, cones)
             for _ in range(2):
-                kkt.factor(_NTScaling(cones, interior_point(rng, prog.cones),
-                                      interior_point(rng, prog.cones)))
+                kkt.factor(_NTScaling(cones.points(interior_point(rng, prog.cones),
+                                                   interior_point(rng, prog.cones))))
             ref = weakref.ref(kkt)
             del kkt
             assert ref() is None
@@ -535,41 +554,174 @@ class TestQuasiDefiniteKkt:
         assert verify_kkt(prog, sol).worst < 1e-8
 
 
+BLOCK_LISTS = st.lists(st.one_of(
+    st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 5)),
+    st.builds(ConeBlock, st.just(SOC), st.integers(2, 5))),
+    min_size=1, max_size=4)
+# Mixed layouts, the interleaved one, orthant-only and SOC-only ones.
+LAYOUTS = st.one_of(
+    BLOCK_LISTS, st.just(INTERLEAVED_CONES),
+    st.lists(st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 5)),
+             min_size=1, max_size=4),
+    st.lists(st.builds(ConeBlock, st.just(SOC), st.integers(2, 5)),
+             min_size=1, max_size=4))
+
+
+def block_step(cb, u, du):
+    """One point's step to the boundary of one cone block: the orthant
+    ratio test, or the SOC step of the Lorentz-transformed direction
+    rho, 1 / (||rho_1|| - rho_0); inf when unbounded."""
+    if cb.kind == NONNEG:
+        return min((-ui / di for ui, di in zip(u, du) if di < 0),
+                   default=math.inf)
+    norm_j = np.sqrt(u[0] ** 2 - np.add.reduce(u[1:] ** 2))
+    ubar, dbar = u / norm_j, du / norm_j
+    rho0 = ubar[0] * dbar[0] - np.add.reduce(ubar[1:] * dbar[1:])
+    rho1 = dbar[1:] - ubar[1:] * ((rho0 + dbar[0]) / (ubar[0] + 1.0))
+    worst = float(np.sqrt(np.add.reduce(rho1 * rho1)) - rho0)
+    return 1.0 / worst if worst > 0.0 else math.inf
+
+
+def point_step(blocks, u, du):
+    """The step of one point: the least block step, block by block."""
+    alpha, start = math.inf, 0
+    for cb in blocks:
+        part = slice(start, start + cb.dim)
+        alpha = min(alpha, block_step(cb, u[part], du[part]))
+        start += cb.dim
+    return alpha
+
+
+def step_case(seed, blocks, unbounded):
+    """Two interior points and their directions; the member ``unbounded``
+    (0 or 1, or None) moves along an interior direction, which never
+    leaves the cones."""
+    rng = np.random.default_rng(seed)
+    u = [interior_point(rng, blocks, margin=(1e-3, 1.0)) for _ in range(2)]
+    du = [rng.normal(size=u[0].size) * 10.0 ** rng.uniform(-2, 2)
+          for _ in range(2)]
+    if unbounded is not None:
+        du[unbounded] = interior_point(rng, blocks)
+    return u, du
+
+
+def nt_reference(cones, s, z):
+    """The NT scaling (w_nn, W, W^{-1}, W^2 per SOC group) built from s
+    and z alone."""
+    w_nn = np.sqrt(s[cones.nn] / z[cones.nn])
+    mats, inv, sq = {}, {}, {}
+    for d, idx in cones.soc.items():
+        sb, zb = s[idx], z[idx]
+        rs = np.sqrt(np.maximum(sb[:, 0] ** 2 - np.sum(sb[:, 1:] ** 2, axis=1), 1e-300))
+        rz = np.sqrt(np.maximum(zb[:, 0] ** 2 - np.sum(zb[:, 1:] ** 2, axis=1), 1e-300))
+        s_bar, z_bar = sb / rs[:, None], zb / rz[:, None]
+        gamma = np.sqrt((1.0 + np.sum(s_bar * z_bar, axis=1)) / 2.0)
+        wbar = np.empty_like(sb)
+        wbar[:, 0] = (s_bar[:, 0] + z_bar[:, 0]) / (2 * gamma)
+        wbar[:, 1:] = (s_bar[:, 1:] - z_bar[:, 1:]) / (2 * gamma[:, None])
+        eta = np.sqrt(rs / rz)
+        W = np.empty((idx.shape[0], d, d))
+        W[:, 0, 0] = wbar[:, 0]
+        W[:, 0, 1:] = W[:, 1:, 0] = wbar[:, 1:]
+        outer = wbar[:, 1:, None] * wbar[:, None, 1:]
+        W[:, 1:, 1:] = np.eye(d - 1) + outer / (1.0 + wbar[:, 0])[:, None, None]
+        mats[d] = eta[:, None, None] * W
+        Winv = W.copy()
+        Winv[:, 0, 1:] *= -1.0
+        Winv[:, 1:, 0] *= -1.0
+        inv[d] = Winv / eta[:, None, None]
+        sq[d] = np.einsum("nij,njk->nik", mats[d], mats[d])
+    return w_nn, mats, inv, sq
+
+
 class TestStepLength:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           blocks=st.lists(st.one_of(
-               st.builds(ConeBlock, st.just(NONNEG), st.integers(1, 5)),
-               st.builds(ConeBlock, st.just(SOC), st.integers(2, 5))),
-               min_size=1, max_size=4))
-    def test_max_step_is_the_boundary(self, seed, blocks):
-        # The closed-form step against a bisection on the interior test:
-        # u + t du is inside the cones for t below the step, outside above.
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=BLOCK_LISTS,
+           unbounded=st.sampled_from([None, 0, 1]))
+    def test_max_step_is_the_boundary(self, seed, blocks, unbounded):
+        # The closed-form steps of both points of a pair against a
+        # bisection on the interior test: u + t du is inside the cones for
+        # t below the step, outside above.
+        cones = Cones(blocks)
+        u, du = step_case(seed, blocks, unbounded)
+        for member, alpha in enumerate(cones.points(*u).max_steps(*du)):
+            def inside(t):
+                return cones.interior_violation(u[member] + t * du[member]) < 0
+
+            if np.isinf(alpha):
+                assert inside(1e8)
+                continue
+            assert member != unbounded
+            assert inside(0.999 * alpha)
+            lo, hi = 0.0, 2.0 * alpha
+            for _ in range(60):
+                if not inside(hi):
+                    break
+                lo, hi = hi, 2.0 * hi
+            assert not inside(hi)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+            assert alpha == pytest.approx(hi, rel=1e-8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=LAYOUTS,
+           unbounded=st.sampled_from([None, 0, 1]))
+    def test_paired_steps_are_the_single_steps(self, seed, blocks, unbounded):
+        # One stacked pass gives each point the step that point alone
+        # gives, to the bit.
+        cones = Cones(blocks)
+        u, du = step_case(seed, blocks, unbounded)
+        paired = cones.points(*u).max_steps(*du)
+        assert paired == [point_step(blocks, u[i], du[i]) for i in range(2)]
+        if unbounded is not None:
+            assert paired[unbounded] == math.inf
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=LAYOUTS)
+    def test_paired_interior_test_is_the_single_one(self, seed, blocks):
+        # The violations of a pair are those of each point alone, for points
+        # inside and outside the cones.
         rng = np.random.default_rng(seed)
         cones = Cones(blocks)
-        u = interior_point(rng, blocks, margin=(1e-3, 1.0))
-        du = rng.normal(size=u.size) * 10.0 ** rng.uniform(-2, 2)
-        alpha = cones.max_step(u, du)
+        u = [interior_point(rng, blocks) - rng.uniform(0, 2) * cones.identity()
+             for _ in range(2)]
+        single = []
+        for v in u:
+            worst, start = -math.inf, 0
+            for cb in blocks:
+                b = v[start:start + cb.dim]
+                start += cb.dim
+                worst = max(worst, float(-b.min()) if cb.kind == NONNEG else
+                            float(np.sqrt(np.add.reduce(b[1:] ** 2)) - b[0]))
+            single.append(worst)
+        assert cones.points(*u).violations() == single
 
-        def inside(t):
-            return cones.interior_violation(u + t * du) < 0
-
-        if np.isinf(alpha):
-            assert inside(1e8)
-            return
-        assert inside(0.999 * alpha)
-        lo, hi = 0.0, 2.0 * alpha
-        for _ in range(60):
-            if not inside(hi):
-                break
-            lo, hi = hi, 2.0 * hi
-        assert not inside(hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-        assert alpha == pytest.approx(hi, rel=1e-8)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=LAYOUTS)
+    def test_scaling_from_the_pair_is_the_one_from_s_and_z(self, seed, blocks):
+        # The NT scaling built from the iterate's cone data equals, byte for
+        # byte, the one built from s and z: W, W^{-1}, W^2 + reg I and
+        # lambda = W z.
+        rng = np.random.default_rng(seed)
+        cones = Cones(blocks)
+        s, z = interior_point(rng, blocks), interior_point(rng, blocks)
+        scaling = _NTScaling(cones.points(s, z))
+        w_nn, mats, inv, sq = nt_reference(cones, s, z)
+        assert scaling.w_nn.tobytes() == w_nn.tobytes()
+        for d in cones.soc:
+            assert scaling.soc_mats[d].tobytes() == mats[d].tobytes()
+            assert scaling.soc_inv[d].tobytes() == inv[d].tobytes()
+        w2 = np.concatenate([w_nn ** 2 + ipm.REG] + [
+            (sq[d] + ipm.REG * np.eye(d)).reshape(-1) for d in cones.soc])
+        assert scaling.w2_entries(ipm.REG).tobytes() == w2.tobytes()
+        lam = np.zeros_like(z)
+        lam[cones.nn] = w_nn * z[cones.nn]
+        for d, idx in cones.soc.items():
+            lam.flat[idx] = np.einsum("nij,nj->ni", mats[d], z[idx])
+        assert scaling.lam.u[0].tobytes() == lam.tobytes()
 
 
 class TestWarmStart:
