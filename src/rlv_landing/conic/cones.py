@@ -5,7 +5,9 @@ listed top to bottom in G's row order as ``ConeBlock``s. ``Cones`` is the
 one reader of that list; a program builds it once (``ConicProgram.layout``)
 and the IPM, the row equilibration, the residual check and the SCP
 projection all read it from there. Cone algebra is vectorized over groups
-of equal-dimension SOC blocks.
+of equal-dimension SOC blocks. ``ConePoints`` holds the cone data of a
+stack of points (their blocks and J-norms), formed once and read by each
+evaluation at those points, such as the step lengths of both.
 """
 
 from __future__ import annotations

@@ -29,6 +29,13 @@ ordering (the split of one symbolic analysis and numeric refactorizations,
 as in Clarabel: Goulart & Chen, arXiv:2405.12762). The cone algebra is
 ``cones.Cones``, the layout the program built once (``ConicProgram.layout``).
 
+Each iteration forms its iterate's cone data once, ``Cones.points(s, z)``
+(the blocks of s and z, their J-norms and normalized blocks), as ECOS and
+Clarabel do (Domahidi, Chu & Boyd, ECC 2013). The interior test, the NT
+scaling and every step length of the iteration read it, and each step
+length takes s and z together in one pass. The scaling holds lambda's cone
+data, which each direction's right-hand side W (lambda \\ d) reads.
+
 SuperLU factors without supernode panels (``factor_quasidefinite``): at
 about 12 nonzeros per factor column they cost more than they save (Demmel
 et al., SIAM J. Matrix Anal. Appl. 1999), and without them a factorization
