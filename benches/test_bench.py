@@ -36,7 +36,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rlv_landing.conic import NONNEG, SolverSettings, ipm
+from rlv_landing.conic import NONNEG, ipm
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (PlanningBoundary, PlanningProblem,
                                  fit_coast_polynomial, initial_guess_planning,
@@ -86,7 +86,14 @@ def subproblem():
 
 # The IPM's KKT regularization: a module constant, or a settings field in
 # trees before it was one.
-KKT_REG = getattr(ipm, "REG", None) or SolverSettings().reg
+KKT_REG = getattr(ipm, "REG", None) or ipm.SolverSettings().reg
+
+
+def ipm_tol(tol):
+    """The IPM's tolerance argument: a float, or in trees before it was one
+    a settings record with a feasibility and a gap field."""
+    settings = getattr(ipm, "SolverSettings", None)
+    return tol if settings is None else settings(tol_feas=tol, tol_gap=tol)
 
 
 def first_kkt(prog, reg=KKT_REG) -> sp.csc_matrix:
@@ -130,7 +137,7 @@ def third_subproblem(subproblem):
     if tol is None:
         pytest.skip("no inexact subproblem solves in this tree")
     prob, ref, prog = subproblem
-    inexact = replace(SolverSettings(), tol_feas=tol, tol_gap=tol)
+    inexact = ipm_tol(tol)
     for _ in range(2):
         start = ipm.solve(prog, inexact)
         ref = prob.decode(ref, start.x)

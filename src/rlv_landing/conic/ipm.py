@@ -60,11 +60,12 @@ not match the program is ignored, and the solve is then the same as a cold
 one.
 
 A call is one solve, with its numerics fixed by the constants below, as in
-Clarabel; the caller chooses only the tolerances (``SolverSettings``). A
-solve that ends without a verdict returns as it ended: nothing retries it
-under other numerics.
+Clarabel; the caller chooses only the tolerance ``tol``, which the scaled
+primal and dual residuals and the gap must each meet. A solve that ends
+without a verdict returns as it ended: nothing retries it under other
+numerics.
 
-A solve ends ``optimal`` (tolerances met: the best iterate of a few polish
+A solve ends ``optimal`` (tolerance met: the best iterate of a few polish
 iterations, also if the solve then stalls), ``infeasible`` (an approximate
 Farkas certificate, or a stall far from feasibility), ``numerical_failure``
 (a non-finite residual, an iterate off the cone interior, a failed
@@ -109,16 +110,6 @@ INFEAS_WINDOW = 10         # stalled iterations before the growth-window verdict
 # Gondzio corrector rounds per iteration; they save 13 IPM iterations on the
 # nominal N=100 ignition-fit plan.
 CENTRALITY_CORRECTORS = 2
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """The tolerances of a solve: the SCP loop solves at a loose one first
-    and at the full one once its step is small. Every other number of the
-    solver is a module constant."""
-
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-8
 
 
 class _NTScaling:
@@ -388,18 +379,18 @@ class _Kkt:
         return sol[self.position]
 
 
-def solve_robust(program: ConicProgram,
-                 settings: SolverSettings = SolverSettings()) -> SolverSolution:
+def solve_robust(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
     """``solve``, under the name that ``planbench/planning.py`` and
     ``planbench/spans.py`` still call; the next change to planbench deletes
     it. It calls ``solve`` through the module, so a wrapper of ``ipm.solve``
     sees every solve."""
-    return solve(program, settings)
+    return solve(program, tol)
 
 
-def solve(program: ConicProgram,
-          settings: SolverSettings = SolverSettings()) -> SolverSolution:
-    """Solve the conic program; deterministic for identical inputs."""
+def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
+    """Solve the conic program to the tolerance ``tol``; deterministic for
+    identical inputs. The SCP loop solves at a loose one first and at the
+    full one once its step is small."""
     program.validate()
     n = program.n
     c = np.asarray(program.c, float)
@@ -474,8 +465,8 @@ def solve(program: ConicProgram,
         if not np.isfinite(pres + dres + gap):
             status = "numerical_failure"
             break
-        gap_ok = mu < settings.tol_gap or rel_gap < 0.1 * settings.tol_gap
-        if pres < settings.tol_feas and dres < settings.tol_feas and gap_ok:
+        gap_ok = mu < tol or rel_gap < 0.1 * tol
+        if pres < tol and dres < tol and gap_ok:
             # Tolerances met: polish a few more iterations while the KKT
             # score keeps dropping, then return the best iterate.
             score = max(pres, dres, mu)
@@ -483,7 +474,7 @@ def solve(program: ConicProgram,
                 candidate = (x.copy(), y.copy(), z.copy(), s.copy())
                 candidate_score = score
             polish_left -= 1
-            if polish_left <= 0 or score < 1e-3 * settings.tol_feas:
+            if polish_left <= 0 or score < 1e-3 * tol:
                 status = "optimal"
                 break
 
@@ -502,7 +493,7 @@ def solve(program: ConicProgram,
         if certificate and (growth_count >= 3 or farkas_gap < -1e-6):
             status = "infeasible"
             break
-        if growth_count >= INFEAS_WINDOW and mu > settings.tol_gap:
+        if growth_count >= INFEAS_WINDOW and mu > tol:
             status = _stall_status(pres)
             break
 

@@ -1,6 +1,6 @@
 """Vehicle environment: atmosphere, aerodynamic forces with optional lift
-compensation, and the continuous-time translational (3-DOF) dynamics of the
-planning optimal control problem.
+compensation, and the continuous-time translational dynamics of the planning
+optimal control problem.
 
 Conventions
 -----------
@@ -22,11 +22,11 @@ Conventions
 
 The translational model (f and its Jacobian) and the aerodynamic load
 constraint are each written once, over arrays with a leading batch axis, so
-one call serves a single node or a whole trajectory. The 3-DOF and planning
-forms are wrappers around them. The engine-off coast, integrated one node
-at a time, has its own float form (``coast_dynamics``), which the tests
-hold bit-equal to the kernel. All Jacobians here are hand-derived; the
-test suite checks each against central finite differences.
+one call serves a single node or a whole trajectory; the planning form is
+the kernel itself. The engine-off coast, integrated one node at a time, has
+its own float form (``coast_dynamics``), which the tests hold bit-equal to
+the kernel. All Jacobians here are hand-derived; the test suite checks each
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ class AeroOptions:
     drag_only: bool = False
 
 
-@dataclass(frozen=True)
-class AeroCoefficients:
-    C_L: float
-    C_D: float
-    C_z: float
-    C_L_comp: float
-
-
 def ambient_pressure(altitude):
     """Ambient pressure [Pa] at altitude [m], elementwise; clamped at h = 0."""
     return P0 * np.exp(-np.maximum(altitude, 0.0) / H_SCALE)
@@ -73,36 +65,6 @@ def ambient_pressure(altitude):
 def air_density(altitude):
     """Air density [kg/m^3] at altitude [m], elementwise; clamped at h = 0."""
     return RHO0 * np.exp(-np.maximum(altitude, 0.0) / H_SCALE)
-
-
-def total_aoa(T: np.ndarray, v: np.ndarray) -> float:
-    """Total angle of attack between the thrust line and -v, in [0, pi]."""
-    T = np.asarray(T, float)
-    v = np.asarray(v, float)
-    nT = np.linalg.norm(T)
-    nv = np.linalg.norm(v)
-    if nT <= T_EPS or nv <= T_EPS:
-        raise DegenerateStateError("degenerate direction: zero-norm input")
-    w = np.linalg.norm(np.cross(T, v))
-    return math.atan2(w, -float(T @ v))
-
-
-def compensated_lift_coeff(C_L: float, C_D: float, alpha_T: float,
-                           l_cp: float, l_c: float) -> float:
-    """Lift coefficient reduced by the steady TVC trim deflection."""
-    if l_c <= 0.0:
-        raise DegenerateStateError("hinge arm must be positive")
-    C_z = C_L * math.cos(alpha_T) + C_D * math.sin(alpha_T)
-    return C_L - (l_cp / l_c) * C_z
-
-
-def aero_coefficients(alpha_T: float, vp: VehicleParams) -> AeroCoefficients:
-    """Evaluate the synthetic coefficient model at a total angle of attack."""
-    C_L = vp.C_L_alpha * alpha_T
-    C_D = vp.C_D0 + vp.C_D2 * alpha_T * alpha_T
-    C_z = C_L * math.cos(alpha_T) + C_D * math.sin(alpha_T)
-    C_L_comp = compensated_lift_coeff(C_L, C_D, alpha_T, vp.l_cp, vp.l_c)
-    return AeroCoefficients(C_L=C_L, C_D=C_D, C_z=C_z, C_L_comp=C_L_comp)
 
 
 def _sinc_pair(alpha, beta):
@@ -137,20 +99,6 @@ def lift_slope(beta, vp: VehicleParams, opts: AeroOptions):
     E = vp.C_L_alpha - ratio * (vp.C_L_alpha * c + C_D * s)
     dE = -ratio * (-vp.C_L_alpha * s / 2.0 + vp.C_D2 * s + C_D * ds)
     return E, dE
-
-
-def lift_force(T: np.ndarray, v: np.ndarray, rho: float, s_ref: float,
-               slope: float) -> np.ndarray:
-    """Lift force for a given effective slope; zero when thrust is off."""
-    T = np.asarray(T, float)
-    v = np.asarray(v, float)
-    nT = np.linalg.norm(T)
-    nv = np.linalg.norm(v)
-    if nT <= T_EPS or nv < V_EPS or rho <= 0.0:
-        return np.zeros(3)
-    q_bar = 0.5 * rho * nv * nv
-    direction = ((T @ v) * v - nv * nv * T) / (nT * nv * nv)
-    return q_bar * s_ref * slope * direction
 
 
 def _dot(a, b):
@@ -314,20 +262,8 @@ planner_jacobian = translational_dynamics
 
 def planner_rhs(z, vp: VehicleParams,
                 opts: AeroOptions = AeroOptions()) -> np.ndarray:
-    """Planning OCP dynamics f(z); equals dynamics_3dof when Gamma = ||T||."""
-    return translational_dynamics(z, vp, opts, jacobian=False)[0]
-
-
-def dynamics_3dof(x, T, vp: VehicleParams,
-                  opts: AeroOptions = AeroOptions()) -> np.ndarray:
-    """Physical translational dynamics: x = (r, v, m), control = thrust vector.
-
-    Mass flow uses the delivered thrust magnitude plus the back-pressure
-    loss term evaluated at the current altitude.
-    """
-    T = np.asarray(T, float)
-    z = np.concatenate([np.asarray(x, float), T,
-                        _norm(T)[..., None]], axis=-1)
+    """Planning OCP dynamics f(z): the kernel without its Jacobian. With
+    Gamma = ||T|| it is the physical translational model."""
     return translational_dynamics(z, vp, opts, jacobian=False)[0]
 
 

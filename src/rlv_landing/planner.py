@@ -126,9 +126,9 @@ def propagate_coast(r0: np.ndarray, v0: np.ndarray, m0: float,
     Samples every ``step`` seconds up to ``horizon`` and stops at the first
     sample on or below the ground (``truncated``). The stages evaluate
     ``env.coast_dynamics`` on floats in the array form's order of
-    operations, so the samples equal RK4 over ``env.dynamics_3dof`` bit for
-    bit. A stage with m <= 0 or a non-finite state raises
-    ``DegenerateStateError``.
+    operations, so the samples equal RK4 over the kernel,
+    ``env.translational_dynamics`` at T = 0 and Gamma = 0, bit for bit. A
+    stage with m <= 0 or a non-finite state raises ``DegenerateStateError``.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -221,32 +221,27 @@ def initial_guess_planning(boundary: PlanningBoundary, cfg: PlanningConfig,
 
 @dataclass(frozen=True)
 class LinearizedNode:
-    """Trapezoidal-row ingredients at one reference node, or at a stack of
-    nodes along a leading axis."""
+    """Trapezoidal-row ingredients at a stack of n reference nodes, one per
+    row."""
 
-    A: np.ndarray      # eta_ref * df/dZ  (7 x 11)
-    C: np.ndarray      # f(Z_ref)         (7,)
-    D: np.ndarray      # -eta_ref * (df/dZ) Z_ref (7,)
-    g_load: float      # load constraint value at the reference
-    grad_load: np.ndarray   # (11,)
+    A: np.ndarray      # eta_ref * df/dZ  (n, 7, 11)
+    C: np.ndarray      # f(Z_ref)         (n, 7)
+    D: np.ndarray      # -eta_ref * (df/dZ) Z_ref (n, 7)
+    g_load: np.ndarray      # load constraint values at the reference (n,)
+    grad_load: np.ndarray   # (n, 11)
 
 
-def linearize_planning(z_node: np.ndarray, eta_ref: float,
+def linearize_planning(Z: np.ndarray, eta_ref: float,
                        vp: VehicleParams, cfg: PlanningConfig,
-                       opts: AeroOptions, node_index: int = -1) -> LinearizedNode:
-    """Linearize dynamics and load constraint at one reference node (11,),
-    or at every node of an (n, 11) stack in one kernel call.
-
-    ``node_index`` names a single node in the error message; a stack names
-    its first degenerate row.
-    """
-    z = np.asarray(z_node, float)
+                       opts: AeroOptions) -> LinearizedNode:
+    """Linearize dynamics and load constraint at every node of an (n, 11)
+    stack in one kernel call; a degenerate node raises, naming its row."""
+    z = np.asarray(Z, float)
     bad = (~np.all(np.isfinite(z), axis=-1) | (z[..., 6] <= 0.0)
            | (z[..., IDX_GAMMA] <= 0.0))
     if np.any(bad):
-        k = node_index if z.ndim == 1 else int(np.flatnonzero(bad)[0])
-        raise DegenerateStateError(
-            f"degenerate planning reference at node {k}")
+        raise DegenerateStateError("degenerate planning reference at node "
+                                   f"{int(np.flatnonzero(bad)[0])}")
     f, J = env.planner_jacobian(z, vp, opts)
     A = eta_ref * J
     D = -(A @ z[..., None])[..., 0]
@@ -287,9 +282,6 @@ class PlanningProblem:
         self._scaling: VariableScaling | None = None
 
     # -- variable layout helpers -------------------------------------------------
-
-    def node_slice(self, k: int) -> slice:
-        return slice(NZ * k, NZ * (k + 1))
 
     def stack(self, ref: PlanningReference) -> np.ndarray:
         x = np.zeros(self.n_vars)
@@ -477,7 +469,7 @@ class PlanningProblem:
         scaled = equilibrate_rows(scale_program(program, self.scaling(ref)))
         # Objective: -m_N in scaled units, plus the soft trust region.
         c = np.zeros(self.n_vars)
-        c[self.node_slice(self.N).start + 6] = -1.0
+        c[NZ * self.N + 6] = -1.0
         scaled.c = scaled.c + c     # scaled cost of the affine program is zero
         add_trust_region(scaled, self.reference_vector(ref), self.cfg.W_tr)
         return scaled

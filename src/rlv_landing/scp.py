@@ -14,31 +14,30 @@ residual is left, Gauss-Newton steps onto the rows built about the reference,
 and then about each projected one, close the O(step^2) gap; the last
 projected reference is the next one, and converges only if it passes the test.
 
-Each subproblem is first solved inexactly, at tolerances of INEXACT_TOL,
-from the previous subproblem's solution: far from the fixed point a step
-needs only to be good enough to linearize about. A step whose J_tr passes
-the step test is solved again at the caller's tolerances, and J_tr and the
-next reference come from that re-solve. The re-solve resumes the inexact
-solve's own iterate: the program is the same object, so the IPM keeps that
-solution's slacks and multipliers as they are, where a start from the
-previous subproblem is moved into the cones first, and a subproblem whose
-KKT pattern is the previous one's reuses its ordering. So a converged plan
-is a full-tolerance subproblem solution that passes the fixed-point test; a
-re-solved step that fails the step test costs one more SCP iteration and
-converges nothing.
+Each subproblem is first solved inexactly, at the IPM tolerance
+INEXACT_TOL, from the previous subproblem's solution: far from the fixed
+point a step needs only to be good enough to linearize about. A step whose
+J_tr passes the step test is solved again at the caller's tolerance, and
+J_tr and the next reference come from that re-solve. The re-solve resumes
+the inexact solve's own iterate: the program is the same object, so the IPM
+keeps that solution's slacks and multipliers as they are, where a start
+from the previous subproblem is moved into the cones first, and a
+subproblem whose KKT pattern is the previous one's reuses its ordering. So
+a converged plan is a full-tolerance subproblem solution that passes the
+fixed-point test; a re-solved step that fails the step test costs one more
+SCP iteration and converges nothing.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import (ConicProgram, SolverSettings, SolverSolution,
-                    cone_violation, factor_quasidefinite, solve)
+from .conic import ConicProgram, SolverSolution, factor_quasidefinite, solve
 
 
 # The projection holds inequality rows this close to their bound (rows are
@@ -56,8 +55,8 @@ EPS_FEASIBLE = 1e-7
 # converged reference: the bound planbench's ``planning.check`` holds a
 # converged plan's thrust relaxation to.
 RELAXATION_TOL = 1e-6
-# IPM tolerance (tol_feas and tol_gap) of a subproblem solve before its step
-# is small; the caller's tolerances apply from the step test on.
+# IPM tolerance of a subproblem solve before its step is small; the caller's
+# tolerance applies from the step test on.
 INEXACT_TOL = 1e-4
 
 
@@ -140,7 +139,8 @@ def fixed_point_residual(program: ConicProgram, x: np.ndarray) -> float:
     """Largest violation of the program's rows at x: the equality residual
     and the distance of h - G x outside its cones."""
     return max(float(np.abs(program.A @ x - program.b).max(initial=0.0)),
-               cone_violation(program, program.h - program.G @ x))
+               program.layout.interior_violation(program.h - program.G @ x),
+               0.0)
 
 
 def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
@@ -206,23 +206,20 @@ def _project(adapter: SubproblemAdapter, reference: Any,
 
 
 def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
-            settings: ScpSettings,
-            solver_settings: SolverSettings = SolverSettings(),
+            settings: ScpSettings, tol: float = 1e-8,
             solve_fn: Callable[..., SolverSolution] = solve) -> ScpOutcome:
     """Iterate build/solve/update until the reference is a fixed point.
 
-    Converged means J_tr < eps_converge, from a solve at ``solver_settings``,
-    a fixed-point residual (of the reference, or of its projection onto
-    the rebuilt rows) at most EPS_FEASIBLE, and a relaxation gap of that
-    reference at most RELAXATION_TOL. Raises ScpFailure when a subproblem
-    is not solved to optimality; otherwise the loop runs to
+    Converged means J_tr < eps_converge, from a solve at the IPM tolerance
+    ``tol``, a fixed-point residual (of the reference, or of its projection
+    onto the rebuilt rows) at most EPS_FEASIBLE, and a relaxation gap of
+    that reference at most RELAXATION_TOL. Raises ScpFailure when a
+    subproblem is not solved to optimality; otherwise the loop runs to
     ``settings.max_iter``, whatever J_tr does.
     """
     reference = initial_reference
     log: list[ScpIterationRecord] = []
-    inexact = replace(solver_settings,
-                      tol_feas=max(solver_settings.tol_feas, INEXACT_TOL),
-                      tol_gap=max(solver_settings.tol_gap, INEXACT_TOL))
+    inexact = max(tol, INEXACT_TOL)
     solution = None
     t0 = time.perf_counter()
     program = adapter.build(reference)
@@ -232,11 +229,11 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
         program.start = solution
         solution = solve_fn(program, inexact)
         solver_iterations, resolved = solution.iterations, False
-        if solution.optimal and inexact != solver_settings and \
+        if solution.optimal and inexact != tol and \
                 trust_region_cost(solution.x, x_ref, settings.W_tr) \
                 < settings.eps_converge:
             program.start = solution
-            solution = solve_fn(program, solver_settings)
+            solution = solve_fn(program, tol)
             solver_iterations += solution.iterations
             resolved = True
         if solution.status != "optimal":

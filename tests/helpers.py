@@ -1,11 +1,17 @@
-"""Shared numerical test utilities: finite differences, random states and a
-cone layout."""
+"""Shared numerical test utilities: finite differences, random states, a
+cone layout, and the scalar oracles the kernels are tested against: the
+aero model at one angle of attack and the KKT residuals of a solution."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from rlv_landing.conic import NONNEG, SOC, ConeBlock
+from rlv_landing.conic import (NONNEG, SOC, ConeBlock, ConicProgram,
+                               SolverSolution)
+from rlv_landing.env import T_EPS, V_EPS, DegenerateStateError
 from rlv_landing.params import VehicleParams
 
 # Orthant rows between SOC blocks of two dimensions, an order the planner
@@ -56,3 +62,91 @@ def random_planner_node(rng, vp: VehicleParams) -> np.ndarray:
 def _random_unit(rng):
     u = rng.normal(size=3)
     return u / np.linalg.norm(u)
+
+
+@dataclass(frozen=True)
+class AeroCoefficients:
+    C_L: float
+    C_D: float
+    C_z: float
+    C_L_comp: float
+
+
+def total_aoa(T: np.ndarray, v: np.ndarray) -> float:
+    """Total angle of attack between the thrust line and -v, in [0, pi]."""
+    T = np.asarray(T, float)
+    v = np.asarray(v, float)
+    nT = np.linalg.norm(T)
+    nv = np.linalg.norm(v)
+    if nT <= T_EPS or nv <= T_EPS:
+        raise DegenerateStateError("degenerate direction: zero-norm input")
+    w = np.linalg.norm(np.cross(T, v))
+    return math.atan2(w, -float(T @ v))
+
+
+def compensated_lift_coeff(C_L: float, C_D: float, alpha_T: float,
+                           l_cp: float, l_c: float) -> float:
+    """Lift coefficient reduced by the steady TVC trim deflection."""
+    if l_c <= 0.0:
+        raise DegenerateStateError("hinge arm must be positive")
+    C_z = C_L * math.cos(alpha_T) + C_D * math.sin(alpha_T)
+    return C_L - (l_cp / l_c) * C_z
+
+
+def aero_coefficients(alpha_T: float, vp: VehicleParams) -> AeroCoefficients:
+    """Evaluate the synthetic coefficient model at a total angle of attack."""
+    C_L = vp.C_L_alpha * alpha_T
+    C_D = vp.C_D0 + vp.C_D2 * alpha_T * alpha_T
+    C_z = C_L * math.cos(alpha_T) + C_D * math.sin(alpha_T)
+    C_L_comp = compensated_lift_coeff(C_L, C_D, alpha_T, vp.l_cp, vp.l_c)
+    return AeroCoefficients(C_L=C_L, C_D=C_D, C_z=C_z, C_L_comp=C_L_comp)
+
+
+def lift_force(T: np.ndarray, v: np.ndarray, rho: float, s_ref: float,
+               slope: float) -> np.ndarray:
+    """Lift force for a given effective slope; zero when thrust is off."""
+    T = np.asarray(T, float)
+    v = np.asarray(v, float)
+    nT = np.linalg.norm(T)
+    nv = np.linalg.norm(v)
+    if nT <= T_EPS or nv < V_EPS or rho <= 0.0:
+        return np.zeros(3)
+    q_bar = 0.5 * rho * nv * nv
+    direction = ((T @ v) * v - nv * nv * T) / (nT * nv * nv)
+    return q_bar * s_ref * slope * direction
+
+
+@dataclass(frozen=True)
+class KktReport:
+    stationarity: float      # ||P x + c + A' y + G' z||_inf
+    primal_eq: float         # ||A x - b||_inf
+    primal_cone: float       # ||G x + s - h||_inf plus cone violation of s
+    dual_cone: float         # cone violation of z
+    complementarity: float   # |s' z|
+
+    @property
+    def worst(self) -> float:
+        return max(self.stationarity, self.primal_eq, self.primal_cone,
+                   self.dual_cone, self.complementarity)
+
+
+def verify_kkt(program: ConicProgram, solution: SolverSolution) -> KktReport:
+    """Residual norms of the KKT conditions at the given solution."""
+    def cone_violation(u):
+        return max(program.layout.interior_violation(u), 0.0)
+
+    x = solution.x
+    stat = np.asarray(program.c, float) + program.P @ x \
+        + program.A.T @ solution.y + program.G.T @ solution.z
+    h = np.asarray(program.h)
+    s = solution.s if solution.s is not None else h - program.G @ x
+    primal_cone = max(
+        float(np.abs(program.G @ x + s - h).max(initial=0.0)),
+        cone_violation(s))
+    return KktReport(
+        stationarity=float(np.abs(stat).max(initial=0.0)),
+        primal_eq=float(np.abs(program.A @ x - program.b).max(initial=0.0)),
+        primal_cone=primal_cone,
+        dual_cone=cone_violation(solution.z),
+        complementarity=abs(float(s @ solution.z)),
+    )

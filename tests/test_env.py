@@ -13,24 +13,35 @@ from rlv_landing import env
 from rlv_landing.env import (
     AeroOptions,
     DegenerateStateError,
-    aero_coefficients,
     aero_force_jac,
     air_density,
     ambient_pressure,
-    compensated_lift_coeff,
-    dynamics_3dof,
-    lift_force,
     lift_slope,
     load_constraint_planner,
     planner_jacobian,
     planner_rhs,
-    total_aoa,
+    translational_dynamics,
 )
 from rlv_landing.params import VehicleParams
 
-from helpers import central_diff_jacobian, random_planner_node, rel_jac_error
+from helpers import (
+    aero_coefficients,
+    central_diff_jacobian,
+    compensated_lift_coeff,
+    lift_force,
+    random_planner_node,
+    rel_jac_error,
+    total_aoa,
+)
 
 VP = VehicleParams()
+
+
+def with_gamma(x, T):
+    """The kernel's z = (r, v, m, T, Gamma) for state x and thrust T, with
+    the delivered magnitude Gamma = ||T||."""
+    T = np.asarray(T, float)
+    return np.concatenate([x, T, [np.linalg.norm(T)]])
 
 
 class TestAtmosphere:
@@ -224,34 +235,37 @@ class TestDynamics3Dof:
         # Gamma = 816 kN delivered at sea level, Table-2 engine.
         x = np.concatenate([[0, 0, 0], [0, 0, -1.0], [VP.m0]])
         T = np.array([0.0, 0.0, -816e3])
-        xdot = dynamics_3dof(x, T, VP)
+        xdot = translational_dynamics(with_gamma(x, T), VP, jacobian=False)[0]
         expected = -(816e3 + 101325.0 * VP.A_exit) / (VP.g_ref * VP.Isp)
         assert xdot[6] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(-319.4, abs=0.1)
 
     def test_free_fall_vacuum(self):
         x = np.concatenate([[0, 0, -500e3], np.zeros(3), [VP.m0]])
-        xdot = dynamics_3dof(x, np.zeros(3), VP)
+        xdot = translational_dynamics(with_gamma(x, np.zeros(3)), VP,
+                                      jacobian=False)[0]
         assert np.allclose(xdot[3:6], [0, 0, VP.g_ref])
 
     def test_hover(self):
         m = 30000.0
         x = np.concatenate([[0, 0, -400e3], np.zeros(3), [m]])
         T = np.array([0.0, 0.0, -m * VP.g_ref])
-        xdot = dynamics_3dof(x, T, VP)
+        xdot = translational_dynamics(with_gamma(x, T), VP, jacobian=False)[0]
         assert np.allclose(xdot[3:6], 0.0, atol=1e-12)
 
     def test_mass_monotonic(self):
         # mdot < 0 whenever thrust or ambient pressure is nonzero.
         x = np.concatenate([[0, 0, -3000.0], [10, 0, 100.0], [VP.m0]])
-        assert dynamics_3dof(x, np.zeros(3), VP)[6] < 0.0
+        z = with_gamma(x, np.zeros(3))
+        assert translational_dynamics(z, VP, jacobian=False)[0][6] < 0.0
         x_vac = np.concatenate([[0, 0, -800e3], [10, 0, 100.0], [VP.m0]])
-        assert dynamics_3dof(x_vac, np.array([0, 0, -1e3]), VP)[6] < 0.0
+        z_vac = with_gamma(x_vac, np.array([0, 0, -1e3]))
+        assert translational_dynamics(z_vac, VP, jacobian=False)[0][6] < 0.0
 
     def test_low_speed_zeroes_aero(self):
         x = np.concatenate([[0, 0, -1000.0], [0.05, 0, 0], [VP.m0]])
         T = np.array([0.0, 0.0, -5e5])
-        xdot = dynamics_3dof(x, T, VP)
+        xdot = translational_dynamics(with_gamma(x, T), VP, jacobian=False)[0]
         assert np.allclose(xdot[3:6], T / VP.m0 + VP.gravity)
 
 
@@ -270,7 +284,8 @@ class TestCoastDynamics:
             xs.append(np.concatenate([r, v, [rng.uniform(1e3, 4e4)]]))
         assert sum(np.linalg.norm(x[3:6]) < env.V_EPS for x in xs) > 300
         got = [env.coast_dynamics(list(x), VP) for x in xs]
-        want = [dynamics_3dof(x, np.zeros(3), VP, opts) for x in xs]
+        want = [translational_dynamics(with_gamma(x, np.zeros(3)), VP, opts,
+                                       jacobian=False)[0] for x in xs]
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m, r_z", [(0.0, -3e3), (-1.0, -3e3),

@@ -34,7 +34,7 @@ from rlv_landing.planner import (
 )
 from rlv_landing.scp import ScpSettings, run_scp
 
-from helpers import central_diff_jacobian, rel_jac_error
+from helpers import central_diff_jacobian, rel_jac_error, total_aoa
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -86,14 +86,15 @@ class TestCoast:
             propagate_coast(R0, V0, VP.m0, VP, horizon=horizon, step=step)
 
     def test_equals_rk4_over_the_kernel_bitwise(self):
-        # The reference is RK4 written over dynamics_3dof on arrays, the
-        # physical model: nominal, ground-truncated and vacuum coasts. The
-        # coast from 1 km is one whose samples change when the atmosphere's
-        # exp rounds as math.exp does.
+        # The reference is RK4 written over the kernel on arrays, at
+        # T = 0 and Gamma = 0: nominal, ground-truncated and vacuum coasts.
+        # The coast from 1 km is one whose samples change when the
+        # atmosphere's exp rounds as math.exp does.
         opts = env.AeroOptions(drag_only=True)
 
         def f(x):
-            return env.dynamics_3dof(x, np.zeros(3), VP, opts)
+            z = np.concatenate([x, np.zeros(4)])
+            return env.translational_dynamics(z, VP, opts, jacobian=False)[0]
 
         cases = [(R0, V0, 16.0, False),
                  (np.array([0.0, 0.0, -1000.0]), V0, 15.0, True),
@@ -247,32 +248,33 @@ class TestLinearization:
         prob, cfg = make_problem()
         ref = initial_guess_planning(prob.boundary, cfg, VP)
         k = 10
-        node = linearize_planning(ref.Z[k], ref.eta, VP, cfg, prob.opts, k)
+        lin = linearize_planning(ref.Z, ref.eta, VP, cfg, prob.opts)
         f_fd = central_diff_jacobian(
             lambda z: ref.eta * env.planner_rhs(z, VP, prob.opts), ref.Z[k])
-        assert rel_jac_error(node.A, f_fd) < 1e-5
+        assert rel_jac_error(lin.A[k], f_fd) < 1e-5
 
     def test_C_equals_rhs(self):
         prob, cfg = make_problem()
         ref = initial_guess_planning(prob.boundary, cfg, VP)
-        node = linearize_planning(ref.Z[4], ref.eta, VP, cfg, prob.opts, 4)
-        np.testing.assert_allclose(node.C, env.planner_rhs(ref.Z[4], VP, prob.opts),
+        lin = linearize_planning(ref.Z, ref.eta, VP, cfg, prob.opts)
+        np.testing.assert_allclose(lin.C[4],
+                                   env.planner_rhs(ref.Z[4], VP, prob.opts),
                                    rtol=1e-12)
 
     def test_affine_exact_at_reference(self):
         prob, cfg = make_problem()
         ref = initial_guess_planning(prob.boundary, cfg, VP)
-        node = linearize_planning(ref.Z[7], ref.eta, VP, cfg, prob.opts, 7)
-        recon = node.A @ ref.Z[7] + node.C * ref.eta + node.D
-        np.testing.assert_allclose(recon, ref.eta * node.C, rtol=1e-9)
+        lin = linearize_planning(ref.Z, ref.eta, VP, cfg, prob.opts)
+        recon = lin.A[7] @ ref.Z[7] + lin.C[7] * ref.eta + lin.D[7]
+        np.testing.assert_allclose(recon, ref.eta * lin.C[7], rtol=1e-9)
 
     def test_degenerate_node_raises(self):
         prob, cfg = make_problem()
         ref = initial_guess_planning(prob.boundary, cfg, VP)
-        bad = ref.Z[5].copy()
-        bad[6] = -1.0
+        bad = ref.Z.copy()
+        bad[5, 6] = -1.0
         with pytest.raises(env.DegenerateStateError, match="node 5"):
-            linearize_planning(bad, ref.eta, VP, cfg, prob.opts, 5)
+            linearize_planning(bad, ref.eta, VP, cfg, prob.opts)
 
     def test_zero_reference_thrust_raises(self):
         # The lower thrust bound acts along the reference thrust direction,
@@ -552,7 +554,7 @@ class TestPlanningScp:
             if speed < 1.0:
                 continue
             q_bar = 0.5 * env.air_density(-ref.r[k, 2]) * speed**2
-            alpha = env.total_aoa(ref.T[k], ref.v[k])
+            alpha = total_aoa(ref.T[k], ref.v[k])
             assert q_bar * alpha <= cfg.L_lim * 1.01 + 1.0
 
     def test_replan_mode_from_midcourse_state(self):

@@ -8,8 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from rlv_landing.conic import (ConeBlock, ConicProgram, NONNEG, SOC,
-                               SolverSettings, cone_violation, make_scaling,
-                               solve)
+                               make_scaling, solve)
 from rlv_landing.scp import (
     ACTIVE_TOL,
     EPS_FEASIBLE,
@@ -151,23 +150,21 @@ class TestRunScp:
         # 6e-8 before the fourth step passes the step test at 1e-8.
         solves = []
 
-        def recorded(program, settings):
-            solves.append((settings.tol_feas, settings.tol_gap, program.start))
-            return solve(program, settings)
+        def recorded(program, tol):
+            solves.append((tol, program.start))
+            return solve(program, tol)
 
         fixture = _SquareRootFixture(w_tr=1.0)
-        solver_settings = SolverSettings()
-        out = run_scp(fixture, 1.0, ScpSettings(1e-8, 10, 1.0),
-                      solver_settings, solve_fn=recorded)
+        tol = 1e-8
+        out = run_scp(fixture, 1.0, ScpSettings(1e-8, 10, 1.0), tol,
+                      solve_fn=recorded)
         assert out.converged
         assert out.iterations == 4
         assert len(solves) == out.iterations + 1
-        assert [tols for *tols, _ in solves[:-1]] == \
-            [[INEXACT_TOL, INEXACT_TOL]] * out.iterations
-        assert solves[-1][:2] == (solver_settings.tol_feas,
-                                  solver_settings.tol_gap)
-        assert solves[-1][2] is not None and solves[-1][2].optimal
-        assert solves[0][2] is None
+        assert [t for t, _ in solves[:-1]] == [INEXACT_TOL] * out.iterations
+        assert solves[-1][0] == tol
+        assert solves[-1][1] is not None and solves[-1][1].optimal
+        assert solves[0][1] is None
         assert all(start is not None for *_, start in solves[1:])
         assert [rec.resolved for rec in out.log] == [False] * 3 + [True]
         assert out.log[-1].J_tr < 1e-8
@@ -181,9 +178,9 @@ class TestRunScp:
         build = fixture.build
         fixture.build = lambda ref: refs.append(ref) or build(ref)
 
-        def still(program, settings):
-            sol = solve(program, settings)
-            if settings.tol_feas == INEXACT_TOL:
+        def still(program, tol):
+            sol = solve(program, tol)
+            if tol == INEXACT_TOL:
                 sol.x = fixture.reference_vector(refs[-1])
             return sol
 
@@ -379,6 +376,7 @@ class TestInterleavedLayout:
                 else:
                     worst = max(worst, float(np.linalg.norm(u[block[1:]])
                                              - u[block[0]]))
-            assert cone_violation(prog, u) == pytest.approx(worst, abs=1e-12)
+            assert max(prog.layout.interior_violation(u), 0.0) == \
+                pytest.approx(worst, abs=1e-12)
         inside = np.array([1.0, 0.1, 0.2, 0.3, 0.4, 1.0, 0.5, 0.6])
-        assert cone_violation(prog, inside) == 0.0
+        assert max(prog.layout.interior_violation(inside), 0.0) == 0.0

@@ -1,5 +1,6 @@
 """Conic solver tests: hand fixtures, the active-set enumeration oracle,
-scaling equivalence, KKT verification and determinism.
+scaling equivalence, KKT residuals (``helpers.verify_kkt``) and
+determinism.
 """
 
 import gc
@@ -21,18 +22,16 @@ from rlv_landing.conic import (
     SOC,
     ConeBlock,
     ConicProgram,
-    SolverSettings,
     make_scaling,
     scale_program,
     solve,
-    verify_kkt,
 )
 from rlv_landing.conic import ipm
 from rlv_landing.conic.cones import Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import INTERLEAVED_CONES
+from helpers import INTERLEAVED_CONES, verify_kkt
 
 
 def lp(c, G, h, A=None, b=None):
@@ -190,7 +189,7 @@ class TestHandFixtures:
         # FAR_FROM_FEASIBLE, an absolute residual, is infeasible at any
         # tolerance; one nearer is a numerical failure.
         prog = lp([1.0], [[-1.0], [1.0]], [-delta, 0.0])
-        sol = solve(prog, SolverSettings(tol_feas=tol, tol_gap=tol))
+        sol = solve(prog, tol)
         assert sol.status == status
         assert sol.primal_res == pytest.approx(primal_res, rel=0.1)
 
@@ -237,15 +236,14 @@ def test_solve_robust_is_one_solve(monkeypatch):
     calls = []
     result = object()
 
-    def counted(program, settings):
-        calls.append((program, settings))
+    def counted(program, tol):
+        calls.append((program, tol))
         return result
 
     monkeypatch.setattr(ipm, "solve", counted)
     prog = lp([1.0], [[-1.0]], [-2.0])
-    loose = SolverSettings(tol_feas=1e-4, tol_gap=1e-4)
-    assert ipm.solve_robust(prog, loose) is result
-    assert calls == [(prog, loose)]
+    assert ipm.solve_robust(prog, 1e-4) is result
+    assert calls == [(prog, 1e-4)]
 
 
 @pytest.mark.parametrize("make, message", [
@@ -760,9 +758,8 @@ class TestWarmStart:
         # Same optimum as a cold solve. At tolerance 1e-8 two correct solves
         # can differ by over 1e-6 in x: a weakly active cone row turns the
         # 1e-8 gap into an x error of gap / multiplier. So compare at 1e-10.
-        tight = SolverSettings(tol_feas=1e-10, tol_gap=1e-10)
-        warm = solve(perturbed, tight)
-        cold = solve(replace(perturbed, start=None), tight)
+        warm = solve(perturbed, 1e-10)
+        cold = solve(replace(perturbed, start=None), 1e-10)
         assert warm.warm and not cold.warm
         assert warm.optimal and cold.optimal
         np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-6)
@@ -811,7 +808,7 @@ class TestWarmStart:
     def test_resolve_resumes_its_own_iterate(self):
         rng = np.random.default_rng(47)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        loose = solve(prog, SolverSettings(tol_feas=1e-4, tol_gap=1e-4))
+        loose = solve(prog, 1e-4)
         prog.start = loose
         resumed = solve(prog)
         # The same start given to a copy of the program is shifted.
