@@ -23,10 +23,22 @@ plan prints one JSON line:
 A last line holds the totals, among them ``ipm_iters``, ``builds`` (calls of
 ``planner.linearize_planning``, which every subproblem build makes once)
 and ``projection_steps`` (calls of ``scp.project_onto_rows``). The same
-file runs on any tree whose ``ipm.solve`` takes a program and settings, so
-it compares two commits plan by plan: two trees give the same answers when
-their plan lines (all but the last, which holds timings and counts) are the
-same, as ``diff`` shows.
+file runs on any tree whose ``ipm.solve`` takes a program and its tolerance
+argument, so it compares two commits plan by plan: two trees give the same
+answers when their plan lines (all but the totals, which hold timings and
+counts) are the same.
+
+``--diff SAVED`` makes that comparison. SAVED is this script's output on
+another tree. After the totals, one line names each plan of this run whose
+``outcome``, ``scp_iters``, ``propellant_kg`` or ``z_hash`` differs from
+its line in SAVED, with the old and new values, and a last line counts the
+plans compared, moved, and missing from SAVED:
+
+    python3 benches/corpus.py --workload replan-n100 --seeds 41 > old.jsonl
+
+on one tree, then on the other:
+
+    python3 benches/corpus.py --workload replan-n100 --seeds 41 --diff old.jsonl
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VERDICTS = ("optimal", "infeasible")
+# The fields of a plan line that ``--diff`` compares.
+COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash")
 
 
 class SolveRecorder:
@@ -79,13 +93,27 @@ def count_calls(owner, name: str, totals: dict, key: str) -> None:
     setattr(owner, name, counted)
 
 
+def plan_key(line: dict) -> tuple:
+    return line["workload"], line["set"], line["plan"]
+
+
+def saved_plans(path: str) -> dict:
+    """The plan lines of a saved run, by ``plan_key``."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [json.loads(text) for text in fh if text.strip()]
+    return {plan_key(line): line for line in lines if "plan" in line}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="*", default=[])
     p.add_argument("--count", type=int, default=16,
                    help="states planned per seed")
+    p.add_argument("--diff", metavar="SAVED",
+                   help="a saved run of another tree to compare plans with")
     args = p.parse_args(argv)
+    saved = None if args.diff is None else saved_plans(args.diff)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "planbench")]
     import planning
@@ -106,6 +134,7 @@ def main(argv=None) -> int:
               "projection_steps": 0, "outcomes": {}}
     count_calls(planner, "linearize_planning", totals, "builds")
     count_calls(scp, "project_onto_rows", totals, "projection_steps")
+    moved, missing = [], 0
     for name, states in sets:
         for i, state in enumerate(states):
             result = planning.plan(workload, state, recorder)
@@ -116,7 +145,7 @@ def main(argv=None) -> int:
             totals["stalls"] += len(recorder.stalls)
             outcomes = totals["outcomes"]
             outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
-            print(json.dumps({
+            line = {
                 "workload": workload.name, "set": name, "plan": i,
                 "outcome": result.outcome, "scp_iters": result.scp_iters,
                 "ipm_iters": recorder.ipm_iters,
@@ -125,9 +154,26 @@ def main(argv=None) -> int:
                 "problems": result.problems,
                 "z_hash": None if result.Z is None else
                 hashlib.sha256(result.Z.tobytes()).hexdigest()[:16],
-                "stalls": recorder.stalls}), flush=True)
+                "stalls": recorder.stalls}
+            print(json.dumps(line), flush=True)
+            if saved is None:
+                continue
+            old = saved.get(plan_key(line))
+            if old is None:
+                missing += 1
+                continue
+            changes = {field: [old[field], line[field]] for field in COMPARED
+                       if old[field] != line[field]}
+            if changes:
+                moved.append({"set": name, "plan": i, **changes})
     totals["plan_s"] = round(totals["plan_s"], 3)
     print(json.dumps({"totals": totals}))
+    if saved is not None:
+        for change in moved:
+            print(json.dumps({"moved": change}))
+        print(json.dumps({"diff": {"compared": totals["plans"] - missing,
+                                   "moved": len(moved),
+                                   "missing": missing}}))
     return 0
 
 

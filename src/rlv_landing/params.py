@@ -54,10 +54,15 @@ class VehicleParams:
     def __post_init__(self):
         if not (0 < self.T_min < self.T_max):
             raise ValueError("thrust bounds must satisfy 0 < T_min < T_max")
-        if self.Isp <= 0 or self.s_ref <= 0 or self.m0 <= 0:
-            raise ValueError("Isp, s_ref and m0 must be positive")
+        for key in ("Isp", "s_ref", "m0", "Tdot_lim", "g_ref"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
         if self.l_c <= 0:
             raise ValueError("l_c (hinge arm) must be positive")
+        if self.C_D0 < 0:
+            raise ValueError("C_D0 must be nonnegative")
+        if self.m_dry_floor >= self.m0:
+            raise ValueError("m_dry_floor must lie below m0")
 
     @property
     def gravity(self) -> np.ndarray:

@@ -35,7 +35,8 @@ def test_unknown_names_raise(tmp_path, text):
     ("T_min", 0.0), ("T_max", 4e5), ("Isp", 0.0), ("s_ref", 0.0),
     ("m0", -1.0), ("l_c", 0.0), ("sd_r0", -1.0), ("sd_v0", -1.0),
     ("coast_step", 0.0), ("W_tr", 0.0), ("eps_scp", -1e-5),
-    ("theta_lim_max", 1.6)])
+    ("theta_lim_max", 1.6), ("Tdot_lim", 0.0), ("Tdot_lim", -1.0),
+    ("g_ref", 0.0), ("m_dry_floor", 40000.0), ("C_D0", -1.0)])
 def test_out_of_range_planning_values_raise(tmp_path, name, value):
     # Rejected when loaded, not later as a failed or empty plan, by an error
     # that names the key set: one check of each vehicle, planning and
