@@ -1,6 +1,7 @@
 """Microbenchmarks of the planning layers at the paper grid N=100.
 
-Run from the repository root (outside tier-1, whose testpaths is tests/):
+Run from the repository root (outside tier-1, whose testpaths is tests/),
+with the ``bench`` extra (pytest-benchmark) installed:
 
     PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_19.json
 
@@ -84,19 +85,7 @@ def subproblem():
     return first_subproblem(100)
 
 
-# The IPM's KKT regularization: a module constant, or a settings field in
-# trees before it was one.
-KKT_REG = getattr(ipm, "REG", None) or ipm.SolverSettings().reg
-
-
-def ipm_tol(tol):
-    """The IPM's tolerance argument: a float, or in trees before it was one
-    a settings record with a feasibility and a gap field."""
-    settings = getattr(ipm, "SolverSettings", None)
-    return tol if settings is None else settings(tol_feas=tol, tol_gap=tol)
-
-
-def first_kkt(prog, reg=KKT_REG) -> sp.csc_matrix:
+def first_kkt(prog, reg=ipm.REG) -> sp.csc_matrix:
     """The IPM's first KKT matrix (W = I): -(W^2 + reg I) stored as the IPM
     stores it, dense on each SOC block (explicit zeros off the diagonal)."""
     n, me = prog.n, prog.A.shape[0]
@@ -133,11 +122,8 @@ def test_ipm_solve_n100(benchmark, subproblem):
 def third_subproblem(subproblem):
     """The nominal plan's third subproblem, with the second one's solution
     at ``scp.INEXACT_TOL`` as its start, as ``run_scp`` solves it."""
-    tol = getattr(scp, "INEXACT_TOL", None)
-    if tol is None:
-        pytest.skip("no inexact subproblem solves in this tree")
     prob, ref, prog = subproblem
-    inexact = ipm_tol(tol)
+    inexact = scp.INEXACT_TOL
     for _ in range(2):
         start = ipm.solve(prog, inexact)
         ref = prob.decode(ref, start.x)
@@ -163,7 +149,7 @@ def test_ipm_resolve_n100(benchmark, third_subproblem):
     sol = benchmark(ipm.solve, prog)
     assert sol.status == "optimal" and sol.warm
     benchmark.extra_info["ipm_iters"] = sol.iterations
-    benchmark.extra_info["resumed"] = getattr(sol, "resumed", False)
+    benchmark.extra_info["resumed"] = sol.resumed
 
 
 def test_kkt_factor_default_n100(benchmark, subproblem):
@@ -173,20 +159,15 @@ def test_kkt_factor_default_n100(benchmark, subproblem):
 
 
 def test_kkt_factor_quasidefinite_n100(benchmark, subproblem):
-    factor = getattr(ipm, "factor_quasidefinite", None)
-    if factor is None:
-        pytest.skip("no quasi-definite factorization in this tree")
     K = first_kkt(subproblem[2])
-    lu = benchmark(factor, K)
+    lu = benchmark(ipm.factor_quasidefinite, K)
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
 def refactor_natural(benchmark, prog):
     """A later IPM iteration: the matrix already permuted by the first
     factorization's ordering, factored in natural order."""
-    factor = getattr(ipm, "factor_quasidefinite", None)
-    if factor is None:
-        pytest.skip("no quasi-definite factorization in this tree")
+    factor = ipm.factor_quasidefinite
     K = first_kkt(prog)
     order = np.argsort(factor(K).perm_c)
     lu = benchmark(factor, K[order][:, order].tocsc(), natural=True)
@@ -215,23 +196,14 @@ def mid_solve(prog, k=8):
 
 
 def cone_pass(cones, s, z, ds, dz):
-    """One IPM iteration's cone work, as the tree's IPM does it."""
-    if hasattr(cones, "points"):
-        iterate = cones.points(s, z)
-        iterate.violations()
-        scaling = ipm._NTScaling(iterate)
-        lam = scaling.lam.u[0]
-        for _ in range(3):
-            iterate.max_steps(ds, dz)
-        return scaling.rhs(cones.product(lam, lam))
-    cones.interior_violation(s)
-    cones.interior_violation(z)
-    scaling = ipm._NTScaling(cones, s, z)
-    lam = scaling.apply(z)
+    """One IPM iteration's cone work, as the IPM does it."""
+    iterate = cones.points(s, z)
+    iterate.violations()
+    scaling = ipm._NTScaling(iterate)
+    lam = scaling.lam.u[0]
     for _ in range(3):
-        cones.max_step(s, ds)
-        cones.max_step(z, dz)
-    return scaling.apply(cones.divide(lam, cones.product(lam, lam)))
+        iterate.max_steps(ds, dz)
+    return scaling.rhs(cones.product(lam, lam))
 
 
 def cone_algebra(benchmark, prog):

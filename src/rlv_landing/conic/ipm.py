@@ -18,16 +18,16 @@ The matrix is symmetric quasi-definite (a positive definite block, and the
 negative of one, on the diagonal), so every symmetric permutation of it has
 an LU factorization with the pivots on the diagonal, stable without row
 pivoting (Vanderbei, SIAM J. Optim. 1995). SuperLU runs in symmetric mode
-with no pivoting. K is stored permuted by a minimum-degree ordering of
-A' + A, and each iteration writes only the -(W'W + eps I) values into that
-fixed pattern and factors it in natural order. The ordering comes from the
-first factorization of a solve, or from the solution the solve starts
-from: a solve leaves its analysis (ordering, permuted pattern, value slots)
-on its result, and a warm solve whose P, A, G and cones have the start's
-pattern reuses it, so a run of same-pattern SCP subproblems takes one
-ordering (the split of one symbolic analysis and numeric refactorizations,
-as in Clarabel: Goulart & Chen, arXiv:2405.12762). The cone algebra is
-``cones.Cones``, the layout the program built once (``ConicProgram.layout``).
+with no pivoting. K is stored one way, through an analysis (``_Analysis``):
+K's CSC pattern permuted by a minimum-degree ordering of A' + A, into which
+each iteration writes only the -(W'W + eps I) values to factor K in natural
+order. The ordering comes from the solution the solve starts from, or else
+from the solve's first factorization. A solve leaves its analysis on its
+result, and a warm solve whose P, A, G and cones have the start's pattern
+reuses it, so a run of same-pattern SCP subproblems takes one ordering (the
+split of one symbolic analysis and numeric refactorizations, as in Clarabel:
+Goulart & Chen, arXiv:2405.12762). The cone algebra is ``cones.Cones``, the
+layout the program built once (``ConicProgram.layout``).
 
 Each iteration forms its iterate's cone data once, ``Cones.points(s, z)``
 (the blocks of s and z, their J-norms and normalized blocks), as ECOS and
@@ -84,6 +84,7 @@ import scipy.sparse.linalg as spla
 
 from .cones import ConePoints, Cones, soc_product
 from .program import ConicProgram, SolverSolution
+from .scaling import _rows
 
 # Primal residual above which a stalled solve is far from feasibility:
 # ``_stall_status`` calls it infeasible, and a stall nearer than this a
@@ -219,16 +220,12 @@ def _pattern(P, A, G, cones: Cones) -> list[np.ndarray]:
 
 
 def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the KKT entries, unpermuted: the values of
+    """Rows and columns (int32) of the KKT entries, unpermuted: the values of
     ``_Kkt``'s value vector (P, reg I, A', A, -reg I, G', G), then the
     -(W^2 + reg I) block in the order w2_entries emits them (nonneg
     diagonal, dense SOC blocks)."""
     n, me = P.shape[0], A.shape[0]
-
-    def rows_of(M):
-        return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-
-    P_rows, A_rows, G_rows = rows_of(P), rows_of(A) + n, rows_of(G) + n + me
+    P_rows, A_rows, G_rows = _rows(P), _rows(A) + n, _rows(G) + n + me
     diag_x, diag_y = np.arange(n), np.arange(n, n + me)
     w2_rows, w2_cols = [cones.nn + n + me], [cones.nn + n + me]
     for idx in cones.soc.values():
@@ -239,18 +236,17 @@ def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
                            G.indices, G_rows, *w2_rows])
     cols = np.concatenate([P.indices, diag_x, A_rows, A.indices, diag_y,
                            G_rows, G.indices, *w2_cols])
-    return rows.astype(np.int64), cols.astype(np.int64)
+    return rows.astype(np.intc), cols.astype(np.intc)
 
 
 @dataclass(frozen=True, eq=False)
 class _Analysis:
-    """The symbolic analysis of one KKT pattern, left on the solution for a
-    later solve of a program with the same pattern: the ordering, the CSC
-    pattern of K permuted by it, and the slot in that pattern of each value
-    ``_Kkt`` writes (``value_slots``: P, reg I, A', A, -reg I, G', G;
-    ``w2_slots``: -(W^2 + reg I)). It outlives the solve, so it holds only
-    index arrays of its own: no LU, and nothing shared with a matrix that
-    SuperLU was given."""
+    """The symbolic analysis of one KKT pattern under one ordering, left on
+    the solution for a later solve of the same pattern: the ordering, K's
+    CSC pattern permuted by it, and the slot in it of each value ``_Kkt``
+    writes (``value_slots``: P, reg I, A', A, -reg I, G', G; ``w2_slots``:
+    -(W^2 + reg I)). It outlives the solve, so it holds only int32 index
+    arrays of its own, none shared with a matrix SuperLU was given."""
 
     pattern: list[np.ndarray]
     position: np.ndarray     # position[i]: where row/column i sits in K
@@ -260,22 +256,40 @@ class _Analysis:
     value_slots: np.ndarray
     w2_slots: np.ndarray
 
+    @classmethod
+    def of(cls, pattern, rows, cols, n_values: int, position) -> _Analysis:
+        """The analysis of ``_entries``' rows and columns (the first
+        ``n_values`` the value vector's) under the ordering ``position``."""
+        # What the analysis keeps is allocated before the sort's temporaries,
+        # so it lands below the first LU's SuperLU workspace (16 MB at N=100)
+        # and the heap can shrink again when the solve ends.
+        dim = position.size
+        pattern = [np.array(a) for a in pattern]
+        position = position.astype(np.intc)
+        order = np.argsort(position).astype(np.intc)
+        indptr = np.empty(dim + 1, np.intc)
+        slots, indices = np.empty((2, rows.size), np.intc)
+        keys, slots[:] = np.unique(
+            position[cols].astype(np.int64) * dim + position[rows],
+            return_inverse=True)
+        indptr[:] = np.searchsorted(keys, np.arange(dim + 1) * dim)
+        return cls(pattern, position, order, indptr,
+                   np.remainder(keys, dim, out=indices[:keys.size]),
+                   slots[:n_values], slots[n_values:])
+
     def matches(self, pattern: list[np.ndarray]) -> bool:
         return len(pattern) == len(self.pattern) and all(
             np.array_equal(a, b) for a, b in zip(pattern, self.pattern))
 
 
 class _Kkt:
-    """The KKT system of one solve, stored permuted by a fill-reducing
-    ordering in a fixed CSC pattern.
+    """The KKT system of one solve, stored only through its ``analysis``.
 
     Only the -(W^2 + reg I) block changes between iterations; ``factor``
-    writes its values into ``K.data`` through ``w2_slots``. Given an
-    analysis of the same pattern, K is filled straight into its permuted
-    pattern and every factorization is in natural order. Otherwise K is
-    assembled, the first factorization takes a minimum-degree ordering, K
-    is then stored permuted by it, and ``analysis`` keeps it for the next
-    solve. ``solve`` works in K's ordering throughout.
+    writes it through ``w2_slots`` and factors K in natural order. Without
+    an analysis of the same pattern, the first factorization is of K as
+    scipy assembles it from ``_entries``, by minimum degree, and makes the
+    analysis. ``solve`` works in K's ordering throughout.
     """
 
     def __init__(self, P, A, G, cones: Cones,
@@ -284,74 +298,48 @@ class _Kkt:
         n, me = P.shape[0], A.shape[0]
         dim = n + me + G.shape[0]
         # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
-        self._reg_sign = np.concatenate([np.full(n, REG),
-                                         np.full(dim - n, -REG)])
+        self._reg_sign = np.where(np.arange(dim) < n, REG, -REG)
         values = np.concatenate([P.data, np.full(n, REG), A.data, A.data,
                                  np.full(me, -REG), G.data, G.data])
         pattern = _pattern(P, A, G, cones)
         self.reordered = False   # this solve took its own ordering
         if analysis is not None and analysis.matches(pattern):
-            self._use(analysis, np.bincount(analysis.value_slots, values,
-                                            analysis.indices.size),
-                      analysis.indptr.copy(), analysis.indices.copy())
-            return
-        self.analysis = self.position = self.order = None
-        rows, cols = _entries(P, A, G, cones)
-        keys, slots = np.unique(cols * dim + rows, return_inverse=True)
-        indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
-        self.K = sp.csc_matrix(
-            (np.bincount(slots[:values.size], values, keys.size),
-             (keys % dim).astype(np.intc), indptr.astype(np.intc)),
-            shape=(dim, dim))
-        self.w2_slots = slots[values.size:]
-        self._unordered = pattern, slots
+            self._use(analysis, values)
+        else:
+            # The entries, held until the first factorization succeeds.
+            self.analysis = None
+            self._fresh = pattern, values, *_entries(P, A, G, cones)
 
-    def _use(self, analysis: _Analysis, data, indptr, indices) -> None:
-        """Store K in the analysis's ordering, from its permuted values."""
-        dim = analysis.position.size
+    def _use(self, analysis: _Analysis, values: np.ndarray) -> None:
+        """Store K through the analysis, with the value vector's values."""
         self.analysis = analysis
         self.position, self.order = analysis.position, analysis.order
-        self.w2_slots = analysis.w2_slots
-        self.K = sp.csc_matrix((data, indices, indptr), shape=(dim, dim))
+        self.K = sp.csc_matrix(
+            (np.bincount(analysis.value_slots, values, analysis.indices.size),
+             analysis.indices.copy(), analysis.indptr.copy()),
+            shape=(self.position.size,) * 2)
         self._reg_sign = self._reg_sign[self.order]
 
     def factor(self, scaling: _NTScaling) -> None:
         """Refill the W^2 block from the NT scaling and factor K."""
-        self.K.data[self.w2_slots] = -scaling.w2_entries(REG)
+        w2 = -scaling.w2_entries(REG)
         if self.analysis is not None:
+            self.K.data[self.analysis.w2_slots] = w2
             self._lu_solve = factor_quasidefinite(self.K, natural=True).solve
             return
-        lu = factor_quasidefinite(self.K)
-        # A copy: perm_c is a view that would keep the LU alive.
-        self._permute(np.array(lu.perm_c))
+        pattern, values, rows, cols = self._fresh
+        dim = self._reg_sign.size
+        lu = factor_quasidefinite(sp.csc_matrix(
+            (np.concatenate([values, w2]), (rows, cols)), shape=(dim, dim)))
+        del self._fresh
+        self._use(_Analysis.of(pattern, rows, cols, values.size, lu.perm_c),
+                  values)
+        self.K.data[self.analysis.w2_slots] = w2
+        self.reordered = True
         # Not through self: a cycle would hold each solve's LU factors
         # until the cyclic garbage collector runs.
         position, order = self.position, self.order
         self._lu_solve = lambda rhs: lu.solve(rhs[position])[order]
-
-    def _permute(self, position: np.ndarray) -> None:
-        """Store K as K[order][:, order] and keep the analysis."""
-        K, dim = self.K, self.K.shape[0]
-        pattern, slots = self._unordered
-        del self._unordered
-        rows = position[K.indices].astype(np.int64)
-        cols = position[np.repeat(np.arange(dim), np.diff(K.indptr))]
-        cols = cols.astype(np.int64)
-        moved = np.argsort(cols * dim + rows)
-        slot = np.empty(moved.size, dtype=np.intc)
-        slot[moved] = np.arange(moved.size)
-        slots = slot[slots]
-        n_values = slots.size - self.w2_slots.size
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(cols, minlength=dim))]).astype(np.intc)
-        indices = rows[moved].astype(np.intc)
-        analysis = _Analysis(
-            pattern=[np.array(a) for a in pattern], position=position,
-            order=np.argsort(position).astype(np.intc), indptr=indptr.copy(),
-            indices=indices.copy(), value_slots=slots[:n_values],
-            w2_slots=slots[n_values:])
-        self._use(analysis, K.data[moved], indptr, indices)
-        self.reordered = True
 
     def solve(self, rhs: np.ndarray, tol: float) -> np.ndarray:
         """Solve with the last factorization, in K's ordering, refined

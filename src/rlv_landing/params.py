@@ -32,6 +32,14 @@ P0 = 101325.0         # sea-level pressure [Pa]
 H_SCALE = 8500.0      # scale height [m]
 
 
+def _require_finite(params: Any, keys: tuple[str, ...] | None = None) -> None:
+    """Raise, naming the key, if a number of ``params`` (every field, or
+    the ``keys`` given) is NaN or infinite, or any bound of a tuple is."""
+    for key in keys or [f.name for f in fields(params)]:
+        if not np.isfinite(getattr(params, key)).all():
+            raise ValueError(f"{key} must be finite")
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Physical booster model: geometry, propulsion, actuation, aero."""
@@ -52,16 +60,17 @@ class VehicleParams:
     m_dry_floor: float = 24079.0  # m0 - 12000 kg, lower mass scaling bound
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0 < self.T_min < self.T_max):
             raise ValueError("thrust bounds must satisfy 0 < T_min < T_max")
         for key in ("Isp", "s_ref", "m0", "Tdot_lim", "g_ref"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive")
-        if self.l_c <= 0:
+        if not self.l_c > 0:
             raise ValueError("l_c (hinge arm) must be positive")
-        if self.C_D0 < 0:
+        if not self.C_D0 >= 0:
             raise ValueError("C_D0 must be nonnegative")
-        if self.m_dry_floor >= self.m0:
+        if not self.m_dry_floor < self.m0:
             raise ValueError("m_dry_floor must lie below m0")
 
     @property
@@ -90,22 +99,23 @@ class PlanningConfig:
     drag_only: bool = False          # drop lift entirely (ablation case)
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0 <= self.mu_T < 0.5):
             raise ValueError("mu_T must lie in [0, 0.5)")
         for key in ("L_lim", "W_tr", "eps_scp", "coast_step"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive")
         if not 0 < self.theta_lim_max < math.pi / 2:
             raise ValueError("theta_lim_max must lie in (0, pi/2)")
-        if self.t_theta < 0:
+        if not self.t_theta >= 0:
             raise ValueError("t_theta must be nonnegative")
-        if self.N < 2:
+        if not self.N >= 2:
             raise ValueError("N must be at least 2 intervals")
         if not 0 < self.eta_bounds[0] < self.eta_bounds[1]:
             raise ValueError("eta_bounds must satisfy 0 < lower < upper")
-        if self.tc_window[0] > self.tc_window[1]:
+        if not self.tc_window[0] <= self.tc_window[1]:
             raise ValueError("tc_window must satisfy lower <= upper")
-        if self.max_scp_iter < 1:
+        if not self.max_scp_iter >= 1:
             raise ValueError("max_scp_iter must be at least 1")
 
 
@@ -115,6 +125,9 @@ class GuidanceConfig:
     against."""
 
     plan_delay: float = 0.500        # planning solution latency [s]
+
+    def __post_init__(self):
+        _require_finite(self)
 
 
 @dataclass(frozen=True)
@@ -126,7 +139,8 @@ class CampaignConfig:
     sd_v0: float = 15.0             # SD of initial velocity offset magnitude [m/s]
 
     def __post_init__(self):
-        if self.sd_r0 < 0 or self.sd_v0 < 0:
+        _require_finite(self)
+        if not (self.sd_r0 >= 0 and self.sd_v0 >= 0):
             raise ValueError("sd_r0 and sd_v0 must be nonnegative")
 
 
@@ -140,6 +154,9 @@ class Scenario:
     planning: PlanningConfig = field(default_factory=PlanningConfig)
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
+
+    def __post_init__(self):
+        _require_finite(self, ("r0", "v0"))
 
 
 _SECTION_TYPES = {

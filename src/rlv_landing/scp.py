@@ -224,48 +224,47 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
     t0 = time.perf_counter()
     program = adapter.build(reference)
 
+    def step_cost(solution, x_ref):
+        """J_tr of an optimal solution; nan for any other."""
+        return (trust_region_cost(solution.x, x_ref, settings.W_tr)
+                if solution.optimal else float("nan"))
+
     for iteration in range(1, settings.max_iter + 1):
         x_ref = adapter.reference_vector(reference)
         program.start = solution
         solution = solve_fn(program, inexact)
         solver_iterations, resolved = solution.iterations, False
-        if solution.optimal and inexact != tol and \
-                trust_region_cost(solution.x, x_ref, settings.W_tr) \
-                < settings.eps_converge:
+        j_tr = step_cost(solution, x_ref)
+        if inexact != tol and j_tr < settings.eps_converge:
             program.start = solution
             solution = solve_fn(program, tol)
             solver_iterations += solution.iterations
             resolved = True
-        if solution.status != "optimal":
-            millis = (time.perf_counter() - t0) * 1e3
-            log.append(ScpIterationRecord(iteration, float("nan"),
-                                          solution.objective, solution.status,
-                                          solver_iterations, millis,
-                                          float("nan"), False, resolved))
-            raise ScpFailure(f"subproblem solve returned {solution.status}",
-                             iteration, log, solution.status)
-
-        j_tr = trust_region_cost(solution.x, x_ref, settings.W_tr)
-        reference = adapter.decode(reference, solution.x)
+            j_tr = step_cost(solution, x_ref)
         small_step = j_tr < settings.eps_converge
         residual, projected = float("nan"), False
-        # The program about the new reference is the next subproblem and the
-        # one the fixed-point test reads; after the last iteration only the
-        # test needs it, and only after a small step.
-        if small_step or iteration < settings.max_iter:
-            program = adapter.build(reference)
-            residual = fixed_point_residual(
-                program, adapter.reference_vector(reference))
-            projected = small_step and residual > EPS_FEASIBLE
-            if projected:
-                reference, residual, program = _project(adapter, reference,
-                                                        program)
+        if solution.optimal:
+            reference = adapter.decode(reference, solution.x)
+            # The program about the new reference is the next subproblem
+            # and the one the fixed-point test reads; after the last
+            # iteration only the test needs it, and only after a small step.
+            if small_step or iteration < settings.max_iter:
+                program = adapter.build(reference)
+                residual = fixed_point_residual(
+                    program, adapter.reference_vector(reference))
+                projected = small_step and residual > EPS_FEASIBLE
+                if projected:
+                    reference, residual, program = _project(
+                        adapter, reference, program)
         t1 = time.perf_counter()
         log.append(ScpIterationRecord(iteration, j_tr, solution.objective,
                                       solution.status, solver_iterations,
                                       (t1 - t0) * 1e3, residual, projected,
                                       resolved))
         t0 = t1
+        if not solution.optimal:
+            raise ScpFailure(f"subproblem solve returned {solution.status}",
+                             iteration, log, solution.status)
 
         if small_step and residual <= EPS_FEASIBLE and \
                 adapter.relaxation_gap(reference) <= RELAXATION_TOL:

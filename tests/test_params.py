@@ -8,6 +8,8 @@ import yaml
 
 from rlv_landing.params import Scenario, load_scenario, scenario_to_dict
 
+NAN, INF = float("nan"), float("inf")
+
 
 def test_default_scenario_round_trips_through_yaml(tmp_path):
     data = scenario_to_dict(Scenario())
@@ -36,16 +38,33 @@ def test_unknown_names_raise(tmp_path, text):
     ("m0", -1.0), ("l_c", 0.0), ("sd_r0", -1.0), ("sd_v0", -1.0),
     ("coast_step", 0.0), ("W_tr", 0.0), ("eps_scp", -1e-5),
     ("theta_lim_max", 1.6), ("Tdot_lim", 0.0), ("Tdot_lim", -1.0),
-    ("g_ref", 0.0), ("m_dry_floor", 40000.0), ("C_D0", -1.0)])
+    ("g_ref", 0.0), ("m_dry_floor", 40000.0), ("C_D0", -1.0),
+    # YAML's .nan and .inf: NaN fails every range check, and a value with
+    # none, or a tuple bound, must be finite.
+    *((key, NAN) for key in (
+        "W_tr", "eps_scp", "L_lim", "t_theta", "coast_step", "mu_T", "N",
+        "Tdot_lim", "C_D0", "l_cp", "g_ref", "Isp", "m_dry_floor",
+        "C_L_alpha", "C_D2", "sd_r0", "plan_delay")),
+    ("A_exit", INF), ("C_D2", -INF), ("T_max", INF), ("W_tr", INF),
+    ("sd_v0", INF), ("eta_bounds", [1.0, INF]), ("tc_window", [NAN, 15.0])])
 def test_out_of_range_planning_values_raise(tmp_path, name, value):
     # Rejected when loaded, not later as a failed or empty plan, by an error
     # that names the key set: one check of each vehicle, planning and
-    # campaign value.
+    # campaign value, and of non-finite ones.
     data = scenario_to_dict(Scenario())
     section = next(key for key, values in data.items()
                    if isinstance(values, dict) and name in values)
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump({section: {name: value}}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("name", ["r0", "v0"])
+def test_non_finite_initial_state_raises(tmp_path, name):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({name: [0.0, NAN, -INF]}),
                     encoding="utf-8")
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         load_scenario(path)

@@ -7,7 +7,7 @@ import gc
 import itertools
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -517,6 +517,35 @@ class TestQuasiDefiniteKkt:
         assert again.analysis is first.analysis
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(again.K, name), getattr(first.K, name))
+
+    def test_analysis_holds_only_index_arrays_of_its_own(self):
+        # It outlives the solve on its solution: after the factorization
+        # that makes it and after one of a KKT system that reuses it, none
+        # of its arrays is a view of P, A, G or K, and its slots are int32.
+        rng = np.random.default_rng(71)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        P, A, G = prog.P.tocsr(), prog.A.tocsr(), prog.G.tocsr()
+        cones = Cones(prog.cones)
+
+        def factored(analysis=None):
+            kkt = _Kkt(P, A, G, cones, analysis)
+            kkt.factor(_NTScaling(cones.points(interior_point(rng, prog.cones),
+                                               interior_point(rng, prog.cones))))
+            return kkt
+
+        first = factored()
+        for kkt in (first, factored(first.analysis)):
+            analysis = kkt.analysis
+            assert analysis is first.analysis
+            held = [*analysis.pattern] + [
+                getattr(analysis, f.name) for f in fields(analysis)
+                if f.name != "pattern"]
+            for array in held:
+                for M in (P, A, G, kkt.K):
+                    for other in (M.data, M.indices, M.indptr):
+                        assert not np.shares_memory(array, other)
+            assert analysis.value_slots.dtype == np.int32
+            assert analysis.w2_slots.dtype == np.int32
 
     def test_freed_without_the_cycle_collector(self):
         # Each solve's KKT system and LU factors go when the solve returns;
