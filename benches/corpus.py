@@ -12,6 +12,8 @@ plan prints one JSON line:
 - ``set``, ``plan``: which state;
 - ``outcome``, ``scp_iters``: how the plan ended, as planbench reports it;
 - ``ipm_iters``: the IPM iterations of every subproblem solve of the plan;
+- ``reorders``: the solves that took a fresh minimum-degree ordering of
+  their KKT matrix (``reordered``), having no start whose analysis matched;
 - ``propellant_kg``: the propellant of a converged plan, else null;
 - ``problems``: the ``planning.check`` problems of a converged plan;
 - ``z_hash``: the first 16 hex digits of the SHA-256 of the returned
@@ -20,19 +22,20 @@ plan prints one JSON line:
   flag of each subproblem solve that ended without a verdict (optimal,
   infeasible).
 
-A last line holds the totals, among them ``ipm_iters``, ``builds`` (calls of
-``planner.linearize_planning``, which every subproblem build makes once)
-and ``projection_steps`` (calls of ``scp.project_onto_rows``). The same
-file runs on any tree whose ``ipm.solve`` takes a program and its tolerance
-argument, so it compares two commits plan by plan: two trees give the same
-answers when their plan lines (all but the totals, which hold timings and
-counts) are the same.
+A last line holds the totals, among them ``ipm_iters``, ``reorders``,
+``builds`` (calls of ``planner.linearize_planning``, which every subproblem
+build makes once) and ``projection_steps`` (calls of
+``scp.project_onto_rows``). The same file runs on any tree whose
+``ipm.solve`` takes a program and its tolerance argument, so it compares two
+commits plan by plan: two trees give the same answers when their plan lines
+(all but the totals, which hold timings and counts) are the same.
 
 ``--diff SAVED`` makes that comparison. SAVED is this script's output on
 another tree. After the totals, one line names each plan of this run whose
 ``outcome``, ``scp_iters``, ``propellant_kg`` or ``z_hash`` differs from
 its line in SAVED, with the old and new values, and a last line counts the
-plans compared, moved, and missing from SAVED:
+plans compared, moved, moved in class (``outcome`` or ``scp_iters``), and
+missing from SAVED:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 > old.jsonl
 
@@ -55,6 +58,8 @@ ROOT = Path(__file__).resolve().parent.parent
 VERDICTS = ("optimal", "infeasible")
 # The fields of a plan line that ``--diff`` compares.
 COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash")
+# The fields whose change moves a plan's class, not only its last bits.
+CLASS = ("outcome", "scp_iters")
 
 
 class SolveRecorder:
@@ -62,17 +67,18 @@ class SolveRecorder:
 
     def __init__(self, ipm):
         self.ipm = ipm
-        self.solves = self.ipm_iters = 0
+        self.solves = self.ipm_iters = self.reorders = 0
         self.stalls: list[dict] = []
 
     def plan_span(self):
-        self.solves, self.ipm_iters, self.stalls = 0, 0, []
+        self.solves, self.ipm_iters, self.reorders, self.stalls = 0, 0, 0, []
         return nullcontext()
 
     def solve_fn(self, program, settings):
         sol = self.ipm.solve(program, settings)
         self.solves += 1
         self.ipm_iters += sol.iterations
+        self.reorders += sol.reordered
         if sol.status not in VERDICTS:
             self.stalls.append({"status": sol.status,
                                 "primal_res": sol.primal_res,
@@ -130,8 +136,8 @@ def main(argv=None) -> int:
 
     recorder = SolveRecorder(ipm)
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
-              "solves": 0, "ipm_iters": 0, "stalls": 0, "builds": 0,
-              "projection_steps": 0, "outcomes": {}}
+              "solves": 0, "ipm_iters": 0, "reorders": 0, "stalls": 0,
+              "builds": 0, "projection_steps": 0, "outcomes": {}}
     count_calls(planner, "linearize_planning", totals, "builds")
     count_calls(scp, "project_onto_rows", totals, "projection_steps")
     moved, missing = [], 0
@@ -142,6 +148,7 @@ def main(argv=None) -> int:
             totals["plan_s"] += result.seconds
             totals["solves"] += recorder.solves
             totals["ipm_iters"] += recorder.ipm_iters
+            totals["reorders"] += recorder.reorders
             totals["stalls"] += len(recorder.stalls)
             outcomes = totals["outcomes"]
             outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
@@ -149,6 +156,7 @@ def main(argv=None) -> int:
                 "workload": workload.name, "set": name, "plan": i,
                 "outcome": result.outcome, "scp_iters": result.scp_iters,
                 "ipm_iters": recorder.ipm_iters,
+                "reorders": recorder.reorders,
                 "propellant_kg": result.propellant_kg
                 if result.converged else None,
                 "problems": result.problems,
@@ -171,8 +179,11 @@ def main(argv=None) -> int:
     if saved is not None:
         for change in moved:
             print(json.dumps({"moved": change}))
+        class_moved = sum(any(field in change for field in CLASS)
+                          for change in moved)
         print(json.dumps({"diff": {"compared": totals["plans"] - missing,
                                    "moved": len(moved),
+                                   "class_moved": class_moved,
                                    "missing": missing}}))
     return 0
 

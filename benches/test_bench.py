@@ -7,10 +7,11 @@ with the ``bench`` extra (pytest-benchmark) installed:
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
-The fixture is the first SCP subproblem of the plan from that state: one
-``PlanningProblem.build``, one IPM solve of it, and one factorization of
-the IPM's first KKT matrix, by SuperLU at its defaults and by the IPM's own
-quasi-definite factorization. The natural-order refactorization of that
+The fixture is the first SCP subproblem of the plan from that state, with
+the trust region ``run_scp`` adds: one ``PlanningProblem.build``, one IPM
+solve of the subproblem, and one factorization of the IPM's first KKT
+matrix, by SuperLU at its defaults and by the IPM's own quasi-definite
+factorization. The natural-order refactorization of that
 matrix, as every later IPM iteration factors it, is timed at N=100 and on
 the first N=30 subproblem.
 The warm case solves the plan's third subproblem as ``run_scp`` does: at
@@ -73,11 +74,19 @@ def test_coast(benchmark):
         boundary.coast_fit.max_residual_r
 
 
+def subproblem_at(prob, ref):
+    """The subproblem about ``ref`` as ``run_scp`` solves it: the built
+    program with the trust region added."""
+    prog = prob.build(ref)
+    scp.add_trust_region(prog, prob.reference_vector(ref), prob.cfg.W_tr)
+    return prog
+
+
 def first_subproblem(N):
     boundary, cfg = ignition_fit(N)
     prob = PlanningProblem(boundary, VP, cfg)
     ref = initial_guess_planning(boundary, cfg, VP)
-    return prob, ref, prob.build(ref)
+    return prob, ref, subproblem_at(prob, ref)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +136,7 @@ def third_subproblem(subproblem):
     for _ in range(2):
         start = ipm.solve(prog, inexact)
         ref = prob.decode(ref, start.x)
-        prog = prob.build(ref)
+        prog = subproblem_at(prob, ref)
         prog.start = start
     return prog, inexact
 

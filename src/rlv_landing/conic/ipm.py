@@ -522,7 +522,7 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         _, _, dz_a, ds_a = direction(r_dual, r_eq, r_ineq, lam_sq)
         ap_aff, ad_aff = (min(1.0, a) for a in iterate.max_steps(ds_a, dz_a))
         gap_aff = float((s + ap_aff * ds_a) @ (z + ad_aff * dz_a))
-        sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0) if gap > 0 else 0.0
+        sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
 
         # Corrector (combined) direction.
         corr = scaling.scaled_product(ds_a, dz_a)

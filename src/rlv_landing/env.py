@@ -123,15 +123,13 @@ def _pow(x, p):
     return np.asarray(np.frompyfunc(math.pow, 2, 1)(x, p), float)
 
 
-def aero_force_jac(r_z, v, T, vp: VehicleParams, opts: AeroOptions,
-                   jacobian: bool = True):
+def aero_force_jac(r_z, v, T, vp: VehicleParams, opts: AeroOptions):
     """Aero force and its Jacobians w.r.t. r_z, v and T.
 
     r_z has shape (...,), v and T (..., 3). Returns (F (..., 3),
-    dF_drz (..., 3), dF_dv (..., 3, 3), dF_dT (..., 3, 3)); the three
-    Jacobians are None when ``jacobian`` is false. Below V_EPS airspeed
-    everything is zero; with thrust off the zero-incidence coast model is
-    used (drag at C_D0, no lift) and dF_dT = 0.
+    dF_drz (..., 3), dF_dv (..., 3, 3), dF_dT (..., 3, 3)). Below V_EPS
+    airspeed everything is zero; with thrust off the zero-incidence coast
+    model is used (drag at C_D0, no lift) and dF_dT = 0.
     """
     r_z = np.asarray(r_z, float)
     v = np.asarray(v, float)
@@ -163,8 +161,6 @@ def aero_force_jac(r_z, v, T, vp: VehicleParams, opts: AeroOptions,
     F = ((-q_bar * s * C_D)[..., None] * vhat
          + (q_bar * s * E)[..., None] * P_vec)
     on = aero[..., None]
-    if not jacobian:
-        return np.where(on, F, 0.0), None, None, None
 
     # Stable gradients of beta w.r.t. T and v. alpha/sin(alpha) -> 1 at
     # alpha = 0 and is clamped near alpha = pi (thrust along velocity never
@@ -217,21 +213,19 @@ def aero_force_jac(r_z, v, T, vp: VehicleParams, opts: AeroOptions,
 
 
 def translational_dynamics(z, vp: VehicleParams,
-                           opts: AeroOptions = AeroOptions(),
-                           jacobian: bool = True):
+                           opts: AeroOptions = AeroOptions()):
     """The translational model f(z) (..., 7) and J = df/dz (..., 7, 11).
 
     z = (r, v, m, T, Gamma) has shape (..., 11): thrust, drag and lift,
     gravity, and a mass flow driven by the magnitude Gamma plus the
-    back-pressure loss at the current altitude. J is None when
-    ``jacobian`` is false.
+    back-pressure loss at the current altitude.
     """
     z = np.asarray(z, float)
     r_z, v, m = z[..., 2], z[..., 3:6], z[..., 6]
     T, Gamma = z[..., 7:10], z[..., 10]
     if np.any(m <= 0.0) or not np.all(np.isfinite(z)):
         raise DegenerateStateError("degenerate planning node")
-    F, dF_drz, dF_dv, dF_dT = aero_force_jac(r_z, v, T, vp, opts, jacobian)
+    F, dF_drz, dF_dv, dF_dT = aero_force_jac(r_z, v, T, vp, opts)
     P_e = ambient_pressure(-r_z)
     mdot_coeff = 1.0 / (vp.g_ref * vp.Isp)
     m1 = m[..., None]
@@ -240,8 +234,6 @@ def translational_dynamics(z, vp: VehicleParams,
     f[..., 0:3] = v
     f[..., 3:6] = (T + F) / m1 + vp.gravity
     f[..., 6] = -(Gamma + P_e * vp.A_exit) * mdot_coeff
-    if not jacobian:
-        return f, None
 
     dPe_drz = np.where(-r_z > 0.0, P_e / H_SCALE, 0.0)
     J = np.zeros(z.shape[:-1] + (7, 11))
@@ -262,9 +254,9 @@ planner_jacobian = translational_dynamics
 
 def planner_rhs(z, vp: VehicleParams,
                 opts: AeroOptions = AeroOptions()) -> np.ndarray:
-    """Planning OCP dynamics f(z): the kernel without its Jacobian. With
-    Gamma = ||T|| it is the physical translational model."""
-    return translational_dynamics(z, vp, opts, jacobian=False)[0]
+    """Planning OCP dynamics f(z): the kernel's f. With Gamma = ||T|| it is
+    the physical translational model."""
+    return translational_dynamics(z, vp, opts)[0]
 
 
 def coast_dynamics(x, vp: VehicleParams) -> list[float]:

@@ -43,7 +43,6 @@ from .conic import (
 from .conic.scaling import equilibrate_rows
 from .env import AeroOptions, DegenerateStateError
 from .params import PlanningConfig, VehicleParams
-from .scp import add_trust_region
 
 NZ = 11          # per-node variables (r, v, m, T, Gamma)
 NX = 7           # state dimension
@@ -331,7 +330,8 @@ class PlanningProblem:
     # -- SCP adapter interface ------------------------------------------------------
 
     def build(self, ref: PlanningReference) -> ConicProgram:
-        """The scaled SOCP subproblem linearized about ``ref``.
+        """The scaled SOCP subproblem linearized about ``ref``, with the
+        cost -m_N only: ``run_scp`` adds the trust region.
 
         Three row families depend on reference values they carry no column
         for. An r_z column in the thrust bounds' back-pressure loss
@@ -467,11 +467,10 @@ class PlanningProblem:
         # Looked up in this module at call time, so a wrapper of either sees
         # every call.
         scaled = equilibrate_rows(scale_program(program, self.scaling(ref)))
-        # Objective: -m_N in scaled units, plus the soft trust region.
+        # Objective: -m_N in scaled units.
         c = np.zeros(self.n_vars)
         c[NZ * self.N + 6] = -1.0
         scaled.c = scaled.c + c     # scaled cost of the affine program is zero
-        add_trust_region(scaled, self.reference_vector(ref), self.cfg.W_tr)
         return scaled
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Sequential convex programming loop over a subproblem adapter.
 
 Each iteration linearizes about the current reference, builds a scaled convex
-subproblem, solves it, and measures the soft trust-region cost J_tr (the
-weighted squared deviation of the solution from the reference, in scaled
-variables). The solution becomes the next reference, and the program built
-about it is the next iteration's subproblem. Convergence means a fixed point
-of the linearization: J_tr is below its threshold and the new reference
-satisfies the rows of the program built about it (equality residual, orthant
-and cone violation) within tolerance, with its relaxation tight (the
-adapter's ``relaxation_gap``). A small step alone is not enough: the
-linearization error of the last step is left in the rows. When only that
+subproblem, adds the soft trust region J_tr = W_tr ||x - x_ref||^2 (scaled
+variables, ``ScpSettings.W_tr``) to its objective, and solves it; the loop is
+the only owner of that term. The solution becomes the next reference, and the
+program built about it is the next iteration's subproblem. Convergence means
+a fixed point of the linearization: J_tr is below its threshold and the new
+reference satisfies the rows of the program built about it (equality
+residual, orthant and cone violation) within tolerance, with its relaxation
+tight (the adapter's ``relaxation_gap``). A small step alone is not enough:
+the linearization error of the last step is left in the rows. When only that
 residual is left, Gauss-Newton steps onto the rows built about the reference,
 and then about each projected one, close the O(step^2) gap; the last
 projected reference is the next one, and converges only if it passes the test.
@@ -105,10 +105,11 @@ class ScpFailure(RuntimeError):
 class SubproblemAdapter(Protocol):
     """What the SCP loop needs from a problem family.
 
-    ``build``'s program is the subproblem, the fixed-point test and the
-    rows of the Gauss-Newton projection. ``relaxation_gap`` measures how
-    far the reference is from the solution of the problem the subproblems
-    relax (0 for a family without a relaxation).
+    ``build``'s program is the convexified subproblem without a trust
+    region: ``run_scp`` solves it once it has added one, and it holds the
+    rows of the fixed-point test and the Gauss-Newton projection.
+    ``relaxation_gap`` measures how far the reference is from the solution
+    of the problem the subproblems relax (0 for a family without one).
     """
 
     def build(self, reference: Any) -> ConicProgram: ...
@@ -129,8 +130,7 @@ def trust_region_cost(Z: np.ndarray, Z_ref: np.ndarray, W_tr: float) -> float:
 def add_trust_region(program: ConicProgram, x_ref_scaled: np.ndarray,
                      weight: float) -> None:
     """Fold J_tr = weight * ||x - x_ref||^2 into the (scaled) objective."""
-    n = program.n
-    program.P = (program.P + 2.0 * weight * sp.eye(n, format="csc")).tocsc()
+    program.P = program.P + 2.0 * weight * sp.eye(program.n, format="csr")
     program.c = np.asarray(program.c, float) - 2.0 * weight * x_ref_scaled
     program.obj_offset += weight * float(x_ref_scaled @ x_ref_scaled)
 
@@ -164,8 +164,7 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     g[near] = -s[near]
     for idx in cones.soc.values():
         sb = s[idx]
-        # A stacked matmul rounds like np.linalg.norm's 1-D dot.
-        norm = np.sqrt((sb[:, None, 1:] @ sb[:, 1:, None])[:, 0, 0])
+        norm = np.linalg.norm(sb[:, 1:], axis=1)
         on = (norm > 0.0) & (norm - sb[:, 0] > -ACTIVE_TOL)
         top = idx[on, 0]
         w_row.append(np.repeat(top, idx.shape[1]))
@@ -231,6 +230,7 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
 
     for iteration in range(1, settings.max_iter + 1):
         x_ref = adapter.reference_vector(reference)
+        add_trust_region(program, x_ref, settings.W_tr)
         program.start = solution
         solution = solve_fn(program, inexact)
         solver_iterations, resolved = solution.iterations, False

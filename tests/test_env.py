@@ -66,8 +66,7 @@ class TestAtmosphere:
         # Engine off at sea level the aero force is the zero-incidence drag
         # q_bar s_ref C_D0 along -v, with q_bar = rho v^2 / 2.
         v = np.array([0.0, 0.0, 100.0])
-        F = aero_force_jac(0.0, v, np.zeros(3), VP, AeroOptions(),
-                           jacobian=False)[0]
+        F = aero_force_jac(0.0, v, np.zeros(3), VP, AeroOptions())[0]
         q_bar = 0.5 * 1.225 * 100.0**2
         assert F == pytest.approx([0.0, 0.0, -q_bar * VP.s_ref * VP.C_D0],
                                   rel=1e-12)
@@ -210,8 +209,7 @@ class TestAeroForce:
         for opts in (AeroOptions(), AeroOptions(lift_compensation=False),
                      AeroOptions(drag_only=True)):
             Z = np.array([random_planner_node(rng, VP) for _ in range(200)])
-            F = aero_force_jac(Z[:, 2], Z[:, 3:6], Z[:, 7:10], VP, opts,
-                               jacobian=False)[0]
+            F = aero_force_jac(Z[:, 2], Z[:, 3:6], Z[:, 7:10], VP, opts)[0]
             for z, F_k in zip(Z, F):
                 v, T = z[3:6], z[7:10]
                 rho = air_density(-z[2])
@@ -235,37 +233,36 @@ class TestDynamics3Dof:
         # Gamma = 816 kN delivered at sea level, Table-2 engine.
         x = np.concatenate([[0, 0, 0], [0, 0, -1.0], [VP.m0]])
         T = np.array([0.0, 0.0, -816e3])
-        xdot = translational_dynamics(with_gamma(x, T), VP, jacobian=False)[0]
+        xdot = translational_dynamics(with_gamma(x, T), VP)[0]
         expected = -(816e3 + 101325.0 * VP.A_exit) / (VP.g_ref * VP.Isp)
         assert xdot[6] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(-319.4, abs=0.1)
 
     def test_free_fall_vacuum(self):
         x = np.concatenate([[0, 0, -500e3], np.zeros(3), [VP.m0]])
-        xdot = translational_dynamics(with_gamma(x, np.zeros(3)), VP,
-                                      jacobian=False)[0]
+        xdot = translational_dynamics(with_gamma(x, np.zeros(3)), VP)[0]
         assert np.allclose(xdot[3:6], [0, 0, VP.g_ref])
 
     def test_hover(self):
         m = 30000.0
         x = np.concatenate([[0, 0, -400e3], np.zeros(3), [m]])
         T = np.array([0.0, 0.0, -m * VP.g_ref])
-        xdot = translational_dynamics(with_gamma(x, T), VP, jacobian=False)[0]
+        xdot = translational_dynamics(with_gamma(x, T), VP)[0]
         assert np.allclose(xdot[3:6], 0.0, atol=1e-12)
 
     def test_mass_monotonic(self):
         # mdot < 0 whenever thrust or ambient pressure is nonzero.
         x = np.concatenate([[0, 0, -3000.0], [10, 0, 100.0], [VP.m0]])
         z = with_gamma(x, np.zeros(3))
-        assert translational_dynamics(z, VP, jacobian=False)[0][6] < 0.0
+        assert translational_dynamics(z, VP)[0][6] < 0.0
         x_vac = np.concatenate([[0, 0, -800e3], [10, 0, 100.0], [VP.m0]])
         z_vac = with_gamma(x_vac, np.array([0, 0, -1e3]))
-        assert translational_dynamics(z_vac, VP, jacobian=False)[0][6] < 0.0
+        assert translational_dynamics(z_vac, VP)[0][6] < 0.0
 
     def test_low_speed_zeroes_aero(self):
         x = np.concatenate([[0, 0, -1000.0], [0.05, 0, 0], [VP.m0]])
         T = np.array([0.0, 0.0, -5e5])
-        xdot = translational_dynamics(with_gamma(x, T), VP, jacobian=False)[0]
+        xdot = translational_dynamics(with_gamma(x, T), VP)[0]
         assert np.allclose(xdot[3:6], T / VP.m0 + VP.gravity)
 
 
@@ -284,8 +281,8 @@ class TestCoastDynamics:
             xs.append(np.concatenate([r, v, [rng.uniform(1e3, 4e4)]]))
         assert sum(np.linalg.norm(x[3:6]) < env.V_EPS for x in xs) > 300
         got = [env.coast_dynamics(list(x), VP) for x in xs]
-        want = [translational_dynamics(with_gamma(x, np.zeros(3)), VP, opts,
-                                       jacobian=False)[0] for x in xs]
+        want = [translational_dynamics(with_gamma(x, np.zeros(3)), VP,
+                                       opts)[0] for x in xs]
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("m, r_z", [(0.0, -3e3), (-1.0, -3e3),

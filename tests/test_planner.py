@@ -94,7 +94,7 @@ class TestCoast:
 
         def f(x):
             z = np.concatenate([x, np.zeros(4)])
-            return env.translational_dynamics(z, VP, opts, jacobian=False)[0]
+            return env.translational_dynamics(z, VP, opts)[0]
 
         cases = [(R0, V0, 16.0, False),
                  (np.array([0.0, 0.0, -1000.0]), V0, 15.0, True),
@@ -294,8 +294,10 @@ class TestBuildStructure:
         ref = initial_guess_planning(prob.boundary, cfg, VP)
         prog = prob.build(ref)
         N = cfg.N
-        # Variables: (N+1) nodes of 11 plus eta and t_c.
+        # Variables: (N+1) nodes of 11 plus eta and t_c. The cost is -m_N
+        # alone: the trust region is the SCP loop's.
         assert prog.n == NZ * (N + 1) + 2
+        assert prog.P.nnz == 0
         # One node sits in the vertical taper end and is encoded by three
         # extra equalities with its tilt row and SOC cone dropped.
         n_vertical = sum(
@@ -397,11 +399,20 @@ class TestBuildStructure:
         assert slack[:nonneg].min() > -1e-7
 
 
+def first_subproblem(prob, cfg):
+    """The plan's first subproblem as ``run_scp`` solves it: the program
+    built about the initial guess, with the trust region added."""
+    ref = initial_guess_planning(prob.boundary, cfg, VP)
+    prog = prob.build(ref)
+    scp.add_trust_region(prog, prob.reference_vector(ref), cfg.W_tr)
+    return prog
+
+
 def first_kkt_n30():
     """The IPM's first KKT matrix (W = I) of the first N=30 subproblem, in
     its own row and column order."""
     prob, cfg = make_problem(N=30)
-    prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
+    prog = first_subproblem(prob, cfg)
     cones = Cones(prog.cones)
     kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones)
     kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
@@ -704,7 +715,7 @@ class TestConeLayout:
         monkeypatch.setattr(ConePoints, "__init__", counted_init)
         monkeypatch.setattr(_Kkt, "factor", counted_factor)
         prob, cfg = make_problem(N=30)
-        sol = ipm.solve(prob.build(initial_guess_planning(prob.boundary, cfg, VP)))
+        sol = ipm.solve(first_subproblem(prob, cfg))
         assert sol.status == "optimal" and not sol.warm
         assert stacks.count(2) == len(factors) == sol.iterations
         assert stacks.count(1) == len(factors) + 2

@@ -16,7 +16,6 @@ from rlv_landing.scp import (
     RELAXATION_TOL,
     ScpFailure,
     ScpSettings,
-    add_trust_region,
     fixed_point_residual,
     project_onto_rows,
     run_scp,
@@ -51,12 +50,11 @@ class _LinearFixture:
     about any reference identically. SCP must converge in exactly one
     iteration because the subproblem does not depend on the reference."""
 
-    def __init__(self, w_tr):
-        self.w_tr = w_tr
+    def __init__(self):
         self.scaling = make_scaling(np.array([-10.0]), np.array([10.0]))
 
     def build(self, reference):
-        prog = ConicProgram(
+        return ConicProgram(
             c=np.array([-6.0 * 10.0]),           # d/dx of (x-3)^2 linear part, scaled
             P=sp.csr_matrix([[2.0 * 100.0]]),    # x = 10 * x_scaled
             G=sp.csr_matrix([[-10.0]]),
@@ -64,8 +62,6 @@ class _LinearFixture:
             cones=[ConeBlock(NONNEG, 1)],
             obj_offset=9.0,
         )
-        add_trust_region(prog, self.reference_vector(reference), self.w_tr)
-        return prog
 
     def reference_vector(self, reference):
         return self.scaling.scale(np.array([reference]))
@@ -83,12 +79,11 @@ class _SquareRootFixture:
     residual at the reference is x_ref^2 - 2, so a short step is not yet a
     fixed point."""
 
-    def __init__(self, w_tr):
-        self.w_tr = w_tr
+    def __init__(self):
         self.scaling = make_scaling(np.array([-10.0]), np.array([10.0]))
 
     def build(self, reference):
-        prog = ConicProgram(
+        return ConicProgram(
             c=np.zeros(1),
             A=sp.csr_matrix([[2.0 * reference * 10.0]]),
             b=np.array([2.0 + reference * reference]),
@@ -96,8 +91,6 @@ class _SquareRootFixture:
             h=np.array([0.0]),
             cones=[ConeBlock(NONNEG, 1)],
         )
-        add_trust_region(prog, self.reference_vector(reference), self.w_tr)
-        return prog
 
     def reference_vector(self, reference):
         return self.scaling.scale(np.array([reference]))
@@ -113,14 +106,14 @@ class TestRunScp:
     def test_linear_fixture_two_iterations(self):
         # Iteration 1 jumps to (nearly) the fixed point; iteration 2
         # re-solves to itself and the deviation cost vanishes.
-        fixture = _LinearFixture(w_tr=1e-9)
+        fixture = _LinearFixture()
         out = run_scp(fixture, 0.0, ScpSettings(1e-10, 10, 1e-9))
         assert out.converged
         assert out.iterations <= 2
         assert out.reference == pytest.approx(3.0, abs=1e-6)
 
     def test_log_discipline(self):
-        fixture = _LinearFixture(w_tr=1e-9)
+        fixture = _LinearFixture()
         out = run_scp(fixture, -5.0, ScpSettings(1e-10, 10, 1e-9))
         assert len(out.log) == out.iterations
         assert out.log[-1].J_tr < 1e-10
@@ -141,7 +134,7 @@ class TestRunScp:
                 return prog
 
         with pytest.raises(ScpFailure) as err:
-            run_scp(Bad(1e-9), 0.0, ScpSettings(1e-10, 10, 1e-9))
+            run_scp(Bad(), 0.0, ScpSettings(1e-10, 10, 1e-9))
         assert err.value.iteration == 1
         assert err.value.status in ("infeasible", "numerical_failure")
 
@@ -154,7 +147,7 @@ class TestRunScp:
             solves.append((tol, program.start))
             return solve(program, tol)
 
-        fixture = _SquareRootFixture(w_tr=1.0)
+        fixture = _SquareRootFixture()
         tol = 1e-8
         out = run_scp(fixture, 1.0, ScpSettings(1e-8, 10, 1.0), tol,
                       solve_fn=recorded)
@@ -169,11 +162,51 @@ class TestRunScp:
         assert [rec.resolved for rec in out.log] == [False] * 3 + [True]
         assert out.log[-1].J_tr < 1e-8
 
+    def test_loop_folds_the_trust_region_into_every_solve(self):
+        # The fixture's programs carry no quadratic term. Every program the
+        # loop solves, the full-tolerance re-solve's included, carries the
+        # trust region about the reference it was built about, added once;
+        # a program only the fixed-point test reads carries none. Each
+        # logged J_tr is that term at the solution of the iteration's last
+        # solve.
+        w_tr = 1.0
+        fixture = _SquareRootFixture()
+        built, solved, solves = {}, set(), []
+        build = fixture.build
+
+        def recorded_build(ref):
+            program = build(ref)
+            built[id(program)] = (ref, program)
+            return program
+
+        def spy(program, tol):
+            solved.add(id(program))
+            ref = built[id(program)][0]
+            x_ref = fixture.reference_vector(ref)
+            np.testing.assert_array_equal(program.P.toarray(),
+                                          2.0 * w_tr * np.eye(1))
+            np.testing.assert_array_equal(
+                program.c, build(ref).c - 2.0 * w_tr * x_ref)
+            sol = solve(program, tol)
+            solves.append(trust_region_cost(sol.x, x_ref, w_tr))
+            return sol
+
+        fixture.build = recorded_build
+        assert build(1.0).P.nnz == 0
+        out = run_scp(fixture, 1.0, ScpSettings(1e-8, 10, w_tr), 1e-8,
+                      solve_fn=spy)
+        assert out.converged and out.log[-1].resolved
+        assert len(solves) == out.iterations + 1
+        last = np.cumsum([1 + rec.resolved for rec in out.log]) - 1
+        assert [rec.J_tr for rec in out.log] == [solves[i] for i in last]
+        unsolved = [p for key, (_, p) in built.items() if key not in solved]
+        assert unsolved and all(p.P.nnz == 0 for p in unsolved)
+
     def test_loose_small_step_is_not_enough(self):
         # The inexact solves claim no move at all; the full-tolerance
         # re-solve of the first step moves from -5 to 3, so that step
         # converges nothing and the plan takes one more iteration.
-        fixture = _LinearFixture(w_tr=1e-9)
+        fixture = _LinearFixture()
         refs = []
         build = fixture.build
         fixture.build = lambda ref: refs.append(ref) or build(ref)
@@ -195,7 +228,7 @@ class TestRunScp:
     def test_max_iter_not_converged(self):
         # A strong trust region freezes progress; the loop must stop at the
         # iteration budget and report not-converged.
-        fixture = _LinearFixture(w_tr=1e3)
+        fixture = _LinearFixture()
         out = run_scp(fixture, -8.0, ScpSettings(1e-12, 4, 1e3))
         assert not out.converged
         assert out.iterations == 4
@@ -203,7 +236,7 @@ class TestRunScp:
     def test_no_build_after_last_iteration_without_small_step(self):
         # The program about the last reference would be neither solved nor
         # tested: one build per subproblem and no more.
-        fixture = _LinearFixture(w_tr=1e3)
+        fixture = _LinearFixture()
         builds = []
         build = fixture.build
         fixture.build = lambda ref: builds.append(ref) or build(ref)
@@ -219,7 +252,7 @@ class TestRunScp:
         # That projection is kept, though it misses EPS_FEASIBLE. Each
         # projection step builds once, about its result: with the builds
         # about 1 and 1.5 that makes four.
-        fixture = _SquareRootFixture(w_tr=1.0)
+        fixture = _SquareRootFixture()
         builds = []
         build = fixture.build
         fixture.build = lambda ref: builds.append(ref) or build(ref)
@@ -243,8 +276,8 @@ class TestRunScp:
         checks = []
 
         class Loose(_LinearFixture):
-            def __init__(self, w_tr, tight_from):
-                super().__init__(w_tr)
+            def __init__(self, tight_from):
+                super().__init__()
                 self.tight_from = tight_from
 
             def relaxation_gap(self, reference):
@@ -253,7 +286,7 @@ class TestRunScp:
                     else 10.0 * RELAXATION_TOL
 
         settings = ScpSettings(1e-10, 4, 1e-9)
-        out = run_scp(Loose(1e-9, tight_from=np.inf), 3.0, settings)
+        out = run_scp(Loose(tight_from=np.inf), 3.0, settings)
         assert not out.converged
         assert out.iterations == settings.max_iter
         assert all(rec.J_tr < settings.eps_converge for rec in out.log)
@@ -261,7 +294,7 @@ class TestRunScp:
         assert len(checks) == settings.max_iter
 
         checks.clear()
-        out = run_scp(Loose(1e-9, tight_from=3), 3.0, settings)
+        out = run_scp(Loose(tight_from=3), 3.0, settings)
         assert out.converged
         assert out.iterations == 3
 
@@ -272,7 +305,7 @@ class TestRunScp:
         # projection. The second step is small enough to need none: the
         # builds about 1, 1.5, the two projections and the second step's
         # result make five.
-        fixture = _SquareRootFixture(w_tr=1.0)
+        fixture = _SquareRootFixture()
         builds = []
         build = fixture.build
         fixture.build = lambda ref: builds.append(ref) or build(ref)
