@@ -14,6 +14,8 @@ plan prints one JSON line:
 - ``ipm_iters``: the IPM iterations of every subproblem solve of the plan;
 - ``reorders``: the solves that took a fresh minimum-degree ordering of
   their KKT matrix (``reordered``), having no start whose analysis matched;
+- ``pivot_fallbacks``: the KKT factorizations that SuperLU took over from
+  the LDL' kernel after an exact zero pivot (``pivot_fallbacks``);
 - ``propellant_kg``: the propellant of a converged plan, else null;
 - ``problems``: the ``planning.check`` problems of a converged plan;
 - ``z_hash``: the first 16 hex digits of the SHA-256 of the returned
@@ -23,7 +25,7 @@ plan prints one JSON line:
   infeasible).
 
 A last line holds the totals, among them ``ipm_iters``, ``reorders``,
-``builds`` (calls of ``planner.linearize_planning``, which every subproblem
+``pivot_fallbacks``, ``builds`` (calls of ``planner.linearize_planning``, which every subproblem
 build makes once) and ``projection_steps`` (calls of
 ``scp.project_onto_rows``). The same file runs on any tree whose
 ``ipm.solve`` takes a program and its tolerance argument, so it compares two
@@ -68,10 +70,12 @@ class SolveRecorder:
     def __init__(self, ipm):
         self.ipm = ipm
         self.solves = self.ipm_iters = self.reorders = 0
+        self.pivot_fallbacks = 0
         self.stalls: list[dict] = []
 
     def plan_span(self):
-        self.solves, self.ipm_iters, self.reorders, self.stalls = 0, 0, 0, []
+        self.solves = self.ipm_iters = self.reorders = 0
+        self.pivot_fallbacks, self.stalls = 0, []
         return nullcontext()
 
     def solve_fn(self, program, settings):
@@ -79,6 +83,7 @@ class SolveRecorder:
         self.solves += 1
         self.ipm_iters += sol.iterations
         self.reorders += sol.reordered
+        self.pivot_fallbacks += sol.pivot_fallbacks
         if sol.status not in VERDICTS:
             self.stalls.append({"status": sol.status,
                                 "primal_res": sol.primal_res,
@@ -136,7 +141,8 @@ def main(argv=None) -> int:
 
     recorder = SolveRecorder(ipm)
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
-              "solves": 0, "ipm_iters": 0, "reorders": 0, "stalls": 0,
+              "solves": 0, "ipm_iters": 0, "reorders": 0,
+              "pivot_fallbacks": 0, "stalls": 0,
               "builds": 0, "projection_steps": 0, "outcomes": {}}
     count_calls(planner, "linearize_planning", totals, "builds")
     count_calls(scp, "project_onto_rows", totals, "projection_steps")
@@ -149,6 +155,7 @@ def main(argv=None) -> int:
             totals["solves"] += recorder.solves
             totals["ipm_iters"] += recorder.ipm_iters
             totals["reorders"] += recorder.reorders
+            totals["pivot_fallbacks"] += recorder.pivot_fallbacks
             totals["stalls"] += len(recorder.stalls)
             outcomes = totals["outcomes"]
             outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
@@ -157,6 +164,7 @@ def main(argv=None) -> int:
                 "outcome": result.outcome, "scp_iters": result.scp_iters,
                 "ipm_iters": recorder.ipm_iters,
                 "reorders": recorder.reorders,
+                "pivot_fallbacks": recorder.pivot_fallbacks,
                 "propellant_kg": result.propellant_kg
                 if result.converged else None,
                 "problems": result.problems,

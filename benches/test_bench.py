@@ -183,12 +183,37 @@ def refactor_natural(benchmark, prog):
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
+def refactor_ldl(benchmark, prog):
+    """The same IPM iteration as ``refactor_natural``, by the IPM's LDL'
+    kernel: the upper triangle of the permuted matrix, analysed once and
+    factored numerically."""
+    from rlv_landing.conic import ldl
+
+    K = first_kkt(prog)
+    order = np.argsort(ipm.factor_quasidefinite(K).perm_c)
+    upper = sp.triu(K[order][:, order], format="csc")
+    pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
+    factors = ldl.Factors(*pattern, *ldl.etree(*pattern))
+    assert benchmark(factors.factor, upper.data) >= 0
+    # L and D, counted as SuperLU counts L + U: both triangles and the
+    # diagonal twice.
+    benchmark.extra_info["fill_nnz"] = int(2 * (factors.L[0].size + factors.n))
+
+
 def test_kkt_refactor_natural_n100(benchmark, subproblem):
     refactor_natural(benchmark, subproblem[2])
 
 
 def test_kkt_refactor_natural_n30(benchmark):
     refactor_natural(benchmark, first_subproblem(30)[2])
+
+
+def test_kkt_refactor_ldl_n100(benchmark, subproblem):
+    refactor_ldl(benchmark, subproblem[2])
+
+
+def test_kkt_refactor_ldl_n30(benchmark):
+    refactor_ldl(benchmark, first_subproblem(30)[2])
 
 
 def mid_solve(prog, k=8):

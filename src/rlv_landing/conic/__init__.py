@@ -1,5 +1,6 @@
 """Embedded sparse convex solver: programs, the cone layout, scaling and
-the IPM."""
+the IPM, whose KKT matrices SuperLU orders and a compiled sparse LDL'
+kernel (``ldl``) factors."""
 
 from .cones import NONNEG, SOC, ConeBlock, Cones
 from .ipm import factor_quasidefinite, solve

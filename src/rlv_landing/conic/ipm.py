@@ -16,18 +16,24 @@ Each iteration factorizes the KKT matrix
 
 The matrix is symmetric quasi-definite (a positive definite block, and the
 negative of one, on the diagonal), so every symmetric permutation of it has
-an LU factorization with the pivots on the diagonal, stable without row
-pivoting (Vanderbei, SIAM J. Optim. 1995). SuperLU runs in symmetric mode
-with no pivoting. K is stored one way, through an analysis (``_Analysis``):
-K's CSC pattern permuted by a minimum-degree ordering of A' + A, into which
-each iteration writes only the -(W'W + eps I) values to factor K in natural
-order. The ordering comes from the solution the solve starts from, or else
-from the solve's first factorization. A solve leaves its analysis on its
-result, and a warm solve whose P, A, G and cones have the start's pattern
-reuses it, so a run of same-pattern SCP subproblems takes one ordering (the
-split of one symbolic analysis and numeric refactorizations, as in Clarabel:
-Goulart & Chen, arXiv:2405.12762). The cone algebra is ``cones.Cones``, the
-layout the program built once (``ConicProgram.layout``).
+an LDL' factorization with the pivots on the diagonal, stable without
+pivoting (Vanderbei, SIAM J. Optim. 1995). K is stored one way, through an
+analysis (``_Analysis``): K's CSC pattern permuted by a minimum-degree
+ordering of A' + A, into which each iteration writes only the
+-(W'W + eps I) values, and the LDL' analysis of K's upper triangle in that
+ordering. The ordering comes from the solution the solve starts from, or
+else from the solve's first factorization, which is SuperLU's. A solve
+leaves its analysis on its result, and a warm solve whose P, A, G and cones
+have the start's pattern reuses it, so a run of same-pattern SCP
+subproblems takes one ordering and one symbolic analysis. Every other
+factorization is a numeric up-looking LDL' of K's upper triangle by the
+compiled kernel ``ldl`` (Davis, ACM TOMS 31(4), 2005), half the arithmetic
+of SuperLU's LU, as IPM codes split the work (QDLDL in OSQP, Stellato et
+al., Math. Prog. Comp. 2020; Clarabel, Goulart & Chen, arXiv:2405.12762).
+SuperLU orders, and it rescues: at an exact zero pivot, which an SOC block
+near its boundary can cancel to, it factors that K in natural order,
+pivoting off the diagonal. The cone algebra is ``cones.Cones``, the layout
+the program built once (``ConicProgram.layout``).
 
 Each iteration forms its iterate's cone data once, ``Cones.points(s, z)``
 (the blocks of s and z, their J-norms and normalized blocks), as ECOS and
@@ -42,11 +48,11 @@ et al., SIAM J. Matrix Anal. Appl. 1999), and without them a factorization
 takes about 30% less time with the same fill. The settings are constants;
 scipy 1.17.1 corrupts the heap at ``panel_size=64``.
 
-A KKT solve is one LU solve, refined against the unregularized matrix only
-while its residual is above a tolerance and each step lowers it, as in
-Clarabel (``_Kkt.solve``). The IPM's directions are solved to REFINE_TOL,
-since later iterations correct a direction's error; the cold start is not
-refined (a tolerance of infinity).
+A KKT solve is one solve with the factors, refined against the
+unregularized matrix only while its residual is above a tolerance and each
+step lowers it, as in Clarabel (``_Kkt.solve``). The IPM's directions are
+solved to REFINE_TOL, since later iterations correct a direction's error;
+the cold start is not refined (a tolerance of infinity).
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
@@ -82,6 +88,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import ldl
 from .cones import ConePoints, Cones, soc_product
 from .program import ConicProgram, SolverSolution
 from .scaling import _rows
@@ -186,10 +193,14 @@ class _NTScaling:
 
 
 def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
-    """Sparse LU of a symmetric quasi-definite matrix, pivots on the diagonal.
+    """SuperLU's sparse LU of a symmetric quasi-definite matrix, pivots on
+    the diagonal while they are nonzero.
 
     The ordering is a minimum-degree ordering of A' + A, or, with
-    ``natural``, none (for a matrix already permuted by one).
+    ``natural``, none (for a matrix already permuted by one). The IPM
+    calls it for the ordering of a fresh KKT pattern, and in natural order
+    for a KKT matrix whose LDL' meets an exact zero pivot, where SuperLU
+    pivots off the diagonal; the SCP projection factors with it too.
 
     SuperLU runs with ``relax=1, panel_size=1``: no relaxed supernodes and
     one-column panels. The pivots and the fill (to one stored entry) stay
@@ -243,10 +254,13 @@ def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
 class _Analysis:
     """The symbolic analysis of one KKT pattern under one ordering, left on
     the solution for a later solve of the same pattern: the ordering, K's
-    CSC pattern permuted by it, and the slot in it of each value ``_Kkt``
+    CSC pattern permuted by it, the slot in it of each value ``_Kkt``
     writes (``value_slots``: P, reg I, A', A, -reg I, G', G; ``w2_slots``:
-    -(W^2 + reg I)). It outlives the solve, so it holds only int32 index
-    arrays of its own, none shared with a matrix SuperLU was given."""
+    -(W^2 + reg I)), and the LDL' analysis of K's upper triangle in that
+    ordering: the slots of its entries (``upper_slots``), its CSC pattern,
+    and the elimination tree and column pointers of L (``ldl.etree``). It
+    outlives the solve, so it holds only int32 index arrays of its own,
+    none shared with a matrix SuperLU was given."""
 
     pattern: list[np.ndarray]
     position: np.ndarray     # position[i]: where row/column i sits in K
@@ -255,6 +269,11 @@ class _Analysis:
     indices: np.ndarray
     value_slots: np.ndarray
     w2_slots: np.ndarray
+    upper_slots: np.ndarray
+    upper_indptr: np.ndarray
+    upper_indices: np.ndarray
+    parent: np.ndarray
+    Lp: np.ndarray
 
     @classmethod
     def of(cls, pattern, rows, cols, n_values: int, position) -> _Analysis:
@@ -267,15 +286,21 @@ class _Analysis:
         pattern = [np.array(a) for a in pattern]
         position = position.astype(np.intc)
         order = np.argsort(position).astype(np.intc)
-        indptr = np.empty(dim + 1, np.intc)
+        indptr, upper_indptr = np.empty((2, dim + 1), np.intc)
         slots, indices = np.empty((2, rows.size), np.intc)
         keys, slots[:] = np.unique(
             position[cols].astype(np.int64) * dim + position[rows],
             return_inverse=True)
         indptr[:] = np.searchsorted(keys, np.arange(dim + 1) * dim)
-        return cls(pattern, position, order, indptr,
-                   np.remainder(keys, dim, out=indices[:keys.size]),
-                   slots[:n_values], slots[n_values:])
+        indices = np.remainder(keys, dim, out=indices[:keys.size])
+        columns = keys // dim
+        upper = np.flatnonzero(indices <= columns)
+        upper_indptr[:] = np.searchsorted(columns[upper], np.arange(dim + 1))
+        upper_indices = indices[upper]
+        return cls(pattern, position, order, indptr, indices,
+                   slots[:n_values], slots[n_values:], upper.astype(np.intc),
+                   upper_indptr, upper_indices,
+                   *ldl.etree(upper_indptr, upper_indices))
 
     def matches(self, pattern: list[np.ndarray]) -> bool:
         return len(pattern) == len(self.pattern) and all(
@@ -286,10 +311,14 @@ class _Kkt:
     """The KKT system of one solve, stored only through its ``analysis``.
 
     Only the -(W^2 + reg I) block changes between iterations; ``factor``
-    writes it through ``w2_slots`` and factors K in natural order. Without
-    an analysis of the same pattern, the first factorization is of K as
-    scipy assembles it from ``_entries``, by minimum degree, and makes the
-    analysis. ``solve`` works in K's ordering throughout.
+    writes it through ``w2_slots`` and factors K by the compiled LDL'
+    (``ldl.Factors``), in K's ordering. At an exact zero pivot, SuperLU
+    factors that K in natural order instead, pivoting off the diagonal
+    (counted in ``pivot_fallbacks``). Without an analysis of the same
+    pattern, the first factorization is SuperLU's, by minimum degree, of K
+    as scipy assembles it from ``_entries``: its column ordering makes the
+    analysis, and its LU serves that iteration's solves. ``solve`` works
+    in K's ordering throughout.
     """
 
     def __init__(self, P, A, G, cones: Cones,
@@ -303,6 +332,8 @@ class _Kkt:
                                  np.full(me, -REG), G.data, G.data])
         pattern = _pattern(P, A, G, cones)
         self.reordered = False   # this solve took its own ordering
+        self.pivot_fallbacks = 0
+        self._ldl = None         # the LDL' factors, made at first use
         if analysis is not None and analysis.matches(pattern):
             self._use(analysis, values)
         else:
@@ -323,9 +354,19 @@ class _Kkt:
     def factor(self, scaling: _NTScaling) -> None:
         """Refill the W^2 block from the NT scaling and factor K."""
         w2 = -scaling.w2_entries(REG)
-        if self.analysis is not None:
-            self.K.data[self.analysis.w2_slots] = w2
-            self._lu_solve = factor_quasidefinite(self.K, natural=True).solve
+        analysis = self.analysis
+        if analysis is not None:
+            self.K.data[analysis.w2_slots] = w2
+            if self._ldl is None:
+                self._ldl = ldl.Factors(analysis.upper_indptr,
+                                        analysis.upper_indices,
+                                        analysis.parent, analysis.Lp)
+            if self._ldl.factor(self.K.data[analysis.upper_slots]) >= 0:
+                self._lu_solve = self._ldl.solve
+            else:
+                self.pivot_fallbacks += 1
+                self._lu_solve = factor_quasidefinite(self.K,
+                                                      natural=True).solve
             return
         pattern, values, rows, cols = self._fresh
         dim = self._reg_sign.size
@@ -577,7 +618,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
         objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),
         primal_res=pres, dual_res=dres, warm=warm,
-        reordered=kkt.reordered, resumed=resumed, _analysis=kkt.analysis,
+        reordered=kkt.reordered, resumed=resumed,
+        pivot_fallbacks=kkt.pivot_fallbacks, _analysis=kkt.analysis,
         _program=weakref.ref(program),
     )
 

@@ -1,0 +1,166 @@
+"""The sparse LDL' kernel ``ldl.c``, built with the system C compiler on
+first use and loaded with ctypes.
+
+The C source is compiled once per source and command, with the compiler
+Python was built with (``sysconfig``'s ``CC``) and constant flags: no fast
+math and no host-specific instructions, so that a factorization's bits do
+not depend on the host CPU. The library is cached next to the source, in
+``__pycache__/ldl-<hash>.so``, as CPython caches bytecode; where that
+directory cannot be written, it is built in a private temporary directory
+for the process. A failed compile raises ``ImportError``.
+
+``etree`` is the symbolic analysis of an upper-triangular CSC pattern, and
+``Factors`` the numeric factorization and solves for it. Every array is
+checked for dtype, C-contiguity and length before it reaches C.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("ldl.c")
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+_INT, _PTR = ctypes.c_int, ctypes.c_void_p
+
+
+def _compile(command: list[str], target: Path) -> None:
+    """Compile the source to ``target``, through a temporary name in its
+    directory, so that processes compiling at once each move a whole
+    library into place."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so")
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run([*command, "-o", tmp, str(SOURCE)],
+                                  capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError(f"cannot run {shlex.join(command)}: {exc}") \
+                from exc
+        if done.returncode != 0:
+            raise ImportError(f"compiling {SOURCE.name} failed: "
+                              f"{shlex.join(command)}\n{done.stderr}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        raise ImportError("no C compiler: sysconfig has no CC")
+    command = [*shlex.split(cc), *FLAGS]
+    digest = hashlib.sha256(SOURCE.read_bytes()
+                            + shlex.join(command).encode()).hexdigest()
+    path = SOURCE.parent / "__pycache__" / f"ldl-{digest[:16]}.so"
+    private = None
+    try:
+        path.parent.mkdir(exist_ok=True)
+        if not path.is_file():
+            _compile(command, path)
+    except OSError:
+        # __pycache__ cannot be written: build for this process alone.
+        private = Path(tempfile.mkdtemp())
+        path = private / path.name
+        _compile(command, path)
+    try:
+        lib = ctypes.CDLL(str(path))
+    finally:
+        if private is not None:
+            shutil.rmtree(private)   # the loaded library stays mapped
+    lib.ldl_etree.argtypes = [_INT] + [_PTR] * 5
+    lib.ldl_etree.restype = _INT
+    lib.ldl_factor.argtypes = [_INT] + [_PTR] * 10
+    lib.ldl_factor.restype = _INT
+    lib.ldl_solve.argtypes = [_INT] + [_PTR] * 5
+    lib.ldl_solve.restype = None
+    return lib
+
+
+def _checked(name: str, a, dtype, size: int) -> int:
+    """The address of ``a``, after checking that C may use it as ``size``
+    values of ``dtype``."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+            and a.flags.c_contiguous and a.size == size):
+        raise ValueError(
+            f"{name}: need a C-contiguous {np.dtype(dtype)} vector of length "
+            f"{size}, got {getattr(a, 'dtype', type(a).__name__)} of shape "
+            f"{getattr(a, 'shape', None)}")
+    return a.ctypes.data
+
+
+def etree(indptr: np.ndarray, indices: np.ndarray):
+    """The symbolic analysis of a symmetric matrix given by its upper
+    triangle in CSC form (int32 ``indptr`` and ``indices``): the
+    elimination tree ``parent`` (-1 at a root) and the column pointers
+    ``Lp`` of L, both int32. Raises ``ValueError`` at an entry below the
+    diagonal."""
+    n = indptr.size - 1
+    args = (_checked("indptr", indptr, np.intc, n + 1),
+            _checked("indices", indices, np.intc, indices.size))
+    if n < 0 or indptr[0] != 0 or indptr[-1] != indices.size \
+            or np.any(np.diff(indptr) < 0) \
+            or (indices.size and not 0 <= indices.min() <= indices.max() < n):
+        raise ValueError("not a CSC pattern of an n x n matrix")
+    work, counts, parent = np.empty((3, n), np.intc)
+    if _library().ldl_etree(n, *args, work.ctypes.data, counts.ctypes.data,
+                            parent.ctypes.data) < 0:
+        raise ValueError("the pattern has an entry below the diagonal")
+    Lp = np.zeros(n + 1, np.int64)
+    np.cumsum(counts, out=Lp[1:])
+    if Lp[-1] > np.iinfo(np.intc).max:
+        raise ValueError("L has more entries than an int32 indexes")
+    return parent, Lp.astype(np.intc)
+
+
+class Factors:
+    """The LDL' factors of one symmetric matrix pattern: the upper
+    triangle's ``indptr`` and ``indices``, and ``parent`` and ``Lp`` from
+    ``etree`` of that pattern, which say where the kernel writes L.
+    ``factor`` refactors in place, and ``solve`` solves with the last
+    factorization."""
+
+    def __init__(self, indptr, indices, parent, Lp):
+        n = self.n = parent.size
+        ap = _checked("indptr", indptr, np.intc, n + 1)
+        par = _checked("parent", parent, np.intc, n)
+        lp = _checked("Lp", Lp, np.intc, n + 1)
+        self.nnz = int(indptr[-1])
+        ai = _checked("indices", indices, np.intc, self.nnz)
+        # L's rows and values, D, and the workspaces, all held so that their
+        # addresses stay valid.
+        self.L = np.empty(Lp[-1], np.intc), np.empty(Lp[-1]), np.empty(n)
+        work = np.empty(3 * n, np.intc), np.empty(n)
+        self._held = indptr, indices, parent, Lp, self.L, work
+        li, lx, d = (a.ctypes.data for a in self.L)
+        self._factor_args = (ap, ai), (lp, par, li, lx, d,
+                                       *(a.ctypes.data for a in work))
+        self._solve_args = lp, li, lx, d
+
+    def factor(self, values: np.ndarray) -> int:
+        """Factor the matrix with these upper-triangle values. Returns the
+        number of positive pivots, or -1 at a zero pivot, after which the
+        factors are not usable."""
+        pattern, rest = self._factor_args
+        ax = _checked("values", values, np.float64, self.nnz)
+        return _library().ldl_factor(self.n, *pattern, ax, *rest)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of L D L' x = rhs, in a new array."""
+        x = np.array(rhs, dtype=np.float64)
+        address = _checked("rhs", x, np.float64, self.n)
+        _library().ldl_solve(self.n, *self._solve_args, address)
+        return x

@@ -420,11 +420,13 @@ def first_kkt_n30():
 
 
 # Run in a child process: factors the saved KKT 25 times by minimum degree
-# and 25 times in natural order after that ordering.
+# and 25 times in natural order after that ordering, then 25 times and
+# solves 25 times with the LDL' kernel in that ordering.
 FACTOR_50_TIMES = """
 import sys
 import numpy as np
 import scipy.sparse as sp
+from rlv_landing.conic import ldl
 from rlv_landing.conic.ipm import factor_quasidefinite
 K = sp.load_npz(sys.argv[1]).tocsc()
 order = np.argsort(factor_quasidefinite(K).perm_c)
@@ -432,6 +434,13 @@ permuted = K[order][:, order].tocsc()
 for _ in range(25):
     factor_quasidefinite(K)
     factor_quasidefinite(permuted, natural=True)
+upper = sp.triu(permuted, format="csc")
+pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
+factors = ldl.Factors(*pattern, *ldl.etree(*pattern))
+rhs = np.ones(K.shape[0])
+for _ in range(25):
+    assert factors.factor(upper.data) >= 0
+    factors.solve(rhs)
 """
 
 

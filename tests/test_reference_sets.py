@@ -1,4 +1,4 @@
-"""Convergence gate: two of the benchmark's reference sets, planned as
+"""Convergence gate: the benchmark's three reference sets, planned as
 ``planbench/planning.py`` plans them, keep their clean plans within their
 SCP iteration budget.
 
@@ -30,7 +30,8 @@ def planbench():
 @pytest.mark.parametrize("workload, clean_floor, scp_ceiling", [
     ("replan-n100", 3, 15),     # 3 states, each clean in 5 iterations
     ("ignition-n30", 15, 109),  # 24 states; the 9 others end infeasible
-], ids=["replan-n100", "ignition-n30"])
+    ("ignition-n100", 5, 53),   # 6 states; 1 ends infeasible
+], ids=["replan-n100", "ignition-n30", "ignition-n100"])
 def test_reference_set_keeps_its_clean_plans(planbench, workload,
                                              clean_floor, scp_ceiling):
     planning, scenarios = planbench

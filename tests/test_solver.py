@@ -3,9 +3,11 @@ scaling equivalence, KKT residuals (``helpers.verify_kkt``) and
 determinism.
 """
 
+import ctypes
 import gc
 import itertools
 import math
+import os
 import weakref
 from dataclasses import fields, replace
 from unittest import mock
@@ -26,7 +28,7 @@ from rlv_landing.conic import (
     scale_program,
     solve,
 )
-from rlv_landing.conic import ipm
+from rlv_landing.conic import ipm, ldl
 from rlv_landing.conic.cones import Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
@@ -777,10 +779,19 @@ class TestWarmStart:
             prog, c=prog.c + 1e-2 * rng.normal(size=n),
             h=prog.h + 1e-2 * interior_point(rng, blocks), start=first)
         spla_ = CountingSpla()
-        with mock.patch.object(ipm, "spla", spla_):
+        factorizations = []
+        factor = ldl.Factors.factor
+
+        def counted(self, values):
+            factorizations.append(values.size)
+            return factor(self, values)
+
+        with mock.patch.object(ipm, "spla", spla_), \
+                mock.patch.object(ldl.Factors, "factor", counted):
             warm = solve(perturbed)
-        # The same pattern as the start's: its ordering is reused.
-        assert spla_.orderings and set(spla_.orderings) == {"NATURAL"}
+        # The same pattern as the start's: its ordering is reused, and the
+        # LDL' kernel factors.
+        assert "MMD_AT_PLUS_A" not in spla_.orderings and factorizations
         assert warm.warm and not warm.reordered and not warm.resumed
         assert warm.status == "optimal"
         assert verify_kkt(perturbed, warm).worst < 1e-8
@@ -864,6 +875,168 @@ class TestWarmStart:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def quasidefinite(rng, n_pos, n_neg, density):
+    """A random sparse symmetric quasi-definite matrix: a positive definite
+    block of size ``n_pos``, a negative definite one of size ``n_neg`` and
+    a coupling block, under a random symmetric permutation."""
+    def definite(m):
+        S = sp.random(m, m, density=density, random_state=rng)
+        S = S + S.T
+        return S + sp.diags(abs(S).sum(axis=1).A1 + rng.uniform(0.1, 1.0, m))
+
+    B = sp.random(n_neg, n_pos, density=density, random_state=rng)
+    K = sp.bmat([[definite(n_pos), B.T], [B, -definite(n_neg)]], format="csc")
+    p = rng.permutation(n_pos + n_neg)
+    return K[p][:, p].tocsc()
+
+
+def ldl_factors(K):
+    """The kernel's factors of K's pattern, and K's upper-triangle values."""
+    upper = sp.triu(K, format="csc")
+    pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
+    return ldl.Factors(*pattern, *ldl.etree(*pattern)), upper.data
+
+
+class TestLdlKernel:
+    """The compiled LDL' kernel the IPM factors its KKT matrix with."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_pos=st.integers(1, 12),
+           n_neg=st.integers(1, 12), density=st.floats(0.05, 0.6))
+    def test_quasidefinite_matrices_factor_as_superlu_does(
+            self, seed, n_pos, n_neg, density):
+        # The pivots' signs are the blocks' (n_pos positive), and a solve is
+        # as accurate as SuperLU's in the same order, within 10x, or within
+        # 10x of rounding's floor, eps (|K| |x| + |b|).
+        rng = np.random.default_rng(seed)
+        K = quasidefinite(rng, n_pos, n_neg, density)
+        factors, values = ldl_factors(K)
+        assert factors.factor(values) == n_pos
+        rhs = rng.standard_normal(K.shape[0])
+        x = factors.solve(rhs)
+        superlu = ipm.factor_quasidefinite(K, natural=True).solve(rhs)
+        floor = np.finfo(float).eps * (
+            abs(K).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
+        assert np.abs(K @ x - rhs).max() <= 10.0 * max(
+            np.abs(K @ superlu - rhs).max(), floor)
+
+    def test_zero_pivot(self):
+        # Nonsingular, but the second pivot is 1 - 1 = 0: the kernel stops,
+        # and SuperLU in the same order pivots off the diagonal.
+        K = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0],
+                                    [0.0, 1.0, -1.0]]))
+        factors, values = ldl_factors(K)
+        assert factors.factor(values) == -1
+        rhs = np.array([1.0, 2.0, 3.0])
+        x = ipm.factor_quasidefinite(K, natural=True).solve(rhs)
+        np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-14)
+
+    def test_zero_pivot_takes_the_superlu_rescue(self):
+        # An orthant row that the ordering eliminates before all its
+        # neighbours pivots on its own diagonal entry; with W^2 + reg I = 0
+        # there, that pivot is exactly zero. SuperLU factors this K in the
+        # same order instead, the KKT system counts it, and a solve is
+        # that of the nonsingular matrix.
+        rng = np.random.default_rng(29)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        cones = Cones(prog.cones)
+        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
+        identity = _NTScaling(cones.points(cones.identity(), cones.identity()))
+        kkt.factor(identity)
+        a, first = kkt.analysis, prog.n + prog.A.shape[0]
+        leaves = [i for i in range(cones.nn.size) if np.diff(
+            a.upper_indptr)[a.position[first + cones.nn[i]]] == 1]
+        assert leaves and kkt.pivot_fallbacks == 0
+        # The orthant entries of W^2 + reg I come first (w2_entries).
+        w2 = identity.w2_entries(ipm.REG)
+        w2[leaves[0]] = 0.0
+        spla_ = CountingSpla()
+        with mock.patch.object(ipm, "spla", spla_):
+            kkt.factor(mock.Mock(w2_entries=lambda reg: w2))
+        assert kkt.pivot_fallbacks == 1 and spla_.orderings == ["NATURAL"]
+        unregularized = kkt.K.toarray() - np.diag(kkt._reg_sign)
+        rhs = rng.normal(size=kkt.K.shape[0])
+        expected = np.linalg.solve(unregularized, rhs[kkt.order])[kkt.position]
+        np.testing.assert_allclose(kkt.solve(rhs, 0.0), expected, rtol=0,
+                                   atol=1e-10 * np.abs(expected).max())
+
+    def test_solution_counts_the_rescues(self):
+        # The kernel's second factorization of the solve meets a zero pivot
+        # (stood in for here): SuperLU factors that one, the solve goes on,
+        # and its solution counts one rescue.
+        prog = random_feasible_conic(np.random.default_rng(31), n=6, me=2,
+                                     cones=MIXED_CONES, rank=3)
+        calls, factor = [], ldl.Factors.factor
+
+        def second_is_zero(self, values):
+            calls.append(factor(self, values))
+            return -1 if len(calls) == 2 else calls[-1]
+
+        with mock.patch.object(ldl.Factors, "factor", second_is_zero):
+            sol = solve(prog)
+        assert sol.pivot_fallbacks == 1 and solve(prog).pivot_fallbacks == 0
+        assert sol.optimal and verify_kkt(prog, sol).worst < 1e-8
+
+    def test_etree_rejects_an_entry_below_the_diagonal(self):
+        lower = sp.csc_matrix(np.array([[2.0, 0.0], [1.0, 2.0]]))
+        with pytest.raises(ValueError, match="below the diagonal"):
+            ldl.etree(lower.indptr.astype(np.intc),
+                      lower.indices.astype(np.intc))
+
+    def test_wrong_arrays_raise_before_any_call(self, monkeypatch):
+        K = quasidefinite(np.random.default_rng(3), 4, 3, 0.4)
+        factors, values = ldl_factors(K)
+        upper = sp.triu(K, format="csc")
+        indptr = upper.indptr.astype(np.intc)
+        indices = upper.indices.astype(np.intc)
+        tree = ldl.etree(indptr, indices)
+        calls = []
+        monkeypatch.setattr(ldl, "_library", lambda: calls.append(1))
+        bad = [
+            lambda: ldl.etree(indptr.astype(np.int64), indices),
+            lambda: ldl.etree(indptr, indices.astype(np.float64)),
+            lambda: ldl.etree(indptr[:-1], indices),
+            lambda: ldl.Factors(indptr, indices[:-1], *tree),
+            lambda: ldl.Factors(indptr, indices, tree[0].astype(np.int64),
+                                tree[1]),
+            lambda: factors.factor(values.astype(np.float32)),
+            lambda: factors.factor(values[:-1]),
+            lambda: factors.factor(np.repeat(values, 2)[::2]),
+            lambda: factors.solve(np.ones(K.shape[0] + 1)),
+        ]
+        for call in bad:
+            with pytest.raises(ValueError):
+                call()
+        assert not calls
+
+    def test_unwritable_cache_builds_in_a_private_directory(
+            self, tmp_path, monkeypatch):
+        # No __pycache__ directory can be made next to this copy of the
+        # source (a file holds the name): the library is built in a
+        # temporary directory, loaded, and the directory removed.
+        source = tmp_path / "ldl.c"
+        source.write_bytes(ldl.SOURCE.read_bytes())
+        (tmp_path / "__pycache__").write_text("")
+        monkeypatch.setattr(ldl, "SOURCE", source)
+        made, mkdtemp = [], ldl.tempfile.mkdtemp
+        monkeypatch.setattr(ldl.tempfile, "mkdtemp",
+                            lambda: made.append(mkdtemp()) or made[-1])
+        lib = ldl._library.__wrapped__()
+        assert lib.ldl_factor.restype is ctypes.c_int
+        assert len(made) == 1 and not os.path.exists(made[0])
+
+    def test_failed_compile_raises_import_error(self, tmp_path, monkeypatch):
+        source = tmp_path / "ldl.c"
+        source.write_text("int broken(\n")
+        monkeypatch.setattr(ldl, "SOURCE", source)
+        with pytest.raises(ImportError,
+                           match="compiling ldl.c failed") as info:
+            ldl._library.__wrapped__()
+        assert "-ffp-contract=off" in str(info.value)   # the command
+        assert "error" in str(info.value)                # its stderr
+        assert not list((tmp_path / "__pycache__").iterdir())
 
 
 class TestScaling:
