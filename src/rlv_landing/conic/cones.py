@@ -1,18 +1,25 @@
 """The cone layout of the inequality rows, and the algebra over it.
 
 K is a product of nonnegative-orthant rows and second-order cone blocks,
-listed top to bottom in G's row order as ``ConeBlock``s. ``Cones`` is the
-one reader of that list; a program builds it once (``ConicProgram.layout``)
-and the IPM, the row equilibration, the residual check and the SCP
-projection all read it from there. Cone algebra is vectorized over groups
-of equal-dimension SOC blocks. ``ConePoints`` holds the cone data of a
-stack of points (their blocks and J-norms), formed once and read by each
-evaluation at those points, such as the step lengths of both.
+listed top to bottom in G's row order as ``ConeBlock``s, in one layout:
+every orthant row first, then SOC blocks that all share one dimension d
+(ECOS orders its rows the same way; Domahidi, Chu & Boyd, ECC 2013). The
+planner's programs have this layout: its path constraints are orthant rows
+and its thrust cones ||T_k|| <= Gamma_k are 4-dimensional SOC blocks.
+``Cones`` is the one reader of the list; a program builds it once
+(``ConicProgram.layout``), and the IPM, the row equilibration, the residual
+check and the SCP projection read a vector's parts from it as views:
+``u[:n_nn]`` and ``u[n_nn:]`` as an (n_soc, d) stack (``Cones.split``).
+Cone algebra runs as stacked numpy operations over the SOC blocks.
+``ConePoints`` holds the cone data of a stack of points (their blocks and
+J-norms), formed once and read by each evaluation at those points, such as
+the step lengths of both.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,66 +36,56 @@ class ConeBlock:
     def __post_init__(self):
         if self.kind not in (NONNEG, SOC):
             raise ValueError(f"unknown cone kind {self.kind!r}")
+        if not isinstance(self.dim, numbers.Integral) or \
+                isinstance(self.dim, bool):
+            raise ValueError(
+                f"cone dimension must be an integer, not {self.dim!r}")
         if self.dim < 1 or (self.kind == SOC and self.dim < 2):
             raise ValueError("bad cone dimension")
 
 
 class Cones:
-    """Vectorized cone algebra over the inequality rows.
+    """Vectorized cone algebra over the inequality rows: ``n_nn`` orthant
+    rows, then ``n_soc`` SOC blocks of dimension ``d``.
 
-    Nonnegative coordinates are gathered into one index vector; SOC blocks
-    are grouped by dimension into (n_blocks, dim) index matrices so all
-    per-block formulas run as stacked numpy operations.
+    Any other list of cone blocks raises a ``ValueError``. A layout
+    without SOC blocks reads its empty SOC part as a (0, 2) stack.
     """
 
     def __init__(self, cones: list[ConeBlock]):
-        nn_idx = []
-        soc_groups: dict[int, list[np.ndarray]] = {}
-        start = 0
-        for cb in cones:
-            idx = np.arange(start, start + cb.dim)
-            if cb.kind == NONNEG:
-                nn_idx.append(idx)
-            else:
-                soc_groups.setdefault(cb.dim, []).append(idx)
-            start += cb.dim
-        self.dim = start
-        self.nn = np.concatenate(nn_idx) if nn_idx else np.empty(0, dtype=int)
-        self.soc = {d: np.vstack(rows) for d, rows in soc_groups.items()}
-        self.n_soc = sum(v.shape[0] for v in self.soc.values())
-        self.degree = self.nn.size + self.n_soc
-        self._stacked: dict[int, tuple] = {}
+        first_soc = next((i for i, cb in enumerate(cones) if cb.kind == SOC),
+                         len(cones))
+        soc = cones[first_soc:]
+        if any(cb.kind != SOC or cb.dim != soc[0].dim for cb in soc):
+            raise ValueError("cone blocks must list every orthant row "
+                             "first, then SOC blocks of one dimension")
+        self.n_nn = sum(cb.dim for cb in cones[:first_soc])
+        self.n_soc = len(soc)
+        self.d = soc[0].dim if soc else 2
+        self.dim = self.n_nn + self.n_soc * self.d
+        self.degree = self.n_nn + self.n_soc
+
+    def split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The orthant rows (..., n_nn) and the SOC blocks (..., n_soc, d)
+        of a vector, or of a stack of them (k, dim), as views."""
+        return u[..., :self.n_nn], u[..., self.n_nn:].reshape(
+            *u.shape[:-1], self.n_soc, self.d)
+
+    def join(self, nn: np.ndarray, soc: np.ndarray) -> np.ndarray:
+        """The vector with ``nn`` on the orthant rows and the blocks ``soc``
+        (n_soc, d) after them."""
+        return np.concatenate([nn, soc.reshape(-1)])
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
-        e[self.nn] = 1.0
-        for idx in self.soc.values():
-            e[idx[:, 0]] = 1.0
+        e[:self.n_nn] = 1.0
+        e[self.n_nn::self.d] = 1.0
         return e
 
     def points(self, *u: np.ndarray) -> ConePoints:
         """The cone data of the points ``u``, stacked: the IPM's iterate is
         ``points(s, z)``."""
         return ConePoints(self, np.array(u))
-
-    def stacked(self, k: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Where the orthant rows (k, n_nn) and the SOC blocks (k, n, d) of
-        a (k, dim) stack of points sit in it, flattened: one ``take``
-        gathers them for every point."""
-        if k not in self._stacked:
-            offset = self.dim * np.arange(k)[:, None]
-            self._stacked[k] = (offset + self.nn, {
-                d: offset[:, :, None] + idx for d, idx in self.soc.items()})
-        return self._stacked[k]
-
-    def join(self, nn: np.ndarray, soc: dict[int, np.ndarray]) -> np.ndarray:
-        """The vector with ``nn`` on the orthant rows and the blocks
-        ``soc[d]`` (n, d) on each SOC group."""
-        out = np.empty(self.dim)
-        out[self.nn] = nn
-        for d, idx in self.soc.items():
-            out.flat[idx] = soc[d]
-        return out
 
     def interior_violation(self, u: np.ndarray) -> float:
         return self.points(u).violations()[0]
@@ -105,8 +102,8 @@ class Cones:
         return u
 
     def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.join(u[self.nn] * v[self.nn], {
-            d: soc_product(u[idx], v[idx]) for d, idx in self.soc.items()})
+        (u_nn, u_soc), (v_nn, v_soc) = self.split(u), self.split(v)
+        return self.join(u_nn * v_nn, soc_product(u_soc, v_soc))
 
     def clip_eigenvalues(self, v: np.ndarray, lo: float, hi: float) -> np.ndarray:
         """Project blockwise spectral values of v onto [lo, hi].
@@ -114,19 +111,17 @@ class Cones:
         Nonnegative coordinates clip directly; SOC blocks clip their two
         Jordan eigenvalues v0 +/- ||v1|| and are reassembled.
         """
-        soc = {}
-        for d, idx in self.soc.items():
-            vb = v[idx]
-            nv1 = np.sqrt(np.add.reduce(vb[:, 1:] ** 2, axis=1))
-            e1 = (vb[:, 0] + nv1).clip(lo, hi)
-            e2 = (vb[:, 0] - nv1).clip(lo, hi)
-            out = soc[d] = np.empty_like(vb)
-            out[:, 0] = 0.5 * (e1 + e2)
-            unit = np.divide(vb[:, 1:], nv1[:, None],
-                             out=np.zeros_like(vb[:, 1:]),
-                             where=nv1[:, None] > 1e-300)
-            out[:, 1:] = 0.5 * (e1 - e2)[:, None] * unit
-        return self.join(v[self.nn].clip(lo, hi), soc)
+        v_nn, vb = self.split(v)
+        nv1 = np.sqrt(np.add.reduce(vb[:, 1:] ** 2, axis=1))
+        e1 = (vb[:, 0] + nv1).clip(lo, hi)
+        e2 = (vb[:, 0] - nv1).clip(lo, hi)
+        out = np.empty_like(vb)
+        out[:, 0] = 0.5 * (e1 + e2)
+        unit = np.divide(vb[:, 1:], nv1[:, None],
+                         out=np.zeros_like(vb[:, 1:]),
+                         where=nv1[:, None] > 1e-300)
+        out[:, 1:] = 0.5 * (e1 - e2)[:, None] * unit
+        return self.join(v_nn.clip(lo, hi), out)
 
 
 class ConePoints:
@@ -134,39 +129,33 @@ class ConePoints:
     evaluation at them: the IPM forms it once per iterate, for (s, z).
 
     ``u`` is the (k, dim) stack; ``nn`` holds its orthant rows (k, n_nn) and
-    ``soc[d]`` its SOC blocks of dimension d (k, n, d). Per SOC group,
-    ``tail_sq[d]`` holds ||u_1||^2 and ``norm_sq[d]`` the J-norm square
-    u_0^2 - ||u_1||^2 of each block (k, n), ``norm[d]`` the J-norm (floored
-    at 1e-150 off the interior) and ``bar[d]`` the blocks divided by it.
-    A formula over the stack adds up each point's terms as it would for
-    that point alone: a reduction over the last axis of a (k, n, d) array
-    sums as it does on (n, d).
+    ``soc`` its SOC blocks (k, n_soc, d), both views of ``u``. ``tail_sq``
+    holds ||u_1||^2 and ``norm_sq`` the J-norm square u_0^2 - ||u_1||^2 of
+    each block (k, n_soc), ``norm`` the J-norm (floored at 1e-150 off the
+    interior) and ``bar`` the blocks divided by it. A formula over the
+    stack adds up each point's terms as it would for that point alone: a
+    reduction over the last axis of a (k, n, d) array sums as it does on
+    (n, d).
     """
 
     def __init__(self, cones: Cones, u: np.ndarray):
         self.cones, self.u = cones, u
-        nn, soc = cones.stacked(len(u))
-        self.nn = u.take(nn)
-        self.soc, self.tail_sq, self.norm_sq, self.norm, self.bar = \
-            {}, {}, {}, {}, {}
-        for d, idx in soc.items():
-            b = self.soc[d] = u.take(idx)
-            tail_sq = self.tail_sq[d] = np.add.reduce(b[..., 1:] ** 2, axis=-1)
-            norm_sq = self.norm_sq[d] = b[..., 0] ** 2 - tail_sq
-            norm = self.norm[d] = np.sqrt(np.maximum(norm_sq, 1e-300))
-            self.bar[d] = b / norm[..., None]
+        self.nn, self.soc = cones.split(u)
+        b = self.soc
+        self.tail_sq = np.add.reduce(b[..., 1:] ** 2, axis=-1)
+        self.norm_sq = b[..., 0] ** 2 - self.tail_sq
+        self.norm = np.sqrt(np.maximum(self.norm_sq, 1e-300))
+        self.bar = b / self.norm[..., None]
 
     def violations(self) -> list[float]:
         """How far each point lies outside the cones: the largest of -u over
         the orthant rows and ||u_1|| - u_0 over the SOC blocks (negative
         inside)."""
         worst = [-np.inf] * len(self.u)
-        if self.nn.shape[1]:
-            worst = [max(w, v)
-                     for w, v in zip(worst, (-self.nn.min(axis=1)).tolist())]
-        for d, b in self.soc.items():
-            margin = (np.sqrt(self.tail_sq[d]) - b[..., 0]).max(axis=-1)
-            worst = [max(w, v) for w, v in zip(worst, margin.tolist())]
+        margin = np.sqrt(self.tail_sq) - self.soc[..., 0]
+        for part in (-self.nn.min(axis=1, initial=np.inf),
+                     margin.max(axis=-1, initial=-np.inf)):
+            worst = [max(w, v) for w, v in zip(worst, part.tolist())]
         return worst
 
     def max_steps(self, *du: np.ndarray) -> list[float]:
@@ -177,38 +166,34 @@ class ConePoints:
         its J-normalized u; the step of the transformed direction rho is
         1 / (||rho_1|| - rho_0), and unbounded where that is not positive.
         """
-        du = np.array(du)
-        nn, soc = self.cones.stacked(len(du))
-        dn = du.take(nn)
+        dn, d_soc = self.cones.split(np.array(du))
         neg = dn < 0
         ratio = np.divide(-self.nn, dn, out=np.full(dn.shape, np.inf),
                           where=neg)
         alpha = ratio.min(axis=1, initial=np.inf).tolist()
-        for d, idx in soc.items():
-            ubar = self.bar[d]
-            dbar = du.take(idx) / self.norm[d][..., None]
-            rho0 = ubar[..., 0] * dbar[..., 0] \
-                - np.add.reduce(ubar[..., 1:] * dbar[..., 1:], axis=-1)
-            rho1 = dbar[..., 1:] - ubar[..., 1:] \
-                * ((rho0 + dbar[..., 0]) / (ubar[..., 0] + 1.0))[..., None]
-            worst = np.sqrt(np.add.reduce(rho1 * rho1, axis=-1)) - rho0
-            for i, w in enumerate(worst.max(axis=-1).tolist()):
-                if w > 0.0:
-                    alpha[i] = min(alpha[i], 1.0 / w)
+        ubar = self.bar
+        dbar = d_soc / self.norm[..., None]
+        rho0 = ubar[..., 0] * dbar[..., 0] \
+            - np.add.reduce(ubar[..., 1:] * dbar[..., 1:], axis=-1)
+        rho1 = dbar[..., 1:] - ubar[..., 1:] \
+            * ((rho0 + dbar[..., 0]) / (ubar[..., 0] + 1.0))[..., None]
+        worst = np.sqrt(np.add.reduce(rho1 * rho1, axis=-1)) - rho0
+        for i, w in enumerate(worst.max(axis=-1, initial=-np.inf).tolist()):
+            if w > 0.0:
+                alpha[i] = min(alpha[i], 1.0 / w)
         return alpha
 
-    def divide(self, d: np.ndarray) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    def divide(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve lam o x = d blockwise, for the one point lam of the stack:
-        x on the orthant rows, and x's SOC blocks (n, dim) per group."""
-        x_soc = {}
-        for dim, idx in self.cones.soc.items():
-            lb, db = self.soc[dim][0], d[idx]
-            x = x_soc[dim] = np.empty_like(db)
-            x[:, 0] = (lb[:, 0] * db[:, 0]
-                       - np.add.reduce(lb[:, 1:] * db[:, 1:], axis=1)) \
-                / self.norm_sq[dim][0]
-            x[:, 1:] = (db[:, 1:] - x[:, :1] * lb[:, 1:]) / lb[:, :1]
-        return d[self.cones.nn] / self.nn[0], x_soc
+        x on the orthant rows, and x's SOC blocks (n_soc, d)."""
+        d_nn, db = self.cones.split(d)
+        lb = self.soc[0]
+        x = np.empty_like(db)
+        x[:, 0] = (lb[:, 0] * db[:, 0]
+                   - np.add.reduce(lb[:, 1:] * db[:, 1:], axis=1)) \
+            / self.norm_sq[0]
+        x[:, 1:] = (db[:, 1:] - x[:, :1] * lb[:, 1:]) / lb[:, :1]
+        return d_nn / self.nn[0], x
 
 
 def soc_product(ub: np.ndarray, vb: np.ndarray) -> np.ndarray:

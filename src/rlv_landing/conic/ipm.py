@@ -33,7 +33,11 @@ al., Math. Prog. Comp. 2020; Clarabel, Goulart & Chen, arXiv:2405.12762).
 SuperLU orders, and it rescues: at an exact zero pivot, which an SOC block
 near its boundary can cancel to, it factors that K in natural order,
 pivoting off the diagonal. The cone algebra is ``cones.Cones``, the layout
-the program built once (``ConicProgram.layout``).
+the program built once (``ConicProgram.layout``): the orthant rows, then SOC
+blocks of one dimension d, so each part of a vector is a slice of it, the
+NT scaling holds W, W^{-1} and W^2 as one (n_soc, d, d) stack each, and the
+-(W'W + eps I) block is the orthant diagonal followed by dense d x d
+blocks.
 
 Each iteration forms its iterate's cone data once, ``Cones.points(s, z)``
 (the blocks of s and z, their J-norms and normalized blocks), as ECOS and
@@ -125,71 +129,63 @@ class _NTScaling:
 
     SOC blocks use W = eta * Wbar with Wbar = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]
     built from the hyperbolic-unit vector wbar; the dense per-block matrices
-    are stacked per dimension group and reused for every apply. It is built
-    from the iterate's cone data, ``Cones.points(s, z)``, and holds lambda's
-    (``lam``), which every direction of the iteration reads.
+    W, W^{-1} and W^2 are each one (n_soc, d, d) stack, reused for every
+    apply. It is built from the iterate's cone data, ``Cones.points(s, z)``,
+    and holds lambda's (``lam``), which every direction of the iteration
+    reads.
     """
 
     def __init__(self, iterate: ConePoints):
         cones = self.cones = iterate.cones
         s_nn, z_nn = iterate.nn
         self.w_nn = np.sqrt(s_nn / z_nn)
-        self.soc_mats: dict[int, np.ndarray] = {}
-        self.soc_inv: dict[int, np.ndarray] = {}
-        self.soc_sq: dict[int, np.ndarray] = {}
-        for d, idx in cones.soc.items():
-            (rs, rz), (s_bar, z_bar) = iterate.norm[d], iterate.bar[d]
-            gamma = np.sqrt((1.0 + np.add.reduce(s_bar * z_bar, axis=1)) / 2.0)
-            wbar = np.empty_like(s_bar)
-            wbar[:, 0] = (s_bar[:, 0] + z_bar[:, 0]) / (2 * gamma)
-            wbar[:, 1:] = (s_bar[:, 1:] - z_bar[:, 1:]) / (2 * gamma[:, None])
-            eta = np.sqrt(rs / rz)
-            n = idx.shape[0]
-            W = np.empty((n, d, d))
-            W[:, 0, 0] = wbar[:, 0]
-            W[:, 0, 1:] = wbar[:, 1:]
-            W[:, 1:, 0] = wbar[:, 1:]
-            outer = wbar[:, 1:, None] * wbar[:, None, 1:]
-            W[:, 1:, 1:] = np.eye(d - 1) + outer / (1.0 + wbar[:, 0])[:, None, None]
-            Wmat = eta[:, None, None] * W
-            self.soc_mats[d] = Wmat
-            # W^{-1} = J Wbar J / eta with J = diag(1, -I).
-            Winv = W.copy()
-            Winv[:, 0, 1:] *= -1.0
-            Winv[:, 1:, 0] *= -1.0
-            self.soc_inv[d] = Winv / eta[:, None, None]
-            self.soc_sq[d] = np.einsum("nij,njk->nik", Wmat, Wmat)
+        (rs, rz), (s_bar, z_bar) = iterate.norm, iterate.bar
+        gamma = np.sqrt((1.0 + np.add.reduce(s_bar * z_bar, axis=1)) / 2.0)
+        wbar = np.empty_like(s_bar)
+        wbar[:, 0] = (s_bar[:, 0] + z_bar[:, 0]) / (2 * gamma)
+        wbar[:, 1:] = (s_bar[:, 1:] - z_bar[:, 1:]) / (2 * gamma[:, None])
+        eta = np.sqrt(rs / rz)
+        d = cones.d
+        W = np.empty((cones.n_soc, d, d))
+        W[:, 0, 0] = wbar[:, 0]
+        W[:, 0, 1:] = wbar[:, 1:]
+        W[:, 1:, 0] = wbar[:, 1:]
+        outer = wbar[:, 1:, None] * wbar[:, None, 1:]
+        W[:, 1:, 1:] = np.eye(d - 1) + outer / (1.0 + wbar[:, 0])[:, None, None]
+        self.soc_mats = eta[:, None, None] * W
+        # W^{-1} = J Wbar J / eta with J = diag(1, -I).
+        Winv = W.copy()
+        Winv[:, 0, 1:] *= -1.0
+        Winv[:, 1:, 0] *= -1.0
+        self.soc_inv = Winv / eta[:, None, None]
+        self.soc_sq = np.einsum("nij,njk->nik", self.soc_mats, self.soc_mats)
         self.lam = cones.points(self.apply(iterate.u[1]))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        cn = self.cones
-        return cn.join(self.w_nn * u[cn.nn], {
-            d: np.einsum("nij,nj->ni", self.soc_mats[d], u[idx])
-            for d, idx in cn.soc.items()})
+        u_nn, u_soc = self.cones.split(u)
+        return self.cones.join(
+            self.w_nn * u_nn, np.einsum("nij,nj->ni", self.soc_mats, u_soc))
 
     def rhs(self, d: np.ndarray) -> np.ndarray:
         """W (lambda \\ d): the cone rows of a direction's right-hand side."""
         x_nn, x_soc = self.lam.divide(d)
-        return self.cones.join(self.w_nn * x_nn, {
-            dim: np.einsum("nij,nj->ni", self.soc_mats[dim], x)
-            for dim, x in x_soc.items()})
+        return self.cones.join(
+            self.w_nn * x_nn, np.einsum("nij,nj->ni", self.soc_mats, x_soc))
 
     def scaled_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(W^{-1} u) o (W v)."""
-        cn = self.cones
-        return cn.join((u[cn.nn] / self.w_nn) * (self.w_nn * v[cn.nn]), {
-            d: soc_product(np.einsum("nij,nj->ni", self.soc_inv[d], u[idx]),
-                           np.einsum("nij,nj->ni", self.soc_mats[d], v[idx]))
-            for d, idx in cn.soc.items()})
+        (u_nn, u_soc), (v_nn, v_soc) = self.cones.split(u), self.cones.split(v)
+        return self.cones.join(
+            (u_nn / self.w_nn) * (self.w_nn * v_nn),
+            soc_product(np.einsum("nij,nj->ni", self.soc_inv, u_soc),
+                        np.einsum("nij,nj->ni", self.soc_mats, v_soc)))
 
     def w2_entries(self, reg: float) -> np.ndarray:
         """Values of W^2 + reg I laid out to match the KKT sparsity pattern."""
-        parts = [self.w_nn ** 2 + reg]
-        for d in self.cones.soc:
-            blocks = self.soc_sq[d].copy()
-            blocks[:, np.arange(d), np.arange(d)] += reg
-            parts.append(blocks.reshape(-1))
-        return np.concatenate(parts)
+        d = self.cones.d
+        blocks = self.soc_sq.copy()
+        blocks[:, np.arange(d), np.arange(d)] += reg
+        return np.concatenate([self.w_nn ** 2 + reg, blocks.reshape(-1)])
 
 
 def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
@@ -223,11 +219,11 @@ def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
 
 
 def _pattern(P, A, G, cones: Cones) -> list[np.ndarray]:
-    """What the KKT pattern is made of: the shapes, the CSR patterns of P,
-    A and G, and the layout of the cones."""
-    return [np.array([P.shape[0], A.shape[0], G.shape[0]]),
-            P.indptr, P.indices, A.indptr, A.indices, G.indptr, G.indices,
-            cones.nn, np.array(list(cones.soc)), *cones.soc.values()]
+    """What the KKT pattern is made of: the shapes and the cone layout,
+    and the CSR patterns of P, A and G."""
+    return [np.array([P.shape[0], A.shape[0], G.shape[0], cones.n_nn,
+                      cones.n_soc, cones.d]),
+            P.indptr, P.indices, A.indptr, A.indices, G.indptr, G.indices]
 
 
 def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
@@ -238,15 +234,13 @@ def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
     n, me = P.shape[0], A.shape[0]
     P_rows, A_rows, G_rows = _rows(P), _rows(A) + n, _rows(G) + n + me
     diag_x, diag_y = np.arange(n), np.arange(n, n + me)
-    w2_rows, w2_cols = [cones.nn + n + me], [cones.nn + n + me]
-    for idx in cones.soc.values():
-        shifted = idx + n + me
-        w2_rows.append(np.repeat(shifted, idx.shape[1], axis=1).reshape(-1))
-        w2_cols.append(np.tile(shifted, (1, idx.shape[1])).reshape(-1))
+    nn, soc = cones.split(np.arange(n + me, n + me + cones.dim))
+    soc_rows = np.repeat(soc, cones.d, axis=1).reshape(-1)
+    soc_cols = np.tile(soc, (1, cones.d)).reshape(-1)
     rows = np.concatenate([P_rows, diag_x, A.indices, A_rows, diag_y,
-                           G.indices, G_rows, *w2_rows])
+                           G.indices, G_rows, nn, soc_rows])
     cols = np.concatenate([P.indices, diag_x, A_rows, A.indices, diag_y,
-                           G_rows, G.indices, *w2_cols])
+                           G_rows, G.indices, nn, soc_cols])
     return rows.astype(np.intc), cols.astype(np.intc)
 
 

@@ -7,9 +7,11 @@ The canonical form is
                 G x + s = h,   s in K
 
 where K is a product of nonnegative-orthant and second-order cone blocks
-listed top to bottom in the same row order as G. P is PSD. Every block is
-always present: a program without equality rows has an A with no rows, and
-one without a quadratic term an all-zero P. K has at least one row.
+listed top to bottom in the same row order as G, in one layout: every
+orthant row first, then SOC blocks that all share one dimension
+(``cones.Cones``). P is PSD. Every block is always present: a program
+without equality rows has an A with no rows, and one without a quadratic
+term an all-zero P. K has at least one row.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ def _no_rows() -> np.ndarray:
 
 @dataclass
 class ConicProgram:
+    """A program in the canonical form. Setting ``cones``, also when the
+    program is made, builds its ``layout`` and raises a ``ValueError`` for a
+    list of cone blocks in any other layout; ``validate`` checks the rest."""
+
     c: np.ndarray
     A: sp.spmatrix = field(default_factory=_left_out)
     b: np.ndarray = field(default_factory=_no_rows)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -38,6 +39,13 @@ def _require_finite(params: Any, keys: tuple[str, ...] | None = None) -> None:
     for key in keys or [f.name for f in fields(params)]:
         if not np.isfinite(getattr(params, key)).all():
             raise ValueError(f"{key} must be finite")
+
+
+def _require_length(params: Any, length: int, keys: tuple[str, ...]) -> None:
+    """Raise, naming the key, if a tuple of ``params`` has another length."""
+    for key in keys:
+        if len(getattr(params, key)) != length:
+            raise ValueError(f"{key} must have {length} entries")
 
 
 @dataclass(frozen=True)
@@ -100,6 +108,12 @@ class PlanningConfig:
 
     def __post_init__(self):
         _require_finite(self)
+        _require_length(self, 2, ("tc_window", "eta_bounds"))
+        for key in ("N", "max_scp_iter"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or \
+                    isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer")
         if not (0 <= self.mu_T < 0.5):
             raise ValueError("mu_T must lie in [0, 0.5)")
         for key in ("L_lim", "W_tr", "eps_scp", "coast_step"):
@@ -157,6 +171,7 @@ class Scenario:
 
     def __post_init__(self):
         _require_finite(self, ("r0", "v0"))
+        _require_length(self, 3, ("r0", "v0"))
 
 
 _SECTION_TYPES = {

@@ -155,28 +155,23 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     """
     s = program.h - program.G @ x
     cones = program.layout
+    (s_nn, sb), (_, blocks) = cones.split(s), cones.split(np.arange(s.size))
     # W has a row per row of G: a held orthant row or SOC block fills its
     # first one, and the rows nothing fills are dropped, so the held rows
     # keep G's order.
-    near = cones.nn[s[cones.nn] < ACTIVE_TOL]
-    w_row, w_col, w_val = [near], [near], [np.ones(near.size)]
+    near = np.flatnonzero(s_nn < ACTIVE_TOL)
+    norm = np.linalg.norm(sb[:, 1:], axis=1)
+    on = (norm > 0.0) & (norm - sb[:, 0] > -ACTIVE_TOL)
+    top = blocks[on, 0]
+    w_row = np.concatenate([near, np.repeat(top, cones.d)])
+    w_col = np.concatenate([near, blocks[on].ravel()])
+    w_val = np.concatenate([np.ones(near.size), np.column_stack(
+        [np.ones(top.size), -sb[on, 1:] / norm[on, None]]).ravel()])
     g = np.zeros(s.size)
-    g[near] = -s[near]
-    for idx in cones.soc.values():
-        sb = s[idx]
-        norm = np.linalg.norm(sb[:, 1:], axis=1)
-        on = (norm > 0.0) & (norm - sb[:, 0] > -ACTIVE_TOL)
-        top = idx[on, 0]
-        w_row.append(np.repeat(top, idx.shape[1]))
-        w_col.append(idx[on].ravel())
-        w_val.append(np.column_stack(
-            [np.ones(top.size), -sb[on, 1:] / norm[on, None]]).ravel())
-        g[top] = norm[on] - sb[on, 0]
-    w_row = np.concatenate(w_row)
+    g[near] = -s_nn[near]
+    g[top] = norm[on] - sb[on, 0]
     held = np.unique(w_row)
-    W = sp.csr_matrix(
-        (np.concatenate(w_val), (w_row, np.concatenate(w_col))),
-        shape=(s.size, s.size))[held]
+    W = sp.csr_matrix((w_val, (w_row, w_col)), shape=(s.size, s.size))[held]
     J = sp.vstack([program.A, W @ program.G], format="csc")
     residual = np.concatenate([program.A @ x - program.b,
                                np.maximum(g[held], 0.0)])

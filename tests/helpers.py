@@ -14,10 +14,10 @@ from rlv_landing.conic import (NONNEG, SOC, ConeBlock, ConicProgram,
 from rlv_landing.env import T_EPS, V_EPS, DegenerateStateError
 from rlv_landing.params import VehicleParams
 
-# Orthant rows between SOC blocks of two dimensions, an order the planner
-# never emits: rows 0-2 SOC, 3-4 orthant, 5-6 SOC, 7 orthant.
-INTERLEAVED_CONES = [ConeBlock(SOC, 3), ConeBlock(NONNEG, 2),
-                     ConeBlock(SOC, 2), ConeBlock(NONNEG, 1)]
+# The orthant rows in two blocks, then two SOC blocks: rows 0-1 and 2
+# orthant, 3-5 and 6-8 SOC.
+MULTI_BLOCK_CONES = [ConeBlock(NONNEG, 2), ConeBlock(NONNEG, 1),
+                     ConeBlock(SOC, 3), ConeBlock(SOC, 3)]
 
 
 def central_diff_jacobian(fun, x, eps_scale=1e-6):

@@ -46,11 +46,14 @@ def test_unknown_names_raise(tmp_path, text):
         "Tdot_lim", "C_D0", "l_cp", "g_ref", "Isp", "m_dry_floor",
         "C_L_alpha", "C_D2", "sd_r0", "plan_delay")),
     ("A_exit", INF), ("C_D2", -INF), ("T_max", INF), ("W_tr", INF),
-    ("sd_v0", INF), ("eta_bounds", [1.0, INF]), ("tc_window", [NAN, 15.0])])
+    ("sd_v0", INF), ("eta_bounds", [1.0, INF]), ("tc_window", [NAN, 15.0]),
+    # A count that is not an integer, and a bound pair of another length.
+    ("N", 30.0), ("max_scp_iter", 2.5), ("max_scp_iter", True),
+    ("tc_window", [0, 5, 9]), ("eta_bounds", [1.0])])
 def test_out_of_range_planning_values_raise(tmp_path, name, value):
     # Rejected when loaded, not later as a failed or empty plan, by an error
     # that names the key set: one check of each vehicle, planning and
-    # campaign value, and of non-finite ones.
+    # campaign value, of non-finite ones and of malformed ones.
     data = scenario_to_dict(Scenario())
     section = next(key for key, values in data.items()
                    if isinstance(values, dict) and name in values)
@@ -66,5 +69,14 @@ def test_non_finite_initial_state_raises(tmp_path, name):
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump({name: [0.0, NAN, -INF]}),
                     encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("name, value", [("r0", [1.0, 2.0]),
+                                         ("v0", [1.0, 2.0, 3.0, 4.0])])
+def test_initial_state_of_another_length_raises(tmp_path, name, value):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({name: value}), encoding="utf-8")
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         load_scenario(path)

@@ -22,7 +22,7 @@ from rlv_landing.scp import (
     trust_region_cost,
 )
 
-from helpers import INTERLEAVED_CONES
+from helpers import MULTI_BLOCK_CONES
 
 
 class TestTrustRegionCost:
@@ -335,14 +335,14 @@ class TestRunScp:
             pytest.approx(0.5)
 
 
-# Slacks h - G x on INTERLEAVED_CONES, rows 0-2 | 3-4 | 5-6 | 7. Each block
+# Slacks h - G x on MULTI_BLOCK_CONES, rows 0-1 | 2 | 3-5 | 6-8. Each block
 # kind is violated, held (within ACTIVE_TOL of its bound) and inactive at
-# one of them; the worst violation is row 7's, row 3's and the SOC(2)
-# block's, and of their negatives the SOC(3) block's.
-INTERLEAVED_SLACKS = {
-    "soc3-violated": [0.5, 0.6, 0.48, 5e-5, 0.7, 0.4, -0.39995, -0.3],
-    "soc3-held": [0.50005, 0.3, 0.4, -0.2, 3e-5, 1.0, 0.2, 0.9],
-    "soc3-inactive": [1.0, 0.1, -0.2, 0.5, -0.05, 0.1, -0.6, 2e-5],
+# one of them; the worst violation is row 2's, row 0's and the second SOC
+# block's, and of their negatives the first, second and first SOC block's.
+MULTI_BLOCK_SLACKS = {
+    "soc3-violated": [5e-5, 0.7, -0.3, 0.5, 0.6, 0.48, 0.4, -0.39995, 0.0],
+    "soc3-held": [-0.2, 3e-5, 0.9, 0.50005, 0.3, 0.4, 1.0, 0.2, 0.0],
+    "soc3-inactive": [0.5, -0.05, 2e-5, 1.0, 0.1, -0.2, 0.1, -0.6, 0.0],
 }
 
 
@@ -354,18 +354,18 @@ def _blocks(cones):
 
 
 class TestInterleavedLayout:
-    """The cone layout read on orthant rows between SOC blocks of two
-    dimensions, against per-block loops over the cone list."""
+    """The cone layout read on two orthant blocks and two SOC blocks,
+    against per-block loops over the cone list."""
 
     @staticmethod
     def program(slack):
         rng = np.random.default_rng(67)
         n = 9
-        G, A, x = (rng.normal(size=(8, n)), rng.normal(size=(1, n)),
+        G, A, x = (rng.normal(size=(len(slack), n)), rng.normal(size=(1, n)),
                    rng.normal(size=n))
         prog = ConicProgram(c=np.zeros(n), A=sp.csr_matrix(A), b=A @ x + 0.1,
                             G=sp.csr_matrix(G), h=np.asarray(slack) + G @ x,
-                            cones=INTERLEAVED_CONES)
+                            cones=MULTI_BLOCK_CONES)
         return prog, x
 
     @staticmethod
@@ -390,18 +390,18 @@ class TestInterleavedLayout:
         K = np.block([[np.eye(n), J.T], [J, -1e-10 * np.eye(m)]])
         return x + np.linalg.solve(K, np.concatenate([np.zeros(n), -r]))[:n]
 
-    @pytest.mark.parametrize("name", INTERLEAVED_SLACKS)
+    @pytest.mark.parametrize("name", MULTI_BLOCK_SLACKS)
     def test_projection_matches_block_loop(self, name):
-        prog, x = self.program(INTERLEAVED_SLACKS[name])
+        prog, x = self.program(MULTI_BLOCK_SLACKS[name])
         expected = self.reference_projection(prog, x)
         np.testing.assert_allclose(project_onto_rows(prog, x), expected,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", INTERLEAVED_SLACKS)
+    @pytest.mark.parametrize("name", MULTI_BLOCK_SLACKS)
     def test_cone_violation_matches_block_loop(self, name):
-        prog, _ = self.program(INTERLEAVED_SLACKS[name])
-        for u in (np.asarray(INTERLEAVED_SLACKS[name]),
-                  -np.asarray(INTERLEAVED_SLACKS[name])):
+        prog, _ = self.program(MULTI_BLOCK_SLACKS[name])
+        for u in (np.asarray(MULTI_BLOCK_SLACKS[name]),
+                  -np.asarray(MULTI_BLOCK_SLACKS[name])):
             worst = 0.0
             for kind, block in _blocks(prog.cones):
                 if kind == NONNEG:
@@ -411,5 +411,5 @@ class TestInterleavedLayout:
                                              - u[block[0]]))
             assert max(prog.layout.interior_violation(u), 0.0) == \
                 pytest.approx(worst, abs=1e-12)
-        inside = np.array([1.0, 0.1, 0.2, 0.3, 0.4, 1.0, 0.5, 0.6])
+        inside = np.array([0.3, 0.4, 0.6, 1.0, 0.1, 0.2, 1.0, 0.5, 0.0])
         assert max(prog.layout.interior_violation(inside), 0.0) == 0.0
