@@ -12,10 +12,14 @@ plan prints one JSON line:
 - ``set``, ``plan``: which state;
 - ``outcome``, ``scp_iters``: how the plan ended, as planbench reports it;
 - ``ipm_iters``: the IPM iterations of every subproblem solve of the plan;
-- ``reorders``: the solves that took a fresh minimum-degree ordering of
+- ``reorders``: the solves that made a fresh stage-ordered analysis of
   their KKT matrix (``reordered``), having no start whose analysis matched;
 - ``pivot_fallbacks``: the KKT factorizations that SuperLU took over from
   the LDL' kernel after an exact zero pivot (``pivot_fallbacks``);
+- ``superlu_mmd``, ``superlu_natural``: the SuperLU factorizations of the
+  plan (calls of ``ipm.spla.splu``, which ``ipm.factor_quasidefinite``
+  makes), by minimum degree (the SCP projection's) and in natural order
+  (the IPM's zero-pivot rescues);
 - ``propellant_kg``: the propellant of a converged plan, else null;
 - ``problems``: the ``planning.check`` problems of a converged plan;
 - ``z_hash``: the first 16 hex digits of the SHA-256 of the returned
@@ -25,8 +29,9 @@ plan prints one JSON line:
   infeasible).
 
 A last line holds the totals, among them ``ipm_iters``, ``reorders``,
-``pivot_fallbacks``, ``builds`` (calls of ``planner.linearize_planning``, which every subproblem
-build makes once) and ``projection_steps`` (calls of
+``pivot_fallbacks``, ``superlu_mmd``, ``superlu_natural``, ``builds``
+(calls of ``planner.linearize_planning``, which every subproblem build
+makes once) and ``projection_steps`` (calls of
 ``scp.project_onto_rows``). The same file runs on any tree whose
 ``ipm.solve`` takes a program and its tolerance argument, so it compares two
 commits plan by plan: two trees give the same answers when their plan lines
@@ -64,18 +69,32 @@ COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash")
 CLASS = ("outcome", "scp_iters")
 
 
+# The SuperLU factorizations counted, by the ordering ``splu`` was asked for.
+SUPERLU = {"MMD_AT_PLUS_A": "superlu_mmd", "NATURAL": "superlu_natural"}
+
+
 class SolveRecorder:
-    """Stands in for planbench's tracer: only its ``solve_fn`` is used."""
+    """Stands in for planbench's tracer: only its ``solve_fn`` is used. It
+    also stands in for ``ipm.spla``, counting the SuperLU factorizations
+    by ordering."""
 
     def __init__(self, ipm):
         self.ipm = ipm
-        self.solves = self.ipm_iters = self.reorders = 0
-        self.pivot_fallbacks = 0
-        self.stalls: list[dict] = []
+        self._spla = ipm.spla
+        ipm.spla = self
+        self.plan_span()
+
+    def __getattr__(self, name):
+        return getattr(self._spla, name)
+
+    def splu(self, K, **kwargs):
+        self.superlu[SUPERLU[kwargs.get("permc_spec")]] += 1
+        return self._spla.splu(K, **kwargs)
 
     def plan_span(self):
         self.solves = self.ipm_iters = self.reorders = 0
         self.pivot_fallbacks, self.stalls = 0, []
+        self.superlu = dict.fromkeys(SUPERLU.values(), 0)
         return nullcontext()
 
     def solve_fn(self, program, settings):
@@ -143,6 +162,7 @@ def main(argv=None) -> int:
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
               "solves": 0, "ipm_iters": 0, "reorders": 0,
               "pivot_fallbacks": 0, "stalls": 0,
+              **dict.fromkeys(SUPERLU.values(), 0),
               "builds": 0, "projection_steps": 0, "outcomes": {}}
     count_calls(planner, "linearize_planning", totals, "builds")
     count_calls(scp, "project_onto_rows", totals, "projection_steps")
@@ -156,6 +176,8 @@ def main(argv=None) -> int:
             totals["ipm_iters"] += recorder.ipm_iters
             totals["reorders"] += recorder.reorders
             totals["pivot_fallbacks"] += recorder.pivot_fallbacks
+            for key, count in recorder.superlu.items():
+                totals[key] += count
             totals["stalls"] += len(recorder.stalls)
             outcomes = totals["outcomes"]
             outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
@@ -165,6 +187,7 @@ def main(argv=None) -> int:
                 "ipm_iters": recorder.ipm_iters,
                 "reorders": recorder.reorders,
                 "pivot_fallbacks": recorder.pivot_fallbacks,
+                **recorder.superlu,
                 "propellant_kg": result.propellant_kg
                 if result.converged else None,
                 "problems": result.problems,

@@ -3,17 +3,19 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_19.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_26.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
 The fixture is the first SCP subproblem of the plan from that state, with
 the trust region ``run_scp`` adds: one ``PlanningProblem.build``, one IPM
 solve of the subproblem, and one factorization of the IPM's first KKT
-matrix, by SuperLU at its defaults and by the IPM's own quasi-definite
-factorization. The natural-order refactorization of that
-matrix, as every later IPM iteration factors it, is timed at N=100 and on
-the first N=30 subproblem.
+matrix, by SuperLU at its defaults and by SuperLU's minimum degree with the
+pivots on the diagonal (``ipm.factor_quasidefinite``). A refactorization of
+that matrix is timed at N=100 and on the first N=30 subproblem: by SuperLU
+in natural order after that minimum-degree ordering, and by the IPM's LDL'
+kernel in the ordering the IPM analyses the matrix in, as each IPM
+iteration factors it.
 The warm case solves the plan's third subproblem as ``run_scp`` does: at
 ``scp.INEXACT_TOL``, from the second subproblem's solution at that
 tolerance. (The second subproblem has one load row fewer than the first, so
@@ -174,8 +176,8 @@ def test_kkt_factor_quasidefinite_n100(benchmark, subproblem):
 
 
 def refactor_natural(benchmark, prog):
-    """A later IPM iteration: the matrix already permuted by the first
-    factorization's ordering, factored in natural order."""
+    """The matrix already permuted by a minimum-degree ordering, factored
+    by SuperLU in natural order."""
     factor = ipm.factor_quasidefinite
     K = first_kkt(prog)
     order = np.argsort(factor(K).perm_c)
@@ -183,18 +185,27 @@ def refactor_natural(benchmark, prog):
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
+def ipm_order(prog):
+    """The ordering in which the IPM analyses the program's KKT matrix:
+    that of a one-iteration solve's analysis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ipm, "MAX_ITER", 1)
+        return ipm.solve(prog)._analysis.order
+
+
 def refactor_ldl(benchmark, prog):
-    """The same IPM iteration as ``refactor_natural``, by the IPM's LDL'
-    kernel: the upper triangle of the permuted matrix, analysed once and
-    factored numerically."""
+    """An IPM iteration's factorization, by the IPM's LDL' kernel in the
+    IPM's ordering: the upper triangle of the permuted matrix, analysed
+    once and factored numerically."""
     from rlv_landing.conic import ldl
 
     K = first_kkt(prog)
-    order = np.argsort(ipm.factor_quasidefinite(K).perm_c)
+    order = ipm_order(prog)
     upper = sp.triu(K[order][:, order], format="csc")
     pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
     factors = ldl.Factors(*pattern, *ldl.etree(*pattern))
     assert benchmark(factors.factor, upper.data) >= 0
+    benchmark.extra_info["nnz_L"] = int(factors.L[0].size)
     # L and D, counted as SuperLU counts L + U: both triangles and the
     # diagonal twice.
     benchmark.extra_info["fill_nnz"] = int(2 * (factors.L[0].size + factors.n))

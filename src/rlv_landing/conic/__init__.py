@@ -1,6 +1,6 @@
 """Embedded sparse convex solver: programs, the cone layout, scaling and
-the IPM, whose KKT matrices SuperLU orders and a compiled sparse LDL'
-kernel (``ldl``) factors."""
+the IPM, which orders its KKT matrices by stage and factors them with a
+compiled sparse LDL' kernel (``ldl``)."""
 
 from .cones import NONNEG, SOC, ConeBlock, Cones
 from .ipm import factor_quasidefinite, solve

@@ -18,24 +18,34 @@ The matrix is symmetric quasi-definite (a positive definite block, and the
 negative of one, on the diagonal), so every symmetric permutation of it has
 an LDL' factorization with the pivots on the diagonal, stable without
 pivoting (Vanderbei, SIAM J. Optim. 1995). K is stored one way, through an
-analysis (``_Analysis``): K's CSC pattern permuted by a minimum-degree
-ordering of A' + A, into which each iteration writes only the
--(W'W + eps I) values, and the LDL' analysis of K's upper triangle in that
-ordering. The ordering comes from the solution the solve starts from, or
-else from the solve's first factorization, which is SuperLU's. A solve
-leaves its analysis on its result, and a warm solve whose P, A, G and cones
-have the start's pattern reuses it, so a run of same-pattern SCP
-subproblems takes one ordering and one symbolic analysis. Every other
-factorization is a numeric up-looking LDL' of K's upper triangle by the
-compiled kernel ``ldl`` (Davis, ACM TOMS 31(4), 2005), half the arithmetic
-of SuperLU's LU, as IPM codes split the work (QDLDL in OSQP, Stellato et
-al., Math. Prog. Comp. 2020; Clarabel, Goulart & Chen, arXiv:2405.12762).
-SuperLU orders, and it rescues: at an exact zero pivot, which an SOC block
-near its boundary can cancel to, it factors that K in natural order,
-pivoting off the diagonal. The cone algebra is ``cones.Cones``, the layout
-the program built once (``ConicProgram.layout``): the orthant rows, then SOC
-blocks of one dimension d, so each part of a vector is a slice of it, the
-NT scaling holds W, W^{-1} and W^2 as one (n_soc, d, d) stack each, and the
+analysis (``_Analysis``): K's CSC pattern permuted by the stage ordering,
+into which each iteration writes only the -(W'W + eps I) values, and the
+LDL' analysis of K's upper triangle in that ordering.
+
+The stage ordering (``_stage_order``) reads the program's ``stage``, one
+per variable, the structure optimal-control IPMs exploit (Frison & Diehl,
+HPIPM, IFAC 2020; Domahidi et al., FORCES, CDC 2012). A row of A or G takes
+the mean stage of the columns it touches outside the last stage (the
+planner's eta and t_c, which touch every dynamics row), or the last stage
+if it touches no other. Rows and variables are sorted by (stage, rows
+before variables, index); a program without stages is one stage. No
+ordering call is made, and the planner's first N=100 KKT matrix (W = I) has
+30,179 entries in L below the diagonal, against 30,376 under SuperLU's
+minimum degree (9,095 against 8,508 at N=30). A solve leaves its analysis
+on its result, and a warm solve whose P, A, G, cones and stages have the
+start's pattern reuses it, so a run of same-pattern SCP subproblems takes
+one symbolic analysis. Every factorization, the first iterate's included,
+is a numeric up-looking LDL' of K's upper triangle by the compiled kernel
+``ldl`` (Davis, ACM TOMS 31(4), 2005), half the arithmetic of an LU, as IPM
+codes factor (QDLDL in OSQP, Stellato et al., Math. Prog. Comp. 2020;
+Clarabel, Goulart & Chen, arXiv:2405.12762). SuperLU only rescues: at an
+exact zero pivot, which an SOC block near its boundary can cancel to, it
+factors that K in natural order, pivoting off the diagonal.
+
+The cone algebra is ``cones.Cones``, the layout the program built once
+(``ConicProgram.layout``): the orthant rows, then SOC blocks of one
+dimension d, so each part of a vector is a slice of it, the NT scaling
+holds W, W^{-1} and W^2 as one (n_soc, d, d) stack each, and the
 -(W'W + eps I) block is the orthant diagonal followed by dense d x d
 blocks.
 
@@ -46,10 +56,11 @@ scaling and every step length of the iteration read it, and each step
 length takes s and z together in one pass. The scaling holds lambda's cone
 data, which each direction's right-hand side W (lambda \\ d) reads.
 
-SuperLU factors without supernode panels (``factor_quasidefinite``): at
-about 12 nonzeros per factor column they cost more than they save (Demmel
-et al., SIAM J. Matrix Anal. Appl. 1999), and without them a factorization
-takes about 30% less time with the same fill. The settings are constants;
+SuperLU factors without supernode panels (``factor_quasidefinite``, the
+rescue's factorization and the SCP projection's): at about 12 nonzeros per
+factor column they cost more than they save (Demmel et al., SIAM J. Matrix
+Anal. Appl. 1999), and without them a factorization takes about 30% less
+time with the same fill. The settings are constants;
 scipy 1.17.1 corrupts the heap at ``panel_size=64``.
 
 A KKT solve is one solve with the factors, refined against the
@@ -194,9 +205,9 @@ def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
 
     The ordering is a minimum-degree ordering of A' + A, or, with
     ``natural``, none (for a matrix already permuted by one). The IPM
-    calls it for the ordering of a fresh KKT pattern, and in natural order
-    for a KKT matrix whose LDL' meets an exact zero pivot, where SuperLU
-    pivots off the diagonal; the SCP projection factors with it too.
+    calls it only in natural order, for a KKT matrix whose LDL' meets an
+    exact zero pivot, where SuperLU pivots off the diagonal; the SCP
+    projection factors by minimum degree.
 
     SuperLU runs with ``relax=1, panel_size=1``: no relaxed supernodes and
     one-column panels. The pivots and the fill (to one stored entry) stay
@@ -218,12 +229,32 @@ def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
                      options=dict(SymmetricMode=True))
 
 
-def _pattern(P, A, G, cones: Cones) -> list[np.ndarray]:
-    """What the KKT pattern is made of: the shapes and the cone layout,
-    and the CSR patterns of P, A and G."""
+def _pattern(P, A, G, cones: Cones, stage) -> list[np.ndarray]:
+    """What the KKT pattern and its ordering are made of: the shapes and
+    the cone layout, the CSR patterns of P, A and G, and the stages (none
+    for a program without them)."""
     return [np.array([P.shape[0], A.shape[0], G.shape[0], cones.n_nn,
                       cones.n_soc, cones.d]),
-            P.indptr, P.indices, A.indptr, A.indices, G.indptr, G.indices]
+            P.indptr, P.indices, A.indptr, A.indices, G.indptr, G.indices,
+            np.zeros(0) if stage is None else np.asarray(stage)]
+
+
+def _stage_order(A, G, stage) -> np.ndarray:
+    """The KKT rows and columns in the stage ordering (module docstring);
+    without ``stage``, every variable is in stage 0."""
+    n = A.shape[1]
+    stage = np.zeros(n) if stage is None else np.asarray(stage, float)
+    last = stage.max(initial=0.0)
+    inner = stage < last
+    rows = sp.vstack([A, G], format="csr")
+    touched = sp.csr_matrix((np.ones(rows.nnz), rows.indices, rows.indptr),
+                            shape=rows.shape) @ np.column_stack(
+        [stage * inner, inner])
+    row_stage = np.full(rows.shape[0], last)
+    np.divide(touched[:, 0], touched[:, 1], out=row_stage,
+              where=touched[:, 1] > 0)
+    return np.lexsort((np.arange(n + rows.shape[0]) < n,
+                       np.concatenate([stage, row_stage])))
 
 
 def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
@@ -246,15 +277,15 @@ def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class _Analysis:
-    """The symbolic analysis of one KKT pattern under one ordering, left on
-    the solution for a later solve of the same pattern: the ordering, K's
-    CSC pattern permuted by it, the slot in it of each value ``_Kkt``
+    """The symbolic analysis of one KKT pattern in its stage ordering, left
+    on the solution for a later solve of the same pattern: the ordering,
+    K's CSC pattern permuted by it, the slot in it of each value ``_Kkt``
     writes (``value_slots``: P, reg I, A', A, -reg I, G', G; ``w2_slots``:
     -(W^2 + reg I)), and the LDL' analysis of K's upper triangle in that
     ordering: the slots of its entries (``upper_slots``), its CSC pattern,
     and the elimination tree and column pointers of L (``ldl.etree``). It
     outlives the solve, so it holds only int32 index arrays of its own,
-    none shared with a matrix SuperLU was given."""
+    none shared with P, A, G or K."""
 
     pattern: list[np.ndarray]
     position: np.ndarray     # position[i]: where row/column i sits in K
@@ -270,30 +301,25 @@ class _Analysis:
     Lp: np.ndarray
 
     @classmethod
-    def of(cls, pattern, rows, cols, n_values: int, position) -> _Analysis:
+    def of(cls, pattern, rows, cols, n_values: int, order) -> _Analysis:
         """The analysis of ``_entries``' rows and columns (the first
-        ``n_values`` the value vector's) under the ordering ``position``."""
-        # What the analysis keeps is allocated before the sort's temporaries,
-        # so it lands below the first LU's SuperLU workspace (16 MB at N=100)
-        # and the heap can shrink again when the solve ends.
-        dim = position.size
-        pattern = [np.array(a) for a in pattern]
-        position = position.astype(np.intc)
-        order = np.argsort(position).astype(np.intc)
-        indptr, upper_indptr = np.empty((2, dim + 1), np.intc)
-        slots, indices = np.empty((2, rows.size), np.intc)
-        keys, slots[:] = np.unique(
+        ``n_values`` the value vector's) in the ordering ``order``."""
+        dim = order.size
+        position = np.argsort(order).astype(np.intc)
+        keys, slots = np.unique(
             position[cols].astype(np.int64) * dim + position[rows],
             return_inverse=True)
-        indptr[:] = np.searchsorted(keys, np.arange(dim + 1) * dim)
-        indices = np.remainder(keys, dim, out=indices[:keys.size])
-        columns = keys // dim
+        slots = slots.astype(np.intc)
+        indices, columns = (keys % dim).astype(np.intc), keys // dim
         upper = np.flatnonzero(indices <= columns)
-        upper_indptr[:] = np.searchsorted(columns[upper], np.arange(dim + 1))
+        upper_indptr = np.searchsorted(columns[upper],
+                                       np.arange(dim + 1)).astype(np.intc)
         upper_indices = indices[upper]
-        return cls(pattern, position, order, indptr, indices,
-                   slots[:n_values], slots[n_values:], upper.astype(np.intc),
-                   upper_indptr, upper_indices,
+        indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+        return cls([np.array(a) for a in pattern], position,
+                   order.astype(np.intc), indptr.astype(np.intc), indices,
+                   slots[:n_values], slots[n_values:],
+                   upper.astype(np.intc), upper_indptr, upper_indices,
                    *ldl.etree(upper_indptr, upper_indices))
 
     def matches(self, pattern: list[np.ndarray]) -> bool:
@@ -302,79 +328,50 @@ class _Analysis:
 
 
 class _Kkt:
-    """The KKT system of one solve, stored only through its ``analysis``.
+    """The KKT system of one solve, stored only through its ``analysis``:
+    the start's, if it has the same pattern, else a fresh one in the stage
+    ordering (``reordered``).
 
     Only the -(W^2 + reg I) block changes between iterations; ``factor``
     writes it through ``w2_slots`` and factors K by the compiled LDL'
     (``ldl.Factors``), in K's ordering. At an exact zero pivot, SuperLU
     factors that K in natural order instead, pivoting off the diagonal
-    (counted in ``pivot_fallbacks``). Without an analysis of the same
-    pattern, the first factorization is SuperLU's, by minimum degree, of K
-    as scipy assembles it from ``_entries``: its column ordering makes the
-    analysis, and its LU serves that iteration's solves. ``solve`` works
-    in K's ordering throughout.
+    (counted in ``pivot_fallbacks``). ``solve`` works in K's ordering
+    throughout.
     """
 
     def __init__(self, P, A, G, cones: Cones,
-                 analysis: _Analysis | None = None):
+                 analysis: _Analysis | None = None, stage=None):
         P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
         n, me = P.shape[0], A.shape[0]
-        dim = n + me + G.shape[0]
-        # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
-        self._reg_sign = np.where(np.arange(dim) < n, REG, -REG)
         values = np.concatenate([P.data, np.full(n, REG), A.data, A.data,
                                  np.full(me, -REG), G.data, G.data])
-        pattern = _pattern(P, A, G, cones)
-        self.reordered = False   # this solve took its own ordering
-        self.pivot_fallbacks = 0
-        self._ldl = None         # the LDL' factors, made at first use
-        if analysis is not None and analysis.matches(pattern):
-            self._use(analysis, values)
-        else:
-            # The entries, held until the first factorization succeeds.
-            self.analysis = None
-            self._fresh = pattern, values, *_entries(P, A, G, cones)
-
-    def _use(self, analysis: _Analysis, values: np.ndarray) -> None:
-        """Store K through the analysis, with the value vector's values."""
+        pattern = _pattern(P, A, G, cones, stage)
+        self.reordered = analysis is None or not analysis.matches(pattern)
+        if self.reordered:
+            analysis = _Analysis.of(pattern, *_entries(P, A, G, cones),
+                                    values.size, _stage_order(A, G, stage))
         self.analysis = analysis
         self.position, self.order = analysis.position, analysis.order
         self.K = sp.csc_matrix(
             (np.bincount(analysis.value_slots, values, analysis.indices.size),
              analysis.indices.copy(), analysis.indptr.copy()),
             shape=(self.position.size,) * 2)
-        self._reg_sign = self._reg_sign[self.order]
+        # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
+        self._reg_sign = np.where(self.order < n, REG, -REG)
+        self.pivot_fallbacks = 0
+        self._ldl = ldl.Factors(analysis.upper_indptr, analysis.upper_indices,
+                                analysis.parent, analysis.Lp)
 
     def factor(self, scaling: _NTScaling) -> None:
         """Refill the W^2 block from the NT scaling and factor K."""
-        w2 = -scaling.w2_entries(REG)
         analysis = self.analysis
-        if analysis is not None:
-            self.K.data[analysis.w2_slots] = w2
-            if self._ldl is None:
-                self._ldl = ldl.Factors(analysis.upper_indptr,
-                                        analysis.upper_indices,
-                                        analysis.parent, analysis.Lp)
-            if self._ldl.factor(self.K.data[analysis.upper_slots]) >= 0:
-                self._lu_solve = self._ldl.solve
-            else:
-                self.pivot_fallbacks += 1
-                self._lu_solve = factor_quasidefinite(self.K,
-                                                      natural=True).solve
-            return
-        pattern, values, rows, cols = self._fresh
-        dim = self._reg_sign.size
-        lu = factor_quasidefinite(sp.csc_matrix(
-            (np.concatenate([values, w2]), (rows, cols)), shape=(dim, dim)))
-        del self._fresh
-        self._use(_Analysis.of(pattern, rows, cols, values.size, lu.perm_c),
-                  values)
-        self.K.data[self.analysis.w2_slots] = w2
-        self.reordered = True
-        # Not through self: a cycle would hold each solve's LU factors
-        # until the cyclic garbage collector runs.
-        position, order = self.position, self.order
-        self._lu_solve = lambda rhs: lu.solve(rhs[position])[order]
+        self.K.data[analysis.w2_slots] = -scaling.w2_entries(REG)
+        if self._ldl.factor(self.K.data[analysis.upper_slots]) >= 0:
+            self._lu_solve = self._ldl.solve
+        else:
+            self.pivot_fallbacks += 1
+            self._lu_solve = factor_quasidefinite(self.K, natural=True).solve
 
     def solve(self, rhs: np.ndarray, tol: float) -> np.ndarray:
         """Solve with the last factorization, in K's ordering, refined
@@ -444,7 +441,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
                         (start.s, mi)))
     resumed = warm and start._program is not None \
         and start._program() is program
-    kkt = _Kkt(P, A, G, cones, start._analysis if warm else None)
+    kkt = _Kkt(P, A, G, cones, start._analysis if warm else None,
+               program.stage)
     e = cones.identity()
     if warm:
         x, y = start.x.copy(), start.y.copy()

@@ -49,6 +49,10 @@ class ConicProgram:
     cones: list[ConeBlock] = field(default_factory=list)
     P: sp.spmatrix = field(default_factory=_left_out)
     obj_offset: float = 0.0
+    # The stage of each variable, such as the node of an optimal control
+    # problem's node columns: the IPM orders its KKT matrix by stage (see
+    # ipm). None puts every variable in one stage.
+    stage: np.ndarray | None = None
     # Initial-iterate hint for the IPM's one solve, typically the solution of
     # a nearby program; ignored when its shapes do not match this program's.
     # Its KKT analysis is reused when the pattern matches, and a solution of
@@ -91,6 +95,8 @@ class ConicProgram:
             raise ValueError("cone dimensions do not cover the inequality rows")
         if self.P.shape != (n, n):
             raise ValueError("quadratic term has wrong shape")
+        if self.stage is not None and np.shape(self.stage) != (n,):
+            raise ValueError("stage needs one entry per variable")
         if not self.G.shape[0]:
             raise ValueError("program has no cone rows")
 
@@ -110,8 +116,9 @@ class SolverSolution:
     z: np.ndarray | None = None  # cone multipliers
     s: np.ndarray | None = None  # cone slacks
     warm: bool = False           # the IPM started from the program's start
-    reordered: bool = False      # the solve took its own KKT ordering:
-    #                              its start carried no analysis that matched
+    reordered: bool = False      # the solve made a fresh stage-ordered KKT
+    #                              analysis: its start carried none that
+    #                              matched
     resumed: bool = False        # the start was this program's own iterate
     pivot_fallbacks: int = 0     # factorizations SuperLU took over from the
     #                              LDL' kernel after an exact zero pivot

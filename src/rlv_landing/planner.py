@@ -277,6 +277,9 @@ class PlanningProblem:
         self.n_vars = NZ * (self.N + 1) + 1 + (1 if self.with_tc else 0)
         self.idx_eta = NZ * (self.N + 1)
         self.idx_tc = self.idx_eta + 1 if self.with_tc else None
+        # The IPM's KKT ordering: node k's columns in stage k, eta and t_c
+        # in stage N + 1.
+        self.stage = np.repeat(np.arange(self.N + 2), NZ)[:self.n_vars]
         self._scaling_bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._scaling: VariableScaling | None = None
 
@@ -337,10 +340,11 @@ class PlanningProblem:
         for. An r_z column in the thrust bounds' back-pressure loss
         A_exit P_e(h) and an eta column in the rate bound Tdot_lim eta / N
         raised the N=100 KKT fill by 1/6 and 0.19M -> 0.27M under SuperLU's
-        column ordering, and add none under the IPM's minimum-degree one. An
-        eta column in the taper tilt bound cos(theta_lim(eta (1 - s_k)))
-        fails the first subproblem: its tangent passes 1 once eta drops by
-        an eighth, and the first step from the initial guess cuts more.
+        column ordering; under the IPM's stage ordering they add 202 and no
+        entries to the 30,179 of the first N=100 KKT matrix's L. An eta
+        column in the taper tilt bound cos(theta_lim(eta (1 - s_k))) fails
+        the first subproblem: its tangent passes 1 once eta drops by an
+        eighth, and the first step from the initial guess cuts more.
         """
         N, vp, cfg = self.N, self.vp, self.cfg
         eta_ref, Z = ref.eta, ref.Z
@@ -463,7 +467,8 @@ class PlanningProblem:
                 [ConeBlock(SOC, 4) for _ in range(n_soc)]
 
         program = ConicProgram(c=np.zeros(self.n_vars), A=A_mat, b=b_vec,
-                               G=G_mat, h=h_vec, cones=cones)
+                               G=G_mat, h=h_vec, cones=cones,
+                               stage=self.stage)
         # Looked up in this module at call time, so a wrapper of either sees
         # every call.
         scaled = equilibrate_rows(scale_program(program, self.scaling(ref)))

@@ -22,7 +22,7 @@ J_tr and the next reference come from that re-solve. The re-solve resumes
 the inexact solve's own iterate: the program is the same object, so the IPM
 keeps that solution's slacks and multipliers as they are, where a start
 from the previous subproblem is moved into the cones first, and a
-subproblem whose KKT pattern is the previous one's reuses its ordering. So
+subproblem whose KKT pattern is the previous one's reuses its analysis. So
 a converged plan is a full-tolerance subproblem solution that passes the
 fixed-point test; a re-solved step that fails the step test costs one more
 SCP iteration and converges nothing.

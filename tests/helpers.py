@@ -1,5 +1,6 @@
 """Shared numerical test utilities: finite differences, random states, a
-cone layout, and the scalar oracles the kernels are tested against: the
+cone layout, a stand-in for scipy's sparse solvers that records their
+orderings, and the scalar oracles the kernels are tested against: the
 aero model at one angle of attack and the KKT residuals of a solution."""
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from rlv_landing.conic import (NONNEG, SOC, ConeBlock, ConicProgram,
                                SolverSolution)
@@ -18,6 +20,21 @@ from rlv_landing.params import VehicleParams
 # orthant, 3-5 and 6-8 SOC.
 MULTI_BLOCK_CONES = [ConeBlock(NONNEG, 2), ConeBlock(NONNEG, 1),
                      ConeBlock(SOC, 3), ConeBlock(SOC, 3)]
+
+
+class CountingSpla:
+    """Stands in for ``scipy.sparse.linalg`` inside ``ipm``, recording the
+    column ordering each factorization asked for."""
+
+    def __init__(self):
+        self.orderings = []
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def splu(self, K, **kwargs):
+        self.orderings.append(kwargs.get("permc_spec"))
+        return spla.splu(K, **kwargs)
 
 
 def central_diff_jacobian(fun, x, eps_scale=1e-6):

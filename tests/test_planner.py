@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rlv_landing import env, planner, scp
-from rlv_landing.conic import ipm, scaling
+from rlv_landing.conic import ipm, ldl, scaling
 from rlv_landing.conic.cones import ConePoints, Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling, factor_quasidefinite
 from rlv_landing.params import PlanningConfig, VehicleParams
@@ -34,7 +34,8 @@ from rlv_landing.planner import (
 )
 from rlv_landing.scp import ScpSettings, run_scp
 
-from helpers import central_diff_jacobian, rel_jac_error, total_aoa
+from helpers import (CountingSpla, central_diff_jacobian, rel_jac_error,
+                     total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -408,15 +409,71 @@ def first_subproblem(prob, cfg):
     return prog
 
 
-def first_kkt_n30():
-    """The IPM's first KKT matrix (W = I) of the first N=30 subproblem, in
-    its own row and column order."""
-    prob, cfg = make_problem(N=30)
+def first_kkt(N=30):
+    """The IPM's first KKT matrix (W = I) of the first subproblem at N, in
+    its own row and column order, and the IPM's KKT system that holds it."""
+    prob, cfg = make_problem(N=N)
     prog = first_subproblem(prob, cfg)
     cones = Cones(prog.cones)
-    kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones)
+    kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones,
+               stage=prog.stage)
     kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
-    return kkt.K[kkt.position][:, kkt.position].tocsc()
+    return kkt.K[kkt.position][:, kkt.position].tocsc(), kkt
+
+
+def stage_rule_position(prog):
+    """Where the stage rule puts each KKT row and column, row by row: a
+    row of A or G takes the mean stage of the columns it stores outside
+    the last stage (the last stage if none), and rows and variables are
+    sorted by (stage, rows first, index)."""
+    n, stage = prog.n, prog.stage
+    last = stage.max()
+    keys = [(stage[j], 1, j) for j in range(n)]
+    rows = sp.vstack([prog.A, prog.G], format="csr")
+    for i in range(rows.shape[0]):
+        columns = rows.indices[rows.indptr[i]:rows.indptr[i + 1]]
+        inner = [stage[j] for j in columns if stage[j] < last]
+        keys.append((sum(inner) / len(inner) if inner else last, 0, n + i))
+    position = np.empty(len(keys), int)
+    position[[key[2] for key in sorted(keys)]] = np.arange(len(keys))
+    return position
+
+
+class TestStageOrdering:
+    """The planner's KKT matrices are ordered by stage: node k's columns
+    in stage k, eta and t_c in stage N + 1."""
+
+    def test_stages_are_the_nodes(self):
+        prob, cfg = make_problem(N=10)
+        prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
+        np.testing.assert_array_equal(
+            prog.stage, np.r_[np.repeat(np.arange(11), NZ), 11, 11])
+
+    def test_cold_solve_orders_by_stage_without_minimum_degree(
+            self, monkeypatch):
+        # The first N=30 subproblem, solved cold: its analysis is the stage
+        # rule's, and no factorization asks SuperLU for a minimum-degree
+        # ordering.
+        prob, cfg = make_problem(N=30)
+        prog = first_subproblem(prob, cfg)
+        spla_ = CountingSpla()
+        monkeypatch.setattr(ipm, "spla", spla_)
+        sol = ipm.solve(prog)
+        assert sol.optimal and sol.reordered and not sol.warm
+        assert "MMD_AT_PLUS_A" not in spla_.orderings
+        np.testing.assert_array_equal(sol._analysis.position,
+                                      stage_rule_position(prog))
+
+    def test_fill_at_n100_is_at_most_minimum_degree(self):
+        # nnz(L) of the first N=100 KKT matrix: 30,179 in the stage
+        # ordering, 30,376 by SuperLU's minimum degree. (At N=30 the stage
+        # ordering fills more: 9,095 against 8,508.)
+        K, kkt = first_kkt(N=100)
+        order = np.argsort(factor_quasidefinite(K).perm_c)
+        upper = sp.triu(K[order][:, order], format="csc")
+        _, Lp = ldl.etree(upper.indptr.astype(np.intc),
+                          upper.indices.astype(np.intc))
+        assert kkt.analysis.Lp[-1] <= Lp[-1]
 
 
 # Run in a child process: factors the saved KKT 25 times by minimum degree
@@ -448,7 +505,7 @@ class TestKktFactorization:
     def test_symmetric_ordering_halves_the_fill(self):
         # The pivot-free symmetric ordering fills the first N=30 KKT to at
         # most half of what SuperLU's defaults (COLAMD, partial pivoting) do.
-        K = first_kkt_n30()
+        K = first_kkt()[0]
         ours = factor_quasidefinite(K)
         default = spla.splu(K)
         assert ours.L.nnz + ours.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
@@ -459,7 +516,7 @@ class TestKktFactorization:
         # The supernode settings change only the order in which SuperLU
         # adds up the updates: the fill is that of the same call at scipy's
         # supernode defaults, and a solve is as accurate, within 10x.
-        K = first_kkt_n30()
+        K = first_kkt()[0]
         if natural:
             order = np.argsort(factor_quasidefinite(K).perm_c)
             K = K[order][:, order].tocsc()
@@ -481,7 +538,7 @@ class TestKktFactorization:
         # when the debug allocator checks a free. The factorization runs 50
         # times in a child process under that allocator and must exit 0.
         path = tmp_path / "kkt.npz"
-        sp.save_npz(path, first_kkt_n30())
+        sp.save_npz(path, first_kkt()[0])
         src = str(Path(ipm.__file__).resolve().parents[2])
         child_env = dict(os.environ, PYTHONMALLOC="debug",
                          PYTHONPATH=os.pathsep.join(

@@ -33,7 +33,7 @@ from rlv_landing.conic.cones import Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import MULTI_BLOCK_CONES, verify_kkt
+from helpers import MULTI_BLOCK_CONES, CountingSpla, verify_kkt
 
 
 def lp(c, G, h, A=None, b=None):
@@ -274,9 +274,12 @@ def test_solve_robust_is_one_solve(monkeypatch):
                           h=np.zeros(7), cones=[ConeBlock(SOC, 3),
                                                 ConeBlock(SOC, 4)]),
      "SOC blocks of one dimension"),
+    (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((1, 2)),
+                          h=np.zeros(1), cones=[ConeBlock(NONNEG, 1)],
+                          stage=np.zeros(3)), "one entry per variable"),
 ], ids=["equality", "inequality", "cones", "quadratic", "cone-free",
         "cone-kind", "nonneg-dim", "soc-dim", "float-dim", "bool-dim",
-        "interleaved", "mixed-soc-dims"])
+        "interleaved", "mixed-soc-dims", "stage"])
 def test_inconsistent_program_raises(make, message):
     # A cone block, and a program's cone layout, are checked when made; the
     # rest of a program when solved.
@@ -379,21 +382,6 @@ class TestSolutionQuality:
         assert sol1.iterations == sol2.iterations
 
 
-class CountingSpla:
-    """Stands in for ``scipy.sparse.linalg`` inside ``ipm``, recording the
-    column ordering each factorization asked for."""
-
-    def __init__(self):
-        self.orderings = []
-
-    def __getattr__(self, name):
-        return getattr(spla, name)
-
-    def splu(self, K, **kwargs):
-        self.orderings.append(kwargs.get("permc_spec"))
-        return spla.splu(K, **kwargs)
-
-
 MIXED_CONES = [ConeBlock(NONNEG, 3), ConeBlock(NONNEG, 2), ConeBlock(SOC, 3),
                ConeBlock(SOC, 3), ConeBlock(SOC, 3)]
 
@@ -417,7 +405,7 @@ LAYOUTS = st.one_of(BLOCK_LISTS, block_lists(n_soc=st.just(0)),
 
 class TestQuasiDefiniteKkt:
     """The IPM's KKT matrix: refilled in place in a pattern permuted by the
-    first factorization's ordering, or by a reused analysis, factored
+    stage ordering of a fresh analysis, or by a reused analysis, factored
     without pivoting and solved in that ordering."""
 
     @staticmethod
@@ -464,9 +452,9 @@ class TestQuasiDefiniteKkt:
                                        rtol=0, atol=1e-10 * np.abs(expected).max())
 
     def test_solves_in_the_factor_ordering(self):
-        # Every KKT solve, with the first (minimum-degree) factorization, a
-        # later one, and one on a reused analysis, refined in K's ordering
-        # against the unregularized matrix assembled afresh.
+        # Every KKT solve, with the first factorization of a fresh
+        # analysis, a later one, and one on a reused analysis, refined in
+        # K's ordering against the unregularized matrix assembled afresh.
         rng = np.random.default_rng(53)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = Cones(prog.cones)
@@ -481,6 +469,19 @@ class TestQuasiDefiniteKkt:
             rhs = rng.normal(size=kkt.K.shape[0])
             residual = rhs - self.fresh(prog, scaling, 0.0) @ kkt.solve(rhs, 0.0)
             assert np.abs(residual).max() <= 1e-12 * np.abs(rhs).max()
+
+    def test_program_without_stages_is_one_stage(self):
+        # Without ``stage`` every variable is in one stage, and so is every
+        # row: the ordering puts every row of A and G before every variable,
+        # each in index order.
+        rng = np.random.default_rng(37)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        cones = Cones(prog.cones)
+        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
+        kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
+        dim = kkt.K.shape[0]
+        np.testing.assert_array_equal(
+            kkt.order, np.r_[np.arange(prog.n, dim), np.arange(prog.n)])
 
     @staticmethod
     def factored(seed):
