@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_26.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_27.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -25,8 +25,11 @@ as ``run_scp`` does once a step is small.
 The cone-algebra cases time one IPM iteration's cone work at the eighth
 iterate of the cold solve of the first subproblem (15 and 16 iterations at
 N=30 and N=100): the interior test of s and z, the NT scaling, three pairs
-of step lengths along the step that iteration takes, and the cone rows of
-the predictor's right-hand side, W (lambda \\ lambda o lambda).
+of step lengths along the step (ds, dz) that iteration takes, the cone rows
+of the predictor's right-hand side, W (lambda \\ lambda o lambda), the
+corrector's scaled product (W^{-1} ds) o (W dz), and a centrality
+corrector's scaled product at s + ds, z + dz with its eigenvalues clipped
+to [0.1 mu, 10 mu]. ``rhs_sha256`` hashes the three vectors.
 The whole-plan cases time ``run_scp`` to convergence from the initial
 guess: ignition-fit from that state at N=30 and N=100, and current-state
 from the mid-course state of the replan tests at N=100.
@@ -241,14 +244,21 @@ def mid_solve(prog, k=8):
 
 
 def cone_pass(cones, s, z, ds, dz):
-    """One IPM iteration's cone work, as the IPM does it."""
+    """One IPM iteration's cone work, as the IPM does it, and what it
+    returns: the predictor's right-hand side, the corrector's scaled
+    product and a centrality corrector's clipped target."""
     iterate = cones.points(s, z)
     iterate.violations()
     scaling = ipm._NTScaling(iterate)
     lam = scaling.lam.u[0]
     for _ in range(3):
         iterate.max_steps(ds, dz)
-    return scaling.rhs(cones.product(lam, lam))
+    rhs = scaling.rhs(cones.product(lam, lam))
+    corr = scaling.scaled_product(ds, dz)
+    mu = float(s @ z) / cones.degree
+    v_trial = scaling.scaled_product(s + ds, z + dz)
+    target = cones.clip_eigenvalues(v_trial, 0.1 * mu, 10.0 * mu)
+    return np.concatenate([rhs, corr, target])
 
 
 def cone_algebra(benchmark, prog):

@@ -1,6 +1,7 @@
 """Embedded sparse convex solver: programs, the cone layout, scaling and
 the IPM, which orders its KKT matrices by stage and factors them with a
-compiled sparse LDL' kernel (``ldl``)."""
+compiled sparse LDL' kernel; its cone algebra is compiled too, in the same
+library (``ldl``)."""
 
 from .cones import NONNEG, SOC, ConeBlock, Cones
 from .ipm import factor_quasidefinite, solve

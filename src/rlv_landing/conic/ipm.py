@@ -47,14 +47,18 @@ The cone algebra is ``cones.Cones``, the layout the program built once
 dimension d, so each part of a vector is a slice of it, the NT scaling
 holds W, W^{-1} and W^2 as one (n_soc, d, d) stack each, and the
 -(W'W + eps I) block is the orthant diagonal followed by dense d x d
-blocks.
+blocks. Its arithmetic is compiled C, ``cones.c`` in the library ``ldl``
+builds: one loop over the rows and blocks per call, where numpy took a
+dozen operations over about 100 blocks. It adds in numpy's order, so the
+iterates are those of the numpy code it replaced, to the bit.
 
 Each iteration forms its iterate's cone data once, ``Cones.points(s, z)``
-(the blocks of s and z, their J-norms and normalized blocks), as ECOS and
-Clarabel do (Domahidi, Chu & Boyd, ECC 2013). The interior test, the NT
-scaling and every step length of the iteration read it, and each step
-length takes s and z together in one pass. The scaling holds lambda's cone
-data, which each direction's right-hand side W (lambda \\ d) reads.
+(the J-norms and normalized blocks of s and z, and the violations the
+interior test reads), as ECOS and Clarabel do (Domahidi, Chu & Boyd, ECC
+2013). The NT scaling and every step length of the iteration read it, and
+each step length takes s and z together in one pass. The scaling holds
+lambda's cone data, which each direction's right-hand side W (lambda \\ d)
+reads.
 
 SuperLU factors without supernode panels (``factor_quasidefinite``, the
 rescue's factorization and the SCP projection's): at about 12 nonzeros per
@@ -104,7 +108,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import ldl
-from .cones import ConePoints, Cones, soc_product
+from .cones import ConePoints, Cones
 from .program import ConicProgram, SolverSolution
 from .scaling import _rows
 
@@ -140,56 +144,44 @@ class _NTScaling:
 
     SOC blocks use W = eta * Wbar with Wbar = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]
     built from the hyperbolic-unit vector wbar; the dense per-block matrices
-    W, W^{-1} and W^2 are each one (n_soc, d, d) stack, reused for every
-    apply. It is built from the iterate's cone data, ``Cones.points(s, z)``,
-    and holds lambda's (``lam``), which every direction of the iteration
-    reads.
+    W, W^{-1} and W^2 are each one (n_soc, d, d) stack, read by every
+    product with them. It is built from the iterate's cone data, ``Cones.points(s, z)``,
+    by ``cone_nt_scaling`` in ``cones.c``, and holds lambda's (``lam``),
+    which every direction of the iteration reads.
     """
 
     def __init__(self, iterate: ConePoints):
         cones = self.cones = iterate.cones
-        s_nn, z_nn = iterate.nn
-        self.w_nn = np.sqrt(s_nn / z_nn)
-        (rs, rz), (s_bar, z_bar) = iterate.norm, iterate.bar
-        gamma = np.sqrt((1.0 + np.add.reduce(s_bar * z_bar, axis=1)) / 2.0)
-        wbar = np.empty_like(s_bar)
-        wbar[:, 0] = (s_bar[:, 0] + z_bar[:, 0]) / (2 * gamma)
-        wbar[:, 1:] = (s_bar[:, 1:] - z_bar[:, 1:]) / (2 * gamma[:, None])
-        eta = np.sqrt(rs / rz)
-        d = cones.d
-        W = np.empty((cones.n_soc, d, d))
-        W[:, 0, 0] = wbar[:, 0]
-        W[:, 0, 1:] = wbar[:, 1:]
-        W[:, 1:, 0] = wbar[:, 1:]
-        outer = wbar[:, 1:, None] * wbar[:, None, 1:]
-        W[:, 1:, 1:] = np.eye(d - 1) + outer / (1.0 + wbar[:, 0])[:, None, None]
-        self.soc_mats = eta[:, None, None] * W
-        # W^{-1} = J Wbar J / eta with J = diag(1, -I).
-        Winv = W.copy()
-        Winv[:, 0, 1:] *= -1.0
-        Winv[:, 1:, 0] *= -1.0
-        self.soc_inv = Winv / eta[:, None, None]
-        self.soc_sq = np.einsum("nij,njk->nik", self.soc_mats, self.soc_mats)
-        self.lam = cones.points(self.apply(iterate.u[1]))
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u_nn, u_soc = self.cones.split(u)
-        return self.cones.join(
-            self.w_nn * u_nn, np.einsum("nij,nj->ni", self.soc_mats, u_soc))
+        n_nn, n_soc, d = cones.shape
+        u = ldl._checked("iterate", iterate.u, np.float64, 2, cones.dim)
+        self.w_nn = np.empty(n_nn)
+        self.soc_mats, self.soc_inv, self.soc_sq = np.empty((3, n_soc, d, d))
+        lam = np.empty(cones.dim)
+        ldl._library().cone_nt_scaling(
+            *cones.shape, u, *iterate._addresses[1:],
+            *map(ldl._address, (self.w_nn, self.soc_mats, self.soc_inv,
+                                self.soc_sq, lam)))
+        self.lam = cones.points(lam)
+        w_nn, mats = ldl._address(self.w_nn), ldl._address(self.soc_mats)
+        self._rhs_args = (*cones.shape, self.lam._addresses[0],
+                          ldl._address(self.lam.norm_sq), w_nn, mats)
+        self._product_args = (*cones.shape, w_nn, mats,
+                              ldl._address(self.soc_inv))
 
     def rhs(self, d: np.ndarray) -> np.ndarray:
         """W (lambda \\ d): the cone rows of a direction's right-hand side."""
-        x_nn, x_soc = self.lam.divide(d)
-        return self.cones.join(
-            self.w_nn * x_nn, np.einsum("nij,nj->ni", self.soc_mats, x_soc))
+        address = self.cones.address("d", d)
+        out = np.empty(self.cones.dim)
+        ldl._library().cone_rhs(*self._rhs_args, address, ldl._address(out))
+        return out
 
     def scaled_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(W^{-1} u) o (W v)."""
-        (u_nn, u_soc), (v_nn, v_soc) = self.cones.split(u), self.cones.split(v)
-        return self.cones.join(
-            (u_nn / self.w_nn) * (self.w_nn * v_nn),
-            soc_product(np.einsum("nij,nj->ni", self.soc_inv, u_soc),
-                        np.einsum("nij,nj->ni", self.soc_mats, v_soc)))
+        args = self.cones.address("u", u), self.cones.address("v", v)
+        out = np.empty(self.cones.dim)
+        ldl._library().cone_scaled_product(*self._product_args, *args,
+                                           ldl._address(out))
+        return out
 
     def w2_entries(self, reg: float) -> np.ndarray:
         """Values of W^2 + reg I laid out to match the KKT sparsity pattern."""

@@ -1,17 +1,20 @@
-"""The sparse LDL' kernel ``ldl.c``, built with the system C compiler on
-first use and loaded with ctypes.
+"""The compiled kernels of the IPM: the sparse LDL' factorization
+``ldl.c`` and the cone algebra ``cones.c``, built into one library with the
+system C compiler on first use and loaded with ctypes.
 
-The C source is compiled once per source and command, with the compiler
-Python was built with (``sysconfig``'s ``CC``) and constant flags: no fast
-math and no host-specific instructions, so that a factorization's bits do
-not depend on the host CPU. The library is cached next to the source, in
-``__pycache__/ldl-<hash>.so``, as CPython caches bytecode; where that
+The two sources are compiled together, once per sources and command, with
+the compiler Python was built with (``sysconfig``'s ``CC``) and constant
+flags: no fast math and no host-specific instructions, so that a result's
+bits do not depend on the host CPU. The library is cached next to the
+sources, in ``__pycache__/conic-<hash>.so``, as CPython caches bytecode; the
+hash covers both sources and the command (``_cache_path``). Where that
 directory cannot be written, it is built in a private temporary directory
 for the process. A failed compile raises ``ImportError``.
 
 ``etree`` is the symbolic analysis of an upper-triangular CSC pattern, and
-``Factors`` the numeric factorization and solves for it. Every array is
-checked for dtype, C-contiguity and length before it reaches C.
+``Factors`` the numeric factorization and solves for it; ``cones`` and the
+IPM's NT scaling call the cone algebra. Every array is checked for dtype,
+C-contiguity and shape (``_checked``) before it reaches C.
 """
 
 from __future__ import annotations
@@ -29,32 +32,57 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("ldl.c")
+SOURCES = tuple(Path(__file__).with_name(c) for c in ("ldl.c", "cones.c"))
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-_INT, _PTR = ctypes.c_int, ctypes.c_void_p
+_INT, _PTR, _DOUBLE = ctypes.c_int, ctypes.c_void_p, ctypes.c_double
+_VIEW = ctypes.c_char * 0
+# Every entry point of the library: its argument and result types.
+_ENTRY_POINTS = {
+    "ldl_etree": ([_INT] + [_PTR] * 5, _INT),
+    "ldl_factor": ([_INT] + [_PTR] * 10, _INT),
+    "ldl_solve": ([_INT] + [_PTR] * 5, None),
+    "cone_points": ([_INT] * 4 + [_PTR] * 5, None),
+    "cone_max_steps": ([_INT] * 4 + [_PTR] * 5, None),
+    "cone_nt_scaling": ([_INT] * 3 + [_PTR] * 8, None),
+    "cone_rhs": ([_INT] * 3 + [_PTR] * 6, None),
+    "cone_product": ([_INT] * 3 + [_PTR] * 3, None),
+    "cone_scaled_product": ([_INT] * 3 + [_PTR] * 6, None),
+    "cone_clip_eigenvalues": ([_INT] * 3 + [_DOUBLE] * 2 + [_PTR] * 2, None),
+}
 
 
 def _compile(command: list[str], target: Path) -> None:
-    """Compile the source to ``target``, through a temporary name in its
+    """Compile the sources to ``target``, through a temporary name in its
     directory, so that processes compiling at once each move a whole
     library into place."""
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so")
     os.close(fd)
     try:
         try:
-            done = subprocess.run([*command, "-o", tmp, str(SOURCE)],
+            done = subprocess.run([*command, "-o", tmp, *map(str, SOURCES)],
                                   capture_output=True, text=True)
         except OSError as exc:
             raise ImportError(f"cannot run {shlex.join(command)}: {exc}") \
                 from exc
         if done.returncode != 0:
-            raise ImportError(f"compiling {SOURCE.name} failed: "
+            names = " and ".join(source.name for source in SOURCES)
+            raise ImportError(f"compiling {names} failed: "
                               f"{shlex.join(command)}\n{done.stderr}")
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _cache_path(command: list[str]) -> Path:
+    """Where the library that ``command`` compiles from the sources is
+    cached: its name hashes the command and each source's hash."""
+    digest = hashlib.sha256(shlex.join(command).encode())
+    for source in SOURCES:
+        digest.update(hashlib.sha256(source.read_bytes()).digest())
+    return SOURCES[0].parent / "__pycache__" / \
+        f"conic-{digest.hexdigest()[:16]}.so"
 
 
 @functools.cache
@@ -63,9 +91,7 @@ def _library() -> ctypes.CDLL:
     if not cc:
         raise ImportError("no C compiler: sysconfig has no CC")
     command = [*shlex.split(cc), *FLAGS]
-    digest = hashlib.sha256(SOURCE.read_bytes()
-                            + shlex.join(command).encode()).hexdigest()
-    path = SOURCE.parent / "__pycache__" / f"ldl-{digest[:16]}.so"
+    path = _cache_path(command)
     private = None
     try:
         path.parent.mkdir(exist_ok=True)
@@ -81,25 +107,29 @@ def _library() -> ctypes.CDLL:
     finally:
         if private is not None:
             shutil.rmtree(private)   # the loaded library stays mapped
-    lib.ldl_etree.argtypes = [_INT] + [_PTR] * 5
-    lib.ldl_etree.restype = _INT
-    lib.ldl_factor.argtypes = [_INT] + [_PTR] * 10
-    lib.ldl_factor.restype = _INT
-    lib.ldl_solve.argtypes = [_INT] + [_PTR] * 5
-    lib.ldl_solve.restype = None
+    for name, (argtypes, restype) in _ENTRY_POINTS.items():
+        function = getattr(lib, name)
+        function.argtypes, function.restype = argtypes, restype
     return lib
 
 
-def _checked(name: str, a, dtype, size: int) -> int:
-    """The address of ``a``, after checking that C may use it as ``size``
-    values of ``dtype``."""
-    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
-            and a.flags.c_contiguous and a.size == size):
+def _address(a: np.ndarray):
+    """What C takes as the address of the array ``a``: a zero-length ctypes
+    view of its buffer, which keeps ``a`` alive while it is held, and costs
+    a third of ``a.ctypes.data``; the address of a read-only ``a``."""
+    return _VIEW.from_buffer(a) if a.flags.writeable else a.ctypes.data
+
+
+def _checked(name: str, a, dtype, *shape: int):
+    """The address of ``a`` (``_address``), after checking that C may use
+    it as a C-contiguous array of ``dtype`` and this shape."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.shape == shape and a.flags.c_contiguous):
         raise ValueError(
-            f"{name}: need a C-contiguous {np.dtype(dtype)} vector of length "
-            f"{size}, got {getattr(a, 'dtype', type(a).__name__)} of shape "
+            f"{name}: need a C-contiguous {np.dtype(dtype)} array of shape "
+            f"{shape}, got {getattr(a, 'dtype', type(a).__name__)} of shape "
             f"{getattr(a, 'shape', None)}")
-    return a.ctypes.data
+    return _address(a)
 
 
 def etree(indptr: np.ndarray, indices: np.ndarray):
@@ -116,8 +146,8 @@ def etree(indptr: np.ndarray, indices: np.ndarray):
             or (indices.size and not 0 <= indices.min() <= indices.max() < n):
         raise ValueError("not a CSC pattern of an n x n matrix")
     work, counts, parent = np.empty((3, n), np.intc)
-    if _library().ldl_etree(n, *args, work.ctypes.data, counts.ctypes.data,
-                            parent.ctypes.data) < 0:
+    out = map(_address, (work, counts, parent))
+    if _library().ldl_etree(n, *args, *out) < 0:
         raise ValueError("the pattern has an entry below the diagonal")
     Lp = np.zeros(n + 1, np.int64)
     np.cumsum(counts, out=Lp[1:])
@@ -145,9 +175,9 @@ class Factors:
         self.L = np.empty(Lp[-1], np.intc), np.empty(Lp[-1]), np.empty(n)
         work = np.empty(3 * n, np.intc), np.empty(n)
         self._held = indptr, indices, parent, Lp, self.L, work
-        li, lx, d = (a.ctypes.data for a in self.L)
+        li, lx, d = map(_address, self.L)
         self._factor_args = (ap, ai), (lp, par, li, lx, d,
-                                       *(a.ctypes.data for a in work))
+                                       *map(_address, work))
         self._solve_args = lp, li, lx, d
 
     def factor(self, values: np.ndarray) -> int:

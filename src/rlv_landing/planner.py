@@ -47,6 +47,7 @@ from .params import PlanningConfig, VehicleParams
 NZ = 11          # per-node variables (r, v, m, T, Gamma)
 NX = 7           # state dimension
 IDX_GAMMA = 10   # Gamma offset inside a node block
+THRUST_CONE = ConeBlock(SOC, 4)   # ||T_k|| <= Gamma_k, one block for all k
 
 
 @dataclass(frozen=True)
@@ -463,8 +464,7 @@ class PlanningProblem:
             lo_tc, hi_tc = self.boundary.coast_fit.window
             bounds += [-lo_tc, hi_tc]
         h_vec[box] = bounds
-        cones = [ConeBlock(NONNEG, n_nonneg)] + \
-                [ConeBlock(SOC, 4) for _ in range(n_soc)]
+        cones = [ConeBlock(NONNEG, n_nonneg)] + [THRUST_CONE] * n_soc
 
         program = ConicProgram(c=np.zeros(self.n_vars), A=A_mat, b=b_vec,
                                G=G_mat, h=h_vec, cones=cones,

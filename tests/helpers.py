@@ -1,7 +1,8 @@
 """Shared numerical test utilities: finite differences, random states, a
 cone layout, a stand-in for scipy's sparse solvers that records their
-orderings, and the scalar oracles the kernels are tested against: the
-aero model at one angle of attack and the KKT residuals of a solution."""
+orderings, and the oracles the kernels are tested against: the aero model
+at one angle of attack, the KKT residuals of a solution, and the numpy cone
+algebra that the compiled one (``conic/cones.c``) replaced."""
 
 from __future__ import annotations
 
@@ -167,3 +168,118 @@ def verify_kkt(program: ConicProgram, solution: SolverSolution) -> KktReport:
         dual_cone=cone_violation(solution.z),
         complementarity=abs(float(s @ solution.z)),
     )
+
+
+# The numpy cone algebra that ``conic/cones.c`` replaced, kept as the
+# kernel's oracle: each function is the numpy code of the entry point it is
+# named after, over a ``Cones`` layout, with numpy's warnings silenced.
+# (The NT scaling's is ``nt_reference`` in test_solver.py.)
+
+def _join(nn, soc):
+    return np.concatenate([nn, soc.reshape(-1)])
+
+
+@np.errstate(all="ignore")
+def numpy_points(cones, u):
+    """``cone_points``: the J-norm squares, J-norms, normalized blocks and
+    violations of the stack u (k, dim)."""
+    nn, b = cones.split(u)
+    tail_sq = np.add.reduce(b[..., 1:] ** 2, axis=-1)
+    norm_sq = b[..., 0] ** 2 - tail_sq
+    norm = np.sqrt(np.maximum(norm_sq, 1e-300))
+    worst = [-np.inf] * len(u)
+    margin = np.sqrt(tail_sq) - b[..., 0]
+    for part in (-nn.min(axis=1, initial=np.inf),
+                 margin.max(axis=-1, initial=-np.inf)):
+        worst = [max(w, v) for w, v in zip(worst, part.tolist())]
+    return norm_sq, norm, b / norm[..., None], worst
+
+
+@np.errstate(all="ignore")
+def numpy_max_steps(cones, u, du):
+    """``cone_max_steps``: the step of each point of the stack u along its
+    direction in du."""
+    _, norm, ubar, _ = numpy_points(cones, u)
+    nn, _ = cones.split(u)
+    dn, d_soc = cones.split(du)
+    ratio = np.divide(-nn, dn, out=np.full(dn.shape, np.inf), where=dn < 0)
+    alpha = ratio.min(axis=1, initial=np.inf).tolist()
+    dbar = d_soc / norm[..., None]
+    rho0 = ubar[..., 0] * dbar[..., 0] \
+        - np.add.reduce(ubar[..., 1:] * dbar[..., 1:], axis=-1)
+    rho1 = dbar[..., 1:] - ubar[..., 1:] \
+        * ((rho0 + dbar[..., 0]) / (ubar[..., 0] + 1.0))[..., None]
+    worst = np.sqrt(np.add.reduce(rho1 * rho1, axis=-1)) - rho0
+    for i, w in enumerate(worst.max(axis=-1, initial=-np.inf).tolist()):
+        if w > 0.0:
+            alpha[i] = min(alpha[i], 1.0 / w)
+    return alpha
+
+
+def nt_apply(cones, w_nn, mats, u):
+    """W u, for the NT scaling's orthant diagonal and SOC block stack."""
+    u_nn, u_soc = cones.split(u)
+    return _join(w_nn * u_nn, np.einsum("nij,nj->ni", mats, u_soc))
+
+
+@np.errstate(all="ignore")
+def numpy_rhs(cones, w_nn, mats, lam, d):
+    """``cone_rhs``: W (lam \\ d), lam o x = d solved blockwise."""
+    norm_sq = numpy_points(cones, lam[None])[0][0]
+    (d_nn, db), (l_nn, lb) = cones.split(d), cones.split(lam)
+    x = np.empty_like(db)
+    x[:, 0] = (lb[:, 0] * db[:, 0]
+               - np.add.reduce(lb[:, 1:] * db[:, 1:], axis=1)) / norm_sq
+    x[:, 1:] = (db[:, 1:] - x[:, :1] * lb[:, 1:]) / lb[:, :1]
+    return nt_apply(cones, w_nn, mats, _join(d_nn / l_nn, x))
+
+
+def _soc_product(ub, vb):
+    out = np.empty_like(ub)
+    out[:, 0] = np.add.reduce(ub * vb, axis=1)
+    out[:, 1:] = ub[:, :1] * vb[:, 1:] + vb[:, :1] * ub[:, 1:]
+    return out
+
+
+@np.errstate(all="ignore")
+def numpy_product(cones, u, v):
+    """``cone_product``: the Jordan product u o v."""
+    (u_nn, u_soc), (v_nn, v_soc) = cones.split(u), cones.split(v)
+    return _join(u_nn * v_nn, _soc_product(u_soc, v_soc))
+
+
+@np.errstate(all="ignore")
+def numpy_scaled_product(cones, w_nn, mats, inv, u, v):
+    """``cone_scaled_product``: (W^{-1} u) o (W v)."""
+    (u_nn, u_soc), (v_nn, v_soc) = cones.split(u), cones.split(v)
+    return _join((u_nn / w_nn) * (w_nn * v_nn),
+                 _soc_product(np.einsum("nij,nj->ni", inv, u_soc),
+                              np.einsum("nij,nj->ni", mats, v_soc)))
+
+
+@np.errstate(all="ignore")
+def numpy_clip_eigenvalues(cones, v, lo, hi):
+    """``cone_clip_eigenvalues``: v's spectral values clipped to [lo, hi]."""
+    v_nn, vb = cones.split(v)
+    nv1 = np.sqrt(np.add.reduce(vb[:, 1:] ** 2, axis=1))
+    e1 = (vb[:, 0] + nv1).clip(lo, hi)
+    e2 = (vb[:, 0] - nv1).clip(lo, hi)
+    out = np.empty_like(vb)
+    out[:, 0] = 0.5 * (e1 + e2)
+    unit = np.divide(vb[:, 1:], nv1[:, None], out=np.zeros_like(vb[:, 1:]),
+                     where=nv1[:, None] > 1e-300)
+    out[:, 1:] = 0.5 * (e1 - e2)[:, None] * unit
+    return _join(v_nn.clip(lo, hi), out)
+
+
+def same_bits(a, b, signed_zeros=True) -> bool:
+    """Whether a and b hold the same float64 values to the bit, every NaN
+    read as one NaN: numpy does not fix a NaN's sign or payload. Without
+    ``signed_zeros``, -0.0 reads as 0.0 too, for a minimum or maximum, in
+    which numpy returns either of two tied zeros."""
+    a, b = (np.array(x, dtype=np.float64) for x in (a, b))
+    for x in (a, b):
+        x[np.isnan(x)] = np.nan
+        if not signed_zeros:
+            x[x == 0.0] = 0.0
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -29,11 +29,14 @@ from rlv_landing.conic import (
     solve,
 )
 from rlv_landing.conic import ipm, ldl
-from rlv_landing.conic.cones import Cones
+from rlv_landing.conic.cones import ConePoints, Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import MULTI_BLOCK_CONES, CountingSpla, verify_kkt
+from helpers import (MULTI_BLOCK_CONES, CountingSpla, nt_apply,
+                     numpy_clip_eigenvalues, numpy_max_steps, numpy_points,
+                     numpy_product, numpy_rhs, numpy_scaled_product, same_bits,
+                     verify_kkt)
 
 
 def lp(c, G, h, A=None, b=None):
@@ -413,8 +416,11 @@ class TestQuasiDefiniteKkt:
         """The KKT matrix assembled afresh, the -(W^2 + reg I) block from
         W applied twice to unit vectors."""
         n, me, mi = prog.n, prog.A.shape[0], prog.G.shape[0]
-        W2 = np.column_stack([scaling.apply(scaling.apply(e))
-                              for e in np.eye(mi)])
+
+        def apply(u):
+            return nt_apply(scaling.cones, scaling.w_nn, scaling.soc_mats, u)
+
+        W2 = np.column_stack([apply(apply(e)) for e in np.eye(mi)])
         return sp.bmat([[prog.P + reg * sp.eye(n), prog.A.T, prog.G.T],
                         [prog.A, -reg * sp.eye(me), None],
                         [prog.G, None, -(sp.csr_matrix(W2) + reg * sp.eye(mi))]],
@@ -771,6 +777,145 @@ class TestStepLength:
         assert scaling.lam.u[0].tobytes() == lam.tobytes()
 
 
+def kernel_case(seed, blocks, special):
+    """Two points (k, dim) and two directions of the layout: the points
+    inside the cones or moved out of them along the identity, the
+    directions of mixed scales, in one case of three with every SOC tail
+    +-0, and ``special``'s (array, entry, value) written over them, where
+    array 0 is the points and 1 the directions."""
+    rng = np.random.default_rng(seed)
+    cones = Cones(blocks)
+    u = np.array([interior_point(rng, blocks, margin=(1e-3, 1.0))
+                  - rng.choice([0.0, 0.0, 2.0]) * rng.uniform()
+                  * cones.identity() for _ in range(2)])
+    du = rng.normal(size=u.shape) * 10.0 ** rng.uniform(-2, 2, size=(2, 1))
+    if rng.uniform() < 1 / 3:
+        for a in (u, du):
+            tails = cones.split(a)[1][..., 1:]
+            tails[...] = rng.choice([0.0, -0.0], size=tails.shape)
+    for which, entry, value in special:
+        part = (u, du)[which].reshape(-1)
+        part[entry % part.size] = value
+    return cones, u, du
+
+
+# LAYOUTS and the planner's N=100 layout: 596 orthant rows, 100 blocks of 4.
+KERNEL_LAYOUTS = st.one_of(LAYOUTS, st.just(layout(596, 100, 4)))
+SPECIAL = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10 ** 6),
+                             st.sampled_from([math.nan, math.inf, -math.inf,
+                                              0.0, -0.0])),
+                   max_size=4)
+
+
+class TestConeKernel:
+    """Each entry point of the compiled cone algebra (``conic/cones.c``)
+    against the numpy code it replaced (``helpers``), byte for byte, every
+    NaN read as one NaN, at points with NaN, +-inf and +-0 entries too. The
+    violations and steps, which are minima and maxima, are compared with
+    their zeros unsigned."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+           special=SPECIAL)
+    def test_points_and_steps_are_numpy_s(self, seed, blocks, special):
+        cones, u, du = kernel_case(seed, blocks, special)
+        points = cones.points(*u)
+        norm_sq, norm, bar, worst = numpy_points(cones, u)
+        assert same_bits(points.norm_sq, norm_sq)
+        assert same_bits(points.norm, norm)
+        assert same_bits(points.bar, bar)
+        assert same_bits(points.violations(), worst, signed_zeros=False)
+        assert same_bits(points.max_steps(*du), numpy_max_steps(cones, u, du),
+                         signed_zeros=False)
+
+    def test_nan_rules_are_numpy_s(self):
+        # Two orthant rows, one SOC block. A NaN in a minimum or maximum is
+        # NaN, and a NaN loses where a Python min or max meets it: the
+        # violations ignore a NaN, a NaN orthant step stays NaN against the
+        # SOC's, and a NaN SOC step leaves the orthant's.
+        cones = Cones(layout(2, 1, 3))
+        u = np.array([[math.nan, 1.0, 1.0, 0.0, 0.0],
+                      [1.0, 1.0, math.nan, 0.0, 0.0]])
+        du = np.array([[-1.0, -1.0, -1.0, 1.0, 0.0],
+                       [-1.0, 1.0, -1.0, 1.0, 0.0]])
+        points = cones.points(*u)
+        assert same_bits(points.violations(), [-1.0, -1.0])
+        assert same_bits(points.max_steps(*du), [math.nan, 1.0])
+        assert same_bits(points.max_steps(*du), numpy_max_steps(cones, u, du))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+           special=SPECIAL)
+    def test_nt_scaling_is_numpy_s(self, seed, blocks, special):
+        cones, u, du = kernel_case(seed, blocks, special)
+        scaling = _NTScaling(cones.points(*u))
+        with np.errstate(all="ignore"):
+            w_nn, mats, inv, sq, lam = nt_reference(blocks, *u)
+        assert same_bits(scaling.w_nn, w_nn)
+        assert same_bits(scaling.soc_mats, mats)
+        assert same_bits(scaling.soc_inv, inv)
+        assert same_bits(scaling.soc_sq, sq)
+        assert same_bits(scaling.lam.u[0], lam)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+           special=SPECIAL)
+    def test_products_and_rhs_are_numpy_s(self, seed, blocks, special):
+        # Each from the same inputs as the oracle: the kernel's scaling.
+        cones, u, du = kernel_case(seed, blocks, special)
+        scaling = _NTScaling(cones.points(*u))
+        w_nn, mats, inv = scaling.w_nn, scaling.soc_mats, scaling.soc_inv
+        assert same_bits(scaling.rhs(du[0]), numpy_rhs(
+            cones, w_nn, mats, scaling.lam.u[0], du[0]))
+        assert same_bits(scaling.scaled_product(*du), numpy_scaled_product(
+            cones, w_nn, mats, inv, *du))
+        assert same_bits(cones.product(u[0], du[1]),
+                         numpy_product(cones, u[0], du[1]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+           special=SPECIAL,
+           bounds=st.sampled_from([(0.1, 10.0), (1e-3, 1e-1), (0.0, math.inf),
+                                   (math.nan, 1.0), (1.0, math.nan),
+                                   (2.0, 1.0)]))
+    def test_clip_eigenvalues_is_numpy_s(self, seed, blocks, special, bounds):
+        cones, u, du = kernel_case(seed, blocks, special)
+        for v in (*u, *du):
+            assert same_bits(cones.clip_eigenvalues(v, *bounds),
+                             numpy_clip_eigenvalues(cones, v, *bounds))
+
+    def test_wrong_arrays_raise_before_any_call(self, monkeypatch):
+        # A wrong dtype, a non-contiguous array or a short one raises
+        # ValueError at every entry point, before the library is loaded.
+        cones = Cones(MIXED_CONES)
+        rng = np.random.default_rng(5)
+        s, z = (interior_point(rng, MIXED_CONES) for _ in range(2))
+        iterate, single = cones.points(s, z), cones.points(s)
+        scaling = _NTScaling(iterate)
+        calls = []
+        monkeypatch.setattr(ldl, "_library", lambda: calls.append(1))
+        s32, z32 = s.astype(np.float32), z.astype(np.float32)
+        bad = [
+            lambda: cones.points(s32, z32),
+            lambda: cones.points(s[:-1], z[:-1]),
+            lambda: ConePoints(cones, np.asfortranarray(np.array([s, z]))),
+            lambda: iterate.max_steps(s32, z32),
+            lambda: iterate.max_steps(s[:-1], z[:-1]),
+            lambda: iterate.max_steps(s),
+            lambda: _NTScaling(single),
+        ]
+        for v in (s.astype(np.float32), np.repeat(s, 2)[::2], s[:-1]):
+            bad += [lambda v=v: scaling.rhs(v),
+                    lambda v=v: scaling.scaled_product(v, z),
+                    lambda v=v: scaling.scaled_product(z, v),
+                    lambda v=v: cones.product(z, v),
+                    lambda v=v: cones.clip_eigenvalues(v, 0.1, 10.0)]
+        for call in bad:
+            with pytest.raises(ValueError):
+                call()
+        assert not calls
+
+
 class TestWarmStart:
     """A solve from ``program.start``: used when its shapes match the
     program, and ignored (a cold solve) when they do not. Its KKT analysis
@@ -915,7 +1060,8 @@ def ldl_factors(K):
 
 
 class TestLdlKernel:
-    """The compiled LDL' kernel the IPM factors its KKT matrix with."""
+    """The compiled LDL' kernel the IPM factors its KKT matrix with, and the
+    build of the one library that holds it and the cone algebra."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_pos=st.integers(1, 12),
@@ -1026,32 +1172,61 @@ class TestLdlKernel:
                 call()
         assert not calls
 
+    @staticmethod
+    def copy_sources(directory, monkeypatch):
+        """Both sources, copied into ``directory`` and built from there."""
+        copies = tuple(directory / source.name for source in ldl.SOURCES)
+        for source, copy in zip(ldl.SOURCES, copies):
+            copy.write_bytes(source.read_bytes())
+        monkeypatch.setattr(ldl, "SOURCES", copies)
+        return copies
+
     def test_unwritable_cache_builds_in_a_private_directory(
             self, tmp_path, monkeypatch):
         # No __pycache__ directory can be made next to this copy of the
-        # source (a file holds the name): the library is built in a
-        # temporary directory, loaded, and the directory removed.
-        source = tmp_path / "ldl.c"
-        source.write_bytes(ldl.SOURCE.read_bytes())
+        # sources (a file holds the name): the one library of both is built
+        # in a temporary directory, loaded, and the directory removed.
+        self.copy_sources(tmp_path, monkeypatch)
         (tmp_path / "__pycache__").write_text("")
-        monkeypatch.setattr(ldl, "SOURCE", source)
         made, mkdtemp = [], ldl.tempfile.mkdtemp
         monkeypatch.setattr(ldl.tempfile, "mkdtemp",
                             lambda: made.append(mkdtemp()) or made[-1])
         lib = ldl._library.__wrapped__()
         assert lib.ldl_factor.restype is ctypes.c_int
+        assert lib.cone_clip_eigenvalues.argtypes[3] is ctypes.c_double
         assert len(made) == 1 and not os.path.exists(made[0])
 
     def test_failed_compile_raises_import_error(self, tmp_path, monkeypatch):
-        source = tmp_path / "ldl.c"
-        source.write_text("int broken(\n")
-        monkeypatch.setattr(ldl, "SOURCE", source)
-        with pytest.raises(ImportError,
-                           match="compiling ldl.c failed") as info:
-            ldl._library.__wrapped__()
-        assert "-ffp-contract=off" in str(info.value)   # the command
-        assert "error" in str(info.value)                # its stderr
-        assert not list((tmp_path / "__pycache__").iterdir())
+        # Either source failing to compile fails the one library.
+        for copy in self.copy_sources(tmp_path, monkeypatch):
+            good = copy.read_bytes()
+            copy.write_text("int broken(\n")
+            with pytest.raises(ImportError,
+                               match="compiling ldl.c and cones.c failed") \
+                    as info:
+                ldl._library.__wrapped__()
+            assert "-ffp-contract=off" in str(info.value)   # the command
+            assert f"{copy.name}:1" in str(info.value)      # its stderr
+            assert not list((tmp_path / "__pycache__").iterdir())
+            copy.write_bytes(good)
+
+    def test_cache_key_covers_both_sources(self, tmp_path, monkeypatch):
+        # A change to either source, or to the command, names another
+        # library; the same sources and command name the same one.
+        command = ["cc", *ldl.FLAGS]
+        copies = self.copy_sources(tmp_path, monkeypatch)
+        key = ldl._cache_path(command)
+        assert key.parent == tmp_path / "__pycache__"
+        assert ldl._cache_path(command) == key
+        assert ldl._cache_path(["cc", "-O3"]) != key
+        keys = {key}
+        for copy in copies:
+            good = copy.read_bytes()
+            copy.write_bytes(good + b"\n")
+            keys.add(ldl._cache_path(command))
+            copy.write_bytes(good)
+            assert ldl._cache_path(command) == key
+        assert len(keys) == 3
 
 
 class TestScaling:
