@@ -3,19 +3,25 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_27.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_28.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
 The fixture is the first SCP subproblem of the plan from that state, with
-the trust region ``run_scp`` adds: one ``PlanningProblem.build``, one IPM
-solve of the subproblem, and one factorization of the IPM's first KKT
-matrix, by SuperLU at its defaults and by SuperLU's minimum degree with the
+the trust region ``run_scp`` adds. Its ``PlanningProblem.build`` is timed
+twice: by a fresh problem (with the plan's scaling), which makes the
+build's template, and by the problem that built it, which reuses that
+template and writes only values. Then one IPM solve of the subproblem, and
+one factorization of the IPM's first KKT matrix, by SuperLU at its defaults and by SuperLU's minimum degree with the
 pivots on the diagonal (``ipm.factor_quasidefinite``). A refactorization of
 that matrix is timed at N=100 and on the first N=30 subproblem: by SuperLU
 in natural order after that minimum-degree ordering, and by the IPM's LDL'
-kernel in the ordering the IPM analyses the matrix in, as each IPM
-iteration factors it.
+kernel in the ordering the IPM analyses the matrix in, on the symbolic
+analysis (``ldl.analyze``) made once, as each IPM iteration factors it.
+The KKT and cone-algebra cases run a fixed number of rounds after warm-up
+rounds (``KERNEL_ROUNDS``): at pytest-benchmark's default time budget
+their sub-millisecond medians moved more between runs than a kernel change
+moves them.
 The warm case solves the plan's third subproblem as ``run_scp`` does: at
 ``scp.INEXACT_TOL``, from the second subproblem's solution at that
 tolerance. (The second subproblem has one load row fewer than the first, so
@@ -122,7 +128,23 @@ def first_kkt(prog, reg=ipm.REG) -> sp.csc_matrix:
                          shape=(start, start))
 
 
-def test_build_n100(benchmark, subproblem):
+def test_build_first_n100(benchmark, subproblem):
+    """A build by a fresh problem with the plan's scaling: it makes its
+    template."""
+    prob, ref, _ = subproblem
+
+    def fresh():
+        other = PlanningProblem(prob.boundary, VP, prob.cfg)
+        other._scaling = prob.scaling(ref)
+        return (other, ref), {}
+
+    benchmark.pedantic(PlanningProblem.build, setup=fresh, rounds=100,
+                       warmup_rounds=5)
+
+
+def test_build_repeat_n100(benchmark, subproblem):
+    """A build by the problem that built about ``ref`` before: it reuses
+    the template and writes only values."""
     prob, ref, _ = subproblem
     benchmark(prob.build, ref)
 
@@ -166,15 +188,25 @@ def test_ipm_resolve_n100(benchmark, third_subproblem):
     benchmark.extra_info["resumed"] = sol.resumed
 
 
+# Rounds of a KKT or cone-algebra case, after warm-up rounds.
+KERNEL_ROUNDS = dict(rounds=400, warmup_rounds=40, iterations=1)
+
+
+def kernel(benchmark, function, *args, **kwargs):
+    """``function(*args, **kwargs)`` timed over KERNEL_ROUNDS."""
+    return benchmark.pedantic(function, args=args, kwargs=kwargs,
+                              **KERNEL_ROUNDS)
+
+
 def test_kkt_factor_default_n100(benchmark, subproblem):
     K = first_kkt(subproblem[2])
-    lu = benchmark(spla.splu, K)
+    lu = kernel(benchmark, spla.splu, K)
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
 def test_kkt_factor_quasidefinite_n100(benchmark, subproblem):
     K = first_kkt(subproblem[2])
-    lu = benchmark(ipm.factor_quasidefinite, K)
+    lu = kernel(benchmark, ipm.factor_quasidefinite, K)
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
@@ -184,7 +216,7 @@ def refactor_natural(benchmark, prog):
     factor = ipm.factor_quasidefinite
     K = first_kkt(prog)
     order = np.argsort(factor(K).perm_c)
-    lu = benchmark(factor, K[order][:, order].tocsc(), natural=True)
+    lu = kernel(benchmark, factor, K[order][:, order].tocsc(), natural=True)
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
@@ -199,15 +231,15 @@ def ipm_order(prog):
 def refactor_ldl(benchmark, prog):
     """An IPM iteration's factorization, by the IPM's LDL' kernel in the
     IPM's ordering: the upper triangle of the permuted matrix, analysed
-    once and factored numerically."""
+    once (``ldl.analyze``) and factored numerically."""
     from rlv_landing.conic import ldl
 
     K = first_kkt(prog)
     order = ipm_order(prog)
     upper = sp.triu(K[order][:, order], format="csc")
     pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
-    factors = ldl.Factors(*pattern, *ldl.etree(*pattern))
-    assert benchmark(factors.factor, upper.data) >= 0
+    factors = ldl.Factors(*pattern, *ldl.analyze(*pattern))
+    assert kernel(benchmark, factors.factor, upper.data) >= 0
     benchmark.extra_info["nnz_L"] = int(factors.L[0].size)
     # L and D, counted as SuperLU counts L + U: both triangles and the
     # diagonal twice.
@@ -263,7 +295,7 @@ def cone_pass(cones, s, z, ds, dz):
 
 def cone_algebra(benchmark, prog):
     args = mid_solve(prog)
-    rhs = benchmark(cone_pass, *args)
+    rhs = kernel(benchmark, cone_pass, *args)
     # The same bits in every tree that keeps them.
     benchmark.extra_info["rhs_sha256"] = hashlib.sha256(rhs.tobytes()).hexdigest()[:16]
 

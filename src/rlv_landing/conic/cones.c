@@ -11,7 +11,9 @@
  * A minimum or maximum is NaN if a term is NaN, as numpy's are; which of
  * two tied zeros of opposite sign it returns may differ from numpy's.
  * The caller checks every array's length. The vectors a function keeps
- * on the stack are d long, against the d x d doubles of a block's W. */
+ * on the stack are d long, against the d x d doubles of a block's W.
+ * cone_w2_scatter writes the NT scaling's -(W^2 + reg I) into the IPM's
+ * KKT values. */
 
 #include <math.h>
 #include <stddef.h>
@@ -243,4 +245,29 @@ void cone_clip_eigenvalues(int n_nn, int n_soc, int d, double lo, double hi,
         for (int j = 1; j < d; j++)
             out[at + j] = half * (nv > 1e-300 ? vb[j] / nv : 0.0);
     }
+}
+
+static void put(double v, int slot, int upper, double *Kx, double *Ux)
+{
+    Kx[slot] = v;
+    if (upper >= 0)
+        Ux[upper] = v;
+}
+
+/* -(W^2 + reg I), written into a KKT matrix's values Kx at slots, and into
+ * its upper triangle's values Ux at upper where that is not -1, in the
+ * order of the orthant diagonal -(w_nn^2 + reg), then each block's d x d
+ * entries row by row, reg added on the diagonal. */
+void cone_w2_scatter(int n_nn, int n_soc, int d, double reg,
+                     const double *w_nn, const double *W2, const int *slots,
+                     const int *upper, double *Kx, double *Ux)
+{
+    for (int i = 0; i < n_nn; i++)
+        put(-(w_nn[i] * w_nn[i] + reg), slots[i], upper[i], Kx, Ux);
+    slots += n_nn;
+    upper += n_nn;
+    for (int b = 0; b < n_soc; b++)
+        for (int i = 0; i < d; i++)
+            for (int j = 0; j < d; j++, W2++, slots++, upper++)
+                put(i == j ? -(*W2 + reg) : -*W2, *slots, *upper, Kx, Ux);
 }

@@ -19,8 +19,13 @@ negative of one, on the diagonal), so every symmetric permutation of it has
 an LDL' factorization with the pivots on the diagonal, stable without
 pivoting (Vanderbei, SIAM J. Optim. 1995). K is stored one way, through an
 analysis (``_Analysis``): K's CSC pattern permuted by the stage ordering,
-into which each iteration writes only the -(W'W + eps I) values, and the
-LDL' analysis of K's upper triangle in that ordering.
+formed by a counting sort, into which each iteration writes only the
+-(W'W + eps I) values, and the LDL' analysis of K's upper triangle in that
+ordering. Every symbolic step is taken once per pattern, as sparse direct
+solvers split the work (Davis, ACM TOMS 31(4), 2005; QDLDL): the analysis
+holds each row's pattern of L, so a factorization walks no elimination
+tree, and an iteration's -(W'W + eps I) values go straight into K's values
+and its upper triangle's, in C (``cone_w2_scatter``).
 
 The stage ordering (``_stage_order``) reads the program's ``stage``, one
 per variable, the structure optimal-control IPMs exploit (Frison & Diehl,
@@ -183,13 +188,6 @@ class _NTScaling:
                                            ldl._address(out))
         return out
 
-    def w2_entries(self, reg: float) -> np.ndarray:
-        """Values of W^2 + reg I laid out to match the KKT sparsity pattern."""
-        d = self.cones.d
-        blocks = self.soc_sq.copy()
-        blocks[:, np.arange(d), np.arange(d)] += reg
-        return np.concatenate([self.w_nn ** 2 + reg, blocks.reshape(-1)])
-
 
 def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
     """SuperLU's sparse LU of a symmetric quasi-definite matrix, pivots on
@@ -252,7 +250,7 @@ def _stage_order(A, G, stage) -> np.ndarray:
 def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns (int32) of the KKT entries, unpermuted: the values of
     ``_Kkt``'s value vector (P, reg I, A', A, -reg I, G', G), then the
-    -(W^2 + reg I) block in the order w2_entries emits them (nonneg
+    -(W^2 + reg I) block in the order cone_w2_scatter writes it (nonneg
     diagonal, dense SOC blocks)."""
     n, me = P.shape[0], A.shape[0]
     P_rows, A_rows, G_rows = _rows(P), _rows(A) + n, _rows(G) + n + me
@@ -271,13 +269,16 @@ def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
 class _Analysis:
     """The symbolic analysis of one KKT pattern in its stage ordering, left
     on the solution for a later solve of the same pattern: the ordering,
-    K's CSC pattern permuted by it, the slot in it of each value ``_Kkt``
-    writes (``value_slots``: P, reg I, A', A, -reg I, G', G; ``w2_slots``:
-    -(W^2 + reg I)), and the LDL' analysis of K's upper triangle in that
-    ordering: the slots of its entries (``upper_slots``), its CSC pattern,
-    and the elimination tree and column pointers of L (``ldl.etree``). It
-    outlives the solve, so it holds only int32 index arrays of its own,
-    none shared with P, A, G or K."""
+    K's CSC pattern permuted by it (``ldl.csc_pattern``, a counting sort),
+    the slot in it of each value ``_Kkt`` writes (``value_slots``: P,
+    reg I, A', A, -reg I, G', G; ``w2_slots``: -(W^2 + reg I)), and the
+    LDL' analysis of K's upper triangle in that ordering
+    (``ldl.csc_upper``): the slots of its entries (``upper_slots``), where each -(W^2 + reg I) value sits in it
+    (``w2_upper``, -1 below the diagonal), its CSC pattern, and
+    ``ldl.analyze``'s column pointers and row patterns of L (``Lp``,
+    ``Rp``, ``Ri``), which every factorization reads. It outlives the solve, so it
+    holds only int32 index arrays of its own, none shared with P, A, G or
+    K."""
 
     pattern: list[np.ndarray]
     position: np.ndarray     # position[i]: where row/column i sits in K
@@ -286,33 +287,29 @@ class _Analysis:
     indices: np.ndarray
     value_slots: np.ndarray
     w2_slots: np.ndarray
+    w2_upper: np.ndarray
     upper_slots: np.ndarray
     upper_indptr: np.ndarray
     upper_indices: np.ndarray
-    parent: np.ndarray
     Lp: np.ndarray
+    Rp: np.ndarray
+    Ri: np.ndarray
 
     @classmethod
     def of(cls, pattern, rows, cols, n_values: int, order) -> _Analysis:
         """The analysis of ``_entries``' rows and columns (the first
         ``n_values`` the value vector's) in the ordering ``order``."""
-        dim = order.size
         position = np.argsort(order).astype(np.intc)
-        keys, slots = np.unique(
-            position[cols].astype(np.int64) * dim + position[rows],
-            return_inverse=True)
-        slots = slots.astype(np.intc)
-        indices, columns = (keys % dim).astype(np.intc), keys // dim
-        upper = np.flatnonzero(indices <= columns)
-        upper_indptr = np.searchsorted(columns[upper],
-                                       np.arange(dim + 1)).astype(np.intc)
-        upper_indices = indices[upper]
-        indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+        indptr, indices, slots = ldl.csc_pattern(rows, cols, position)
+        upper_indptr, upper_indices, upper_slots = \
+            ldl.csc_upper(indptr, indices)
+        upper_of = np.full(indices.size, -1, np.intc)
+        upper_of[upper_slots] = np.arange(upper_slots.size)
+        w2_slots = slots[n_values:]
         return cls([np.array(a) for a in pattern], position,
-                   order.astype(np.intc), indptr.astype(np.intc), indices,
-                   slots[:n_values], slots[n_values:],
-                   upper.astype(np.intc), upper_indptr, upper_indices,
-                   *ldl.etree(upper_indptr, upper_indices))
+                   order.astype(np.intc), indptr, indices, slots[:n_values],
+                   w2_slots, upper_of[w2_slots], upper_slots, upper_indptr,
+                   upper_indices, *ldl.analyze(upper_indptr, upper_indices))
 
     def matches(self, pattern: list[np.ndarray]) -> bool:
         return len(pattern) == len(self.pattern) and all(
@@ -324,12 +321,13 @@ class _Kkt:
     the start's, if it has the same pattern, else a fresh one in the stage
     ordering (``reordered``).
 
-    Only the -(W^2 + reg I) block changes between iterations; ``factor``
-    writes it through ``w2_slots`` and factors K by the compiled LDL'
-    (``ldl.Factors``), in K's ordering. At an exact zero pivot, SuperLU
-    factors that K in natural order instead, pivoting off the diagonal
-    (counted in ``pivot_fallbacks``). ``solve`` works in K's ordering
-    throughout.
+    K's values, and the upper triangle's that the LDL' kernel reads, are
+    written once, and only the -(W^2 + reg I) block changes between
+    iterations: ``factor`` writes it into both by ``cone_w2_scatter`` and
+    factors K by the compiled LDL' (``ldl.Factors``, on the analysis's row
+    patterns), in K's ordering. At an exact zero pivot, SuperLU factors
+    that K in natural order instead, pivoting off the diagonal (counted in
+    ``pivot_fallbacks``). ``solve`` works in K's ordering throughout.
     """
 
     def __init__(self, P, A, G, cones: Cones,
@@ -343,23 +341,32 @@ class _Kkt:
         if self.reordered:
             analysis = _Analysis.of(pattern, *_entries(P, A, G, cones),
                                     values.size, _stage_order(A, G, stage))
-        self.analysis = analysis
-        self.position, self.order = analysis.position, analysis.order
+        self.analysis = a = analysis
+        self.position, self.order = a.position, a.order
         self.K = sp.csc_matrix(
-            (np.bincount(analysis.value_slots, values, analysis.indices.size),
-             analysis.indices.copy(), analysis.indptr.copy()),
+            (np.bincount(a.value_slots, values, a.indices.size),
+             a.indices.copy(), a.indptr.copy()),
             shape=(self.position.size,) * 2)
+        self._upper = self.K.data[a.upper_slots]
         # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
         self._reg_sign = np.where(self.order < n, REG, -REG)
         self.pivot_fallbacks = 0
-        self._ldl = ldl.Factors(analysis.upper_indptr, analysis.upper_indices,
-                                analysis.parent, analysis.Lp)
+        self._ldl = ldl.Factors(a.upper_indptr, a.upper_indices, a.Lp, a.Rp,
+                                a.Ri)
+        self._cones = cones
+        self._w2_args = tuple(map(ldl._address, (
+            a.w2_slots, a.w2_upper, self.K.data, self._upper)))
 
     def factor(self, scaling: _NTScaling) -> None:
-        """Refill the W^2 block from the NT scaling and factor K."""
-        analysis = self.analysis
-        self.K.data[analysis.w2_slots] = -scaling.w2_entries(REG)
-        if self._ldl.factor(self.K.data[analysis.upper_slots]) >= 0:
+        """Write -(W^2 + reg I) from the NT scaling into K and its upper
+        triangle, and factor K."""
+        n_nn, n_soc, d = self._cones.shape
+        ldl._library().cone_w2_scatter(
+            n_nn, n_soc, d, REG,
+            ldl._checked("w_nn", scaling.w_nn, np.float64, n_nn),
+            ldl._checked("W^2", scaling.soc_sq, np.float64, n_soc, d, d),
+            *self._w2_args)
+        if self._ldl.factor(self._upper) >= 0:
             self._lu_solve = self._ldl.solve
         else:
             self.pivot_fallbacks += 1

@@ -1,15 +1,19 @@
 /* Sparse LDL' factorization of a symmetric matrix, up-looking, without
- * pivoting: the elimination tree and column counts once per pattern
- * (ldl_etree), then a numeric factorization per matrix (ldl_factor) and
- * triangular solves (ldl_solve). After Davis, "Algorithm 849: a concise
- * sparse Cholesky factorization package", ACM TOMS 31(4), 2005, and QDLDL
- * (Stellato et al., Math. Prog. Comp. 2020).
+ * pivoting, in two passes. The symbolic pass runs once per pattern: the
+ * elimination tree and column counts (ldl_etree), then the pattern of each
+ * row of L in the order the numeric pass visits it (ldl_symbolic). The
+ * numeric pass (ldl_factor) runs once per matrix and walks no tree: it
+ * reads those patterns. Then triangular solves (ldl_solve). After Davis, "Algorithm
+ * 849: a concise sparse Cholesky factorization package", ACM TOMS 31(4),
+ * 2005, and QDLDL (Stellato et al., Math. Prog. Comp. 2020).
  *
  * The matrix A is given by its upper triangle, diagonal included, in CSC
  * form: the rows of column j are Ai[Ap[j] .. Ap[j+1]-1], each at most j.
  * L is unit lower triangular and stored by columns without its diagonal:
  * the rows of column j are Li[Lp[j] .. Lp[j+1]-1], in ascending order.
- * All indices are int; the caller checks every array's length. */
+ * csc_pattern forms a CSC pattern from a list of entries, and csc_upper
+ * takes its upper triangle. All indices are int; the caller checks every
+ * array's length. */
 
 /* The elimination tree (parent[j], -1 at a root) and the entries of each
  * column of L (Lnz[j]). work holds n ints. Returns 0, or -1 at an entry
@@ -42,14 +46,43 @@ int ldl_etree(int n, const int *Ap, const int *Ai, int *work, int *Lnz,
     return 0;
 }
 
-/* The numeric factorization A = L D L', with Lp from ldl_etree's column
- * counts. iwork holds 3n ints and work n doubles. Returns the number of
- * positive pivots, or -1 at a pivot that is zero (or NaN). */
-int ldl_factor(int n, const int *Ap, const int *Ai, const double *Ax,
-               const int *Lp, const int *parent, int *Li, double *Lx,
-               double *D, int *iwork, double *work)
+/* The pattern of each row k of L: its columns Ri[Rp[k] .. Rp[k+1]-1], the
+ * tree paths from the rows of column k of A in topological order. iwork
+ * holds 2n ints. */
+void ldl_symbolic(int n, const int *Ap, const int *Ai, const int *parent,
+                  int *Rp, int *Ri, int *iwork)
 {
-    int *flag = iwork, *pattern = iwork + n, *filled = iwork + 2 * n;
+    int *flag = iwork, *pattern = iwork + n;
+    int t = 0;
+
+    for (int k = 0; k < n; k++) {
+        int top = n;
+        flag[k] = k;
+        for (int p = Ap[k]; p < Ap[k + 1]; p++) {
+            int i = Ai[p], len = 0;
+            for (; flag[i] != k; i = parent[i]) {
+                pattern[len++] = i;
+                flag[i] = k;
+            }
+            while (len > 0)
+                pattern[--top] = pattern[--len];
+        }
+        Rp[k] = t;
+        while (top < n)
+            Ri[t++] = pattern[top++];
+    }
+    Rp[n] = t;
+}
+
+/* The numeric factorization A = L D L', with Lp from ldl_etree's column
+ * counts and the row patterns from ldl_symbolic. iwork holds n ints and
+ * work n doubles. Returns the number of positive pivots, or -1 at a pivot
+ * that is zero (or NaN). */
+int ldl_factor(int n, const int *Ap, const int *Ai, const double *Ax,
+               const int *Lp, const int *Rp, const int *Ri, int *Li,
+               double *Lx, double *D, int *iwork, double *work)
+{
+    int *filled = iwork;
     double *y = work;
     int positive = 0;
 
@@ -58,37 +91,23 @@ int ldl_factor(int n, const int *Ap, const int *Ai, const double *Ax,
         filled[k] = 0;
     }
     for (int k = 0; k < n; k++) {
-        /* Scatter column k of the upper triangle into y, and find the
-         * pattern of row k of L: the tree paths from its rows, in
-         * topological order at pattern[top .. n-1]. */
-        int top = n;
-        flag[k] = k;
-        for (int p = Ap[k]; p < Ap[k + 1]; p++) {
-            int i = Ai[p], len = 0;
-            y[i] += Ax[p];
-            for (; flag[i] != k; i = parent[i]) {
-                pattern[len++] = i;
-                flag[i] = k;
-            }
-            while (len > 0)
-                pattern[--top] = pattern[--len];
-        }
-        /* Solve L(0:k-1, 0:k-1) D l = y for row k of L, and take the
-         * pivot D[k]. */
+        /* Scatter column k of the upper triangle into y, then solve
+         * L(0:k-1, 0:k-1) D l = y for row k of L, and take the pivot
+         * D[k]. */
+        for (int p = Ap[k]; p < Ap[k + 1]; p++)
+            y[Ai[p]] += Ax[p];
         double d = y[k];
         y[k] = 0.0;
-        for (; top < n; top++) {
-            int i = pattern[top];
+        for (int t = Rp[k]; t < Rp[k + 1]; t++) {
+            int i = Ri[t], end = Lp[i] + filled[i]++;
             double yi = y[i];
             y[i] = 0.0;
-            int end = Lp[i] + filled[i];
             for (int p = Lp[i]; p < end; p++)
                 y[Li[p]] -= Lx[p] * yi;
             double lki = yi / D[i];
             d -= lki * yi;
             Li[end] = k;
             Lx[end] = lki;
-            filled[i]++;
         }
         if (!(d > 0.0 || d < 0.0))
             return -1;
@@ -114,5 +133,77 @@ void ldl_solve(int n, const int *Lp, const int *Li, const double *Lx,
         for (int p = Lp[j]; p < Lp[j + 1]; p++)
             xj -= Lx[p] * x[Li[p]];
         x[j] = xj;
+    }
+}
+
+/* The CSC pattern of an n x n matrix of m entries, entry e at row
+ * position[rows[e]] and column position[cols[e]], by a counting sort by
+ * row and then a stable one by column: rows ascending within each column,
+ * a repeated entry stored once, and slots[e] the stored entry of e.
+ * Returns the number of stored entries. work holds n + m ints. */
+int csc_pattern(int n, int m, const int *rows, const int *cols,
+                const int *position, int *indptr, int *indices, int *slots,
+                int *work)
+{
+    int *count = work, *by_col = work + n;
+
+    /* By row into slots, then by column into by_col. */
+    for (int i = 0; i < n; i++)
+        count[i] = 0;
+    for (int e = 0; e < m; e++)
+        count[position[rows[e]]]++;
+    for (int i = 0, sum = 0; i < n; i++) {
+        int c = count[i];
+        count[i] = sum;
+        sum += c;
+    }
+    for (int e = 0; e < m; e++)
+        slots[count[position[rows[e]]]++] = e;
+    for (int j = 0; j < n; j++)
+        count[j] = 0;
+    for (int e = 0; e < m; e++)
+        count[position[cols[e]]]++;
+    for (int j = 0, sum = 0; j < n; j++) {
+        int c = count[j];
+        count[j] = sum;
+        sum += c;
+    }
+    for (int q = 0; q < m; q++) {
+        int e = slots[q];
+        by_col[count[position[cols[e]]]++] = e;
+    }
+
+    /* Each column's run of entries, rows ascending; count[j] is now
+     * where column j + 1's run starts. */
+    int stored = 0;
+    indptr[0] = 0;
+    for (int j = 0, q = 0; j < n; j++) {
+        int last = -1;
+        for (; q < count[j]; q++) {
+            int e = by_col[q], i = position[rows[e]];
+            if (i != last)
+                indices[stored++] = last = i;
+            slots[e] = stored - 1;
+        }
+        indptr[j + 1] = stored;
+    }
+    return stored;
+}
+
+/* The upper triangle of an n x n CSC pattern: its pattern (upper_indptr,
+ * upper_indices) and the stored entry of each of its entries
+ * (upper_slots). */
+void csc_upper(int n, const int *indptr, const int *indices,
+               int *upper_indptr, int *upper_indices, int *upper_slots)
+{
+    int u = 0;
+    upper_indptr[0] = 0;
+    for (int j = 0; j < n; j++) {
+        for (int p = indptr[j]; p < indptr[j + 1]; p++)
+            if (indices[p] <= j) {
+                upper_indices[u] = indices[p];
+                upper_slots[u++] = p;
+            }
+        upper_indptr[j + 1] = u;
     }
 }

@@ -11,10 +11,15 @@ hash covers both sources and the command (``_cache_path``). Where that
 directory cannot be written, it is built in a private temporary directory
 for the process. A failed compile raises ``ImportError``.
 
-``etree`` is the symbolic analysis of an upper-triangular CSC pattern, and
-``Factors`` the numeric factorization and solves for it; ``cones`` and the
-IPM's NT scaling call the cone algebra. Every array is checked for dtype,
-C-contiguity and shape (``_checked``) before it reaches C.
+``analyze`` is the symbolic pass over an upper-triangular CSC pattern: the
+elimination tree (``etree``), then the pattern of each row of L, once per
+pattern. ``Factors`` is the numeric factorization for it, which walks no
+tree, and the solves. ``csc_pattern`` forms a sparse pattern by a
+counting sort (the IPM's permuted KKT pattern and the planner's
+constraint matrices), and ``csc_upper`` takes its upper triangle. ``cones`` and the IPM's NT scaling call the cone
+algebra, and the IPM writes -(W^2 + reg I) into its KKT values by
+``cone_w2_scatter``. Every array is checked for dtype, C-contiguity and
+shape (``_checked``) before it reaches C.
 """
 
 from __future__ import annotations
@@ -40,8 +45,11 @@ _VIEW = ctypes.c_char * 0
 # Every entry point of the library: its argument and result types.
 _ENTRY_POINTS = {
     "ldl_etree": ([_INT] + [_PTR] * 5, _INT),
-    "ldl_factor": ([_INT] + [_PTR] * 10, _INT),
+    "ldl_symbolic": ([_INT] + [_PTR] * 6, None),
+    "ldl_factor": ([_INT] + [_PTR] * 11, _INT),
     "ldl_solve": ([_INT] + [_PTR] * 5, None),
+    "csc_pattern": ([_INT] * 2 + [_PTR] * 7, _INT),
+    "csc_upper": ([_INT] + [_PTR] * 5, None),
     "cone_points": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_max_steps": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_nt_scaling": ([_INT] * 3 + [_PTR] * 8, None),
@@ -49,6 +57,7 @@ _ENTRY_POINTS = {
     "cone_product": ([_INT] * 3 + [_PTR] * 3, None),
     "cone_scaled_product": ([_INT] * 3 + [_PTR] * 6, None),
     "cone_clip_eigenvalues": ([_INT] * 3 + [_DOUBLE] * 2 + [_PTR] * 2, None),
+    "cone_w2_scatter": ([_INT] * 3 + [_DOUBLE] + [_PTR] * 6, None),
 }
 
 
@@ -133,11 +142,10 @@ def _checked(name: str, a, dtype, *shape: int):
 
 
 def etree(indptr: np.ndarray, indices: np.ndarray):
-    """The symbolic analysis of a symmetric matrix given by its upper
-    triangle in CSC form (int32 ``indptr`` and ``indices``): the
-    elimination tree ``parent`` (-1 at a root) and the column pointers
-    ``Lp`` of L, both int32. Raises ``ValueError`` at an entry below the
-    diagonal."""
+    """The elimination tree of a symmetric matrix given by its upper
+    triangle in CSC form (int32 ``indptr`` and ``indices``): ``parent``
+    (-1 at a root) and the column pointers ``Lp`` of L, both int32. Raises
+    ``ValueError`` at an entry below the diagonal."""
     n = indptr.size - 1
     args = (_checked("indptr", indptr, np.intc, n + 1),
             _checked("indices", indices, np.intc, indices.size))
@@ -156,27 +164,83 @@ def etree(indptr: np.ndarray, indices: np.ndarray):
     return parent, Lp.astype(np.intc)
 
 
+def analyze(indptr: np.ndarray, indices: np.ndarray):
+    """The symbolic pass over a pattern that ``etree`` accepts, once for
+    every numeric factorization of a matrix with this pattern, all int32:
+    L's column pointers ``Lp``, and the pattern of each row k of L in the
+    order the numeric pass visits it, its columns ``Ri[Rp[k]:Rp[k + 1]]``."""
+    parent, Lp = etree(indptr, indices)
+    n = parent.size
+    Rp, Ri = np.empty(n + 1, np.intc), np.empty(Lp[-1], np.intc)
+    work = np.empty(2 * n, np.intc)
+    _library().ldl_symbolic(n, *map(_address, (indptr, indices, parent, Rp,
+                                               Ri, work)))
+    return Lp, Rp, Ri
+
+
+def csc_pattern(rows: np.ndarray, cols: np.ndarray, position: np.ndarray):
+    """The CSC pattern of the n x n matrix (n = ``position.size``) whose
+    entry e sits at row ``position[rows[e]]`` and column
+    ``position[cols[e]]``, by a counting sort, all int32: ``indptr`` and
+    ``indices``, rows ascending in each column and a repeated entry stored
+    once, and the stored entry of each e (``slots``). Raises
+    ``ValueError`` at a row, column or position out of range."""
+    n, m = position.size, rows.size
+    args = (_checked("rows", rows, np.intc, m),
+            _checked("cols", cols, np.intc, m),
+            _checked("position", position, np.intc, n))
+    if any(a.size and not 0 <= a.min() <= a.max() < n
+           for a in (rows, cols, position)):
+        raise ValueError("an entry or position is out of range")
+    indptr, indices, slots = (np.empty(size, np.intc)
+                              for size in (n + 1, m, m))
+    work = np.empty(n + m, np.intc)
+    stored = _library().csc_pattern(
+        n, m, *args, *map(_address, (indptr, indices, slots, work)))
+    return indptr, indices[:stored].copy(), slots
+
+
+def csc_upper(indptr: np.ndarray, indices: np.ndarray):
+    """The upper triangle of a square CSC pattern (``csc_pattern``'s), all
+    int32: its ``indptr`` and ``indices``, and the stored entry of each of
+    its entries (``upper_slots``)."""
+    n, nnz = indptr.size - 1, int(indptr[-1])
+    args = (_checked("indptr", indptr, np.intc, n + 1),
+            _checked("indices", indices, np.intc, nnz))
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+        raise ValueError("not the column pointers of a CSC pattern")
+    upper_indptr = np.empty(n + 1, np.intc)
+    upper_indices, upper_slots = np.empty((2, nnz), np.intc)
+    _library().csc_upper(n, *args, *map(_address, (
+        upper_indptr, upper_indices, upper_slots)))
+    size = upper_indptr[-1]
+    return (upper_indptr, upper_indices[:size].copy(),
+            upper_slots[:size].copy())
+
+
 class Factors:
     """The LDL' factors of one symmetric matrix pattern: the upper
-    triangle's ``indptr`` and ``indices``, and ``parent`` and ``Lp`` from
-    ``etree`` of that pattern, which say where the kernel writes L.
-    ``factor`` refactors in place, and ``solve`` solves with the last
-    factorization."""
+    triangle's ``indptr`` and ``indices``, and the ``analyze`` of that
+    pattern, which says where the kernel writes L; the factors read its
+    row patterns, and hold no copy. ``factor`` refactors in place, and
+    ``solve`` solves with the last factorization."""
 
-    def __init__(self, indptr, indices, parent, Lp):
-        n = self.n = parent.size
+    def __init__(self, indptr, indices, Lp, Rp, Ri):
+        n = self.n = Lp.size - 1
         ap = _checked("indptr", indptr, np.intc, n + 1)
-        par = _checked("parent", parent, np.intc, n)
-        lp = _checked("Lp", Lp, np.intc, n + 1)
         self.nnz = int(indptr[-1])
         ai = _checked("indices", indices, np.intc, self.nnz)
+        lp = _checked("Lp", Lp, np.intc, n + 1)
+        size = int(Lp[-1])
+        rp = _checked("Rp", Rp, np.intc, n + 1)
+        ri = _checked("Ri", Ri, np.intc, size)
         # L's rows and values, D, and the workspaces, all held so that their
         # addresses stay valid.
-        self.L = np.empty(Lp[-1], np.intc), np.empty(Lp[-1]), np.empty(n)
-        work = np.empty(3 * n, np.intc), np.empty(n)
-        self._held = indptr, indices, parent, Lp, self.L, work
+        self.L = np.empty(size, np.intc), np.empty(size), np.empty(n)
+        work = np.empty(n, np.intc), np.empty(n)
+        self._held = indptr, indices, Lp, Rp, Ri, self.L, work
         li, lx, d = map(_address, self.L)
-        self._factor_args = (ap, ai), (lp, par, li, lx, d,
+        self._factor_args = (ap, ai), (lp, rp, ri, li, lx, d,
                                        *map(_address, work))
         self._solve_args = lp, li, lx, d
 

@@ -40,6 +40,7 @@ from .conic import (
     make_scaling,
     scale_program,
 )
+from .conic import ldl
 from .conic.scaling import equilibrate_rows
 from .env import AeroOptions, DegenerateStateError
 from .params import PlanningConfig, VehicleParams
@@ -249,13 +250,67 @@ def linearize_planning(Z: np.ndarray, eta_ref: float,
     return LinearizedNode(A=A, C=f, D=D, g_load=g, grad_load=grad)
 
 
-def _csr(entries, shape) -> sp.csr_matrix:
-    """CSR matrix from (rows, cols, vals) triples, each broadcast to a common
-    shape; zero values are not stored and repeated positions are summed."""
-    flat = [[x.ravel() for x in np.broadcast_arrays(*e)] for e in entries]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*flat))
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+class _Entries:
+    """The candidate entries of one constraint matrix for a gate set, given
+    as (rows, cols) pieces that broadcast to a common shape each, and the
+    CSR pattern of the last call's zero values. ``csr`` stores the entries
+    whose values are nonzero, in a pattern from the kernel's counting sort
+    (``ldl.csc_pattern``), repeated positions summed, as ``sp.csr_matrix``
+    stores such a COO list, to the bit: no position
+    repeats more than twice, and a sum of two is the same in either order.
+    A call whose values are zero where the last call's were writes only
+    values, by one bincount: ``slots`` sends each entry to its stored
+    entry, and a zero one to a spare slot past them."""
+
+    def __init__(self, pieces, shape: tuple[int, int]):
+        self.pieces = [tuple(np.asarray(x, np.intc) for x in piece)
+                       for piece in pieces]
+        self.sizes = [np.broadcast(*piece).size for piece in self.pieces]
+        self.shape = shape
+        self.zeros = None           # no call yet
+
+    def csr(self, values) -> sp.csr_matrix:
+        """The matrix with one value, or a scalar, per piece."""
+        vals = np.concatenate([np.full(size, v) if np.ndim(v) == 0
+                               else v.ravel()
+                               for v, size in zip(values, self.sizes)])
+        zeros = np.flatnonzero(vals == 0.0)
+        if not np.array_equal(zeros, self.zeros):
+            n_rows, n_cols = self.shape
+            rows, cols = (np.concatenate(part) for part in zip(*(
+                [x.ravel() for x in np.broadcast_arrays(*piece)]
+                for piece in self.pieces)))
+            kept = np.ones(vals.size, bool)
+            kept[zeros] = False
+            # CSR is the CSC of the transpose: its rows as columns.
+            indptr, self.indices, slots = ldl.csc_pattern(
+                cols[kept], rows[kept],
+                np.arange(max(n_rows, n_cols), dtype=np.intc))
+            self.indptr = indptr[:n_rows + 1].copy()
+            self.slots = np.full(vals.size, self.indices.size, np.intc)
+            self.slots[kept] = slots
+            self.zeros = zeros.astype(np.intc)
+        data = np.bincount(self.slots, vals, self.indices.size + 1)[:-1]
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=self.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class _BuildTemplate:
+    """The index work of ``PlanningProblem.build`` for one gate set: the
+    nodes whose thrust is vertical and those with a load row, the
+    candidate entries of A and G, and the rows of h a build writes. It
+    holds int32 arrays only."""
+
+    vertical: np.ndarray     # nodes whose tilt bound is numerically zero
+    load: np.ndarray         # nodes with a load row
+    A: _Entries
+    G: _Entries
+    first: np.ndarray        # each node's lower thrust bound row
+    load_rows: np.ndarray
+    rate: np.ndarray         # the first of each pair of rate rows
+    box: np.ndarray
+    n_soc: int
 
 
 class PlanningProblem:
@@ -283,6 +338,7 @@ class PlanningProblem:
         self.stage = np.repeat(np.arange(self.N + 2), NZ)[:self.n_vars]
         self._scaling_bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._scaling: VariableScaling | None = None
+        self._last_template: _BuildTemplate | None = None
 
     # -- variable layout helpers -------------------------------------------------
 
@@ -337,6 +393,14 @@ class PlanningProblem:
         """The scaled SOCP subproblem linearized about ``ref``, with the
         cost -m_N only: ``run_scp`` adds the trust region.
 
+        The index work depends only on the gates, the vertical nodes and
+        the load rows: a build makes it once per gate set (``_template``),
+        and keeps the last one's, with the CSR pattern of A's and G's last
+        nonzero mask (``_Entries``). A build whose gates and masks match
+        the last build's writes only values. Either way, it calls
+        ``linearize_planning``, ``scale_program`` and ``equilibrate_rows``
+        once each.
+
         Three row families depend on reference values they carry no column
         for. An r_z column in the thrust bounds' back-pressure loss
         A_exit P_e(h) and an eta column in the rate bound Tdot_lim eta / N
@@ -355,116 +419,74 @@ class PlanningProblem:
             raise DegenerateStateError(
                 "zero reference thrust at node "
                 f"{int(np.flatnonzero(~(T_norm > 0.0))[0])}")
-        node = NZ * np.arange(N + 1)          # first column of each node
-        col_gamma = node + IDX_GAMMA
 
-        # Trapezoidal dynamics rows: X_{k+1} - X_k - (1/2N)(...) = rhs.
+        # The gates. Nodes whose tilt bound is numerically zero (the taper
+        # end) would pin their SOC cone to a boundary ray; their thrust is
+        # vertical, by equalities, and their cone dropped. In the clamped
+        # regime (q_bar <= L_lim/pi) the true load constraint
+        # T.v <= Gamma ||v|| is already implied by the cone, so the load
+        # row is dropped there, as it is at the current state.
+        theta_lim = tilt_limit_profile(eta_ref * np.arange(N + 1) / N, eta_ref,
+                                       cfg.t_theta, cfg.theta_lim_max)
+        vertical = theta_lim < 1e-5
+        speed = np.linalg.norm(Z[:, 3:6], axis=1)
+        q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
+        load = (q_bar > cfg.L_lim / math.pi) & (speed >= env.V_EPS)
+        if self.boundary.mode == "current-state":
+            load[0] = False
+        t = self._template(vertical, load)
+
+        # Equality rows, in _template's order: the trapezoidal dynamics
+        # X_{k+1} - X_k - (1/2N)(...) = rhs, the boundary rows (initial
+        # position, velocity and mass, then the terminal pad condition
+        # r = v = 0) and the vertical thrust.
         half = 1.0 / (2.0 * N)
         n_dyn = NX * N
-        dyn = np.arange(n_dyn).reshape(N, NX)
-        cols_k = node[:-1, None] + np.arange(NZ)
-        state_k = node[:-1, None] + np.arange(NX)
         M = -half * lin.A
-        eq = [(dyn[:, :, None], cols_k[:, None, :], M[:-1]),
-              (dyn[:, :, None], cols_k[:, None, :] + NZ, M[1:]),
-              (dyn, state_k, -1.0),
-              (dyn, state_k + NZ, 1.0),
-              (dyn, self.idx_eta, -half * (lin.C[:-1] + lin.C[1:]))]
-        b_dyn = half * (lin.D[:-1] + lin.D[1:])
-
-        # Boundary rows: initial position, velocity and mass, then the
-        # terminal pad condition r = v = 0.
-        initial = n_dyn + np.arange(NX)
-        eq.append((initial, np.arange(NX), 1.0))
+        eq = [M[:-1], M[1:], -1.0, 1.0, -half * (lin.C[:-1] + lin.C[1:]),
+              1.0]
         if self.with_tc:
             fit = self.boundary.coast_fit
             tc_ref = ref.t_c
             lin_vec = np.array([2.0 * tc_ref, 1.0, 0.0])
             const_vec = np.array([-tc_ref * tc_ref, 0.0, 1.0])
             slope = np.concatenate([fit.K_r @ lin_vec, fit.K_v @ lin_vec])
-            eq.append((initial[:6], self.idx_tc, -slope))
+            eq.append(-slope)
             start = np.concatenate([fit.K_r @ const_vec, fit.K_v @ const_vec])
         else:
             start = np.concatenate([self.boundary.r_now, self.boundary.v_now])
-        eq.append((n_dyn + NX + np.arange(6), node[-1] + np.arange(6), 1.0))
+        A_mat = t.A.csr(eq + [1.0, 1.0, 1.0])
+        b_vec = np.zeros(A_mat.shape[0])
+        b_vec[:n_dyn] = (half * (lin.D[:-1] + lin.D[1:])).ravel()
+        b_vec[n_dyn:n_dyn + NX] = np.append(start, self.boundary.m0)
 
-        # Nodes whose tilt bound is numerically zero (the taper end) would pin
-        # their SOC cone to a boundary ray; encode vertical thrust exactly as
-        # equalities instead and drop the pinned cone.
-        theta_lim = tilt_limit_profile(eta_ref * np.arange(N + 1) / N, eta_ref,
-                                       cfg.t_theta, cfg.theta_lim_max)
-        vertical = theta_lim < 1e-5
-        vert = node[vertical]
-        vrows = n_dyn + NX + 6 + np.arange(3 * vert.size).reshape(-1, 3)
-        eq.append((vrows, vert[:, None] + np.array([7, 8, 9]), 1.0))
-        eq.append((vrows[:, 2], vert + IDX_GAMMA, 1.0))
-
-        n_eq = n_dyn + NX + 6 + vrows.size
-        A_mat = _csr(eq, (n_eq, self.n_vars))
-        b_vec = np.zeros(n_eq)
-        b_vec[:n_dyn] = b_dyn.ravel()
-        b_vec[initial] = np.append(start, self.boundary.m0)
-
-        # Inequality rows (nonnegative orthant), then SOC blocks. Each node
-        # owns a run of rows: two Gamma bounds, the tilt row T_z +
-        # cos(theta_lim) Gamma <= 0 unless vertical, and the linearized
-        # aerodynamic load row. In the clamped regime (q_bar <= L_lim/pi) the
-        # true constraint T.v <= Gamma ||v|| is already implied by the cone,
-        # so the load row is dropped there, as it is at the current state.
-        speed = np.linalg.norm(Z[:, 3:6], axis=1)
-        q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
-        load = (q_bar > cfg.L_lim / math.pi) & (speed >= env.V_EPS)
-        if self.boundary.mode == "current-state":
-            load[0] = False
+        # Inequality rows, in _template's order: the Gamma bounds, the tilt
+        # rows T_z + cos(theta_lim) Gamma <= 0, the linearized aerodynamic
+        # load rows, the lower thrust bound on the thrust along its
+        # reference direction, the thrust-magnitude rate rows, the box
+        # bounds and the SOC blocks ||T_k|| <= Gamma_k. The thrust bounds
+        # are net of the back-pressure loss at the reference altitude.
         tilt = ~vertical
-        count = 2 + tilt + load
-        first = np.cumsum(count) - count
-        tilt_rows = (first + 2)[tilt]
-        load_rows = (first + 2 + tilt)[load]
-        ineq = [(first + 1, col_gamma, 1.0),
-                (tilt_rows, node[tilt] + 9, 1.0),
-                (tilt_rows, col_gamma[tilt], np.cos(theta_lim[tilt])),
-                (load_rows[:, None], node[load, None] + np.arange(NZ),
-                 lin.grad_load[load])]
-        # Thrust bounds: the lower one on the thrust along its reference
-        # direction, the upper one on Gamma, both net of the back-pressure
-        # loss at the reference altitude. Then the thrust-magnitude rate
-        # rows |Gamma_{k+1} - Gamma_k| <= Tdot_lim eta / N, the
-        # dilation hard bounds and the ignition window.
         direction = Z[:, 7:10] / T_norm[:, None]
-        ineq.append((first[:, None], node[:, None] + np.array([7, 8, 9]),
-                     -direction))
-        rate = count.sum() + 2 * np.arange(N)
-        ineq += [(rate, col_gamma[1:], 1.0), (rate, col_gamma[:-1], -1.0),
-                 (rate + 1, col_gamma[:-1], 1.0),
-                 (rate + 1, col_gamma[1:], -1.0)]
-        box_cols = [self.idx_eta] + ([self.idx_tc] if self.with_tc else [])
-        box = rate[-1] + 2 + np.arange(2 * len(box_cols))
-        ineq.append((box, np.repeat(box_cols, 2),
-                     np.tile([-1.0, 1.0], len(box_cols))))
-        n_nonneg = box[-1] + 1
-
-        # SOC blocks ||T_k|| <= Gamma_k below the orthant rows; vertical
-        # nodes satisfy the bound by construction.
-        n_soc = int(tilt.sum())
-        soc = n_nonneg + np.arange(4 * n_soc).reshape(-1, 4)
-        ineq.append((soc, node[tilt, None] + np.array([IDX_GAMMA, 7, 8, 9]),
-                     -1.0))
-        G_mat = _csr(ineq, (n_nonneg + soc.size, self.n_vars))
+        G_mat = t.G.csr([1.0, 1.0, np.cos(theta_lim[tilt]),
+                         lin.grad_load[t.load], -direction,
+                         1.0, -1.0, 1.0, -1.0,
+                         np.tile([-1.0, 1.0], t.box.size // 2), -1.0])
 
         loss = vp.A_exit * env.ambient_pressure(-Z[:, 2])
         h_vec = np.zeros(G_mat.shape[0])
-        h_vec[first] = loss - vp.T_min * (1.0 + cfg.mu_T)
-        h_vec[first + 1] = vp.T_max * (1.0 - cfg.mu_T) - loss
-        h_vec[rate] = h_vec[rate + 1] = vp.Tdot_lim / N * eta_ref
-        h_vec[load_rows] = (np.einsum("ki,ki->k", lin.grad_load[load], Z[load])
-                            - lin.g_load[load])
+        h_vec[t.first] = loss - vp.T_min * (1.0 + cfg.mu_T)
+        h_vec[t.first + 1] = vp.T_max * (1.0 - cfg.mu_T) - loss
+        h_vec[t.rate] = h_vec[t.rate + 1] = vp.Tdot_lim / N * eta_ref
+        h_vec[t.load_rows] = (np.einsum("ki,ki->k", lin.grad_load[t.load],
+                                        Z[t.load]) - lin.g_load[t.load])
         bounds = [-cfg.eta_bounds[0], cfg.eta_bounds[1]]
         if self.with_tc:
             lo_tc, hi_tc = self.boundary.coast_fit.window
             bounds += [-lo_tc, hi_tc]
-        h_vec[box] = bounds
-        cones = [ConeBlock(NONNEG, n_nonneg)] + [THRUST_CONE] * n_soc
+        h_vec[t.box] = bounds
+        n_nonneg = G_mat.shape[0] - 4 * t.n_soc
+        cones = [ConeBlock(NONNEG, n_nonneg)] + [THRUST_CONE] * t.n_soc
 
         program = ConicProgram(c=np.zeros(self.n_vars), A=A_mat, b=b_vec,
                                G=G_mat, h=h_vec, cones=cones,
@@ -477,6 +499,68 @@ class PlanningProblem:
         c[NZ * self.N + 6] = -1.0
         scaled.c = scaled.c + c     # scaled cost of the affine program is zero
         return scaled
+
+    def _template(self, vertical: np.ndarray,
+                  load: np.ndarray) -> _BuildTemplate:
+        """The last build's template if it has these gates, else a new one,
+        which replaces it."""
+        t = self._last_template
+        if t is not None and np.array_equal(t.vertical,
+                                            np.flatnonzero(vertical)) \
+                and np.array_equal(t.load, np.flatnonzero(load)):
+            return t
+        N = self.N
+        node = NZ * np.arange(N + 1)          # first column of each node
+        col_gamma = node + IDX_GAMMA
+
+        n_dyn = NX * N
+        dyn = np.arange(n_dyn).reshape(N, NX)
+        cols_k = node[:-1, None] + np.arange(NZ)
+        state_k = node[:-1, None] + np.arange(NX)
+        initial = n_dyn + np.arange(NX)
+        eq = [(dyn[:, :, None], cols_k[:, None, :]),
+              (dyn[:, :, None], cols_k[:, None, :] + NZ),
+              (dyn, state_k), (dyn, state_k + NZ), (dyn, self.idx_eta),
+              (initial, np.arange(NX))]
+        if self.with_tc:
+            eq.append((initial[:6], self.idx_tc))
+        vert = node[vertical]
+        vrows = n_dyn + NX + 6 + np.arange(3 * vert.size).reshape(-1, 3)
+        eq += [(n_dyn + NX + np.arange(6), node[-1] + np.arange(6)),
+               (vrows, vert[:, None] + np.array([7, 8, 9])),
+               (vrows[:, 2], vert + IDX_GAMMA)]
+        n_eq = n_dyn + NX + 6 + vrows.size
+
+        # Each node owns a run of orthant rows: its two Gamma bounds, its
+        # tilt row unless vertical, and its load row; then the rate rows,
+        # the box bounds on eta (and t_c) and, below the orthant rows, the
+        # SOC blocks.
+        tilt = ~vertical
+        count = 2 + tilt + load
+        first = np.cumsum(count) - count
+        tilt_rows = (first + 2)[tilt]
+        load_rows = (first + 2 + tilt)[load]
+        rate = count.sum() + 2 * np.arange(N)
+        box_cols = [self.idx_eta] + ([self.idx_tc] if self.with_tc else [])
+        box = rate[-1] + 2 + np.arange(2 * len(box_cols))
+        n_soc = int(tilt.sum())
+        soc = box[-1] + 1 + np.arange(4 * n_soc).reshape(-1, 4)
+        ineq = [(first + 1, col_gamma),
+                (tilt_rows, node[tilt] + 9),
+                (tilt_rows, col_gamma[tilt]),
+                (load_rows[:, None], node[load, None] + np.arange(NZ)),
+                (first[:, None], node[:, None] + np.array([7, 8, 9])),
+                (rate, col_gamma[1:]), (rate, col_gamma[:-1]),
+                (rate + 1, col_gamma[:-1]), (rate + 1, col_gamma[1:]),
+                (box, np.repeat(box_cols, 2)),
+                (soc, node[tilt, None] + np.array([IDX_GAMMA, 7, 8, 9]))]
+        t = self._last_template = _BuildTemplate(
+            *(np.flatnonzero(gate).astype(np.intc) for gate in (vertical, load)),
+            _Entries(eq, (n_eq, self.n_vars)),
+            _Entries(ineq, (box[-1] + 1 + soc.size, self.n_vars)),
+            *(rows.astype(np.intc) for rows in (first, load_rows, rate, box)),
+            n_soc)
+        return t
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:
         return self.scaling(ref).scale(self.stack(ref))

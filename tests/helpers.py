@@ -1,8 +1,11 @@
 """Shared numerical test utilities: finite differences, random states, a
 cone layout, a stand-in for scipy's sparse solvers that records their
 orderings, and the oracles the kernels are tested against: the aero model
-at one angle of attack, the KKT residuals of a solution, and the numpy cone
-algebra that the compiled one (``conic/cones.c``) replaced."""
+at one angle of attack, the KKT residuals of a solution, the numpy cone
+algebra that the compiled one (``conic/cones.c``) replaced, the numpy
+-(W^2 + reg I) values and ``np.unique`` KKT pattern that the IPM's kernel
+calls replaced, and the up-looking LDL' that walks the elimination tree
+for every row, in Python."""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from rlv_landing.conic import (NONNEG, SOC, ConeBlock, ConicProgram,
@@ -36,6 +40,17 @@ class CountingSpla:
     def splu(self, K, **kwargs):
         self.orderings.append(kwargs.get("permc_spec"))
         return spla.splu(K, **kwargs)
+
+
+def flat_arrays(held):
+    """Every numpy array in a nest of dicts, tuples and lists."""
+    if isinstance(held, np.ndarray):
+        return [held]
+    if isinstance(held, dict):
+        held = list(held.values())
+    if isinstance(held, (tuple, list)):
+        return [a for part in held for a in flat_arrays(part)]
+    return []
 
 
 def central_diff_jacobian(fun, x, eps_scale=1e-6):
@@ -283,3 +298,97 @@ def same_bits(a, b, signed_zeros=True) -> bool:
         if not signed_zeros:
             x[x == 0.0] = 0.0
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The assembly that the planner's build template and the IPM's kernel
+# library replaced, kept as their oracle.
+
+def coo_csr(entries, shape):
+    """CSR matrix from (rows, cols, vals) triples, each broadcast to a
+    common shape; zero values are not stored and repeated positions are
+    summed, by scipy's COO conversion, as the planner's build did."""
+    flat = [[x.ravel() for x in np.broadcast_arrays(*e)] for e in entries]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*flat))
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+
+
+def w2_entries(scaling, reg):
+    """The values of W^2 + reg I, orthant diagonal then each SOC block row
+    by row, as the IPM formed them in numpy; the KKT holds their negation
+    (``cone_w2_scatter``)."""
+    d = scaling.cones.d
+    blocks = scaling.soc_sq.copy()
+    blocks[:, np.arange(d), np.arange(d)] += reg
+    return np.concatenate([scaling.w_nn ** 2 + reg, blocks.reshape(-1)])
+
+
+def unique_pattern(rows, cols, position):
+    """``ldl.csc_pattern``'s results by ``np.unique`` over every entry's
+    key, as the IPM's analysis formed them: indptr, indices, slots, and the
+    upper triangle's indptr, indices and slots."""
+    dim = position.size
+    keys, slots = np.unique(
+        position[cols].astype(np.int64) * dim + position[rows],
+        return_inverse=True)
+    indices, columns = (keys % dim).astype(np.intc), keys // dim
+    upper = np.flatnonzero(indices <= columns)
+    upper_indptr = np.searchsorted(columns[upper], np.arange(dim + 1))
+    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+    return (indptr.astype(np.intc), indices, slots.astype(np.intc),
+            upper_indptr.astype(np.intc), indices[upper],
+            upper.astype(np.intc))
+
+
+def tree_walking_ldl(indptr, indices, values):
+    """The up-looking LDL' of an upper-triangular CSC matrix that finds the
+    pattern of each row of L by walking the elimination tree from that
+    row's entries, as the compiled kernel did before its symbolic pass,
+    with the same floating-point operations in the same order. Returns L's
+    row indices (-1 where unwritten) and values, D (NaN where unwritten)
+    and the kernel's result: the number of positive pivots, or -1 at the
+    first zero (or NaN) pivot."""
+    n = len(indptr) - 1
+    parent, count, flag = [-1] * n, [0] * n, [-1] * n
+    for j in range(n):
+        flag[j] = j
+        for p in range(indptr[j], indptr[j + 1]):
+            i = int(indices[p])
+            while flag[i] != j:
+                if parent[i] == -1:
+                    parent[i] = j
+                count[i] += 1
+                flag[i] = j
+                i = parent[i]
+    Lp = np.concatenate([[0], np.cumsum(count)]).astype(int).tolist()
+    Li, Lx, D = [-1] * Lp[-1], [math.nan] * Lp[-1], [math.nan] * n
+    y, filled, flag = [0.0] * n, [0] * n, [-1] * n
+    positive = 0
+    for k in range(n):
+        pattern = []                # topological: the last path first
+        flag[k] = k
+        for p in range(indptr[k], indptr[k + 1]):
+            i = int(indices[p])
+            y[i] += float(values[p])
+            path = []
+            while flag[i] != k:
+                path.append(i)
+                flag[i] = k
+                i = parent[i]
+            pattern = path + pattern
+        d, y[k] = y[k], 0.0
+        for i in pattern:
+            yi, y[i] = y[i], 0.0
+            end = Lp[i] + filled[i]
+            for p in range(Lp[i], end):
+                y[Li[p]] -= Lx[p] * yi
+            lki = yi / D[i]
+            d -= lki * yi
+            Li[end], Lx[end] = k, lki
+            filled[i] += 1
+        if not (d > 0.0 or d < 0.0):
+            positive = -1
+            break
+        D[k] = d
+        positive += d > 0.0
+    return np.array(Li, np.intc), np.array(Lx), np.array(D), positive

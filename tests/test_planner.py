@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,8 @@ from rlv_landing.planner import (
 )
 from rlv_landing.scp import ScpSettings, run_scp
 
-from helpers import (CountingSpla, central_diff_jacobian, rel_jac_error,
-                     total_aoa)
+from helpers import (CountingSpla, central_diff_jacobian, coo_csr,
+                     flat_arrays, rel_jac_error, total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -382,6 +383,106 @@ class TestBuildStructure:
         # scaled row h * scale / coefficient using the scaling record.
         assert prog.validate() is None
 
+    def test_entries_store_what_a_coo_list_stores(self):
+        # Pieces of entries whose positions repeat at most twice, as the
+        # build's do, with zero values among them: each call stores, bit
+        # for bit, what scipy's COO conversion stores, whether its mask is
+        # the last call's or not.
+        rng = np.random.default_rng(5)
+        rows, cols = np.arange(40).reshape(8, 5), rng.integers(0, 9, (8, 5))
+        pieces = [(rows, cols), (rows[:, 0], cols[:, 0]), (rows[1:4], 9)]
+        entries = planner._Entries(pieces, (40, 10))
+        for zeros in (0.0, 0.0, 0.5, 0.5, 0.0):
+            values = [rng.normal(size=(8, 5)), -1.0, rng.normal(size=(3, 5))]
+            values[0][rng.random((8, 5)) < zeros] = 0.0
+            got = entries.csr(values)
+            expected = coo_csr([(r, c, v) for (r, c), v in zip(pieces, values)],
+                               (40, 10))
+            for name in ("indptr", "indices", "data"):
+                a, e = getattr(got, name), getattr(expected, name)
+                assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+
+    @staticmethod
+    def reference_sequence(prob, cfg):
+        """References one problem builds about in turn: the initial guess,
+        whose vertical thrust zeros the x and y entries of the lower thrust
+        bound rows; an SCP iterate (the same gates, another nonzero mask);
+        that iterate slowed at the last node with a load row, which drops
+        that row (a change of the load gate alone); that iterate with eta
+        cut, so that three taper nodes turn vertical; and the initial guess
+        again."""
+        guess = initial_guess_planning(prob.boundary, cfg, VP)
+        prog = prob.build(guess)
+        scp.add_trust_region(prog, prob.reference_vector(guess), cfg.W_tr)
+        iterate = prob.decode(guess, ipm.solve(prog, scp.INEXACT_TOL).x)
+        Z = iterate.Z.copy()
+        speed = np.linalg.norm(Z[:, 3:6], axis=1)
+        q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
+        last = np.flatnonzero(q_bar > cfg.L_lim / math.pi)[-1]
+        Z[last, 3:6] *= 0.1
+        # Node k is vertical where eta (1 - k/N) is below the taper's
+        # threshold, t_theta sqrt(1e-5 / theta_lim_max).
+        cut = cfg.N * cfg.t_theta * math.sqrt(1e-5 / cfg.theta_lim_max) / 2.5
+        return [guess, iterate, replace(iterate, Z=Z),
+                replace(iterate, eta=cut), guess]
+
+    def test_reused_template_builds_what_a_fresh_problem_builds(self):
+        # Each build equals, bit for bit, that of a fresh problem with the
+        # same scaling, whether it reuses the last build's template (the
+        # SCP iterate) or makes its own (a gate changed). Writing into a
+        # returned program's arrays changes no later build.
+        prob, cfg = make_problem()
+        refs = self.reference_sequence(prob, cfg)
+        templates = []
+        for ref in refs:
+            prog = prob.build(ref)
+            fresh = PlanningProblem(prob.boundary, VP, cfg)
+            fresh.scaling(refs[0])
+            expected = fresh.build(ref)
+            for M, E in ((prog.A, expected.A), (prog.G, expected.G)):
+                for name in ("indptr", "indices", "data"):
+                    a, e = getattr(M, name), getattr(E, name)
+                    assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+            for name in ("b", "h", "c"):
+                a, e = getattr(prog, name), getattr(expected, name)
+                assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+            assert prog.obj_offset == expected.obj_offset
+            assert prog.cones == expected.cones
+            templates.append((prob._last_template,
+                              prob._last_template.G.zeros))
+            for M in (prog.A, prog.G):
+                M.data[:], M.indices[:], M.indptr[:] = -1.0, 0, 0
+            for name in ("b", "h", "c"):
+                getattr(prog, name)[:] = np.nan
+        # The SCP iterate reused the guess's template, without the guess's
+        # zero values, and every later reference changed a gate.
+        (t0, zeros0), (t1, zeros1) = templates[:2]
+        assert t1 is t0 and not np.array_equal(zeros0, zeros1)
+        assert len({id(t) for t, _ in templates[1:]}) == 4
+        vertical = [t.vertical.size for t, _ in templates]
+        loads = [t.load.size for t, _ in templates]
+        assert vertical[2] == vertical[1] and loads[2] == loads[1] - 1
+        assert vertical[3] == vertical[1] + 2
+
+    def test_template_holds_only_the_last_patterns_int32_arrays(self):
+        # After the reference sequence, the problem holds one template, the
+        # one a fresh problem makes for the last reference, of int32 arrays.
+        prob, cfg = make_problem()
+        refs = self.reference_sequence(prob, cfg)
+        for ref in refs:
+            prob.build(ref)
+        fresh = PlanningProblem(prob.boundary, VP, cfg)
+        fresh.build(refs[-1])
+        held = [v for v in vars(prob).values()
+                if isinstance(v, planner._BuildTemplate)]
+        assert held == [prob._last_template]
+        arrays, expected = (
+            flat_arrays([vars(t), vars(t.A), vars(t.G)])
+            for t in (prob._last_template, fresh._last_template))
+        assert len(arrays) == len(expected)
+        for a, e in zip(arrays, expected):
+            assert a.dtype == np.int32 and np.array_equal(a, e)
+
     def test_reference_feasible_after_convergence(self):
         prob, cfg = make_problem(N=30)
         ref0 = initial_guess_planning(prob.boundary, cfg, VP)
@@ -493,7 +594,7 @@ for _ in range(25):
     factor_quasidefinite(permuted, natural=True)
 upper = sp.triu(permuted, format="csc")
 pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
-factors = ldl.Factors(*pattern, *ldl.etree(*pattern))
+factors = ldl.Factors(*pattern, *ldl.analyze(*pattern))
 rhs = np.ones(K.shape[0])
 for _ in range(25):
     assert factors.factor(upper.data) >= 0

@@ -33,10 +33,10 @@ from rlv_landing.conic.cones import ConePoints, Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import (MULTI_BLOCK_CONES, CountingSpla, nt_apply,
+from helpers import (MULTI_BLOCK_CONES, CountingSpla, flat_arrays, nt_apply,
                      numpy_clip_eigenvalues, numpy_max_steps, numpy_points,
                      numpy_product, numpy_rhs, numpy_scaled_product, same_bits,
-                     verify_kkt)
+                     tree_walking_ldl, unique_pattern, verify_kkt, w2_entries)
 
 
 def lp(c, G, h, A=None, b=None):
@@ -558,7 +558,9 @@ class TestQuasiDefiniteKkt:
     def test_analysis_holds_only_index_arrays_of_its_own(self):
         # It outlives the solve on its solution: after the factorization
         # that makes it and after one of a KKT system that reuses it, none
-        # of its arrays is a view of P, A, G or K, and its slots are int32.
+        # of its arrays is a view of P, A, G or K, and its slots and row
+        # patterns are int32. The factors read the row patterns from it,
+        # and hold no copy of them.
         rng = np.random.default_rng(71)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         P, A, G = prog.P.tocsr(), prog.A.tocsr(), prog.G.tocsr()
@@ -583,6 +585,38 @@ class TestQuasiDefiniteKkt:
                         assert not np.shares_memory(array, other)
             assert analysis.value_slots.dtype == np.int32
             assert analysis.w2_slots.dtype == np.int32
+            own = held[len(analysis.pattern):]
+            assert all(array.dtype == np.int32 for array in own)
+            sized = [a for a in flat_arrays(vars(kkt._ldl))
+                     if a.dtype == np.int32 and a.size == analysis.Ri.size]
+            assert any(a is analysis.Ri for a in sized)
+            # The rest is L's row indices, which each factorization writes.
+            assert all(a is analysis.Ri or a is kkt._ldl.L[0] for a in sized)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
+           me=st.integers(0, 2), blocks=LAYOUTS)
+    def test_w2_is_written_in_place_as_numpy_wrote_it(self, seed, n, me,
+                                                     blocks):
+        # Each factorization, on a fresh analysis and on a reused one,
+        # writes -(W^2 + reg I) into K's values as the negated numpy values
+        # (helpers.w2_entries), bit for bit, and the upper triangle's values
+        # the kernel factors are K's.
+        rng = np.random.default_rng(seed)
+        prog = random_feasible_conic(rng, n=n, me=me, cones=blocks, rank=2)
+        cones = Cones(blocks)
+        first = _Kkt(prog.P, prog.A, prog.G, cones)
+        for kkt in (first, _Kkt(prog.P, prog.A, prog.G, cones,
+                                first.analysis)):
+            for _ in range(2):
+                scaling = _NTScaling(cones.points(interior_point(rng, blocks),
+                                                  interior_point(rng, blocks)))
+                kkt.factor(scaling)
+                a = kkt.analysis
+                assert kkt.K.data[a.w2_slots].tobytes() == \
+                    (-w2_entries(scaling, ipm.REG)).tobytes()
+                assert kkt._upper.tobytes() == \
+                    kkt.K.data[a.upper_slots].tobytes()
 
     def test_freed_without_the_cycle_collector(self):
         # Each solve's KKT system and LU factors go when the solve returns;
@@ -773,7 +807,7 @@ class TestStepLength:
         assert scaling.soc_inv.tobytes() == inv.tobytes()
         w2 = np.concatenate([w_nn ** 2 + ipm.REG, (
             sq + ipm.REG * np.eye(cones.d)).reshape(-1)])
-        assert scaling.w2_entries(ipm.REG).tobytes() == w2.tobytes()
+        assert w2_entries(scaling, ipm.REG).tobytes() == w2.tobytes()
         assert scaling.lam.u[0].tobytes() == lam.tobytes()
 
 
@@ -1056,7 +1090,7 @@ def ldl_factors(K):
     """The kernel's factors of K's pattern, and K's upper-triangle values."""
     upper = sp.triu(K, format="csc")
     pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
-    return ldl.Factors(*pattern, *ldl.etree(*pattern)), upper.data
+    return ldl.Factors(*pattern, *ldl.analyze(*pattern)), upper.data
 
 
 class TestLdlKernel:
@@ -1082,6 +1116,52 @@ class TestLdlKernel:
             abs(K).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
         assert np.abs(K @ x - rhs).max() <= 10.0 * max(
             np.abs(K @ superlu - rhs).max(), floor)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_pos=st.integers(1, 10),
+           n_neg=st.integers(1, 10), density=st.floats(0.05, 0.6),
+           cancel=st.booleans())
+    def test_factors_are_the_tree_walking_ones(self, seed, n_pos, n_neg,
+                                               density, cancel):
+        # L's rows and values, D and the result are, bit for bit, those of
+        # the LDL' that walks the tree for every row (the oracle in
+        # helpers). With ``cancel``, two rows [[1, 1], [1, 1]] join the
+        # matrix at random places: the second one's pivot cancels to 0 mid-
+        # factorization, and the kernel returns -1 at that row, having
+        # written what the oracle wrote and nothing more.
+        rng = np.random.default_rng(seed)
+        K = quasidefinite(rng, n_pos, n_neg, density)
+        if cancel:
+            K = sp.block_diag([K, np.ones((2, 2))], format="csc")
+            p = rng.permutation(K.shape[0])
+            K = K[p][:, p].tocsc()
+        factors, values = ldl_factors(K)
+        factors.L[0][:] = -1
+        for written in factors.L[1:]:
+            written[:] = np.nan
+        result = factors.factor(values)
+        upper = sp.triu(K, format="csc")
+        Li, Lx, D, expected = tree_walking_ldl(upper.indptr, upper.indices,
+                                               values)
+        assert result == expected and (result == -1) == cancel
+        assert np.array_equal(factors.L[0], Li)
+        assert same_bits(factors.L[1], Lx) and same_bits(factors.L[2], D)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           m=st.integers(0, 60))
+    def test_pattern_is_the_unique_one(self, seed, n, m):
+        # Entries at random rows and columns, most of them repeated, under
+        # a random symmetric permutation: the counting sort's pattern, slots
+        # and upper triangle are np.unique's (helpers.unique_pattern).
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(0, n, (2, m)).astype(np.intc)
+        position = rng.permutation(n).astype(np.intc)
+        pattern = ldl.csc_pattern(rows, cols, position)
+        got = [*pattern, *ldl.csc_upper(*pattern[:2])]
+        for a, e in zip(got, unique_pattern(rows, cols, position),
+                        strict=True):
+            assert a.dtype == np.intc and np.array_equal(a, e)
 
     def test_zero_pivot(self):
         # Nonsingular, but the second pivot is 1 - 1 = 0: the kernel stops,
@@ -1110,12 +1190,14 @@ class TestLdlKernel:
         leaves = [i for i in range(cones.n_nn) if np.diff(
             a.upper_indptr)[a.position[first + i]] == 1]
         assert leaves and kkt.pivot_fallbacks == 0
-        # The orthant entries of W^2 + reg I come first (w2_entries).
-        w2 = identity.w2_entries(ipm.REG)
-        w2[leaves[0]] = 0.0
+        # The orthant entries of W^2 + reg I come first: w_nn = 0 with
+        # reg = 0 writes a zero there.
+        w_nn = identity.w_nn.copy()
+        w_nn[leaves[0]] = 0.0
         spla_ = CountingSpla()
-        with mock.patch.object(ipm, "spla", spla_):
-            kkt.factor(mock.Mock(w2_entries=lambda reg: w2))
+        with mock.patch.object(ipm, "spla", spla_), \
+                mock.patch.object(ipm, "REG", 0.0):
+            kkt.factor(mock.Mock(w_nn=w_nn, soc_sq=identity.soc_sq))
         assert kkt.pivot_fallbacks == 1 and spla_.orderings == ["NATURAL"]
         unregularized = kkt.K.toarray() - np.diag(kkt._reg_sign)
         rhs = rng.normal(size=kkt.K.shape[0])
@@ -1152,16 +1234,31 @@ class TestLdlKernel:
         upper = sp.triu(K, format="csc")
         indptr = upper.indptr.astype(np.intc)
         indices = upper.indices.astype(np.intc)
-        tree = ldl.etree(indptr, indices)
+        symbolic = ldl.analyze(indptr, indices)
+        entries = np.zeros(3, np.intc)
+        position = np.arange(2, dtype=np.intc)
+        unsorted = indptr.copy()
+        unsorted[1] = unsorted[2] + 1
         calls = []
         monkeypatch.setattr(ldl, "_library", lambda: calls.append(1))
         bad = [
             lambda: ldl.etree(indptr.astype(np.int64), indices),
             lambda: ldl.etree(indptr, indices.astype(np.float64)),
             lambda: ldl.etree(indptr[:-1], indices),
-            lambda: ldl.Factors(indptr, indices[:-1], *tree),
-            lambda: ldl.Factors(indptr, indices, tree[0].astype(np.int64),
-                                tree[1]),
+            lambda: ldl.analyze(indptr[:-1], indices),
+            lambda: ldl.Factors(indptr, indices[:-1], *symbolic),
+            lambda: ldl.Factors(indptr, indices, *symbolic[:2],
+                                symbolic[2].astype(np.int64)),
+            lambda: ldl.Factors(indptr, indices, *symbolic[:2],
+                                symbolic[2][:-1]),
+            lambda: ldl.csc_pattern(entries, entries[:-1], position),
+            lambda: ldl.csc_pattern(entries, entries.astype(np.int64),
+                                    position),
+            lambda: ldl.csc_pattern(entries, entries, position[::-1]),
+            lambda: ldl.csc_pattern(entries + 2, entries, position),
+            lambda: ldl.csc_pattern(entries, entries, position - 1),
+            lambda: ldl.csc_upper(indptr, indices[:-1]),
+            lambda: ldl.csc_upper(unsorted, indices),
             lambda: factors.factor(values.astype(np.float32)),
             lambda: factors.factor(values[:-1]),
             lambda: factors.factor(np.repeat(values, 2)[::2]),
