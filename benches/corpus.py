@@ -14,12 +14,10 @@ plan prints one JSON line:
 - ``ipm_iters``: the IPM iterations of every subproblem solve of the plan;
 - ``reorders``: the solves that made a fresh stage-ordered analysis of
   their KKT matrix (``reordered``), having no start whose analysis matched;
-- ``pivot_fallbacks``: the KKT factorizations that SuperLU took over from
-  the LDL' kernel after an exact zero pivot (``pivot_fallbacks``);
-- ``superlu_mmd``, ``superlu_natural``: the SuperLU factorizations of the
-  plan (calls of ``ipm.spla.splu``, which ``ipm.factor_quasidefinite``
-  makes), by minimum degree (the SCP projection's) and in natural order
-  (the IPM's zero-pivot rescues);
+- ``builds``: the subproblem builds (calls of
+  ``planner.linearize_planning``, which every build makes once);
+- ``projection_steps``: the Gauss-Newton steps (calls of
+  ``scp.project_onto_rows``);
 - ``propellant_kg``: the propellant of a converged plan, else null;
 - ``problems``: the ``planning.check`` problems of a converged plan;
 - ``z_hash``: the first 16 hex digits of the SHA-256 of the returned
@@ -28,11 +26,8 @@ plan prints one JSON line:
   flag of each subproblem solve that ended without a verdict (optimal,
   infeasible).
 
-A last line holds the totals, among them ``ipm_iters``, ``reorders``,
-``pivot_fallbacks``, ``superlu_mmd``, ``superlu_natural``, ``builds``
-(calls of ``planner.linearize_planning``, which every subproblem build
-makes once) and ``projection_steps`` (calls of
-``scp.project_onto_rows``). The same file runs on any tree whose
+A last line holds the totals of those counts, the plan time and the
+outcomes. The same file runs on any tree whose
 ``ipm.solve`` takes a program and its tolerance argument, so it compares two
 commits plan by plan: two trees give the same answers when their plan lines
 (all but the totals, which hold timings and counts) are the same.
@@ -49,6 +44,14 @@ missing from SAVED:
 on one tree, then on the other:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 --diff old.jsonl
+
+``--jitter K`` plans each state a second time with its component K (0-2
+r, 3-5 v, 6 m) moved up by one ulp (``np.nextafter``), and prints a line
+for each plan whose ``outcome`` or ``scp_iters`` moved, then one that
+counts them (``class_moved``, of which ``outcome_moved`` changed the
+outcome) and gives the largest propellant move over the plans clean
+(converged, with no ``planning.check`` problem) both ways, with its plan.
+The jittered plans count in no total.
 """
 
 from __future__ import annotations
@@ -69,58 +72,44 @@ COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash")
 CLASS = ("outcome", "scp_iters")
 
 
-# The SuperLU factorizations counted, by the ordering ``splu`` was asked for.
-SUPERLU = {"MMD_AT_PLUS_A": "superlu_mmd", "NATURAL": "superlu_natural"}
+# The counts of a plan, each in its line and summed in the totals.
+COUNTS = ("solves", "ipm_iters", "reorders", "builds", "projection_steps")
 
 
 class SolveRecorder:
-    """Stands in for planbench's tracer: only its ``solve_fn`` is used. It
-    also stands in for ``ipm.spla``, counting the SuperLU factorizations
-    by ordering."""
+    """Stands in for planbench's tracer: only its ``plan_span`` and
+    ``solve_fn`` are used. It holds the counts of the last plan."""
 
     def __init__(self, ipm):
         self.ipm = ipm
-        self._spla = ipm.spla
-        ipm.spla = self
         self.plan_span()
 
-    def __getattr__(self, name):
-        return getattr(self._spla, name)
-
-    def splu(self, K, **kwargs):
-        self.superlu[SUPERLU[kwargs.get("permc_spec")]] += 1
-        return self._spla.splu(K, **kwargs)
-
     def plan_span(self):
-        self.solves = self.ipm_iters = self.reorders = 0
-        self.pivot_fallbacks, self.stalls = 0, []
-        self.superlu = dict.fromkeys(SUPERLU.values(), 0)
+        self.counts, self.stalls = dict.fromkeys(COUNTS, 0), []
         return nullcontext()
+
+    def count(self, owner, name: str, key: str) -> None:
+        """Replace ``owner.name`` with a wrapper that counts its calls as
+        ``key``."""
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self.counts[key] += 1
+            return fn(*args, **kwargs)
+
+        setattr(owner, name, counted)
 
     def solve_fn(self, program, settings):
         sol = self.ipm.solve(program, settings)
-        self.solves += 1
-        self.ipm_iters += sol.iterations
-        self.reorders += sol.reordered
-        self.pivot_fallbacks += sol.pivot_fallbacks
+        self.counts["solves"] += 1
+        self.counts["ipm_iters"] += sol.iterations
+        self.counts["reorders"] += sol.reordered
         if sol.status not in VERDICTS:
             self.stalls.append({"status": sol.status,
                                 "primal_res": sol.primal_res,
                                 "iterations": sol.iterations,
                                 "resumed": sol.resumed})
         return sol
-
-
-def count_calls(owner, name: str, totals: dict, key: str) -> None:
-    """Replace ``owner.name`` with a wrapper that adds one to
-    ``totals[key]`` per call."""
-    fn = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        totals[key] += 1
-        return fn(*args, **kwargs)
-
-    setattr(owner, name, counted)
 
 
 def plan_key(line: dict) -> tuple:
@@ -142,10 +131,13 @@ def main(argv=None) -> int:
                    help="states planned per seed")
     p.add_argument("--diff", metavar="SAVED",
                    help="a saved run of another tree to compare plans with")
+    p.add_argument("--jitter", metavar="K", type=int, choices=range(7),
+                   help="plan each state again with component K one ulp up")
     args = p.parse_args(argv)
     saved = None if args.diff is None else saved_plans(args.diff)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "planbench")]
+    import numpy as np
     import planning
     import scenarios
     from rlv_landing import planner, scp
@@ -159,24 +151,18 @@ def main(argv=None) -> int:
              for seed in args.seeds]
 
     recorder = SolveRecorder(ipm)
+    recorder.count(planner, "linearize_planning", "builds")
+    recorder.count(scp, "project_onto_rows", "projection_steps")
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
-              "solves": 0, "ipm_iters": 0, "reorders": 0,
-              "pivot_fallbacks": 0, "stalls": 0,
-              **dict.fromkeys(SUPERLU.values(), 0),
-              "builds": 0, "projection_steps": 0, "outcomes": {}}
-    count_calls(planner, "linearize_planning", totals, "builds")
-    count_calls(scp, "project_onto_rows", totals, "projection_steps")
+              **dict.fromkeys(COUNTS, 0), "stalls": 0, "outcomes": {}}
     moved, missing = [], 0
+    jittered, jitter_moves = [], []
     for name, states in sets:
         for i, state in enumerate(states):
             result = planning.plan(workload, state, recorder)
             totals["plans"] += 1
             totals["plan_s"] += result.seconds
-            totals["solves"] += recorder.solves
-            totals["ipm_iters"] += recorder.ipm_iters
-            totals["reorders"] += recorder.reorders
-            totals["pivot_fallbacks"] += recorder.pivot_fallbacks
-            for key, count in recorder.superlu.items():
+            for key, count in recorder.counts.items():
                 totals[key] += count
             totals["stalls"] += len(recorder.stalls)
             outcomes = totals["outcomes"]
@@ -184,10 +170,7 @@ def main(argv=None) -> int:
             line = {
                 "workload": workload.name, "set": name, "plan": i,
                 "outcome": result.outcome, "scp_iters": result.scp_iters,
-                "ipm_iters": recorder.ipm_iters,
-                "reorders": recorder.reorders,
-                "pivot_fallbacks": recorder.pivot_fallbacks,
-                **recorder.superlu,
+                **{key: recorder.counts[key] for key in COUNTS[1:]},
                 "propellant_kg": result.propellant_kg
                 if result.converged else None,
                 "problems": result.problems,
@@ -195,6 +178,11 @@ def main(argv=None) -> int:
                 hashlib.sha256(result.Z.tobytes()).hexdigest()[:16],
                 "stalls": recorder.stalls}
             print(json.dumps(line), flush=True)
+            if args.jitter is not None:
+                other = state.copy()
+                other[args.jitter] = np.nextafter(other[args.jitter], np.inf)
+                again = planning.plan(workload, other, recorder)
+                jittered.append((name, i, result, again))
             if saved is None:
                 continue
             old = saved.get(plan_key(line))
@@ -216,6 +204,26 @@ def main(argv=None) -> int:
                                    "moved": len(moved),
                                    "class_moved": class_moved,
                                    "missing": missing}}))
+    if args.jitter is not None:
+        largest, clean_both = None, 0
+        for name, i, result, again in jittered:
+            changes = {field: [getattr(result, field), getattr(again, field)]
+                       for field in CLASS
+                       if getattr(result, field) != getattr(again, field)}
+            if changes:
+                jitter_moves.append(changes)
+                print(json.dumps({"jitter_moved": {"set": name, "plan": i,
+                                                   **changes}}))
+            if result.ok and again.ok:
+                clean_both += 1
+                move = abs(again.propellant_kg - result.propellant_kg)
+                if largest is None or move > largest["kg"]:
+                    largest = {"kg": move, "set": name, "plan": i}
+        print(json.dumps({"jitter": {
+            "component": args.jitter, "compared": len(jittered),
+            "class_moved": len(jitter_moves),
+            "outcome_moved": sum("outcome" in c for c in jitter_moves),
+            "clean_both": clean_both, "max_propellant_move": largest}}))
     return 0
 
 

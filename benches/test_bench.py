@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_28.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_29.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -12,12 +12,11 @@ the trust region ``run_scp`` adds. Its ``PlanningProblem.build`` is timed
 twice: by a fresh problem (with the plan's scaling), which makes the
 build's template, and by the problem that built it, which reuses that
 template and writes only values. Then one IPM solve of the subproblem, and
-one factorization of the IPM's first KKT matrix, by SuperLU at its defaults and by SuperLU's minimum degree with the
-pivots on the diagonal (``ipm.factor_quasidefinite``). A refactorization of
-that matrix is timed at N=100 and on the first N=30 subproblem: by SuperLU
-in natural order after that minimum-degree ordering, and by the IPM's LDL'
-kernel in the ordering the IPM analyses the matrix in, on the symbolic
-analysis (``ldl.analyze``) made once, as each IPM iteration factors it.
+one factorization of the IPM's first KKT matrix by SuperLU at its defaults,
+for scale. A refactorization of that matrix is timed at N=100 and on the
+first N=30 subproblem, by the IPM's LDL' kernel in the ordering the IPM
+analyses the matrix in, on the symbolic analysis (``ldl.analyze``) made
+once, as each IPM iteration factors it.
 The KKT and cone-algebra cases run a fixed number of rounds after warm-up
 rounds (``KERNEL_ROUNDS``): at pytest-benchmark's default time budget
 their sub-millisecond medians moved more between runs than a kernel change
@@ -36,6 +35,10 @@ of the predictor's right-hand side, W (lambda \\ lambda o lambda), the
 corrector's scaled product (W^{-1} ds) o (W dz), and a centrality
 corrector's scaled product at s + ds, z + dz with its eigenvalues clipped
 to [0.1 mu, 10 mu]. ``rhs_sha256`` hashes the three vectors.
+The projection case times one Gauss-Newton step
+(``scp.project_onto_rows``), the first of the nominal N=100 plan, with
+its ordering, analysis and LDL' factorization; ``step_sha256`` hashes the
+step.
 The whole-plan cases time ``run_scp`` to convergence from the initial
 guess: ignition-fit from that state at N=30 and N=100, and current-state
 from the mid-course state of the replan tests at N=100.
@@ -204,22 +207,6 @@ def test_kkt_factor_default_n100(benchmark, subproblem):
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
-def test_kkt_factor_quasidefinite_n100(benchmark, subproblem):
-    K = first_kkt(subproblem[2])
-    lu = kernel(benchmark, ipm.factor_quasidefinite, K)
-    benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
-
-
-def refactor_natural(benchmark, prog):
-    """The matrix already permuted by a minimum-degree ordering, factored
-    by SuperLU in natural order."""
-    factor = ipm.factor_quasidefinite
-    K = first_kkt(prog)
-    order = np.argsort(factor(K).perm_c)
-    lu = kernel(benchmark, factor, K[order][:, order].tocsc(), natural=True)
-    benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
-
-
 def ipm_order(prog):
     """The ordering in which the IPM analyses the program's KKT matrix:
     that of a one-iteration solve's analysis."""
@@ -239,19 +226,12 @@ def refactor_ldl(benchmark, prog):
     upper = sp.triu(K[order][:, order], format="csc")
     pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
     factors = ldl.Factors(*pattern, *ldl.analyze(*pattern))
-    assert kernel(benchmark, factors.factor, upper.data) >= 0
+    reg = np.where(order < prog.n, ipm.REG, -ipm.REG)
+    assert kernel(benchmark, factors.factor, upper.data, reg) >= 0
     benchmark.extra_info["nnz_L"] = int(factors.L[0].size)
     # L and D, counted as SuperLU counts L + U: both triangles and the
     # diagonal twice.
     benchmark.extra_info["fill_nnz"] = int(2 * (factors.L[0].size + factors.n))
-
-
-def test_kkt_refactor_natural_n100(benchmark, subproblem):
-    refactor_natural(benchmark, subproblem[2])
-
-
-def test_kkt_refactor_natural_n30(benchmark):
-    refactor_natural(benchmark, first_subproblem(30)[2])
 
 
 def test_kkt_refactor_ldl_n100(benchmark, subproblem):
@@ -260,6 +240,25 @@ def test_kkt_refactor_ldl_n100(benchmark, subproblem):
 
 def test_kkt_refactor_ldl_n30(benchmark):
     refactor_ldl(benchmark, first_subproblem(30)[2])
+
+
+def test_projection_n100(benchmark):
+    """The nominal N=100 plan's first Gauss-Newton step."""
+    boundary, cfg = ignition_fit(100)
+    prob = PlanningProblem(boundary, VP, cfg)
+    steps, project = [], scp.project_onto_rows
+
+    def recorded(program, x):
+        steps.append((program, x.copy()))
+        return project(program, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scp, "project_onto_rows", recorded)
+        run_scp(prob, initial_guess_planning(boundary, cfg, VP),
+                ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
+    x = kernel(benchmark, project, *steps[0])
+    benchmark.extra_info["step_sha256"] = \
+        hashlib.sha256((x - steps[0][1]).tobytes()).hexdigest()[:16]
 
 
 def mid_solve(prog, k=8):

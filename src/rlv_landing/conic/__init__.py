@@ -1,15 +1,15 @@
 """Embedded sparse convex solver: programs, the cone layout, scaling and
 the IPM, which orders its KKT matrices by stage and factors them with a
-compiled sparse LDL' kernel; its cone algebra is compiled too, in the same
-library (``ldl``)."""
+compiled sparse LDL' kernel, the package's one factorization (the SCP
+projection factors with it too); its cone algebra is compiled too, in the
+same library (``ldl``)."""
 
 from .cones import NONNEG, SOC, ConeBlock, Cones
-from .ipm import factor_quasidefinite, solve
+from .ipm import solve
 from .program import ConicProgram, SolverSolution
 from .scaling import VariableScaling, make_scaling, scale_program
 
 __all__ = [
     "NONNEG", "SOC", "ConeBlock", "Cones", "ConicProgram", "SolverSolution",
-    "VariableScaling", "solve", "scale_program", "factor_quasidefinite",
-    "make_scaling",
+    "VariableScaling", "solve", "scale_program", "make_scaling",
 ]

@@ -43,9 +43,12 @@ one symbolic analysis. Every factorization, the first iterate's included,
 is a numeric up-looking LDL' of K's upper triangle by the compiled kernel
 ``ldl`` (Davis, ACM TOMS 31(4), 2005), half the arithmetic of an LU, as IPM
 codes factor (QDLDL in OSQP, Stellato et al., Math. Prog. Comp. 2020;
-Clarabel, Goulart & Chen, arXiv:2405.12762). SuperLU only rescues: at an
-exact zero pivot, which an SOC block near its boundary can cancel to, it
-factors that K in natural order, pivoting off the diagonal.
+Clarabel, Goulart & Chen, arXiv:2405.12762). It is the package's only
+factorization, the SCP projection's too: at an exact zero pivot, which an
+SOC block near its boundary can cancel to, the kernel takes that row's
+static regularization (+-REG) as the pivot, as those codes do, and
+refinement against the unregularized matrix corrects the solve; a NaN pivot
+fails the factorization.
 
 The cone algebra is ``cones.Cones``, the layout the program built once
 (``ConicProgram.layout``): the orthant rows, then SOC blocks of one
@@ -64,13 +67,6 @@ interior test reads), as ECOS and Clarabel do (Domahidi, Chu & Boyd, ECC
 each step length takes s and z together in one pass. The scaling holds
 lambda's cone data, which each direction's right-hand side W (lambda \\ d)
 reads.
-
-SuperLU factors without supernode panels (``factor_quasidefinite``, the
-rescue's factorization and the SCP projection's): at about 12 nonzeros per
-factor column they cost more than they save (Demmel et al., SIAM J. Matrix
-Anal. Appl. 1999), and without them a factorization takes about 30% less
-time with the same fill. The settings are constants;
-scipy 1.17.1 corrupts the heap at ``panel_size=64``.
 
 A KKT solve is one solve with the factors, refined against the
 unregularized matrix only while its residual is above a tolerance and each
@@ -110,7 +106,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# Not called here: planbench/spans.py and its tests read it, as solve_robust.
+import scipy.sparse.linalg as spla  # noqa: F401
 
 from . import ldl
 from .cones import ConePoints, Cones
@@ -189,36 +186,6 @@ class _NTScaling:
         return out
 
 
-def factor_quasidefinite(K: sp.csc_matrix, natural: bool = False):
-    """SuperLU's sparse LU of a symmetric quasi-definite matrix, pivots on
-    the diagonal while they are nonzero.
-
-    The ordering is a minimum-degree ordering of A' + A, or, with
-    ``natural``, none (for a matrix already permuted by one). The IPM
-    calls it only in natural order, for a KKT matrix whose LDL' meets an
-    exact zero pivot, where SuperLU pivots off the diagonal; the SCP
-    projection factors by minimum degree.
-
-    SuperLU runs with ``relax=1, panel_size=1``: no relaxed supernodes and
-    one-column panels. The pivots and the fill (to one stored entry) stay
-    those of scipy's defaults; only the order in which updates are added up
-    changes, so answers move in their last bits. Both are constants: in
-    scipy 1.17.1, ``panel_size=64`` corrupts the heap within 50
-    factorizations of an N=30 KKT, which a tier-1 test checks.
-    """
-    # Chosen over relax x panel_size in {1, 2, 4, 8}^2 and the defaults, on
-    # every IPM factorization of the nominal ignition-fit plans (N=100: 3 by
-    # minimum degree, 66 in natural order; N=30: 2 and 41), 25 interleaved
-    # rounds, one BLAS thread, 2-core host. panel_size=1 was fastest at every
-    # relax. Factor time per plan, medians (quartiles), defaults -> (1, 1):
-    # N=100 286 (253-300) -> 201 (153-213) ms, N=30 58.9 (56.8-61.0) -> 38.5
-    # (31.9-41.7) ms. nnz(L) + nnz(U) stayed the same, but for one stored
-    # entry in 3 of those plans' 116, projections included.
-    return spla.splu(K, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                     options=dict(SymmetricMode=True))
-
-
 def _pattern(P, A, G, cones: Cones, stage) -> list[np.ndarray]:
     """What the KKT pattern and its ordering are made of: the shapes and
     the cone layout, the CSR patterns of P, A and G, and the stages (none
@@ -229,9 +196,10 @@ def _pattern(P, A, G, cones: Cones, stage) -> list[np.ndarray]:
             np.zeros(0) if stage is None else np.asarray(stage)]
 
 
-def _stage_order(A, G, stage) -> np.ndarray:
-    """The KKT rows and columns in the stage ordering (module docstring);
-    without ``stage``, every variable is in stage 0."""
+def _stage_order(A, G, stage, variables_first=False) -> np.ndarray:
+    """The KKT rows and columns in the stage ordering (module docstring),
+    or with each stage's variables before its rows; without ``stage``,
+    every variable is in stage 0."""
     n = A.shape[1]
     stage = np.zeros(n) if stage is None else np.asarray(stage, float)
     last = stage.max(initial=0.0)
@@ -243,7 +211,8 @@ def _stage_order(A, G, stage) -> np.ndarray:
     row_stage = np.full(rows.shape[0], last)
     np.divide(touched[:, 0], touched[:, 1], out=row_stage,
               where=touched[:, 1] > 0)
-    return np.lexsort((np.arange(n + rows.shape[0]) < n,
+    is_variable = np.arange(n + rows.shape[0]) < n
+    return np.lexsort((is_variable != variables_first,
                        np.concatenate([stage, row_stage])))
 
 
@@ -325,9 +294,8 @@ class _Kkt:
     written once, and only the -(W^2 + reg I) block changes between
     iterations: ``factor`` writes it into both by ``cone_w2_scatter`` and
     factors K by the compiled LDL' (``ldl.Factors``, on the analysis's row
-    patterns), in K's ordering. At an exact zero pivot, SuperLU factors
-    that K in natural order instead, pivoting off the diagonal (counted in
-    ``pivot_fallbacks``). ``solve`` works in K's ordering throughout.
+    patterns), in K's ordering; an exact zero pivot takes its row's
+    ``_reg_sign``. ``solve`` works in K's ordering throughout.
     """
 
     def __init__(self, P, A, G, cones: Cones,
@@ -350,7 +318,6 @@ class _Kkt:
         self._upper = self.K.data[a.upper_slots]
         # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
         self._reg_sign = np.where(self.order < n, REG, -REG)
-        self.pivot_fallbacks = 0
         self._ldl = ldl.Factors(a.upper_indptr, a.upper_indices, a.Lp, a.Rp,
                                 a.Ri)
         self._cones = cones
@@ -359,18 +326,15 @@ class _Kkt:
 
     def factor(self, scaling: _NTScaling) -> None:
         """Write -(W^2 + reg I) from the NT scaling into K and its upper
-        triangle, and factor K."""
+        triangle, and factor K. Raises ``RuntimeError`` at a NaN pivot."""
         n_nn, n_soc, d = self._cones.shape
         ldl._library().cone_w2_scatter(
             n_nn, n_soc, d, REG,
             ldl._checked("w_nn", scaling.w_nn, np.float64, n_nn),
             ldl._checked("W^2", scaling.soc_sq, np.float64, n_soc, d, d),
             *self._w2_args)
-        if self._ldl.factor(self._upper) >= 0:
-            self._lu_solve = self._ldl.solve
-        else:
-            self.pivot_fallbacks += 1
-            self._lu_solve = factor_quasidefinite(self.K, natural=True).solve
+        if self._ldl.factor(self._upper, self._reg_sign) < 0:
+            raise RuntimeError("the KKT factorization met a NaN pivot")
 
     def solve(self, rhs: np.ndarray, tol: float) -> np.ndarray:
         """Solve with the last factorization, in K's ordering, refined
@@ -384,13 +348,13 @@ class _Kkt:
             r = rhs - (self.K @ sol - self._reg_sign * sol)
             return r, _norm_inf(r)
 
-        sol = self._lu_solve(rhs)
+        sol = self._ldl.solve(rhs)
         r, size = residual(sol)
         target = tol * max(1.0, _norm_inf(rhs))
         for _ in range(REFINE_STEPS):
             if not size > target:
                 break
-            refined = sol + self._lu_solve(r)
+            refined = sol + self._ldl.solve(r)
             r_refined, size_refined = residual(refined)
             if not size_refined < size:
                 break
@@ -609,8 +573,7 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
         objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),
         primal_res=pres, dual_res=dres, warm=warm,
-        reordered=kkt.reordered, resumed=resumed,
-        pivot_fallbacks=kkt.pivot_fallbacks, _analysis=kkt.analysis,
+        reordered=kkt.reordered, resumed=resumed, _analysis=kkt.analysis,
         _program=weakref.ref(program),
     )
 

@@ -46,7 +46,7 @@ _VIEW = ctypes.c_char * 0
 _ENTRY_POINTS = {
     "ldl_etree": ([_INT] + [_PTR] * 5, _INT),
     "ldl_symbolic": ([_INT] + [_PTR] * 6, None),
-    "ldl_factor": ([_INT] + [_PTR] * 11, _INT),
+    "ldl_factor": ([_INT] + [_PTR] * 12, _INT),
     "ldl_solve": ([_INT] + [_PTR] * 5, None),
     "csc_pattern": ([_INT] * 2 + [_PTR] * 7, _INT),
     "csc_upper": ([_INT] + [_PTR] * 5, None),
@@ -244,13 +244,16 @@ class Factors:
                                        *map(_address, work))
         self._solve_args = lp, li, lx, d
 
-    def factor(self, values: np.ndarray) -> int:
-        """Factor the matrix with these upper-triangle values. Returns the
-        number of positive pivots, or -1 at a zero pivot, after which the
+    def factor(self, values: np.ndarray, reg: np.ndarray) -> int:
+        """Factor the matrix with these upper-triangle values; a pivot that
+        is exactly zero takes its row's static regularization ``reg``
+        instead. Returns the number of positive pivots, or -1 at a NaN
+        pivot (or a zero one whose ``reg`` is zero), after which the
         factors are not usable."""
         pattern, rest = self._factor_args
         ax = _checked("values", values, np.float64, self.nnz)
-        return _library().ldl_factor(self.n, *pattern, ax, *rest)
+        r = _checked("reg", reg, np.float64, self.n)
+        return _library().ldl_factor(self.n, *pattern, ax, r, *rest)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution of L D L' x = rhs, in a new array."""

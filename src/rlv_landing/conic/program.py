@@ -120,8 +120,6 @@ class SolverSolution:
     #                              analysis: its start carried none that
     #                              matched
     resumed: bool = False        # the start was this program's own iterate
-    pivot_fallbacks: int = 0     # factorizations SuperLU took over from the
-    #                              LDL' kernel after an exact zero pivot
     # For a later solve from this one: the KKT analysis, reused when the
     # pattern matches, and the program solved (weakly, since that program
     # may hold this solution as its start).

@@ -37,7 +37,8 @@ from typing import Any, Callable, Protocol
 import numpy as np
 import scipy.sparse as sp
 
-from .conic import ConicProgram, SolverSolution, factor_quasidefinite, solve
+from .conic import ConicProgram, SolverSolution, ipm, ldl, solve
+from .conic.scaling import _rows
 
 
 # The projection holds inequality rows this close to their bound (rows are
@@ -151,7 +152,11 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     within ACTIVE_TOL of their bounds at their value, all to first order;
     an SOC block enters through g = ||s_1|| - s_0 with s = h - G x. It
     solves the quasi-definite KKT system [[I, J'], [J, -1e-10 I]]; the
-    regularization admits dependent rows.
+    regularization admits dependent rows. The IPM's LDL' kernel factors it
+    in the stage ordering with each stage's variables before its rows
+    (``ipm._stage_order``): with the rows first, the kernel would pivot on
+    -1e-10 first, and steps of a nine-variable test program moved by up to
+    1.4e-6 from a dense solve's.
     """
     s = program.h - program.G @ x
     cones = program.layout
@@ -172,14 +177,24 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     g[top] = norm[on] - sb[on, 0]
     held = np.unique(w_row)
     W = sp.csr_matrix((w_val, (w_row, w_col)), shape=(s.size, s.size))[held]
-    J = sp.vstack([program.A, W @ program.G], format="csc")
+    WG = W @ program.G
+    J = sp.vstack([program.A, WG], format="csr")
     residual = np.concatenate([program.A @ x - program.b,
                                np.maximum(g[held], 0.0)])
-    m = J.shape[0]
-    K = sp.bmat([[sp.eye(x.size), J.T], [J, -1e-10 * sp.eye(m)]],
-                format="csc")
-    rhs = np.concatenate([np.zeros(x.size), -residual])
-    return x + factor_quasidefinite(K).solve(rhs)[:x.size]
+    n, m, eps = x.size, J.shape[0], 1e-10
+    J_rows, diagonal = _rows(J) + n, np.arange(n + m)
+    rows = np.concatenate([diagonal, J.indices, J_rows]).astype(np.intc)
+    cols = np.concatenate([diagonal, J_rows, J.indices]).astype(np.intc)
+    values = np.concatenate([np.ones(n), np.full(m, -eps), J.data, J.data])
+    order = ipm._stage_order(program.A, WG, program.stage,
+                             variables_first=True)
+    a = ipm._Analysis.of([], rows, cols, values.size, order)
+    K = np.bincount(a.value_slots, values, a.indices.size)
+    factors = ldl.Factors(a.upper_indptr, a.upper_indices, a.Lp, a.Rp, a.Ri)
+    if factors.factor(K[a.upper_slots], np.where(order < n, eps, -eps)) < 0:
+        raise RuntimeError("the projection's factorization met a NaN pivot")
+    rhs = np.concatenate([np.zeros(n), -residual])
+    return x + factors.solve(rhs[order])[a.position[:n]]
 
 
 def _project(adapter: SubproblemAdapter, reference: Any,
@@ -236,6 +251,9 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
             solver_iterations += solution.iterations
             resolved = True
             j_tr = step_cost(solution, x_ref)
+        # Free the solution before last, and its KKT analysis, before the
+        # next build: only ``solution`` starts the next subproblem.
+        program.start = None
         small_step = j_tr < settings.eps_converge
         residual, projected = float("nan"), False
         if solution.optimal:

@@ -1,6 +1,6 @@
 """Shared numerical test utilities: finite differences, random states, a
-cone layout, a stand-in for scipy's sparse solvers that records their
-orderings, and the oracles the kernels are tested against: the aero model
+cone layout, a recorder of SuperLU calls, and the references and oracles
+the kernels are tested against: SuperLU's LU, the aero model
 at one angle of attack, the KKT residuals of a solution, the numpy cone
 algebra that the compiled one (``conic/cones.c``) replaced, the numpy
 -(W^2 + reg I) values and ``np.unique`` KKT pattern that the IPM's kernel
@@ -10,7 +10,9 @@ for every row, in Python."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,19 +29,27 @@ MULTI_BLOCK_CONES = [ConeBlock(NONNEG, 2), ConeBlock(NONNEG, 1),
                      ConeBlock(SOC, 3), ConeBlock(SOC, 3)]
 
 
-class CountingSpla:
-    """Stands in for ``scipy.sparse.linalg`` inside ``ipm``, recording the
-    column ordering each factorization asked for."""
+@contextmanager
+def splu_calls():
+    """The list of the ``scipy.sparse.linalg.splu`` calls made inside the
+    block, each as its keyword arguments."""
+    calls, splu = [], spla.splu
 
-    def __init__(self):
-        self.orderings = []
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
 
-    def __getattr__(self, name):
-        return getattr(spla, name)
+    with mock.patch.object(spla, "splu", counted):
+        yield calls
 
-    def splu(self, K, **kwargs):
-        self.orderings.append(kwargs.get("permc_spec"))
-        return spla.splu(K, **kwargs)
+
+def superlu(K, natural=False):
+    """SuperLU's LU of a symmetric quasi-definite K, pivots on the diagonal
+    while they are nonzero, ordered by minimum degree on K' + K or, with
+    ``natural``, in K's own order: the reference the LDL' kernel's fill and
+    accuracy are tested against."""
+    return spla.splu(K, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 def flat_arrays(held):
@@ -340,14 +350,15 @@ def unique_pattern(rows, cols, position):
             upper.astype(np.intc))
 
 
-def tree_walking_ldl(indptr, indices, values):
+def tree_walking_ldl(indptr, indices, values, reg):
     """The up-looking LDL' of an upper-triangular CSC matrix that finds the
     pattern of each row of L by walking the elimination tree from that
     row's entries, as the compiled kernel did before its symbolic pass,
-    with the same floating-point operations in the same order. Returns L's
-    row indices (-1 where unwritten) and values, D (NaN where unwritten)
-    and the kernel's result: the number of positive pivots, or -1 at the
-    first zero (or NaN) pivot."""
+    with the same floating-point operations in the same order, and the
+    kernel's rule at a pivot that is exactly zero: it takes ``reg`` of its
+    row. Returns L's row indices (-1 where unwritten) and values, D (NaN
+    where unwritten) and the kernel's result: the number of positive
+    pivots, or -1 at the first NaN pivot (or zero one with a zero reg)."""
     n = len(indptr) - 1
     parent, count, flag = [-1] * n, [0] * n, [-1] * n
     for j in range(n):
@@ -386,6 +397,8 @@ def tree_walking_ldl(indptr, indices, values):
             d -= lki * yi
             Li[end], Lx[end] = k, lki
             filled[i] += 1
+        if d == 0.0:
+            d = float(reg[k])
         if not (d > 0.0 or d < 0.0):
             positive = -1
             break

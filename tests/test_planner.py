@@ -3,6 +3,7 @@ linearization against finite differences, subproblem structure, and a full
 SCP solve to convergence on a reduced grid.
 """
 
+import gc
 import math
 import os
 import subprocess
@@ -10,16 +11,16 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from rlv_landing import env, planner, scp
 from rlv_landing.conic import ipm, ldl, scaling
 from rlv_landing.conic.cones import ConePoints, Cones
-from rlv_landing.conic.ipm import _Kkt, _NTScaling, factor_quasidefinite
+from rlv_landing.conic.ipm import _Analysis, _Kkt, _NTScaling
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
     NZ,
@@ -35,8 +36,8 @@ from rlv_landing.planner import (
 )
 from rlv_landing.scp import ScpSettings, run_scp
 
-from helpers import (CountingSpla, central_diff_jacobian, coo_csr,
-                     flat_arrays, rel_jac_error, total_aoa)
+from helpers import (central_diff_jacobian, coo_csr, flat_arrays,
+                     rel_jac_error, splu_calls, superlu, total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -522,19 +523,21 @@ def first_kkt(N=30):
     return kkt.K[kkt.position][:, kkt.position].tocsc(), kkt
 
 
-def stage_rule_position(prog):
+def stage_rule_position(prog, variables_first=False):
     """Where the stage rule puts each KKT row and column, row by row: a
     row of A or G takes the mean stage of the columns it stores outside
     the last stage (the last stage if none), and rows and variables are
-    sorted by (stage, rows first, index)."""
+    sorted by (stage, rows first, index), or with ``variables_first`` by
+    (stage, variables first, index)."""
     n, stage = prog.n, prog.stage
     last = stage.max()
-    keys = [(stage[j], 1, j) for j in range(n)]
+    keys = [(stage[j], int(not variables_first), j) for j in range(n)]
     rows = sp.vstack([prog.A, prog.G], format="csr")
     for i in range(rows.shape[0]):
         columns = rows.indices[rows.indptr[i]:rows.indptr[i + 1]]
         inner = [stage[j] for j in columns if stage[j] < last]
-        keys.append((sum(inner) / len(inner) if inner else last, 0, n + i))
+        keys.append((sum(inner) / len(inner) if inner else last,
+                     int(variables_first), n + i))
     position = np.empty(len(keys), int)
     position[[key[2] for key in sorted(keys)]] = np.arange(len(keys))
     return position
@@ -550,125 +553,118 @@ class TestStageOrdering:
         np.testing.assert_array_equal(
             prog.stage, np.r_[np.repeat(np.arange(11), NZ), 11, 11])
 
-    def test_cold_solve_orders_by_stage_without_minimum_degree(
-            self, monkeypatch):
+    def test_cold_solve_orders_by_stage_without_minimum_degree(self):
         # The first N=30 subproblem, solved cold: its analysis is the stage
-        # rule's, and no factorization asks SuperLU for a minimum-degree
-        # ordering.
+        # rule's, and no factorization calls SuperLU.
         prob, cfg = make_problem(N=30)
         prog = first_subproblem(prob, cfg)
-        spla_ = CountingSpla()
-        monkeypatch.setattr(ipm, "spla", spla_)
-        sol = ipm.solve(prog)
+        with splu_calls() as calls:
+            sol = ipm.solve(prog)
         assert sol.optimal and sol.reordered and not sol.warm
-        assert "MMD_AT_PLUS_A" not in spla_.orderings
+        assert not calls
         np.testing.assert_array_equal(sol._analysis.position,
                                       stage_rule_position(prog))
+
+    def test_projection_orders_each_stage_variables_first(self, monkeypatch):
+        # The Gauss-Newton projection about the first N=30 reference
+        # factors [[I, J'], [J, -1e-10 I]], J = [A; W G], in the stage
+        # rule's ordering with each stage's variables before its rows:
+        # rows first, the kernel would pivot on -1e-10 first.
+        calls, stage_order = [], ipm._stage_order
+
+        def recorded(A, G, stage, variables_first=False):
+            order = stage_order(A, G, stage, variables_first)
+            calls.append((A, G, variables_first, order))
+            return order
+
+        monkeypatch.setattr(ipm, "_stage_order", recorded)
+        prob, cfg = make_problem(N=30)
+        prog = first_subproblem(prob, cfg)
+        x = prob.reference_vector(initial_guess_planning(prob.boundary, cfg,
+                                                         VP))
+        scp.project_onto_rows(prog, x)
+        (A, WG, variables_first, order), = calls
+        assert A is prog.A and variables_first and WG.shape[0] > 0
+        rows = SimpleNamespace(n=prog.n, stage=prog.stage, A=A, G=WG)
+        np.testing.assert_array_equal(
+            np.argsort(order), stage_rule_position(rows, variables_first=True))
 
     def test_fill_at_n100_is_at_most_minimum_degree(self):
         # nnz(L) of the first N=100 KKT matrix: 30,179 in the stage
         # ordering, 30,376 by SuperLU's minimum degree. (At N=30 the stage
         # ordering fills more: 9,095 against 8,508.)
         K, kkt = first_kkt(N=100)
-        order = np.argsort(factor_quasidefinite(K).perm_c)
+        order = np.argsort(superlu(K).perm_c)
         upper = sp.triu(K[order][:, order], format="csc")
         _, Lp = ldl.etree(upper.indptr.astype(np.intc),
                           upper.indices.astype(np.intc))
         assert kkt.analysis.Lp[-1] <= Lp[-1]
 
 
-# Run in a child process: factors the saved KKT 25 times by minimum degree
-# and 25 times in natural order after that ordering, then 25 times and
-# solves 25 times with the LDL' kernel in that ordering.
-FACTOR_50_TIMES = """
+# Run in a child process: factors the saved KKT, in the IPM's ordering, 25
+# times with the LDL' kernel and solves with it 25 times.
+FACTOR_25_TIMES = """
 import sys
 import numpy as np
 import scipy.sparse as sp
-from rlv_landing.conic import ldl
-from rlv_landing.conic.ipm import factor_quasidefinite
+from rlv_landing.conic import ipm, ldl
 K = sp.load_npz(sys.argv[1]).tocsc()
-order = np.argsort(factor_quasidefinite(K).perm_c)
-permuted = K[order][:, order].tocsc()
-for _ in range(25):
-    factor_quasidefinite(K)
-    factor_quasidefinite(permuted, natural=True)
-upper = sp.triu(permuted, format="csc")
+upper = sp.triu(K, format="csc")
 pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
 factors = ldl.Factors(*pattern, *ldl.analyze(*pattern))
-rhs = np.ones(K.shape[0])
+rhs, reg = np.ones(K.shape[0]), np.full(K.shape[0], ipm.REG)
 for _ in range(25):
-    assert factors.factor(upper.data) >= 0
+    assert factors.factor(upper.data, reg) >= 0
     factors.solve(rhs)
 """
 
 
 class TestKktFactorization:
-    def test_symmetric_ordering_halves_the_fill(self):
-        # The pivot-free symmetric ordering fills the first N=30 KKT to at
-        # most half of what SuperLU's defaults (COLAMD, partial pivoting) do.
-        K = first_kkt()[0]
-        ours = factor_quasidefinite(K)
-        default = spla.splu(K)
-        assert ours.L.nnz + ours.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
-
-    @pytest.mark.parametrize("natural", [False, True],
-                             ids=["minimum-degree", "natural"])
-    def test_supernode_settings_keep_fill_and_accuracy(self, natural):
-        # The supernode settings change only the order in which SuperLU
-        # adds up the updates: the fill is that of the same call at scipy's
-        # supernode defaults, and a solve is as accurate, within 10x.
-        K = first_kkt()[0]
-        if natural:
-            order = np.argsort(factor_quasidefinite(K).perm_c)
-            K = K[order][:, order].tocsc()
-        ours = factor_quasidefinite(K, natural=natural)
-        default = spla.splu(
-            K, permc_spec="NATURAL" if natural else "MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-        assert ours.L.nnz + ours.U.nnz == default.L.nnz + default.U.nnz
-        rhs = np.random.default_rng(18).standard_normal(K.shape[0])
-
-        def residual(lu):
-            return np.abs(K @ lu.solve(rhs) - rhs).max()
-
-        assert residual(ours) <= 10.0 * residual(default)
+    def test_nominal_plan_makes_no_superlu_call(self):
+        # Every factorization of a plan, the IPM's and the Gauss-Newton
+        # projection's, is the LDL' kernel's.
+        prob, cfg = make_problem(N=30)
+        with splu_calls() as calls:
+            out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
+                          ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
+        assert out.converged and any(rec.projected for rec in out.log)
+        assert not calls
 
     def test_factorization_leaves_the_heap_intact(self, tmp_path):
-        # SuperLU's panel_size=64 corrupts the heap in scipy 1.17.1: a
-        # process that factors this KKT 50 times with it aborts, at exit or
-        # when the debug allocator checks a free. The factorization runs 50
-        # times in a child process under that allocator and must exit 0.
+        # A kernel that writes outside its buffers aborts a process under
+        # the debug allocator, at exit or when it checks a free. The
+        # factorization and solve run 25 times each in a child process
+        # under that allocator and must exit 0.
         path = tmp_path / "kkt.npz"
-        sp.save_npz(path, first_kkt()[0])
+        sp.save_npz(path, first_kkt()[1].K)
         src = str(Path(ipm.__file__).resolve().parents[2])
         child_env = dict(os.environ, PYTHONMALLOC="debug",
                          PYTHONPATH=os.pathsep.join(
                              filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = subprocess.run(
-            [sys.executable, "-X", "dev", "-c", FACTOR_50_TIMES, str(path)],
+            [sys.executable, "-X", "dev", "-c", FACTOR_25_TIMES, str(path)],
             env=child_env, capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr[-2000:]
 
     def test_direction_solves_refine_only_as_needed(self, monkeypatch):
         # Over the nominal N=30 plan, the IPM's direction solves (predictor,
-        # corrector, Gondzio) take fewer than 2 LU solves each: two fixed
+        # corrector, Gondzio) take fewer than 2 LDL' solves each: two fixed
         # refinement steps took 3, the residual rule takes 1.17.
-        lu_solves, per_direction = [], []
-        factor, solve = _Kkt.factor, _Kkt.solve
+        ldl_solves, per_direction = [], []
+        factors_solve, solve = ldl.Factors.solve, _Kkt.solve
 
-        def counted_factor(self, scaling):
-            factor(self, scaling)
-            inner = self._lu_solve
-            self._lu_solve = lambda rhs: lu_solves.append(1) or inner(rhs)
+        def counted_factors_solve(self, rhs):
+            ldl_solves.append(1)
+            return factors_solve(self, rhs)
 
         def counted_solve(self, rhs, tol):
-            before = len(lu_solves)
+            before = len(ldl_solves)
             out = solve(self, rhs, tol)
             if tol == ipm.REFINE_TOL:
-                per_direction.append(len(lu_solves) - before)
+                per_direction.append(len(ldl_solves) - before)
             return out
 
-        monkeypatch.setattr(_Kkt, "factor", counted_factor)
+        monkeypatch.setattr(ldl.Factors, "solve", counted_factors_solve)
         monkeypatch.setattr(_Kkt, "solve", counted_solve)
         prob, cfg = make_problem(N=30)
         out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
@@ -679,6 +675,37 @@ class TestKktFactorization:
 
 
 class TestPlanningScp:
+    def test_one_kkt_analysis_is_alive_at_each_build(self, monkeypatch):
+        # A build holds the KKT analysis of the last solution alone: the
+        # solution before last, the start of the last solve, goes with its
+        # analysis once that solve returns. The nominal N=30 plan starts a
+        # solve whose pattern is not its start's, so two differ there.
+        alive, build = [], PlanningProblem.build
+
+        def analyses():
+            return sum(isinstance(o, _Analysis) for o in gc.get_objects())
+
+        def counted_build(self, reference):
+            alive.append(analyses())
+            return build(self, reference)
+
+        fresh_from_a_start = []
+
+        def recorded_solve(program, tol):
+            sol = ipm.solve(program, tol)
+            fresh_from_a_start.append(sol.warm and sol.reordered)
+            return sol
+
+        monkeypatch.setattr(PlanningProblem, "build", counted_build)
+        prob, cfg = make_problem(N=30)
+        gc.collect()
+        before = analyses()     # those other tests left alive
+        out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
+                      ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr),
+                      solve_fn=recorded_solve)
+        assert out.converged and any(fresh_from_a_start)
+        assert alive[0] == before and max(alive) == before + 1
+
     def test_converges_small_grid(self):
         prob, cfg = make_problem(N=30)
         ref0 = initial_guess_planning(prob.boundary, cfg, VP)

@@ -15,7 +15,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,10 +32,11 @@ from rlv_landing.conic.cones import ConePoints, Cones
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import (MULTI_BLOCK_CONES, CountingSpla, flat_arrays, nt_apply,
+from helpers import (MULTI_BLOCK_CONES, flat_arrays, nt_apply,
                      numpy_clip_eigenvalues, numpy_max_steps, numpy_points,
                      numpy_product, numpy_rhs, numpy_scaled_product, same_bits,
-                     tree_walking_ldl, unique_pattern, verify_kkt, w2_entries)
+                     splu_calls, superlu, tree_walking_ldl, unique_pattern,
+                     verify_kkt, w2_entries)
 
 
 def lp(c, G, h, A=None, b=None):
@@ -449,7 +449,7 @@ class TestQuasiDefiniteKkt:
                                        atol=1e-15 * np.abs(fresh.data).max())
 
             rhs = rng.normal(size=kkt.K.shape[0])
-            lu = spla.splu(fresh)
+            lu = superlu(fresh)
             unreg = self.fresh(prog, scaling, 0.0)
             expected = lu.solve(rhs)
             for _ in range(2):
@@ -502,17 +502,18 @@ class TestQuasiDefiniteKkt:
 
     @staticmethod
     def count_lu_solves(kkt, bad_call=None):
-        """Count the calls of the factor's solve; the ``bad_call``-th
-        returns 1000 times the LU solve, a step that raises the residual."""
+        """Count the calls of the factors' solve; the ``bad_call``-th
+        returns 1000 times the LDL' solve, a step that raises the
+        residual."""
         calls = []
-        inner = kkt._lu_solve
+        inner = kkt._ldl.solve
 
         def counted(rhs):
             calls.append(rhs)
             out = inner(rhs)
             return 1e3 * out if len(calls) == bad_call else out
 
-        kkt._lu_solve = counted
+        kkt._ldl.solve = counted
         return calls
 
     def test_refines_only_while_the_residual_needs_it(self):
@@ -522,7 +523,7 @@ class TestQuasiDefiniteKkt:
         relative = np.abs(residual).max() / max(1.0, np.abs(rhs).max())
         assert relative > 0.0
         calls = self.count_lu_solves(kkt)
-        # The first residual meets the tolerance: one LU solve, no residual
+        # The first residual meets the tolerance: one LDL' solve, no residual
         # step.
         np.testing.assert_array_equal(kkt.solve(rhs, 2.0 * relative), first)
         assert len(calls) == 1
@@ -972,20 +973,19 @@ class TestWarmStart:
         perturbed = replace(
             prog, c=prog.c + 1e-2 * rng.normal(size=n),
             h=prog.h + 1e-2 * interior_point(rng, blocks), start=first)
-        spla_ = CountingSpla()
         factorizations = []
         factor = ldl.Factors.factor
 
-        def counted(self, values):
+        def counted(self, values, reg):
             factorizations.append(values.size)
-            return factor(self, values)
+            return factor(self, values, reg)
 
-        with mock.patch.object(ipm, "spla", spla_), \
+        with splu_calls() as splus, \
                 mock.patch.object(ldl.Factors, "factor", counted):
             warm = solve(perturbed)
         # The same pattern as the start's: its ordering is reused, and the
-        # LDL' kernel factors.
-        assert "MMD_AT_PLUS_A" not in spla_.orderings and factorizations
+        # LDL' kernel factors, alone.
+        assert not splus and factorizations
         assert warm.warm and not warm.reordered and not warm.resumed
         assert warm.status == "optimal"
         assert verify_kkt(perturbed, warm).worst < 1e-8
@@ -1093,6 +1093,11 @@ def ldl_factors(K):
     return ldl.Factors(*pattern, *ldl.analyze(*pattern)), upper.data
 
 
+def static_reg(rng, n):
+    """A static regularization per row, +-1e-9 with random signs."""
+    return rng.choice([-1e-9, 1e-9], n)
+
+
 class TestLdlKernel:
     """The compiled LDL' kernel the IPM factors its KKT matrix with, and the
     build of the one library that holds it and the cone algebra."""
@@ -1108,44 +1113,52 @@ class TestLdlKernel:
         rng = np.random.default_rng(seed)
         K = quasidefinite(rng, n_pos, n_neg, density)
         factors, values = ldl_factors(K)
-        assert factors.factor(values) == n_pos
+        assert factors.factor(values, static_reg(rng, K.shape[0])) == n_pos
         rhs = rng.standard_normal(K.shape[0])
         x = factors.solve(rhs)
-        superlu = ipm.factor_quasidefinite(K, natural=True).solve(rhs)
+        reference = superlu(K, natural=True).solve(rhs)
         floor = np.finfo(float).eps * (
             abs(K).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max())
         assert np.abs(K @ x - rhs).max() <= 10.0 * max(
-            np.abs(K @ superlu - rhs).max(), floor)
+            np.abs(K @ reference - rhs).max(), floor)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_pos=st.integers(1, 10),
            n_neg=st.integers(1, 10), density=st.floats(0.05, 0.6),
-           cancel=st.booleans())
+           extra=st.sampled_from(["none", "cancel", "nan"]))
     def test_factors_are_the_tree_walking_ones(self, seed, n_pos, n_neg,
-                                               density, cancel):
+                                               density, extra):
         # L's rows and values, D and the result are, bit for bit, those of
         # the LDL' that walks the tree for every row (the oracle in
-        # helpers). With ``cancel``, two rows [[1, 1], [1, 1]] join the
+        # helpers). With "cancel", two rows [[1, 1], [1, 1]] join the
         # matrix at random places: the second one's pivot cancels to 0 mid-
-        # factorization, and the kernel returns -1 at that row, having
-        # written what the oracle wrote and nothing more.
+        # factorization, and the kernel takes that row's static
+        # regularization as the pivot and goes on. With "nan", a row whose
+        # diagonal is NaN joins it: the kernel returns -1 at that row,
+        # having written what the oracle wrote and nothing more.
         rng = np.random.default_rng(seed)
         K = quasidefinite(rng, n_pos, n_neg, density)
-        if cancel:
-            K = sp.block_diag([K, np.ones((2, 2))], format="csc")
+        if extra != "none":
+            block = np.ones((2, 2)) if extra == "cancel" else [[np.nan]]
+            K = sp.block_diag([K, block], format="csc")
             p = rng.permutation(K.shape[0])
             K = K[p][:, p].tocsc()
         factors, values = ldl_factors(K)
+        reg = static_reg(rng, K.shape[0])
         factors.L[0][:] = -1
         for written in factors.L[1:]:
             written[:] = np.nan
-        result = factors.factor(values)
+        result = factors.factor(values, reg)
         upper = sp.triu(K, format="csc")
         Li, Lx, D, expected = tree_walking_ldl(upper.indptr, upper.indices,
-                                               values)
-        assert result == expected and (result == -1) == cancel
+                                               values, reg)
+        assert result == expected and (result == -1) == (extra == "nan")
         assert np.array_equal(factors.L[0], Li)
         assert same_bits(factors.L[1], Lx) and same_bits(factors.L[2], D)
+        if extra == "cancel":
+            # The two rows' second one, in the factorization's order.
+            second = max(np.flatnonzero(p >= K.shape[0] - 2))
+            assert D[second] == reg[second]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
@@ -1164,22 +1177,31 @@ class TestLdlKernel:
             assert a.dtype == np.intc and np.array_equal(a, e)
 
     def test_zero_pivot(self):
-        # Nonsingular, but the second pivot is 1 - 1 = 0: the kernel stops,
-        # and SuperLU in the same order pivots off the diagonal.
+        # Nonsingular, but the second pivot is 1 - 1 = 0: the kernel takes
+        # that row's static regularization as the pivot (a zero one fails
+        # the factorization), and two refinement steps against K solve as
+        # accurately as SuperLU in the same order, which pivots off the
+        # diagonal.
         K = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0],
                                     [0.0, 1.0, -1.0]]))
         factors, values = ldl_factors(K)
-        assert factors.factor(values) == -1
+        assert factors.factor(values, np.zeros(3)) == -1
+        assert factors.factor(values, np.full(3, 1e-9)) == 2
+        assert factors.L[2][1] == 1e-9
         rhs = np.array([1.0, 2.0, 3.0])
-        x = ipm.factor_quasidefinite(K, natural=True).solve(rhs)
-        np.testing.assert_allclose(K @ x, rhs, rtol=0, atol=1e-14)
+        x = factors.solve(rhs)
+        for _ in range(2):
+            x = x + factors.solve(rhs - K @ x)
+        reference = superlu(K, natural=True).solve(rhs)
+        assert np.abs(K @ x - rhs).max() <= max(
+            np.abs(K @ reference - rhs).max(), 1e-15)
 
-    def test_zero_pivot_takes_the_superlu_rescue(self):
+    def test_solve_at_a_zero_pivot_is_the_unregularized_one(self):
         # An orthant row that the ordering eliminates before all its
         # neighbours pivots on its own diagonal entry; with W^2 + reg I = 0
-        # there, that pivot is exactly zero. SuperLU factors this K in the
-        # same order instead, the KKT system counts it, and a solve is
-        # that of the nonsingular matrix.
+        # there, that pivot is exactly zero. The kernel takes the row's
+        # static regularization as the pivot, and a refined solve is that
+        # of the nonsingular unregularized matrix.
         rng = np.random.default_rng(29)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = Cones(prog.cones)
@@ -1189,38 +1211,21 @@ class TestLdlKernel:
         a, first = kkt.analysis, prog.n + prog.A.shape[0]
         leaves = [i for i in range(cones.n_nn) if np.diff(
             a.upper_indptr)[a.position[first + i]] == 1]
-        assert leaves and kkt.pivot_fallbacks == 0
+        assert leaves
         # The orthant entries of W^2 + reg I come first: w_nn = 0 with
         # reg = 0 writes a zero there.
         w_nn = identity.w_nn.copy()
         w_nn[leaves[0]] = 0.0
-        spla_ = CountingSpla()
-        with mock.patch.object(ipm, "spla", spla_), \
-                mock.patch.object(ipm, "REG", 0.0):
+        with mock.patch.object(ipm, "REG", 0.0):
             kkt.factor(mock.Mock(w_nn=w_nn, soc_sq=identity.soc_sq))
-        assert kkt.pivot_fallbacks == 1 and spla_.orderings == ["NATURAL"]
+        leaf = a.position[first + leaves[0]]
+        assert kkt.K[leaf, leaf] == 0.0
+        assert kkt._ldl.L[2][leaf] == kkt._reg_sign[leaf]
         unregularized = kkt.K.toarray() - np.diag(kkt._reg_sign)
         rhs = rng.normal(size=kkt.K.shape[0])
         expected = np.linalg.solve(unregularized, rhs[kkt.order])[kkt.position]
         np.testing.assert_allclose(kkt.solve(rhs, 0.0), expected, rtol=0,
                                    atol=1e-10 * np.abs(expected).max())
-
-    def test_solution_counts_the_rescues(self):
-        # The kernel's second factorization of the solve meets a zero pivot
-        # (stood in for here): SuperLU factors that one, the solve goes on,
-        # and its solution counts one rescue.
-        prog = random_feasible_conic(np.random.default_rng(31), n=6, me=2,
-                                     cones=MIXED_CONES, rank=3)
-        calls, factor = [], ldl.Factors.factor
-
-        def second_is_zero(self, values):
-            calls.append(factor(self, values))
-            return -1 if len(calls) == 2 else calls[-1]
-
-        with mock.patch.object(ldl.Factors, "factor", second_is_zero):
-            sol = solve(prog)
-        assert sol.pivot_fallbacks == 1 and solve(prog).pivot_fallbacks == 0
-        assert sol.optimal and verify_kkt(prog, sol).worst < 1e-8
 
     def test_etree_rejects_an_entry_below_the_diagonal(self):
         lower = sp.csc_matrix(np.array([[2.0, 0.0], [1.0, 2.0]]))
@@ -1235,6 +1240,7 @@ class TestLdlKernel:
         indptr = upper.indptr.astype(np.intc)
         indices = upper.indices.astype(np.intc)
         symbolic = ldl.analyze(indptr, indices)
+        reg = np.zeros(K.shape[0])
         entries = np.zeros(3, np.intc)
         position = np.arange(2, dtype=np.intc)
         unsorted = indptr.copy()
@@ -1259,9 +1265,10 @@ class TestLdlKernel:
             lambda: ldl.csc_pattern(entries, entries, position - 1),
             lambda: ldl.csc_upper(indptr, indices[:-1]),
             lambda: ldl.csc_upper(unsorted, indices),
-            lambda: factors.factor(values.astype(np.float32)),
-            lambda: factors.factor(values[:-1]),
-            lambda: factors.factor(np.repeat(values, 2)[::2]),
+            lambda: factors.factor(values.astype(np.float32), reg),
+            lambda: factors.factor(values[:-1], reg),
+            lambda: factors.factor(np.repeat(values, 2)[::2], reg),
+            lambda: factors.factor(values, reg[:-1]),
             lambda: factors.solve(np.ones(K.shape[0] + 1)),
         ]
         for call in bad:
