@@ -34,10 +34,11 @@ commits plan by plan: two trees give the same answers when their plan lines
 
 ``--diff SAVED`` makes that comparison. SAVED is this script's output on
 another tree. After the totals, one line names each plan of this run whose
-``outcome``, ``scp_iters``, ``propellant_kg`` or ``z_hash`` differs from
-its line in SAVED, with the old and new values, and a last line counts the
-plans compared, moved, moved in class (``outcome`` or ``scp_iters``), and
-missing from SAVED:
+``outcome``, ``scp_iters``, ``propellant_kg``, ``z_hash``, ``ipm_iters`` or
+``projection_steps`` differs from its line in SAVED, with the old and new
+values, so that "the same plans" covers the solver's work as well as the
+answer, and a last line counts the plans compared, moved, moved in class
+(``outcome`` or ``scp_iters``), and missing from SAVED:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 > old.jsonl
 
@@ -67,7 +68,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERDICTS = ("optimal", "infeasible")
 # The fields of a plan line that ``--diff`` compares.
-COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash")
+COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash", "ipm_iters",
+            "projection_steps")
 # The fields whose change moves a plan's class, not only its last bits.
 CLASS = ("outcome", "scp_iters")
 
@@ -189,8 +191,8 @@ def main(argv=None) -> int:
             if old is None:
                 missing += 1
                 continue
-            changes = {field: [old[field], line[field]] for field in COMPARED
-                       if old[field] != line[field]}
+            changes = {field: [old.get(field), line[field]]
+                       for field in COMPARED if old.get(field) != line[field]}
             if changes:
                 moved.append({"set": name, "plan": i, **changes})
     totals["plan_s"] = round(totals["plan_s"], 3)

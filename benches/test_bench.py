@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_29.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_30.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -14,9 +14,15 @@ build's template, and by the problem that built it, which reuses that
 template and writes only values. Then one IPM solve of the subproblem, and
 one factorization of the IPM's first KKT matrix by SuperLU at its defaults,
 for scale. A refactorization of that matrix is timed at N=100 and on the
-first N=30 subproblem, by the IPM's LDL' kernel in the ordering the IPM
-analyses the matrix in, on the symbolic analysis (``ldl.analyze``) made
-once, as each IPM iteration factors it.
+first N=30 subproblem, by the IPM's LDL' kernel on the upper-triangle
+values the IPM's own KKT system (``ipm._Kkt``) holds, in its ordering, on
+the symbolic analysis (``ldl.analyze``) made once, as each IPM iteration
+factors it. The KKT solve case times one refined ``_Kkt.solve`` at
+``ipm.REFINE_TOL`` at N=100, with the KKT system factored at the NT
+scaling of the cold solve's eighth iterate (below) and the cold start's
+right-hand side [-c; b; h]: the LDL' solves and the refinement's products
+with K. ``sol_sha256`` hashes the solution and ``ldl_solves`` counts its
+LDL' solves.
 The KKT and cone-algebra cases run a fixed number of rounds after warm-up
 rounds (``KERNEL_ROUNDS``): at pytest-benchmark's default time budget
 their sub-millisecond medians moved more between runs than a kernel change
@@ -109,8 +115,10 @@ def subproblem():
 
 
 def first_kkt(prog, reg=ipm.REG) -> sp.csc_matrix:
-    """The IPM's first KKT matrix (W = I): -(W^2 + reg I) stored as the IPM
-    stores it, dense on each SOC block (explicit zeros off the diagonal)."""
+    """The IPM's first KKT matrix (W = I), whole and in the program's own
+    order, as SuperLU takes it: -(W^2 + reg I) dense on each SOC block
+    (explicit zeros off the diagonal). The IPM stores only its upper
+    triangle, in the stage ordering (``ipm_kkt``)."""
     n, me = prog.n, prog.A.shape[0]
     top = sp.bmat([[prog.P + reg * sp.eye(n), prog.A.T, prog.G.T],
                    [prog.A, -reg * sp.eye(me), None]], format="coo")
@@ -207,27 +215,24 @@ def test_kkt_factor_default_n100(benchmark, subproblem):
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
-def ipm_order(prog):
-    """The ordering in which the IPM analyses the program's KKT matrix:
-    that of a one-iteration solve's analysis."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ipm, "MAX_ITER", 1)
-        return ipm.solve(prog)._analysis.order
+def ipm_kkt(prog, scaling=None):
+    """The IPM's KKT system of the program (``ipm._Kkt``, analysed afresh
+    in the stage ordering, as a cold solve analyses it), factored at the
+    NT scaling ``scaling``, or at W = I."""
+    cones = prog.layout
+    kkt = ipm._Kkt(prog.P, prog.A, prog.G, cones, stage=prog.stage)
+    kkt.factor(scaling or ipm._NTScaling(
+        cones.points(cones.identity(), cones.identity())))
+    return kkt
 
 
 def refactor_ldl(benchmark, prog):
     """An IPM iteration's factorization, by the IPM's LDL' kernel in the
-    IPM's ordering: the upper triangle of the permuted matrix, analysed
-    once (``ldl.analyze``) and factored numerically."""
-    from rlv_landing.conic import ldl
-
-    K = first_kkt(prog)
-    order = ipm_order(prog)
-    upper = sp.triu(K[order][:, order], format="csc")
-    pattern = upper.indptr.astype(np.intc), upper.indices.astype(np.intc)
-    factors = ldl.Factors(*pattern, *ldl.analyze(*pattern))
-    reg = np.where(order < prog.n, ipm.REG, -ipm.REG)
-    assert kernel(benchmark, factors.factor, upper.data, reg) >= 0
+    IPM's ordering: the upper-triangle values of the IPM's first KKT system
+    (W = I), analysed once (``ldl.analyze``) and factored numerically."""
+    kkt = ipm_kkt(prog)
+    factors = kkt._ldl
+    assert kernel(benchmark, factors.factor, kkt._values, kkt._reg_sign) >= 0
     benchmark.extra_info["nnz_L"] = int(factors.L[0].size)
     # L and D, counted as SuperLU counts L + U: both triangles and the
     # diagonal twice.
@@ -240,6 +245,22 @@ def test_kkt_refactor_ldl_n100(benchmark, subproblem):
 
 def test_kkt_refactor_ldl_n30(benchmark):
     refactor_ldl(benchmark, first_subproblem(30)[2])
+
+
+def test_kkt_solve_n100(benchmark, subproblem):
+    """One refined KKT solve at ``ipm.REFINE_TOL``, as the IPM solves for a
+    direction."""
+    prog = subproblem[2]
+    cones, s, z, _, _ = mid_solve(prog)
+    kkt = ipm_kkt(prog, ipm._NTScaling(cones.points(s, z)))
+    rhs = np.concatenate([-prog.c, prog.b, prog.h])
+    sol = kernel(benchmark, kkt.solve, rhs, ipm.REFINE_TOL)
+    calls, solve = [], kkt._ldl.solve
+    kkt._ldl.solve = lambda r: calls.append(r) or solve(r)
+    kkt.solve(rhs, ipm.REFINE_TOL)
+    benchmark.extra_info["ldl_solves"] = len(calls)
+    benchmark.extra_info["sol_sha256"] = \
+        hashlib.sha256(sol.tobytes()).hexdigest()[:16]
 
 
 def test_projection_n100(benchmark):

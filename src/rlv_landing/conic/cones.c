@@ -12,8 +12,8 @@
  * two tied zeros of opposite sign it returns may differ from numpy's.
  * The caller checks every array's length. The vectors a function keeps
  * on the stack are d long, against the d x d doubles of a block's W.
- * cone_w2_scatter writes the NT scaling's -(W^2 + reg I) into the IPM's
- * KKT values. */
+ * cone_w2_scatter writes the NT scaling's -(W^2 + reg I) into the values
+ * of the IPM's KKT upper triangle. */
 
 #include <math.h>
 #include <stddef.h>
@@ -247,27 +247,21 @@ void cone_clip_eigenvalues(int n_nn, int n_soc, int d, double lo, double hi,
     }
 }
 
-static void put(double v, int slot, int upper, double *Kx, double *Ux)
-{
-    Kx[slot] = v;
-    if (upper >= 0)
-        Ux[upper] = v;
-}
-
-/* -(W^2 + reg I), written into a KKT matrix's values Kx at slots, and into
- * its upper triangle's values Ux at upper where that is not -1, in the
- * order of the orthant diagonal -(w_nn^2 + reg), then each block's d x d
- * entries row by row, reg added on the diagonal. */
+/* -(W^2 + reg I), written into the values Kx of a KKT matrix's upper
+ * triangle at slots, in the order of the orthant diagonal
+ * -(w_nn^2 + reg), then each block's upper triangle row by row, reg added
+ * on the diagonal. W^2 is symmetric to the bit (cone_nt_scaling adds the
+ * same products in the same order for W2[i][j] and W2[j][i]), so its upper
+ * triangle is all of it. */
 void cone_w2_scatter(int n_nn, int n_soc, int d, double reg,
                      const double *w_nn, const double *W2, const int *slots,
-                     const int *upper, double *Kx, double *Ux)
+                     double *Kx)
 {
     for (int i = 0; i < n_nn; i++)
-        put(-(w_nn[i] * w_nn[i] + reg), slots[i], upper[i], Kx, Ux);
-    slots += n_nn;
-    upper += n_nn;
-    for (int b = 0; b < n_soc; b++)
+        Kx[*slots++] = -(w_nn[i] * w_nn[i] + reg);
+    for (int b = 0; b < n_soc; b++, W2 += (ptrdiff_t)d * d)
         for (int i = 0; i < d; i++)
-            for (int j = 0; j < d; j++, W2++, slots++, upper++)
-                put(i == j ? -(*W2 + reg) : -*W2, *slots, *upper, Kx, Ux);
+            for (int j = i; j < d; j++)
+                Kx[*slots++] = i == j ? -(W2[i * d + j] + reg)
+                                      : -W2[i * d + j];
 }

@@ -17,15 +17,15 @@ Each iteration factorizes the KKT matrix
 The matrix is symmetric quasi-definite (a positive definite block, and the
 negative of one, on the diagonal), so every symmetric permutation of it has
 an LDL' factorization with the pivots on the diagonal, stable without
-pivoting (Vanderbei, SIAM J. Optim. 1995). K is stored one way, through an
-analysis (``_Analysis``): K's CSC pattern permuted by the stage ordering,
-formed by a counting sort, into which each iteration writes only the
--(W'W + eps I) values, and the LDL' analysis of K's upper triangle in that
-ordering. Every symbolic step is taken once per pattern, as sparse direct
-solvers split the work (Davis, ACM TOMS 31(4), 2005; QDLDL): the analysis
-holds each row's pattern of L, so a factorization walks no elimination
-tree, and an iteration's -(W'W + eps I) values go straight into K's values
-and its upper triangle's, in C (``cone_w2_scatter``).
+pivoting (Vanderbei, SIAM J. Optim. 1995). K is stored once, as QDLDL and
+Clarabel store it: its upper triangle in the stage ordering, whose CSC
+pattern an analysis (``_Analysis``) forms by a counting sort. Each iteration
+writes only the -(W'W + eps I) values into it, in C (``cone_w2_scatter``);
+the LDL' kernel factors it, and refinement multiplies by K from it
+(``ldl_symv``). Every symbolic step is taken once per pattern, as sparse
+direct solvers split the work (Davis, ACM TOMS 31(4), 2005; QDLDL): the
+analysis holds each row's pattern of L, so a factorization walks no
+elimination tree. P is symmetric, and K reads its upper triangle.
 
 The stage ordering (``_stage_order``) reads the program's ``stage``, one
 per variable, the structure optimal-control IPMs exploit (Frison & Diehl,
@@ -216,21 +216,26 @@ def _stage_order(A, G, stage, variables_first=False) -> np.ndarray:
                        np.concatenate([stage, row_stage])))
 
 
+def _upper(P) -> np.ndarray:
+    """P's stored entries that K keeps: the symmetric P's upper triangle."""
+    return _rows(P) <= P.indices
+
+
 def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns (int32) of the KKT entries, unpermuted: the values of
-    ``_Kkt``'s value vector (P, reg I, A', A, -reg I, G', G), then the
-    -(W^2 + reg I) block in the order cone_w2_scatter writes it (nonneg
-    diagonal, dense SOC blocks)."""
+    """Rows and columns (int32) of the KKT entries, unpermuted, each entry
+    of the symmetric matrix once: the values of ``_Kkt``'s value vector
+    (P's upper triangle, reg I, A, -reg I, G), then the -(W^2 + reg I)
+    block in the order cone_w2_scatter writes it (the orthant diagonal,
+    then each SOC block's upper triangle row by row)."""
     n, me = P.shape[0], A.shape[0]
-    P_rows, A_rows, G_rows = _rows(P), _rows(A) + n, _rows(G) + n + me
+    upper = _upper(P)
     diag_x, diag_y = np.arange(n), np.arange(n, n + me)
     nn, soc = cones.split(np.arange(n + me, n + me + cones.dim))
-    soc_rows = np.repeat(soc, cones.d, axis=1).reshape(-1)
-    soc_cols = np.tile(soc, (1, cones.d)).reshape(-1)
-    rows = np.concatenate([P_rows, diag_x, A.indices, A_rows, diag_y,
-                           G.indices, G_rows, nn, soc_rows])
-    cols = np.concatenate([P.indices, diag_x, A_rows, A.indices, diag_y,
-                           G_rows, G.indices, nn, soc_cols])
+    i, j = np.triu_indices(cones.d)
+    rows = np.concatenate([_rows(P)[upper], diag_x, _rows(A) + n, diag_y,
+                           _rows(G) + n + me, nn, soc[:, i].reshape(-1)])
+    cols = np.concatenate([P.indices[upper], diag_x, A.indices, diag_y,
+                           G.indices, nn, soc[:, j].reshape(-1)])
     return rows.astype(np.intc), cols.astype(np.intc)
 
 
@@ -238,16 +243,13 @@ def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
 class _Analysis:
     """The symbolic analysis of one KKT pattern in its stage ordering, left
     on the solution for a later solve of the same pattern: the ordering,
-    K's CSC pattern permuted by it (``ldl.csc_pattern``, a counting sort),
-    the slot in it of each value ``_Kkt`` writes (``value_slots``: P,
-    reg I, A', A, -reg I, G', G; ``w2_slots``: -(W^2 + reg I)), and the
-    LDL' analysis of K's upper triangle in that ordering
-    (``ldl.csc_upper``): the slots of its entries (``upper_slots``), where each -(W^2 + reg I) value sits in it
-    (``w2_upper``, -1 below the diagonal), its CSC pattern, and
-    ``ldl.analyze``'s column pointers and row patterns of L (``Lp``,
-    ``Rp``, ``Ri``), which every factorization reads. It outlives the solve, so it
-    holds only int32 index arrays of its own, none shared with P, A, G or
-    K."""
+    the CSC pattern of K's upper triangle in it (``ldl.csc_pattern``, a
+    counting sort), the slot in it of each value ``_Kkt`` writes
+    (``value_slots``: P's upper triangle, reg I, A, -reg I, G;
+    ``w2_slots``: -(W^2 + reg I)), and ``ldl.analyze``'s column pointers
+    and row patterns of L (``Lp``, ``Rp``, ``Ri``), which every
+    factorization reads. It outlives the solve, so it holds only int32
+    index arrays of its own, none shared with P, A or G."""
 
     pattern: list[np.ndarray]
     position: np.ndarray     # position[i]: where row/column i sits in K
@@ -256,10 +258,6 @@ class _Analysis:
     indices: np.ndarray
     value_slots: np.ndarray
     w2_slots: np.ndarray
-    w2_upper: np.ndarray
-    upper_slots: np.ndarray
-    upper_indptr: np.ndarray
-    upper_indices: np.ndarray
     Lp: np.ndarray
     Rp: np.ndarray
     Ri: np.ndarray
@@ -267,18 +265,16 @@ class _Analysis:
     @classmethod
     def of(cls, pattern, rows, cols, n_values: int, order) -> _Analysis:
         """The analysis of ``_entries``' rows and columns (the first
-        ``n_values`` the value vector's) in the ordering ``order``."""
+        ``n_values`` the value vector's) in the ordering ``order``: each
+        entry goes to the upper triangle, at the smaller of its permuted
+        row and column and the larger."""
         position = np.argsort(order).astype(np.intc)
-        indptr, indices, slots = ldl.csc_pattern(rows, cols, position)
-        upper_indptr, upper_indices, upper_slots = \
-            ldl.csc_upper(indptr, indices)
-        upper_of = np.full(indices.size, -1, np.intc)
-        upper_of[upper_slots] = np.arange(upper_slots.size)
-        w2_slots = slots[n_values:]
+        rows, cols = position[rows], position[cols]
+        indptr, indices, slots = ldl.csc_pattern(
+            np.minimum(rows, cols), np.maximum(rows, cols), position.size)
         return cls([np.array(a) for a in pattern], position,
                    order.astype(np.intc), indptr, indices, slots[:n_values],
-                   w2_slots, upper_of[w2_slots], upper_slots, upper_indptr,
-                   upper_indices, *ldl.analyze(upper_indptr, upper_indices))
+                   slots[n_values:], *ldl.analyze(indptr, indices))
 
     def matches(self, pattern: list[np.ndarray]) -> bool:
         return len(pattern) == len(self.pattern) and all(
@@ -290,20 +286,20 @@ class _Kkt:
     the start's, if it has the same pattern, else a fresh one in the stage
     ordering (``reordered``).
 
-    K's values, and the upper triangle's that the LDL' kernel reads, are
-    written once, and only the -(W^2 + reg I) block changes between
-    iterations: ``factor`` writes it into both by ``cone_w2_scatter`` and
-    factors K by the compiled LDL' (``ldl.Factors``, on the analysis's row
-    patterns), in K's ordering; an exact zero pivot takes its row's
-    ``_reg_sign``. ``solve`` works in K's ordering throughout.
+    K is kept once, as its upper triangle's values in K's ordering. Only
+    the -(W^2 + reg I) block changes between iterations: ``factor`` writes
+    it by ``cone_w2_scatter`` and factors K by the compiled LDL'
+    (``ldl.Factors``, on the analysis's row patterns); an exact zero pivot
+    takes its row's ``_reg_sign``. ``solve`` works in K's ordering
+    throughout, its residual by ``Factors.product``.
     """
 
     def __init__(self, P, A, G, cones: Cones,
                  analysis: _Analysis | None = None, stage=None):
         P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
         n, me = P.shape[0], A.shape[0]
-        values = np.concatenate([P.data, np.full(n, REG), A.data, A.data,
-                                 np.full(me, -REG), G.data, G.data])
+        values = np.concatenate([P.data[_upper(P)], np.full(n, REG), A.data,
+                                 np.full(me, -REG), G.data])
         pattern = _pattern(P, A, G, cones, stage)
         self.reordered = analysis is None or not analysis.matches(pattern)
         if self.reordered:
@@ -311,29 +307,23 @@ class _Kkt:
                                     values.size, _stage_order(A, G, stage))
         self.analysis = a = analysis
         self.position, self.order = a.position, a.order
-        self.K = sp.csc_matrix(
-            (np.bincount(a.value_slots, values, a.indices.size),
-             a.indices.copy(), a.indptr.copy()),
-            shape=(self.position.size,) * 2)
-        self._upper = self.K.data[a.upper_slots]
+        self._values = np.bincount(a.value_slots, values, a.indices.size)
         # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
         self._reg_sign = np.where(self.order < n, REG, -REG)
-        self._ldl = ldl.Factors(a.upper_indptr, a.upper_indices, a.Lp, a.Rp,
-                                a.Ri)
+        self._ldl = ldl.Factors(a.indptr, a.indices, a.Lp, a.Rp, a.Ri)
         self._cones = cones
-        self._w2_args = tuple(map(ldl._address, (
-            a.w2_slots, a.w2_upper, self.K.data, self._upper)))
+        self._w2_args = tuple(map(ldl._address, (a.w2_slots, self._values)))
 
     def factor(self, scaling: _NTScaling) -> None:
-        """Write -(W^2 + reg I) from the NT scaling into K and its upper
-        triangle, and factor K. Raises ``RuntimeError`` at a NaN pivot."""
+        """Write -(W^2 + reg I) from the NT scaling into K, and factor K.
+        Raises ``RuntimeError`` at a NaN pivot."""
         n_nn, n_soc, d = self._cones.shape
         ldl._library().cone_w2_scatter(
             n_nn, n_soc, d, REG,
             ldl._checked("w_nn", scaling.w_nn, np.float64, n_nn),
             ldl._checked("W^2", scaling.soc_sq, np.float64, n_soc, d, d),
             *self._w2_args)
-        if self._ldl.factor(self._upper, self._reg_sign) < 0:
+        if self._ldl.factor(self._values, self._reg_sign) < 0:
             raise RuntimeError("the KKT factorization met a NaN pivot")
 
     def solve(self, rhs: np.ndarray, tol: float) -> np.ndarray:
@@ -345,7 +335,8 @@ class _Kkt:
         rhs = rhs[self.order]
 
         def residual(sol):
-            r = rhs - (self.K @ sol - self._reg_sign * sol)
+            r = rhs - (self._ldl.product(self._values, sol)
+                       - self._reg_sign * sol)
             return r, _norm_inf(r)
 
         sol = self._ldl.solve(rhs)

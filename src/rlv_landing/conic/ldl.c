@@ -3,17 +3,18 @@
  * elimination tree and column counts (ldl_etree), then the pattern of each
  * row of L in the order the numeric pass visits it (ldl_symbolic). The
  * numeric pass (ldl_factor) runs once per matrix and walks no tree: it
- * reads those patterns. Then triangular solves (ldl_solve). After Davis, "Algorithm
- * 849: a concise sparse Cholesky factorization package", ACM TOMS 31(4),
- * 2005, and QDLDL (Stellato et al., Math. Prog. Comp. 2020).
+ * reads those patterns. Then triangular solves (ldl_solve). After Davis,
+ * "Algorithm 849: a concise sparse Cholesky factorization package", ACM
+ * TOMS 31(4), 2005, and QDLDL (Stellato et al., Math. Prog. Comp. 2020).
  *
  * The matrix A is given by its upper triangle, diagonal included, in CSC
- * form: the rows of column j are Ai[Ap[j] .. Ap[j+1]-1], each at most j.
- * L is unit lower triangular and stored by columns without its diagonal:
- * the rows of column j are Li[Lp[j] .. Lp[j+1]-1], in ascending order.
- * csc_pattern forms a CSC pattern from a list of entries, and csc_upper
- * takes its upper triangle. All indices are int; the caller checks every
- * array's length.
+ * form: the rows of column j are Ai[Ap[j] .. Ap[j+1]-1], each at most j,
+ * ascending. It is the only copy of A: ldl_symv multiplies by the whole
+ * symmetric matrix from it. L is unit lower triangular and stored by
+ * columns without its diagonal: the rows of column j are
+ * Li[Lp[j] .. Lp[j+1]-1], in ascending order. csc_pattern forms a CSC
+ * pattern from a list of entries. All indices are int; the caller checks
+ * every array's length.
  *
  * A pivot that is exactly zero takes its row's static regularization, the
  * +-reg the caller added to the diagonal (QDLDL's and Clarabel's rule), so
@@ -152,14 +153,34 @@ void ldl_solve(int n, const int *Lp, const int *Li, const double *Lx,
     }
 }
 
-/* The CSC pattern of an n x n matrix of m entries, entry e at row
- * position[rows[e]] and column position[cols[e]], by a counting sort by
- * row and then a stable one by column: rows ascending within each column,
- * a repeated entry stored once, and slots[e] the stored entry of e.
- * Returns the number of stored entries. work holds n + m ints. */
-int csc_pattern(int n, int m, const int *rows, const int *cols,
-                const int *position, int *indptr, int *indices, int *slots,
-                int *work)
+/* y = A x for the symmetric A whose upper triangle is (Ap, Ai, Ax). Each
+ * y[i] adds its terms A[i][j] x[j] from 0.0 in ascending j, as a CSC
+ * product of the whole matrix adds them (scipy's csc_matvec): column j's
+ * entries above the diagonal give y[j] its terms j' < j in ascending j',
+ * then its diagonal, and later columns its terms j' > j. */
+void ldl_symv(int n, const int *Ap, const int *Ai, const double *Ax,
+              const double *x, double *y)
+{
+    for (int j = 0; j < n; j++)
+        y[j] = 0.0;
+    for (int j = 0; j < n; j++) {
+        double xj = x[j];
+        for (int p = Ap[j]; p < Ap[j + 1]; p++) {
+            int i = Ai[p];
+            y[i] += Ax[p] * xj;
+            if (i != j)
+                y[j] += Ax[p] * x[i];
+        }
+    }
+}
+
+/* The CSC pattern of an n x n matrix of m entries, entry e at row rows[e]
+ * and column cols[e], by a counting sort by row and then a stable one by
+ * column: rows ascending within each column, a repeated entry stored once,
+ * and slots[e] the stored entry of e. Returns the number of stored
+ * entries. work holds n + m ints. */
+int csc_pattern(int n, int m, const int *rows, const int *cols, int *indptr,
+                int *indices, int *slots, int *work)
 {
     int *count = work, *by_col = work + n;
 
@@ -167,18 +188,18 @@ int csc_pattern(int n, int m, const int *rows, const int *cols,
     for (int i = 0; i < n; i++)
         count[i] = 0;
     for (int e = 0; e < m; e++)
-        count[position[rows[e]]]++;
+        count[rows[e]]++;
     for (int i = 0, sum = 0; i < n; i++) {
         int c = count[i];
         count[i] = sum;
         sum += c;
     }
     for (int e = 0; e < m; e++)
-        slots[count[position[rows[e]]]++] = e;
+        slots[count[rows[e]]++] = e;
     for (int j = 0; j < n; j++)
         count[j] = 0;
     for (int e = 0; e < m; e++)
-        count[position[cols[e]]]++;
+        count[cols[e]]++;
     for (int j = 0, sum = 0; j < n; j++) {
         int c = count[j];
         count[j] = sum;
@@ -186,7 +207,7 @@ int csc_pattern(int n, int m, const int *rows, const int *cols,
     }
     for (int q = 0; q < m; q++) {
         int e = slots[q];
-        by_col[count[position[cols[e]]]++] = e;
+        by_col[count[cols[e]]++] = e;
     }
 
     /* Each column's run of entries, rows ascending; count[j] is now
@@ -196,7 +217,7 @@ int csc_pattern(int n, int m, const int *rows, const int *cols,
     for (int j = 0, q = 0; j < n; j++) {
         int last = -1;
         for (; q < count[j]; q++) {
-            int e = by_col[q], i = position[rows[e]];
+            int e = by_col[q], i = rows[e];
             if (i != last)
                 indices[stored++] = last = i;
             slots[e] = stored - 1;
@@ -204,22 +225,4 @@ int csc_pattern(int n, int m, const int *rows, const int *cols,
         indptr[j + 1] = stored;
     }
     return stored;
-}
-
-/* The upper triangle of an n x n CSC pattern: its pattern (upper_indptr,
- * upper_indices) and the stored entry of each of its entries
- * (upper_slots). */
-void csc_upper(int n, const int *indptr, const int *indices,
-               int *upper_indptr, int *upper_indices, int *upper_slots)
-{
-    int u = 0;
-    upper_indptr[0] = 0;
-    for (int j = 0; j < n; j++) {
-        for (int p = indptr[j]; p < indptr[j + 1]; p++)
-            if (indices[p] <= j) {
-                upper_indices[u] = indices[p];
-                upper_slots[u++] = p;
-            }
-        upper_indptr[j + 1] = u;
-    }
 }

@@ -14,10 +14,11 @@ for the process. A failed compile raises ``ImportError``.
 ``analyze`` is the symbolic pass over an upper-triangular CSC pattern: the
 elimination tree (``etree``), then the pattern of each row of L, once per
 pattern. ``Factors`` is the numeric factorization for it, which walks no
-tree, and the solves. ``csc_pattern`` forms a sparse pattern by a
-counting sort (the IPM's permuted KKT pattern and the planner's
-constraint matrices), and ``csc_upper`` takes its upper triangle. ``cones`` and the IPM's NT scaling call the cone
-algebra, and the IPM writes -(W^2 + reg I) into its KKT values by
+tree, the solves, and the product with the symmetric matrix (``ldl_symv``),
+which adds as scipy's product with the whole matrix does. ``csc_pattern``
+forms a sparse pattern by a counting sort (the IPM's KKT upper triangle and
+the planner's constraint matrices). ``cones`` and the IPM's NT scaling call
+the cone algebra, and the IPM writes -(W^2 + reg I) into its KKT values by
 ``cone_w2_scatter``. Every array is checked for dtype, C-contiguity and
 shape (``_checked``) before it reaches C.
 """
@@ -48,8 +49,8 @@ _ENTRY_POINTS = {
     "ldl_symbolic": ([_INT] + [_PTR] * 6, None),
     "ldl_factor": ([_INT] + [_PTR] * 12, _INT),
     "ldl_solve": ([_INT] + [_PTR] * 5, None),
-    "csc_pattern": ([_INT] * 2 + [_PTR] * 7, _INT),
-    "csc_upper": ([_INT] + [_PTR] * 5, None),
+    "ldl_symv": ([_INT] + [_PTR] * 5, None),
+    "csc_pattern": ([_INT] * 2 + [_PTR] * 6, _INT),
     "cone_points": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_max_steps": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_nt_scaling": ([_INT] * 3 + [_PTR] * 8, None),
@@ -57,7 +58,7 @@ _ENTRY_POINTS = {
     "cone_product": ([_INT] * 3 + [_PTR] * 3, None),
     "cone_scaled_product": ([_INT] * 3 + [_PTR] * 6, None),
     "cone_clip_eigenvalues": ([_INT] * 3 + [_DOUBLE] * 2 + [_PTR] * 2, None),
-    "cone_w2_scatter": ([_INT] * 3 + [_DOUBLE] + [_PTR] * 6, None),
+    "cone_w2_scatter": ([_INT] * 3 + [_DOUBLE] + [_PTR] * 4, None),
 }
 
 
@@ -178,20 +179,17 @@ def analyze(indptr: np.ndarray, indices: np.ndarray):
     return Lp, Rp, Ri
 
 
-def csc_pattern(rows: np.ndarray, cols: np.ndarray, position: np.ndarray):
-    """The CSC pattern of the n x n matrix (n = ``position.size``) whose
-    entry e sits at row ``position[rows[e]]`` and column
-    ``position[cols[e]]``, by a counting sort, all int32: ``indptr`` and
-    ``indices``, rows ascending in each column and a repeated entry stored
-    once, and the stored entry of each e (``slots``). Raises
-    ``ValueError`` at a row, column or position out of range."""
-    n, m = position.size, rows.size
+def csc_pattern(rows: np.ndarray, cols: np.ndarray, n: int):
+    """The CSC pattern of the n x n matrix whose entry e sits at row
+    ``rows[e]`` and column ``cols[e]``, by a counting sort, all int32:
+    ``indptr`` and ``indices``, rows ascending in each column and a
+    repeated entry stored once, and the stored entry of each e
+    (``slots``). Raises ``ValueError`` at a row or column out of range."""
+    n, m = int(n), rows.size
     args = (_checked("rows", rows, np.intc, m),
-            _checked("cols", cols, np.intc, m),
-            _checked("position", position, np.intc, n))
-    if any(a.size and not 0 <= a.min() <= a.max() < n
-           for a in (rows, cols, position)):
-        raise ValueError("an entry or position is out of range")
+            _checked("cols", cols, np.intc, m))
+    if any(a.size and not 0 <= a.min() <= a.max() < n for a in (rows, cols)):
+        raise ValueError("an entry is out of range")
     indptr, indices, slots = (np.empty(size, np.intc)
                               for size in (n + 1, m, m))
     work = np.empty(n + m, np.intc)
@@ -200,30 +198,13 @@ def csc_pattern(rows: np.ndarray, cols: np.ndarray, position: np.ndarray):
     return indptr, indices[:stored].copy(), slots
 
 
-def csc_upper(indptr: np.ndarray, indices: np.ndarray):
-    """The upper triangle of a square CSC pattern (``csc_pattern``'s), all
-    int32: its ``indptr`` and ``indices``, and the stored entry of each of
-    its entries (``upper_slots``)."""
-    n, nnz = indptr.size - 1, int(indptr[-1])
-    args = (_checked("indptr", indptr, np.intc, n + 1),
-            _checked("indices", indices, np.intc, nnz))
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-        raise ValueError("not the column pointers of a CSC pattern")
-    upper_indptr = np.empty(n + 1, np.intc)
-    upper_indices, upper_slots = np.empty((2, nnz), np.intc)
-    _library().csc_upper(n, *args, *map(_address, (
-        upper_indptr, upper_indices, upper_slots)))
-    size = upper_indptr[-1]
-    return (upper_indptr, upper_indices[:size].copy(),
-            upper_slots[:size].copy())
-
-
 class Factors:
     """The LDL' factors of one symmetric matrix pattern: the upper
-    triangle's ``indptr`` and ``indices``, and the ``analyze`` of that
-    pattern, which says where the kernel writes L; the factors read its
-    row patterns, and hold no copy. ``factor`` refactors in place, and
-    ``solve`` solves with the last factorization."""
+    triangle's ``indptr`` and ``indices``, rows ascending in each column,
+    and the ``analyze`` of that pattern, which says where the kernel writes
+    L; the factors read its row patterns, and hold no copy. ``factor``
+    refactors in place, ``solve`` solves with the last factorization, and
+    ``product`` multiplies by the matrix."""
 
     def __init__(self, indptr, indices, Lp, Rp, Ri):
         n = self.n = Lp.size - 1
@@ -243,6 +224,7 @@ class Factors:
         self._factor_args = (ap, ai), (lp, rp, ri, li, lx, d,
                                        *map(_address, work))
         self._solve_args = lp, li, lx, d
+        self._factored = False   # whether the last factor succeeded
 
     def factor(self, values: np.ndarray, reg: np.ndarray) -> int:
         """Factor the matrix with these upper-triangle values; a pivot that
@@ -253,11 +235,25 @@ class Factors:
         pattern, rest = self._factor_args
         ax = _checked("values", values, np.float64, self.nnz)
         r = _checked("reg", reg, np.float64, self.n)
-        return _library().ldl_factor(self.n, *pattern, ax, r, *rest)
+        positive = _library().ldl_factor(self.n, *pattern, ax, r, *rest)
+        self._factored = positive >= 0
+        return positive
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution of L D L' x = rhs, in a new array."""
+        """The solution of L D L' x = rhs, in a new array; ``RuntimeError``
+        unless the last ``factor`` succeeded (L is not all written)."""
         x = np.array(rhs, dtype=np.float64)
         address = _checked("rhs", x, np.float64, self.n)
+        if not self._factored:
+            raise RuntimeError("no successful factorization to solve with")
         _library().ldl_solve(self.n, *self._solve_args, address)
         return x
+
+    def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A x, in a new array, for the symmetric A of these upper-triangle
+        values, added as scipy's CSC product with the whole A adds it."""
+        args = (_checked("values", values, np.float64, self.nnz),
+                _checked("x", x, np.float64, self.n))
+        y = np.empty(self.n)
+        _library().ldl_symv(self.n, *self._factor_args[0], *args, _address(y))
+        return y

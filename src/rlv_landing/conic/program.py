@@ -9,9 +9,9 @@ The canonical form is
 where K is a product of nonnegative-orthant and second-order cone blocks
 listed top to bottom in the same row order as G, in one layout: every
 orthant row first, then SOC blocks that all share one dimension
-(``cones.Cones``). P is PSD. Every block is always present: a program
-without equality rows has an A with no rows, and one without a quadratic
-term an all-zero P. K has at least one row.
+(``cones.Cones``). P is symmetric PSD. Every block is always present: a
+program without equality rows has an A with no rows, and one without a
+quadratic term an all-zero P. K has at least one row.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class ConicProgram:
     G: sp.spmatrix = field(default_factory=_left_out)
     h: np.ndarray = field(default_factory=_no_rows)
     cones: list[ConeBlock] = field(default_factory=list)
+    # Symmetric: the IPM's KKT matrix reads its upper triangle.
     P: sp.spmatrix = field(default_factory=_left_out)
     obj_offset: float = 0.0
     # The stage of each variable, such as the node of an optimal control

@@ -284,8 +284,7 @@ class _Entries:
             kept[zeros] = False
             # CSR is the CSC of the transpose: its rows as columns.
             indptr, self.indices, slots = ldl.csc_pattern(
-                cols[kept], rows[kept],
-                np.arange(max(n_rows, n_cols), dtype=np.intc))
+                cols[kept], rows[kept], max(n_rows, n_cols))
             self.indptr = indptr[:n_rows + 1].copy()
             self.slots = np.full(vals.size, self.indices.size, np.intc)
             self.slots[kept] = slots

@@ -182,16 +182,16 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     residual = np.concatenate([program.A @ x - program.b,
                                np.maximum(g[held], 0.0)])
     n, m, eps = x.size, J.shape[0], 1e-10
-    J_rows, diagonal = _rows(J) + n, np.arange(n + m)
-    rows = np.concatenate([diagonal, J.indices, J_rows]).astype(np.intc)
-    cols = np.concatenate([diagonal, J_rows, J.indices]).astype(np.intc)
-    values = np.concatenate([np.ones(n), np.full(m, -eps), J.data, J.data])
+    diagonal = np.arange(n + m)
+    rows = np.concatenate([diagonal, _rows(J) + n]).astype(np.intc)
+    cols = np.concatenate([diagonal, J.indices]).astype(np.intc)
+    values = np.concatenate([np.ones(n), np.full(m, -eps), J.data])
     order = ipm._stage_order(program.A, WG, program.stage,
                              variables_first=True)
     a = ipm._Analysis.of([], rows, cols, values.size, order)
     K = np.bincount(a.value_slots, values, a.indices.size)
-    factors = ldl.Factors(a.upper_indptr, a.upper_indices, a.Lp, a.Rp, a.Ri)
-    if factors.factor(K[a.upper_slots], np.where(order < n, eps, -eps)) < 0:
+    factors = ldl.Factors(a.indptr, a.indices, a.Lp, a.Rp, a.Ri)
+    if factors.factor(K, np.where(order < n, eps, -eps)) < 0:
         raise RuntimeError("the projection's factorization met a NaN pivot")
     rhs = np.concatenate([np.zeros(n), -residual])
     return x + factors.solve(rhs[order])[a.position[:n]]

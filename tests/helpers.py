@@ -4,8 +4,9 @@ the kernels are tested against: SuperLU's LU, the aero model
 at one angle of attack, the KKT residuals of a solution, the numpy cone
 algebra that the compiled one (``conic/cones.c``) replaced, the numpy
 -(W^2 + reg I) values and ``np.unique`` KKT pattern that the IPM's kernel
-calls replaced, and the up-looking LDL' that walks the elimination tree
-for every row, in Python."""
+calls replaced, the whole symmetric matrix of an upper triangle (the IPM
+stores only that triangle of its KKT matrix), and the up-looking LDL'
+that walks the elimination tree for every row, in Python."""
 
 from __future__ import annotations
 
@@ -333,21 +334,34 @@ def w2_entries(scaling, reg):
     return np.concatenate([scaling.w_nn ** 2 + reg, blocks.reshape(-1)])
 
 
-def unique_pattern(rows, cols, position):
+def unique_pattern(rows, cols, n):
     """``ldl.csc_pattern``'s results by ``np.unique`` over every entry's
-    key, as the IPM's analysis formed them: indptr, indices, slots, and the
-    upper triangle's indptr, indices and slots."""
-    dim = position.size
-    keys, slots = np.unique(
-        position[cols].astype(np.int64) * dim + position[rows],
-        return_inverse=True)
-    indices, columns = (keys % dim).astype(np.intc), keys // dim
-    upper = np.flatnonzero(indices <= columns)
-    upper_indptr = np.searchsorted(columns[upper], np.arange(dim + 1))
-    indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
-    return (indptr.astype(np.intc), indices, slots.astype(np.intc),
-            upper_indptr.astype(np.intc), indices[upper],
-            upper.astype(np.intc))
+    key, as the IPM's analysis formed them: indptr, indices and slots."""
+    keys, slots = np.unique(cols.astype(np.int64) * n + rows,
+                            return_inverse=True)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return (indptr.astype(np.intc), (keys % n).astype(np.intc),
+            slots.astype(np.intc))
+
+
+def symmetric(indptr, indices, values):
+    """The whole symmetric matrix, in CSC, whose upper triangle is the CSC
+    matrix (indptr, indices, values): the upper triangle plus its strict
+    part transposed, each value stored as it is. The oracle of
+    ``ldl.Factors.product``: its product is scipy's with this matrix."""
+    n = len(indptr) - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    strict = indices < cols
+    return sp.csc_matrix(
+        (np.concatenate([values, values[strict]]),
+         (np.concatenate([indices, cols[strict]]),
+          np.concatenate([cols, indices[strict]]))), shape=(n, n))
+
+
+def kkt_matrix(kkt):
+    """The whole KKT matrix of the IPM's KKT system ``kkt`` (``ipm._Kkt``),
+    in its own ordering, from the upper triangle it stores."""
+    return symmetric(kkt.analysis.indptr, kkt.analysis.indices, kkt._values)
 
 
 def tree_walking_ldl(indptr, indices, values, reg):

@@ -37,7 +37,8 @@ from rlv_landing.planner import (
 from rlv_landing.scp import ScpSettings, run_scp
 
 from helpers import (central_diff_jacobian, coo_csr, flat_arrays,
-                     rel_jac_error, splu_calls, superlu, total_aoa)
+                     kkt_matrix, rel_jac_error, splu_calls, superlu,
+                     total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -512,15 +513,16 @@ def first_subproblem(prob, cfg):
 
 
 def first_kkt(N=30):
-    """The IPM's first KKT matrix (W = I) of the first subproblem at N, in
-    its own row and column order, and the IPM's KKT system that holds it."""
+    """The IPM's first KKT matrix (W = I) of the first subproblem at N, whole
+    (``helpers.kkt_matrix``) and in its own row and column order, and the
+    IPM's KKT system that holds its upper triangle."""
     prob, cfg = make_problem(N=N)
     prog = first_subproblem(prob, cfg)
     cones = Cones(prog.cones)
     kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones,
                stage=prog.stage)
     kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
-    return kkt.K[kkt.position][:, kkt.position].tocsc(), kkt
+    return kkt_matrix(kkt)[kkt.position][:, kkt.position].tocsc(), kkt
 
 
 def stage_rule_position(prog, variables_first=False):
@@ -636,7 +638,7 @@ class TestKktFactorization:
         # factorization and solve run 25 times each in a child process
         # under that allocator and must exit 0.
         path = tmp_path / "kkt.npz"
-        sp.save_npz(path, first_kkt()[1].K)
+        sp.save_npz(path, kkt_matrix(first_kkt()[1]))
         src = str(Path(ipm.__file__).resolve().parents[2])
         child_env = dict(os.environ, PYTHONMALLOC="debug",
                          PYTHONPATH=os.pathsep.join(

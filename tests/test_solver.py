@@ -35,7 +35,8 @@ from rlv_landing.conic.scaling import equilibrate_rows
 from helpers import (MULTI_BLOCK_CONES, flat_arrays, nt_apply,
                      numpy_clip_eigenvalues, numpy_max_steps, numpy_points,
                      numpy_product, numpy_rhs, numpy_scaled_product, same_bits,
-                     splu_calls, superlu, tree_walking_ldl, unique_pattern,
+                     splu_calls, superlu, symmetric, kkt_matrix,
+                     tree_walking_ldl, unique_pattern,
                      verify_kkt, w2_entries)
 
 
@@ -433,22 +434,23 @@ class TestQuasiDefiniteKkt:
         cones = Cones(prog.cones)
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
         kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
-        assert not np.array_equal(kkt.position, np.arange(kkt.K.shape[0]))
+        dim = kkt.position.size
+        assert not np.array_equal(kkt.position, np.arange(dim))
         for _ in range(5):
             scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
                                               interior_point(rng, prog.cones)))
             kkt.factor(scaling)
-            coo = kkt.K.tocoo()
+            coo = kkt_matrix(kkt).tocoo()
             refilled = sp.csc_matrix(
                 (coo.data, (kkt.order[coo.row], kkt.order[coo.col])),
-                shape=kkt.K.shape)
+                shape=(dim, dim))
             fresh = self.fresh(prog, scaling, reg)
             np.testing.assert_array_equal(refilled.indptr, fresh.indptr)
             np.testing.assert_array_equal(refilled.indices, fresh.indices)
             np.testing.assert_allclose(refilled.data, fresh.data, rtol=0,
                                        atol=1e-15 * np.abs(fresh.data).max())
 
-            rhs = rng.normal(size=kkt.K.shape[0])
+            rhs = rng.normal(size=dim)
             lu = superlu(fresh)
             unreg = self.fresh(prog, scaling, 0.0)
             expected = lu.solve(rhs)
@@ -472,7 +474,7 @@ class TestQuasiDefiniteKkt:
                                               interior_point(rng, prog.cones)))
             kkt.factor(scaling)
             assert kkt.reordered == (kkt is first)
-            rhs = rng.normal(size=kkt.K.shape[0])
+            rhs = rng.normal(size=kkt.position.size)
             residual = rhs - self.fresh(prog, scaling, 0.0) @ kkt.solve(rhs, 0.0)
             assert np.abs(residual).max() <= 1e-12 * np.abs(rhs).max()
 
@@ -485,7 +487,7 @@ class TestQuasiDefiniteKkt:
         cones = Cones(prog.cones)
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
         kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
-        dim = kkt.K.shape[0]
+        dim = kkt.position.size
         np.testing.assert_array_equal(
             kkt.order, np.r_[np.arange(prog.n, dim), np.arange(prog.n)])
 
@@ -498,7 +500,7 @@ class TestQuasiDefiniteKkt:
         scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
                                           interior_point(rng, prog.cones)))
         kkt.factor(scaling)
-        return prog, scaling, kkt, rng.normal(size=kkt.K.shape[0])
+        return prog, scaling, kkt, rng.normal(size=kkt.position.size)
 
     @staticmethod
     def count_lu_solves(kkt, bad_call=None):
@@ -553,14 +555,13 @@ class TestQuasiDefiniteKkt:
         again = _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
         again.factor(scaling)
         assert again.analysis is first.analysis
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(again.K, name), getattr(first.K, name))
+        assert again._values.tobytes() == first._values.tobytes()
 
     def test_analysis_holds_only_index_arrays_of_its_own(self):
         # It outlives the solve on its solution: after the factorization
         # that makes it and after one of a KKT system that reuses it, none
-        # of its arrays is a view of P, A, G or K, and its slots and row
-        # patterns are int32. The factors read the row patterns from it,
+        # of its arrays is a view of P, A, G or K's values, and its slots
+        # and row patterns are int32. The factors read the row patterns from it,
         # and hold no copy of them.
         rng = np.random.default_rng(71)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
@@ -581,9 +582,10 @@ class TestQuasiDefiniteKkt:
                 getattr(analysis, f.name) for f in fields(analysis)
                 if f.name != "pattern"]
             for array in held:
-                for M in (P, A, G, kkt.K):
-                    for other in (M.data, M.indices, M.indptr):
-                        assert not np.shares_memory(array, other)
+                for other in (kkt._values, *(
+                        getattr(M, name) for M in (P, A, G)
+                        for name in ("data", "indices", "indptr"))):
+                    assert not np.shares_memory(array, other)
             assert analysis.value_slots.dtype == np.int32
             assert analysis.w2_slots.dtype == np.int32
             own = held[len(analysis.pattern):]
@@ -600,12 +602,17 @@ class TestQuasiDefiniteKkt:
     def test_w2_is_written_in_place_as_numpy_wrote_it(self, seed, n, me,
                                                      blocks):
         # Each factorization, on a fresh analysis and on a reused one,
-        # writes -(W^2 + reg I) into K's values as the negated numpy values
-        # (helpers.w2_entries), bit for bit, and the upper triangle's values
-        # the kernel factors are K's.
+        # writes -(W^2 + reg I) into the upper triangle's values, and the
+        # whole matrix they stand for (helpers.kkt_matrix) holds the
+        # negated numpy values (helpers.w2_entries), bit for bit, on both
+        # sides of the diagonal.
         rng = np.random.default_rng(seed)
         prog = random_feasible_conic(rng, n=n, me=me, cones=blocks, rank=2)
         cones = Cones(blocks)
+        nn, soc = cones.split(np.arange(cones.dim))
+        rows = np.concatenate([nn, np.repeat(soc, cones.d, axis=1).ravel()])
+        cols = np.concatenate([nn, np.tile(soc, (1, cones.d)).ravel()])
+        z = slice(n + me, None)
         first = _Kkt(prog.P, prog.A, prog.G, cones)
         for kkt in (first, _Kkt(prog.P, prog.A, prog.G, cones,
                                 first.analysis)):
@@ -613,11 +620,10 @@ class TestQuasiDefiniteKkt:
                 scaling = _NTScaling(cones.points(interior_point(rng, blocks),
                                                   interior_point(rng, blocks)))
                 kkt.factor(scaling)
-                a = kkt.analysis
-                assert kkt.K.data[a.w2_slots].tobytes() == \
-                    (-w2_entries(scaling, ipm.REG)).tobytes()
-                assert kkt._upper.tobytes() == \
-                    kkt.K.data[a.upper_slots].tobytes()
+                expected = np.zeros((cones.dim, cones.dim))
+                expected[rows, cols] = -w2_entries(scaling, ipm.REG)
+                K = kkt_matrix(kkt)[kkt.position][:, kkt.position]
+                assert K[z, z].toarray().tobytes() == expected.tobytes()
 
     def test_freed_without_the_cycle_collector(self):
         # Each solve's KKT system and LU factors go when the solve returns;
@@ -1164,17 +1170,39 @@ class TestLdlKernel:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
            m=st.integers(0, 60))
     def test_pattern_is_the_unique_one(self, seed, n, m):
-        # Entries at random rows and columns, most of them repeated, under
-        # a random symmetric permutation: the counting sort's pattern, slots
-        # and upper triangle are np.unique's (helpers.unique_pattern).
+        # Entries at random rows and columns, most of them repeated: the
+        # counting sort's pattern and slots are np.unique's
+        # (helpers.unique_pattern).
         rng = np.random.default_rng(seed)
         rows, cols = rng.integers(0, n, (2, m)).astype(np.intc)
-        position = rng.permutation(n).astype(np.intc)
-        pattern = ldl.csc_pattern(rows, cols, position)
-        got = [*pattern, *ldl.csc_upper(*pattern[:2])]
-        for a, e in zip(got, unique_pattern(rows, cols, position),
-                        strict=True):
+        for a, e in zip(ldl.csc_pattern(rows, cols, n),
+                        unique_pattern(rows, cols, n), strict=True):
             assert a.dtype == np.intc and np.array_equal(a, e)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           density=st.floats(0.0, 1.0),
+           special=st.sampled_from([None, np.nan, np.inf, -np.inf, 0.0,
+                                    -0.0]))
+    def test_product_is_scipys_with_the_whole_matrix(self, seed, n, density,
+                                                     special):
+        # A random upper-triangular pattern, diagonal entries included or
+        # not, with a special value among its values and x: the symmetric
+        # product from the upper triangle is, bit for bit, scipy's CSC
+        # product with the whole matrix (helpers.symmetric).
+        rng = np.random.default_rng(seed)
+        upper = sp.triu(sp.random(n, n, density=density, random_state=rng),
+                        format="csc")
+        upper.sort_indices()
+        indptr = upper.indptr.astype(np.intc)
+        indices = upper.indices.astype(np.intc)
+        values, x = upper.data.copy(), rng.standard_normal(n)
+        if special is not None:
+            for v in (values, x):
+                v[rng.random(v.size) < 0.3] = special
+        factors = ldl.Factors(indptr, indices, *ldl.analyze(indptr, indices))
+        assert same_bits(factors.product(values, x),
+                         symmetric(indptr, indices, values) @ x)
 
     def test_zero_pivot(self):
         # Nonsingular, but the second pivot is 1 - 1 = 0: the kernel takes
@@ -1210,7 +1238,7 @@ class TestLdlKernel:
         kkt.factor(identity)
         a, first = kkt.analysis, prog.n + prog.A.shape[0]
         leaves = [i for i in range(cones.n_nn) if np.diff(
-            a.upper_indptr)[a.position[first + i]] == 1]
+            a.indptr)[a.position[first + i]] == 1]
         assert leaves
         # The orthant entries of W^2 + reg I come first: w_nn = 0 with
         # reg = 0 writes a zero there.
@@ -1219,13 +1247,38 @@ class TestLdlKernel:
         with mock.patch.object(ipm, "REG", 0.0):
             kkt.factor(mock.Mock(w_nn=w_nn, soc_sq=identity.soc_sq))
         leaf = a.position[first + leaves[0]]
-        assert kkt.K[leaf, leaf] == 0.0
+        K = kkt_matrix(kkt)
+        assert K[leaf, leaf] == 0.0
         assert kkt._ldl.L[2][leaf] == kkt._reg_sign[leaf]
-        unregularized = kkt.K.toarray() - np.diag(kkt._reg_sign)
-        rhs = rng.normal(size=kkt.K.shape[0])
+        unregularized = K.toarray() - np.diag(kkt._reg_sign)
+        rhs = rng.normal(size=K.shape[0])
         expected = np.linalg.solve(unregularized, rhs[kkt.order])[kkt.position]
         np.testing.assert_allclose(kkt.solve(rhs, 0.0), expected, rtol=0,
                                    atol=1e-10 * np.abs(expected).max())
+
+    def test_solve_needs_a_successful_factorization(self):
+        # Before any factorization, and after one that met a NaN pivot
+        # part of the way through, L is not written, or only in part: a
+        # solve raises instead of reading it, the KKT system's too.
+        K = quasidefinite(np.random.default_rng(7), 5, 4, 0.4)
+        factors, values = ldl_factors(K)
+        rhs, reg = np.ones(K.shape[0]), np.full(K.shape[0], 1e-9)
+        with pytest.raises(RuntimeError, match="no successful"):
+            factors.solve(rhs)
+        assert factors.factor(values, reg) >= 0
+        assert np.all(np.isfinite(factors.solve(rhs)))
+        # The diagonal entry of a middle column is the last of its column.
+        middle = K.shape[0] // 2
+        nan_pivot = values.copy()
+        nan_pivot[sp.triu(K, format="csc").indptr[middle + 1] - 1] = np.nan
+        assert factors.factor(nan_pivot, reg) == -1
+        with pytest.raises(RuntimeError, match="no successful"):
+            factors.solve(rhs)
+        rng = np.random.default_rng(7)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
+        kkt = _Kkt(prog.P, prog.A, prog.G, Cones(prog.cones))
+        with pytest.raises(RuntimeError, match="no successful"):
+            kkt.solve(rng.normal(size=kkt.position.size), 0.0)
 
     def test_etree_rejects_an_entry_below_the_diagonal(self):
         lower = sp.csc_matrix(np.array([[2.0, 0.0], [1.0, 2.0]]))
@@ -1241,10 +1294,8 @@ class TestLdlKernel:
         indices = upper.indices.astype(np.intc)
         symbolic = ldl.analyze(indptr, indices)
         reg = np.zeros(K.shape[0])
+        x = np.ones(K.shape[0])
         entries = np.zeros(3, np.intc)
-        position = np.arange(2, dtype=np.intc)
-        unsorted = indptr.copy()
-        unsorted[1] = unsorted[2] + 1
         calls = []
         monkeypatch.setattr(ldl, "_library", lambda: calls.append(1))
         bad = [
@@ -1257,19 +1308,21 @@ class TestLdlKernel:
                                 symbolic[2].astype(np.int64)),
             lambda: ldl.Factors(indptr, indices, *symbolic[:2],
                                 symbolic[2][:-1]),
-            lambda: ldl.csc_pattern(entries, entries[:-1], position),
-            lambda: ldl.csc_pattern(entries, entries.astype(np.int64),
-                                    position),
-            lambda: ldl.csc_pattern(entries, entries, position[::-1]),
-            lambda: ldl.csc_pattern(entries + 2, entries, position),
-            lambda: ldl.csc_pattern(entries, entries, position - 1),
-            lambda: ldl.csc_upper(indptr, indices[:-1]),
-            lambda: ldl.csc_upper(unsorted, indices),
+            lambda: ldl.csc_pattern(entries, entries[:-1], 2),
+            lambda: ldl.csc_pattern(entries, entries.astype(np.int64), 2),
+            lambda: ldl.csc_pattern(np.repeat(entries, 2)[::2], entries, 2),
+            lambda: ldl.csc_pattern(entries + 2, entries, 2),
+            lambda: ldl.csc_pattern(entries, entries + 2, 2),
+            lambda: ldl.csc_pattern(entries, entries - 1, 2),
             lambda: factors.factor(values.astype(np.float32), reg),
             lambda: factors.factor(values[:-1], reg),
             lambda: factors.factor(np.repeat(values, 2)[::2], reg),
             lambda: factors.factor(values, reg[:-1]),
             lambda: factors.solve(np.ones(K.shape[0] + 1)),
+            lambda: factors.product(values.astype(np.float32), x),
+            lambda: factors.product(values[:-1], x),
+            lambda: factors.product(values, x[:-1]),
+            lambda: factors.product(values, x.astype(np.float32)),
         ]
         for call in bad:
             with pytest.raises(ValueError):
