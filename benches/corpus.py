@@ -12,6 +12,8 @@ plan prints one JSON line:
 - ``set``, ``plan``: which state;
 - ``outcome``, ``scp_iters``: how the plan ended, as planbench reports it;
 - ``ipm_iters``: the IPM iterations of every subproblem solve of the plan;
+- ``ldl_solves``: the LDL' solves of those solves (``ldl_solves``), the
+  cold starts' and every refinement step's included;
 - ``reorders``: the solves that made a fresh stage-ordered analysis of
   their KKT matrix (``reordered``), having no start whose analysis matched;
 - ``builds``: the subproblem builds (calls of
@@ -28,16 +30,17 @@ plan prints one JSON line:
 
 A last line holds the totals of those counts, the plan time and the
 outcomes. The same file runs on any tree whose
-``ipm.solve`` takes a program and its tolerance argument, so it compares two
-commits plan by plan: two trees give the same answers when their plan lines
-(all but the totals, which hold timings and counts) are the same.
+``ipm.solve`` takes a program and its tolerance argument and returns a
+solution that counts its ``ldl_solves``, so it compares two commits plan
+by plan: two trees give the same answers when their plan lines (all but
+the totals, which hold timings and counts) are the same.
 
 ``--diff SAVED`` makes that comparison. SAVED is this script's output on
 another tree. After the totals, one line names each plan of this run whose
-``outcome``, ``scp_iters``, ``propellant_kg``, ``z_hash``, ``ipm_iters`` or
-``projection_steps`` differs from its line in SAVED, with the old and new
-values, so that "the same plans" covers the solver's work as well as the
-answer, and a last line counts the plans compared, moved, moved in class
+``outcome``, ``scp_iters``, ``propellant_kg``, ``z_hash``, ``ipm_iters``,
+``ldl_solves`` or ``projection_steps`` differs from its line in SAVED, with
+the old and new values, so that "the same plans" covers the solver's work
+as well as the answer, and a last line counts the plans compared, moved, moved in class
 (``outcome`` or ``scp_iters``), and missing from SAVED:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 > old.jsonl
@@ -69,13 +72,14 @@ ROOT = Path(__file__).resolve().parent.parent
 VERDICTS = ("optimal", "infeasible")
 # The fields of a plan line that ``--diff`` compares.
 COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash", "ipm_iters",
-            "projection_steps")
+            "ldl_solves", "projection_steps")
 # The fields whose change moves a plan's class, not only its last bits.
 CLASS = ("outcome", "scp_iters")
 
 
 # The counts of a plan, each in its line and summed in the totals.
-COUNTS = ("solves", "ipm_iters", "reorders", "builds", "projection_steps")
+COUNTS = ("solves", "ipm_iters", "ldl_solves", "reorders", "builds",
+          "projection_steps")
 
 
 class SolveRecorder:
@@ -105,6 +109,7 @@ class SolveRecorder:
         sol = self.ipm.solve(program, settings)
         self.counts["solves"] += 1
         self.counts["ipm_iters"] += sol.iterations
+        self.counts["ldl_solves"] += sol.ldl_solves
         self.counts["reorders"] += sol.reordered
         if sol.status not in VERDICTS:
             self.stalls.append({"status": sol.status,

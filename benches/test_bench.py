@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_30.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_31.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -23,6 +23,14 @@ scaling of the cold solve's eighth iterate (below) and the cold start's
 right-hand side [-c; b; h]: the LDL' solves and the refinement's products
 with K. ``sol_sha256`` hashes the solution and ``ldl_solves`` counts its
 LDL' solves.
+The direction cases time one predictor direction (``_Kkt.direction``) at
+that iterate, at N=30 and N=100: its right-hand side with the cone rows
+W (lambda \\ lambda o lambda), the refined KKT solve and ds = -r_ineq - G dx,
+with the KKT system factored there and the iterate's residuals. The
+residual cases time one evaluation of those residuals (``ipm._Residuals``):
+the products with P, A, A', G and G', r_dual, r_eq, r_ineq and their norms,
+and the objective. ``direction_sha256`` hashes (dx, dy, dz, ds) and
+``residuals_sha256`` the three residual vectors and the four scalars.
 The KKT and cone-algebra cases run a fixed number of rounds after warm-up
 rounds (``KERNEL_ROUNDS``): at pytest-benchmark's default time budget
 their sub-millisecond medians moved more between runs than a kernel change
@@ -36,11 +44,11 @@ as ``run_scp`` does once a step is small.
 The cone-algebra cases time one IPM iteration's cone work at the eighth
 iterate of the cold solve of the first subproblem (15 and 16 iterations at
 N=30 and N=100): the interior test of s and z, the NT scaling, three pairs
-of step lengths along the step (ds, dz) that iteration takes, the cone rows
-of the predictor's right-hand side, W (lambda \\ lambda o lambda), the
-corrector's scaled product (W^{-1} ds) o (W dz), and a centrality
-corrector's scaled product at s + ds, z + dz with its eigenvalues clipped
-to [0.1 mu, 10 mu]. ``rhs_sha256`` hashes the three vectors.
+of step lengths along the step (ds, dz) that iteration takes, lambda o
+lambda, the corrector's scaled product (W^{-1} ds) o (W dz), and a
+centrality corrector's scaled product at s + ds, z + dz with its
+eigenvalues clipped to [0.1 mu, 10 mu]. ``rhs_sha256`` hashes the three
+vectors. (The cone rows of a right-hand side are the direction's.)
 The projection case times one Gauss-Newton step
 (``scp.project_onto_rows``), the first of the nominal N=100 plan, with
 its ordering, analysis and LDL' factorization; ``step_sha256`` hashes the
@@ -251,16 +259,69 @@ def test_kkt_solve_n100(benchmark, subproblem):
     """One refined KKT solve at ``ipm.REFINE_TOL``, as the IPM solves for a
     direction."""
     prog = subproblem[2]
-    cones, s, z, _, _ = mid_solve(prog)
-    kkt = ipm_kkt(prog, ipm._NTScaling(cones.points(s, z)))
+    cones, sol, _, _ = mid_solve(prog)
+    kkt = ipm_kkt(prog, ipm._NTScaling(cones.points(sol.s, sol.z)))
     rhs = np.concatenate([-prog.c, prog.b, prog.h])
-    sol = kernel(benchmark, kkt.solve, rhs, ipm.REFINE_TOL)
-    calls, solve = [], kkt._ldl.solve
-    kkt._ldl.solve = lambda r: calls.append(r) or solve(r)
+    out = kernel(benchmark, kkt.solve, rhs, ipm.REFINE_TOL)
+    before = kkt.ldl_solves
     kkt.solve(rhs, ipm.REFINE_TOL)
-    benchmark.extra_info["ldl_solves"] = len(calls)
-    benchmark.extra_info["sol_sha256"] = \
-        hashlib.sha256(sol.tobytes()).hexdigest()[:16]
+    benchmark.extra_info["ldl_solves"] = kkt.ldl_solves - before
+    benchmark.extra_info["sol_sha256"] = sha256(out)
+
+
+def sha256(*arrays) -> str:
+    """The first 16 hex digits of the SHA-256 of the arrays' bytes."""
+    return hashlib.sha256(np.concatenate(arrays).tobytes()).hexdigest()[:16]
+
+
+def residuals_at(prog, sol):
+    """The program's residual evaluation (``ipm._Residuals``) and the
+    iterate (x, y, z, s) of ``sol``."""
+    c, b, h = (np.ascontiguousarray(v, dtype=np.float64)
+               for v in (prog.c, prog.b, prog.h))
+    residuals = ipm._Residuals(prog.P.tocsr(), prog.A.tocsr(),
+                               prog.G.tocsr(), c, b, h, prog.obj_offset)
+    return residuals, (sol.x, sol.y, sol.z, sol.s)
+
+
+def direction(benchmark, prog):
+    """The predictor direction at the cold solve's eighth iterate."""
+    cones, sol, _, _ = mid_solve(prog)
+    scaling = ipm._NTScaling(cones.points(sol.s, sol.z))
+    kkt = ipm_kkt(prog, scaling)
+    residuals, iterate = residuals_at(prog, sol)
+    r = [v.copy() for v in residuals(*iterate)[:3]]
+    lam = scaling.lam.u[0]
+    lam_sq = cones.product(lam, lam)
+    step = kernel(benchmark, kkt.direction, scaling, *r, lam_sq)
+    before = kkt.ldl_solves
+    kkt.direction(scaling, *r, lam_sq)
+    benchmark.extra_info["ldl_solves"] = kkt.ldl_solves - before
+    benchmark.extra_info["direction_sha256"] = sha256(*step)
+
+
+def test_direction_n30(benchmark):
+    direction(benchmark, first_subproblem(30)[2])
+
+
+def test_direction_n100(benchmark, subproblem):
+    direction(benchmark, subproblem[2])
+
+
+def evaluate_residuals(benchmark, prog):
+    """The residuals at the cold solve's eighth iterate."""
+    evaluate, iterate = residuals_at(prog, mid_solve(prog)[1])
+    *vectors, pres, dres, pobj, rows = kernel(benchmark, evaluate, *iterate)
+    benchmark.extra_info["residuals_sha256"] = sha256(
+        *vectors, [pres, dres, pobj, rows])
+
+
+def test_residuals_n30(benchmark):
+    evaluate_residuals(benchmark, first_subproblem(30)[2])
+
+
+def test_residuals_n100(benchmark, subproblem):
+    evaluate_residuals(benchmark, subproblem[2])
 
 
 def test_projection_n100(benchmark):
@@ -278,46 +339,45 @@ def test_projection_n100(benchmark):
         run_scp(prob, initial_guess_planning(boundary, cfg, VP),
                 ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
     x = kernel(benchmark, project, *steps[0])
-    benchmark.extra_info["step_sha256"] = \
-        hashlib.sha256((x - steps[0][1]).tobytes()).hexdigest()[:16]
+    benchmark.extra_info["step_sha256"] = sha256(x - steps[0][1])
 
 
 def mid_solve(prog, k=8):
-    """The cold solve's iterate (s, z) after k - 1 IPM iterations, and the
-    step (ds, dz) its k-th iteration takes."""
-    points = []
+    """The cold solve's solution after k - 1 IPM iterations, which holds
+    that iterate (x, y, z, s), and the step (ds, dz) its k-th iteration
+    takes."""
+    solutions = []
     for iterations in (k - 1, k):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ipm, "MAX_ITER", iterations)
-            sol = ipm.solve(prog)
-        points.append((sol.s, sol.z))
-    (s, z), (s1, z1) = points
-    return prog.layout, s, z, s1 - s, z1 - z
+            solutions.append(ipm.solve(prog))
+    sol, after = solutions
+    return prog.layout, sol, after.s - sol.s, after.z - sol.z
 
 
 def cone_pass(cones, s, z, ds, dz):
     """One IPM iteration's cone work, as the IPM does it, and what it
-    returns: the predictor's right-hand side, the corrector's scaled
-    product and a centrality corrector's clipped target."""
+    returns: lambda o lambda, the corrector's scaled product and a
+    centrality corrector's clipped target."""
     iterate = cones.points(s, z)
     iterate.violations()
     scaling = ipm._NTScaling(iterate)
     lam = scaling.lam.u[0]
     for _ in range(3):
         iterate.max_steps(ds, dz)
-    rhs = scaling.rhs(cones.product(lam, lam))
+    lam_sq = cones.product(lam, lam)
     corr = scaling.scaled_product(ds, dz)
     mu = float(s @ z) / cones.degree
     v_trial = scaling.scaled_product(s + ds, z + dz)
     target = cones.clip_eigenvalues(v_trial, 0.1 * mu, 10.0 * mu)
-    return np.concatenate([rhs, corr, target])
+    return np.concatenate([lam_sq, corr, target])
 
 
 def cone_algebra(benchmark, prog):
-    args = mid_solve(prog)
-    rhs = kernel(benchmark, cone_pass, *args)
+    cones, sol, ds, dz = mid_solve(prog)
+    rhs = kernel(benchmark, cone_pass, cones, sol.s, sol.z, ds, dz)
     # The same bits in every tree that keeps them.
-    benchmark.extra_info["rhs_sha256"] = hashlib.sha256(rhs.tobytes()).hexdigest()[:16]
+    benchmark.extra_info["rhs_sha256"] = sha256(rhs)
 
 
 def test_cone_algebra_n30(benchmark):

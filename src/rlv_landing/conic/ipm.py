@@ -72,7 +72,18 @@ A KKT solve is one solve with the factors, refined against the
 unregularized matrix only while its residual is above a tolerance and each
 step lowers it, as in Clarabel (``_Kkt.solve``). The IPM's directions are
 solved to REFINE_TOL, since later iterations correct a direction's error;
-the cold start is not refined (a tolerance of infinity).
+the cold start is not refined (a tolerance of infinity). The iteration's
+linear algebra runs in compiled code, as Clarabel runs it, one call each
+in the kernel's library: a KKT solve (``kkt_solve``: the permutation into
+K's ordering and back, the LDL' solves and the refinement's residuals), a
+Newton direction (``kkt_direction``: its right-hand side with the cone
+rows, that solve and ds = -r_ineq - G dx) and the residuals
+(``kkt_residuals``: the products with P, A, A', G and G', r_dual, r_eq and
+r_ineq and their infinity norms; ``_Residuals``). They add in the order of
+the numpy and scipy code they replaced, so the iterates are its, to the
+bit. The dot products (s'z, c'x, x'Px, b'y, h'z and the affine gap) stay
+numpy's, whose BLAS summation order C would not reproduce. A solution
+counts the LDL' solves it took (``ldl_solves``).
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
@@ -165,17 +176,11 @@ class _NTScaling:
                                 self.soc_sq, lam)))
         self.lam = cones.points(lam)
         w_nn, mats = ldl._address(self.w_nn), ldl._address(self.soc_mats)
-        self._rhs_args = (*cones.shape, self.lam._addresses[0],
-                          ldl._address(self.lam.norm_sq), w_nn, mats)
+        # kkt_direction's cone arguments, cone_rhs's: W (lambda \\ v).
+        self.rhs_args = (*cones.shape, self.lam._addresses[0],
+                         ldl._address(self.lam.norm_sq), w_nn, mats)
         self._product_args = (*cones.shape, w_nn, mats,
                               ldl._address(self.soc_inv))
-
-    def rhs(self, d: np.ndarray) -> np.ndarray:
-        """W (lambda \\ d): the cone rows of a direction's right-hand side."""
-        address = self.cones.address("d", d)
-        out = np.empty(self.cones.dim)
-        ldl._library().cone_rhs(*self._rhs_args, address, ldl._address(out))
-        return out
 
     def scaled_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(W^{-1} u) o (W v)."""
@@ -290,13 +295,15 @@ class _Kkt:
     the -(W^2 + reg I) block changes between iterations: ``factor`` writes
     it by ``cone_w2_scatter`` and factors K by the compiled LDL'
     (``ldl.Factors``, on the analysis's row patterns); an exact zero pivot
-    takes its row's ``_reg_sign``. ``solve`` works in K's ordering
-    throughout, its residual by ``Factors.product``.
+    takes its row's ``_reg_sign``. ``solve`` and ``direction`` are one call
+    each (``kkt_solve``, ``kkt_direction``), which works in K's ordering
+    throughout, and ``ldl_solves`` counts the LDL' solves they took.
     """
 
     def __init__(self, P, A, G, cones: Cones,
                  analysis: _Analysis | None = None, stage=None):
         P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
+        self._G, self._held = ldl.csr_args("G", G), G   # for ds = -r - G dx
         n, me = P.shape[0], A.shape[0]
         values = np.concatenate([P.data[_upper(P)], np.full(n, REG), A.data,
                                  np.full(me, -REG), G.data])
@@ -313,6 +320,12 @@ class _Kkt:
         self._ldl = ldl.Factors(a.indptr, a.indices, a.Lp, a.Rp, a.Ri)
         self._cones = cones
         self._w2_args = tuple(map(ldl._address, (a.w2_slots, self._values)))
+        self.ldl_solves = 0
+        # kkt_solve's and kkt_direction's arguments from Ap to work.
+        self._system = (*self._ldl.kkt_args(self._values, self._reg_sign),
+                        *map(ldl._address,
+                             (self.order, np.empty(6 * self.order.size))))
+        self._sizes = n, me
 
     def factor(self, scaling: _NTScaling) -> None:
         """Write -(W^2 + reg I) from the NT scaling into K, and factor K.
@@ -332,25 +345,79 @@ class _Kkt:
         ``tol * max(1, |rhs|_inf)``, at most REFINE_STEPS times. A step
         that does not lower the residual is dropped and ends the
         refinement; at ``tol = inf`` none is taken."""
-        rhs = rhs[self.order]
+        sol = np.empty(self.order.size)
+        args = (ldl._checked("rhs", rhs, np.float64, sol.size),
+                ldl._address(sol))
+        self._ldl.check_factored()
+        self.ldl_solves += ldl._library().kkt_solve(
+            sol.size, REFINE_STEPS, tol, *self._system, *args)
+        return sol
 
-        def residual(sol):
-            r = rhs - (self._ldl.product(self._values, sol)
-                       - self._reg_sign * sol)
-            return r, _norm_inf(r)
+    def direction(self, scaling: _NTScaling, r_dual: np.ndarray,
+                  r_eq: np.ndarray, r_ineq: np.ndarray,
+                  v: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The Newton step (dx, dy, dz, ds) that cancels the residuals and
+        sets lam o (W^{-1} ds + W dz) = -v, at the NT scaling K was last
+        factored at: the solve of [-r_dual; -r_eq; -r_ineq + W (lam \\ v)]
+        to REFINE_TOL. ds comes from the primal row, -r_ineq - G dx:
+        G x + s - h then contracts exactly, even where the scaled-space
+        formula would cancel."""
+        n, me = self._sizes
+        cones = self._cones
+        if scaling.cones.shape != cones.shape:
+            raise ValueError("the scaling is of another cone layout")
+        sol, ds = np.empty(self.order.size), np.empty(cones.dim)
+        args = (ldl._checked("r_dual", r_dual, np.float64, n),
+                ldl._checked("r_eq", r_eq, np.float64, me),
+                cones.address("r_ineq", r_ineq), cones.address("v", v),
+                ldl._address(sol), ldl._address(ds))
+        self._ldl.check_factored()
+        self.ldl_solves += ldl._library().kkt_direction(
+            sol.size, REFINE_STEPS, REFINE_TOL, *self._system, n, me,
+            *scaling.rhs_args, *self._G, *args)
+        return sol[:n], sol[n:n + me], sol[n + me:], ds
 
-        sol = self._ldl.solve(rhs)
-        r, size = residual(sol)
-        target = tol * max(1.0, _norm_inf(rhs))
-        for _ in range(REFINE_STEPS):
-            if not size > target:
-                break
-            refined = sol + self._ldl.solve(r)
-            r_refined, size_refined = residual(refined)
-            if not size_refined < size:
-                break
-            sol, r, size = refined, r_refined, size_refined
-        return sol[self.position]
+
+class _Residuals:
+    """The KKT residuals of one program, each evaluation one call of
+    ``kkt_residuals``, from its CSR matrices P, A and G (``ldl.csr_args``)
+    and its c, b and h; the norms of b, h and c that scale them are taken
+    once. An evaluation's vectors are overwritten by the next."""
+
+    def __init__(self, P, A, G, c, b, h, obj_offset: float):
+        n, me, mi = self._sizes = P.shape[0], A.shape[0], G.shape[0]
+        self._c, self._obj_offset = c, obj_offset
+        self._held = P, A, G, b, h    # the arrays _args points into
+        self._scales = [max(1.0, _norm_inf(v)) for v in (b, h, c)]
+        self.Px, self.r_dual = np.empty((2, n))
+        self.r_eq, self.r_ineq, self._norms, work = \
+            np.empty(me), np.empty(mi), np.empty(4), np.empty(2 * n)
+        self._args = (
+            *ldl.csr_args("P", P), *ldl.csr_args("A", A),
+            *ldl.csr_args("G", G), ldl._checked("c", c, np.float64, n),
+            ldl._checked("b", b, np.float64, me),
+            ldl._checked("h", h, np.float64, mi))
+        self._outputs = tuple(map(ldl._address, (
+            self.Px, self.r_dual, self.r_eq, self.r_ineq, work, self._norms)))
+
+    def __call__(self, x, y, z, s) -> tuple:
+        """At the iterate (x, y, z, s): r_dual, r_eq and r_ineq, the scaled
+        primal and dual residuals the tolerances judge, the objective, and
+        |A'y + G'z|_inf for the Farkas test."""
+        n, me, mi = self._sizes
+        iterate = (ldl._checked("x", x, np.float64, n),
+                   ldl._checked("y", y, np.float64, me),
+                   ldl._checked("z", z, np.float64, mi),
+                   ldl._checked("s", s, np.float64, mi))
+        ldl._library().kkt_residuals(n, me, mi, *self._args, *iterate,
+                                     *self._outputs)
+        dual, eq, ineq, rows = self._norms.tolist()
+        b_scale, h_scale, c_scale = self._scales
+        pres = max(eq / b_scale, ineq / h_scale)
+        pobj = float(self._c @ x) + self._obj_offset \
+            + 0.5 * float(x @ self.Px)
+        return (self.r_dual, self.r_eq, self.r_ineq, pres, dual / c_scale,
+                pobj, rows)
 
 
 def solve_robust(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
@@ -367,26 +434,12 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
     full one once its step is small."""
     program.validate()
     n = program.n
-    c = np.asarray(program.c, float)
-    P, A, G = program.P.tocsr(), program.A.tocsr(), program.G.tocsr()
-    b, h = np.asarray(program.b, float), np.asarray(program.h, float)
+    c, b, h = (np.ascontiguousarray(v, dtype=np.float64)
+               for v in (program.c, program.b, program.h))
+    P, A, G = (_kernel_csr(M) for M in (program.P, program.A, program.G))
     me, mi = A.shape[0], G.shape[0]
     cones = program.layout
-    AT, GT = A.T.tocsr(), G.T.tocsr()
-
-    def residuals(x, y, z, s):
-        """The KKT residuals, the scaled ones the tolerances judge, the
-        objective, and A'y + G'z for the Farkas test: P x, A'y and G'z are
-        each formed once."""
-        Px, ATy, GTz = P @ x, AT @ y, GT @ z
-        r_dual = Px + c + ATy + GTz
-        r_eq = A @ x - b
-        r_ineq = G @ x + s - h
-        pres = max(_norm_inf(r_eq) / max(1.0, _norm_inf(b)),
-                   _norm_inf(r_ineq) / max(1.0, _norm_inf(h)))
-        dres = _norm_inf(r_dual) / max(1.0, _norm_inf(c))
-        pobj = float(c @ x) + program.obj_offset + 0.5 * float(x @ Px)
-        return r_dual, r_eq, r_ineq, pres, dres, pobj, ATy + GTz
+    residuals = _Residuals(P, A, G, c, b, h, program.obj_offset)
 
     start = program.start
     warm = start is not None and all(
@@ -421,6 +474,7 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             s = cones.shift_into_interior(-z0.copy())
             z = cones.shift_into_interior(z0.copy())
 
+    zeros = np.zeros(n), np.zeros(me), np.zeros(mi)   # no residual
     best_res = np.inf
     growth_count = 0
     status = "max_iter"
@@ -456,7 +510,7 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         # Infeasibility: approximate Farkas certificate carried by the duals,
         # confirmed after sustained lack of progress.
         dual_scale = max(_norm_inf(z), _norm_inf(y), 1.0)
-        farkas_res = _norm_inf(dual_rows) / dual_scale
+        farkas_res = dual_rows / dual_scale
         farkas_gap = (float(b @ y) + float(h @ z)) / dual_scale
         certificate = farkas_res < 1e-8 and farkas_gap < -1e-10
         total_res = max(pres, dres, mu)
@@ -486,16 +540,6 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             status = "numerical_failure"
             break
 
-        def direction(r_dual, r_eq, r_ineq, d_s):
-            """The Newton step that cancels the residuals and sets
-            lam o (W^{-1} ds + W dz) = -d_s. ds comes from the primal row:
-            G x + s - h then contracts exactly, even where the scaled-space
-            formula would cancel."""
-            sol = kkt.solve(np.concatenate(
-                [-r_dual, -r_eq, -r_ineq + scaling.rhs(d_s)]), REFINE_TOL)
-            dx = sol[:n]
-            return dx, sol[n:n + me], sol[n + me:], -r_ineq - G @ dx
-
         def step_pair(ds_, dz_):
             ap, ad = (min(1.0, STEP_DAMPING * a)
                       for a in iterate.max_steps(ds_, dz_))
@@ -506,16 +550,16 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             return ap, ad
 
         # Predictor (affine) direction.
-        _, _, dz_a, ds_a = direction(r_dual, r_eq, r_ineq, lam_sq)
+        _, _, dz_a, ds_a = kkt.direction(scaling, r_dual, r_eq, r_ineq,
+                                         lam_sq)
         ap_aff, ad_aff = (min(1.0, a) for a in iterate.max_steps(ds_a, dz_a))
         gap_aff = float((s + ap_aff * ds_a) @ (z + ad_aff * dz_a))
         sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
 
         # Corrector (combined) direction.
         corr = scaling.scaled_product(ds_a, dz_a)
-        dx, dy, dz, ds = direction(
-            r_dual, r_eq, r_ineq,
-            lam_sq - sigma * mu * e + corr)
+        dx, dy, dz, ds = kkt.direction(scaling, r_dual, r_eq, r_ineq,
+                                       lam_sq - sigma * mu * e + corr)
         alpha_p, alpha_d = step_pair(ds, dz)
 
         # Gondzio centrality correctors: push outlier complementarity
@@ -530,8 +574,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             v_trial = scaling.scaled_product(s + ap_t * ds, z + ad_t * dz)
             target = cones.clip_eigenvalues(v_trial, 0.1 * mu_target,
                                             10.0 * mu_target)
-            dx_c, dy_c, dz_c, ds_c = direction(
-                np.zeros(n), np.zeros(me), np.zeros(mi), v_trial - target)
+            dx_c, dy_c, dz_c, ds_c = kkt.direction(scaling, *zeros,
+                                                   v_trial - target)
             ap_new, ad_new = step_pair(ds + ds_c, dz + dz_c)
             if min(ap_new, ad_new) <= min(alpha_p, alpha_d) * 1.01:
                 break
@@ -564,9 +608,22 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
         objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),
         primal_res=pres, dual_res=dres, warm=warm,
-        reordered=kkt.reordered, resumed=resumed, _analysis=kkt.analysis,
+        reordered=kkt.reordered, resumed=resumed,
+        ldl_solves=kkt.ldl_solves, _analysis=kkt.analysis,
         _program=weakref.ref(program),
     )
+
+
+def _kernel_csr(M) -> sp.csr_matrix:
+    """M in CSR with int32 index arrays and float64 values, as the kernel
+    reads it (``ldl.csr_args``): M itself where it is so already."""
+    M = M.tocsr()
+    held = M.data, M.indices, M.indptr
+    arrays = [np.ascontiguousarray(a, dtype=t)
+              for a, t in zip(held, (np.float64, np.intc, np.intc))]
+    if all(a is b for a, b in zip(arrays, held)):
+        return M
+    return sp.csr_matrix(tuple(arrays), shape=M.shape)
 
 
 def _stall_status(pres: float) -> str:

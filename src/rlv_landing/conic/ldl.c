@@ -24,7 +24,26 @@
  * plans (three workloads, seeds 41-43 and the reference sets) and 27 times
  * in the tests, 24 of them in the warm-start Hypothesis examples and one in
  * a test built to reach it. Those tests pass with the regularized pivot. A
- * NaN pivot fails the factorization. */
+ * NaN pivot fails the factorization.
+ *
+ * kkt_solve, kkt_direction and kkt_residuals are the IPM's KKT solve,
+ * Newton direction and residuals, each one call: the refined solve in K's
+ * ordering, the direction's right-hand side with its cone rows (cone_rhs
+ * in cones.c), and the products with P, A, A', G and G' of the program's
+ * CSR matrices. Each adds its terms in the order the numpy and scipy code
+ * it replaced adds them, so that its results are that code's to the bit: a
+ * CSR product adds each row's terms from 0.0 in stored order (scipy's
+ * csr_matvec), and a product with a transpose each column's in ascending
+ * row order (csr_matvec of scipy's CSR transpose). An infinity norm is
+ * NaN if an entry is NaN, as numpy's maximum is. */
+
+#include <math.h>
+#include <stddef.h>
+
+/* cones.c: W (lam \ v), the cone rows of a direction's right-hand side. */
+void cone_rhs(int n_nn, int n_soc, int d, const double *lam,
+              const double *lam_norm_sq, const double *w_nn, const double *W,
+              const double *v, double *out);
 
 /* The elimination tree (parent[j], -1 at a root) and the entries of each
  * column of L (Lnz[j]). work holds n ints. Returns 0, or -1 at an entry
@@ -172,6 +191,164 @@ void ldl_symv(int n, const int *Ap, const int *Ai, const double *Ax,
                 y[j] += Ax[p] * x[i];
         }
     }
+}
+
+/* |v|_inf, NaN if an entry is NaN, 0 for n = 0. */
+static double norm_inf(int n, const double *v)
+{
+    double m = 0.0;
+    for (int i = 0; i < n; i++) {
+        double a = fabs(v[i]);
+        if (a > m || a != a)
+            m = a;
+    }
+    return m;
+}
+
+/* r = b - (A x - reg o x), A the symmetric matrix of (Ap, Ai, Ax), so that
+ * A - diag(reg) is the unregularized matrix; returns |r|_inf. */
+static double kkt_residual(int n, const int *Ap, const int *Ai,
+                           const double *Ax, const double *reg,
+                           const double *b, const double *x, double *r)
+{
+    ldl_symv(n, Ap, Ai, Ax, x, r);
+    for (int i = 0; i < n; i++)
+        r[i] = b[i] - (r[i] - reg[i] * x[i]);
+    return norm_inf(n, r);
+}
+
+/* Solve A x = rhs with the factors of A (ldl_factor's Lp, Li, Lx, D),
+ * where row i of A is row order[i] of the system: rhs and sol are in the
+ * system's order. The solve is refined against A - diag(reg) while the
+ * residual is above tol max(1, |rhs|_inf) and each step lowers it, at most
+ * steps times; a step that does not lower it is dropped and ends the
+ * refinement. work holds 5n doubles. Returns the number of LDL' solves. */
+int kkt_solve(int n, int steps, double tol, const int *Ap, const int *Ai,
+              const double *Ax, const double *reg, const int *Lp,
+              const int *Li, const double *Lx, const double *D,
+              const int *order, double *work, const double *rhs, double *sol)
+{
+    double *b = work, *x = work + n, *r = work + 2 * (ptrdiff_t)n;
+    double *t = work + 3 * (ptrdiff_t)n, *rt = work + 4 * (ptrdiff_t)n;
+    for (int i = 0; i < n; i++)
+        x[i] = b[i] = rhs[order[i]];
+    ldl_solve(n, Lp, Li, Lx, D, x);
+    int solves = 1;
+    double size = kkt_residual(n, Ap, Ai, Ax, reg, b, x, r);
+    double scale = norm_inf(n, b);
+    double target = tol * (scale > 1.0 ? scale : 1.0);
+    for (int k = 0; k < steps && size > target; k++) {
+        for (int i = 0; i < n; i++)
+            t[i] = r[i];
+        ldl_solve(n, Lp, Li, Lx, D, t);
+        solves++;
+        for (int i = 0; i < n; i++)
+            t[i] = x[i] + t[i];
+        double refined = kkt_residual(n, Ap, Ai, Ax, reg, b, t, rt);
+        if (!(refined < size))
+            break;
+        double *swap = x;
+        x = t;
+        t = swap;
+        swap = r;
+        r = rt;
+        rt = swap;
+        size = refined;
+    }
+    for (int i = 0; i < n; i++)
+        sol[order[i]] = x[i];
+    return solves;
+}
+
+/* y = M x for the rows x m CSR matrix M = (Mp, Mi, Mx). */
+static void csr_matvec(int rows, const int *Mp, const int *Mi,
+                       const double *Mx, const double *x, double *y)
+{
+    for (int i = 0; i < rows; i++) {
+        double sum = 0.0;
+        for (int p = Mp[i]; p < Mp[i + 1]; p++)
+            sum += Mx[p] * x[Mi[p]];
+        y[i] = sum;
+    }
+}
+
+/* y = M' x for the rows x cols CSR matrix M = (Mp, Mi, Mx). */
+static void csr_matvec_t(int rows, int cols, const int *Mp, const int *Mi,
+                         const double *Mx, const double *x, double *y)
+{
+    for (int j = 0; j < cols; j++)
+        y[j] = 0.0;
+    for (int i = 0; i < rows; i++)
+        for (int p = Mp[i]; p < Mp[i + 1]; p++)
+            y[Mi[p]] += Mx[p] * x[i];
+}
+
+/* The Newton direction of the KKT system of n = nx + me + mi rows, given
+ * by kkt_solve's arguments from Ap to work (6n doubles here): sol solves
+ * it for [-r_dual; -r_eq; -r_ineq + W (lam \ v)], refined as kkt_solve
+ * refines, and ds = -r_ineq - G dx for its first nx entries dx and the
+ * mi x nx CSR matrix G = (Gp, Gi, Gx). The cone rows' arguments are
+ * cone_rhs's. Returns the number of LDL' solves. */
+int kkt_direction(int n, int steps, double tol, const int *Ap,
+                  const int *Ai, const double *Ax, const double *reg,
+                  const int *Lp, const int *Li, const double *Lx,
+                  const double *D, const int *order, double *work, int nx,
+                  int me, int n_nn, int n_soc, int d, const double *lam,
+                  const double *lam_norm_sq, const double *w_nn,
+                  const double *W, const int *Gp, const int *Gi,
+                  const double *Gx, const double *r_dual,
+                  const double *r_eq, const double *r_ineq, const double *v,
+                  double *sol, double *ds)
+{
+    const int mi = n - nx - me;
+    double *rhs = work + 5 * (ptrdiff_t)n, *cone = rhs + nx + me;
+    for (int i = 0; i < nx; i++)
+        rhs[i] = -r_dual[i];
+    for (int i = 0; i < me; i++)
+        rhs[nx + i] = -r_eq[i];
+    cone_rhs(n_nn, n_soc, d, lam, lam_norm_sq, w_nn, W, v, cone);
+    for (int i = 0; i < mi; i++)
+        cone[i] = -r_ineq[i] + cone[i];
+    int solves = kkt_solve(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx, D,
+                           order, work, rhs, sol);
+    csr_matvec(mi, Gp, Gi, Gx, sol, ds);
+    for (int i = 0; i < mi; i++)
+        ds[i] = -r_ineq[i] - ds[i];
+    return solves;
+}
+
+/* The KKT residuals of the program with n variables, me equality rows and
+ * mi cone rows at (x, y, z, s), from its CSR matrices P, A and G: Px = P x,
+ * r_dual = P x + c + A'y + G'z, r_eq = A x - b and r_ineq = G x + s - h,
+ * and norms = the infinity norms of r_dual, r_eq, r_ineq and A'y + G'z.
+ * work holds 2n doubles. */
+void kkt_residuals(int n, int me, int mi, const int *Pp, const int *Pi,
+                   const double *Pv, const int *Ap, const int *Ai,
+                   const double *Av, const int *Gp, const int *Gi,
+                   const double *Gv, const double *c, const double *b,
+                   const double *h, const double *x, const double *y,
+                   const double *z, const double *s, double *Px,
+                   double *r_dual, double *r_eq, double *r_ineq,
+                   double *work, double *norms)
+{
+    double *ATy = work, *GTz = work + n;
+    csr_matvec(n, Pp, Pi, Pv, x, Px);
+    csr_matvec_t(me, n, Ap, Ai, Av, y, ATy);
+    csr_matvec_t(mi, n, Gp, Gi, Gv, z, GTz);
+    for (int j = 0; j < n; j++) {
+        r_dual[j] = Px[j] + c[j] + ATy[j] + GTz[j];
+        ATy[j] += GTz[j];   /* now A'y + G'z */
+    }
+    csr_matvec(me, Ap, Ai, Av, x, r_eq);
+    for (int i = 0; i < me; i++)
+        r_eq[i] = r_eq[i] - b[i];
+    csr_matvec(mi, Gp, Gi, Gv, x, r_ineq);
+    for (int i = 0; i < mi; i++)
+        r_ineq[i] = r_ineq[i] + s[i] - h[i];
+    norms[0] = norm_inf(n, r_dual);
+    norms[1] = norm_inf(me, r_eq);
+    norms[2] = norm_inf(mi, r_ineq);
+    norms[3] = norm_inf(n, ATy);
 }
 
 /* The CSC pattern of an n x n matrix of m entries, entry e at row rows[e]

@@ -19,8 +19,13 @@ which adds as scipy's product with the whole matrix does. ``csc_pattern``
 forms a sparse pattern by a counting sort (the IPM's KKT upper triangle and
 the planner's constraint matrices). ``cones`` and the IPM's NT scaling call
 the cone algebra, and the IPM writes -(W^2 + reg I) into its KKT values by
-``cone_w2_scatter``. Every array is checked for dtype, C-contiguity and
-shape (``_checked``) before it reaches C.
+``cone_w2_scatter``. The IPM's KKT system calls ``kkt_solve`` for a refined
+solve and ``kkt_direction`` for a Newton direction, with the factors'
+arrays (``Factors.kkt_args``), and its residuals ``kkt_residuals``, with
+the program's CSR matrices (``csr_args``); ``kkt_direction`` calls
+``cone_rhs`` in ``cones.c``. Every array is checked for dtype,
+C-contiguity and shape (``_checked``) before it reaches C. The entry
+points are ``_ENTRY_POINTS``.
 """
 
 from __future__ import annotations
@@ -50,11 +55,14 @@ _ENTRY_POINTS = {
     "ldl_factor": ([_INT] + [_PTR] * 12, _INT),
     "ldl_solve": ([_INT] + [_PTR] * 5, None),
     "ldl_symv": ([_INT] + [_PTR] * 5, None),
+    "kkt_solve": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 12, _INT),
+    "kkt_direction": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 10 + [_INT] * 5
+                      + [_PTR] * 13, _INT),
+    "kkt_residuals": ([_INT] * 3 + [_PTR] * 22, None),
     "csc_pattern": ([_INT] * 2 + [_PTR] * 6, _INT),
     "cone_points": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_max_steps": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_nt_scaling": ([_INT] * 3 + [_PTR] * 8, None),
-    "cone_rhs": ([_INT] * 3 + [_PTR] * 6, None),
     "cone_product": ([_INT] * 3 + [_PTR] * 3, None),
     "cone_scaled_product": ([_INT] * 3 + [_PTR] * 6, None),
     "cone_clip_eigenvalues": ([_INT] * 3 + [_DOUBLE] * 2 + [_PTR] * 2, None),
@@ -140,6 +148,24 @@ def _checked(name: str, a, dtype, *shape: int):
             f"{shape}, got {getattr(a, 'dtype', type(a).__name__)} of shape "
             f"{getattr(a, 'shape', None)}")
     return _address(a)
+
+
+def csr_args(name: str, M) -> tuple:
+    """The addresses of the CSR matrix M's ``indptr``, ``indices`` and
+    ``data`` (``_address``), after checking that C may read it as a CSR
+    matrix of its shape: int32 index arrays and float64 values, each
+    C-contiguous and of the length its row pointers give, the row pointers
+    from 0 and nondecreasing, and every column index in range."""
+    rows, cols = M.shape
+    indptr, indices = M.indptr, M.indices
+    args = [_checked(f"{name}.indptr", indptr, np.intc, rows + 1)]
+    nnz = int(indptr[-1])
+    args += [_checked(f"{name}.indices", indices, np.intc, nnz),
+             _checked(f"{name}.data", M.data, np.float64, nnz)]
+    if indptr[0] != 0 or np.any(np.diff(indptr) < 0) \
+            or (nnz and not 0 <= indices.min() <= indices.max() < cols):
+        raise ValueError(f"{name} is not a CSR matrix of shape {M.shape}")
+    return tuple(args)
 
 
 def etree(indptr: np.ndarray, indices: np.ndarray):
@@ -239,15 +265,30 @@ class Factors:
         self._factored = positive >= 0
         return positive
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution of L D L' x = rhs, in a new array; ``RuntimeError``
-        unless the last ``factor`` succeeded (L is not all written)."""
-        x = np.array(rhs, dtype=np.float64)
-        address = _checked("rhs", x, np.float64, self.n)
+    def check_factored(self) -> None:
+        """``RuntimeError`` unless the last ``factor`` succeeded: L is not
+        all written, and no solve may read it."""
         if not self._factored:
             raise RuntimeError("no successful factorization to solve with")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of L D L' x = rhs, in a new array, after
+        ``check_factored``."""
+        x = np.array(rhs, dtype=np.float64)
+        address = _checked("rhs", x, np.float64, self.n)
+        self.check_factored()
         _library().ldl_solve(self.n, *self._solve_args, address)
         return x
+
+    def kkt_args(self, values: np.ndarray, reg: np.ndarray) -> tuple:
+        """``kkt_solve``'s arguments from ``Ap`` to ``D``, for the matrix of
+        these upper-triangle values with its static regularization ``reg``
+        (its refinement is against the matrix less diag(reg)), solved with
+        these factors. The arrays must outlive every call that takes
+        them."""
+        return (*self._factor_args[0],
+                _checked("values", values, np.float64, self.nnz),
+                _checked("reg", reg, np.float64, self.n), *self._solve_args)
 
     def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A x, in a new array, for the symmetric A of these upper-triangle

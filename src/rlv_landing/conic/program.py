@@ -121,6 +121,8 @@ class SolverSolution:
     #                              analysis: its start carried none that
     #                              matched
     resumed: bool = False        # the start was this program's own iterate
+    ldl_solves: int = 0          # the LDL' solves of the KKT systems, the
+    #                              cold start's and refinement steps' too
     # For a later solve from this one: the KKT analysis, reused when the
     # pattern matches, and the program solved (weakly, since that program
     # may hold this solution as its start).

@@ -5,8 +5,10 @@ at one angle of attack, the KKT residuals of a solution, the numpy cone
 algebra that the compiled one (``conic/cones.c``) replaced, the numpy
 -(W^2 + reg I) values and ``np.unique`` KKT pattern that the IPM's kernel
 calls replaced, the whole symmetric matrix of an upper triangle (the IPM
-stores only that triangle of its KKT matrix), and the up-looking LDL'
-that walks the elimination tree for every row, in Python."""
+stores only that triangle of its KKT matrix), the up-looking LDL'
+that walks the elimination tree for every row, in Python, and the numpy
+and scipy refined KKT solve, Newton direction and residuals that the
+IPM's ``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` replaced."""
 
 from __future__ import annotations
 
@@ -419,3 +421,68 @@ def tree_walking_ldl(indptr, indices, values, reg):
         D[k] = d
         positive += d > 0.0
     return np.array(Li, np.intc), np.array(Lx), np.array(D), positive
+
+
+# The IPM's KKT solve, Newton direction and residuals as numpy and scipy
+# computed them, the oracles of ``kkt_solve``, ``kkt_direction`` and
+# ``kkt_residuals`` in ``conic/ldl.c``.
+
+def _norm_inf(v):
+    return float(np.abs(v).max()) if v.size else 0.0
+
+
+@np.errstate(all="ignore")
+def numpy_kkt_solve(kkt, rhs, tol, steps=2):
+    """``ipm._Kkt.solve``: the solve with ``kkt``'s factors in K's
+    ordering, refined against K less diag(reg) while the residual is above
+    ``tol * max(1, |rhs|_inf)`` and each step lowers it, at most ``steps``
+    times (``ipm.REFINE_STEPS``). Returns the solution and the number of
+    LDL' solves."""
+    rhs = rhs[kkt.order]
+
+    def residual(sol):
+        r = rhs - (kkt._ldl.product(kkt._values, sol)
+                   - kkt._reg_sign * sol)
+        return r, _norm_inf(r)
+
+    sol = kkt._ldl.solve(rhs)
+    solves = 1
+    r, size = residual(sol)
+    target = tol * max(1.0, _norm_inf(rhs))
+    for _ in range(steps):
+        if not size > target:
+            break
+        refined = sol + kkt._ldl.solve(r)
+        solves += 1
+        r_refined, size_refined = residual(refined)
+        if not size_refined < size:
+            break
+        sol, r, size = refined, r_refined, size_refined
+    return sol[kkt.position], solves
+
+
+@np.errstate(all="ignore")
+def numpy_direction(kkt, scaling, G, r_dual, r_eq, r_ineq, v, tol,
+                    steps=2):
+    """``ipm._Kkt.direction``: the solve of [-r_dual; -r_eq; -r_ineq +
+    W (lam \\ v)] (``numpy_rhs``) to ``tol``, and ds = -r_ineq - G dx.
+    Returns (dx, dy, dz, ds) and the number of LDL' solves."""
+    n, me = r_dual.size, r_eq.size
+    cone = numpy_rhs(scaling.cones, scaling.w_nn, scaling.soc_mats,
+                     scaling.lam.u[0], v)
+    sol, solves = numpy_kkt_solve(
+        kkt, np.concatenate([-r_dual, -r_eq, -r_ineq + cone]), tol, steps)
+    dx = sol[:n]
+    return (dx, sol[n:n + me], sol[n + me:], -r_ineq - G @ dx), solves
+
+
+@np.errstate(all="ignore")
+def numpy_residuals(P, A, G, c, b, h, x, y, z, s):
+    """``ipm._Residuals``' products and sums, by scipy and numpy: P x, and
+    r_dual, r_eq, r_ineq and A'y + G'z, each with its infinity norm."""
+    Px, ATy, GTz = P @ x, A.T.tocsr() @ y, G.T.tocsr() @ z
+    r_dual = Px + c + ATy + GTz
+    r_eq = A @ x - b
+    r_ineq = G @ x + s - h
+    vectors = r_dual, r_eq, r_ineq, ATy + GTz
+    return Px, vectors, [_norm_inf(v) for v in vectors]

@@ -651,29 +651,30 @@ class TestKktFactorization:
     def test_direction_solves_refine_only_as_needed(self, monkeypatch):
         # Over the nominal N=30 plan, the IPM's direction solves (predictor,
         # corrector, Gondzio) take fewer than 2 LDL' solves each: two fixed
-        # refinement steps took 3, the residual rule takes 1.17.
-        ldl_solves, per_direction = [], []
-        factors_solve, solve = ldl.Factors.solve, _Kkt.solve
+        # refinement steps took 3, the residual rule takes 1.17. A solve's
+        # ``ldl_solves`` counts its cold start's one unrefined solve too.
+        solutions, directions = [], []
+        direction = _Kkt.direction
 
-        def counted_factors_solve(self, rhs):
-            ldl_solves.append(1)
-            return factors_solve(self, rhs)
+        def counted_direction(self, *args):
+            directions.append(1)
+            return direction(self, *args)
 
-        def counted_solve(self, rhs, tol):
-            before = len(ldl_solves)
-            out = solve(self, rhs, tol)
-            if tol == ipm.REFINE_TOL:
-                per_direction.append(len(ldl_solves) - before)
-            return out
+        def recorded_solve(program, tol):
+            sol = ipm.solve(program, tol)
+            solutions.append(sol)
+            return sol
 
-        monkeypatch.setattr(ldl.Factors, "solve", counted_factors_solve)
-        monkeypatch.setattr(_Kkt, "solve", counted_solve)
+        monkeypatch.setattr(_Kkt, "direction", counted_direction)
         prob, cfg = make_problem(N=30)
         out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
-                      ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
+                      ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr),
+                      solve_fn=recorded_solve)
         assert out.converged
-        assert len(per_direction) > 100
-        assert sum(per_direction) < 2 * len(per_direction)
+        direction_solves = sum(sol.ldl_solves - (not sol.warm)
+                               for sol in solutions)
+        assert len(directions) > 100
+        assert direction_solves < 2 * len(directions)
 
 
 class TestPlanningScp:

@@ -8,6 +8,9 @@ import gc
 import itertools
 import math
 import os
+import re
+import shlex
+import sysconfig
 import weakref
 from dataclasses import fields, replace
 from unittest import mock
@@ -33,8 +36,9 @@ from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
 from helpers import (MULTI_BLOCK_CONES, flat_arrays, nt_apply,
-                     numpy_clip_eigenvalues, numpy_max_steps, numpy_points,
-                     numpy_product, numpy_rhs, numpy_scaled_product, same_bits,
+                     numpy_clip_eigenvalues, numpy_direction, numpy_kkt_solve,
+                     numpy_max_steps, numpy_points, numpy_product,
+                     numpy_residuals, numpy_scaled_product, same_bits,
                      splu_calls, superlu, symmetric, kkt_matrix,
                      tree_walking_ldl, unique_pattern,
                      verify_kkt, w2_entries)
@@ -502,47 +506,35 @@ class TestQuasiDefiniteKkt:
         kkt.factor(scaling)
         return prog, scaling, kkt, rng.normal(size=kkt.position.size)
 
-    @staticmethod
-    def count_lu_solves(kkt, bad_call=None):
-        """Count the calls of the factors' solve; the ``bad_call``-th
-        returns 1000 times the LDL' solve, a step that raises the
-        residual."""
-        calls = []
-        inner = kkt._ldl.solve
-
-        def counted(rhs):
-            calls.append(rhs)
-            out = inner(rhs)
-            return 1e3 * out if len(calls) == bad_call else out
-
-        kkt._ldl.solve = counted
-        return calls
-
     def test_refines_only_while_the_residual_needs_it(self):
         prog, scaling, kkt, rhs = self.factored(61)
         first = kkt.solve(rhs, math.inf)
         residual = rhs - self.fresh(prog, scaling, 0.0) @ first
         relative = np.abs(residual).max() / max(1.0, np.abs(rhs).max())
         assert relative > 0.0
-        calls = self.count_lu_solves(kkt)
         # The first residual meets the tolerance: one LDL' solve, no residual
         # step.
+        before = kkt.ldl_solves
         np.testing.assert_array_equal(kkt.solve(rhs, 2.0 * relative), first)
-        assert len(calls) == 1
+        assert kkt.ldl_solves - before == 1
         # It misses it: one refinement step meets it, and ends the
         # refinement.
-        calls.clear()
+        before = kkt.ldl_solves
         refined = kkt.solve(rhs, 0.5 * relative)
-        assert len(calls) == 2
+        assert kkt.ldl_solves - before == 2
         after = rhs - self.fresh(prog, scaling, 0.0) @ refined
         assert np.abs(after).max() < np.abs(residual).max()
 
     def test_step_that_raises_the_residual_is_dropped(self):
+        # K's values tripled after the factorization: the refinement is
+        # against three times the matrix the factors solve with, so its
+        # first step doubles the residual, and is dropped.
         prog, scaling, kkt, rhs = self.factored(67)
         first = kkt.solve(rhs, math.inf)
-        calls = self.count_lu_solves(kkt, bad_call=2)
+        kkt._values *= 3.0
+        before = kkt.ldl_solves
         np.testing.assert_array_equal(kkt.solve(rhs, 0.0), first)
-        assert len(calls) == 2
+        assert kkt.ldl_solves - before == 2
 
     def test_reused_analysis_fills_the_same_matrix(self):
         rng = np.random.default_rng(59)
@@ -901,13 +893,11 @@ class TestConeKernel:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
            special=SPECIAL)
-    def test_products_and_rhs_are_numpy_s(self, seed, blocks, special):
+    def test_products_are_numpy_s(self, seed, blocks, special):
         # Each from the same inputs as the oracle: the kernel's scaling.
         cones, u, du = kernel_case(seed, blocks, special)
         scaling = _NTScaling(cones.points(*u))
         w_nn, mats, inv = scaling.w_nn, scaling.soc_mats, scaling.soc_inv
-        assert same_bits(scaling.rhs(du[0]), numpy_rhs(
-            cones, w_nn, mats, scaling.lam.u[0], du[0]))
         assert same_bits(scaling.scaled_product(*du), numpy_scaled_product(
             cones, w_nn, mats, inv, *du))
         assert same_bits(cones.product(u[0], du[1]),
@@ -927,14 +917,32 @@ class TestConeKernel:
 
     def test_wrong_arrays_raise_before_any_call(self, monkeypatch):
         # A wrong dtype, a non-contiguous array or a short one raises
-        # ValueError at every entry point, before the library is loaded.
+        # ValueError at every entry point, before the library is loaded:
+        # the cone algebra's, and the KKT solve's, direction's and
+        # residuals' (kkt_solve, kkt_direction, kkt_residuals), whose CSR
+        # matrices also raise at int64 or non-contiguous index arrays,
+        # float32 values, short row pointers or a column out of range.
         cones = Cones(MIXED_CONES)
         rng = np.random.default_rng(5)
         s, z = (interior_point(rng, MIXED_CONES) for _ in range(2))
         iterate, single = cones.points(s, z), cones.points(s)
         scaling = _NTScaling(iterate)
+        prog = random_feasible_conic(rng, n=4, me=2, cones=MIXED_CONES,
+                                     rank=2)
+        P, A, G, c, b, h = prog.P, prog.A, prog.G, prog.c, prog.b, prog.h
+        x, y, rhs = np.ones(4), np.ones(2), np.ones(6 + cones.dim)
+        kkt = _Kkt(P, A, G, cones)
+        kkt.factor(scaling)
+        residuals = ipm._Residuals(P, A, G, c, b, h, 0.0)
+        other = _NTScaling(Cones(layout(1, 1, 3)).points(
+            np.array([1.0, 2.0, 0.0, 0.0]), np.array([1.0, 2.0, 0.0, 0.0])))
         calls = []
         monkeypatch.setattr(ldl, "_library", lambda: calls.append(1))
+
+        def wrong(u):
+            """u as float32, not contiguous, and one entry short."""
+            return u.astype(np.float32), np.repeat(u, 2)[::2], u[:-1]
+
         s32, z32 = s.astype(np.float32), z.astype(np.float32)
         bad = [
             lambda: cones.points(s32, z32),
@@ -944,17 +952,201 @@ class TestConeKernel:
             lambda: iterate.max_steps(s[:-1], z[:-1]),
             lambda: iterate.max_steps(s),
             lambda: _NTScaling(single),
+            lambda: kkt.direction(other, x, y, s, z),
         ]
-        for v in (s.astype(np.float32), np.repeat(s, 2)[::2], s[:-1]):
-            bad += [lambda v=v: scaling.rhs(v),
+        for v in wrong(s):
+            bad += [lambda v=v: kkt.direction(scaling, x, y, v, z),
+                    lambda v=v: kkt.direction(scaling, x, y, z, v),
+                    lambda v=v: residuals(x, y, v, z),
+                    lambda v=v: residuals(x, y, z, v),
+                    lambda v=v: ipm._Residuals(P, A, G, c, b, v, 0.0),
                     lambda v=v: scaling.scaled_product(v, z),
                     lambda v=v: scaling.scaled_product(z, v),
                     lambda v=v: cones.product(z, v),
                     lambda v=v: cones.clip_eigenvalues(v, 0.1, 10.0)]
+        for v in wrong(x):
+            bad += [lambda v=v: kkt.direction(scaling, v, y, s, z),
+                    lambda v=v: residuals(v, y, z, s),
+                    lambda v=v: ipm._Residuals(P, A, G, v, b, h, 0.0)]
+        for v in wrong(y):
+            bad += [lambda v=v: kkt.direction(scaling, x, v, s, z),
+                    lambda v=v: residuals(x, v, z, s),
+                    lambda v=v: ipm._Residuals(P, A, G, c, v, h, 0.0)]
+        bad += [lambda v=v: kkt.solve(v, ipm.REFINE_TOL) for v in wrong(rhs)]
+        for M in (P, A, G):
+            for name, array in (("indptr", M.indptr.astype(np.int64)),
+                                ("indices", M.indices.astype(np.int64)),
+                                ("indices", np.repeat(M.indices, 2)[::2]),
+                                ("data", M.data.astype(np.float32)),
+                                ("indptr", M.indptr[:-1]),
+                                ("indptr", M.indptr + 1),
+                                ("indices", M.indices + M.shape[1])):
+                broken = M.copy()
+                setattr(broken, name, array)
+                pag = [broken if N is M else N for N in (P, A, G)]
+                bad.append(lambda pag=pag: ipm._Residuals(*pag, c, b, h, 0.0))
+                if M is G:
+                    bad.append(lambda g=broken: _Kkt(P, A, g, cones))
         for call in bad:
             with pytest.raises(ValueError):
                 call()
         assert not calls
+
+
+def factored_kkt(seed, blocks, me, perturbed=False):
+    """A random program with the cone layout ``blocks`` (n = 4 variables
+    and ``me`` equality rows), its KKT system factored at a random interior
+    NT scaling, with K's values scaled after the factorization when
+    ``perturbed``, so that refinement steps can raise the residual, and
+    the random generator."""
+    rng = np.random.default_rng(seed)
+    prog = random_feasible_conic(rng, 4, me, blocks, 2)
+    cones = Cones(blocks)
+    kkt = _Kkt(prog.P, prog.A, prog.G, cones)
+    scaling = _NTScaling(cones.points(interior_point(rng, blocks),
+                                      interior_point(rng, blocks)))
+    kkt.factor(scaling)
+    if perturbed:
+        kkt._values *= rng.uniform(0.5, 3.0)
+    return prog, kkt, scaling, rng
+
+
+def overwrite(arrays, special):
+    """Write ``special``'s (array, entry, value) over ``arrays``."""
+    for which, entry, value in special:
+        part = arrays[which % len(arrays)].reshape(-1)
+        if part.size:
+            part[entry % part.size] = value
+
+
+def non_canonical(rng, M):
+    """The CSR matrix M with each row's entries in a random order and, in
+    some rows, one entry split in two at the same column."""
+    data, indices, indptr = [], [], [0]
+    for i in range(M.shape[0]):
+        lo, hi = M.indptr[i], M.indptr[i + 1]
+        cols, vals = list(M.indices[lo:hi]), list(M.data[lo:hi])
+        if cols and rng.uniform() < 0.5:
+            k, part = rng.integers(len(cols)), rng.normal()
+            cols.append(cols[k])
+            vals.append(part)
+            vals[k] -= part
+        order = rng.permutation(len(cols))
+        indices += [cols[k] for k in order]
+        data += [vals[k] for k in order]
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data, float), np.array(indices, np.intc),
+                          np.array(indptr, np.intc)), shape=M.shape)
+
+
+# NaN, +-inf and +-0 at up to four entries of a case's vectors.
+VECTOR_SPECIAL = st.lists(
+    st.tuples(st.integers(0, 10), st.integers(0, 10 ** 6),
+              st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])),
+    max_size=4)
+EQUALITY_ROWS = st.integers(0, 3)
+
+
+class TestKktKernel:
+    """The IPM's KKT solve, Newton direction and residuals, one compiled
+    call each (``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` in
+    ``conic/ldl.c``), against the numpy and scipy code they replaced
+    (``helpers``), bit for bit, every NaN read as one NaN, with NaN, +-inf
+    and +-0 entries in their vectors, and in the residuals' matrices."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, perturbed=st.booleans(),
+           tol=st.sampled_from([math.inf, ipm.REFINE_TOL, 1e-14, 0.0]),
+           special=VECTOR_SPECIAL)
+    def test_solve_is_numpy_s(self, seed, blocks, me, perturbed, tol,
+                              special):
+        _, kkt, _, rng = factored_kkt(seed, blocks, me, perturbed)
+        rhs = rng.normal(size=kkt.order.size) * 10.0 ** rng.uniform(-3, 3)
+        overwrite([rhs], special)
+        before = kkt.ldl_solves
+        sol = kkt.solve(rhs, tol)
+        expected, solves = numpy_kkt_solve(kkt, rhs, tol, ipm.REFINE_STEPS)
+        assert same_bits(sol, expected)
+        assert kkt.ldl_solves - before == solves
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, perturbed=st.booleans(),
+           zero=st.booleans(), special=VECTOR_SPECIAL)
+    def test_direction_is_numpy_s(self, seed, blocks, me, perturbed, zero,
+                                  special):
+        # The residuals random or, as a centrality corrector's, zero.
+        prog, kkt, scaling, rng = factored_kkt(seed, blocks, me, perturbed)
+        sizes = prog.n, me, prog.G.shape[0], prog.G.shape[0]
+        vectors = [rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+                   for size in sizes]
+        if zero:
+            vectors[:3] = [np.zeros(size) for size in sizes[:3]]
+        overwrite(vectors, special)
+        before = kkt.ldl_solves
+        got = kkt.direction(scaling, *vectors)
+        expected, solves = numpy_direction(
+            kkt, scaling, prog.G, *vectors, ipm.REFINE_TOL, ipm.REFINE_STEPS)
+        assert all(same_bits(a, b) for a, b in zip(got, expected))
+        assert kkt.ldl_solves - before == solves
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, rank=st.integers(0, 4),
+           shuffled=st.booleans(), special=VECTOR_SPECIAL)
+    def test_residuals_are_numpy_s(self, seed, blocks, me, rank, shuffled,
+                                   special):
+        # Canonical CSR matrices, or ones with their entries out of order
+        # and repeated (helpers.non_canonical), whose products add in
+        # stored order.
+        rng = np.random.default_rng(seed)
+        prog = random_feasible_conic(rng, 4, me, blocks, rank)
+        P, A, G = (M.tocsr() for M in (prog.P, prog.A, prog.G))
+        if shuffled:
+            P, A, G = (non_canonical(rng, M) for M in (P, A, G))
+        mi = G.shape[0]
+        vectors = [rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+                   for size in (4, me, mi, 4, me, mi, mi)]
+        overwrite([*vectors, P.data, A.data, G.data], special)
+        c, b, h, x, y, z, s = vectors
+        residuals = ipm._Residuals(P, A, G, c, b, h, 0.5)
+        with np.errstate(all="ignore"):
+            r_dual, r_eq, r_ineq, pres, dres, pobj, rows = \
+                residuals(x, y, z, s)
+        Px, expected, norms = numpy_residuals(P, A, G, c, b, h, x, y, z, s)
+        assert same_bits(residuals.Px, Px)
+        assert all(same_bits(a, e) for a, e in zip((r_dual, r_eq, r_ineq),
+                                                    expected))
+        assert same_bits(residuals._norms, norms)
+        scale = [max(1.0, float(np.abs(v).max(initial=0.0)))
+                 for v in (b, h, c)]
+        with np.errstate(all="ignore"):
+            objective = float(c @ x) + 0.5 + 0.5 * float(x @ Px)
+        assert same_bits(
+            [pres, dres, pobj, rows],
+            [max(norms[1] / scale[0], norms[2] / scale[1]),
+             norms[0] / scale[2], objective, norms[3]])
+
+    def test_int64_arrays_solve_as_the_kernel_s(self):
+        # The kernel reads int32 index arrays and float64 values: a program
+        # whose matrices hold int64 index arrays, or integer values, is
+        # solved from converted copies, to the same bits, and its matrices
+        # are not changed.
+        rng = np.random.default_rng(13)
+        prog = random_feasible_conic(rng, 5, 2, MIXED_CONES, 3)
+        prog.A.data = np.round(4.0 * prog.A.data)
+        wide = replace(prog)
+        for name in ("P", "A", "G"):
+            M = getattr(prog, name).copy()
+            M.indices, M.indptr = (a.astype(np.int64)
+                                   for a in (M.indices, M.indptr))
+            setattr(wide, name, M)
+        wide.A.data = wide.A.data.astype(np.int64)
+        expected, got = solve(prog), solve(wide)
+        assert got.x.tobytes() == expected.x.tobytes()
+        assert got.iterations == expected.iterations
+        assert wide.G.indices.dtype == wide.A.data.dtype == np.int64
 
 
 class TestWarmStart:
@@ -1280,6 +1472,47 @@ class TestLdlKernel:
         with pytest.raises(RuntimeError, match="no successful"):
             kkt.solve(rng.normal(size=kkt.position.size), 0.0)
 
+    def test_entry_points_match_their_c_definitions(self):
+        # Each entry point's ctypes argument and result types have the
+        # arity and the int, double or pointer kinds of its definition in
+        # ldl.c or cones.c, which ctypes cannot check: an int and a pointer
+        # trading places would misread memory. Each declaration of a
+        # function of the other source matches its definition, and every
+        # function that is not static is an entry point or so declared.
+        kinds = {"int": ctypes.c_int, "double": ctypes.c_double,
+                 "void": None}
+        signature = re.compile(
+            r"^(?!static)(int|void|double)\s+(\w+)\(([^)]*)\)\s*([;{])",
+            re.MULTILINE)
+
+        def kind(declaration):
+            words = declaration.replace("*", " * ").split()
+            return ctypes.c_void_p if "*" in words else kinds[words[-2]]
+
+        definitions, declarations = {}, []
+        for source in ldl.SOURCES:
+            text = re.sub(r"/\*.*?\*/", "", source.read_text(), flags=re.S)
+            for result, name, params, end in signature.findall(text):
+                types = ([kind(p) for p in params.split(",")], kinds[result])
+                if end == "{":
+                    definitions[name] = types
+                else:
+                    declarations.append((name, types))
+        assert set(ldl._ENTRY_POINTS) <= set(definitions)
+        for name, (argtypes, restype) in ldl._ENTRY_POINTS.items():
+            assert (argtypes, restype) == definitions[name], name
+        for name, types in declarations:
+            assert types == definitions[name], name
+        assert set(definitions) == \
+            set(ldl._ENTRY_POINTS) | {name for name, _ in declarations}
+
+    def test_sources_compile_without_warnings(self, tmp_path):
+        # The command that builds the library, with -Wall -Wextra -Werror.
+        command = [*shlex.split(sysconfig.get_config_var("CC")), *ldl.FLAGS,
+                   "-Wall", "-Wextra", "-Werror"]
+        ldl._compile(command, tmp_path / "warned.so")
+        assert (tmp_path / "warned.so").is_file()
+
     def test_etree_rejects_an_entry_below_the_diagonal(self):
         lower = sp.csc_matrix(np.array([[2.0, 0.0], [1.0, 2.0]]))
         with pytest.raises(ValueError, match="below the diagonal"):
@@ -1323,6 +1556,9 @@ class TestLdlKernel:
             lambda: factors.product(values[:-1], x),
             lambda: factors.product(values, x[:-1]),
             lambda: factors.product(values, x.astype(np.float32)),
+            lambda: factors.kkt_args(values.astype(np.float32), reg),
+            lambda: factors.kkt_args(np.repeat(values, 2)[::2], reg),
+            lambda: factors.kkt_args(values, reg[:-1]),
         ]
         for call in bad:
             with pytest.raises(ValueError):
