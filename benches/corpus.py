@@ -40,8 +40,10 @@ another tree. After the totals, one line names each plan of this run whose
 ``outcome``, ``scp_iters``, ``propellant_kg``, ``z_hash``, ``ipm_iters``,
 ``ldl_solves`` or ``projection_steps`` differs from its line in SAVED, with
 the old and new values, so that "the same plans" covers the solver's work
-as well as the answer, and a last line counts the plans compared, moved, moved in class
-(``outcome`` or ``scp_iters``), and missing from SAVED:
+as well as the answer, and a last line counts the plans compared, moved,
+moved in class (``outcome`` or ``scp_iters``), and missing from SAVED. The
+script then exits 1 if any plan moved or is missing, so that the
+comparison serves as a check, and 0 if none did:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 > old.jsonl
 
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
     recorder.count(scp, "project_onto_rows", "projection_steps")
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
               **dict.fromkeys(COUNTS, 0), "stalls": 0, "outcomes": {}}
-    moved, missing = [], 0
+    moved, missing, status = [], 0, 0
     jittered, jitter_moves = [], []
     for name, states in sets:
         for i, state in enumerate(states):
@@ -211,6 +213,7 @@ def main(argv=None) -> int:
                                    "moved": len(moved),
                                    "class_moved": class_moved,
                                    "missing": missing}}))
+        status = int(bool(moved or missing))
     if args.jitter is not None:
         largest, clean_both = None, 0
         for name, i, result, again in jittered:
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
             "class_moved": len(jitter_moves),
             "outcome_moved": sum("outcome" in c for c in jitter_moves),
             "clean_both": clean_both, "max_propellant_move": largest}}))
-    return 0
+    return status
 
 
 if __name__ == "__main__":

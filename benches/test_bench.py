@@ -66,7 +66,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rlv_landing.conic import NONNEG, ipm
+from rlv_landing.conic import ipm
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (PlanningBoundary, PlanningProblem,
                                  fit_coast_polynomial, initial_guess_planning,
@@ -130,21 +130,16 @@ def first_kkt(prog, reg=ipm.REG) -> sp.csc_matrix:
     n, me = prog.n, prog.A.shape[0]
     top = sp.bmat([[prog.P + reg * sp.eye(n), prog.A.T, prog.G.T],
                    [prog.A, -reg * sp.eye(me), None]], format="coo")
-    G = prog.G.tocoo()
-    rows, cols = [top.row, G.row + n + me], [top.col, G.col]
-    vals = [top.data, G.data]
-    start = n + me
-    for cb in prog.cones:
-        idx = np.arange(start, start + cb.dim)
-        start += cb.dim
-        r, c = (idx, idx) if cb.kind == NONNEG else \
-            (np.repeat(idx, cb.dim), np.tile(idx, cb.dim))
-        rows.append(r)
-        cols.append(c)
-        vals.append(np.where(r == c, -(1.0 + reg), 0.0))
+    G, cones = prog.G.tocoo(), prog.cones
+    nn, soc = cones.split(n + me + np.arange(cones.dim))
+    r = np.concatenate([nn, np.repeat(soc, cones.d, axis=1).ravel()])
+    c = np.concatenate([nn, np.tile(soc, (1, cones.d)).ravel()])
+    rows, cols = [top.row, G.row + n + me, r], [top.col, G.col, c]
+    vals = [top.data, G.data, np.where(r == c, -(1.0 + reg), 0.0)]
+    dim = n + me + cones.dim
     return sp.csc_matrix((np.concatenate(vals),
                           (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(start, start))
+                         shape=(dim, dim))
 
 
 def test_build_first_n100(benchmark, subproblem):
@@ -227,7 +222,7 @@ def ipm_kkt(prog, scaling=None):
     """The IPM's KKT system of the program (``ipm._Kkt``, analysed afresh
     in the stage ordering, as a cold solve analyses it), factored at the
     NT scaling ``scaling``, or at W = I."""
-    cones = prog.layout
+    cones = prog.cones
     kkt = ipm._Kkt(prog.P, prog.A, prog.G, cones, stage=prog.stage)
     kkt.factor(scaling or ipm._NTScaling(
         cones.points(cones.identity(), cones.identity())))
@@ -352,7 +347,7 @@ def mid_solve(prog, k=8):
             mp.setattr(ipm, "MAX_ITER", iterations)
             solutions.append(ipm.solve(prog))
     sol, after = solutions
-    return prog.layout, sol, after.s - sol.s, after.z - sol.z
+    return prog.cones, sol, after.s - sol.s, after.z - sol.z
 
 
 def cone_pass(cones, s, z, ds, dz):

@@ -1,15 +1,15 @@
 """The cone layout of the inequality rows, and the algebra over it.
 
-K is a product of nonnegative-orthant rows and second-order cone blocks,
-listed top to bottom in G's row order as ``ConeBlock``s, in one layout:
-every orthant row first, then SOC blocks that all share one dimension d
+K is a product of nonnegative-orthant rows and second-order cone blocks in
+one layout, stated by three counts, ``Cones(n_nn, n_soc, d)``: every
+orthant row first, then ``n_soc`` SOC blocks that all share one dimension d
 (ECOS orders its rows the same way; Domahidi, Chu & Boyd, ECC 2013). The
 planner's programs have this layout: its path constraints are orthant rows
-and its thrust cones ||T_k|| <= Gamma_k are 4-dimensional SOC blocks.
-``Cones`` is the one reader of the list; a program builds it once
-(``ConicProgram.layout``), and the IPM, the row equilibration, the residual
-check and the SCP projection read a vector's parts from it as views:
-``u[:n_nn]`` and ``u[n_nn:]`` as an (n_soc, d) stack (``Cones.split``).
+and its thrust cones ||T_k|| <= Gamma_k are 4-dimensional SOC blocks, and
+it makes the layout once per build template. The IPM, the row
+equilibration, the residual check and the SCP projection read a program's
+``cones`` and take a vector's parts from it as views: ``u[:n_nn]`` and
+``u[n_nn:]`` as an (n_soc, d) stack (``Cones.split``).
 The cone algebra of the IPM is compiled C, ``cones.c``, built with the LDL'
 kernel into one library (``ldl``): one call loops over every orthant row
 and SOC block of a vector, in place of a dozen numpy operations over about
@@ -24,53 +24,32 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import ldl
-
-NONNEG = "nonneg"
-SOC = "soc"
-
-
-@dataclass(frozen=True)
-class ConeBlock:
-    kind: str   # NONNEG or SOC
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in (NONNEG, SOC):
-            raise ValueError(f"unknown cone kind {self.kind!r}")
-        if not isinstance(self.dim, numbers.Integral) or \
-                isinstance(self.dim, bool):
-            raise ValueError(
-                f"cone dimension must be an integer, not {self.dim!r}")
-        if self.dim < 1 or (self.kind == SOC and self.dim < 2):
-            raise ValueError("bad cone dimension")
 
 
 class Cones:
     """The cone layout of the inequality rows, and the algebra over it:
     ``n_nn`` orthant rows, then ``n_soc`` SOC blocks of dimension ``d``.
 
-    Any other list of cone blocks raises a ``ValueError``. A layout
-    without SOC blocks reads its empty SOC part as a (0, 2) stack.
+    Each count must be an integer (not a bool), the two counts at least 0
+    and d at least 2, else a ``ValueError`` is raised. A layout without SOC
+    blocks reads its empty SOC part as a (0, d) stack.
     """
 
-    def __init__(self, cones: list[ConeBlock]):
-        first_soc = next((i for i, cb in enumerate(cones) if cb.kind == SOC),
-                         len(cones))
-        soc = cones[first_soc:]
-        if any(cb.kind != SOC or cb.dim != soc[0].dim for cb in soc):
-            raise ValueError("cone blocks must list every orthant row "
-                             "first, then SOC blocks of one dimension")
-        self.n_nn = sum(cb.dim for cb in cones[:first_soc])
-        self.n_soc = len(soc)
-        self.d = soc[0].dim if soc else 2
+    def __init__(self, n_nn: int = 0, n_soc: int = 0, d: int = 2):
+        for name, value, least in (("n_nn", n_nn, 0), ("n_soc", n_soc, 0),
+                                   ("d", d, 2)):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{least}, not {value!r}")
+        self.shape = int(n_nn), int(n_soc), int(d)   # as cones.c takes it
+        self.n_nn, self.n_soc, self.d = self.shape
         self.dim = self.n_nn + self.n_soc * self.d
         self.degree = self.n_nn + self.n_soc
-        self.shape = self.n_nn, self.n_soc, self.d   # as cones.c takes it
 
     def split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The orthant rows (..., n_nn) and the SOC blocks (..., n_soc, d)

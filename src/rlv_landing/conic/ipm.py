@@ -50,15 +50,15 @@ static regularization (+-REG) as the pivot, as those codes do, and
 refinement against the unregularized matrix corrects the solve; a NaN pivot
 fails the factorization.
 
-The cone algebra is ``cones.Cones``, the layout the program built once
-(``ConicProgram.layout``): the orthant rows, then SOC blocks of one
-dimension d, so each part of a vector is a slice of it, the NT scaling
-holds W, W^{-1} and W^2 as one (n_soc, d, d) stack each, and the
--(W'W + eps I) block is the orthant diagonal followed by dense d x d
-blocks. Its arithmetic is compiled C, ``cones.c`` in the library ``ldl``
-builds: one loop over the rows and blocks per call, where numpy took a
-dozen operations over about 100 blocks. It adds in numpy's order, so the
-iterates are those of the numpy code it replaced, to the bit.
+The cone algebra is ``cones.Cones``, the program's layout ``cones``:
+the orthant rows, then SOC blocks of one dimension d, so each part of a
+vector is a slice of it, the NT scaling holds W, W^{-1} and W^2 as one
+(n_soc, d, d) stack each, and the -(W'W + eps I) block is the orthant
+diagonal followed by dense d x d blocks. Its arithmetic is compiled C,
+``cones.c`` in the library ``ldl`` builds: one loop over the rows and
+blocks per call, where numpy took a dozen operations over about 100
+blocks. It adds in numpy's order, so the iterates are those of the numpy
+code it replaced, to the bit.
 
 Each iteration forms its iterate's cone data once, ``Cones.points(s, z)``
 (the J-norms and normalized blocks of s and z, and the violations the
@@ -195,8 +195,7 @@ def _pattern(P, A, G, cones: Cones, stage) -> list[np.ndarray]:
     """What the KKT pattern and its ordering are made of: the shapes and
     the cone layout, the CSR patterns of P, A and G, and the stages (none
     for a program without them)."""
-    return [np.array([P.shape[0], A.shape[0], G.shape[0], cones.n_nn,
-                      cones.n_soc, cones.d]),
+    return [np.array([P.shape[0], A.shape[0], G.shape[0], *cones.shape]),
             P.indptr, P.indices, A.indptr, A.indices, G.indptr, G.indices,
             np.zeros(0) if stage is None else np.asarray(stage)]
 
@@ -438,7 +437,7 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
                for v in (program.c, program.b, program.h))
     P, A, G = (_kernel_csr(M) for M in (program.P, program.A, program.G))
     me, mi = A.shape[0], G.shape[0]
-    cones = program.layout
+    cones = program.cones
     residuals = _Residuals(P, A, G, c, b, h, program.obj_offset)
 
     start = program.start

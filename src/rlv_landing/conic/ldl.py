@@ -7,7 +7,8 @@ the compiler Python was built with (``sysconfig``'s ``CC``) and constant
 flags: no fast math and no host-specific instructions, so that a result's
 bits do not depend on the host CPU. The library is cached next to the
 sources, in ``__pycache__/conic-<hash>.so``, as CPython caches bytecode; the
-hash covers both sources and the command (``_cache_path``). Where that
+hash covers both sources and the command (``_cache_path``), and a new
+build there deletes the libraries of other sources or commands. Where that
 directory cannot be written, it is built in a private temporary directory
 for the process. A failed compile raises ``ImportError``.
 
@@ -115,6 +116,13 @@ def _library() -> ctypes.CDLL:
         path.parent.mkdir(exist_ok=True)
         if not path.is_file():
             _compile(command, path)
+            # The libraries of other sources or commands: conic-<hash>.so,
+            # and ldl-<hash>.so, the name before cones.c joined. A compile
+            # under way writes a mkstemp name, which neither pattern matches.
+            for name in ("conic", "ldl"):
+                for old in path.parent.glob(f"{name}-{'[0-9a-f]' * 16}.so"):
+                    if old != path:
+                        old.unlink(missing_ok=True)
     except OSError:
         # __pycache__ cannot be written: build for this process alone.
         private = Path(tempfile.mkdtemp())

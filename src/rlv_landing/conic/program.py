@@ -6,10 +6,9 @@ The canonical form is
     subject to  A x = b
                 G x + s = h,   s in K
 
-where K is a product of nonnegative-orthant and second-order cone blocks
-listed top to bottom in the same row order as G, in one layout: every
-orthant row first, then SOC blocks that all share one dimension
-(``cones.Cones``). P is symmetric PSD. Every block is always present: a
+where K is the cone layout ``cones``, ``cones.Cones(n_nn, n_soc, d)`` in
+G's row order: n_nn nonnegative-orthant rows, then n_soc second-order cone
+blocks of dimension d. P is symmetric PSD. Every block is always present: a
 program without equality rows has an A with no rows, and one without a
 quadratic term an all-zero P. K has at least one row.
 """
@@ -23,7 +22,7 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from .cones import ConeBlock, Cones
+from .cones import Cones
 
 
 def _left_out() -> sp.csr_matrix:
@@ -37,16 +36,14 @@ def _no_rows() -> np.ndarray:
 
 @dataclass
 class ConicProgram:
-    """A program in the canonical form. Setting ``cones``, also when the
-    program is made, builds its ``layout`` and raises a ``ValueError`` for a
-    list of cone blocks in any other layout; ``validate`` checks the rest."""
+    """A program in the canonical form; ``validate`` checks it."""
 
     c: np.ndarray
     A: sp.spmatrix = field(default_factory=_left_out)
     b: np.ndarray = field(default_factory=_no_rows)
     G: sp.spmatrix = field(default_factory=_left_out)
     h: np.ndarray = field(default_factory=_no_rows)
-    cones: list[ConeBlock] = field(default_factory=list)
+    cones: Cones = field(default_factory=Cones)
     # Symmetric: the IPM's KKT matrix reads its upper triangle.
     P: sp.spmatrix = field(default_factory=_left_out)
     obj_offset: float = 0.0
@@ -68,12 +65,6 @@ class ConicProgram:
             if getattr(self, name).shape == (0, 0):
                 setattr(self, name, sp.csr_matrix((rows, n)))
 
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name == "cones":
-            # The layout every reader takes, built once per cone list.
-            super().__setattr__("layout", Cones(value))
-
     @property
     def n(self) -> int:
         return int(np.asarray(self.c).size)
@@ -92,7 +83,10 @@ class ConicProgram:
             raise ValueError("equality block dimensions inconsistent")
         if self.G.shape[1] != n or len(self.h) != self.G.shape[0]:
             raise ValueError("inequality block dimensions inconsistent")
-        if self.layout.dim != self.G.shape[0]:
+        if not isinstance(self.cones, Cones):
+            raise ValueError(f"cones must be a Cones layout, not "
+                             f"{type(self.cones).__name__}")
+        if self.cones.dim != self.G.shape[0]:
             raise ValueError("cone dimensions do not cover the inequality rows")
         if self.P.shape != (n, n):
             raise ValueError("quadratic term has wrong shape")

@@ -90,7 +90,7 @@ def equilibrate_rows(program: ConicProgram) -> ConicProgram:
     program.b = np.asarray(program.b, float) / scale
     h = np.asarray(program.h, float)
     scale = np.maximum(np.maximum(_row_max(G), np.abs(h)), 1e-12)
-    _, blocks = program.layout.split(scale)
+    _, blocks = program.cones.split(scale)
     blocks[:] = blocks.max(axis=1, keepdims=True)
     program.G = _with_data(G, G.data * (1.0 / scale)[_rows(G)])
     program.h = h / scale

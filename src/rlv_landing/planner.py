@@ -32,9 +32,7 @@ import scipy.sparse as sp
 
 from . import env
 from .conic import (
-    NONNEG,
-    SOC,
-    ConeBlock,
+    Cones,
     ConicProgram,
     VariableScaling,
     make_scaling,
@@ -48,7 +46,6 @@ from .params import PlanningConfig, VehicleParams
 NZ = 11          # per-node variables (r, v, m, T, Gamma)
 NX = 7           # state dimension
 IDX_GAMMA = 10   # Gamma offset inside a node block
-THRUST_CONE = ConeBlock(SOC, 4)   # ||T_k|| <= Gamma_k, one block for all k
 
 
 @dataclass(frozen=True)
@@ -298,8 +295,9 @@ class _Entries:
 class _BuildTemplate:
     """The index work of ``PlanningProblem.build`` for one gate set: the
     nodes whose thrust is vertical and those with a load row, the
-    candidate entries of A and G, and the rows of h a build writes. It
-    holds int32 arrays only."""
+    candidate entries of A and G, the rows of h a build writes, and the
+    cone layout: the orthant rows, then a 4-dimensional SOC block
+    ||T_k|| <= Gamma_k per tilted node. Its arrays are all int32."""
 
     vertical: np.ndarray     # nodes whose tilt bound is numerically zero
     load: np.ndarray         # nodes with a load row
@@ -309,7 +307,7 @@ class _BuildTemplate:
     load_rows: np.ndarray
     rate: np.ndarray         # the first of each pair of rate rows
     box: np.ndarray
-    n_soc: int
+    cones: Cones
 
 
 class PlanningProblem:
@@ -484,11 +482,9 @@ class PlanningProblem:
             lo_tc, hi_tc = self.boundary.coast_fit.window
             bounds += [-lo_tc, hi_tc]
         h_vec[t.box] = bounds
-        n_nonneg = G_mat.shape[0] - 4 * t.n_soc
-        cones = [ConeBlock(NONNEG, n_nonneg)] + [THRUST_CONE] * t.n_soc
 
         program = ConicProgram(c=np.zeros(self.n_vars), A=A_mat, b=b_vec,
-                               G=G_mat, h=h_vec, cones=cones,
+                               G=G_mat, h=h_vec, cones=t.cones,
                                stage=self.stage)
         # Looked up in this module at call time, so a wrapper of either sees
         # every call.
@@ -558,7 +554,7 @@ class PlanningProblem:
             _Entries(eq, (n_eq, self.n_vars)),
             _Entries(ineq, (box[-1] + 1 + soc.size, self.n_vars)),
             *(rows.astype(np.intc) for rows in (first, load_rows, rate, box)),
-            n_soc)
+            Cones(box[-1] + 1, n_soc, 4))
         return t
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:

@@ -140,7 +140,7 @@ def fixed_point_residual(program: ConicProgram, x: np.ndarray) -> float:
     """Largest violation of the program's rows at x: the equality residual
     and the distance of h - G x outside its cones."""
     return max(float(np.abs(program.A @ x - program.b).max(initial=0.0)),
-               program.layout.interior_violation(program.h - program.G @ x),
+               program.cones.interior_violation(program.h - program.G @ x),
                0.0)
 
 
@@ -159,7 +159,7 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     1.4e-6 from a dense solve's.
     """
     s = program.h - program.G @ x
-    cones = program.layout
+    cones = program.cones
     (s_nn, sb), (_, blocks) = cones.split(s), cones.split(np.arange(s.size))
     # W has a row per row of G: a held orthant row or SOC block fills its
     # first one, and the rows nothing fills are dropped, so the held rows

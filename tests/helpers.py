@@ -1,14 +1,14 @@
-"""Shared numerical test utilities: finite differences, random states, a
-cone layout, a recorder of SuperLU calls, and the references and oracles
-the kernels are tested against: SuperLU's LU, the aero model
-at one angle of attack, the KKT residuals of a solution, the numpy cone
+"""Shared numerical test utilities: finite differences, random states, a cone
+layout and its blocks, a recorder of SuperLU calls, and the references and
+oracles the kernels are tested against: SuperLU's LU, the aero model at
+one angle of attack, the KKT residuals of a solution, the numpy cone
 algebra that the compiled one (``conic/cones.c``) replaced, the numpy
 -(W^2 + reg I) values and ``np.unique`` KKT pattern that the IPM's kernel
 calls replaced, the whole symmetric matrix of an upper triangle (the IPM
-stores only that triangle of its KKT matrix), the up-looking LDL'
-that walks the elimination tree for every row, in Python, and the numpy
-and scipy refined KKT solve, Newton direction and residuals that the
-IPM's ``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` replaced."""
+stores only that triangle of its KKT matrix), the up-looking LDL' that
+walks the elimination tree for every row, in Python, and the numpy and
+scipy refined KKT solve, Newton direction and residuals that the IPM's
+``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` replaced."""
 
 from __future__ import annotations
 
@@ -21,15 +21,23 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rlv_landing.conic import (NONNEG, SOC, ConeBlock, ConicProgram,
-                               SolverSolution)
+from rlv_landing.conic import Cones, ConicProgram, SolverSolution
 from rlv_landing.env import T_EPS, V_EPS, DegenerateStateError
 from rlv_landing.params import VehicleParams
 
-# The orthant rows in two blocks, then two SOC blocks: rows 0-1 and 2
-# orthant, 3-5 and 6-8 SOC.
-MULTI_BLOCK_CONES = [ConeBlock(NONNEG, 2), ConeBlock(NONNEG, 1),
-                     ConeBlock(SOC, 3), ConeBlock(SOC, 3)]
+# Three orthant rows, then two SOC blocks: rows 0-2 orthant, 3-5 and 6-8
+# SOC.
+MULTI_BLOCK_CONES = Cones(3, 2, 3)
+
+
+def cone_blocks(cones):
+    """The blocks of the layout ``cones`` top to bottom, as (soc, rows):
+    its orthant rows as one block, unless it has none, then each SOC block
+    of d rows. The tests' per-block loops read the layout through it."""
+    if cones.n_nn:
+        yield False, np.arange(cones.n_nn)
+    for start in range(cones.n_nn, cones.dim, cones.d):
+        yield True, np.arange(start, start + cones.d)
 
 
 @contextmanager
@@ -179,7 +187,7 @@ class KktReport:
 def verify_kkt(program: ConicProgram, solution: SolverSolution) -> KktReport:
     """Residual norms of the KKT conditions at the given solution."""
     def cone_violation(u):
-        return max(program.layout.interior_violation(u), 0.0)
+        return max(program.cones.interior_violation(u), 0.0)
 
     x = solution.x
     stat = np.asarray(program.c, float) + program.P @ x \

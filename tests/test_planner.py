@@ -311,9 +311,8 @@ class TestBuildStructure:
         assert n_vertical >= 1
         expected_eq = 7 * N + 7 + 6 + 3 * n_vertical
         assert prog.A.shape[0] == expected_eq
-        soc = [cb for cb in prog.cones if cb.kind == "soc"]
-        assert len(soc) == N + 1 - n_vertical
-        assert all(cb.dim == 4 for cb in soc)
+        assert prog.cones.n_soc == N + 1 - n_vertical
+        assert prog.cones.d == 4
         # Orthant rows: 2 Gamma bounds per node, tilt rows on non-vertical
         # nodes, load rows where dynamic pressure is meaningful, 2N rate
         # rows, 2 eta bounds, 2 ignition-window bounds.
@@ -324,7 +323,7 @@ class TestBuildStructure:
             if q_bar > cfg.L_lim / math.pi and speed >= env.V_EPS:
                 n_load += 1
         expected_nonneg = 2 * (N + 1) + (N + 1 - n_vertical) + n_load + 2 * N + 4
-        assert prog.cones[0].dim == expected_nonneg
+        assert prog.cones.n_nn == expected_nonneg
 
     def test_current_state_counts(self):
         # Current-state boundary: no t_c column, 7 boundary rows (r, v, m
@@ -346,8 +345,7 @@ class TestBuildStructure:
                                   cfg.theta_lim_max) < 1e-5)
         assert n_vertical >= 1
         assert prog.A.shape[0] == 7 * N + 7 + 6 + 3 * n_vertical
-        soc = [cb for cb in prog.cones if cb.kind == "soc"]
-        assert len(soc) == N + 1 - n_vertical
+        assert prog.cones.n_soc == N + 1 - n_vertical
         loaded = []
         for k in range(N + 1):
             speed = np.linalg.norm(ref.Z[k, 3:6])
@@ -357,7 +355,7 @@ class TestBuildStructure:
         n_load = sum(loaded[1:])
         expected_nonneg = (2 * (N + 1) + (N + 1 - n_vertical) + n_load
                            + 2 * N + 2)
-        assert prog.cones[0].dim == expected_nonneg
+        assert prog.cones.n_nn == expected_nonneg
 
     def test_rows_stored_in_descending_column_order(self):
         # The IPM's products add up each row in its stored order, and the
@@ -449,7 +447,7 @@ class TestBuildStructure:
                 a, e = getattr(prog, name), getattr(expected, name)
                 assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
             assert prog.obj_offset == expected.obj_offset
-            assert prog.cones == expected.cones
+            assert prog.cones.shape == expected.cones.shape
             templates.append((prob._last_template,
                               prob._last_template.G.zeros))
             for M in (prog.A, prog.G):
@@ -499,7 +497,7 @@ class TestBuildStructure:
         resid = prog.A @ x_ref - prog.b
         assert np.abs(resid).max() < 1e-6
         slack = prog.h - prog.G @ x_ref
-        nonneg = prog.cones[0].dim
+        nonneg = prog.cones.n_nn
         assert slack[:nonneg].min() > -1e-7
 
 
@@ -518,7 +516,7 @@ def first_kkt(N=30):
     IPM's KKT system that holds its upper triangle."""
     prob, cfg = make_problem(N=N)
     prog = first_subproblem(prob, cfg)
-    cones = Cones(prog.cones)
+    cones = prog.cones
     kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones,
                stage=prog.stage)
     kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
@@ -847,30 +845,32 @@ class TestBenchmarkHooks:
 
 class TestConeLayout:
     def test_one_layout_per_built_program(self, monkeypatch):
-        # Over a nominal N=30 plan, each program the planner builds makes its
-        # cone layout once, no reader of the layout makes another, and the
-        # projection reads only programs that ``build`` returned.
+        # Over a nominal N=30 plan, the planner makes one cone layout per
+        # build template, which every program built on that template
+        # holds; no reader of the layout makes another, and the projection
+        # reads only programs that ``build`` returned.
         readers = {fn.__code__ for fn in (ipm.solve, scp.fixed_point_residual,
                                           scp.project_onto_rows,
                                           scaling.equilibrate_rows)}
         layouts, inside = [], []
         init = Cones.__init__
 
-        def counted_init(self, cones):
+        def counted_init(self, *counts):
             frame = sys._getframe(1)
             while frame is not None:
                 if frame.f_code in readers:
                     inside.append(frame.f_code.co_name)
                 frame = frame.f_back
             layouts.append(self)
-            init(self, cones)
+            init(self, *counts)
 
-        programs, projected = [], []
+        programs, templates, projected = [], [], []
         build = PlanningProblem.build
         project = scp.project_onto_rows
 
         def counted_build(self, ref):
             programs.append(build(self, ref))
+            templates.append(self._last_template)
             return programs[-1]
 
         def recorded_project(program, x):
@@ -885,8 +885,10 @@ class TestConeLayout:
                       ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr))
         assert out.converged
         assert inside == []
-        assert len(layouts) == len(programs)
-        assert [p.layout for p in programs] == layouts
+        made = list({id(t): t for t in templates}.values())
+        assert len(layouts) == len(made) < len(programs)
+        assert all(t.cones is layout for t, layout in zip(made, layouts))
+        assert all(p.cones is t.cones for p, t in zip(programs, templates))
         assert projected
         built = {id(p) for p in programs}
         assert all(id(p) in built for p in projected)

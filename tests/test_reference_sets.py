@@ -7,13 +7,20 @@ its loose solves less (one polish iteration in place of three) converges
 the replan-n100 set in 21 SCP iterations instead of 15. The bounds are the
 values measured when the gate was written; a change that improves
 convergence tightens them.
+
+``benches/corpus.py --diff``, the plan-by-plan comparison of two trees,
+is held to failing when a plan moves.
 """
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PLANBENCH = Path(__file__).resolve().parents[1] / "planbench"
+ROOT = Path(__file__).resolve().parents[1]
+PLANBENCH = ROOT / "planbench"
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +49,29 @@ def test_reference_set_keeps_its_clean_plans(planbench, workload,
     assert sum(r.ok for r in results) >= clean_floor
     # Over every plan of the set, failed ones included.
     assert sum(r.scp_iters for r in results) <= scp_ceiling
+
+
+def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
+    # On the replan-n100 reference set (3 plans): a run saved, compared
+    # with itself (exit 0), and compared with a copy whose first plan has
+    # another z_hash (exit 1). Each run is a subprocess, since the script
+    # leaves its counting wrappers on planner and scp.
+    def corpus(*args):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "benches" / "corpus.py"),
+             "--workload", "replan-n100", *args],
+            capture_output=True, text=True, check=False)
+        return done.returncode, [json.loads(line)
+                                 for line in done.stdout.splitlines()]
+
+    code, lines = corpus()
+    assert code == 0 and len(lines) == 4     # 3 plans and the totals
+    saved, moved = tmp_path / "saved.jsonl", tmp_path / "moved.jsonl"
+    saved.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    lines[0]["z_hash"] = "0" * 16
+    moved.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    for path, expected, count in ((saved, 0, 0), (moved, 1, 1)):
+        code, out = corpus("--diff", str(path))
+        assert code == expected
+        assert out[-1]["diff"] == {"compared": 3, "moved": count,
+                                   "class_moved": 0, "missing": 0}

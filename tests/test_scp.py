@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlv_landing.conic import (ConeBlock, ConicProgram, NONNEG, SOC,
-                               make_scaling, solve)
+from rlv_landing.conic import Cones, ConicProgram, make_scaling, solve
 from rlv_landing.scp import (
     ACTIVE_TOL,
     EPS_FEASIBLE,
@@ -22,7 +21,7 @@ from rlv_landing.scp import (
     trust_region_cost,
 )
 
-from helpers import MULTI_BLOCK_CONES
+from helpers import MULTI_BLOCK_CONES, cone_blocks
 
 
 class TestTrustRegionCost:
@@ -59,7 +58,7 @@ class _LinearFixture:
             P=sp.csr_matrix([[2.0 * 100.0]]),    # x = 10 * x_scaled
             G=sp.csr_matrix([[-10.0]]),
             h=np.array([-1.0]),
-            cones=[ConeBlock(NONNEG, 1)],
+            cones=Cones(1),
             obj_offset=9.0,
         )
 
@@ -89,7 +88,7 @@ class _SquareRootFixture:
             b=np.array([2.0 + reference * reference]),
             G=sp.csr_matrix([[-10.0]]),
             h=np.array([0.0]),
-            cones=[ConeBlock(NONNEG, 1)],
+            cones=Cones(1),
         )
 
     def reference_vector(self, reference):
@@ -130,7 +129,7 @@ class TestRunScp:
                 import scipy.sparse as sp2
                 prog.G = sp2.csr_matrix([[-10.0], [10.0]])
                 prog.h = np.array([-1.0, 0.0])
-                prog.cones = [ConeBlock(NONNEG, 2)]
+                prog.cones = Cones(2)
                 return prog
 
         with pytest.raises(ScpFailure) as err:
@@ -324,7 +323,7 @@ class TestRunScp:
             A=sp.csr_matrix([[1.0, 0.0]]), b=np.array([1.0]),
             G=sp.csr_matrix([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]),
             h=np.array([0.5, 0.0, 0.0]),
-            cones=[ConeBlock(NONNEG, 1), ConeBlock(SOC, 2)])
+            cones=Cones(1, 1, 2))
         # Equality misses by 0.25, the orthant row by 0.25, the SOC block
         # (s = (x0, x1)) by |x1| - x0 = 0.5.
         x = np.array([0.75, 1.25])
@@ -335,7 +334,7 @@ class TestRunScp:
             pytest.approx(0.5)
 
 
-# Slacks h - G x on MULTI_BLOCK_CONES, rows 0-1 | 2 | 3-5 | 6-8. Each block
+# Slacks h - G x on MULTI_BLOCK_CONES, rows 0-2 | 3-5 | 6-8. Each block
 # kind is violated, held (within ACTIVE_TOL of its bound) and inactive at
 # one of them; the worst violation is row 2's, row 0's and the second SOC
 # block's, and of their negatives the first, second and first SOC block's.
@@ -346,16 +345,9 @@ MULTI_BLOCK_SLACKS = {
 }
 
 
-def _blocks(cones):
-    start = 0
-    for cb in cones:
-        yield cb.kind, np.arange(start, start + cb.dim)
-        start += cb.dim
-
-
 class TestInterleavedLayout:
-    """The cone layout read on two orthant blocks and two SOC blocks,
-    against per-block loops over the cone list."""
+    """The cone layout read on three orthant rows and two SOC blocks,
+    against per-block loops over the layout (``helpers.cone_blocks``)."""
 
     @staticmethod
     def program(slack):
@@ -374,8 +366,8 @@ class TestInterleavedLayout:
         through a dense solve."""
         G, s = prog.G.toarray(), prog.h - prog.G @ x
         rows, residual = [prog.A.toarray()], [prog.A @ x - prog.b]
-        for kind, block in _blocks(prog.cones):
-            if kind == NONNEG:
+        for soc, block in cone_blocks(prog.cones):
+            if not soc:
                 for i in block[s[block] < ACTIVE_TOL]:
                     rows.append(G[i])
                     residual.append([max(-s[i], 0.0)])
@@ -403,13 +395,13 @@ class TestInterleavedLayout:
         for u in (np.asarray(MULTI_BLOCK_SLACKS[name]),
                   -np.asarray(MULTI_BLOCK_SLACKS[name])):
             worst = 0.0
-            for kind, block in _blocks(prog.cones):
-                if kind == NONNEG:
+            for soc, block in cone_blocks(prog.cones):
+                if not soc:
                     worst = max(worst, float(np.max(-u[block])))
                 else:
                     worst = max(worst, float(np.linalg.norm(u[block[1:]])
                                              - u[block[0]]))
-            assert max(prog.layout.interior_violation(u), 0.0) == \
+            assert max(prog.cones.interior_violation(u), 0.0) == \
                 pytest.approx(worst, abs=1e-12)
         inside = np.array([0.3, 0.4, 0.6, 1.0, 0.1, 0.2, 1.0, 0.5, 0.0])
-        assert max(prog.layout.interior_violation(inside), 0.0) == 0.0
+        assert max(prog.cones.interior_violation(inside), 0.0) == 0.0

@@ -22,20 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlv_landing.conic import (
-    NONNEG,
-    SOC,
-    ConeBlock,
+    Cones,
     ConicProgram,
     make_scaling,
     scale_program,
     solve,
 )
 from rlv_landing.conic import ipm, ldl
-from rlv_landing.conic.cones import ConePoints, Cones
+from rlv_landing.conic.cones import ConePoints
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import (MULTI_BLOCK_CONES, flat_arrays, nt_apply,
+from helpers import (MULTI_BLOCK_CONES, cone_blocks, flat_arrays, nt_apply,
                      numpy_clip_eigenvalues, numpy_direction, numpy_kkt_solve,
                      numpy_max_steps, numpy_points, numpy_product,
                      numpy_residuals, numpy_scaled_product, same_bits,
@@ -50,7 +48,7 @@ def lp(c, G, h, A=None, b=None):
         G = sp.csr_matrix(np.atleast_2d(np.asarray(G, float)))
         prog.G = G
         prog.h = np.asarray(h, float)
-        prog.cones = [ConeBlock(NONNEG, G.shape[0])]
+        prog.cones = Cones(G.shape[0])
     if A is not None:
         prog.A = sp.csr_matrix(np.atleast_2d(np.asarray(A, float)))
         prog.b = np.asarray(b, float)
@@ -108,14 +106,11 @@ def random_feasible_qp(rng, n=None, m=None, with_eq=False):
 
 
 def interior_point(rng, cones, margin=(0.1, 1.5)):
-    """A point strictly inside the product of cone blocks."""
-    parts = []
-    for cb in cones:
-        if cb.kind == NONNEG:
-            parts.append(rng.uniform(*margin, size=cb.dim))
-        else:
-            u = rng.normal(size=cb.dim - 1)
-            parts.append(np.concatenate([[np.linalg.norm(u) + rng.uniform(*margin)], u]))
+    """A point strictly inside the cones of the layout ``cones``."""
+    parts = [rng.uniform(*margin, size=cones.n_nn)]
+    for _ in range(cones.n_soc):
+        u = rng.normal(size=cones.d - 1)
+        parts.append(np.concatenate([[np.linalg.norm(u) + rng.uniform(*margin)], u]))
     return np.concatenate(parts)
 
 
@@ -123,7 +118,7 @@ def random_feasible_conic(rng, n, me, cones, rank):
     """A conic program with strictly feasible primal and dual points, so
     that an optimum exists; P = M M' with M of the given rank (all zeros
     at 0)."""
-    mi = sum(cb.dim for cb in cones)
+    mi = cones.dim
     G = rng.normal(size=(mi, n))
     A = rng.normal(size=(me, n))
     x0, s0 = rng.normal(size=n), interior_point(rng, cones)
@@ -134,7 +129,7 @@ def random_feasible_conic(rng, n, me, cones, rank):
     z0, y0 = interior_point(rng, cones), rng.normal(size=me)
     c = -(G.T @ z0 + A.T @ y0 + (P @ rng.normal(size=n) if rank else 0.0))
     prog = ConicProgram(c=c / max(1.0, np.abs(c).max()), G=sp.csr_matrix(G),
-                        h=h / scale, cones=list(cones),
+                        h=h / scale, cones=cones,
                         P=sp.csr_matrix(P if rank else (n, n)))
     if me:
         prog.A, prog.b = sp.csr_matrix(A), b / scale
@@ -156,7 +151,7 @@ class TestHandFixtures:
             b=np.array([3.0, 4.0]),
             G=sp.csr_matrix(-np.eye(3)[[2, 0, 1]]),
             h=np.zeros(3),
-            cones=[ConeBlock(SOC, 3)],
+            cones=Cones(0, 1, 3),
         )
         sol = solve(prog)
         assert sol.optimal
@@ -168,7 +163,7 @@ class TestHandFixtures:
         P = sp.csr_matrix(2 * np.eye(3))
         c = -2 * np.array([2.0, 4.0, 0.0])
         prog = ConicProgram(c=c, P=P, G=sp.csr_matrix(-np.eye(3)), h=np.zeros(3),
-                            cones=[ConeBlock(SOC, 3)], obj_offset=4.0 + 16.0)
+                            cones=Cones(0, 1, 3), obj_offset=4.0 + 16.0)
         sol = solve(prog)
         assert sol.optimal
         # Analytic projection onto the 45-degree cone: ((2+4)/2, (2+4)/2, 0)
@@ -233,7 +228,7 @@ class TestHandFixtures:
                 [0, -1.0, 0, 0],
             ])),
             h=np.array([2.0, -1.0, 0.0, 0.0, 0.0]),
-            cones=[ConeBlock(NONNEG, 2), ConeBlock(SOC, 3)],
+            cones=Cones(2, 1, 3),
         )
         sol = solve(prog)
         assert sol.optimal
@@ -260,37 +255,34 @@ def test_solve_robust_is_one_solve(monkeypatch):
     (lambda: ConicProgram(c=np.zeros(2), A=sp.csr_matrix((1, 3)),
                           b=np.zeros(1)), "equality block"),
     (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((1, 2)),
-                          h=np.zeros(2), cones=[ConeBlock(NONNEG, 1)]),
+                          h=np.zeros(2), cones=Cones(1)),
      "inequality block"),
     (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((2, 2)),
-                          h=np.zeros(2), cones=[ConeBlock(NONNEG, 1)]),
+                          h=np.zeros(2), cones=Cones(1)),
      "cone dimensions"),
     (lambda: ConicProgram(c=np.zeros(2), P=sp.csr_matrix((2, 3))),
      "quadratic term"),
     (lambda: ConicProgram(c=np.zeros(2), P=sp.csr_matrix(np.eye(2)),
                           A=sp.csr_matrix([[1.0, 1.0]]), b=np.ones(1)),
      "no cone rows"),
-    (lambda: ConeBlock("psd", 3), "unknown cone kind"),
-    (lambda: ConeBlock(NONNEG, 0), "bad cone dimension"),
-    (lambda: ConeBlock(SOC, 1), "bad cone dimension"),
-    (lambda: ConeBlock(NONNEG, 2.0), "must be an integer"),
-    (lambda: ConeBlock(SOC, True), "must be an integer"),
-    (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((8, 2)),
-                          h=np.zeros(8), cones=MULTI_BLOCK_CONES[::-1]),
-     "every orthant row first"),
-    (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((7, 2)),
-                          h=np.zeros(7), cones=[ConeBlock(SOC, 3),
-                                                ConeBlock(SOC, 4)]),
-     "SOC blocks of one dimension"),
+    (lambda: Cones(-1, 1, 3),
+     "n_nn must be an integer of at least 0, not -1"),
+    (lambda: Cones(2, 1, 1), "d must be an integer of at least 2, not 1"),
+    (lambda: Cones(2.0), r"n_nn must be an integer of at least 0, not 2\.0"),
+    (lambda: Cones(0, True),
+     "n_soc must be an integer of at least 0, not True"),
     (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((1, 2)),
-                          h=np.zeros(1), cones=[ConeBlock(NONNEG, 1)],
+                          h=np.zeros(1), cones=[("nonneg", 1)]),
+     "cones must be a Cones"),
+    (lambda: ConicProgram(c=np.zeros(2), G=sp.csr_matrix((1, 2)),
+                          h=np.zeros(1), cones=Cones(1),
                           stage=np.zeros(3)), "one entry per variable"),
 ], ids=["equality", "inequality", "cones", "quadratic", "cone-free",
-        "cone-kind", "nonneg-dim", "soc-dim", "float-dim", "bool-dim",
-        "interleaved", "mixed-soc-dims", "stage"])
+        "nonneg-dim", "soc-dim", "float-dim", "bool-dim", "block-list",
+        "stage"])
 def test_inconsistent_program_raises(make, message):
-    # A cone block, and a program's cone layout, are checked when made; the
-    # rest of a program when solved.
+    # A cone layout is checked when made; a program, its type of layout
+    # too, when solved.
     with pytest.raises(ValueError, match=message):
         solve(make())
 
@@ -309,7 +301,7 @@ def test_non_finite_data_is_a_numerical_failure(where, value):
     prog = ConicProgram(c=data["c"], P=sp.csr_matrix(data["P"]),
                         A=sp.csr_matrix(data["A"]), b=np.zeros(1),
                         G=sp.csr_matrix(data["G"]), h=data["h"],
-                        cones=[ConeBlock(NONNEG, 3)])
+                        cones=Cones(3))
     sol = solve(prog)
     assert (sol.status, sol.iterations) == ("numerical_failure", 1)
 
@@ -325,7 +317,7 @@ class TestOracleAgreement:
                 continue
             prog = ConicProgram(
                 c=q, P=sp.csr_matrix(P), G=sp.csr_matrix(G), h=h,
-                cones=[ConeBlock(NONNEG, G.shape[0])])
+                cones=Cones(G.shape[0]))
             if A is not None:
                 prog.A = sp.csr_matrix(A)
                 prog.b = np.atleast_1d(b)
@@ -345,7 +337,7 @@ class TestSolutionQuality:
             b=np.array([3.0, 4.0]),
             G=sp.csr_matrix(-np.eye(3)[[2, 0, 1]]),
             h=np.zeros(3),
-            cones=[ConeBlock(SOC, 3)],
+            cones=Cones(0, 1, 3),
         )
         sol = solve(prog)
         report = verify_kkt(prog, sol)
@@ -370,7 +362,7 @@ class TestSolutionQuality:
                 b=d,
                 G=sp.csr_matrix(-np.eye(3)[[2, 0, 1]]),
                 h=np.zeros(3),
-                cones=[ConeBlock(SOC, 3)],
+                cones=Cones(0, 1, 3),
             )
             sol = solve(prog)
             assert sol.optimal
@@ -382,7 +374,7 @@ class TestSolutionQuality:
         rng = np.random.default_rng(5)
         P, q, G, h, A, b = random_feasible_qp(rng, n=5, m=6, with_eq=True)
         prog = ConicProgram(c=q, P=sp.csr_matrix(P), G=sp.csr_matrix(G), h=h,
-                            cones=[ConeBlock(NONNEG, G.shape[0])],
+                            cones=Cones(G.shape[0]),
                             A=sp.csr_matrix(A), b=np.atleast_1d(b))
         sol1 = solve(prog)
         sol2 = solve(prog)
@@ -390,25 +382,20 @@ class TestSolutionQuality:
         assert sol1.iterations == sol2.iterations
 
 
-MIXED_CONES = [ConeBlock(NONNEG, 3), ConeBlock(NONNEG, 2), ConeBlock(SOC, 3),
-               ConeBlock(SOC, 3), ConeBlock(SOC, 3)]
+MIXED_CONES = Cones(5, 3, 3)
 
 
-def layout(n_nn, n_soc, d):
-    """The cone list of n_nn orthant rows, then n_soc SOC blocks of
-    dimension d."""
-    return ([ConeBlock(NONNEG, n_nn)] if n_nn else []) + \
-        [ConeBlock(SOC, d)] * n_soc
+def cone_layouts(n_nn=st.integers(0, 8), n_soc=st.integers(0, 3)):
+    """Layouts of at least one row: n_nn orthant rows, then n_soc SOC
+    blocks of dimension 2 to 5."""
+    return st.builds(Cones, n_nn, n_soc, st.integers(2, 5)).filter(
+        lambda cones: cones.dim)
 
 
-def block_lists(n_nn=st.integers(0, 8), n_soc=st.integers(0, 3)):
-    return st.builds(layout, n_nn, n_soc, st.integers(2, 5)).filter(bool)
-
-
-BLOCK_LISTS = block_lists()
+CONE_LAYOUTS = cone_layouts()
 # Mixed layouts, orthant-only and SOC-only ones.
-LAYOUTS = st.one_of(BLOCK_LISTS, block_lists(n_soc=st.just(0)),
-                    block_lists(n_nn=st.just(0)))
+LAYOUTS = st.one_of(CONE_LAYOUTS, cone_layouts(n_soc=st.just(0)),
+                    cone_layouts(n_nn=st.just(0)))
 
 
 class TestQuasiDefiniteKkt:
@@ -435,14 +422,14 @@ class TestQuasiDefiniteKkt:
         rng = np.random.default_rng(41)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         reg = ipm.REG
-        cones = Cones(prog.cones)
+        cones = prog.cones
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
         kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
         dim = kkt.position.size
         assert not np.array_equal(kkt.position, np.arange(dim))
         for _ in range(5):
-            scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
-                                              interior_point(rng, prog.cones)))
+            scaling = _NTScaling(cones.points(interior_point(rng, cones),
+                                              interior_point(rng, cones)))
             kkt.factor(scaling)
             coo = kkt_matrix(kkt).tocoo()
             refilled = sp.csc_matrix(
@@ -469,13 +456,13 @@ class TestQuasiDefiniteKkt:
         # K's ordering against the unregularized matrix assembled afresh.
         rng = np.random.default_rng(53)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = Cones(prog.cones)
+        cones = prog.cones
         first = _Kkt(prog.P, prog.A, prog.G, cones)
         for i in range(3):
             kkt = first if i < 2 else \
                 _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
-            scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
-                                              interior_point(rng, prog.cones)))
+            scaling = _NTScaling(cones.points(interior_point(rng, cones),
+                                              interior_point(rng, cones)))
             kkt.factor(scaling)
             assert kkt.reordered == (kkt is first)
             rhs = rng.normal(size=kkt.position.size)
@@ -488,7 +475,7 @@ class TestQuasiDefiniteKkt:
         # each in index order.
         rng = np.random.default_rng(37)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = Cones(prog.cones)
+        cones = prog.cones
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
         kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
         dim = kkt.position.size
@@ -499,10 +486,10 @@ class TestQuasiDefiniteKkt:
     def factored(seed):
         rng = np.random.default_rng(seed)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = Cones(prog.cones)
+        cones = prog.cones
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-        scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
-                                          interior_point(rng, prog.cones)))
+        scaling = _NTScaling(cones.points(interior_point(rng, cones),
+                                          interior_point(rng, cones)))
         kkt.factor(scaling)
         return prog, scaling, kkt, rng.normal(size=kkt.position.size)
 
@@ -539,9 +526,9 @@ class TestQuasiDefiniteKkt:
     def test_reused_analysis_fills_the_same_matrix(self):
         rng = np.random.default_rng(59)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = Cones(prog.cones)
-        scaling = _NTScaling(cones.points(interior_point(rng, prog.cones),
-                                          interior_point(rng, prog.cones)))
+        cones = prog.cones
+        scaling = _NTScaling(cones.points(interior_point(rng, cones),
+                                          interior_point(rng, cones)))
         first = _Kkt(prog.P, prog.A, prog.G, cones)
         first.factor(scaling)
         again = _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
@@ -558,12 +545,12 @@ class TestQuasiDefiniteKkt:
         rng = np.random.default_rng(71)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         P, A, G = prog.P.tocsr(), prog.A.tocsr(), prog.G.tocsr()
-        cones = Cones(prog.cones)
+        cones = prog.cones
 
         def factored(analysis=None):
             kkt = _Kkt(P, A, G, cones, analysis)
-            kkt.factor(_NTScaling(cones.points(interior_point(rng, prog.cones),
-                                               interior_point(rng, prog.cones))))
+            kkt.factor(_NTScaling(cones.points(interior_point(rng, cones),
+                                               interior_point(rng, cones))))
             return kkt
 
         first = factored()
@@ -590,17 +577,16 @@ class TestQuasiDefiniteKkt:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
-           me=st.integers(0, 2), blocks=LAYOUTS)
+           me=st.integers(0, 2), cones=LAYOUTS)
     def test_w2_is_written_in_place_as_numpy_wrote_it(self, seed, n, me,
-                                                     blocks):
+                                                     cones):
         # Each factorization, on a fresh analysis and on a reused one,
         # writes -(W^2 + reg I) into the upper triangle's values, and the
         # whole matrix they stand for (helpers.kkt_matrix) holds the
         # negated numpy values (helpers.w2_entries), bit for bit, on both
         # sides of the diagonal.
         rng = np.random.default_rng(seed)
-        prog = random_feasible_conic(rng, n=n, me=me, cones=blocks, rank=2)
-        cones = Cones(blocks)
+        prog = random_feasible_conic(rng, n=n, me=me, cones=cones, rank=2)
         nn, soc = cones.split(np.arange(cones.dim))
         rows = np.concatenate([nn, np.repeat(soc, cones.d, axis=1).ravel()])
         cols = np.concatenate([nn, np.tile(soc, (1, cones.d)).ravel()])
@@ -609,8 +595,8 @@ class TestQuasiDefiniteKkt:
         for kkt in (first, _Kkt(prog.P, prog.A, prog.G, cones,
                                 first.analysis)):
             for _ in range(2):
-                scaling = _NTScaling(cones.points(interior_point(rng, blocks),
-                                                  interior_point(rng, blocks)))
+                scaling = _NTScaling(cones.points(interior_point(rng, cones),
+                                                  interior_point(rng, cones)))
                 kkt.factor(scaling)
                 expected = np.zeros((cones.dim, cones.dim))
                 expected[rows, cols] = -w2_entries(scaling, ipm.REG)
@@ -623,13 +609,13 @@ class TestQuasiDefiniteKkt:
         # in the plans' peak memory.
         rng = np.random.default_rng(43)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = Cones(prog.cones)
+        cones = prog.cones
         gc.disable()
         try:
             kkt = _Kkt(prog.P, prog.A, prog.G, cones)
             for _ in range(2):
-                kkt.factor(_NTScaling(cones.points(interior_point(rng, prog.cones),
-                                                   interior_point(rng, prog.cones))))
+                kkt.factor(_NTScaling(cones.points(interior_point(rng, cones),
+                                                   interior_point(rng, cones))))
             ref = weakref.ref(kkt)
             del kkt
             assert ref() is None
@@ -639,20 +625,20 @@ class TestQuasiDefiniteKkt:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
            me=st.integers(0, 3), rank=st.integers(0, 8),
-           blocks=BLOCK_LISTS)
-    def test_random_feasible_programs_solve(self, seed, n, me, rank, blocks):
+           cones=CONE_LAYOUTS)
+    def test_random_feasible_programs_solve(self, seed, n, me, rank, cones):
         prog = random_feasible_conic(np.random.default_rng(seed), n,
-                                     min(me, n - 1), blocks, min(rank, n))
+                                     min(me, n - 1), cones, min(rank, n))
         sol = solve(prog)
         assert sol.status == "optimal"
         assert verify_kkt(prog, sol).worst < 1e-8
 
 
-def block_step(cb, u, du):
+def block_step(soc, u, du):
     """One point's step to the boundary of one cone block: the orthant
     ratio test, or the SOC step of the Lorentz-transformed direction
     rho, 1 / (||rho_1|| - rho_0); inf when unbounded."""
-    if cb.kind == NONNEG:
+    if not soc:
         return min((-ui / di for ui, di in zip(u, du) if di < 0),
                    default=math.inf)
     norm_j = np.sqrt(u[0] ** 2 - np.add.reduce(u[1:] ** 2))
@@ -663,39 +649,35 @@ def block_step(cb, u, du):
     return 1.0 / worst if worst > 0.0 else math.inf
 
 
-def point_step(blocks, u, du):
+def point_step(cones, u, du):
     """The step of one point: the least block step, block by block."""
-    alpha, start = math.inf, 0
-    for cb in blocks:
-        part = slice(start, start + cb.dim)
-        alpha = min(alpha, block_step(cb, u[part], du[part]))
-        start += cb.dim
+    alpha = math.inf
+    for soc, rows in cone_blocks(cones):
+        alpha = min(alpha, block_step(soc, u[rows], du[rows]))
     return alpha
 
 
-def step_case(seed, blocks, unbounded):
+def step_case(seed, cones, unbounded):
     """Two interior points and their directions; the member ``unbounded``
     (0 or 1, or None) moves along an interior direction, which never
     leaves the cones."""
     rng = np.random.default_rng(seed)
-    u = [interior_point(rng, blocks, margin=(1e-3, 1.0)) for _ in range(2)]
+    u = [interior_point(rng, cones, margin=(1e-3, 1.0)) for _ in range(2)]
     du = [rng.normal(size=u[0].size) * 10.0 ** rng.uniform(-2, 2)
           for _ in range(2)]
     if unbounded is not None:
-        du[unbounded] = interior_point(rng, blocks)
+        du[unbounded] = interior_point(rng, cones)
     return u, du
 
 
-def nt_reference(blocks, s, z):
+def nt_reference(cones, s, z):
     """The NT scaling (w_nn, and the stacks of W, W^{-1} and W^2) built
     from s and z alone, their blocks gathered one at a time from the cone
-    list."""
-    d = next((cb.dim for cb in blocks if cb.kind == SOC), 2)
-    nn, soc, start = [], [], 0
-    for cb in blocks:
-        (nn if cb.kind == NONNEG else soc).append(
-            np.arange(start, start + cb.dim))
-        start += cb.dim
+    layout (``helpers.cone_blocks``)."""
+    d = cones.d
+    nn, soc = [], []
+    for is_soc, rows in cone_blocks(cones):
+        (soc if is_soc else nn).append(rows)
     nn = np.concatenate(nn) if nn else np.zeros(0, int)
     idx = np.array(soc, int).reshape(-1, d)
     w_nn = np.sqrt(s[nn] / z[nn])
@@ -727,14 +709,13 @@ def nt_reference(blocks, s, z):
 
 class TestStepLength:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=BLOCK_LISTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=CONE_LAYOUTS,
            unbounded=st.sampled_from([None, 0, 1]))
-    def test_max_step_is_the_boundary(self, seed, blocks, unbounded):
+    def test_max_step_is_the_boundary(self, seed, cones, unbounded):
         # The closed-form steps of both points of a pair against a
         # bisection on the interior test: u + t du is inside the cones for
         # t below the step, outside above.
-        cones = Cones(blocks)
-        u, du = step_case(seed, blocks, unbounded)
+        u, du = step_case(seed, cones, unbounded)
         for member, alpha in enumerate(cones.points(*u).max_steps(*du)):
             def inside(t):
                 return cones.interior_violation(u[member] + t * du[member]) < 0
@@ -758,49 +739,45 @@ class TestStepLength:
             assert alpha == pytest.approx(hi, rel=1e-8)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=LAYOUTS,
            unbounded=st.sampled_from([None, 0, 1]))
-    def test_paired_steps_are_the_single_steps(self, seed, blocks, unbounded):
+    def test_paired_steps_are_the_single_steps(self, seed, cones, unbounded):
         # One stacked pass gives each point the step that point alone
         # gives, to the bit.
-        cones = Cones(blocks)
-        u, du = step_case(seed, blocks, unbounded)
+        u, du = step_case(seed, cones, unbounded)
         paired = cones.points(*u).max_steps(*du)
-        assert paired == [point_step(blocks, u[i], du[i]) for i in range(2)]
+        assert paired == [point_step(cones, u[i], du[i]) for i in range(2)]
         if unbounded is not None:
             assert paired[unbounded] == math.inf
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=LAYOUTS)
-    def test_paired_interior_test_is_the_single_one(self, seed, blocks):
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=LAYOUTS)
+    def test_paired_interior_test_is_the_single_one(self, seed, cones):
         # The violations of a pair are those of each point alone, for points
         # inside and outside the cones.
         rng = np.random.default_rng(seed)
-        cones = Cones(blocks)
-        u = [interior_point(rng, blocks) - rng.uniform(0, 2) * cones.identity()
+        u = [interior_point(rng, cones) - rng.uniform(0, 2) * cones.identity()
              for _ in range(2)]
         single = []
         for v in u:
-            worst, start = -math.inf, 0
-            for cb in blocks:
-                b = v[start:start + cb.dim]
-                start += cb.dim
-                worst = max(worst, float(-b.min()) if cb.kind == NONNEG else
+            worst = -math.inf
+            for soc, rows in cone_blocks(cones):
+                b = v[rows]
+                worst = max(worst, float(-b.min()) if not soc else
                             float(np.sqrt(np.add.reduce(b[1:] ** 2)) - b[0]))
             single.append(worst)
         assert cones.points(*u).violations() == single
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=LAYOUTS)
-    def test_scaling_from_the_pair_is_the_one_from_s_and_z(self, seed, blocks):
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=LAYOUTS)
+    def test_scaling_from_the_pair_is_the_one_from_s_and_z(self, seed, cones):
         # The NT scaling built from the iterate's cone data equals, byte for
         # byte, the one built from s and z: W, W^{-1}, W^2 + reg I and
         # lambda = W z.
         rng = np.random.default_rng(seed)
-        cones = Cones(blocks)
-        s, z = interior_point(rng, blocks), interior_point(rng, blocks)
+        s, z = interior_point(rng, cones), interior_point(rng, cones)
         scaling = _NTScaling(cones.points(s, z))
-        w_nn, mats, inv, sq, lam = nt_reference(blocks, s, z)
+        w_nn, mats, inv, sq, lam = nt_reference(cones, s, z)
         assert scaling.w_nn.tobytes() == w_nn.tobytes()
         assert scaling.soc_mats.tobytes() == mats.tobytes()
         assert scaling.soc_inv.tobytes() == inv.tobytes()
@@ -810,15 +787,14 @@ class TestStepLength:
         assert scaling.lam.u[0].tobytes() == lam.tobytes()
 
 
-def kernel_case(seed, blocks, special):
+def kernel_case(seed, cones, special):
     """Two points (k, dim) and two directions of the layout: the points
     inside the cones or moved out of them along the identity, the
     directions of mixed scales, in one case of three with every SOC tail
     +-0, and ``special``'s (array, entry, value) written over them, where
     array 0 is the points and 1 the directions."""
     rng = np.random.default_rng(seed)
-    cones = Cones(blocks)
-    u = np.array([interior_point(rng, blocks, margin=(1e-3, 1.0))
+    u = np.array([interior_point(rng, cones, margin=(1e-3, 1.0))
                   - rng.choice([0.0, 0.0, 2.0]) * rng.uniform()
                   * cones.identity() for _ in range(2)])
     du = rng.normal(size=u.shape) * 10.0 ** rng.uniform(-2, 2, size=(2, 1))
@@ -833,7 +809,7 @@ def kernel_case(seed, blocks, special):
 
 
 # LAYOUTS and the planner's N=100 layout: 596 orthant rows, 100 blocks of 4.
-KERNEL_LAYOUTS = st.one_of(LAYOUTS, st.just(layout(596, 100, 4)))
+KERNEL_LAYOUTS = st.one_of(LAYOUTS, st.just(Cones(596, 100, 4)))
 SPECIAL = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10 ** 6),
                              st.sampled_from([math.nan, math.inf, -math.inf,
                                               0.0, -0.0])),
@@ -848,10 +824,10 @@ class TestConeKernel:
     their zeros unsigned."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
            special=SPECIAL)
-    def test_points_and_steps_are_numpy_s(self, seed, blocks, special):
-        cones, u, du = kernel_case(seed, blocks, special)
+    def test_points_and_steps_are_numpy_s(self, seed, cones, special):
+        cones, u, du = kernel_case(seed, cones, special)
         points = cones.points(*u)
         norm_sq, norm, bar, worst = numpy_points(cones, u)
         assert same_bits(points.norm_sq, norm_sq)
@@ -866,7 +842,7 @@ class TestConeKernel:
         # NaN, and a NaN loses where a Python min or max meets it: the
         # violations ignore a NaN, a NaN orthant step stays NaN against the
         # SOC's, and a NaN SOC step leaves the orthant's.
-        cones = Cones(layout(2, 1, 3))
+        cones = Cones(2, 1, 3)
         u = np.array([[math.nan, 1.0, 1.0, 0.0, 0.0],
                       [1.0, 1.0, math.nan, 0.0, 0.0]])
         du = np.array([[-1.0, -1.0, -1.0, 1.0, 0.0],
@@ -877,13 +853,13 @@ class TestConeKernel:
         assert same_bits(points.max_steps(*du), numpy_max_steps(cones, u, du))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
            special=SPECIAL)
-    def test_nt_scaling_is_numpy_s(self, seed, blocks, special):
-        cones, u, du = kernel_case(seed, blocks, special)
+    def test_nt_scaling_is_numpy_s(self, seed, cones, special):
+        cones, u, du = kernel_case(seed, cones, special)
         scaling = _NTScaling(cones.points(*u))
         with np.errstate(all="ignore"):
-            w_nn, mats, inv, sq, lam = nt_reference(blocks, *u)
+            w_nn, mats, inv, sq, lam = nt_reference(cones, *u)
         assert same_bits(scaling.w_nn, w_nn)
         assert same_bits(scaling.soc_mats, mats)
         assert same_bits(scaling.soc_inv, inv)
@@ -891,11 +867,11 @@ class TestConeKernel:
         assert same_bits(scaling.lam.u[0], lam)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
            special=SPECIAL)
-    def test_products_are_numpy_s(self, seed, blocks, special):
+    def test_products_are_numpy_s(self, seed, cones, special):
         # Each from the same inputs as the oracle: the kernel's scaling.
-        cones, u, du = kernel_case(seed, blocks, special)
+        cones, u, du = kernel_case(seed, cones, special)
         scaling = _NTScaling(cones.points(*u))
         w_nn, mats, inv = scaling.w_nn, scaling.soc_mats, scaling.soc_inv
         assert same_bits(scaling.scaled_product(*du), numpy_scaled_product(
@@ -904,13 +880,13 @@ class TestConeKernel:
                          numpy_product(cones, u[0], du[1]))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
            special=SPECIAL,
            bounds=st.sampled_from([(0.1, 10.0), (1e-3, 1e-1), (0.0, math.inf),
                                    (math.nan, 1.0), (1.0, math.nan),
                                    (2.0, 1.0)]))
-    def test_clip_eigenvalues_is_numpy_s(self, seed, blocks, special, bounds):
-        cones, u, du = kernel_case(seed, blocks, special)
+    def test_clip_eigenvalues_is_numpy_s(self, seed, cones, special, bounds):
+        cones, u, du = kernel_case(seed, cones, special)
         for v in (*u, *du):
             assert same_bits(cones.clip_eigenvalues(v, *bounds),
                              numpy_clip_eigenvalues(cones, v, *bounds))
@@ -922,7 +898,7 @@ class TestConeKernel:
         # residuals' (kkt_solve, kkt_direction, kkt_residuals), whose CSR
         # matrices also raise at int64 or non-contiguous index arrays,
         # float32 values, short row pointers or a column out of range.
-        cones = Cones(MIXED_CONES)
+        cones = MIXED_CONES
         rng = np.random.default_rng(5)
         s, z = (interior_point(rng, MIXED_CONES) for _ in range(2))
         iterate, single = cones.points(s, z), cones.points(s)
@@ -934,7 +910,7 @@ class TestConeKernel:
         kkt = _Kkt(P, A, G, cones)
         kkt.factor(scaling)
         residuals = ipm._Residuals(P, A, G, c, b, h, 0.0)
-        other = _NTScaling(Cones(layout(1, 1, 3)).points(
+        other = _NTScaling(Cones(1, 1, 3).points(
             np.array([1.0, 2.0, 0.0, 0.0]), np.array([1.0, 2.0, 0.0, 0.0])))
         calls = []
         monkeypatch.setattr(ldl, "_library", lambda: calls.append(1))
@@ -993,18 +969,17 @@ class TestConeKernel:
         assert not calls
 
 
-def factored_kkt(seed, blocks, me, perturbed=False):
-    """A random program with the cone layout ``blocks`` (n = 4 variables
+def factored_kkt(seed, cones, me, perturbed=False):
+    """A random program with the cone layout ``cones`` (n = 4 variables
     and ``me`` equality rows), its KKT system factored at a random interior
     NT scaling, with K's values scaled after the factorization when
     ``perturbed``, so that refinement steps can raise the residual, and
     the random generator."""
     rng = np.random.default_rng(seed)
-    prog = random_feasible_conic(rng, 4, me, blocks, 2)
-    cones = Cones(blocks)
+    prog = random_feasible_conic(rng, 4, me, cones, 2)
     kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-    scaling = _NTScaling(cones.points(interior_point(rng, blocks),
-                                      interior_point(rng, blocks)))
+    scaling = _NTScaling(cones.points(interior_point(rng, cones),
+                                      interior_point(rng, cones)))
     kkt.factor(scaling)
     if perturbed:
         kkt._values *= rng.uniform(0.5, 3.0)
@@ -1055,13 +1030,13 @@ class TestKktKernel:
     and +-0 entries in their vectors, and in the residuals' matrices."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
            me=EQUALITY_ROWS, perturbed=st.booleans(),
            tol=st.sampled_from([math.inf, ipm.REFINE_TOL, 1e-14, 0.0]),
            special=VECTOR_SPECIAL)
-    def test_solve_is_numpy_s(self, seed, blocks, me, perturbed, tol,
+    def test_solve_is_numpy_s(self, seed, cones, me, perturbed, tol,
                               special):
-        _, kkt, _, rng = factored_kkt(seed, blocks, me, perturbed)
+        _, kkt, _, rng = factored_kkt(seed, cones, me, perturbed)
         rhs = rng.normal(size=kkt.order.size) * 10.0 ** rng.uniform(-3, 3)
         overwrite([rhs], special)
         before = kkt.ldl_solves
@@ -1071,13 +1046,13 @@ class TestKktKernel:
         assert kkt.ldl_solves - before == solves
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
            me=EQUALITY_ROWS, perturbed=st.booleans(),
            zero=st.booleans(), special=VECTOR_SPECIAL)
-    def test_direction_is_numpy_s(self, seed, blocks, me, perturbed, zero,
+    def test_direction_is_numpy_s(self, seed, cones, me, perturbed, zero,
                                   special):
         # The residuals random or, as a centrality corrector's, zero.
-        prog, kkt, scaling, rng = factored_kkt(seed, blocks, me, perturbed)
+        prog, kkt, scaling, rng = factored_kkt(seed, cones, me, perturbed)
         sizes = prog.n, me, prog.G.shape[0], prog.G.shape[0]
         vectors = [rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
                    for size in sizes]
@@ -1092,16 +1067,16 @@ class TestKktKernel:
         assert kkt.ldl_solves - before == solves
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2 ** 32 - 1), blocks=KERNEL_LAYOUTS,
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
            me=EQUALITY_ROWS, rank=st.integers(0, 4),
            shuffled=st.booleans(), special=VECTOR_SPECIAL)
-    def test_residuals_are_numpy_s(self, seed, blocks, me, rank, shuffled,
+    def test_residuals_are_numpy_s(self, seed, cones, me, rank, shuffled,
                                    special):
         # Canonical CSR matrices, or ones with their entries out of order
         # and repeated (helpers.non_canonical), whose products add in
         # stored order.
         rng = np.random.default_rng(seed)
-        prog = random_feasible_conic(rng, 4, me, blocks, rank)
+        prog = random_feasible_conic(rng, 4, me, cones, rank)
         P, A, G = (M.tocsr() for M in (prog.P, prog.A, prog.G))
         if shuffled:
             P, A, G = (non_canonical(rng, M) for M in (P, A, G))
@@ -1158,19 +1133,19 @@ class TestWarmStart:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8),
            me=st.integers(0, 3),
-           blocks=BLOCK_LISTS)
-    def test_perturbed_program_from_previous_optimum(self, seed, n, me, blocks):
+           cones=CONE_LAYOUTS)
+    def test_perturbed_program_from_previous_optimum(self, seed, n, me, cones):
         # P + I makes the objective strongly convex, so both solves pin down
         # the one optimum to about their KKT residual; h moves along a point
         # inside the cones, so the perturbed program stays feasible.
         rng = np.random.default_rng(seed)
-        prog = random_feasible_conic(rng, n, min(me, n - 1), blocks, n)
+        prog = random_feasible_conic(rng, n, min(me, n - 1), cones, n)
         prog.P = prog.P + sp.eye(n, format="csr")
         first = solve(prog)
         assert first.optimal
         perturbed = replace(
             prog, c=prog.c + 1e-2 * rng.normal(size=n),
-            h=prog.h + 1e-2 * interior_point(rng, blocks), start=first)
+            h=prog.h + 1e-2 * interior_point(rng, cones), start=first)
         factorizations = []
         factor = ldl.Factors.factor
 
@@ -1424,7 +1399,7 @@ class TestLdlKernel:
         # of the nonsingular unregularized matrix.
         rng = np.random.default_rng(29)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        cones = Cones(prog.cones)
+        cones = prog.cones
         kkt = _Kkt(prog.P, prog.A, prog.G, cones)
         identity = _NTScaling(cones.points(cones.identity(), cones.identity()))
         kkt.factor(identity)
@@ -1468,7 +1443,7 @@ class TestLdlKernel:
             factors.solve(rhs)
         rng = np.random.default_rng(7)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        kkt = _Kkt(prog.P, prog.A, prog.G, Cones(prog.cones))
+        kkt = _Kkt(prog.P, prog.A, prog.G, prog.cones)
         with pytest.raises(RuntimeError, match="no successful"):
             kkt.solve(rng.normal(size=kkt.position.size), 0.0)
 
@@ -1589,6 +1564,25 @@ class TestLdlKernel:
         assert lib.cone_clip_eigenvalues.argtypes[3] is ctypes.c_double
         assert len(made) == 1 and not os.path.exists(made[0])
 
+    def test_new_library_deletes_stale_ones(self, tmp_path, monkeypatch):
+        # A build into __pycache__ deletes the libraries of other sources
+        # or commands there, conic-<hash>.so and the older ldl-<hash>.so,
+        # and no other file: not a compile's temporary file under way
+        # (mkstemp's name), nor a name with no 16-digit hash.
+        self.copy_sources(tmp_path, monkeypatch)
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        stale = ["conic-0123456789abcdef.so", "ldl-fedcba9876543210.so"]
+        kept = ["tmpk3_x9q0w.so", "conic-0123.so", "cones-0123456789abcdef.so"]
+        for name in stale + kept:
+            (cache / name).write_bytes(b"stale")
+        command = [*shlex.split(sysconfig.get_config_var("CC")), *ldl.FLAGS]
+        built = ldl._cache_path(command)
+        lib = ldl._library.__wrapped__()
+        assert lib._name == str(built)
+        assert sorted(p.name for p in cache.iterdir()) == \
+            sorted(kept + [built.name])
+
     def test_failed_compile_raises_import_error(self, tmp_path, monkeypatch):
         # Either source failing to compile fails the one library.
         for copy in self.copy_sources(tmp_path, monkeypatch):
@@ -1642,7 +1636,7 @@ class TestScaling:
         for _ in range(5):
             P, q, G, h, A, b = random_feasible_qp(rng, n=4, m=6, with_eq=True)
             prog = ConicProgram(c=q, P=sp.csr_matrix(P), G=sp.csr_matrix(G), h=h,
-                                cones=[ConeBlock(NONNEG, G.shape[0])],
+                                cones=Cones(G.shape[0]),
                                 A=sp.csr_matrix(A), b=np.atleast_1d(b))
             direct = solve(prog)
             lo = direct.x - rng.uniform(1.0, 5.0, size=4)
