@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_31.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_33.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -23,10 +23,11 @@ scaling of the cold solve's eighth iterate (below) and the cold start's
 right-hand side [-c; b; h]: the LDL' solves and the refinement's products
 with K. ``sol_sha256`` hashes the solution and ``ldl_solves`` counts its
 LDL' solves.
-The direction cases time one predictor direction (``_Kkt.direction``) at
-that iterate, at N=30 and N=100: its right-hand side with the cone rows
-W (lambda \\ lambda o lambda), the refined KKT solve and ds = -r_ineq - G dx,
-with the KKT system factored there and the iterate's residuals. The
+The direction cases time one predictor direction (``kkt_direction``,
+through its wrapper in ``tests/helpers.py``) at that iterate, at N=30 and
+N=100: its right-hand side with the cone rows W (lambda \\ lambda o lambda),
+the refined KKT solve and ds = -r_ineq - G dx, with the KKT system factored
+there and the iterate's residuals. The
 residual cases time one evaluation of those residuals (``ipm._Residuals``):
 the products with P, A, A', G and G', r_dual, r_eq, r_ineq and their norms,
 and the objective. ``direction_sha256`` hashes (dx, dy, dz, ds) and
@@ -43,12 +44,20 @@ subproblem again at the default tolerance, from its own inexact solution,
 as ``run_scp`` does once a step is small.
 The cone-algebra cases time one IPM iteration's cone work at the eighth
 iterate of the cold solve of the first subproblem (15 and 16 iterations at
-N=30 and N=100): the interior test of s and z, the NT scaling, three pairs
-of step lengths along the step (ds, dz) that iteration takes, lambda o
-lambda, the corrector's scaled product (W^{-1} ds) o (W dz), and a
+N=30 and N=100), one entry point of ``cones.c`` per call, as the IPM took
+it before ``ipm_predictor`` and ``ipm_corrector`` (the wrappers of
+``tests/helpers.py``): the interior test of s and z, the NT scaling, three
+pairs of step lengths along the step (ds, dz) that iteration takes, lambda
+o lambda, the corrector's scaled product (W^{-1} ds) o (W dz), and a
 centrality corrector's scaled product at s + ds, z + dz with its
 eigenvalues clipped to [0.1 mu, 10 mu]. ``rhs_sha256`` hashes the three
 vectors. (The cone rows of a right-hand side are the direction's.)
+The iteration cases time one whole IPM iteration from that iterate, at
+N=30 and N=100, as ``ipm.solve`` takes it: the residuals, the gap, the
+predictor and corrector calls (``ipm._Newton.step``) and the update to the
+next iterate, which must be the cold solve's ninth, to the byte.
+``next_sha256`` hashes it (x, y, z, s) and ``ldl_solves`` counts the
+iteration's LDL' solves.
 The projection case times one Gauss-Newton step
 (``scp.project_onto_rows``), the first of the nominal N=100 plan, with
 its ordering, analysis and LDL' factorization; ``step_sha256`` hashes the
@@ -59,7 +68,9 @@ from the mid-course state of the replan tests at N=100.
 """
 
 import hashlib
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +84,12 @@ from rlv_landing.planner import (PlanningBoundary, PlanningProblem,
                                  propagate_coast)
 from rlv_landing import scp
 from rlv_landing.scp import ScpSettings, run_scp
+
+# The wrappers of the kernel's entry points that the IPM no longer calls
+# one by one live with the tests that hold them to their oracles.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import (clip_eigenvalues, cone_product, kkt_direction,  # noqa: E402
+                     max_steps, scaled_product)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -254,7 +271,7 @@ def test_kkt_solve_n100(benchmark, subproblem):
     """One refined KKT solve at ``ipm.REFINE_TOL``, as the IPM solves for a
     direction."""
     prog = subproblem[2]
-    cones, sol, _, _ = mid_solve(prog)
+    cones, sol, _ = mid_solve(prog)
     kkt = ipm_kkt(prog, ipm._NTScaling(cones.points(sol.s, sol.z)))
     rhs = np.concatenate([-prog.c, prog.b, prog.h])
     out = kernel(benchmark, kkt.solve, rhs, ipm.REFINE_TOL)
@@ -281,16 +298,16 @@ def residuals_at(prog, sol):
 
 def direction(benchmark, prog):
     """The predictor direction at the cold solve's eighth iterate."""
-    cones, sol, _, _ = mid_solve(prog)
+    cones, sol, _ = mid_solve(prog)
     scaling = ipm._NTScaling(cones.points(sol.s, sol.z))
     kkt = ipm_kkt(prog, scaling)
     residuals, iterate = residuals_at(prog, sol)
     r = [v.copy() for v in residuals(*iterate)[:3]]
     lam = scaling.lam.u[0]
-    lam_sq = cones.product(lam, lam)
-    step = kernel(benchmark, kkt.direction, scaling, *r, lam_sq)
+    lam_sq = cone_product(cones, lam, lam)
+    step = kernel(benchmark, kkt_direction, kkt, scaling, *r, lam_sq)
     before = kkt.ldl_solves
-    kkt.direction(scaling, *r, lam_sq)
+    kkt_direction(kkt, scaling, *r, lam_sq)
     benchmark.extra_info["ldl_solves"] = kkt.ldl_solves - before
     benchmark.extra_info["direction_sha256"] = sha256(*step)
 
@@ -339,19 +356,19 @@ def test_projection_n100(benchmark):
 
 def mid_solve(prog, k=8):
     """The cold solve's solution after k - 1 IPM iterations, which holds
-    that iterate (x, y, z, s), and the step (ds, dz) its k-th iteration
-    takes."""
+    that iterate (x, y, z, s), and its solution after k, which holds the
+    next."""
     solutions = []
     for iterations in (k - 1, k):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ipm, "MAX_ITER", iterations)
             solutions.append(ipm.solve(prog))
     sol, after = solutions
-    return prog.cones, sol, after.s - sol.s, after.z - sol.z
+    return prog.cones, sol, after
 
 
 def cone_pass(cones, s, z, ds, dz):
-    """One IPM iteration's cone work, as the IPM does it, and what it
+    """One IPM iteration's cone work, one entry point per call, and what it
     returns: lambda o lambda, the corrector's scaled product and a
     centrality corrector's clipped target."""
     iterate = cones.points(s, z)
@@ -359,17 +376,18 @@ def cone_pass(cones, s, z, ds, dz):
     scaling = ipm._NTScaling(iterate)
     lam = scaling.lam.u[0]
     for _ in range(3):
-        iterate.max_steps(ds, dz)
-    lam_sq = cones.product(lam, lam)
-    corr = scaling.scaled_product(ds, dz)
+        max_steps(iterate, ds, dz)
+    lam_sq = cone_product(cones, lam, lam)
+    corr = scaled_product(scaling, ds, dz)
     mu = float(s @ z) / cones.degree
-    v_trial = scaling.scaled_product(s + ds, z + dz)
-    target = cones.clip_eigenvalues(v_trial, 0.1 * mu, 10.0 * mu)
+    v_trial = scaled_product(scaling, s + ds, z + dz)
+    target = clip_eigenvalues(cones, v_trial, 0.1 * mu, 10.0 * mu)
     return np.concatenate([lam_sq, corr, target])
 
 
 def cone_algebra(benchmark, prog):
-    cones, sol, ds, dz = mid_solve(prog)
+    cones, sol, after = mid_solve(prog)
+    ds, dz = after.s - sol.s, after.z - sol.z
     rhs = kernel(benchmark, cone_pass, cones, sol.s, sol.z, ds, dz)
     # The same bits in every tree that keeps them.
     benchmark.extra_info["rhs_sha256"] = sha256(rhs)
@@ -381,6 +399,42 @@ def test_cone_algebra_n30(benchmark):
 
 def test_cone_algebra_n100(benchmark, subproblem):
     cone_algebra(benchmark, subproblem[2])
+
+
+def iteration(newton, residuals, degree, x, y, z, s):
+    """One IPM iteration from (x, y, z, s), as ``ipm.solve`` takes it, and
+    the next iterate."""
+    residuals(x, y, z, s)
+    gap = float(s @ z)
+    alpha_p, alpha_d = newton.step(s, z, gap, gap / degree)
+    dx, dy, dz, ds = newton.direction()
+    return (x + alpha_p * dx, y + alpha_d * dy, z + alpha_d * dz,
+            s + alpha_p * ds)
+
+
+def ipm_iteration(benchmark, prog):
+    """The cold solve's eighth iteration, on a KKT system analysed afresh
+    in the stage ordering, as a cold solve analyses it."""
+    cones, sol, after = mid_solve(prog)
+    residuals, iterate = residuals_at(prog, sol)
+    kkt = ipm._Kkt(prog.P, prog.A, prog.G, cones, stage=prog.stage)
+    newton = ipm._Newton(kkt, residuals, prog.P.nnz > 0)
+    args = newton, residuals, cones.degree, *iterate
+    following = kernel(benchmark, iteration, *args)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(
+        following, (after.x, after.y, after.z, after.s)))
+    before = kkt.ldl_solves
+    iteration(*args)
+    benchmark.extra_info["ldl_solves"] = kkt.ldl_solves - before
+    benchmark.extra_info["next_sha256"] = sha256(*following)
+
+
+def test_ipm_iteration_n30(benchmark):
+    ipm_iteration(benchmark, first_subproblem(30)[2])
+
+
+def test_ipm_iteration_n100(benchmark, subproblem):
+    ipm_iteration(benchmark, subproblem[2])
 
 
 @pytest.mark.parametrize("boundary_at, N", [(ignition_fit, 30),

@@ -11,13 +11,15 @@ equilibration, the residual check and the SCP projection read a program's
 ``cones`` and take a vector's parts from it as views: ``u[:n_nn]`` and
 ``u[n_nn:]`` as an (n_soc, d) stack (``Cones.split``).
 The cone algebra of the IPM is compiled C, ``cones.c``, built with the LDL'
-kernel into one library (``ldl``): one call loops over every orthant row
-and SOC block of a vector, in place of a dozen numpy operations over about
-100 blocks, as ECOS and Clarabel loop (Goulart & Chen, arXiv:2405.12762).
-It adds terms in the order numpy did, so that its results are numpy's to
-the bit. ``ConePoints`` holds the cone data of a stack of points (their
-J-norms, normalized blocks and violations), formed once and read by each
-evaluation at those points, such as the step lengths of both.
+kernel into one library (``ldl``): one function loops over every orthant
+row and SOC block of a vector, in place of a dozen numpy operations over
+about 100 blocks, as ECOS and Clarabel loop (Goulart & Chen,
+arXiv:2405.12762). It adds terms in the order numpy did, so that its
+results are numpy's to the bit. The IPM's iterations call it from C
+(``ipm_predictor`` and ``ipm_corrector`` in ``ldl.c``); in Python,
+``ConePoints`` holds the cone data of a stack of points (their J-norms,
+normalized blocks and violations), which the interior test, the shifts
+into the cones and the cold start's NT scaling read.
 """
 
 from __future__ import annotations
@@ -87,29 +89,10 @@ class Cones:
         float64 vector of this layout (``ldl._checked``)."""
         return ldl._checked(name, u, np.float64, self.dim)
 
-    def product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The Jordan product u o v."""
-        args = self.address("u", u), self.address("v", v)
-        out = np.empty(self.dim)
-        ldl._library().cone_product(*self.shape, *args, ldl._address(out))
-        return out
-
-    def clip_eigenvalues(self, v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-        """Project blockwise spectral values of v onto [lo, hi].
-
-        Nonnegative coordinates clip directly; SOC blocks clip their two
-        Jordan eigenvalues v0 +/- ||v1|| and are reassembled.
-        """
-        address = self.address("v", v)
-        out = np.empty(self.dim)
-        ldl._library().cone_clip_eigenvalues(*self.shape, lo, hi, address,
-                                             ldl._address(out))
-        return out
-
 
 class ConePoints:
     """The cone data of a stack of points, computed once and read by every
-    evaluation at them: the IPM forms it once per iterate, for (s, z).
+    evaluation at them, such as the cold start's NT scaling at (e, e).
 
     ``u`` is the (k, dim) stack. ``norm_sq`` holds the J-norm square
     u_0^2 - ||u_1||^2 of each block (k, n_soc), ``norm`` the J-norm (floored
@@ -136,14 +119,3 @@ class ConePoints:
         the orthant rows and ||u_1|| - u_0 over the SOC blocks (negative
         inside)."""
         return self._worst.tolist()
-
-    def max_steps(self, *du: np.ndarray) -> list[float]:
-        """For each point u, inside the cones, and its direction du, the
-        largest alpha with u + alpha du in the cones, all in one pass
-        (``cone_max_steps`` in ``cones.c``)."""
-        address = ldl._checked("du", np.array(du), np.float64, *self.u.shape)
-        alpha = np.empty(len(self.u))
-        ldl._library().cone_max_steps(len(self.u), *self.cones.shape,
-                                      *self._addresses, address,
-                                      ldl._address(alpha))
-        return alpha.tolist()

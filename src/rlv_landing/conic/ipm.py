@@ -56,34 +56,38 @@ vector is a slice of it, the NT scaling holds W, W^{-1} and W^2 as one
 (n_soc, d, d) stack each, and the -(W'W + eps I) block is the orthant
 diagonal followed by dense d x d blocks. Its arithmetic is compiled C,
 ``cones.c`` in the library ``ldl`` builds: one loop over the rows and
-blocks per call, where numpy took a dozen operations over about 100
-blocks. It adds in numpy's order, so the iterates are those of the numpy
-code it replaced, to the bit.
-
-Each iteration forms its iterate's cone data once, ``Cones.points(s, z)``
-(the J-norms and normalized blocks of s and z, and the violations the
-interior test reads), as ECOS and Clarabel do (Domahidi, Chu & Boyd, ECC
-2013). The NT scaling and every step length of the iteration read it, and
-each step length takes s and z together in one pass. The scaling holds
-lambda's cone data, which each direction's right-hand side W (lambda \\ d)
-reads.
+blocks per function, where numpy took a dozen operations over about 100
+blocks.
 
 A KKT solve is one solve with the factors, refined against the
 unregularized matrix only while its residual is above a tolerance and each
-step lowers it, as in Clarabel (``_Kkt.solve``). The IPM's directions are
-solved to REFINE_TOL, since later iterations correct a direction's error;
-the cold start is not refined (a tolerance of infinity). The iteration's
-linear algebra runs in compiled code, as Clarabel runs it, one call each
-in the kernel's library: a KKT solve (``kkt_solve``: the permutation into
-K's ordering and back, the LDL' solves and the refinement's residuals), a
-Newton direction (``kkt_direction``: its right-hand side with the cone
-rows, that solve and ds = -r_ineq - G dx) and the residuals
-(``kkt_residuals``: the products with P, A, A', G and G', r_dual, r_eq and
-r_ineq and their infinity norms; ``_Residuals``). They add in the order of
-the numpy and scipy code they replaced, so the iterates are its, to the
-bit. The dot products (s'z, c'x, x'Px, b'y, h'z and the affine gap) stay
-numpy's, whose BLAS summation order C would not reproduce. A solution
-counts the LDL' solves it took (``ldl_solves``).
+step lowers it, as in Clarabel. The IPM's directions are solved to
+REFINE_TOL, since later iterations correct a direction's error; the cold
+start is not refined (a tolerance of infinity), and forms no residual.
+
+Each iteration's work runs in compiled code in two calls, as ECOS and
+Clarabel run the predictor-corrector step (``_Newton``), after the
+residuals' own call (``kkt_residuals``: the products with P, A, A', G and
+G', r_dual, r_eq and r_ineq and their infinity norms; ``_Residuals``).
+``ipm_predictor`` forms the iterate's cone data once (the J-norms and
+normalized blocks of s and z, and the violations of its interior test),
+which the NT scaling and every step length of the iteration read, and
+lambda's; then lambda o lambda, K's -(W'W + eps I) block and its
+factorization, the affine direction, its step lengths and the trial
+points. ``ipm_corrector`` takes sigma and forms the combined direction, its
+step pair and the Gondzio rounds. A direction is one refined KKT solve
+(``kkt_direction``: its right-hand side with the cone rows W (lambda \\ v),
+the permutation into K's ordering and back, the LDL' solves and the
+refinement's residuals, and ds = -r_ineq - G dx). Both calls compose the
+compiled pieces that replaced the numpy and scipy code of the iteration,
+each adding in that code's order, and take Python's min and max where it
+did (the first argument, unless the second compares below or above it:
+min(1.0, nan) is 1.0); so the iterates are its, to the bit. The dot
+products (s'z, c'x, x'Px, b'y, h'z, and the affine gap from the
+predictor's trial points) stay numpy's, between the calls, because C
+would not add them in the order of numpy's BLAS; so do sigma, the
+verdicts, the stall test and the update of the iterate. A solution counts
+the LDL' solves it took (``ldl_solves``).
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
@@ -148,8 +152,20 @@ REFINE_TOL = 1e-8
 STEP_DAMPING = 0.99        # fraction of the step to the cone boundary taken
 INFEAS_WINDOW = 10         # stalled iterations before the growth-window verdict
 # Gondzio corrector rounds per iteration; they save 13 IPM iterations on the
-# nominal N=100 ignition-fit plan.
+# nominal N=100 ignition-fit plan. A round runs while the smaller step is at
+# most GONDZIO_ENOUGH. It moves the scaled products at the trial step
+# min(1, GONDZIO_STRETCH alpha + GONDZIO_LIFT) into GONDZIO_BAND times
+# max(sigma mu, GONDZIO_MU_FLOOR mu), and is kept only if it lengthens the
+# smaller step by more than the factor GONDZIO_GAIN; else the rounds end.
 CENTRALITY_CORRECTORS = 2
+GONDZIO_ENOUGH = 0.95
+GONDZIO_STRETCH, GONDZIO_LIFT = 1.5, 0.3
+GONDZIO_BAND = 0.1, 10.0
+GONDZIO_MU_FLOOR = 1e-2
+GONDZIO_GAIN = 1.01
+# ipm_predictor's results at an iterate off the cone interior and at a NaN
+# pivot of the KKT factorization.
+OFF_INTERIOR, NAN_PIVOT = -1, -2
 
 
 class _NTScaling:
@@ -157,10 +173,11 @@ class _NTScaling:
 
     SOC blocks use W = eta * Wbar with Wbar = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]
     built from the hyperbolic-unit vector wbar; the dense per-block matrices
-    W, W^{-1} and W^2 are each one (n_soc, d, d) stack, read by every
-    product with them. It is built from the iterate's cone data, ``Cones.points(s, z)``,
-    by ``cone_nt_scaling`` in ``cones.c``, and holds lambda's (``lam``),
-    which every direction of the iteration reads.
+    W, W^{-1} and W^2 are each one (n_soc, d, d) stack. It is built from
+    the cone data of a point (s, z), ``Cones.points(s, z)``, by
+    ``cone_nt_scaling`` in ``cones.c``, and holds lambda's (``lam``). The
+    cold start factors K at it, at s = z = e (W = I); each iteration's
+    scaling is ``ipm_predictor``'s (``_Newton``).
     """
 
     def __init__(self, iterate: ConePoints):
@@ -175,20 +192,6 @@ class _NTScaling:
             *map(ldl._address, (self.w_nn, self.soc_mats, self.soc_inv,
                                 self.soc_sq, lam)))
         self.lam = cones.points(lam)
-        w_nn, mats = ldl._address(self.w_nn), ldl._address(self.soc_mats)
-        # kkt_direction's cone arguments, cone_rhs's: W (lambda \\ v).
-        self.rhs_args = (*cones.shape, self.lam._addresses[0],
-                         ldl._address(self.lam.norm_sq), w_nn, mats)
-        self._product_args = (*cones.shape, w_nn, mats,
-                              ldl._address(self.soc_inv))
-
-    def scaled_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(W^{-1} u) o (W v)."""
-        args = self.cones.address("u", u), self.cones.address("v", v)
-        out = np.empty(self.cones.dim)
-        ldl._library().cone_scaled_product(*self._product_args, *args,
-                                           ldl._address(out))
-        return out
 
 
 def _pattern(P, A, G, cones: Cones, stage) -> list[np.ndarray]:
@@ -294,9 +297,10 @@ class _Kkt:
     the -(W^2 + reg I) block changes between iterations: ``factor`` writes
     it by ``cone_w2_scatter`` and factors K by the compiled LDL'
     (``ldl.Factors``, on the analysis's row patterns); an exact zero pivot
-    takes its row's ``_reg_sign``. ``solve`` and ``direction`` are one call
-    each (``kkt_solve``, ``kkt_direction``), which works in K's ordering
-    throughout, and ``ldl_solves`` counts the LDL' solves they took.
+    takes its row's ``_reg_sign``. The cold start's ``factor`` and ``solve``
+    are its own; each iteration factors K and solves in ``_Newton``'s two
+    calls. Every solve works in K's ordering throughout, and
+    ``ldl_solves`` counts the LDL' solves of them all.
     """
 
     def __init__(self, P, A, G, cones: Cones,
@@ -317,10 +321,11 @@ class _Kkt:
         # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
         self._reg_sign = np.where(self.order < n, REG, -REG)
         self._ldl = ldl.Factors(a.indptr, a.indices, a.Lp, a.Rp, a.Ri)
-        self._cones = cones
+        self.cones = cones
         self._w2_args = tuple(map(ldl._address, (a.w2_slots, self._values)))
         self.ldl_solves = 0
-        # kkt_solve's and kkt_direction's arguments from Ap to work.
+        # kkt_solve's arguments from Ap to work, and those of kkt_direction,
+        # ipm_predictor and ipm_corrector.
         self._system = (*self._ldl.kkt_args(self._values, self._reg_sign),
                         *map(ldl._address,
                              (self.order, np.empty(6 * self.order.size))))
@@ -329,7 +334,7 @@ class _Kkt:
     def factor(self, scaling: _NTScaling) -> None:
         """Write -(W^2 + reg I) from the NT scaling into K, and factor K.
         Raises ``RuntimeError`` at a NaN pivot."""
-        n_nn, n_soc, d = self._cones.shape
+        n_nn, n_soc, d = self.cones.shape
         ldl._library().cone_w2_scatter(
             n_nn, n_soc, d, REG,
             ldl._checked("w_nn", scaling.w_nn, np.float64, n_nn),
@@ -343,7 +348,8 @@ class _Kkt:
         against the unregularized matrix while the residual is above
         ``tol * max(1, |rhs|_inf)``, at most REFINE_STEPS times. A step
         that does not lower the residual is dropped and ends the
-        refinement; at ``tol = inf`` none is taken."""
+        refinement; at ``tol = inf`` none is taken, and no residual is
+        formed."""
         sol = np.empty(self.order.size)
         args = (ldl._checked("rhs", rhs, np.float64, sol.size),
                 ldl._address(sol))
@@ -352,29 +358,91 @@ class _Kkt:
             sol.size, REFINE_STEPS, tol, *self._system, *args)
         return sol
 
-    def direction(self, scaling: _NTScaling, r_dual: np.ndarray,
-                  r_eq: np.ndarray, r_ineq: np.ndarray,
-                  v: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The Newton step (dx, dy, dz, ds) that cancels the residuals and
-        sets lam o (W^{-1} ds + W dz) = -v, at the NT scaling K was last
-        factored at: the solve of [-r_dual; -r_eq; -r_ineq + W (lam \\ v)]
-        to REFINE_TOL. ds comes from the primal row, -r_ineq - G dx:
-        G x + s - h then contracts exactly, even where the scaled-space
-        formula would cancel."""
+
+class _Newton:
+    """One solve's Newton steps, each iteration's two kernel calls, with
+    the buffers they share allocated once per solve.
+
+    ``predictor`` (``ipm_predictor``) takes the iterate (s, z) and the
+    residuals' last evaluation. It writes the cone data of s, z and lambda
+    (rows 0, 1 and 2 of ``norm_sq``, ``norm`` and ``bar``), the NT scaling
+    (``w_nn``, and W, W^{-1} and W^2 stacked in ``W``), lambda and
+    lambda o lambda (``lam``), K's factors, the affine direction
+    (``sol_a``, ``ds_a``) and the trial points ``trial_s`` and
+    ``trial_z``. ``corrector`` (``ipm_corrector``) takes sigma and mu, and
+    writes the step's direction (``sol``, ``ds``; ``direction``) and
+    returns its step pair. ``step`` is both, with sigma from the trial
+    points' s'z. The KKT system's ``ldl_solves`` counts their solves.
+    """
+
+    def __init__(self, kkt: _Kkt, residuals: _Residuals, common: bool):
+        cones = self.cones = kkt.cones
+        n_nn, n_soc, d = cones.shape
+        dim, size = cones.dim, kkt.order.size
+        self._kkt, self._sizes = kkt, kkt._sizes
+        self.u = np.empty((2, dim))
+        self.norm_sq, self.norm = np.empty((2, 3, n_soc))
+        self.bar, worst = np.empty((3, n_soc, d)), np.empty(3)
+        self.w_nn, self.W = np.empty(n_nn), np.empty((3, n_soc, d, d))
+        self.lam = np.empty((2, dim))
+        self.sol_a, self.sol = np.empty((2, size))
+        self.ds_a, self.ds = np.empty((2, dim))
+        self.trial_s, self.trial_z = np.empty(dim), np.empty(dim)
+        self.alpha = np.empty(2)
+        system = (size, REFINE_STEPS, REFINE_TOL, *kkt._system)
+        program = (*kkt._sizes, *cones.shape, *kkt._G, *map(ldl._address, (
+            residuals.r_dual, residuals.r_eq, residuals.r_ineq)))
+        state = tuple(map(ldl._address, (self.u, self.norm_sq, self.norm,
+                                         self.bar)))
+        scaling = tuple(map(ldl._address, (self.w_nn, self.W, self.lam)))
+        affine = tuple(map(ldl._address, (self.sol_a, self.ds_a)))
+        self._predictor = (
+            *system, *kkt._ldl.rows_args, REG,
+            ldl._address(kkt.analysis.w2_slots), *program, *state,
+            ldl._address(worst), *scaling, *affine,
+            *map(ldl._address, (self.trial_s, self.trial_z)))
+        self._corrector = (
+            *system, *program, *state, *scaling, *affine,
+            ldl._address(np.empty(2 * size + 8 * dim)),
+            CENTRALITY_CORRECTORS, int(common), STEP_DAMPING, GONDZIO_ENOUGH,
+            GONDZIO_STRETCH, GONDZIO_LIFT, *GONDZIO_BAND, GONDZIO_MU_FLOOR,
+            GONDZIO_GAIN, *map(ldl._address, (self.sol, self.ds, self.alpha)))
+
+    def predictor(self, s: np.ndarray, z: np.ndarray) -> int:
+        """The predictor at (s, z): the number of LDL' solves it took, or
+        OFF_INTERIOR or NAN_PIVOT."""
+        args = self.cones.address("s", s), self.cones.address("z", z)
+        code = ldl._library().ipm_predictor(*self._predictor, *args)
+        if code != OFF_INTERIOR:
+            self._kkt._ldl._factored = code != NAN_PIVOT
+        self._kkt.ldl_solves += max(code, 0)
+        return code
+
+    def corrector(self, sigma: float, mu: float) -> tuple[float, float]:
+        """The corrector at sigma and mu, after ``predictor``: the step
+        pair (alpha_p, alpha_d) of its direction."""
+        self._kkt.ldl_solves += ldl._library().ipm_corrector(
+            *self._corrector, sigma, mu)
+        alpha_p, alpha_d = self.alpha.tolist()
+        return alpha_p, alpha_d
+
+    def step(self, s: np.ndarray, z: np.ndarray, gap: float,
+             mu: float) -> tuple[float, float] | None:
+        """The iteration's step at (s, z), whose s'z is ``gap`` and
+        gap / degree ``mu``: ``corrector``'s step pair at Mehrotra's sigma,
+        (the trial points' s'z / gap)^3 at most 1, or None if the gap is
+        not positive or the predictor fails."""
+        if gap <= 0.0 or self.predictor(s, z) < 0:
+            return None
+        gap_aff = float(self.trial_s @ self.trial_z)
+        sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
+        return self.corrector(sigma, mu)
+
+    def direction(self) -> tuple[np.ndarray, ...]:
+        """The corrector's direction (dx, dy, dz, ds), as views of its
+        buffers, which the next iteration overwrites."""
         n, me = self._sizes
-        cones = self._cones
-        if scaling.cones.shape != cones.shape:
-            raise ValueError("the scaling is of another cone layout")
-        sol, ds = np.empty(self.order.size), np.empty(cones.dim)
-        args = (ldl._checked("r_dual", r_dual, np.float64, n),
-                ldl._checked("r_eq", r_eq, np.float64, me),
-                cones.address("r_ineq", r_ineq), cones.address("v", v),
-                ldl._address(sol), ldl._address(ds))
-        self._ldl.check_factored()
-        self.ldl_solves += ldl._library().kkt_direction(
-            sol.size, REFINE_STEPS, REFINE_TOL, *self._system, n, me,
-            *scaling.rhs_args, *self._G, *args)
-        return sol[:n], sol[n:n + me], sol[n + me:], ds
+        return self.sol[:n], self.sol[n:n + me], self.sol[n + me:], self.ds
 
 
 class _Residuals:
@@ -449,6 +517,7 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         and start._program() is program
     kkt = _Kkt(P, A, G, cones, start._analysis if warm else None,
                program.stage)
+    newton = _Newton(kkt, residuals, P.nnz > 0)
     e = cones.identity()
     if warm:
         x, y = start.x.copy(), start.y.copy()
@@ -473,7 +542,6 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             s = cones.shift_into_interior(-z0.copy())
             z = cones.shift_into_interior(z0.copy())
 
-    zeros = np.zeros(n), np.zeros(me), np.zeros(mi)   # no residual
     best_res = np.inf
     growth_count = 0
     status = "max_iter"
@@ -484,8 +552,9 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
     mu_prev = np.inf
 
     for iteration in range(1, MAX_ITER + 1):
-        r_dual, r_eq, r_ineq, pres, dres, pobj, dual_rows = \
-            residuals(x, y, z, s)
+        # The residual vectors stay in residuals' buffers, where the step
+        # reads them.
+        *_, pres, dres, pobj, dual_rows = residuals(x, y, z, s)
         gap = float(s @ z)
         mu = gap / cones.degree
         rel_gap = gap / max(1.0, abs(pobj))
@@ -525,61 +594,12 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             status = _stall_status(pres)
             break
 
-        iterate = cones.points(s, z)
-        if gap <= 0.0 or any(v >= 0.0 for v in iterate.violations()):
+        alphas = newton.step(s, z, gap, mu)
+        if alphas is None:
             status = "numerical_failure"
             break
-
-        scaling = _NTScaling(iterate)
-        lam = scaling.lam.u[0]
-        lam_sq = cones.product(lam, lam)
-        try:
-            kkt.factor(scaling)
-        except RuntimeError:
-            status = "numerical_failure"
-            break
-
-        def step_pair(ds_, dz_):
-            ap, ad = (min(1.0, STEP_DAMPING * a)
-                      for a in iterate.max_steps(ds_, dz_))
-            # With a quadratic term the P dx cross-coupling re-pollutes the
-            # dual equation under split steps; use a common length then.
-            if P.nnz:
-                ap = ad = min(ap, ad)
-            return ap, ad
-
-        # Predictor (affine) direction.
-        _, _, dz_a, ds_a = kkt.direction(scaling, r_dual, r_eq, r_ineq,
-                                         lam_sq)
-        ap_aff, ad_aff = (min(1.0, a) for a in iterate.max_steps(ds_a, dz_a))
-        gap_aff = float((s + ap_aff * ds_a) @ (z + ad_aff * dz_a))
-        sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
-
-        # Corrector (combined) direction.
-        corr = scaling.scaled_product(ds_a, dz_a)
-        dx, dy, dz, ds = kkt.direction(scaling, r_dual, r_eq, r_ineq,
-                                       lam_sq - sigma * mu * e + corr)
-        alpha_p, alpha_d = step_pair(ds, dz)
-
-        # Gondzio centrality correctors: push outlier complementarity
-        # products toward the target, accepting a corrector only when it
-        # enlarges the step.
-        mu_target = max(sigma * mu, 1e-2 * mu)
-        for _ in range(CENTRALITY_CORRECTORS):
-            if min(alpha_p, alpha_d) > 0.95:
-                break
-            ap_t = min(1.0, 1.5 * alpha_p + 0.3)
-            ad_t = min(1.0, 1.5 * alpha_d + 0.3)
-            v_trial = scaling.scaled_product(s + ap_t * ds, z + ad_t * dz)
-            target = cones.clip_eigenvalues(v_trial, 0.1 * mu_target,
-                                            10.0 * mu_target)
-            dx_c, dy_c, dz_c, ds_c = kkt.direction(scaling, *zeros,
-                                                   v_trial - target)
-            ap_new, ad_new = step_pair(ds + ds_c, dz + dz_c)
-            if min(ap_new, ad_new) <= min(alpha_p, alpha_d) * 1.01:
-                break
-            dx, dy, dz, ds = dx + dx_c, dy + dy_c, dz + dz_c, ds + ds_c
-            alpha_p, alpha_d = ap_new, ad_new
+        alpha_p, alpha_d = alphas
+        dx, dy, dz, ds = newton.direction()
 
         # Hard stall: the direction no longer moves the iterate. A solve
         # that met the tolerances before it stalled returns its polish

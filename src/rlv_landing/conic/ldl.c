@@ -35,15 +35,41 @@
  * CSR product adds each row's terms from 0.0 in stored order (scipy's
  * csr_matvec), and a product with a transpose each column's in ascending
  * row order (csr_matvec of scipy's CSR transpose). An infinity norm is
- * NaN if an entry is NaN, as numpy's maximum is. */
+ * NaN if an entry is NaN, as numpy's maximum is.
+ *
+ * ipm_predictor and ipm_corrector are an IPM iteration, two calls: they
+ * compose the cone algebra of cones.c, ldl_factor and kkt_direction,
+ * unchanged, in the order the IPM's Python loop called them, and take
+ * Python's min and max where that loop did, so that the iterates are the
+ * loop's to the bit. The dot products between the two calls stay the
+ * caller's (numpy's). */
 
 #include <math.h>
 #include <stddef.h>
 
-/* cones.c: W (lam \ v), the cone rows of a direction's right-hand side. */
+/* cones.c: W (lam \ v), the cone rows of a direction's right-hand side,
+ * and the cone algebra ipm_predictor and ipm_corrector compose. */
 void cone_rhs(int n_nn, int n_soc, int d, const double *lam,
               const double *lam_norm_sq, const double *w_nn, const double *W,
               const double *v, double *out);
+void cone_points(int k, int n_nn, int n_soc, int d, const double *u,
+                 double *norm_sq, double *norm, double *bar, double *worst);
+void cone_max_steps(int k, int n_nn, int n_soc, int d, const double *u,
+                    const double *norm, const double *bar, const double *du,
+                    double *alpha);
+void cone_nt_scaling(int n_nn, int n_soc, int d, const double *u,
+                     const double *norm, const double *bar, double *w_nn,
+                     double *W, double *Winv, double *W2, double *lam);
+void cone_product(int n_nn, int n_soc, int d, const double *u,
+                  const double *v, double *out);
+void cone_scaled_product(int n_nn, int n_soc, int d, const double *w_nn,
+                         const double *W, const double *Winv, const double *u,
+                         const double *v, double *out);
+void cone_clip_eigenvalues(int n_nn, int n_soc, int d, double lo, double hi,
+                           const double *v, double *out);
+void cone_w2_scatter(int n_nn, int n_soc, int d, double reg,
+                     const double *w_nn, const double *W2, const int *slots,
+                     double *Kx);
 
 /* The elimination tree (parent[j], -1 at a root) and the entries of each
  * column of L (Lnz[j]). work holds n ints. Returns 0, or -1 at an entry
@@ -234,9 +260,12 @@ int kkt_solve(int n, int steps, double tol, const int *Ap, const int *Ai,
         x[i] = b[i] = rhs[order[i]];
     ldl_solve(n, Lp, Li, Lx, D, x);
     int solves = 1;
-    double size = kkt_residual(n, Ap, Ai, Ax, reg, b, x, r);
     double scale = norm_inf(n, b);
     double target = tol * (scale > 1.0 ? scale : 1.0);
+    /* No residual is above a target of +inf (the cold start's tol) or NaN,
+     * so none is formed. */
+    double size = target < INFINITY
+        ? kkt_residual(n, Ap, Ai, Ax, reg, b, x, r) : 0.0;
     for (int k = 0; k < steps && size > target; k++) {
         for (int i = 0; i < n; i++)
             t[i] = r[i];
@@ -349,6 +378,201 @@ void kkt_residuals(int n, int me, int mi, const int *Pp, const int *Pi,
     norms[1] = norm_inf(me, r_eq);
     norms[2] = norm_inf(mi, r_ineq);
     norms[3] = norm_inf(n, ATy);
+}
+
+/* Python's min(a, b) and max(a, b): a, unless b compares below (above) it,
+ * so that min(1.0, NaN) is 1.0 and max(NaN, 1.0) is NaN. */
+static double py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+static double py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+/* The steps alpha[0] of s along ds and alpha[1] of z along dz to the cone
+ * boundary, from the cone data (norm, bar) of the stack u = (s, z): the
+ * steps cone_max_steps gives the stacked pair. */
+static void iterate_steps(int n_nn, int n_soc, int d, const double *u,
+                          const double *norm, const double *bar,
+                          const double *ds, const double *dz, double *alpha)
+{
+    const ptrdiff_t dim = n_nn + (ptrdiff_t)n_soc * d;
+    cone_max_steps(1, n_nn, n_soc, d, u, norm, bar, ds, alpha);
+    cone_max_steps(1, n_nn, n_soc, d, u + dim, norm + n_soc,
+                   bar + (ptrdiff_t)n_soc * d, dz, alpha + 1);
+}
+
+/* The damped step pair along (ds, dz): min(1, damping alpha) for each of
+ * iterate_steps' alpha, and the smaller of the two for both when common
+ * (with a quadratic objective, whose P dx couples the dual equation to
+ * the primal step). */
+static void step_pair(int n_nn, int n_soc, int d, const double *u,
+                      const double *norm, const double *bar, const double *ds,
+                      const double *dz, double damping, int common,
+                      double *ap, double *ad)
+{
+    double alpha[2];
+    iterate_steps(n_nn, n_soc, d, u, norm, bar, ds, dz, alpha);
+    *ap = py_min(1.0, damping * alpha[0]);
+    *ad = py_min(1.0, damping * alpha[1]);
+    if (common)
+        *ap = *ad = py_min(*ap, *ad);
+}
+
+/* The predictor of an IPM iteration at (s, z), with the residuals r_dual,
+ * r_eq and r_ineq, for mi = n_nn + n_soc d cone rows. In order: the cone
+ * data of the stack u = (s, z) (cone_points' norm_sq, norm, bar and worst,
+ * rows 0 and 1) and the interior test; the NT scaling (w_nn, and W, W^{-1}
+ * and W^2 in the (3, n_soc, d, d) stack W), lam and lam o lam (the
+ * (2, mi) stack lam) and lam's cone data (row 2 of norm_sq, norm and bar,
+ * worst[2]); -(W^2 + kreg I) written into Ax at w2_slots (cone_w2_scatter)
+ * and the LDL' factorization (ldl_factor, on the row patterns Rp and Ri,
+ * with iwork of n ints and work); the affine direction (sol, ds) for
+ * v = lam o lam (kkt_direction, whose arguments the others are); and the
+ * trial points trial_s = s + a_s ds and trial_z = z + a_z dz, each a =
+ * min(1, the step to the cone boundary). Returns the number of LDL'
+ * solves, -1 if s or z is not inside the cones, or -2 at a NaN pivot. */
+int ipm_predictor(int n, int steps, double tol, const int *Ap,
+                  const int *Ai, double *Ax, const double *reg,
+                  const int *Lp, int *Li, double *Lx, double *D,
+                  const int *order, double *work, const int *Rp,
+                  const int *Ri, int *iwork, double kreg,
+                  const int *w2_slots, int nx, int me, int n_nn, int n_soc,
+                  int d, const int *Gp, const int *Gi, const double *Gx,
+                  const double *r_dual, const double *r_eq,
+                  const double *r_ineq, double *u, double *norm_sq,
+                  double *norm, double *bar, double *worst, double *w_nn,
+                  double *W, double *lam, double *sol, double *ds,
+                  double *trial_s, double *trial_z, const double *s,
+                  const double *z)
+{
+    const ptrdiff_t mi = n_nn + (ptrdiff_t)n_soc * d;
+    const ptrdiff_t dd = (ptrdiff_t)n_soc * d * d, nb = (ptrdiff_t)n_soc * d;
+    for (ptrdiff_t i = 0; i < mi; i++) {
+        u[i] = s[i];
+        u[mi + i] = z[i];
+    }
+    cone_points(2, n_nn, n_soc, d, u, norm_sq, norm, bar, worst);
+    if (worst[0] >= 0.0 || worst[1] >= 0.0)
+        return -1;
+    double *lam_sq = lam + mi;
+    cone_nt_scaling(n_nn, n_soc, d, u, norm, bar, w_nn, W, W + dd,
+                    W + 2 * dd, lam);
+    cone_points(1, n_nn, n_soc, d, lam, norm_sq + 2 * n_soc,
+                norm + 2 * n_soc, bar + 2 * nb, worst + 2);
+    cone_product(n_nn, n_soc, d, lam, lam, lam_sq);
+    cone_w2_scatter(n_nn, n_soc, d, kreg, w_nn, W + 2 * dd, w2_slots, Ax);
+    if (ldl_factor(n, Ap, Ai, Ax, reg, Lp, Rp, Ri, Li, Lx, D, iwork,
+                   work) < 0)
+        return -2;
+    int solves = kkt_direction(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx,
+                               D, order, work, nx, me, n_nn, n_soc, d, lam,
+                               norm_sq + 2 * n_soc, w_nn, W, Gp, Gi, Gx,
+                               r_dual, r_eq, r_ineq, lam_sq, sol, ds);
+    const double *dz = sol + nx + me;
+    double alpha[2];
+    iterate_steps(n_nn, n_soc, d, u, norm, bar, ds, dz, alpha);
+    double a_s = py_min(1.0, alpha[0]), a_z = py_min(1.0, alpha[1]);
+    for (ptrdiff_t i = 0; i < mi; i++) {
+        trial_s[i] = s[i] + a_s * ds[i];
+        trial_z[i] = z[i] + a_z * dz[i];
+    }
+    return solves;
+}
+
+/* The corrector of the IPM iteration ipm_predictor took, with its
+ * arguments and results (u to lam, and its direction as sol_a and ds_a),
+ * at sigma and mu. The direction (sol, ds) for v = lam o lam - sigma mu e
+ * + (W^{-1} ds_a) o (W dz_a), e the identity, and its step pair alpha
+ * (step_pair). Then up to rounds Gondzio centrality correctors (Gondzio,
+ * Comput. Optim. Appl. 6(2), 1996), while min(alpha) <= enough: at the
+ * trial point (s + t_p ds, z + t_d dz), each t = min(1, stretch alpha +
+ * lift), its scaled products v_t = (W^{-1} s_t) o (W z_t) with their
+ * eigenvalues clipped to [lo, hi] mu_t, mu_t = max(sigma mu, mu_floor
+ * mu), give the direction with zero residuals for v_t - clip(v_t); it is
+ * added to (sol, ds) if it lengthens min(alpha) by more than the factor
+ * gain, and else ends the rounds. cwork holds 2n + 8 mi doubles. Returns
+ * the number of LDL' solves. */
+int ipm_corrector(int n, int steps, double tol, const int *Ap,
+                  const int *Ai, const double *Ax, const double *reg,
+                  const int *Lp, const int *Li, const double *Lx,
+                  const double *D, const int *order, double *work, int nx,
+                  int me, int n_nn, int n_soc, int d, const int *Gp,
+                  const int *Gi, const double *Gx, const double *r_dual,
+                  const double *r_eq, const double *r_ineq,
+                  const double *u, const double *norm_sq,
+                  const double *norm, const double *bar, const double *w_nn,
+                  const double *W, const double *lam, const double *sol_a,
+                  const double *ds_a, double *cwork, int rounds, int common,
+                  double damping, double enough, double stretch, double lift,
+                  double lo, double hi, double mu_floor, double gain,
+                  double *sol, double *ds, double *alpha, double sigma,
+                  double mu)
+{
+    const ptrdiff_t mi = n_nn + (ptrdiff_t)n_soc * d, nz = nx + me;
+    const double *Winv = W + (ptrdiff_t)n_soc * d * d;
+    const double *lam_sq = lam + mi, *lam_norm_sq = norm_sq + 2 * n_soc;
+    double *v = cwork, *s_t = v + mi, *z_t = s_t + mi, *v_t = z_t + mi;
+    double *dv = v_t + mi, *ds_c = dv + mi, *ds_sum = ds_c + mi;
+    double *dz_sum = ds_sum + mi, *sol_c = dz_sum + mi, *zero = sol_c + n;
+    double *dz = sol + nz;
+
+    cone_scaled_product(n_nn, n_soc, d, w_nn, W, Winv, ds_a, sol_a + nz, v);
+    const double sigma_mu = sigma * mu;
+    for (ptrdiff_t i = 0; i < mi; i++) {
+        double e = i < n_nn || (i - n_nn) % d == 0 ? 1.0 : 0.0;
+        v[i] = lam_sq[i] - sigma_mu * e + v[i];
+    }
+    int solves = kkt_direction(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx,
+                               D, order, work, nx, me, n_nn, n_soc, d, lam,
+                               lam_norm_sq, w_nn, W, Gp, Gi, Gx, r_dual,
+                               r_eq, r_ineq, v, sol, ds);
+    double ap, ad;
+    step_pair(n_nn, n_soc, d, u, norm, bar, ds, dz, damping, common, &ap,
+              &ad);
+
+    const double mu_t = py_max(sigma * mu, mu_floor * mu);
+    for (int i = 0; i < n; i++)
+        zero[i] = 0.0;
+    for (int round = 0; round < rounds; round++) {
+        if (py_min(ap, ad) > enough)
+            break;
+        double tp = py_min(1.0, stretch * ap + lift);
+        double td = py_min(1.0, stretch * ad + lift);
+        for (ptrdiff_t i = 0; i < mi; i++) {
+            s_t[i] = u[i] + tp * ds[i];
+            z_t[i] = u[mi + i] + td * dz[i];
+        }
+        cone_scaled_product(n_nn, n_soc, d, w_nn, W, Winv, s_t, z_t, v_t);
+        cone_clip_eigenvalues(n_nn, n_soc, d, lo * mu_t, hi * mu_t, v_t, dv);
+        for (ptrdiff_t i = 0; i < mi; i++)
+            dv[i] = v_t[i] - dv[i];
+        solves += kkt_direction(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx,
+                                D, order, work, nx, me, n_nn, n_soc, d, lam,
+                                lam_norm_sq, w_nn, W, Gp, Gi, Gx, zero, zero,
+                                zero, dv, sol_c, ds_c);
+        for (ptrdiff_t i = 0; i < mi; i++) {
+            ds_sum[i] = ds[i] + ds_c[i];
+            dz_sum[i] = dz[i] + sol_c[nz + i];
+        }
+        double ap_new, ad_new;
+        step_pair(n_nn, n_soc, d, u, norm, bar, ds_sum, dz_sum, damping,
+                  common, &ap_new, &ad_new);
+        if (py_min(ap_new, ad_new) <= py_min(ap, ad) * gain)
+            break;
+        for (int i = 0; i < n; i++)
+            sol[i] = sol[i] + sol_c[i];
+        for (ptrdiff_t i = 0; i < mi; i++)
+            ds[i] = ds_sum[i];
+        ap = ap_new;
+        ad = ad_new;
+    }
+    alpha[0] = ap;
+    alpha[1] = ad;
+    return solves;
 }
 
 /* The CSC pattern of an n x n matrix of m entries, entry e at row rows[e]

@@ -18,15 +18,20 @@ pattern. ``Factors`` is the numeric factorization for it, which walks no
 tree, the solves, and the product with the symmetric matrix (``ldl_symv``),
 which adds as scipy's product with the whole matrix does. ``csc_pattern``
 forms a sparse pattern by a counting sort (the IPM's KKT upper triangle and
-the planner's constraint matrices). ``cones`` and the IPM's NT scaling call
-the cone algebra, and the IPM writes -(W^2 + reg I) into its KKT values by
-``cone_w2_scatter``. The IPM's KKT system calls ``kkt_solve`` for a refined
-solve and ``kkt_direction`` for a Newton direction, with the factors'
-arrays (``Factors.kkt_args``), and its residuals ``kkt_residuals``, with
-the program's CSR matrices (``csr_args``); ``kkt_direction`` calls
-``cone_rhs`` in ``cones.c``. Every array is checked for dtype,
-C-contiguity and shape (``_checked``) before it reaches C. The entry
-points are ``_ENTRY_POINTS``.
+the planner's constraint matrices). ``cones`` and the IPM's cold start
+call the cone algebra (``cone_points``, ``cone_nt_scaling``,
+``cone_w2_scatter``), and the cold start's KKT solve is ``kkt_solve``. The
+IPM's residuals are ``kkt_residuals``, with the program's CSR matrices
+(``csr_args``), and each of its iterations two calls: ``ipm_predictor``
+and ``ipm_corrector`` in ``ldl.c``, which compose the cone algebra, the
+factorization (with ``Factors.kkt_args`` and ``Factors.rows_args``) and
+``kkt_direction``, the refined solve for a Newton direction. The other
+entry points of ``cones.c`` (``cone_max_steps``, ``cone_product``,
+``cone_scaled_product``, ``cone_clip_eigenvalues``) have no caller in the
+package; the tests call them through wrappers, to hold each to the numpy
+code it replaced. Every array is checked for dtype, C-contiguity and shape
+(``_checked``) before it reaches C. The entry points are
+``_ENTRY_POINTS``.
 """
 
 from __future__ import annotations
@@ -60,6 +65,11 @@ _ENTRY_POINTS = {
     "kkt_direction": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 10 + [_INT] * 5
                       + [_PTR] * 13, _INT),
     "kkt_residuals": ([_INT] * 3 + [_PTR] * 22, None),
+    "ipm_predictor": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 13 + [_DOUBLE]
+                      + [_PTR] + [_INT] * 5 + [_PTR] * 20, _INT),
+    "ipm_corrector": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 10 + [_INT] * 5
+                      + [_PTR] * 16 + [_INT] * 2 + [_DOUBLE] * 8
+                      + [_PTR] * 3 + [_DOUBLE] * 2, _INT),
     "csc_pattern": ([_INT] * 2 + [_PTR] * 6, _INT),
     "cone_points": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_max_steps": ([_INT] * 4 + [_PTR] * 5, None),
@@ -255,9 +265,12 @@ class Factors:
         work = np.empty(n, np.intc), np.empty(n)
         self._held = indptr, indices, Lp, Rp, Ri, self.L, work
         li, lx, d = map(_address, self.L)
-        self._factor_args = (ap, ai), (lp, rp, ri, li, lx, d,
-                                       *map(_address, work))
+        iwork, dwork = map(_address, work)
+        self._factor_args = (ap, ai), (lp, rp, ri, li, lx, d, iwork, dwork)
         self._solve_args = lp, li, lx, d
+        # What ldl_factor reads besides kkt_args and n doubles of workspace,
+        # as ipm_predictor takes it: L's row patterns and the int workspace.
+        self.rows_args = rp, ri, iwork
         self._factored = False   # whether the last factor succeeded
 
     def factor(self, values: np.ndarray, reg: np.ndarray) -> int:

@@ -8,7 +8,10 @@ calls replaced, the whole symmetric matrix of an upper triangle (the IPM
 stores only that triangle of its KKT matrix), the up-looking LDL' that
 walks the elimination tree for every row, in Python, and the numpy and
 scipy refined KKT solve, Newton direction and residuals that the IPM's
-``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` replaced."""
+``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` replaced; the
+Python wrappers of the cone algebra and of ``kkt_direction`` that the IPM
+called before ``ipm_predictor`` and ``ipm_corrector``, and the IPM
+iteration they replaced, composed of those wrappers."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rlv_landing.conic import Cones, ConicProgram, SolverSolution
+from rlv_landing.conic import Cones, ConicProgram, SolverSolution, ipm, ldl
 from rlv_landing.env import T_EPS, V_EPS, DegenerateStateError
 from rlv_landing.params import VehicleParams
 
@@ -494,3 +497,188 @@ def numpy_residuals(P, A, G, c, b, h, x, y, z, s):
     r_ineq = G @ x + s - h
     vectors = r_dual, r_eq, r_ineq, ATy + GTz
     return Px, vectors, [_norm_inf(v) for v in vectors]
+
+
+# The Python wrappers of compiled entry points that the IPM's iteration
+# called before ``ipm_predictor`` and ``ipm_corrector`` took it over: the
+# seams of the entry points' bit-for-bit tests and of the iteration's
+# oracle. Each checks its arrays before any call (``ldl._checked``).
+
+def max_steps(points, *du):
+    """``cone_max_steps``: for each point u of ``points`` (a
+    ``ConePoints``), inside the cones, and its direction du, the largest
+    alpha with u + alpha du in the cones, all in one pass."""
+    address = ldl._checked("du", np.array(du), np.float64, *points.u.shape)
+    alpha = np.empty(len(points.u))
+    ldl._library().cone_max_steps(len(points.u), *points.cones.shape,
+                                  *points._addresses, address,
+                                  ldl._address(alpha))
+    return alpha.tolist()
+
+
+def cone_product(cones, u, v):
+    """``cone_product``: the Jordan product u o v."""
+    args = cones.address("u", u), cones.address("v", v)
+    out = np.empty(cones.dim)
+    ldl._library().cone_product(*cones.shape, *args, ldl._address(out))
+    return out
+
+
+def clip_eigenvalues(cones, v, lo, hi):
+    """``cone_clip_eigenvalues``: v's spectral values clipped to [lo, hi],
+    the orthant rows directly, each SOC block's two Jordan eigenvalues
+    v0 +/- ||v1|| reassembled."""
+    address = cones.address("v", v)
+    out = np.empty(cones.dim)
+    ldl._library().cone_clip_eigenvalues(*cones.shape, lo, hi, address,
+                                         ldl._address(out))
+    return out
+
+
+def scaled_product(scaling, u, v):
+    """``cone_scaled_product``: (W^{-1} u) o (W v) at the NT scaling
+    ``scaling`` (``ipm._NTScaling``)."""
+    cones = scaling.cones
+    args = cones.address("u", u), cones.address("v", v)
+    out = np.empty(cones.dim)
+    ldl._library().cone_scaled_product(
+        *cones.shape, *map(ldl._address, (scaling.w_nn, scaling.soc_mats,
+                                          scaling.soc_inv)),
+        *args, ldl._address(out))
+    return out
+
+
+def kkt_direction(kkt, scaling, r_dual, r_eq, r_ineq, v):
+    """``kkt_direction``: the Newton step (dx, dy, dz, ds) that cancels
+    the residuals and sets lam o (W^{-1} ds + W dz) = -v, for the KKT
+    system ``kkt`` (``ipm._Kkt``) factored at the NT scaling ``scaling``:
+    the solve of [-r_dual; -r_eq; -r_ineq + W (lam \\ v)] to
+    ``ipm.REFINE_TOL``, and ds = -r_ineq - G dx. Its LDL' solves count in
+    ``kkt.ldl_solves``."""
+    n, me = kkt._sizes
+    cones = kkt.cones
+    if scaling.cones.shape != cones.shape:
+        raise ValueError("the scaling is of another cone layout")
+    sol, ds = np.empty(kkt.order.size), np.empty(cones.dim)
+    args = (ldl._checked("r_dual", r_dual, np.float64, n),
+            ldl._checked("r_eq", r_eq, np.float64, me),
+            cones.address("r_ineq", r_ineq), cones.address("v", v),
+            ldl._address(sol), ldl._address(ds))
+    rhs = (*cones.shape, scaling.lam._addresses[0],
+           *map(ldl._address, (scaling.lam.norm_sq, scaling.w_nn,
+                               scaling.soc_mats)))
+    kkt._ldl.check_factored()
+    kkt.ldl_solves += ldl._library().kkt_direction(
+        sol.size, ipm.REFINE_STEPS, ipm.REFINE_TOL, *kkt._system, n, me,
+        *rhs, *kkt._G, *args)
+    return sol[:n], sol[n:n + me], sol[n + me:], ds
+
+
+# The IPM's iteration from the iterate's cone data to its step, as
+# ``ipm.solve`` ran it in Python on the wrappers above: the oracle of
+# ``ipm_predictor`` and ``ipm_corrector`` and of ``ipm._Newton.step``.
+
+@dataclass
+class Predicted:
+    """What the predictor leaves the corrector: the iterate's cone data
+    (a ``ConePoints``), its NT scaling (``ipm._NTScaling``), lam o lam,
+    the affine direction (dx, dy, dz, ds) and the trial points
+    (s + a_s ds, z + a_z dz)."""
+    iterate: object
+    scaling: object
+    lam_sq: np.ndarray
+    direction: tuple
+    trial: tuple
+
+
+@np.errstate(all="ignore")
+def python_predictor(kkt, r, s, z):
+    """The predictor at (s, z) with the residuals r = (r_dual, r_eq,
+    r_ineq), factoring ``kkt``: (the LDL' solves, a ``Predicted``), or
+    (``ipm.OFF_INTERIOR``, None) or (``ipm.NAN_PIVOT``, None)."""
+    cones = kkt.cones
+    iterate = cones.points(s, z)
+    if any(v >= 0.0 for v in iterate.violations()):
+        return ipm.OFF_INTERIOR, None
+    scaling = ipm._NTScaling(iterate)
+    lam = scaling.lam.u[0]
+    lam_sq = cone_product(cones, lam, lam)
+    try:
+        kkt.factor(scaling)
+    except RuntimeError:
+        return ipm.NAN_PIVOT, None
+    before = kkt.ldl_solves
+    direction = kkt_direction(kkt, scaling, *r, lam_sq)
+    _, _, dz_a, ds_a = direction
+    ap_aff, ad_aff = (min(1.0, a) for a in max_steps(iterate, ds_a, dz_a))
+    trial = s + ap_aff * ds_a, z + ad_aff * dz_a
+    return kkt.ldl_solves - before, Predicted(iterate, scaling, lam_sq,
+                                              direction, trial)
+
+
+@np.errstate(all="ignore")
+def python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
+                     events=None):
+    """The corrector at sigma and mu after ``python_predictor``: the step
+    pair (alpha_p, alpha_d) and the direction (dx, dy, dz, ds), with the
+    step lengths common when ``common`` (P has entries). It appends to
+    ``events`` "nan step" for each pair of step lengths with a NaN, and
+    each Gondzio round's end: "enough" (no round run), "accepted" or
+    "rejected"."""
+    events = [] if events is None else events
+    cones, iterate, scaling = kkt.cones, predicted.iterate, predicted.scaling
+    n, me = kkt._sizes
+    zeros = np.zeros(n), np.zeros(me), np.zeros(cones.dim)   # no residual
+
+    def step_pair(ds_, dz_):
+        steps = max_steps(iterate, ds_, dz_)
+        if any(math.isnan(a) for a in steps):
+            events.append("nan step")
+        ap, ad = (min(1.0, ipm.STEP_DAMPING * a) for a in steps)
+        if common:
+            ap = ad = min(ap, ad)
+        return ap, ad
+
+    _, _, dz_a, ds_a = predicted.direction
+    corr = scaled_product(scaling, ds_a, dz_a)
+    dx, dy, dz, ds = kkt_direction(
+        kkt, scaling, *r, predicted.lam_sq - sigma * mu * cones.identity()
+        + corr)
+    alpha_p, alpha_d = step_pair(ds, dz)
+    mu_target = max(sigma * mu, ipm.GONDZIO_MU_FLOOR * mu)
+    lo, hi = ipm.GONDZIO_BAND
+    for _ in range(ipm.CENTRALITY_CORRECTORS):
+        if min(alpha_p, alpha_d) > ipm.GONDZIO_ENOUGH:
+            events.append("enough")
+            break
+        ap_t = min(1.0, ipm.GONDZIO_STRETCH * alpha_p + ipm.GONDZIO_LIFT)
+        ad_t = min(1.0, ipm.GONDZIO_STRETCH * alpha_d + ipm.GONDZIO_LIFT)
+        v_trial = scaled_product(scaling, s + ap_t * ds, z + ad_t * dz)
+        target = clip_eigenvalues(cones, v_trial, lo * mu_target,
+                                  hi * mu_target)
+        dx_c, dy_c, dz_c, ds_c = kkt_direction(kkt, scaling, *zeros,
+                                               v_trial - target)
+        ap_new, ad_new = step_pair(ds + ds_c, dz + dz_c)
+        if min(ap_new, ad_new) <= min(alpha_p, alpha_d) * ipm.GONDZIO_GAIN:
+            events.append("rejected")
+            break
+        events.append("accepted")
+        dx, dy, dz, ds = dx + dx_c, dy + dy_c, dz + dz_c, ds + ds_c
+        alpha_p, alpha_d = ap_new, ad_new
+    return (alpha_p, alpha_d), (dx, dy, dz, ds)
+
+
+@np.errstate(all="ignore")
+def python_step(kkt, r, s, z, gap, mu, common, events=None):
+    """``ipm._Newton.step``: the step pair and direction of the iteration
+    at (s, z), whose s'z is ``gap``, with sigma from the trial points'
+    s'z, or None if the gap is not positive or the predictor fails."""
+    if gap <= 0.0:
+        return None
+    code, predicted = python_predictor(kkt, r, s, z)
+    if code < 0:
+        return None
+    gap_aff = float(predicted.trial[0] @ predicted.trial[1])
+    sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
+    return python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
+                            events)

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from rlv_landing import env, planner, scp
 from rlv_landing.conic import ipm, ldl, scaling
 from rlv_landing.conic.cones import ConePoints, Cones
-from rlv_landing.conic.ipm import _Analysis, _Kkt, _NTScaling
+from rlv_landing.conic.ipm import _Analysis, _Kkt, _Newton, _NTScaling
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
     NZ,
@@ -37,8 +37,8 @@ from rlv_landing.planner import (
 from rlv_landing.scp import ScpSettings, run_scp
 
 from helpers import (central_diff_jacobian, coo_csr, flat_arrays,
-                     kkt_matrix, rel_jac_error, splu_calls, superlu,
-                     total_aoa)
+                     kkt_matrix, python_step, rel_jac_error, splu_calls,
+                     superlu, total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -649,30 +649,50 @@ class TestKktFactorization:
     def test_direction_solves_refine_only_as_needed(self, monkeypatch):
         # Over the nominal N=30 plan, the IPM's direction solves (predictor,
         # corrector, Gondzio) take fewer than 2 LDL' solves each: two fixed
-        # refinement steps took 3, the residual rule takes 1.17. A solve's
+        # refinement steps took 3, the residual rule takes 1.14. A solve's
         # ``ldl_solves`` counts its cold start's one unrefined solve too.
-        solutions, directions = [], []
-        direction = _Kkt.direction
+        # The directions are counted by replaying each step in the Python
+        # loop the two kernel calls replaced (``helpers.python_step``),
+        # whose Gondzio rounds each solve for one more.
+        solutions, steps, evaluations = [], [], []
+        step, evaluate = _Newton.step, ipm._Residuals.__call__
 
-        def counted_direction(self, *args):
-            directions.append(1)
-            return direction(self, *args)
+        def recorded_step(self, s, z, gap, mu):
+            steps.append((solutions[-1], evaluations[-1], s.copy(),
+                          z.copy(), gap, mu))
+            return step(self, s, z, gap, mu)
+
+        def recorded_residuals(self, x, y, z, s):
+            out = evaluate(self, x, y, z, s)
+            evaluations.append([v.copy() for v in out[:3]])
+            return out
 
         def recorded_solve(program, tol):
+            solutions.append(program)
             sol = ipm.solve(program, tol)
-            solutions.append(sol)
+            solutions[-1] = sol
             return sol
 
-        monkeypatch.setattr(_Kkt, "direction", counted_direction)
+        monkeypatch.setattr(_Newton, "step", recorded_step)
+        monkeypatch.setattr(ipm._Residuals, "__call__", recorded_residuals)
         prob, cfg = make_problem(N=30)
         out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
                       ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr),
                       solve_fn=recorded_solve)
         assert out.converged
+        directions = 0
+        for program, r, s, z, gap, mu in steps:
+            P, A, G = (ipm._kernel_csr(M)
+                       for M in (program.P, program.A, program.G))
+            events = []
+            assert python_step(_Kkt(P, A, G, program.cones), r, s, z, gap,
+                               mu, P.nnz > 0, events) is not None
+            directions += 2 + sum(e in ("accepted", "rejected")
+                                  for e in events)
         direction_solves = sum(sol.ldl_solves - (not sol.warm)
                                for sol in solutions)
-        assert len(directions) > 100
-        assert direction_solves < 2 * len(directions)
+        assert directions > 100
+        assert direction_solves < 2 * directions
 
 
 class TestPlanningScp:
@@ -895,27 +915,27 @@ class TestConeLayout:
 
     def test_one_cone_pass_per_ipm_iteration(self, monkeypatch):
         # Solving the first N=30 subproblem forms each iterate's cone data,
-        # the stack (s, z), once: one per KKT factorization, the cold
-        # start's (e, e) and then one per iteration that takes a step (the
-        # last one meets the tolerances at its top and takes none). Every
-        # other stack is one point: lambda, once per scaling, and the cold
-        # start's two shifts into the cones.
-        stacks, factors = [], []
-        init, factor = ConePoints.__init__, _Kkt.factor
+        # the stack (s, z), once per iteration that takes a step, in its
+        # predictor call (``ipm_predictor``, whose data the corrector
+        # reads); the last iteration meets the tolerances at its top and
+        # takes none. In Python only the cold start forms cone data: the
+        # stack (e, e) and lambda, for its factorization at W = I, and its
+        # two shifts into the cones, one point each.
+        stacks, predictors = [], []
+        init, predictor = ConePoints.__init__, _Newton.predictor
 
         def counted_init(self, cones, u):
             stacks.append(len(u))
             init(self, cones, u)
 
-        def counted_factor(self, scaling):
-            factors.append(scaling)
-            factor(self, scaling)
+        def counted_predictor(self, s, z):
+            predictors.append(1)
+            return predictor(self, s, z)
 
         monkeypatch.setattr(ConePoints, "__init__", counted_init)
-        monkeypatch.setattr(_Kkt, "factor", counted_factor)
+        monkeypatch.setattr(_Newton, "predictor", counted_predictor)
         prob, cfg = make_problem(N=30)
         sol = ipm.solve(first_subproblem(prob, cfg))
         assert sol.status == "optimal" and not sol.warm
-        assert stacks.count(2) == len(factors) == sol.iterations
-        assert stacks.count(1) == len(factors) + 2
-        assert len(stacks) == 2 * len(factors) + 2
+        assert stacks == [2, 1, 1, 1]
+        assert len(predictors) == sol.iterations - 1

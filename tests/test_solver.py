@@ -13,6 +13,7 @@ import shlex
 import sysconfig
 import weakref
 from dataclasses import fields, replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -33,12 +34,14 @@ from rlv_landing.conic.cones import ConePoints
 from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import (MULTI_BLOCK_CONES, cone_blocks, flat_arrays, nt_apply,
-                     numpy_clip_eigenvalues, numpy_direction, numpy_kkt_solve,
-                     numpy_max_steps, numpy_points, numpy_product,
-                     numpy_residuals, numpy_scaled_product, same_bits,
-                     splu_calls, superlu, symmetric, kkt_matrix,
-                     tree_walking_ldl, unique_pattern,
+from helpers import (MULTI_BLOCK_CONES, clip_eigenvalues, cone_blocks,
+                     cone_product, flat_arrays, kkt_direction, max_steps,
+                     nt_apply, numpy_clip_eigenvalues, numpy_direction,
+                     numpy_kkt_solve, numpy_max_steps, numpy_points,
+                     numpy_product, numpy_residuals, numpy_scaled_product,
+                     python_corrector, python_predictor, python_step,
+                     same_bits, scaled_product, splu_calls, superlu,
+                     symmetric, kkt_matrix, tree_walking_ldl, unique_pattern,
                      verify_kkt, w2_entries)
 
 
@@ -716,7 +719,7 @@ class TestStepLength:
         # bisection on the interior test: u + t du is inside the cones for
         # t below the step, outside above.
         u, du = step_case(seed, cones, unbounded)
-        for member, alpha in enumerate(cones.points(*u).max_steps(*du)):
+        for member, alpha in enumerate(max_steps(cones.points(*u), *du)):
             def inside(t):
                 return cones.interior_violation(u[member] + t * du[member]) < 0
 
@@ -745,7 +748,7 @@ class TestStepLength:
         # One stacked pass gives each point the step that point alone
         # gives, to the bit.
         u, du = step_case(seed, cones, unbounded)
-        paired = cones.points(*u).max_steps(*du)
+        paired = max_steps(cones.points(*u), *du)
         assert paired == [point_step(cones, u[i], du[i]) for i in range(2)]
         if unbounded is not None:
             assert paired[unbounded] == math.inf
@@ -834,7 +837,7 @@ class TestConeKernel:
         assert same_bits(points.norm, norm)
         assert same_bits(points.bar, bar)
         assert same_bits(points.violations(), worst, signed_zeros=False)
-        assert same_bits(points.max_steps(*du), numpy_max_steps(cones, u, du),
+        assert same_bits(max_steps(points, *du), numpy_max_steps(cones, u, du),
                          signed_zeros=False)
 
     def test_nan_rules_are_numpy_s(self):
@@ -849,8 +852,8 @@ class TestConeKernel:
                        [-1.0, 1.0, -1.0, 1.0, 0.0]])
         points = cones.points(*u)
         assert same_bits(points.violations(), [-1.0, -1.0])
-        assert same_bits(points.max_steps(*du), [math.nan, 1.0])
-        assert same_bits(points.max_steps(*du), numpy_max_steps(cones, u, du))
+        assert same_bits(max_steps(points, *du), [math.nan, 1.0])
+        assert same_bits(max_steps(points, *du), numpy_max_steps(cones, u, du))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
@@ -874,9 +877,9 @@ class TestConeKernel:
         cones, u, du = kernel_case(seed, cones, special)
         scaling = _NTScaling(cones.points(*u))
         w_nn, mats, inv = scaling.w_nn, scaling.soc_mats, scaling.soc_inv
-        assert same_bits(scaling.scaled_product(*du), numpy_scaled_product(
+        assert same_bits(scaled_product(scaling, *du), numpy_scaled_product(
             cones, w_nn, mats, inv, *du))
-        assert same_bits(cones.product(u[0], du[1]),
+        assert same_bits(cone_product(cones, u[0], du[1]),
                          numpy_product(cones, u[0], du[1]))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -888,16 +891,17 @@ class TestConeKernel:
     def test_clip_eigenvalues_is_numpy_s(self, seed, cones, special, bounds):
         cones, u, du = kernel_case(seed, cones, special)
         for v in (*u, *du):
-            assert same_bits(cones.clip_eigenvalues(v, *bounds),
+            assert same_bits(clip_eigenvalues(cones, v, *bounds),
                              numpy_clip_eigenvalues(cones, v, *bounds))
 
     def test_wrong_arrays_raise_before_any_call(self, monkeypatch):
         # A wrong dtype, a non-contiguous array or a short one raises
         # ValueError at every entry point, before the library is loaded:
-        # the cone algebra's, and the KKT solve's, direction's and
-        # residuals' (kkt_solve, kkt_direction, kkt_residuals), whose CSR
-        # matrices also raise at int64 or non-contiguous index arrays,
-        # float32 values, short row pointers or a column out of range.
+        # the cone algebra's, the iteration's predictor, and the KKT
+        # solve's, direction's and residuals' (kkt_solve, kkt_direction,
+        # kkt_residuals), whose CSR matrices also raise at int64 or
+        # non-contiguous index arrays, float32 values, short row pointers
+        # or a column out of range.
         cones = MIXED_CONES
         rng = np.random.default_rng(5)
         s, z = (interior_point(rng, MIXED_CONES) for _ in range(2))
@@ -910,6 +914,7 @@ class TestConeKernel:
         kkt = _Kkt(P, A, G, cones)
         kkt.factor(scaling)
         residuals = ipm._Residuals(P, A, G, c, b, h, 0.0)
+        newton = ipm._Newton(kkt, residuals, True)
         other = _NTScaling(Cones(1, 1, 3).points(
             np.array([1.0, 2.0, 0.0, 0.0]), np.array([1.0, 2.0, 0.0, 0.0])))
         calls = []
@@ -924,28 +929,30 @@ class TestConeKernel:
             lambda: cones.points(s32, z32),
             lambda: cones.points(s[:-1], z[:-1]),
             lambda: ConePoints(cones, np.asfortranarray(np.array([s, z]))),
-            lambda: iterate.max_steps(s32, z32),
-            lambda: iterate.max_steps(s[:-1], z[:-1]),
-            lambda: iterate.max_steps(s),
+            lambda: max_steps(iterate, s32, z32),
+            lambda: max_steps(iterate, s[:-1], z[:-1]),
+            lambda: max_steps(iterate, s),
             lambda: _NTScaling(single),
-            lambda: kkt.direction(other, x, y, s, z),
+            lambda: kkt_direction(kkt, other, x, y, s, z),
         ]
         for v in wrong(s):
-            bad += [lambda v=v: kkt.direction(scaling, x, y, v, z),
-                    lambda v=v: kkt.direction(scaling, x, y, z, v),
+            bad += [lambda v=v: kkt_direction(kkt, scaling, x, y, v, z),
+                    lambda v=v: kkt_direction(kkt, scaling, x, y, z, v),
                     lambda v=v: residuals(x, y, v, z),
                     lambda v=v: residuals(x, y, z, v),
                     lambda v=v: ipm._Residuals(P, A, G, c, b, v, 0.0),
-                    lambda v=v: scaling.scaled_product(v, z),
-                    lambda v=v: scaling.scaled_product(z, v),
-                    lambda v=v: cones.product(z, v),
-                    lambda v=v: cones.clip_eigenvalues(v, 0.1, 10.0)]
+                    lambda v=v: scaled_product(scaling, v, z),
+                    lambda v=v: scaled_product(scaling, z, v),
+                    lambda v=v: cone_product(cones, z, v),
+                    lambda v=v: clip_eigenvalues(cones, v, 0.1, 10.0),
+                    lambda v=v: newton.predictor(v, z),
+                    lambda v=v: newton.predictor(s, v)]
         for v in wrong(x):
-            bad += [lambda v=v: kkt.direction(scaling, v, y, s, z),
+            bad += [lambda v=v: kkt_direction(kkt, scaling, v, y, s, z),
                     lambda v=v: residuals(v, y, z, s),
                     lambda v=v: ipm._Residuals(P, A, G, v, b, h, 0.0)]
         for v in wrong(y):
-            bad += [lambda v=v: kkt.direction(scaling, x, v, s, z),
+            bad += [lambda v=v: kkt_direction(kkt, scaling, x, v, s, z),
                     lambda v=v: residuals(x, v, z, s),
                     lambda v=v: ipm._Residuals(P, A, G, c, v, h, 0.0)]
         bad += [lambda v=v: kkt.solve(v, ipm.REFINE_TOL) for v in wrong(rhs)]
@@ -1060,7 +1067,7 @@ class TestKktKernel:
             vectors[:3] = [np.zeros(size) for size in sizes[:3]]
         overwrite(vectors, special)
         before = kkt.ldl_solves
-        got = kkt.direction(scaling, *vectors)
+        got = kkt_direction(kkt, scaling, *vectors)
         expected, solves = numpy_direction(
             kkt, scaling, prog.G, *vectors, ipm.REFINE_TOL, ipm.REFINE_STEPS)
         assert all(same_bits(a, b) for a, b in zip(got, expected))
@@ -1123,6 +1130,256 @@ class TestKktKernel:
         assert got.iterations == expected.iterations
         assert wide.G.indices.dtype == wide.A.data.dtype == np.int64
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, special=VECTOR_SPECIAL)
+    def test_solve_at_infinite_tol_is_one_ldl_solve(self, seed, cones, me,
+                                                     special):
+        # The cold start's solve: at tol = inf no refinement step can run,
+        # and kkt_solve forms no residual. The solution is the LDL' solve's
+        # (ldl.Factors.solve) in K's ordering, to the byte, in one solve.
+        _, kkt, _, rng = factored_kkt(seed, cones, me)
+        rhs = rng.normal(size=kkt.order.size) * 10.0 ** rng.uniform(-3, 3)
+        overwrite([rhs], special)
+        before = kkt.ldl_solves
+        sol = kkt.solve(rhs, math.inf)
+        assert kkt.ldl_solves - before == 1
+        expected = kkt._ldl.solve(rhs[kkt.order])[kkt.position]
+        assert sol.tobytes() == expected.tobytes()
+
+
+def iteration_case(seed, cones, me, rank, special=()):
+    """A random program of n = 4 variables, ``me`` equality rows, P of
+    ``rank`` and the cone layout ``cones`` (P, A and G in the kernel's
+    CSR), random residual vectors r = [r_dual, r_eq, r_ineq] of mixed
+    scales and an interior iterate (s, z), with ``special``'s (vector,
+    entry, value) written over r_dual, r_eq, r_ineq, s and z (vectors 0 to
+    4)."""
+    rng = np.random.default_rng(seed)
+    prog = random_feasible_conic(rng, 4, me, cones, rank)
+    matrices = [ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G)]
+    r = [rng.normal(size=size) * 10.0 ** rng.uniform(-3, 3)
+         for size in (4, me, cones.dim)]
+    s, z = (interior_point(rng, cones) for _ in range(2))
+    overwrite([*r, s, z], special)
+    return matrices, r, s, z
+
+
+def twin_newton(P, A, G, cones, r):
+    """``ipm._Newton`` on its own KKT system of P, A and G, reading the
+    residual vectors r, and a second KKT system of the same matrices for
+    the Python loop it replaced."""
+    kkt, twin = (_Kkt(P, A, G, cones) for _ in range(2))
+    residuals = SimpleNamespace(r_dual=r[0], r_eq=r[1], r_ineq=r[2])
+    return ipm._Newton(kkt, residuals, P.nnz > 0), kkt, twin
+
+
+def assert_step_is_the_python_loop_s(P, A, G, cones, r, s, z, gap, mu):
+    """The step at (s, z) by ``ipm._Newton`` and by the Python loop
+    (``helpers.python_step``) give the same bits and LDL' solves; returns
+    the loop's events."""
+    newton, kkt, twin = twin_newton(P, A, G, cones, r)
+    events = []
+    got = newton.step(s, z, gap, mu)
+    expected = python_step(twin, r, s, z, gap, mu, P.nnz > 0, events)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert same_bits(got, expected[0])
+        assert all(same_bits(a, b)
+                   for a, b in zip(newton.direction(), expected[1]))
+    assert kkt.ldl_solves == twin.ldl_solves
+    return events
+
+
+def assert_predictor_is_the_python_loop_s(P, A, G, cones, r, s, z):
+    """The predictor at (s, z) by ``ipm._Newton`` and by the Python loop
+    (``helpers.python_predictor``) returns the same code and LDL' solves
+    and, when it factored K, leaves the same bits: the cone data of s, z
+    and lambda, the NT scaling, lambda o lambda, the affine direction and
+    the trial points."""
+    newton, kkt, twin = twin_newton(P, A, G, cones, r)
+    code = newton.predictor(s, z)
+    expected, predicted = python_predictor(twin, r, s, z)
+    assert code == expected
+    assert kkt.ldl_solves == twin.ldl_solves
+    if code < 0:
+        return
+    iterate, scaling = predicted.iterate, predicted.scaling
+    for got, part in ((newton.norm_sq, "norm_sq"), (newton.norm, "norm"),
+                      (newton.bar, "bar")):
+        assert same_bits(got[:2], getattr(iterate, part))
+        assert same_bits(got[2:], getattr(scaling.lam, part))
+    assert same_bits(newton.w_nn, scaling.w_nn)
+    assert same_bits(newton.W, [scaling.soc_mats, scaling.soc_inv,
+                                scaling.soc_sq])
+    assert same_bits(newton.lam, [scaling.lam.u[0], predicted.lam_sq])
+    dx, dy, dz, ds = predicted.direction
+    assert same_bits(newton.sol_a, np.concatenate([dx, dy, dz]))
+    assert same_bits(newton.ds_a, ds)
+    assert same_bits([newton.trial_s, newton.trial_z], predicted.trial)
+
+
+def assert_corrector_is_the_python_loop_s(P, A, G, cones, r, s, z, sigma):
+    """After a predictor at (s, z) that factored K, the corrector at sigma
+    and mu = s'z / degree by ``ipm._Newton`` and by the Python loop
+    (``helpers.python_corrector``) gives the same step pair, direction and
+    LDL' solves; returns the loop's events."""
+    newton, kkt, twin = twin_newton(P, A, G, cones, r)
+    code, predicted = newton.predictor(s, z), python_predictor(twin, r, s,
+                                                               z)[1]
+    assert code >= 0
+    mu, events = float(s @ z) / cones.degree, []
+    got = newton.corrector(sigma, mu)
+    expected, direction = python_corrector(twin, predicted, r, s, z, sigma,
+                                           mu, P.nnz > 0, events)
+    assert same_bits(got, expected)
+    assert all(same_bits(a, b) for a, b in zip(newton.direction(), direction))
+    assert kkt.ldl_solves == twin.ldl_solves
+    return events
+
+
+def without_row(G, i):
+    """The CSR matrix G with no entry in row i."""
+    G = G.tolil()
+    G[i, :] = 0.0
+    G = ipm._kernel_csr(sp.csr_matrix(G))
+    G.eliminate_zeros()
+    return G
+
+
+# Rank 0 (no P, split steps) or 2 (a common step).
+RANKS = st.sampled_from([0, 2])
+
+
+class TestIterationKernel:
+    """The IPM iteration's two compiled calls (``ipm_predictor`` and
+    ``ipm_corrector`` in ``conic/ldl.c``, through ``ipm._Newton``) against
+    the Python loop body they replaced (``helpers.python_predictor``,
+    ``python_corrector`` and ``python_step``, on the wrappers of the entry
+    points it called), bit for bit, every NaN read as one NaN: the state
+    the predictor leaves, each direction, the step pair and the count of
+    LDL' solves."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, rank=RANKS, special=VECTOR_SPECIAL)
+    def test_predictor_is_the_python_loop_s(self, seed, cones, me, rank,
+                                            special):
+        # NaN, +-inf and +-0 in s and z, too: off the interior, a NaN
+        # pivot, or an iterate whose scaling and direction carry them.
+        (P, A, G), r, s, z = iteration_case(seed, cones, me, rank, special)
+        assert_predictor_is_the_python_loop_s(P, A, G, cones, r, s, z)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, rank=RANKS, special=VECTOR_SPECIAL,
+           sigma=st.sampled_from([0.0, 1e-6, 0.3, 1.0, math.nan]))
+    def test_corrector_is_the_python_loop_s(self, seed, cones, me, rank,
+                                            special, sigma):
+        # After a predictor that factored K (special values in the
+        # residual vectors only), at sigma from 0 to 1, or NaN (as
+        # max(NaN, 0.0) makes it from a NaN trial gap).
+        (P, A, G), r, s, z = iteration_case(
+            seed, cones, me, rank, [(w % 3, e, v) for w, e, v in special])
+        assert_corrector_is_the_python_loop_s(P, A, G, cones, r, s, z, sigma)
+
+    @pytest.mark.parametrize("rank", [0, 3], ids=["split", "common"])
+    def test_steps_of_solves_are_the_python_loop_s(self, monkeypatch, rank):
+        # Every step of cold and warm solves of random programs, replayed
+        # from its iterate, gap, mu and residual vectors: the same bits
+        # each time, and between them every way the Gondzio rounds end:
+        # the early exit (both steps above GONDZIO_ENOUGH) before a round
+        # or after one accepted, a round rejected first or second, and
+        # both rounds accepted.
+        steps, evaluations = [], []
+        step, evaluate = ipm._Newton.step, ipm._Residuals.__call__
+
+        def recorded_step(self, s, z, gap, mu):
+            steps.append((self.cones, evaluations[-1], s.copy(), z.copy(),
+                          gap, mu))
+            return step(self, s, z, gap, mu)
+
+        def recorded_residuals(self, x, y, z, s):
+            out = evaluate(self, x, y, z, s)
+            evaluations.append([v.copy() for v in out[:3]])
+            return out
+
+        monkeypatch.setattr(ipm._Newton, "step", recorded_step)
+        monkeypatch.setattr(ipm._Residuals, "__call__", recorded_residuals)
+        rng = np.random.default_rng(88)
+        programs = []
+        layouts = MIXED_CONES, MULTI_BLOCK_CONES, Cones(6), Cones(0, 3, 4)
+        for cones in layouts:
+            prog = random_feasible_conic(rng, 5, 2, cones, rank)
+            first = solve(prog)
+            assert first.optimal
+            solve(replace(prog, h=prog.h + 1e-2 * interior_point(rng, cones),
+                          start=first))
+            programs += [prog] * (len(steps) - len(programs))
+        assert len(steps) > 40
+        rounds = []
+        for prog, (cones, r, s, z, gap, mu) in zip(programs, steps):
+            P, A, G = (ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G))
+            events = assert_step_is_the_python_loop_s(P, A, G, cones, r, s,
+                                                      z, gap, mu)
+            rounds.append(tuple(events))
+        assert {("enough",), ("rejected",), ("accepted", "enough"),
+                ("accepted", "accepted"), ("accepted", "rejected")} \
+            <= set(rounds)
+
+    def test_nan_step_length_is_python_s(self):
+        # An orthant row i that no column touches, with s_i = inf and
+        # r_ineq_i = inf: the predictor's and the corrector's ds_i is
+        # -inf, so s_i's step to the boundary is -inf / -inf, NaN, and each
+        # step that Python's min takes with it is 1 (min(1.0, nan)): the
+        # affine step of the trial point s + ds, and the step pair.
+        rng = np.random.default_rng(89)
+        cones = MIXED_CONES
+        for rank in (0, 2):
+            (P, A, G), r, s, z = iteration_case(int(rng.integers(2 ** 32)),
+                                                cones, 1, rank)
+            G = without_row(G, 0)
+            s[0] = r[2][0] = math.inf
+            assert_predictor_is_the_python_loop_s(P, A, G, cones, r, s, z)
+            events = assert_step_is_the_python_loop_s(
+                P, A, G, cones, r, s, z, float(s @ z), 1.0)
+            assert "nan step" in events
+
+    def test_rounds_at_a_nan_sigma_are_python_s(self):
+        # A NaN sigma (from a NaN trial gap) makes mu_target NaN, as
+        # Python's max keeps a NaN first argument, and so the rounds' clip
+        # bounds. An orthant row that no column touches, with r_ineq = 10 s
+        # there, holds the primal step near 0.1 while the direction's other
+        # entries are NaN, so that the rounds run.
+        (P, A, G), r, s, z = iteration_case(103, MIXED_CONES, 1, 0)
+        G = without_row(G, 1)
+        r[2][1] = 10.0 * s[1]
+        events = assert_corrector_is_the_python_loop_s(
+            P, A, G, MIXED_CONES, r, s, z, math.nan)
+        assert events[0] in ("accepted", "rejected")
+
+    def test_off_interior_and_nan_pivot_return_their_codes(self):
+        # s with an orthant row below zero, or z with a block outside its
+        # cone: OFF_INTERIOR, before any factorization. A NaN in s, which
+        # the interior test passes over (a NaN loses a maximum): NAN_PIVOT
+        # from its row's -(W^2 + reg I). Each as the Python loop returns
+        # it, and each fails the step. Neither solves.
+        rng = np.random.default_rng(97)
+        cones = MIXED_CONES
+        (P, A, G), r, s, z = iteration_case(101, cones, 2, 2)
+        outside = z.copy()
+        outside[cones.n_nn + 1] = 2.0 * outside[cones.n_nn] + 1.0
+        negative, nan = s.copy(), s.copy()
+        negative[1], nan[2] = -rng.uniform(), math.nan
+        for u, v, code in ((negative, z, ipm.OFF_INTERIOR),
+                           (s, outside, ipm.OFF_INTERIOR),
+                           (nan, z, ipm.NAN_PIVOT)):
+            newton, kkt, twin = twin_newton(P, A, G, cones, r)
+            assert newton.predictor(u, v) == code
+            assert python_predictor(twin, r, u, v) == (code, None)
+            assert kkt.ldl_solves == twin.ldl_solves == 0
+            assert newton.step(u, v, 1.0, 1.0) is None
+
 
 class TestWarmStart:
     """A solve from ``program.start``: used when its shapes match the
@@ -1147,17 +1404,18 @@ class TestWarmStart:
             prog, c=prog.c + 1e-2 * rng.normal(size=n),
             h=prog.h + 1e-2 * interior_point(rng, cones), start=first)
         factorizations = []
-        factor = ldl.Factors.factor
+        predictor = ipm._Newton.predictor
 
-        def counted(self, values, reg):
-            factorizations.append(values.size)
-            return factor(self, values, reg)
+        def counted(self, s, z):
+            code = predictor(self, s, z)
+            factorizations.append(code >= 0)
+            return code
 
         with splu_calls() as splus, \
-                mock.patch.object(ldl.Factors, "factor", counted):
+                mock.patch.object(ipm._Newton, "predictor", counted):
             warm = solve(perturbed)
         # The same pattern as the start's: its ordering is reused, and the
-        # LDL' kernel factors, alone.
+        # LDL' kernel factors, alone, in each iteration's predictor call.
         assert not splus and factorizations
         assert warm.warm and not warm.reordered and not warm.resumed
         assert warm.status == "optimal"
