@@ -27,11 +27,12 @@ The direction cases time one predictor direction (``kkt_direction``,
 through its wrapper in ``tests/helpers.py``) at that iterate, at N=30 and
 N=100: its right-hand side with the cone rows W (lambda \\ lambda o lambda),
 the refined KKT solve and ds = -r_ineq - G dx, with the KKT system factored
-there and the iterate's residuals. The
-residual cases time one evaluation of those residuals (``ipm._Residuals``):
-the products with P, A, A', G and G', r_dual, r_eq, r_ineq and their norms,
-and the objective. ``direction_sha256`` hashes (dx, dy, dz, ds) and
-``residuals_sha256`` the three residual vectors and the four scalars.
+there and the iterate's residuals. The residual cases time one evaluation of
+those residuals by the IPM's session (``ipm._Session.residuals``, the
+compiled ``ipm_residuals``): the products with P, A, A', G and G', r_dual,
+r_eq, r_ineq and their norms, the norms of z and y, and the objective.
+``direction_sha256`` hashes (dx, dy, dz, ds) and ``residuals_sha256`` the
+three residual vectors and the four scalars the loop reads.
 The KKT and cone-algebra cases run a fixed number of rounds after warm-up
 rounds (``KERNEL_ROUNDS``): at pytest-benchmark's default time budget
 their sub-millisecond medians moved more between runs than a kernel change
@@ -53,11 +54,12 @@ centrality corrector's scaled product at s + ds, z + dz with its
 eigenvalues clipped to [0.1 mu, 10 mu]. ``rhs_sha256`` hashes the three
 vectors. (The cone rows of a right-hand side are the direction's.)
 The iteration cases time one whole IPM iteration from that iterate, at
-N=30 and N=100, as ``ipm.solve`` takes it: the residuals, the gap, the
-predictor and corrector calls (``ipm._Newton.step``) and the update to the
-next iterate, which must be the cold solve's ninth, to the byte.
-``next_sha256`` hashes it (x, y, z, s) and ``ldl_solves`` counts the
-iteration's LDL' solves.
+N=30 and N=100, as ``ipm.solve`` takes it in its session (``ipm._Session``),
+whose iterate each round first sets back to that iterate, with its
+residuals, untimed: the gap, the predictor and corrector calls
+(``_Session.step``) and the advance to the next iterate with its residuals,
+which must be the cold solve's ninth, to the byte. ``next_sha256`` hashes
+it (x, y, z, s) and ``ldl_solves`` counts the iteration's LDL' solves.
 The projection case times one Gauss-Newton step
 (``scp.project_onto_rows``), the first of the nominal N=100 plan, with
 its ordering, analysis and LDL' factorization; ``step_sha256`` hashes the
@@ -286,14 +288,16 @@ def sha256(*arrays) -> str:
     return hashlib.sha256(np.concatenate(arrays).tobytes()).hexdigest()[:16]
 
 
-def residuals_at(prog, sol):
-    """The program's residual evaluation (``ipm._Residuals``) and the
-    iterate (x, y, z, s) of ``sol``."""
+def session_at(prog, sol):
+    """The IPM's session of the program (``ipm._Session``), on a KKT
+    system analysed afresh in the stage ordering, as a cold solve analyses
+    it, at a copy of the iterate (x, y, z, s) of ``sol``."""
+    P, A, G = (ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G))
     c, b, h = (np.ascontiguousarray(v, dtype=np.float64)
                for v in (prog.c, prog.b, prog.h))
-    residuals = ipm._Residuals(prog.P.tocsr(), prog.A.tocsr(),
-                               prog.G.tocsr(), c, b, h, prog.obj_offset)
-    return residuals, (sol.x, sol.y, sol.z, sol.s)
+    kkt = ipm._Kkt(P, A, G, prog.cones, stage=prog.stage)
+    return ipm._Session(kkt, P, A, c, b, h, prog.obj_offset,
+                        [v.copy() for v in (sol.x, sol.y, sol.z, sol.s)])
 
 
 def direction(benchmark, prog):
@@ -301,8 +305,9 @@ def direction(benchmark, prog):
     cones, sol, _ = mid_solve(prog)
     scaling = ipm._NTScaling(cones.points(sol.s, sol.z))
     kkt = ipm_kkt(prog, scaling)
-    residuals, iterate = residuals_at(prog, sol)
-    r = [v.copy() for v in residuals(*iterate)[:3]]
+    session = session_at(prog, sol)
+    session.residuals()
+    r = session.r_dual, session.r_eq, session.r_ineq
     lam = scaling.lam.u[0]
     lam_sq = cone_product(cones, lam, lam)
     step = kernel(benchmark, kkt_direction, kkt, scaling, *r, lam_sq)
@@ -322,10 +327,11 @@ def test_direction_n100(benchmark, subproblem):
 
 def evaluate_residuals(benchmark, prog):
     """The residuals at the cold solve's eighth iterate."""
-    evaluate, iterate = residuals_at(prog, mid_solve(prog)[1])
-    *vectors, pres, dres, pobj, rows = kernel(benchmark, evaluate, *iterate)
+    session = session_at(prog, mid_solve(prog)[1])
+    pres, dres, pobj, rows, *_ = kernel(benchmark, session.residuals)
     benchmark.extra_info["residuals_sha256"] = sha256(
-        *vectors, [pres, dres, pobj, rows])
+        session.r_dual, session.r_eq, session.r_ineq,
+        [pres, dres, pobj, rows])
 
 
 def test_residuals_n30(benchmark):
@@ -401,32 +407,37 @@ def test_cone_algebra_n100(benchmark, subproblem):
     cone_algebra(benchmark, subproblem[2])
 
 
-def iteration(newton, residuals, degree, x, y, z, s):
-    """One IPM iteration from (x, y, z, s), as ``ipm.solve`` takes it, and
-    the next iterate."""
-    residuals(x, y, z, s)
-    gap = float(s @ z)
-    alpha_p, alpha_d = newton.step(s, z, gap, gap / degree)
-    dx, dy, dz, ds = newton.direction()
-    return (x + alpha_p * dx, y + alpha_d * dy, z + alpha_d * dz,
-            s + alpha_p * ds)
+def iteration(session, degree):
+    """One IPM iteration of the session from the residuals' evaluation on,
+    as ``ipm.solve`` takes it: the gap, the step and the advance to the
+    next iterate, with its residuals."""
+    gap = float(session.s @ session.z)
+    alpha_p, alpha_d = session.step(gap, gap / degree)
+    session.advance(alpha_p, alpha_d)
 
 
 def ipm_iteration(benchmark, prog):
-    """The cold solve's eighth iteration, on a KKT system analysed afresh
-    in the stage ordering, as a cold solve analyses it."""
+    """The cold solve's eighth iteration, in a session on a KKT system
+    analysed afresh in the stage ordering, as a cold solve analyses it."""
     cones, sol, after = mid_solve(prog)
-    residuals, iterate = residuals_at(prog, sol)
-    kkt = ipm._Kkt(prog.P, prog.A, prog.G, cones, stage=prog.stage)
-    newton = ipm._Newton(kkt, residuals, prog.P.nnz > 0)
-    args = newton, residuals, cones.degree, *iterate
-    following = kernel(benchmark, iteration, *args)
+    session = session_at(prog, sol)
+    iterate = session.x, session.y, session.z, session.s
+
+    def restart():
+        """The session at the eighth iterate again, with its residuals."""
+        for v, start in zip(iterate, (sol.x, sol.y, sol.z, sol.s)):
+            v[...] = start
+        session.residuals()
+        return (session, cones.degree), {}
+
+    benchmark.pedantic(iteration, setup=restart, **KERNEL_ROUNDS)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(
-        following, (after.x, after.y, after.z, after.s)))
-    before = kkt.ldl_solves
+        iterate, (after.x, after.y, after.z, after.s)))
+    args, _ = restart()
+    before = session._kkt.ldl_solves
     iteration(*args)
-    benchmark.extra_info["ldl_solves"] = kkt.ldl_solves - before
-    benchmark.extra_info["next_sha256"] = sha256(*following)
+    benchmark.extra_info["ldl_solves"] = session._kkt.ldl_solves - before
+    benchmark.extra_info["next_sha256"] = sha256(*iterate)
 
 
 def test_ipm_iteration_n30(benchmark):

@@ -65,29 +65,40 @@ step lowers it, as in Clarabel. The IPM's directions are solved to
 REFINE_TOL, since later iterations correct a direction's error; the cold
 start is not refined (a tolerance of infinity), and forms no residual.
 
-Each iteration's work runs in compiled code in two calls, as ECOS and
-Clarabel run the predictor-corrector step (``_Newton``), after the
-residuals' own call (``kkt_residuals``: the products with P, A, A', G and
-G', r_dual, r_eq and r_ineq and their infinity norms; ``_Residuals``).
-``ipm_predictor`` forms the iterate's cone data once (the J-norms and
-normalized blocks of s and z, and the violations of its interior test),
-which the NT scaling and every step length of the iteration read, and
-lambda's; then lambda o lambda, K's -(W'W + eps I) block and its
-factorization, the affine direction, its step lengths and the trial
-points. ``ipm_corrector`` takes sigma and forms the combined direction, its
-step pair and the Gondzio rounds. A direction is one refined KKT solve
-(``kkt_direction``: its right-hand side with the cone rows W (lambda \\ v),
-the permutation into K's ordering and back, the LDL' solves and the
-refinement's residuals, and ds = -r_ineq - G dx). Both calls compose the
-compiled pieces that replaced the numpy and scipy code of the iteration,
-each adding in that code's order, and take Python's min and max where it
-did (the first argument, unless the second compares below or above it:
-min(1.0, nan) is 1.0); so the iterates are its, to the bit. The dot
-products (s'z, c'x, x'Px, b'y, h'z, and the affine gap from the
-predictor's trial points) stay numpy's, between the calls, because C
-would not add them in the order of numpy's BLAS; so do sigma, the
-verdicts, the stall test and the update of the iterate. A solution counts
-the LDL' solves it took (``ldl_solves``).
+Each solve keeps one compiled context, as ECOS and Clarabel keep one
+workspace per solve (``_Session``; ``ldl.IpmContext``, ``struct
+ipm_context`` in ``ldl.c``). It holds the sizes, the constants below and
+the address of every array the iterations read or write: K, its factors
+and its ordering, the program's CSR matrices P, A and G and its c, b and
+h, the residual and Newton buffers, and the iterate (x, y, z, s), which
+the session owns and moves in place. Each array is checked once, when the
+context is filled, and each iteration is three calls that take the
+context's address and at most two scalars. ``ipm_predictor`` forms the
+iterate's cone data once (the J-norms and normalized blocks of s and z,
+and the violations of its interior test), which the NT scaling and every
+step length of the iteration read, and lambda's; then lambda o lambda,
+K's -(W'W + eps I) block and its factorization, the affine direction, its
+step lengths and the trial points. ``ipm_corrector`` takes sigma and mu
+and forms the combined direction, its step pair and the Gondzio rounds.
+``ipm_advance`` takes the step pair, moves the iterate along the
+direction, and evaluates the residuals there (``ipm_residuals``: the
+products with P, A, A', G and G', r_dual, r_eq and r_ineq, and the
+infinity norms of those, of A'y + G'z and of z and y, which the Farkas
+test reads). A direction is one refined KKT solve (``kkt_direction``: its
+right-hand side with the cone rows W (lambda \\ v), the permutation into
+K's ordering and back, the LDL' solves and the refinement's residuals,
+and ds = -r_ineq - G dx). The calls compose the compiled pieces that
+replaced the numpy and scipy code of the iteration, each adding in that
+code's order (an update x + alpha dx is the product, then the sum, as
+numpy forms it), and take Python's min and max where it did (the first
+argument, unless the second compares below or above it: min(1.0, nan) is
+1.0); so the iterates are its, to the bit. The dot products (s'z, c'x,
+x'Px, b'y, h'z, and the affine gap from the predictor's trial points)
+stay numpy's, between the calls, on the session's arrays, because C would
+not add them in the order of numpy's BLAS; so do sigma, the verdicts and
+the stall test, which comes before the update, so that a step it rejects
+is never taken. A solution counts the LDL' solves it took
+(``ldl_solves``).
 
 The initial point is either cold, from one KKT solve with W = I, or warm,
 from ``program.start`` (the solution of a nearby program, such as the
@@ -177,7 +188,7 @@ class _NTScaling:
     the cone data of a point (s, z), ``Cones.points(s, z)``, by
     ``cone_nt_scaling`` in ``cones.c``, and holds lambda's (``lam``). The
     cold start factors K at it, at s = z = e (W = I); each iteration's
-    scaling is ``ipm_predictor``'s (``_Newton``).
+    scaling is ``ipm_predictor``'s (``_Session``).
     """
 
     def __init__(self, iterate: ConePoints):
@@ -298,15 +309,17 @@ class _Kkt:
     it by ``cone_w2_scatter`` and factors K by the compiled LDL'
     (``ldl.Factors``, on the analysis's row patterns); an exact zero pivot
     takes its row's ``_reg_sign``. The cold start's ``factor`` and ``solve``
-    are its own; each iteration factors K and solves in ``_Newton``'s two
-    calls. Every solve works in K's ordering throughout, and
-    ``ldl_solves`` counts the LDL' solves of them all.
+    are its own; each iteration factors K and solves in the session's
+    calls (``_Session``), from the addresses ``context_arrays`` gives. Every
+    solve works in K's ordering throughout, and ``ldl_solves`` counts the
+    LDL' solves of them all.
     """
 
     def __init__(self, P, A, G, cones: Cones,
                  analysis: _Analysis | None = None, stage=None):
         P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
-        self._G, self._held = ldl.csr_args("G", G), G   # for ds = -r - G dx
+        # G, for ds = -r - G dx and the session's residuals.
+        self._G, self._held = ldl.csr_args("G", G), G
         n, me = P.shape[0], A.shape[0]
         values = np.concatenate([P.data[_upper(P)], np.full(n, REG), A.data,
                                  np.full(me, -REG), G.data])
@@ -324,11 +337,10 @@ class _Kkt:
         self.cones = cones
         self._w2_args = tuple(map(ldl._address, (a.w2_slots, self._values)))
         self.ldl_solves = 0
-        # kkt_solve's arguments from Ap to work, and those of kkt_direction,
-        # ipm_predictor and ipm_corrector.
+        # kkt_solve's arguments from Ap to work, and kkt_direction's.
+        self._work = np.empty(6 * self.order.size)
         self._system = (*self._ldl.kkt_args(self._values, self._reg_sign),
-                        *map(ldl._address,
-                             (self.order, np.empty(6 * self.order.size))))
+                        *map(ldl._address, (self.order, self._work)))
         self._sizes = n, me
 
     def factor(self, scaling: _NTScaling) -> None:
@@ -342,6 +354,14 @@ class _Kkt:
             *self._w2_args)
         if self._ldl.factor(self._values, self._reg_sign) < 0:
             raise RuntimeError("the KKT factorization met a NaN pivot")
+
+    def context_arrays(self) -> dict:
+        """The addresses of K, its factors, its ordering and workspace, the
+        slots of -(W^2 + reg I) and G, by their ``ldl.IpmContext`` names."""
+        names = "Kp Ki Kx reg_sign Lp Li Lx D order work Rp Ri iwork Gp Gi Gv"
+        return dict(zip(names.split(), (*self._system, *self._ldl.rows_args,
+                                        *self._G)),
+                    w2_slots=self._w2_args[0])
 
     def solve(self, rhs: np.ndarray, tol: float) -> np.ndarray:
         """Solve with the last factorization, in K's ordering, refined
@@ -359,60 +379,95 @@ class _Kkt:
         return sol
 
 
-class _Newton:
-    """One solve's Newton steps, each iteration's two kernel calls, with
-    the buffers they share allocated once per solve.
+class _Session:
+    """One solve's compiled context (``ldl.IpmContext``, ``struct
+    ipm_context`` in ``ldl.c``) and every array it points to, each checked
+    once, here (``ldl._checked``, ``ldl.csr_args``): K and its factors
+    (``kkt``, whose G is the program's), the program's P, A, c, b and h,
+    the buffers below, and the iterate ``x``, ``y``, ``z`` and ``s``, which
+    the session takes over and moves in place.
 
-    ``predictor`` (``ipm_predictor``) takes the iterate (s, z) and the
-    residuals' last evaluation. It writes the cone data of s, z and lambda
-    (rows 0, 1 and 2 of ``norm_sq``, ``norm`` and ``bar``), the NT scaling
-    (``w_nn``, and W, W^{-1} and W^2 stacked in ``W``), lambda and
-    lambda o lambda (``lam``), K's factors, the affine direction
-    (``sol_a``, ``ds_a``) and the trial points ``trial_s`` and
-    ``trial_z``. ``corrector`` (``ipm_corrector``) takes sigma and mu, and
-    writes the step's direction (``sol``, ``ds``; ``direction``) and
-    returns its step pair. ``step`` is both, with sigma from the trial
-    points' s'z. The KKT system's ``ldl_solves`` counts their solves.
+    ``residuals`` (``ipm_residuals``) evaluates the KKT residuals at the
+    iterate: r_dual, r_eq and r_ineq, P x (``Px``) and their norms, with
+    those of A'y + G'z, z and y. ``predictor`` (``ipm_predictor``) writes
+    the cone data of s, z and lambda (rows 0, 1 and 2 of ``norm_sq``,
+    ``norm`` and ``bar``), the NT scaling (``w_nn``, and W, W^{-1} and W^2
+    stacked in ``W``), lambda and lambda o lambda (``lam``), K's factors,
+    the affine direction (``sol_a``, ``ds_a``) and the trial points
+    ``trial_s`` and ``trial_z``. ``corrector`` (``ipm_corrector``) takes
+    sigma and mu, writes the step's direction (``sol``, ``ds``;
+    ``direction``) and returns its step pair. ``step`` is both, with sigma
+    from the trial points' s'z. ``advance`` (``ipm_advance``) moves the
+    iterate along the direction by a step pair and evaluates the residuals
+    there. The KKT system's ``ldl_solves`` counts the solves.
     """
 
-    def __init__(self, kkt: _Kkt, residuals: _Residuals, common: bool):
+    def __init__(self, kkt: _Kkt, P, A, c, b, h, obj_offset: float,
+                 iterate):
         cones = self.cones = kkt.cones
         n_nn, n_soc, d = cones.shape
-        dim, size = cones.dim, kkt.order.size
+        (n, me), mi, size = kkt._sizes, cones.dim, kkt.order.size
+        if (P.shape, A.shape) != ((n, n), (me, n)):
+            raise ValueError("P and A do not have the KKT system's shapes")
         self._kkt, self._sizes = kkt, kkt._sizes
-        self.u = np.empty((2, dim))
-        self.norm_sq, self.norm = np.empty((2, 3, n_soc))
-        self.bar, worst = np.empty((3, n_soc, d)), np.empty(3)
-        self.w_nn, self.W = np.empty(n_nn), np.empty((3, n_soc, d, d))
-        self.lam = np.empty((2, dim))
-        self.sol_a, self.sol = np.empty((2, size))
-        self.ds_a, self.ds = np.empty((2, dim))
-        self.trial_s, self.trial_z = np.empty(dim), np.empty(dim)
-        self.alpha = np.empty(2)
-        system = (size, REFINE_STEPS, REFINE_TOL, *kkt._system)
-        program = (*kkt._sizes, *cones.shape, *kkt._G, *map(ldl._address, (
-            residuals.r_dual, residuals.r_eq, residuals.r_ineq)))
-        state = tuple(map(ldl._address, (self.u, self.norm_sq, self.norm,
-                                         self.bar)))
-        scaling = tuple(map(ldl._address, (self.w_nn, self.W, self.lam)))
-        affine = tuple(map(ldl._address, (self.sol_a, self.ds_a)))
-        self._predictor = (
-            *system, *kkt._ldl.rows_args, REG,
-            ldl._address(kkt.analysis.w2_slots), *program, *state,
-            ldl._address(worst), *scaling, *affine,
-            *map(ldl._address, (self.trial_s, self.trial_z)))
-        self._corrector = (
-            *system, *program, *state, *scaling, *affine,
-            ldl._address(np.empty(2 * size + 8 * dim)),
-            CENTRALITY_CORRECTORS, int(common), STEP_DAMPING, GONDZIO_ENOUGH,
-            GONDZIO_STRETCH, GONDZIO_LIFT, *GONDZIO_BAND, GONDZIO_MU_FLOOR,
-            GONDZIO_GAIN, *map(ldl._address, (self.sol, self.ds, self.alpha)))
+        self._c, self._obj_offset = c, obj_offset
+        self._scales = [max(1.0, _norm_inf(v)) for v in (b, h, c)]
+        self.x, self.y, self.z, self.s = iterate
+        arrays = dict(zip(("Pp", "Pi", "Pv", "Ap", "Ai", "Av"),
+                          (*ldl.csr_args("P", P), *ldl.csr_args("A", A))))
+        arrays.update(
+            c=ldl._checked("c", c, np.float64, n),
+            b=ldl._checked("b", b, np.float64, me),
+            h=cones.address("h", h),
+            x=ldl._checked("x", self.x, np.float64, n),
+            y=ldl._checked("y", self.y, np.float64, me),
+            z=cones.address("z", self.z), s=cones.address("s", self.s))
+        # The buffers, all in one array, each an attribute that views it.
+        shapes = dict(
+            Px=(n,), r_dual=(n,), r_eq=(me,), r_ineq=(mi,), norms=(6,),
+            rwork=(2 * n,), u=(2, mi), norm_sq=(3, n_soc),
+            norm=(3, n_soc), bar=(3, n_soc, d), worst=(3,), w_nn=(n_nn,),
+            W=(3, n_soc, d, d), lam=(2, mi), sol_a=(size,), ds_a=(mi,),
+            trial_s=(mi,), trial_z=(mi,), sol=(size,), ds=(mi,),
+            alpha=(2,), cwork=(2 * size + 8 * mi,))
+        buffers = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+        base, offset = ldl._address(buffers), 0
+        for name, shape in shapes.items():
+            count = math.prod(shape)
+            setattr(self, name, buffers[offset:offset + count].reshape(shape))
+            arrays[name] = base + buffers.itemsize * offset
+            offset += count
+        self._held = kkt, P, A, b, h, buffers   # what the context points to
+        self._context = ldl.IpmContext(
+            n=size, nx=n, me=me, n_nn=n_nn, n_soc=n_soc, d=d,
+            steps=REFINE_STEPS, tol=REFINE_TOL, reg=REG, common=P.nnz > 0,
+            rounds=CENTRALITY_CORRECTORS, damping=STEP_DAMPING,
+            enough=GONDZIO_ENOUGH, stretch=GONDZIO_STRETCH,
+            lift=GONDZIO_LIFT, lo=GONDZIO_BAND[0], hi=GONDZIO_BAND[1],
+            mu_floor=GONDZIO_MU_FLOOR, gain=GONDZIO_GAIN,
+            **kkt.context_arrays(), **arrays)
 
-    def predictor(self, s: np.ndarray, z: np.ndarray) -> int:
-        """The predictor at (s, z): the number of LDL' solves it took, or
-        OFF_INTERIOR or NAN_PIVOT."""
-        args = self.cones.address("s", s), self.cones.address("z", z)
-        code = ldl._library().ipm_predictor(*self._predictor, *args)
+    def residuals(self) -> tuple:
+        """The residuals at the iterate, and what the loop reads of them
+        (``measures``)."""
+        ldl._library().ipm_residuals(self._context)
+        return self.measures()
+
+    def measures(self) -> tuple:
+        """Of the last evaluation: the scaled primal and dual residuals the
+        tolerances judge, the objective, |A'y + G'z|_inf for the Farkas
+        test, and |z|_inf and |y|_inf."""
+        dual, eq, ineq, rows, z_norm, y_norm = self.norms.tolist()
+        b_scale, h_scale, c_scale = self._scales
+        pobj = float(self._c @ self.x) + self._obj_offset \
+            + 0.5 * float(self.x @ self.Px)
+        return (max(eq / b_scale, ineq / h_scale), dual / c_scale, pobj,
+                rows, z_norm, y_norm)
+
+    def predictor(self) -> int:
+        """The predictor at the iterate: the number of LDL' solves it took,
+        or OFF_INTERIOR or NAN_PIVOT."""
+        code = ldl._library().ipm_predictor(self._context)
         if code != OFF_INTERIOR:
             self._kkt._ldl._factored = code != NAN_PIVOT
         self._kkt.ldl_solves += max(code, 0)
@@ -422,69 +477,33 @@ class _Newton:
         """The corrector at sigma and mu, after ``predictor``: the step
         pair (alpha_p, alpha_d) of its direction."""
         self._kkt.ldl_solves += ldl._library().ipm_corrector(
-            *self._corrector, sigma, mu)
+            self._context, sigma, mu)
         alpha_p, alpha_d = self.alpha.tolist()
         return alpha_p, alpha_d
 
-    def step(self, s: np.ndarray, z: np.ndarray, gap: float,
-             mu: float) -> tuple[float, float] | None:
-        """The iteration's step at (s, z), whose s'z is ``gap`` and
+    def step(self, gap: float, mu: float) -> tuple[float, float] | None:
+        """The iteration's step at the iterate, whose s'z is ``gap`` and
         gap / degree ``mu``: ``corrector``'s step pair at Mehrotra's sigma,
         (the trial points' s'z / gap)^3 at most 1, or None if the gap is
         not positive or the predictor fails."""
-        if gap <= 0.0 or self.predictor(s, z) < 0:
+        if gap <= 0.0 or self.predictor() < 0:
             return None
         gap_aff = float(self.trial_s @ self.trial_z)
         sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
         return self.corrector(sigma, mu)
+
+    def advance(self, alpha_p: float, alpha_d: float) -> tuple:
+        """Move the iterate along the corrector's direction, x and s by
+        alpha_p and y and z by alpha_d, and evaluate the residuals there:
+        their ``measures``."""
+        ldl._library().ipm_advance(self._context, alpha_p, alpha_d)
+        return self.measures()
 
     def direction(self) -> tuple[np.ndarray, ...]:
         """The corrector's direction (dx, dy, dz, ds), as views of its
         buffers, which the next iteration overwrites."""
         n, me = self._sizes
         return self.sol[:n], self.sol[n:n + me], self.sol[n + me:], self.ds
-
-
-class _Residuals:
-    """The KKT residuals of one program, each evaluation one call of
-    ``kkt_residuals``, from its CSR matrices P, A and G (``ldl.csr_args``)
-    and its c, b and h; the norms of b, h and c that scale them are taken
-    once. An evaluation's vectors are overwritten by the next."""
-
-    def __init__(self, P, A, G, c, b, h, obj_offset: float):
-        n, me, mi = self._sizes = P.shape[0], A.shape[0], G.shape[0]
-        self._c, self._obj_offset = c, obj_offset
-        self._held = P, A, G, b, h    # the arrays _args points into
-        self._scales = [max(1.0, _norm_inf(v)) for v in (b, h, c)]
-        self.Px, self.r_dual = np.empty((2, n))
-        self.r_eq, self.r_ineq, self._norms, work = \
-            np.empty(me), np.empty(mi), np.empty(4), np.empty(2 * n)
-        self._args = (
-            *ldl.csr_args("P", P), *ldl.csr_args("A", A),
-            *ldl.csr_args("G", G), ldl._checked("c", c, np.float64, n),
-            ldl._checked("b", b, np.float64, me),
-            ldl._checked("h", h, np.float64, mi))
-        self._outputs = tuple(map(ldl._address, (
-            self.Px, self.r_dual, self.r_eq, self.r_ineq, work, self._norms)))
-
-    def __call__(self, x, y, z, s) -> tuple:
-        """At the iterate (x, y, z, s): r_dual, r_eq and r_ineq, the scaled
-        primal and dual residuals the tolerances judge, the objective, and
-        |A'y + G'z|_inf for the Farkas test."""
-        n, me, mi = self._sizes
-        iterate = (ldl._checked("x", x, np.float64, n),
-                   ldl._checked("y", y, np.float64, me),
-                   ldl._checked("z", z, np.float64, mi),
-                   ldl._checked("s", s, np.float64, mi))
-        ldl._library().kkt_residuals(n, me, mi, *self._args, *iterate,
-                                     *self._outputs)
-        dual, eq, ineq, rows = self._norms.tolist()
-        b_scale, h_scale, c_scale = self._scales
-        pres = max(eq / b_scale, ineq / h_scale)
-        pobj = float(self._c @ x) + self._obj_offset \
-            + 0.5 * float(x @ self.Px)
-        return (self.r_dual, self.r_eq, self.r_ineq, pres, dual / c_scale,
-                pobj, rows)
 
 
 def solve_robust(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
@@ -506,7 +525,6 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
     P, A, G = (_kernel_csr(M) for M in (program.P, program.A, program.G))
     me, mi = A.shape[0], G.shape[0]
     cones = program.cones
-    residuals = _Residuals(P, A, G, c, b, h, program.obj_offset)
 
     start = program.start
     warm = start is not None and all(
@@ -517,8 +535,6 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         and start._program() is program
     kkt = _Kkt(P, A, G, cones, start._analysis if warm else None,
                program.stage)
-    newton = _Newton(kkt, residuals, P.nnz > 0)
-    e = cones.identity()
     if warm:
         x, y = start.x.copy(), start.y.copy()
         s, z = (u.copy() if resumed and cones.interior_violation(u) < 0
@@ -529,7 +545,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         # factorization fails (a non-finite P, A or G), the solve starts
         # from (0, 0, e, e), and its first iteration ends it as the loop's
         # guards find it: a non-finite residual, or the same factorization.
-        x, y, s, z = np.zeros(n), np.zeros(me), e, e
+        e = cones.identity()
+        x, y, s, z = np.zeros(n), np.zeros(me), e, e.copy()
         try:
             kkt.factor(_NTScaling(cones.points(e, e)))
         except RuntimeError:
@@ -541,6 +558,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             z0 = init[n + me:]
             s = cones.shift_into_interior(-z0.copy())
             z = cones.shift_into_interior(z0.copy())
+    # The session moves x, y, z and s in place.
+    session = _Session(kkt, P, A, c, b, h, program.obj_offset, (x, y, z, s))
 
     best_res = np.inf
     growth_count = 0
@@ -551,15 +570,16 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
     stall_count = 0
     mu_prev = np.inf
 
+    # The residual vectors stay in the session's buffers, where the step
+    # reads them; each step's advance evaluates them at the next iterate.
+    measures = session.residuals()
     for iteration in range(1, MAX_ITER + 1):
-        # The residual vectors stay in residuals' buffers, where the step
-        # reads them.
-        *_, pres, dres, pobj, dual_rows = residuals(x, y, z, s)
+        pres, dres, pobj, dual_rows, z_norm, y_norm = measures
         gap = float(s @ z)
         mu = gap / cones.degree
         rel_gap = gap / max(1.0, abs(pobj))
 
-        if not np.isfinite(pres + dres + gap):
+        if not math.isfinite(pres + dres + gap):
             status = "numerical_failure"
             break
         gap_ok = mu < tol or rel_gap < 0.1 * tol
@@ -577,10 +597,11 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
 
         # Infeasibility: approximate Farkas certificate carried by the duals,
         # confirmed after sustained lack of progress.
-        dual_scale = max(_norm_inf(z), _norm_inf(y), 1.0)
-        farkas_res = dual_rows / dual_scale
-        farkas_gap = (float(b @ y) + float(h @ z)) / dual_scale
-        certificate = farkas_res < 1e-8 and farkas_gap < -1e-10
+        dual_scale = max(z_norm, y_norm, 1.0)
+        certificate = False
+        if dual_rows / dual_scale < 1e-8:
+            farkas_gap = (float(b @ y) + float(h @ z)) / dual_scale
+            certificate = farkas_gap < -1e-10
         total_res = max(pres, dres, mu)
         if total_res < best_res * 0.999:
             best_res = total_res
@@ -594,12 +615,11 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
             status = _stall_status(pres)
             break
 
-        alphas = newton.step(s, z, gap, mu)
+        alphas = session.step(gap, mu)
         if alphas is None:
             status = "numerical_failure"
             break
         alpha_p, alpha_d = alphas
-        dx, dy, dz, ds = newton.direction()
 
         # Hard stall: the direction no longer moves the iterate. A solve
         # that met the tolerances before it stalled returns its polish
@@ -612,17 +632,16 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         if stall_count >= 3 or max(alpha_p, alpha_d) < 1e-10:
             status = _stall_status(pres)
             break
-        x = x + alpha_p * dx
-        s = s + alpha_p * ds
-        y = y + alpha_d * dy
-        z = z + alpha_d * dz
+        measures = session.advance(alpha_p, alpha_d)
 
     if candidate is not None:
         status = "optimal"
-        x, y, z, s = candidate
+        for v, best in zip((x, y, z, s), candidate):
+            v[...] = best
+        measures = session.residuals()
 
     gap = float(s @ z)
-    *_, pres, dres, pobj, _ = residuals(x, y, z, s)
+    pres, dres, pobj, *_ = measures
     return SolverSolution(
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
         objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),

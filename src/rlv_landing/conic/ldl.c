@@ -26,23 +26,27 @@
  * a test built to reach it. Those tests pass with the regularized pivot. A
  * NaN pivot fails the factorization.
  *
- * kkt_solve, kkt_direction and kkt_residuals are the IPM's KKT solve,
- * Newton direction and residuals, each one call: the refined solve in K's
- * ordering, the direction's right-hand side with its cone rows (cone_rhs
- * in cones.c), and the products with P, A, A', G and G' of the program's
- * CSR matrices. Each adds its terms in the order the numpy and scipy code
- * it replaced adds them, so that its results are that code's to the bit: a
- * CSR product adds each row's terms from 0.0 in stored order (scipy's
- * csr_matvec), and a product with a transpose each column's in ascending
- * row order (csr_matvec of scipy's CSR transpose). An infinity norm is
- * NaN if an entry is NaN, as numpy's maximum is.
+ * kkt_solve and kkt_direction are the IPM's KKT solve and Newton
+ * direction, each one call: the refined solve in K's ordering, and the
+ * direction's right-hand side with its cone rows (cone_rhs in cones.c).
+ * Each adds its terms in the order the numpy and scipy code it replaced
+ * adds them, so that its results are that code's to the bit, as do the
+ * residuals' products with P, A, A', G and G' of the program's CSR
+ * matrices: a CSR product adds each row's terms from 0.0 in stored order
+ * (scipy's csr_matvec), and a product with a transpose each column's in
+ * ascending row order (csr_matvec of scipy's CSR transpose). An infinity
+ * norm is NaN if an entry is NaN, as numpy's maximum is.
  *
- * ipm_predictor and ipm_corrector are an IPM iteration, two calls: they
- * compose the cone algebra of cones.c, ldl_factor and kkt_direction,
- * unchanged, in the order the IPM's Python loop called them, and take
- * Python's min and max where that loop did, so that the iterates are the
- * loop's to the bit. The dot products between the two calls stay the
- * caller's (numpy's). */
+ * An IPM solve keeps one context, struct ipm_context: its sizes, constants
+ * and the address of every array its iterations read or write, the iterate
+ * among them. Each iteration is three calls that take the context's
+ * address: ipm_predictor, ipm_corrector (with sigma and mu) and
+ * ipm_advance (with the step pair), which moves the iterate and evaluates
+ * the residuals there (ipm_residuals). They compose the cone algebra of
+ * cones.c, ldl_factor and kkt_direction, unchanged, in the order the IPM's
+ * Python loop called them, and take Python's min and max where that loop
+ * did, so that the iterates are the loop's to the bit. The dot products
+ * between the calls stay the caller's (numpy's). */
 
 #include <math.h>
 #include <stddef.h>
@@ -346,38 +350,91 @@ int kkt_direction(int n, int steps, double tol, const int *Ap,
     return solves;
 }
 
-/* The KKT residuals of the program with n variables, me equality rows and
- * mi cone rows at (x, y, z, s), from its CSR matrices P, A and G: Px = P x,
- * r_dual = P x + c + A'y + G'z, r_eq = A x - b and r_ineq = G x + s - h,
- * and norms = the infinity norms of r_dual, r_eq, r_ineq and A'y + G'z.
- * work holds 2n doubles. */
-void kkt_residuals(int n, int me, int mi, const int *Pp, const int *Pi,
-                   const double *Pv, const int *Ap, const int *Ai,
-                   const double *Av, const int *Gp, const int *Gi,
-                   const double *Gv, const double *c, const double *b,
-                   const double *h, const double *x, const double *y,
-                   const double *z, const double *s, double *Px,
-                   double *r_dual, double *r_eq, double *r_ineq,
-                   double *work, double *norms)
+/* The context of one IPM solve (ipm._Session fills it, once): its sizes,
+ * its constants and every array its iterations read or write, so that each
+ * call of an iteration takes its address and at most two doubles. The KKT
+ * system has n = nx + me + mi rows: the program's nx variables, me
+ * equality rows and mi = n_nn + n_soc d cone rows, n_soc SOC blocks of
+ * dimension d. ldl.IpmContext mirrors it, field for field. */
+struct ipm_context {
+    int n, nx, me, n_nn, n_soc, d;
+    /* kkt_solve's refinement: at most steps steps, to tol. */
+    int steps;
+    double tol;
+    /* The static regularization of -(W^2 + reg I). */
+    double reg;
+    /* The step pair (step_pair) and the Gondzio rounds (ipm_corrector). */
+    int common, rounds;
+    double damping, enough, stretch, lift, lo, hi, mu_floor, gain;
+    /* K's upper triangle in K's ordering (Kp, Ki, Kx), the signed
+     * regularization reg_sign (n) that K less diag(reg_sign) is the
+     * unregularized matrix by, and ldl_factor's Lp, Rp, Ri, Li, Lx, D and
+     * iwork (n ints); K's row i is row order[i] of the system; work holds
+     * 6n doubles; -(W^2 + reg I) goes to Kx at w2_slots. */
+    const int *Kp, *Ki;
+    double *Kx;
+    const double *reg_sign;
+    const int *Lp, *Rp, *Ri;
+    int *Li;
+    double *Lx, *D;
+    int *iwork;
+    const int *order, *w2_slots;
+    double *work;
+    /* The program: its CSR matrices P (nx x nx), A (me x nx) and G
+     * (mi x nx), and c, b and h. */
+    const int *Pp, *Pi, *Ap, *Ai, *Gp, *Gi;
+    const double *Pv, *Av, *Gv, *c, *b, *h;
+    /* ipm_residuals' results: Px (nx), r_dual (nx), r_eq (me), r_ineq
+     * (mi), norms (6); rwork holds 2 nx doubles. */
+    double *Px, *r_dual, *r_eq, *r_ineq, *norms, *rwork;
+    /* ipm_predictor's results: the cone data of s, z and lam (u (2 mi),
+     * norm_sq and norm (3 n_soc), bar (3 n_soc d), worst (3)), the NT
+     * scaling (w_nn (n_nn), W (3 n_soc d d)), lam and lam o lam (lam
+     * (2 mi)), the affine direction (sol_a (n), ds_a (mi)) and the trial
+     * points (trial_s and trial_z, mi each). */
+    double *u, *norm_sq, *norm, *bar, *worst, *w_nn, *W, *lam;
+    double *sol_a, *ds_a, *trial_s, *trial_z;
+    /* ipm_corrector's results: its direction (sol (n), ds (mi)) and step
+     * pair (alpha, 2); cwork holds 2n + 8 mi doubles. */
+    double *sol, *ds, *alpha, *cwork;
+    /* The iterate, which ipm_advance moves: x (nx), y (me), z and s (mi
+     * each). */
+    double *x, *y, *z, *s;
+};
+
+/* sizeof(struct ipm_context), which a test holds ldl.IpmContext to. */
+int ipm_context_size(void)
 {
-    double *ATy = work, *GTz = work + n;
-    csr_matvec(n, Pp, Pi, Pv, x, Px);
-    csr_matvec_t(me, n, Ap, Ai, Av, y, ATy);
-    csr_matvec_t(mi, n, Gp, Gi, Gv, z, GTz);
-    for (int j = 0; j < n; j++) {
-        r_dual[j] = Px[j] + c[j] + ATy[j] + GTz[j];
+    return (int)sizeof(struct ipm_context);
+}
+
+/* The KKT residuals at the context's iterate (x, y, z, s), from the
+ * program's CSR matrices P, A and G: Px = P x, r_dual = P x + c + A'y +
+ * G'z, r_eq = A x - b and r_ineq = G x + s - h, and norms = the infinity
+ * norms of r_dual, r_eq, r_ineq, A'y + G'z, z and y. */
+void ipm_residuals(struct ipm_context *c)
+{
+    const int nx = c->nx, me = c->me, mi = c->n - nx - me;
+    double *ATy = c->rwork, *GTz = c->rwork + nx;
+    csr_matvec(nx, c->Pp, c->Pi, c->Pv, c->x, c->Px);
+    csr_matvec_t(me, nx, c->Ap, c->Ai, c->Av, c->y, ATy);
+    csr_matvec_t(mi, nx, c->Gp, c->Gi, c->Gv, c->z, GTz);
+    for (int j = 0; j < nx; j++) {
+        c->r_dual[j] = c->Px[j] + c->c[j] + ATy[j] + GTz[j];
         ATy[j] += GTz[j];   /* now A'y + G'z */
     }
-    csr_matvec(me, Ap, Ai, Av, x, r_eq);
+    csr_matvec(me, c->Ap, c->Ai, c->Av, c->x, c->r_eq);
     for (int i = 0; i < me; i++)
-        r_eq[i] = r_eq[i] - b[i];
-    csr_matvec(mi, Gp, Gi, Gv, x, r_ineq);
+        c->r_eq[i] = c->r_eq[i] - c->b[i];
+    csr_matvec(mi, c->Gp, c->Gi, c->Gv, c->x, c->r_ineq);
     for (int i = 0; i < mi; i++)
-        r_ineq[i] = r_ineq[i] + s[i] - h[i];
-    norms[0] = norm_inf(n, r_dual);
-    norms[1] = norm_inf(me, r_eq);
-    norms[2] = norm_inf(mi, r_ineq);
-    norms[3] = norm_inf(n, ATy);
+        c->r_ineq[i] = c->r_ineq[i] + c->s[i] - c->h[i];
+    c->norms[0] = norm_inf(nx, c->r_dual);
+    c->norms[1] = norm_inf(me, c->r_eq);
+    c->norms[2] = norm_inf(mi, c->r_ineq);
+    c->norms[3] = norm_inf(nx, ATy);
+    c->norms[4] = norm_inf(mi, c->z);
+    c->norms[5] = norm_inf(me, c->y);
 }
 
 /* Python's min(a, b) and max(a, b): a, unless b compares below (above) it,
@@ -395,173 +452,153 @@ static double py_max(double a, double b)
 /* The steps alpha[0] of s along ds and alpha[1] of z along dz to the cone
  * boundary, from the cone data (norm, bar) of the stack u = (s, z): the
  * steps cone_max_steps gives the stacked pair. */
-static void iterate_steps(int n_nn, int n_soc, int d, const double *u,
-                          const double *norm, const double *bar,
-                          const double *ds, const double *dz, double *alpha)
+static void iterate_steps(const struct ipm_context *c, const double *ds,
+                          const double *dz, double *alpha)
 {
-    const ptrdiff_t dim = n_nn + (ptrdiff_t)n_soc * d;
-    cone_max_steps(1, n_nn, n_soc, d, u, norm, bar, ds, alpha);
-    cone_max_steps(1, n_nn, n_soc, d, u + dim, norm + n_soc,
-                   bar + (ptrdiff_t)n_soc * d, dz, alpha + 1);
+    const ptrdiff_t mi = c->n - c->nx - c->me;
+    cone_max_steps(1, c->n_nn, c->n_soc, c->d, c->u, c->norm, c->bar, ds,
+                   alpha);
+    cone_max_steps(1, c->n_nn, c->n_soc, c->d, c->u + mi, c->norm + c->n_soc,
+                   c->bar + (ptrdiff_t)c->n_soc * c->d, dz, alpha + 1);
 }
 
 /* The damped step pair along (ds, dz): min(1, damping alpha) for each of
  * iterate_steps' alpha, and the smaller of the two for both when common
  * (with a quadratic objective, whose P dx couples the dual equation to
  * the primal step). */
-static void step_pair(int n_nn, int n_soc, int d, const double *u,
-                      const double *norm, const double *bar, const double *ds,
-                      const double *dz, double damping, int common,
-                      double *ap, double *ad)
+static void step_pair(const struct ipm_context *c, const double *ds,
+                      const double *dz, double *ap, double *ad)
 {
     double alpha[2];
-    iterate_steps(n_nn, n_soc, d, u, norm, bar, ds, dz, alpha);
-    *ap = py_min(1.0, damping * alpha[0]);
-    *ad = py_min(1.0, damping * alpha[1]);
-    if (common)
+    iterate_steps(c, ds, dz, alpha);
+    *ap = py_min(1.0, c->damping * alpha[0]);
+    *ad = py_min(1.0, c->damping * alpha[1]);
+    if (c->common)
         *ap = *ad = py_min(*ap, *ad);
 }
 
-/* The predictor of an IPM iteration at (s, z), with the residuals r_dual,
- * r_eq and r_ineq, for mi = n_nn + n_soc d cone rows. In order: the cone
- * data of the stack u = (s, z) (cone_points' norm_sq, norm, bar and worst,
- * rows 0 and 1) and the interior test; the NT scaling (w_nn, and W, W^{-1}
- * and W^2 in the (3, n_soc, d, d) stack W), lam and lam o lam (the
- * (2, mi) stack lam) and lam's cone data (row 2 of norm_sq, norm and bar,
- * worst[2]); -(W^2 + kreg I) written into Ax at w2_slots (cone_w2_scatter)
- * and the LDL' factorization (ldl_factor, on the row patterns Rp and Ri,
- * with iwork of n ints and work); the affine direction (sol, ds) for
- * v = lam o lam (kkt_direction, whose arguments the others are); and the
- * trial points trial_s = s + a_s ds and trial_z = z + a_z dz, each a =
- * min(1, the step to the cone boundary). Returns the number of LDL'
- * solves, -1 if s or z is not inside the cones, or -2 at a NaN pivot. */
-int ipm_predictor(int n, int steps, double tol, const int *Ap,
-                  const int *Ai, double *Ax, const double *reg,
-                  const int *Lp, int *Li, double *Lx, double *D,
-                  const int *order, double *work, const int *Rp,
-                  const int *Ri, int *iwork, double kreg,
-                  const int *w2_slots, int nx, int me, int n_nn, int n_soc,
-                  int d, const int *Gp, const int *Gi, const double *Gx,
-                  const double *r_dual, const double *r_eq,
-                  const double *r_ineq, double *u, double *norm_sq,
-                  double *norm, double *bar, double *worst, double *w_nn,
-                  double *W, double *lam, double *sol, double *ds,
-                  double *trial_s, double *trial_z, const double *s,
-                  const double *z)
+/* kkt_direction on the context's KKT system, factored at its NT scaling,
+ * for these residuals and v: the direction (sol, ds). */
+static int direction(const struct ipm_context *c, const double *r_dual,
+                     const double *r_eq, const double *r_ineq,
+                     const double *v, double *sol, double *ds)
 {
-    const ptrdiff_t mi = n_nn + (ptrdiff_t)n_soc * d;
+    return kkt_direction(c->n, c->steps, c->tol, c->Kp, c->Ki, c->Kx,
+                         c->reg_sign, c->Lp, c->Li, c->Lx, c->D, c->order,
+                         c->work, c->nx, c->me, c->n_nn, c->n_soc, c->d,
+                         c->lam, c->norm_sq + 2 * c->n_soc, c->w_nn, c->W,
+                         c->Gp, c->Gi, c->Gv, r_dual, r_eq, r_ineq, v, sol,
+                         ds);
+}
+
+/* The predictor of an IPM iteration at the context's (s, z), with the
+ * residuals of ipm_residuals. In order: the cone data of the stack u =
+ * (s, z) (cone_points' norm_sq, norm, bar and worst, rows 0 and 1) and the
+ * interior test; the NT scaling (w_nn, and W, W^{-1} and W^2 in the
+ * (3, n_soc, d, d) stack W), lam and lam o lam (the (2, mi) stack lam) and
+ * lam's cone data (row 2 of norm_sq, norm and bar, worst[2]); -(W^2 +
+ * reg I) written into Kx at w2_slots (cone_w2_scatter) and the LDL'
+ * factorization (ldl_factor, on the row patterns Rp and Ri); the affine
+ * direction (sol_a, ds_a) for v = lam o lam; and the trial points trial_s
+ * = s + a_s ds_a and trial_z = z + a_z dz_a, each a = min(1, the step to
+ * the cone boundary). Returns the number of LDL' solves, -1 if s or z is
+ * not inside the cones, or -2 at a NaN pivot. */
+int ipm_predictor(struct ipm_context *c)
+{
+    const int n_nn = c->n_nn, n_soc = c->n_soc, d = c->d;
+    const ptrdiff_t mi = c->n - c->nx - c->me;
     const ptrdiff_t dd = (ptrdiff_t)n_soc * d * d, nb = (ptrdiff_t)n_soc * d;
+    const double *s = c->s, *z = c->z;
+    double *u = c->u, *lam = c->lam, *lam_sq = c->lam + mi;
     for (ptrdiff_t i = 0; i < mi; i++) {
         u[i] = s[i];
         u[mi + i] = z[i];
     }
-    cone_points(2, n_nn, n_soc, d, u, norm_sq, norm, bar, worst);
-    if (worst[0] >= 0.0 || worst[1] >= 0.0)
+    cone_points(2, n_nn, n_soc, d, u, c->norm_sq, c->norm, c->bar,
+                c->worst);
+    if (c->worst[0] >= 0.0 || c->worst[1] >= 0.0)
         return -1;
-    double *lam_sq = lam + mi;
-    cone_nt_scaling(n_nn, n_soc, d, u, norm, bar, w_nn, W, W + dd,
-                    W + 2 * dd, lam);
-    cone_points(1, n_nn, n_soc, d, lam, norm_sq + 2 * n_soc,
-                norm + 2 * n_soc, bar + 2 * nb, worst + 2);
+    cone_nt_scaling(n_nn, n_soc, d, u, c->norm, c->bar, c->w_nn, c->W,
+                    c->W + dd, c->W + 2 * dd, lam);
+    cone_points(1, n_nn, n_soc, d, lam, c->norm_sq + 2 * n_soc,
+                c->norm + 2 * n_soc, c->bar + 2 * nb, c->worst + 2);
     cone_product(n_nn, n_soc, d, lam, lam, lam_sq);
-    cone_w2_scatter(n_nn, n_soc, d, kreg, w_nn, W + 2 * dd, w2_slots, Ax);
-    if (ldl_factor(n, Ap, Ai, Ax, reg, Lp, Rp, Ri, Li, Lx, D, iwork,
-                   work) < 0)
+    cone_w2_scatter(n_nn, n_soc, d, c->reg, c->w_nn, c->W + 2 * dd,
+                    c->w2_slots, c->Kx);
+    if (ldl_factor(c->n, c->Kp, c->Ki, c->Kx, c->reg_sign, c->Lp, c->Rp,
+                   c->Ri, c->Li, c->Lx, c->D, c->iwork, c->work) < 0)
         return -2;
-    int solves = kkt_direction(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx,
-                               D, order, work, nx, me, n_nn, n_soc, d, lam,
-                               norm_sq + 2 * n_soc, w_nn, W, Gp, Gi, Gx,
-                               r_dual, r_eq, r_ineq, lam_sq, sol, ds);
-    const double *dz = sol + nx + me;
+    int solves = direction(c, c->r_dual, c->r_eq, c->r_ineq, lam_sq,
+                           c->sol_a, c->ds_a);
+    const double *ds = c->ds_a, *dz = c->sol_a + c->nx + c->me;
     double alpha[2];
-    iterate_steps(n_nn, n_soc, d, u, norm, bar, ds, dz, alpha);
+    iterate_steps(c, ds, dz, alpha);
     double a_s = py_min(1.0, alpha[0]), a_z = py_min(1.0, alpha[1]);
     for (ptrdiff_t i = 0; i < mi; i++) {
-        trial_s[i] = s[i] + a_s * ds[i];
-        trial_z[i] = z[i] + a_z * dz[i];
+        c->trial_s[i] = s[i] + a_s * ds[i];
+        c->trial_z[i] = z[i] + a_z * dz[i];
     }
     return solves;
 }
 
-/* The corrector of the IPM iteration ipm_predictor took, with its
- * arguments and results (u to lam, and its direction as sol_a and ds_a),
- * at sigma and mu. The direction (sol, ds) for v = lam o lam - sigma mu e
- * + (W^{-1} ds_a) o (W dz_a), e the identity, and its step pair alpha
- * (step_pair). Then up to rounds Gondzio centrality correctors (Gondzio,
- * Comput. Optim. Appl. 6(2), 1996), while min(alpha) <= enough: at the
- * trial point (s + t_p ds, z + t_d dz), each t = min(1, stretch alpha +
- * lift), its scaled products v_t = (W^{-1} s_t) o (W z_t) with their
- * eigenvalues clipped to [lo, hi] mu_t, mu_t = max(sigma mu, mu_floor
- * mu), give the direction with zero residuals for v_t - clip(v_t); it is
- * added to (sol, ds) if it lengthens min(alpha) by more than the factor
- * gain, and else ends the rounds. cwork holds 2n + 8 mi doubles. Returns
- * the number of LDL' solves. */
-int ipm_corrector(int n, int steps, double tol, const int *Ap,
-                  const int *Ai, const double *Ax, const double *reg,
-                  const int *Lp, const int *Li, const double *Lx,
-                  const double *D, const int *order, double *work, int nx,
-                  int me, int n_nn, int n_soc, int d, const int *Gp,
-                  const int *Gi, const double *Gx, const double *r_dual,
-                  const double *r_eq, const double *r_ineq,
-                  const double *u, const double *norm_sq,
-                  const double *norm, const double *bar, const double *w_nn,
-                  const double *W, const double *lam, const double *sol_a,
-                  const double *ds_a, double *cwork, int rounds, int common,
-                  double damping, double enough, double stretch, double lift,
-                  double lo, double hi, double mu_floor, double gain,
-                  double *sol, double *ds, double *alpha, double sigma,
-                  double mu)
+/* The corrector of the IPM iteration ipm_predictor took, at sigma and mu:
+ * the direction (sol, ds) for v = lam o lam - sigma mu e + (W^{-1} ds_a) o
+ * (W dz_a), e the identity, and its step pair alpha (step_pair). Then up
+ * to rounds Gondzio centrality correctors (Gondzio, Comput. Optim. Appl.
+ * 6(2), 1996), while min(alpha) <= enough: at the trial point (s + t_p ds,
+ * z + t_d dz), each t = min(1, stretch alpha + lift), its scaled products
+ * v_t = (W^{-1} s_t) o (W z_t) with their eigenvalues clipped to [lo, hi]
+ * mu_t, mu_t = max(sigma mu, mu_floor mu), give the direction with zero
+ * residuals for v_t - clip(v_t); it is added to (sol, ds) if it lengthens
+ * min(alpha) by more than the factor gain, and else ends the rounds.
+ * Returns the number of LDL' solves. */
+int ipm_corrector(struct ipm_context *c, double sigma, double mu)
 {
-    const ptrdiff_t mi = n_nn + (ptrdiff_t)n_soc * d, nz = nx + me;
-    const double *Winv = W + (ptrdiff_t)n_soc * d * d;
-    const double *lam_sq = lam + mi, *lam_norm_sq = norm_sq + 2 * n_soc;
-    double *v = cwork, *s_t = v + mi, *z_t = s_t + mi, *v_t = z_t + mi;
+    const int n = c->n, n_nn = c->n_nn, n_soc = c->n_soc, d = c->d;
+    const ptrdiff_t mi = n - c->nx - c->me, nz = c->nx + c->me;
+    const double *W = c->W, *Winv = W + (ptrdiff_t)n_soc * d * d;
+    const double *lam_sq = c->lam + mi, *u = c->u;
+    double *v = c->cwork, *s_t = v + mi, *z_t = s_t + mi, *v_t = z_t + mi;
     double *dv = v_t + mi, *ds_c = dv + mi, *ds_sum = ds_c + mi;
     double *dz_sum = ds_sum + mi, *sol_c = dz_sum + mi, *zero = sol_c + n;
-    double *dz = sol + nz;
+    double *sol = c->sol, *ds = c->ds, *dz = sol + nz;
 
-    cone_scaled_product(n_nn, n_soc, d, w_nn, W, Winv, ds_a, sol_a + nz, v);
+    cone_scaled_product(n_nn, n_soc, d, c->w_nn, W, Winv, c->ds_a,
+                        c->sol_a + nz, v);
     const double sigma_mu = sigma * mu;
     for (ptrdiff_t i = 0; i < mi; i++) {
         double e = i < n_nn || (i - n_nn) % d == 0 ? 1.0 : 0.0;
         v[i] = lam_sq[i] - sigma_mu * e + v[i];
     }
-    int solves = kkt_direction(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx,
-                               D, order, work, nx, me, n_nn, n_soc, d, lam,
-                               lam_norm_sq, w_nn, W, Gp, Gi, Gx, r_dual,
-                               r_eq, r_ineq, v, sol, ds);
+    int solves = direction(c, c->r_dual, c->r_eq, c->r_ineq, v, sol, ds);
     double ap, ad;
-    step_pair(n_nn, n_soc, d, u, norm, bar, ds, dz, damping, common, &ap,
-              &ad);
+    step_pair(c, ds, dz, &ap, &ad);
 
-    const double mu_t = py_max(sigma * mu, mu_floor * mu);
+    const double mu_t = py_max(sigma * mu, c->mu_floor * mu);
     for (int i = 0; i < n; i++)
         zero[i] = 0.0;
-    for (int round = 0; round < rounds; round++) {
-        if (py_min(ap, ad) > enough)
+    for (int round = 0; round < c->rounds; round++) {
+        if (py_min(ap, ad) > c->enough)
             break;
-        double tp = py_min(1.0, stretch * ap + lift);
-        double td = py_min(1.0, stretch * ad + lift);
+        double tp = py_min(1.0, c->stretch * ap + c->lift);
+        double td = py_min(1.0, c->stretch * ad + c->lift);
         for (ptrdiff_t i = 0; i < mi; i++) {
             s_t[i] = u[i] + tp * ds[i];
             z_t[i] = u[mi + i] + td * dz[i];
         }
-        cone_scaled_product(n_nn, n_soc, d, w_nn, W, Winv, s_t, z_t, v_t);
-        cone_clip_eigenvalues(n_nn, n_soc, d, lo * mu_t, hi * mu_t, v_t, dv);
+        cone_scaled_product(n_nn, n_soc, d, c->w_nn, W, Winv, s_t, z_t, v_t);
+        cone_clip_eigenvalues(n_nn, n_soc, d, c->lo * mu_t, c->hi * mu_t,
+                              v_t, dv);
         for (ptrdiff_t i = 0; i < mi; i++)
             dv[i] = v_t[i] - dv[i];
-        solves += kkt_direction(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx,
-                                D, order, work, nx, me, n_nn, n_soc, d, lam,
-                                lam_norm_sq, w_nn, W, Gp, Gi, Gx, zero, zero,
-                                zero, dv, sol_c, ds_c);
+        solves += direction(c, zero, zero, zero, dv, sol_c, ds_c);
         for (ptrdiff_t i = 0; i < mi; i++) {
             ds_sum[i] = ds[i] + ds_c[i];
             dz_sum[i] = dz[i] + sol_c[nz + i];
         }
         double ap_new, ad_new;
-        step_pair(n_nn, n_soc, d, u, norm, bar, ds_sum, dz_sum, damping,
-                  common, &ap_new, &ad_new);
-        if (py_min(ap_new, ad_new) <= py_min(ap, ad) * gain)
+        step_pair(c, ds_sum, dz_sum, &ap_new, &ad_new);
+        if (py_min(ap_new, ad_new) <= py_min(ap, ad) * c->gain)
             break;
         for (int i = 0; i < n; i++)
             sol[i] = sol[i] + sol_c[i];
@@ -570,9 +607,28 @@ int ipm_corrector(int n, int steps, double tol, const int *Ap,
         ap = ap_new;
         ad = ad_new;
     }
-    alpha[0] = ap;
-    alpha[1] = ad;
+    c->alpha[0] = ap;
+    c->alpha[1] = ad;
     return solves;
+}
+
+/* The step to the next iterate along the corrector's direction (dx, dy,
+ * dz) = sol and ds, in place: x + alpha_p dx, s + alpha_p ds, y + alpha_d
+ * dy and z + alpha_d dz, each entry the product and then the sum, as numpy
+ * forms x + alpha * dx; then the residuals there (ipm_residuals). */
+void ipm_advance(struct ipm_context *c, double alpha_p, double alpha_d)
+{
+    const int nx = c->nx, me = c->me, mi = c->n - nx - me;
+    const double *dx = c->sol, *dy = dx + nx, *dz = dy + me;
+    for (int i = 0; i < nx; i++)
+        c->x[i] = c->x[i] + alpha_p * dx[i];
+    for (int i = 0; i < mi; i++)
+        c->s[i] = c->s[i] + alpha_p * c->ds[i];
+    for (int i = 0; i < me; i++)
+        c->y[i] = c->y[i] + alpha_d * dy[i];
+    for (int i = 0; i < mi; i++)
+        c->z[i] = c->z[i] + alpha_d * dz[i];
+    ipm_residuals(c);
 }
 
 /* The CSC pattern of an n x n matrix of m entries, entry e at row rows[e]

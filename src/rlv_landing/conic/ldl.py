@@ -20,18 +20,22 @@ which adds as scipy's product with the whole matrix does. ``csc_pattern``
 forms a sparse pattern by a counting sort (the IPM's KKT upper triangle and
 the planner's constraint matrices). ``cones`` and the IPM's cold start
 call the cone algebra (``cone_points``, ``cone_nt_scaling``,
-``cone_w2_scatter``), and the cold start's KKT solve is ``kkt_solve``. The
-IPM's residuals are ``kkt_residuals``, with the program's CSR matrices
-(``csr_args``), and each of its iterations two calls: ``ipm_predictor``
-and ``ipm_corrector`` in ``ldl.c``, which compose the cone algebra, the
-factorization (with ``Factors.kkt_args`` and ``Factors.rows_args``) and
-``kkt_direction``, the refined solve for a Newton direction. The other
-entry points of ``cones.c`` (``cone_max_steps``, ``cone_product``,
-``cone_scaled_product``, ``cone_clip_eigenvalues``) have no caller in the
-package; the tests call them through wrappers, to hold each to the numpy
-code it replaced. Every array is checked for dtype, C-contiguity and shape
-(``_checked``) before it reaches C. The entry points are
-``_ENTRY_POINTS``.
+``cone_w2_scatter``), and the cold start's KKT solve is ``kkt_solve``.
+Each IPM solve fills one ``IpmContext`` (``struct ipm_context`` in
+``ldl.c``) with its sizes, its constants and the addresses of its arrays:
+K and the factors (``Factors.kkt_args`` and ``Factors.rows_args``), the
+program's CSR matrices (``csr_args``) and vectors, its buffers and its
+iterate. The entry points that take it, ``ipm_residuals``,
+``ipm_predictor``, ``ipm_corrector`` and ``ipm_advance``, are its
+residuals and each iteration's three calls; they compose the cone
+algebra, the factorization and ``kkt_direction``, the refined solve for a
+Newton direction, and ``ipm_context_size`` is the struct's size in C. The
+other entry points of ``cones.c`` (``cone_max_steps``, ``cone_product``,
+``cone_scaled_product``, ``cone_clip_eigenvalues``) and ``kkt_direction``
+have no Python caller in the package; the tests call them through
+wrappers, to hold each to the numpy code it replaced. Every array is
+checked for dtype, C-contiguity and shape (``_checked``) before it reaches
+C. The entry points are ``_ENTRY_POINTS``.
 """
 
 from __future__ import annotations
@@ -54,6 +58,29 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 _INT, _PTR, _DOUBLE = ctypes.c_int, ctypes.c_void_p, ctypes.c_double
 _VIEW = ctypes.c_char * 0
+
+
+def _fields(kind, names: str) -> list:
+    return [(name, kind) for name in names.split()]
+
+
+class IpmContext(ctypes.Structure):
+    """``struct ipm_context`` of ``ldl.c``, field for field: one IPM
+    solve's sizes and constants, and the address of every array its
+    iterations read or write (``ipm._Session`` fills it)."""
+
+    _fields_ = (
+        _fields(_INT, "n nx me n_nn n_soc d steps")
+        + _fields(_DOUBLE, "tol reg") + _fields(_INT, "common rounds")
+        + _fields(_DOUBLE, "damping enough stretch lift lo hi mu_floor gain")
+        + _fields(_PTR, "Kp Ki Kx reg_sign Lp Rp Ri Li Lx D iwork order "
+                        "w2_slots work Pp Pi Ap Ai Gp Gi Pv Av Gv c b h Px "
+                        "r_dual r_eq r_ineq norms rwork u norm_sq norm bar "
+                        "worst w_nn W lam sol_a ds_a trial_s trial_z sol ds "
+                        "alpha cwork x y z s"))
+
+
+_CONTEXT = ctypes.POINTER(IpmContext)
 # Every entry point of the library: its argument and result types.
 _ENTRY_POINTS = {
     "ldl_etree": ([_INT] + [_PTR] * 5, _INT),
@@ -64,12 +91,11 @@ _ENTRY_POINTS = {
     "kkt_solve": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 12, _INT),
     "kkt_direction": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 10 + [_INT] * 5
                       + [_PTR] * 13, _INT),
-    "kkt_residuals": ([_INT] * 3 + [_PTR] * 22, None),
-    "ipm_predictor": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 13 + [_DOUBLE]
-                      + [_PTR] + [_INT] * 5 + [_PTR] * 20, _INT),
-    "ipm_corrector": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 10 + [_INT] * 5
-                      + [_PTR] * 16 + [_INT] * 2 + [_DOUBLE] * 8
-                      + [_PTR] * 3 + [_DOUBLE] * 2, _INT),
+    "ipm_context_size": ([], _INT),
+    "ipm_residuals": ([_CONTEXT], None),
+    "ipm_predictor": ([_CONTEXT], _INT),
+    "ipm_corrector": ([_CONTEXT] + [_DOUBLE] * 2, _INT),
+    "ipm_advance": ([_CONTEXT] + [_DOUBLE] * 2, None),
     "csc_pattern": ([_INT] * 2 + [_PTR] * 6, _INT),
     "cone_points": ([_INT] * 4 + [_PTR] * 5, None),
     "cone_max_steps": ([_INT] * 4 + [_PTR] * 5, None),
@@ -149,11 +175,13 @@ def _library() -> ctypes.CDLL:
     return lib
 
 
-def _address(a: np.ndarray):
-    """What C takes as the address of the array ``a``: a zero-length ctypes
-    view of its buffer, which keeps ``a`` alive while it is held, and costs
-    a third of ``a.ctypes.data``; the address of a read-only ``a``."""
-    return _VIEW.from_buffer(a) if a.flags.writeable else a.ctypes.data
+def _address(a: np.ndarray) -> int:
+    """The address of the array ``a``, as C takes it and as a struct's
+    pointer field holds it: read through a zero-length ctypes view of a
+    writeable ``a``, which costs a quarter of ``a.ctypes.data``. It keeps
+    nothing alive: the caller holds ``a`` while C may use it."""
+    return ctypes.addressof(_VIEW.from_buffer(a)) if a.flags.writeable \
+        else a.ctypes.data
 
 
 def _checked(name: str, a, dtype, *shape: int):
@@ -180,7 +208,7 @@ def csr_args(name: str, M) -> tuple:
     nnz = int(indptr[-1])
     args += [_checked(f"{name}.indices", indices, np.intc, nnz),
              _checked(f"{name}.data", M.data, np.float64, nnz)]
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0) \
+    if indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any() \
             or (nnz and not 0 <= indices.min() <= indices.max() < cols):
         raise ValueError(f"{name} is not a CSR matrix of shape {M.shape}")
     return tuple(args)
@@ -195,7 +223,7 @@ def etree(indptr: np.ndarray, indices: np.ndarray):
     args = (_checked("indptr", indptr, np.intc, n + 1),
             _checked("indices", indices, np.intc, indices.size))
     if n < 0 or indptr[0] != 0 or indptr[-1] != indices.size \
-            or np.any(np.diff(indptr) < 0) \
+            or (indptr[1:] < indptr[:-1]).any() \
             or (indices.size and not 0 <= indices.min() <= indices.max() < n):
         raise ValueError("not a CSC pattern of an n x n matrix")
     work, counts, parent = np.empty((3, n), np.intc)
@@ -269,7 +297,8 @@ class Factors:
         self._factor_args = (ap, ai), (lp, rp, ri, li, lx, d, iwork, dwork)
         self._solve_args = lp, li, lx, d
         # What ldl_factor reads besides kkt_args and n doubles of workspace,
-        # as ipm_predictor takes it: L's row patterns and the int workspace.
+        # as the IPM's context takes it: L's row patterns and the int
+        # workspace.
         self.rows_args = rp, ri, iwork
         self._factored = False   # whether the last factor succeeded
 

@@ -8,7 +8,7 @@ calls replaced, the whole symmetric matrix of an upper triangle (the IPM
 stores only that triangle of its KKT matrix), the up-looking LDL' that
 walks the elimination tree for every row, in Python, and the numpy and
 scipy refined KKT solve, Newton direction and residuals that the IPM's
-``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` replaced; the
+``kkt_solve``, ``kkt_direction`` and ``ipm_residuals`` replaced; the
 Python wrappers of the cone algebra and of ``kkt_direction`` that the IPM
 called before ``ipm_predictor`` and ``ipm_corrector``, and the IPM
 iteration they replaced, composed of those wrappers."""
@@ -436,7 +436,7 @@ def tree_walking_ldl(indptr, indices, values, reg):
 
 # The IPM's KKT solve, Newton direction and residuals as numpy and scipy
 # computed them, the oracles of ``kkt_solve``, ``kkt_direction`` and
-# ``kkt_residuals`` in ``conic/ldl.c``.
+# ``ipm_residuals`` in ``conic/ldl.c``.
 
 def _norm_inf(v):
     return float(np.abs(v).max()) if v.size else 0.0
@@ -489,14 +489,15 @@ def numpy_direction(kkt, scaling, G, r_dual, r_eq, r_ineq, v, tol,
 
 @np.errstate(all="ignore")
 def numpy_residuals(P, A, G, c, b, h, x, y, z, s):
-    """``ipm._Residuals``' products and sums, by scipy and numpy: P x, and
-    r_dual, r_eq, r_ineq and A'y + G'z, each with its infinity norm."""
+    """The IPM's residual evaluation (``ipm_residuals``) by scipy and
+    numpy: P x; r_dual, r_eq and r_ineq; and the infinity norms of those,
+    of A'y + G'z, of z and of y."""
     Px, ATy, GTz = P @ x, A.T.tocsr() @ y, G.T.tocsr() @ z
     r_dual = Px + c + ATy + GTz
     r_eq = A @ x - b
     r_ineq = G @ x + s - h
-    vectors = r_dual, r_eq, r_ineq, ATy + GTz
-    return Px, vectors, [_norm_inf(v) for v in vectors]
+    vectors = r_dual, r_eq, r_ineq
+    return Px, vectors, [_norm_inf(v) for v in (*vectors, ATy + GTz, z, y)]
 
 
 # The Python wrappers of compiled entry points that the IPM's iteration
@@ -508,7 +509,8 @@ def max_steps(points, *du):
     """``cone_max_steps``: for each point u of ``points`` (a
     ``ConePoints``), inside the cones, and its direction du, the largest
     alpha with u + alpha du in the cones, all in one pass."""
-    address = ldl._checked("du", np.array(du), np.float64, *points.u.shape)
+    du = np.array(du)
+    address = ldl._checked("du", du, np.float64, *points.u.shape)
     alpha = np.empty(len(points.u))
     ldl._library().cone_max_steps(len(points.u), *points.cones.shape,
                                   *points._addresses, address,
@@ -576,7 +578,7 @@ def kkt_direction(kkt, scaling, r_dual, r_eq, r_ineq, v):
 
 # The IPM's iteration from the iterate's cone data to its step, as
 # ``ipm.solve`` ran it in Python on the wrappers above: the oracle of
-# ``ipm_predictor`` and ``ipm_corrector`` and of ``ipm._Newton.step``.
+# ``ipm_predictor`` and ``ipm_corrector`` and of ``ipm._Session.step``.
 
 @dataclass
 class Predicted:
@@ -670,7 +672,7 @@ def python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
 
 @np.errstate(all="ignore")
 def python_step(kkt, r, s, z, gap, mu, common, events=None):
-    """``ipm._Newton.step``: the step pair and direction of the iteration
+    """``ipm._Session.step``: the step pair and direction of the iteration
     at (s, z), whose s'z is ``gap``, with sigma from the trial points'
     s'z, or None if the gap is not positive or the predictor fails."""
     if gap <= 0.0:

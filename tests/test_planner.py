@@ -6,6 +6,7 @@ SCP solve to convergence on a reduced grid.
 import gc
 import math
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 from rlv_landing import env, planner, scp
 from rlv_landing.conic import ipm, ldl, scaling
 from rlv_landing.conic.cones import ConePoints, Cones
-from rlv_landing.conic.ipm import _Analysis, _Kkt, _Newton, _NTScaling
+from rlv_landing.conic.ipm import _Analysis, _Kkt, _NTScaling, _Session
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
     NZ,
@@ -602,9 +603,13 @@ class TestStageOrdering:
 
 
 # Run in a child process: factors the saved KKT, in the IPM's ordering, 25
-# times with the LDL' kernel and solves with it 25 times.
+# times with the LDL' kernel and solves with it 25 times; then solves the
+# saved program cold, and warm from that solution, each through one IPM
+# context.
 FACTOR_25_TIMES = """
+import pickle
 import sys
+from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 from rlv_landing.conic import ipm, ldl
@@ -616,6 +621,11 @@ rhs, reg = np.ones(K.shape[0]), np.full(K.shape[0], ipm.REG)
 for _ in range(25):
     assert factors.factor(upper.data, reg) >= 0
     factors.solve(rhs)
+with open(sys.argv[2], "rb") as f:
+    program = pickle.load(f)
+cold = ipm.solve(program)
+warm = ipm.solve(replace(program, start=cold))
+assert cold.optimal and warm.optimal and warm.warm
 """
 
 
@@ -634,15 +644,19 @@ class TestKktFactorization:
         # A kernel that writes outside its buffers aborts a process under
         # the debug allocator, at exit or when it checks a free. The
         # factorization and solve run 25 times each in a child process
-        # under that allocator and must exit 0.
-        path = tmp_path / "kkt.npz"
+        # under that allocator, and a cold and a warm IPM solve of the
+        # nominal N=10 subproblem once each, and it must exit 0.
+        path, program = tmp_path / "kkt.npz", tmp_path / "program.pickle"
         sp.save_npz(path, kkt_matrix(first_kkt()[1]))
+        program.write_bytes(
+            pickle.dumps(first_subproblem(*make_problem(N=10))))
         src = str(Path(ipm.__file__).resolve().parents[2])
         child_env = dict(os.environ, PYTHONMALLOC="debug",
                          PYTHONPATH=os.pathsep.join(
                              filter(None, [src, os.environ.get("PYTHONPATH")])))
         child = subprocess.run(
-            [sys.executable, "-X", "dev", "-c", FACTOR_25_TIMES, str(path)],
+            [sys.executable, "-X", "dev", "-c", FACTOR_25_TIMES, str(path),
+             str(program)],
             env=child_env, capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr[-2000:]
 
@@ -651,21 +665,18 @@ class TestKktFactorization:
         # corrector, Gondzio) take fewer than 2 LDL' solves each: two fixed
         # refinement steps took 3, the residual rule takes 1.14. A solve's
         # ``ldl_solves`` counts its cold start's one unrefined solve too.
-        # The directions are counted by replaying each step in the Python
-        # loop the two kernel calls replaced (``helpers.python_step``),
-        # whose Gondzio rounds each solve for one more.
-        solutions, steps, evaluations = [], [], []
-        step, evaluate = _Newton.step, ipm._Residuals.__call__
+        # The directions are counted by replaying each step, from the
+        # residual vectors in the session's buffers, in the Python loop the
+        # kernel calls replaced (``helpers.python_step``), whose Gondzio
+        # rounds each solve for one more.
+        solutions, steps = [], []
+        step = _Session.step
 
-        def recorded_step(self, s, z, gap, mu):
-            steps.append((solutions[-1], evaluations[-1], s.copy(),
-                          z.copy(), gap, mu))
-            return step(self, s, z, gap, mu)
-
-        def recorded_residuals(self, x, y, z, s):
-            out = evaluate(self, x, y, z, s)
-            evaluations.append([v.copy() for v in out[:3]])
-            return out
+        def recorded_step(self, gap, mu):
+            r = [v.copy() for v in (self.r_dual, self.r_eq, self.r_ineq)]
+            steps.append((solutions[-1], r, self.s.copy(), self.z.copy(),
+                          gap, mu))
+            return step(self, gap, mu)
 
         def recorded_solve(program, tol):
             solutions.append(program)
@@ -673,8 +684,7 @@ class TestKktFactorization:
             solutions[-1] = sol
             return sol
 
-        monkeypatch.setattr(_Newton, "step", recorded_step)
-        monkeypatch.setattr(ipm._Residuals, "__call__", recorded_residuals)
+        monkeypatch.setattr(_Session, "step", recorded_step)
         prob, cfg = make_problem(N=30)
         out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
                       ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr),
@@ -922,18 +932,18 @@ class TestConeLayout:
         # stack (e, e) and lambda, for its factorization at W = I, and its
         # two shifts into the cones, one point each.
         stacks, predictors = [], []
-        init, predictor = ConePoints.__init__, _Newton.predictor
+        init, predictor = ConePoints.__init__, _Session.predictor
 
         def counted_init(self, cones, u):
             stacks.append(len(u))
             init(self, cones, u)
 
-        def counted_predictor(self, s, z):
+        def counted_predictor(self):
             predictors.append(1)
-            return predictor(self, s, z)
+            return predictor(self)
 
         monkeypatch.setattr(ConePoints, "__init__", counted_init)
-        monkeypatch.setattr(_Newton, "predictor", counted_predictor)
+        monkeypatch.setattr(_Session, "predictor", counted_predictor)
         prob, cfg = make_problem(N=30)
         sol = ipm.solve(first_subproblem(prob, cfg))
         assert sol.status == "optimal" and not sol.warm

@@ -13,7 +13,6 @@ import shlex
 import sysconfig
 import weakref
 from dataclasses import fields, replace
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -897,11 +896,13 @@ class TestConeKernel:
     def test_wrong_arrays_raise_before_any_call(self, monkeypatch):
         # A wrong dtype, a non-contiguous array or a short one raises
         # ValueError at every entry point, before the library is loaded:
-        # the cone algebra's, the iteration's predictor, and the KKT
-        # solve's, direction's and residuals' (kkt_solve, kkt_direction,
-        # kkt_residuals), whose CSR matrices also raise at int64 or
+        # the cone algebra's, the KKT solve's and direction's (kkt_solve,
+        # kkt_direction), and the IPM session's, whose context the
+        # residuals and each iteration's calls read; the CSR matrices of
+        # the KKT system and the session also raise at int64 or
         # non-contiguous index arrays, float32 values, short row pointers
-        # or a column out of range.
+        # or a column out of range, and the session at P or A of another
+        # shape than the KKT system's.
         cones = MIXED_CONES
         rng = np.random.default_rng(5)
         s, z = (interior_point(rng, MIXED_CONES) for _ in range(2))
@@ -913,8 +914,6 @@ class TestConeKernel:
         x, y, rhs = np.ones(4), np.ones(2), np.ones(6 + cones.dim)
         kkt = _Kkt(P, A, G, cones)
         kkt.factor(scaling)
-        residuals = ipm._Residuals(P, A, G, c, b, h, 0.0)
-        newton = ipm._Newton(kkt, residuals, True)
         other = _NTScaling(Cones(1, 1, 3).points(
             np.array([1.0, 2.0, 0.0, 0.0]), np.array([1.0, 2.0, 0.0, 0.0])))
         calls = []
@@ -923,6 +922,13 @@ class TestConeKernel:
         def wrong(u):
             """u as float32, not contiguous, and one entry short."""
             return u.astype(np.float32), np.repeat(u, 2)[::2], u[:-1]
+
+        def session(**changed):
+            """The session of the program at (x, y, z, s), with
+            ``changed``'s arrays in place of its own."""
+            a = dict(P=P, A=A, c=c, b=b, h=h, x=x, y=y, z=z, s=s) | changed
+            return ipm._Session(kkt, a["P"], a["A"], a["c"], a["b"], a["h"],
+                                0.0, (a["x"], a["y"], a["z"], a["s"]))
 
         s32, z32 = s.astype(np.float32), z.astype(np.float32)
         bad = [
@@ -938,23 +944,23 @@ class TestConeKernel:
         for v in wrong(s):
             bad += [lambda v=v: kkt_direction(kkt, scaling, x, y, v, z),
                     lambda v=v: kkt_direction(kkt, scaling, x, y, z, v),
-                    lambda v=v: residuals(x, y, v, z),
-                    lambda v=v: residuals(x, y, z, v),
-                    lambda v=v: ipm._Residuals(P, A, G, c, b, v, 0.0),
+                    lambda v=v: session(z=v),
+                    lambda v=v: session(s=v),
+                    lambda v=v: session(h=v),
                     lambda v=v: scaled_product(scaling, v, z),
                     lambda v=v: scaled_product(scaling, z, v),
                     lambda v=v: cone_product(cones, z, v),
-                    lambda v=v: clip_eigenvalues(cones, v, 0.1, 10.0),
-                    lambda v=v: newton.predictor(v, z),
-                    lambda v=v: newton.predictor(s, v)]
+                    lambda v=v: clip_eigenvalues(cones, v, 0.1, 10.0)]
         for v in wrong(x):
             bad += [lambda v=v: kkt_direction(kkt, scaling, v, y, s, z),
-                    lambda v=v: residuals(v, y, z, s),
-                    lambda v=v: ipm._Residuals(P, A, G, v, b, h, 0.0)]
+                    lambda v=v: session(x=v),
+                    lambda v=v: session(c=v)]
         for v in wrong(y):
             bad += [lambda v=v: kkt_direction(kkt, scaling, x, v, s, z),
-                    lambda v=v: residuals(x, v, z, s),
-                    lambda v=v: ipm._Residuals(P, A, G, c, v, h, 0.0)]
+                    lambda v=v: session(y=v),
+                    lambda v=v: session(b=v)]
+        bad += [lambda: session(P=sp.eye(5, format="csr")),
+                lambda: session(A=A[:-1])]
         bad += [lambda v=v: kkt.solve(v, ipm.REFINE_TOL) for v in wrong(rhs)]
         for M in (P, A, G):
             for name, array in (("indptr", M.indptr.astype(np.int64)),
@@ -966,10 +972,11 @@ class TestConeKernel:
                                 ("indices", M.indices + M.shape[1])):
                 broken = M.copy()
                 setattr(broken, name, array)
-                pag = [broken if N is M else N for N in (P, A, G)]
-                bad.append(lambda pag=pag: ipm._Residuals(*pag, c, b, h, 0.0))
                 if M is G:
                     bad.append(lambda g=broken: _Kkt(P, A, g, cones))
+                else:
+                    bad.append(lambda m=broken, name="PA"[M is A]:
+                               session(**{name: m}))
         for call in bad:
             with pytest.raises(ValueError):
                 call()
@@ -1031,10 +1038,11 @@ EQUALITY_ROWS = st.integers(0, 3)
 
 class TestKktKernel:
     """The IPM's KKT solve, Newton direction and residuals, one compiled
-    call each (``kkt_solve``, ``kkt_direction`` and ``kkt_residuals`` in
-    ``conic/ldl.c``), against the numpy and scipy code they replaced
-    (``helpers``), bit for bit, every NaN read as one NaN, with NaN, +-inf
-    and +-0 entries in their vectors, and in the residuals' matrices."""
+    call each (``kkt_solve``, ``kkt_direction`` and ``ipm_residuals`` in
+    ``conic/ldl.c``, the last through ``ipm._Session``), against the numpy
+    and scipy code they replaced (``helpers``), bit for bit, every NaN read
+    as one NaN, with NaN, +-inf and +-0 entries in their vectors, and in
+    the residuals' matrices."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
@@ -1092,23 +1100,22 @@ class TestKktKernel:
                    for size in (4, me, mi, 4, me, mi, mi)]
         overwrite([*vectors, P.data, A.data, G.data], special)
         c, b, h, x, y, z, s = vectors
-        residuals = ipm._Residuals(P, A, G, c, b, h, 0.5)
+        session = ipm._Session(_Kkt(P, A, G, cones), P, A, c, b, h, 0.5,
+                               (x, y, z, s))
         with np.errstate(all="ignore"):
-            r_dual, r_eq, r_ineq, pres, dres, pobj, rows = \
-                residuals(x, y, z, s)
+            measures = session.residuals()
         Px, expected, norms = numpy_residuals(P, A, G, c, b, h, x, y, z, s)
-        assert same_bits(residuals.Px, Px)
-        assert all(same_bits(a, e) for a, e in zip((r_dual, r_eq, r_ineq),
-                                                    expected))
-        assert same_bits(residuals._norms, norms)
+        assert same_bits(session.Px, Px)
+        assert all(same_bits(a, e) for a, e in zip(
+            (session.r_dual, session.r_eq, session.r_ineq), expected))
+        assert same_bits(session.norms, norms)
         scale = [max(1.0, float(np.abs(v).max(initial=0.0)))
                  for v in (b, h, c)]
         with np.errstate(all="ignore"):
             objective = float(c @ x) + 0.5 + 0.5 * float(x @ Px)
         assert same_bits(
-            [pres, dres, pobj, rows],
-            [max(norms[1] / scale[0], norms[2] / scale[1]),
-             norms[0] / scale[2], objective, norms[3]])
+            measures, [max(norms[1] / scale[0], norms[2] / scale[1]),
+                       norms[0] / scale[2], objective, *norms[3:]])
 
     def test_int64_arrays_solve_as_the_kernel_s(self):
         # The kernel reads int32 index arrays and float64 values: a program
@@ -1165,75 +1172,82 @@ def iteration_case(seed, cones, me, rank, special=()):
     return matrices, r, s, z
 
 
-def twin_newton(P, A, G, cones, r):
-    """``ipm._Newton`` on its own KKT system of P, A and G, reading the
-    residual vectors r, and a second KKT system of the same matrices for
-    the Python loop it replaced."""
+def twin_session(P, A, G, cones, r, s, z):
+    """``ipm._Session`` on its own KKT system of P, A and G, at an iterate
+    with copies of s and z, with the residual vectors r written into its
+    buffers, where its calls read them, and a second KKT system of the same
+    matrices for the Python loop it replaced."""
     kkt, twin = (_Kkt(P, A, G, cones) for _ in range(2))
-    residuals = SimpleNamespace(r_dual=r[0], r_eq=r[1], r_ineq=r[2])
-    return ipm._Newton(kkt, residuals, P.nnz > 0), kkt, twin
+    n, me = kkt._sizes
+    session = ipm._Session(
+        kkt, P, A, np.zeros(n), np.zeros(me), np.zeros(cones.dim), 0.0,
+        (np.zeros(n), np.zeros(me), z.copy(), s.copy()))
+    for buffer, v in zip((session.r_dual, session.r_eq, session.r_ineq), r):
+        buffer[...] = v
+    return session, kkt, twin
 
 
 def assert_step_is_the_python_loop_s(P, A, G, cones, r, s, z, gap, mu):
-    """The step at (s, z) by ``ipm._Newton`` and by the Python loop
+    """The step at (s, z) by ``ipm._Session`` and by the Python loop
     (``helpers.python_step``) give the same bits and LDL' solves; returns
     the loop's events."""
-    newton, kkt, twin = twin_newton(P, A, G, cones, r)
+    session, kkt, twin = twin_session(P, A, G, cones, r, s, z)
     events = []
-    got = newton.step(s, z, gap, mu)
+    got = session.step(gap, mu)
     expected = python_step(twin, r, s, z, gap, mu, P.nnz > 0, events)
     assert (got is None) == (expected is None)
     if got is not None:
         assert same_bits(got, expected[0])
         assert all(same_bits(a, b)
-                   for a, b in zip(newton.direction(), expected[1]))
+                   for a, b in zip(session.direction(), expected[1]))
     assert kkt.ldl_solves == twin.ldl_solves
     return events
 
 
 def assert_predictor_is_the_python_loop_s(P, A, G, cones, r, s, z):
-    """The predictor at (s, z) by ``ipm._Newton`` and by the Python loop
+    """The predictor at (s, z) by ``ipm._Session`` and by the Python loop
     (``helpers.python_predictor``) returns the same code and LDL' solves
     and, when it factored K, leaves the same bits: the cone data of s, z
     and lambda, the NT scaling, lambda o lambda, the affine direction and
     the trial points."""
-    newton, kkt, twin = twin_newton(P, A, G, cones, r)
-    code = newton.predictor(s, z)
+    session, kkt, twin = twin_session(P, A, G, cones, r, s, z)
+    code = session.predictor()
     expected, predicted = python_predictor(twin, r, s, z)
     assert code == expected
     assert kkt.ldl_solves == twin.ldl_solves
     if code < 0:
         return
     iterate, scaling = predicted.iterate, predicted.scaling
-    for got, part in ((newton.norm_sq, "norm_sq"), (newton.norm, "norm"),
-                      (newton.bar, "bar")):
+    for got, part in ((session.norm_sq, "norm_sq"), (session.norm, "norm"),
+                      (session.bar, "bar")):
         assert same_bits(got[:2], getattr(iterate, part))
         assert same_bits(got[2:], getattr(scaling.lam, part))
-    assert same_bits(newton.w_nn, scaling.w_nn)
-    assert same_bits(newton.W, [scaling.soc_mats, scaling.soc_inv,
-                                scaling.soc_sq])
-    assert same_bits(newton.lam, [scaling.lam.u[0], predicted.lam_sq])
+    assert same_bits(session.w_nn, scaling.w_nn)
+    assert same_bits(session.W, [scaling.soc_mats, scaling.soc_inv,
+                                 scaling.soc_sq])
+    assert same_bits(session.lam, [scaling.lam.u[0], predicted.lam_sq])
     dx, dy, dz, ds = predicted.direction
-    assert same_bits(newton.sol_a, np.concatenate([dx, dy, dz]))
-    assert same_bits(newton.ds_a, ds)
-    assert same_bits([newton.trial_s, newton.trial_z], predicted.trial)
+    assert same_bits(session.sol_a, np.concatenate([dx, dy, dz]))
+    assert same_bits(session.ds_a, ds)
+    assert same_bits([session.trial_s, session.trial_z], predicted.trial)
 
 
 def assert_corrector_is_the_python_loop_s(P, A, G, cones, r, s, z, sigma):
     """After a predictor at (s, z) that factored K, the corrector at sigma
-    and mu = s'z / degree by ``ipm._Newton`` and by the Python loop
+    and mu = s'z / degree by ``ipm._Session`` and by the Python loop
     (``helpers.python_corrector``) gives the same step pair, direction and
     LDL' solves; returns the loop's events."""
-    newton, kkt, twin = twin_newton(P, A, G, cones, r)
-    code, predicted = newton.predictor(s, z), python_predictor(twin, r, s,
-                                                               z)[1]
+    session, kkt, twin = twin_session(P, A, G, cones, r, s, z)
+    code, predicted = session.predictor(), python_predictor(twin, r, s,
+                                                            z)[1]
     assert code >= 0
     mu, events = float(s @ z) / cones.degree, []
-    got = newton.corrector(sigma, mu)
+    got = session.corrector(sigma, mu)
     expected, direction = python_corrector(twin, predicted, r, s, z, sigma,
                                            mu, P.nnz > 0, events)
     assert same_bits(got, expected)
-    assert all(same_bits(a, b) for a, b in zip(newton.direction(), direction))
+    assert all(same_bits(a, b)
+               for a, b in zip(session.direction(), direction))
     assert kkt.ldl_solves == twin.ldl_solves
     return events
 
@@ -1252,13 +1266,14 @@ RANKS = st.sampled_from([0, 2])
 
 
 class TestIterationKernel:
-    """The IPM iteration's two compiled calls (``ipm_predictor`` and
-    ``ipm_corrector`` in ``conic/ldl.c``, through ``ipm._Newton``) against
-    the Python loop body they replaced (``helpers.python_predictor``,
-    ``python_corrector`` and ``python_step``, on the wrappers of the entry
-    points it called), bit for bit, every NaN read as one NaN: the state
-    the predictor leaves, each direction, the step pair and the count of
-    LDL' solves."""
+    """The IPM iteration's compiled calls (``ipm_predictor``,
+    ``ipm_corrector`` and ``ipm_advance`` in ``conic/ldl.c``, through
+    ``ipm._Session``) against the Python loop body they replaced
+    (``helpers.python_predictor``, ``python_corrector`` and
+    ``python_step``, on the wrappers of the entry points it called, and
+    numpy's update), bit for bit, every NaN read as one NaN: the state the
+    predictor leaves, each direction, the step pair, the count of LDL'
+    solves and the next iterate."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
@@ -1291,21 +1306,15 @@ class TestIterationKernel:
         # the early exit (both steps above GONDZIO_ENOUGH) before a round
         # or after one accepted, a round rejected first or second, and
         # both rounds accepted.
-        steps, evaluations = [], []
-        step, evaluate = ipm._Newton.step, ipm._Residuals.__call__
+        steps, step = [], ipm._Session.step
 
-        def recorded_step(self, s, z, gap, mu):
-            steps.append((self.cones, evaluations[-1], s.copy(), z.copy(),
-                          gap, mu))
-            return step(self, s, z, gap, mu)
+        def recorded_step(self, gap, mu):
+            r = [v.copy() for v in (self.r_dual, self.r_eq, self.r_ineq)]
+            steps.append((self.cones, r, self.s.copy(), self.z.copy(), gap,
+                          mu))
+            return step(self, gap, mu)
 
-        def recorded_residuals(self, x, y, z, s):
-            out = evaluate(self, x, y, z, s)
-            evaluations.append([v.copy() for v in out[:3]])
-            return out
-
-        monkeypatch.setattr(ipm._Newton, "step", recorded_step)
-        monkeypatch.setattr(ipm._Residuals, "__call__", recorded_residuals)
+        monkeypatch.setattr(ipm._Session, "step", recorded_step)
         rng = np.random.default_rng(88)
         programs = []
         layouts = MIXED_CONES, MULTI_BLOCK_CONES, Cones(6), Cones(0, 3, 4)
@@ -1374,11 +1383,49 @@ class TestIterationKernel:
         for u, v, code in ((negative, z, ipm.OFF_INTERIOR),
                            (s, outside, ipm.OFF_INTERIOR),
                            (nan, z, ipm.NAN_PIVOT)):
-            newton, kkt, twin = twin_newton(P, A, G, cones, r)
-            assert newton.predictor(u, v) == code
+            session, kkt, twin = twin_session(P, A, G, cones, r, u, v)
+            assert session.predictor() == code
             assert python_predictor(twin, r, u, v) == (code, None)
             assert kkt.ldl_solves == twin.ldl_solves == 0
-            assert newton.step(u, v, 1.0, 1.0) is None
+            assert session.step(1.0, 1.0) is None
+
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, special=VECTOR_SPECIAL,
+           alphas=st.tuples(*[st.sampled_from(
+               [0.0, 1.0, 0.37, 1e-12, -0.0, math.nan])] * 2))
+    def test_advance_is_numpy_s(self, seed, cones, me, special, alphas):
+        # The step to the next iterate along a direction (sol, ds), in
+        # place, and the residuals there: numpy's x + alpha_p dx, s +
+        # alpha_p ds, y + alpha_d dy and z + alpha_d dz, and
+        # helpers.numpy_residuals at that iterate, with NaN, +-inf and +-0
+        # in the iterate and the direction.
+        rng = np.random.default_rng(seed)
+        prog = random_feasible_conic(rng, 4, me, cones, 2)
+        P, A, G = (ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G))
+        dim, size = cones.dim, 4 + me + cones.dim
+        vectors = [rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3)
+                   for k in (4, me, dim, dim, size, dim)]
+        overwrite(vectors, special)
+        x, y, z, s, sol, ds = vectors
+        session = ipm._Session(_Kkt(P, A, G, cones), P, A, prog.c, prog.b,
+                               prog.h, 0.0, [v.copy() for v in (x, y, z, s)])
+        session.sol[...], session.ds[...] = sol, ds
+        alpha_p, alpha_d = alphas
+        with np.errstate(all="ignore"):
+            session.advance(alpha_p, alpha_d)
+            dx, dy, dz = sol[:4], sol[4:4 + me], sol[4 + me:]
+            expected = (x + alpha_p * dx, y + alpha_d * dy, z + alpha_d * dz,
+                        s + alpha_p * ds)
+            Px, residuals, norms = numpy_residuals(P, A, G, prog.c, prog.b,
+                                                   prog.h, *expected)
+        assert all(same_bits(a, b) for a, b in zip(
+            (session.x, session.y, session.z, session.s), expected))
+        assert same_bits(session.Px, Px)
+        assert all(same_bits(a, b) for a, b in zip(
+            (session.r_dual, session.r_eq, session.r_ineq), residuals))
+        assert same_bits(session.norms, norms)
 
 
 class TestWarmStart:
@@ -1404,15 +1451,15 @@ class TestWarmStart:
             prog, c=prog.c + 1e-2 * rng.normal(size=n),
             h=prog.h + 1e-2 * interior_point(rng, cones), start=first)
         factorizations = []
-        predictor = ipm._Newton.predictor
+        predictor = ipm._Session.predictor
 
-        def counted(self, s, z):
-            code = predictor(self, s, z)
+        def counted(self):
+            code = predictor(self)
             factorizations.append(code >= 0)
             return code
 
         with splu_calls() as splus, \
-                mock.patch.object(ipm._Newton, "predictor", counted):
+                mock.patch.object(ipm._Session, "predictor", counted):
             warm = solve(perturbed)
         # The same pattern as the start's: its ordering is reused, and the
         # LDL' kernel factors, alone, in each iteration's predictor call.
@@ -1428,6 +1475,39 @@ class TestWarmStart:
         assert warm.warm and not cold.warm
         assert warm.optimal and cold.optimal
         np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-6)
+
+    def test_solves_leave_inputs_and_earlier_solutions_intact(self):
+        # Each solve moves an iterate of its own in place. A cold solve
+        # leaves the program's c, b, h and the values of P, A and G as they
+        # were; a warm solve leaves its start's x, y, z and s; and a solve
+        # resumed from the last one returns arrays that share no buffer
+        # with it, whose bytes it keeps.
+        rng = np.random.default_rng(53)
+        prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES,
+                                     rank=3)
+        inputs = (prog.c, prog.b, prog.h, prog.P.data, prog.A.data,
+                  prog.G.data)
+        before = [a.tobytes() for a in inputs]
+
+        def iterate(sol):
+            return sol.x, sol.y, sol.z, sol.s
+
+        first = solve(prog, 1e-4)
+        assert [a.tobytes() for a in inputs] == before
+        kept = [v.tobytes() for v in iterate(first)]
+        prog.start = first
+        second = solve(prog)
+        assert second.resumed and second.iterations > 1
+        assert [v.tobytes() for v in iterate(first)] == kept
+        assert not any(np.shares_memory(u, v) for u in iterate(first)
+                       for v in iterate(second))
+        kept = [v.tobytes() for v in iterate(second)]
+        warm = solve(replace(
+            prog, h=prog.h + 1e-2 * interior_point(rng, MIXED_CONES),
+            start=second))
+        assert warm.warm and not warm.resumed and warm.iterations > 1
+        assert [v.tobytes() for v in iterate(second)] == kept
+        assert [a.tobytes() for a in inputs] == before
 
     def test_start_near_the_optimum_saves_iterations(self):
         rng = np.random.default_rng(47)
@@ -1712,6 +1792,8 @@ class TestLdlKernel:
         # trading places would misread memory. Each declaration of a
         # function of the other source matches its definition, and every
         # function that is not static is an entry point or so declared.
+        # The IPM context's address is typed: ctypes passes only an
+        # ldl.IpmContext there.
         kinds = {"int": ctypes.c_int, "double": ctypes.c_double,
                  "void": None}
         signature = re.compile(
@@ -1720,13 +1802,16 @@ class TestLdlKernel:
 
         def kind(declaration):
             words = declaration.replace("*", " * ").split()
+            if "ipm_context" in words:
+                return ctypes.POINTER(ldl.IpmContext)
             return ctypes.c_void_p if "*" in words else kinds[words[-2]]
 
         definitions, declarations = {}, []
         for source in ldl.SOURCES:
             text = re.sub(r"/\*.*?\*/", "", source.read_text(), flags=re.S)
             for result, name, params, end in signature.findall(text):
-                types = ([kind(p) for p in params.split(",")], kinds[result])
+                params = [] if params == "void" else params.split(",")
+                types = ([kind(p) for p in params], kinds[result])
                 if end == "{":
                     definitions[name] = types
                 else:
@@ -1738,6 +1823,27 @@ class TestLdlKernel:
             assert types == definitions[name], name
         assert set(definitions) == \
             set(ldl._ENTRY_POINTS) | {name for name, _ in declarations}
+
+    def test_context_matches_its_c_definition(self):
+        # ldl.IpmContext has the fields of struct ipm_context in ldl.c, by
+        # name, in order and each of its C kind (int, double or pointer),
+        # and the size C gives the struct (ipm_context_size): a field out of
+        # place would misread every field after it.
+        kinds = {"int": ctypes.c_int, "double": ctypes.c_double}
+        text = re.sub(r"/\*.*?\*/", "", ldl.SOURCES[0].read_text(),
+                      flags=re.S)
+        body = re.search(r"struct ipm_context \{(.*?)\};", text, re.S)[1]
+        fields = []
+        for declaration in filter(str.strip, body.split(";")):
+            base, declarators = re.fullmatch(
+                r"\s*(?:const\s+)?(int|double)\s+(.*)", declaration,
+                re.S).groups()
+            fields += [(d.replace("*", "").strip(),
+                        ctypes.c_void_p if "*" in d else kinds[base])
+                       for d in declarators.split(",")]
+        assert fields == ldl.IpmContext._fields_
+        assert ldl._library().ipm_context_size() == \
+            ctypes.sizeof(ldl.IpmContext)
 
     def test_sources_compile_without_warnings(self, tmp_path):
         # The command that builds the library, with -Wall -Wextra -Werror.
