@@ -11,6 +11,7 @@ plan prints one JSON line:
 
 - ``set``, ``plan``: which state;
 - ``outcome``, ``scp_iters``: how the plan ended, as planbench reports it;
+- ``solves``: the plan's subproblem solves;
 - ``ipm_iters``: the IPM iterations of every subproblem solve of the plan;
 - ``ldl_solves``: the LDL' solves of those solves (``ldl_solves``), the
   cold starts' and every refinement step's included;
@@ -37,12 +38,15 @@ the totals, which hold timings and counts) are the same.
 
 ``--diff SAVED`` makes that comparison. SAVED is this script's output on
 another tree. After the totals, one line names each plan of this run whose
-``outcome``, ``scp_iters``, ``propellant_kg``, ``z_hash``, ``ipm_iters``,
-``ldl_solves`` or ``projection_steps`` differs from its line in SAVED, with
-the old and new values, so that "the same plans" covers the solver's work
-as well as the answer, and a last line counts the plans compared, moved,
-moved in class (``outcome`` or ``scp_iters``), and missing from SAVED. The
-script then exits 1 if any plan moved or is missing, so that the
+``outcome``, ``scp_iters``, ``propellant_kg``, ``z_hash`` or any of the
+counts (``solves``, ``ipm_iters``, ``ldl_solves``, ``reorders``,
+``builds``, ``projection_steps``) differs from its line in SAVED, with the
+old and new values, so that "the same plans" covers the solver's work,
+its fresh KKT analyses included, as well as the answer. A field that the
+saved lines lack (``solves``, in runs of trees whose lines did not carry
+it) is not compared, and the last line lists it as ``uncompared``. That
+line counts the plans compared, moved, moved in class (``outcome`` or
+``scp_iters``), and missing from SAVED. The script then exits 1 if any plan moved or is missing, so that the
 comparison serves as a check, and 0 if none did:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 > old.jsonl
@@ -72,16 +76,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VERDICTS = ("optimal", "infeasible")
-# The fields of a plan line that ``--diff`` compares.
-COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash", "ipm_iters",
-            "ldl_solves", "projection_steps")
-# The fields whose change moves a plan's class, not only its last bits.
-CLASS = ("outcome", "scp_iters")
-
-
 # The counts of a plan, each in its line and summed in the totals.
 COUNTS = ("solves", "ipm_iters", "ldl_solves", "reorders", "builds",
           "projection_steps")
+# The fields of a plan line that ``--diff`` compares.
+COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash", *COUNTS)
+# The fields whose change moves a plan's class, not only its last bits.
+CLASS = ("outcome", "scp_iters")
 
 
 class SolveRecorder:
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     recorder.count(scp, "project_onto_rows", "projection_steps")
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
               **dict.fromkeys(COUNTS, 0), "stalls": 0, "outcomes": {}}
-    moved, missing, status = [], 0, 0
+    moved, missing, status, uncompared = [], 0, 0, set()
     jittered, jitter_moves = [], []
     for name, states in sets:
         for i, state in enumerate(states):
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
             line = {
                 "workload": workload.name, "set": name, "plan": i,
                 "outcome": result.outcome, "scp_iters": result.scp_iters,
-                **{key: recorder.counts[key] for key in COUNTS[1:]},
+                **recorder.counts,
                 "propellant_kg": result.propellant_kg
                 if result.converged else None,
                 "problems": result.problems,
@@ -198,8 +199,9 @@ def main(argv=None) -> int:
             if old is None:
                 missing += 1
                 continue
-            changes = {field: [old.get(field), line[field]]
-                       for field in COMPARED if old.get(field) != line[field]}
+            uncompared.update(field for field in COMPARED if field not in old)
+            changes = {field: [old[field], line[field]] for field in COMPARED
+                       if field in old and old[field] != line[field]}
             if changes:
                 moved.append({"set": name, "plan": i, **changes})
     totals["plan_s"] = round(totals["plan_s"], 3)
@@ -212,7 +214,9 @@ def main(argv=None) -> int:
         print(json.dumps({"diff": {"compared": totals["plans"] - missing,
                                    "moved": len(moved),
                                    "class_moved": class_moved,
-                                   "missing": missing}}))
+                                   "missing": missing,
+                                   **({"uncompared": sorted(uncompared)}
+                                      if uncompared else {})}}))
         status = int(bool(moved or missing))
     if args.jitter is not None:
         largest, clean_both = None, 0

@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_33.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_35.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -14,22 +14,22 @@ build's template, and by the problem that built it, which reuses that
 template and writes only values. Then one IPM solve of the subproblem, and
 one factorization of the IPM's first KKT matrix by SuperLU at its defaults,
 for scale. A refactorization of that matrix is timed at N=100 and on the
-first N=30 subproblem, by the IPM's LDL' kernel on the upper-triangle
-values the IPM's own KKT system (``ipm._Kkt``) holds, in its ordering, on
-the symbolic analysis (``ldl.analyze``) made once, as each IPM iteration
-factors it. The KKT solve case times one refined ``_Kkt.solve`` at
-``ipm.REFINE_TOL`` at N=100, with the KKT system factored at the NT
-scaling of the cold solve's eighth iterate (below) and the cold start's
-right-hand side [-c; b; h]: the LDL' solves and the refinement's products
-with K. ``sol_sha256`` hashes the solution and ``ldl_solves`` counts its
-LDL' solves.
+first N=30 subproblem, by the IPM's LDL' kernel (``ldl.Factors``) on the
+upper-triangle values the IPM's session (``ipm._Session``) holds, in its
+ordering, on the symbolic analysis (``ldl.analyze``) made once, as each IPM
+iteration factors it. The KKT solve case times one refined ``kkt_solve``
+(through its wrapper in ``tests/helpers.py``) at ``ipm.REFINE_TOL`` at
+N=100, with the session's K factored at the NT scaling of the cold solve's
+eighth iterate (below) and the cold start's right-hand side [-c; b; h]: the
+LDL' solves and the refinement's products with K. ``sol_sha256`` hashes
+the solution and ``ldl_solves`` counts its LDL' solves.
 The direction cases time one predictor direction (``kkt_direction``,
-through its wrapper in ``tests/helpers.py``) at that iterate, at N=30 and
-N=100: its right-hand side with the cone rows W (lambda \\ lambda o lambda),
-the refined KKT solve and ds = -r_ineq - G dx, with the KKT system factored
-there and the iterate's residuals. The residual cases time one evaluation of
-those residuals by the IPM's session (``ipm._Session.residuals``, the
-compiled ``ipm_residuals``): the products with P, A, A', G and G', r_dual,
+through its wrapper) at that iterate, at N=30 and N=100: its right-hand
+side with the cone rows W (lambda \\ lambda o lambda), the refined KKT solve
+and ds = -r_ineq - G dx, with K factored there and the iterate's
+residuals. The residual cases time one evaluation of those residuals by the
+IPM's session (``_Session.residuals``, the compiled ``ipm_residuals``):
+the products with P, A, A', G and G', r_dual,
 r_eq, r_ineq and their norms, the norms of z and y, and the objective.
 ``direction_sha256`` hashes (dx, dy, dz, ds) and ``residuals_sha256`` the
 three residual vectors and the four scalars the loop reads.
@@ -64,6 +64,14 @@ The projection case times one Gauss-Newton step
 (``scp.project_onto_rows``), the first of the nominal N=100 plan, with
 its ordering, analysis and LDL' factorization; ``step_sha256`` hashes the
 step.
+The cold-start cases time ``_Session.cold_start`` on the first subproblem
+at N=30 and N=100, in a session on a fresh analysis, whose iterate each
+round first sets back to (0, 0, e, e), untimed: K factored at W = I
+(``ipm_factor``), the one KKT solve at a tolerance of infinity and the two
+shifts into the cones. ``cold_sha256`` hashes the cold iterate (x, y, z,
+s). The session cases time building the session of that subproblem on the
+analysis of a solve of it, as a warm solve whose start has the same
+pattern builds it: the pattern's comparison, K's values and the context.
 The whole-plan cases time ``run_scp`` to convergence from the initial
 guess: ignition-fit from that state at N=30 and N=100, and current-state
 from the mid-course state of the replan tests at N=100.
@@ -79,7 +87,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from rlv_landing.conic import ipm
+from rlv_landing.conic import ipm, ldl
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (PlanningBoundary, PlanningProblem,
                                  fit_coast_polynomial, initial_guess_planning,
@@ -90,8 +98,9 @@ from rlv_landing.scp import ScpSettings, run_scp
 # The wrappers of the kernel's entry points that the IPM no longer calls
 # one by one live with the tests that hold them to their oracles.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from helpers import (clip_eigenvalues, cone_product, kkt_direction,  # noqa: E402
-                     max_steps, scaled_product)
+from helpers import (NTScaling, clip_eigenvalues,  # noqa: E402
+                     cone_product, factor, ipm_session, kkt_direction,
+                     kkt_solve, max_steps, scaled_product)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -145,7 +154,7 @@ def first_kkt(prog, reg=ipm.REG) -> sp.csc_matrix:
     """The IPM's first KKT matrix (W = I), whole and in the program's own
     order, as SuperLU takes it: -(W^2 + reg I) dense on each SOC block
     (explicit zeros off the diagonal). The IPM stores only its upper
-    triangle, in the stage ordering (``ipm_kkt``)."""
+    triangle, in the stage ordering (``factored_session``)."""
     n, me = prog.n, prog.A.shape[0]
     top = sp.bmat([[prog.P + reg * sp.eye(n), prog.A.T, prog.G.T],
                    [prog.A, -reg * sp.eye(me), None]], format="coo")
@@ -237,24 +246,26 @@ def test_kkt_factor_default_n100(benchmark, subproblem):
     benchmark.extra_info["fill_nnz"] = int(lu.L.nnz + lu.U.nnz)
 
 
-def ipm_kkt(prog, scaling=None):
-    """The IPM's KKT system of the program (``ipm._Kkt``, analysed afresh
-    in the stage ordering, as a cold solve analyses it), factored at the
-    NT scaling ``scaling``, or at W = I."""
+def factored_session(prog, scaling=None):
+    """The IPM's session of the program (``helpers.ipm_session``, analysed
+    afresh in the stage ordering, as a cold solve analyses it), its K
+    factored at the NT scaling ``scaling``, or at W = I."""
     cones = prog.cones
-    kkt = ipm._Kkt(prog.P, prog.A, prog.G, cones, stage=prog.stage)
-    kkt.factor(scaling or ipm._NTScaling(
+    session = ipm_session(prog)
+    factor(session, scaling or NTScaling(
         cones.points(cones.identity(), cones.identity())))
-    return kkt
+    return session
 
 
 def refactor_ldl(benchmark, prog):
     """An IPM iteration's factorization, by the IPM's LDL' kernel in the
     IPM's ordering: the upper-triangle values of the IPM's first KKT system
     (W = I), analysed once (``ldl.analyze``) and factored numerically."""
-    kkt = ipm_kkt(prog)
-    factors = kkt._ldl
-    assert kernel(benchmark, factors.factor, kkt._values, kkt._reg_sign) >= 0
+    session = factored_session(prog)
+    a = session.analysis
+    factors = ldl.Factors(a.indptr, a.indices, a.Lp, a.Rp, a.Ri)
+    assert kernel(benchmark, factors.factor, session.Kx,
+                  session.reg_sign) >= 0
     benchmark.extra_info["nnz_L"] = int(factors.L[0].size)
     # L and D, counted as SuperLU counts L + U: both triangles and the
     # diagonal twice.
@@ -274,12 +285,12 @@ def test_kkt_solve_n100(benchmark, subproblem):
     direction."""
     prog = subproblem[2]
     cones, sol, _ = mid_solve(prog)
-    kkt = ipm_kkt(prog, ipm._NTScaling(cones.points(sol.s, sol.z)))
+    session = factored_session(prog, NTScaling(cones.points(sol.s, sol.z)))
     rhs = np.concatenate([-prog.c, prog.b, prog.h])
-    out = kernel(benchmark, kkt.solve, rhs, ipm.REFINE_TOL)
-    before = kkt.ldl_solves
-    kkt.solve(rhs, ipm.REFINE_TOL)
-    benchmark.extra_info["ldl_solves"] = kkt.ldl_solves - before
+    out = kernel(benchmark, kkt_solve, session, rhs, ipm.REFINE_TOL)
+    before = session.ldl_solves
+    kkt_solve(session, rhs, ipm.REFINE_TOL)
+    benchmark.extra_info["ldl_solves"] = session.ldl_solves - before
     benchmark.extra_info["sol_sha256"] = sha256(out)
 
 
@@ -292,28 +303,23 @@ def session_at(prog, sol):
     """The IPM's session of the program (``ipm._Session``), on a KKT
     system analysed afresh in the stage ordering, as a cold solve analyses
     it, at a copy of the iterate (x, y, z, s) of ``sol``."""
-    P, A, G = (ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G))
-    c, b, h = (np.ascontiguousarray(v, dtype=np.float64)
-               for v in (prog.c, prog.b, prog.h))
-    kkt = ipm._Kkt(P, A, G, prog.cones, stage=prog.stage)
-    return ipm._Session(kkt, P, A, c, b, h, prog.obj_offset,
-                        [v.copy() for v in (sol.x, sol.y, sol.z, sol.s)])
+    return ipm_session(prog, (sol.x, sol.y, sol.z, sol.s))
 
 
 def direction(benchmark, prog):
     """The predictor direction at the cold solve's eighth iterate."""
     cones, sol, _ = mid_solve(prog)
-    scaling = ipm._NTScaling(cones.points(sol.s, sol.z))
-    kkt = ipm_kkt(prog, scaling)
-    session = session_at(prog, sol)
-    session.residuals()
-    r = session.r_dual, session.r_eq, session.r_ineq
+    scaling = NTScaling(cones.points(sol.s, sol.z))
+    session = factored_session(prog, scaling)
+    residuals = session_at(prog, sol)
+    residuals.residuals()
+    r = residuals.r_dual, residuals.r_eq, residuals.r_ineq
     lam = scaling.lam.u[0]
     lam_sq = cone_product(cones, lam, lam)
-    step = kernel(benchmark, kkt_direction, kkt, scaling, *r, lam_sq)
-    before = kkt.ldl_solves
-    kkt_direction(kkt, scaling, *r, lam_sq)
-    benchmark.extra_info["ldl_solves"] = kkt.ldl_solves - before
+    step = kernel(benchmark, kkt_direction, session, scaling, *r, lam_sq)
+    before = session.ldl_solves
+    kkt_direction(session, scaling, *r, lam_sq)
+    benchmark.extra_info["ldl_solves"] = session.ldl_solves - before
     benchmark.extra_info["direction_sha256"] = sha256(*step)
 
 
@@ -379,7 +385,7 @@ def cone_pass(cones, s, z, ds, dz):
     centrality corrector's clipped target."""
     iterate = cones.points(s, z)
     iterate.violations()
-    scaling = ipm._NTScaling(iterate)
+    scaling = NTScaling(iterate)
     lam = scaling.lam.u[0]
     for _ in range(3):
         max_steps(iterate, ds, dz)
@@ -434,9 +440,9 @@ def ipm_iteration(benchmark, prog):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(
         iterate, (after.x, after.y, after.z, after.s)))
     args, _ = restart()
-    before = session._kkt.ldl_solves
+    before = session.ldl_solves
     iteration(*args)
-    benchmark.extra_info["ldl_solves"] = session._kkt.ldl_solves - before
+    benchmark.extra_info["ldl_solves"] = session.ldl_solves - before
     benchmark.extra_info["next_sha256"] = sha256(*iterate)
 
 
@@ -446,6 +452,60 @@ def test_ipm_iteration_n30(benchmark):
 
 def test_ipm_iteration_n100(benchmark, subproblem):
     ipm_iteration(benchmark, subproblem[2])
+
+
+def cold_start(benchmark, prog):
+    """The cold start of a solve of ``prog``, on a fresh analysis."""
+    session = ipm_session(prog)
+    iterate = session.x, session.y, session.z, session.s
+    e = prog.cones.identity()
+
+    def restart():
+        """The session at (0, 0, e, e) again."""
+        for v, start in zip(iterate, (0.0, 0.0, e, e)):
+            v[...] = start
+        return (), {}
+
+    benchmark.pedantic(session.cold_start, setup=restart, **KERNEL_ROUNDS)
+    restart()
+    before = session.ldl_solves
+    session.cold_start()
+    benchmark.extra_info["ldl_solves"] = session.ldl_solves - before
+    benchmark.extra_info["cold_sha256"] = sha256(*iterate)
+
+
+def test_cold_start_n30(benchmark):
+    cold_start(benchmark, first_subproblem(30)[2])
+
+
+def test_cold_start_n100(benchmark, subproblem):
+    cold_start(benchmark, subproblem[2])
+
+
+def reused_session(benchmark, prog):
+    """A session of ``prog`` on the analysis of a solve of it, at a copy of
+    that solve's iterate, as a warm solve builds it."""
+    sol = ipm.solve(prog)
+    P, A, G = (ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G))
+    c, b, h = (np.ascontiguousarray(v, dtype=np.float64)
+               for v in (prog.c, prog.b, prog.h))
+
+    def arguments():
+        iterate = [v.copy() for v in (sol.x, sol.y, sol.z, sol.s)]
+        return (P, A, G, c, b, h, prog.cones, prog.obj_offset, iterate,
+                sol._analysis, prog.stage), {}
+
+    session = benchmark.pedantic(ipm._Session, setup=arguments,
+                                 **KERNEL_ROUNDS)
+    assert not session.reordered
+
+
+def test_session_reused_n30(benchmark):
+    reused_session(benchmark, first_subproblem(30)[2])
+
+
+def test_session_reused_n100(benchmark, subproblem):
+    reused_session(benchmark, subproblem[2])
 
 
 @pytest.mark.parametrize("boundary_at, N", [(ignition_fit, 30),

@@ -15,11 +15,11 @@ kernel into one library (``ldl``): one function loops over every orthant
 row and SOC block of a vector, in place of a dozen numpy operations over
 about 100 blocks, as ECOS and Clarabel loop (Goulart & Chen,
 arXiv:2405.12762). It adds terms in the order numpy did, so that its
-results are numpy's to the bit. The IPM's iterations call it from C
-(``ipm_predictor`` and ``ipm_corrector`` in ``ldl.c``); in Python,
+results are numpy's to the bit. The IPM calls it from C (``ipm_factor``,
+``ipm_predictor`` and ``ipm_corrector`` in ``ldl.c``); in Python,
 ``ConePoints`` holds the cone data of a stack of points (their J-norms,
-normalized blocks and violations), which the interior test, the shifts
-into the cones and the cold start's NT scaling read.
+normalized blocks and violations), which the interior test and the shifts
+into the cones read.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Cones:
 
 class ConePoints:
     """The cone data of a stack of points, computed once and read by every
-    evaluation at them, such as the cold start's NT scaling at (e, e).
+    evaluation at them.
 
     ``u`` is the (k, dim) stack. ``norm_sq`` holds the J-norm square
     u_0^2 - ||u_1||^2 of each block (k, n_soc), ``norm`` the J-norm (floored

@@ -65,57 +65,40 @@ step lowers it, as in Clarabel. The IPM's directions are solved to
 REFINE_TOL, since later iterations correct a direction's error; the cold
 start is not refined (a tolerance of infinity), and forms no residual.
 
-Each solve keeps one compiled context, as ECOS and Clarabel keep one
-workspace per solve (``_Session``; ``ldl.IpmContext``, ``struct
-ipm_context`` in ``ldl.c``). It holds the sizes, the constants below and
-the address of every array the iterations read or write: K, its factors
-and its ordering, the program's CSR matrices P, A and G and its c, b and
-h, the residual and Newton buffers, and the iterate (x, y, z, s), which
-the session owns and moves in place. Each array is checked once, when the
-context is filled, and each iteration is three calls that take the
-context's address and at most two scalars. ``ipm_predictor`` forms the
-iterate's cone data once (the J-norms and normalized blocks of s and z,
-and the violations of its interior test), which the NT scaling and every
-step length of the iteration read, and lambda's; then lambda o lambda,
-K's -(W'W + eps I) block and its factorization, the affine direction, its
-step lengths and the trial points. ``ipm_corrector`` takes sigma and mu
-and forms the combined direction, its step pair and the Gondzio rounds.
-``ipm_advance`` takes the step pair, moves the iterate along the
-direction, and evaluates the residuals there (``ipm_residuals``: the
-products with P, A, A', G and G', r_dual, r_eq and r_ineq, and the
-infinity norms of those, of A'y + G'z and of z and y, which the Farkas
-test reads). A direction is one refined KKT solve (``kkt_direction``: its
-right-hand side with the cone rows W (lambda \\ v), the permutation into
-K's ordering and back, the LDL' solves and the refinement's residuals,
-and ds = -r_ineq - G dx). The calls compose the compiled pieces that
-replaced the numpy and scipy code of the iteration, each adding in that
-code's order (an update x + alpha dx is the product, then the sum, as
-numpy forms it), and take Python's min and max where it did (the first
-argument, unless the second compares below or above it: min(1.0, nan) is
-1.0); so the iterates are its, to the bit. The dot products (s'z, c'x,
-x'Px, b'y, h'z, and the affine gap from the predictor's trial points)
-stay numpy's, between the calls, on the session's arrays, because C would
-not add them in the order of numpy's BLAS; so do sigma, the verdicts and
-the stall test, which comes before the update, so that a step it rejects
-is never taken. A solution counts the LDL' solves it took
-(``ldl_solves``).
+Each solve is one ``_Session``, as ECOS and Clarabel keep one workspace per
+solve: it holds K, its factors, the program's arrays, the buffers and the
+iterate (x, y, z, s), which it moves in place, and one compiled context
+that points to them all (``ldl.IpmContext``). Each iteration is three
+compiled calls: the predictor (the iterate's cone data, which the NT
+scaling and every step length of the iteration read, the NT scaling,
+lambda o lambda, K's factorization, the affine direction and its trial
+points), the corrector (the combined direction, its step pair and the
+Gondzio rounds) and the advance (the step, and the residuals at the next
+iterate). They compose the compiled pieces that replaced the numpy and
+scipy code of the iteration, each adding in that code's order, so the
+iterates are its, to the bit. The dot products (s'z, c'x, x'Px, b'y, h'z,
+and the affine gap from the predictor's trial points) stay numpy's,
+between the calls, on the session's arrays, because C would not add them
+in the order of numpy's BLAS; so do sigma, the verdicts and the stall
+test, which comes before the update, so that a step it rejects is never
+taken. A solution counts the LDL' solves it took (``ldl_solves``).
 
-The initial point is either cold, from one KKT solve with W = I, or warm,
-from ``program.start`` (the solution of a nearby program, such as the
-previous SCP subproblem): x and y as they are, s and z moved into the cone
-interior along the identity by at least WARM_SHIFT (Yildirim & Wright,
-SIAM J. Optim. 2002). A start that is the solution of this same program
-object, such as the inexact solve a full-tolerance re-solve follows, is
-resumed: its s and z are kept, and moved only if they are not interior
-(Skajaa, Andersen & Ye, Math. Prog. Comp. 2013). A start whose shapes do
-not match the program is ignored, and the solve is then the same as a cold
-one.
+The initial point is either cold, from one KKT solve with W = I (K
+factored at s = z = e, as a predictor factors it), or warm, from
+``program.start`` (the solution of a nearby program, such as the previous
+SCP subproblem): x and y as they are, s and z moved into the cone interior
+along the identity by at least WARM_SHIFT (Yildirim & Wright, SIAM J.
+Optim. 2002). A start that is the solution of this same program object,
+such as the inexact solve a full-tolerance re-solve follows, is resumed:
+its s and z are kept, and moved only if they are not interior (Skajaa,
+Andersen & Ye, Math. Prog. Comp. 2013). A start whose shapes do not match
+the program is ignored, and the solve is then the same as a cold one.
 
 A call is one solve, with its numerics fixed by the constants below, as in
-Clarabel; the caller chooses only the tolerance ``tol``, which the scaled
-primal and dual residuals and the gap must each meet. A solve that ends
-without a verdict returns as it ended: nothing retries it under other
-numerics.
+Clarabel; the caller chooses only the tolerance ``tol`` (positive, else a
+``ValueError``), which the scaled primal and dual residuals and the gap
+must each meet. A solve that ends without a verdict returns as it ended:
+nothing retries it under other numerics.
 
 A solve ends ``optimal`` (tolerance met: the best iterate of a few polish
 iterations, also if the solve then stalls), ``infeasible`` (an approximate
@@ -136,7 +119,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401
 
 from . import ldl
-from .cones import ConePoints, Cones
+from .cones import Cones
 from .program import ConicProgram, SolverSolution
 from .scaling import _rows
 
@@ -174,35 +157,9 @@ GONDZIO_STRETCH, GONDZIO_LIFT = 1.5, 0.3
 GONDZIO_BAND = 0.1, 10.0
 GONDZIO_MU_FLOOR = 1e-2
 GONDZIO_GAIN = 1.01
-# ipm_predictor's results at an iterate off the cone interior and at a NaN
-# pivot of the KKT factorization.
+# ipm_factor's and ipm_predictor's results at an iterate off the cone
+# interior and at a NaN pivot of the KKT factorization.
 OFF_INTERIOR, NAN_PIVOT = -1, -2
-
-
-class _NTScaling:
-    """Nesterov-Todd scaling point: W z = W^{-1} s = lambda, W symmetric.
-
-    SOC blocks use W = eta * Wbar with Wbar = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]]
-    built from the hyperbolic-unit vector wbar; the dense per-block matrices
-    W, W^{-1} and W^2 are each one (n_soc, d, d) stack. It is built from
-    the cone data of a point (s, z), ``Cones.points(s, z)``, by
-    ``cone_nt_scaling`` in ``cones.c``, and holds lambda's (``lam``). The
-    cold start factors K at it, at s = z = e (W = I); each iteration's
-    scaling is ``ipm_predictor``'s (``_Session``).
-    """
-
-    def __init__(self, iterate: ConePoints):
-        cones = self.cones = iterate.cones
-        n_nn, n_soc, d = cones.shape
-        u = ldl._checked("iterate", iterate.u, np.float64, 2, cones.dim)
-        self.w_nn = np.empty(n_nn)
-        self.soc_mats, self.soc_inv, self.soc_sq = np.empty((3, n_soc, d, d))
-        lam = np.empty(cones.dim)
-        ldl._library().cone_nt_scaling(
-            *cones.shape, u, *iterate._addresses[1:],
-            *map(ldl._address, (self.w_nn, self.soc_mats, self.soc_inv,
-                                self.soc_sq, lam)))
-        self.lam = cones.points(lam)
 
 
 def _pattern(P, A, G, cones: Cones, stage) -> list[np.ndarray]:
@@ -241,7 +198,7 @@ def _upper(P) -> np.ndarray:
 
 def _entries(P, A, G, cones: Cones) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns (int32) of the KKT entries, unpermuted, each entry
-    of the symmetric matrix once: the values of ``_Kkt``'s value vector
+    of the symmetric matrix once: the values of ``_Session``'s value vector
     (P's upper triangle, reg I, A, -reg I, G), then the -(W^2 + reg I)
     block in the order cone_w2_scatter writes it (the orthant diagonal,
     then each SOC block's upper triangle row by row)."""
@@ -262,7 +219,7 @@ class _Analysis:
     """The symbolic analysis of one KKT pattern in its stage ordering, left
     on the solution for a later solve of the same pattern: the ordering,
     the CSC pattern of K's upper triangle in it (``ldl.csc_pattern``, a
-    counting sort), the slot in it of each value ``_Kkt`` writes
+    counting sort), the slot in it of each value ``_Session`` writes
     (``value_slots``: P's upper triangle, reg I, A, -reg I, G;
     ``w2_slots``: -(W^2 + reg I)), and ``ldl.analyze``'s column pointers
     and row patterns of L (``Lp``, ``Rp``, ``Ri``), which every
@@ -299,28 +256,55 @@ class _Analysis:
             np.array_equal(a, b) for a, b in zip(pattern, self.pattern))
 
 
-class _Kkt:
-    """The KKT system of one solve, stored only through its ``analysis``:
-    the start's, if it has the same pattern, else a fresh one in the stage
-    ordering (``reordered``).
+class _Session:
+    """One IPM solve: its KKT system, stored only through its ``analysis``
+    (the start's, if it has the same pattern, else a fresh one in the stage
+    ordering: ``reordered``), and its compiled context (``ldl.IpmContext``)
+    with every array the context points to, each checked once, here
+    (``ldl._checked``, ``ldl.csr_args``): the program's P, A, G, c, b and
+    h, K and its factors, the buffers below, and the iterate ``x``, ``y``,
+    ``z`` and ``s``, which the session takes over and moves in place.
 
-    K is kept once, as its upper triangle's values in K's ordering. Only
-    the -(W^2 + reg I) block changes between iterations: ``factor`` writes
-    it by ``cone_w2_scatter`` and factors K by the compiled LDL'
-    (``ldl.Factors``, on the analysis's row patterns); an exact zero pivot
-    takes its row's ``_reg_sign``. The cold start's ``factor`` and ``solve``
-    are its own; each iteration factors K and solves in the session's
-    calls (``_Session``), from the addresses ``context_arrays`` gives. Every
-    solve works in K's ordering throughout, and ``ldl_solves`` counts the
-    LDL' solves of them all.
+    K is kept once, as its upper triangle's values in K's ordering
+    (``Kx``); only the -(W^2 + reg I) block changes between
+    factorizations, and an exact zero pivot takes its row's ``reg_sign``.
+    ``cold_start`` moves the iterate to the cold start's. ``residuals``
+    (``ipm_residuals``) evaluates the KKT residuals at the iterate: r_dual,
+    r_eq and r_ineq, P x (``Px``) and their norms, with those of A'y + G'z,
+    z and y. ``predictor`` (``ipm_predictor``) writes the cone data of s, z
+    and lambda (rows 0, 1 and 2 of ``norm_sq``, ``norm`` and ``bar``), the
+    NT scaling (``w_nn``, and W, W^{-1} and W^2 stacked in ``W``), lambda
+    and lambda o lambda (``lam``), K's factors (``Li``, ``Lx``, ``D``), the
+    affine direction (``sol_a``, ``ds_a``) and the trial points
+    ``trial_s`` and ``trial_z``. ``corrector`` (``ipm_corrector``) takes
+    sigma and mu, writes the step's direction (``sol``, ``ds``;
+    ``direction``) and returns its step pair. ``step`` is both, with sigma
+    from the trial points' s'z. ``advance`` (``ipm_advance``) moves the
+    iterate along the direction by a step pair and evaluates the residuals
+    there. ``ldl_solves`` counts the LDL' solves, and ``factored`` says
+    whether the last factorization succeeded.
     """
 
-    def __init__(self, P, A, G, cones: Cones,
-                 analysis: _Analysis | None = None, stage=None):
-        P, A, G = P.tocsr(), A.tocsr(), G.tocsr()
-        # G, for ds = -r - G dx and the session's residuals.
-        self._G, self._held = ldl.csr_args("G", G), G
-        n, me = P.shape[0], A.shape[0]
+    def __init__(self, P, A, G, c, b, h, cones: Cones, obj_offset: float,
+                 iterate, analysis: _Analysis | None = None, stage=None):
+        n, me, mi = P.shape[0], A.shape[0], cones.dim
+        if (P.shape, A.shape, G.shape) != ((n, n), (me, n), (mi, n)):
+            raise ValueError("P, A and G are not the blocks of one KKT "
+                             "system")
+        self.cones, self._sizes = cones, (n, me)
+        self._c, self._b, self._h, self._obj_offset = c, b, h, obj_offset
+        self._scales = [max(1.0, _norm_inf(v)) for v in (b, h, c)]
+        self.x, self.y, self.z, self.s = iterate
+        arrays = dict(zip("Pp Pi Pv Ap Ai Av Gp Gi Gv".split(), (
+            *ldl.csr_args("P", P), *ldl.csr_args("A", A),
+            *ldl.csr_args("G", G))))
+        arrays.update(
+            c=ldl._checked("c", c, np.float64, n),
+            b=ldl._checked("b", b, np.float64, me),
+            h=cones.address("h", h),
+            x=ldl._checked("x", self.x, np.float64, n),
+            y=ldl._checked("y", self.y, np.float64, me),
+            z=cones.address("z", self.z), s=cones.address("s", self.s))
         values = np.concatenate([P.data[_upper(P)], np.full(n, REG), A.data,
                                  np.full(me, -REG), G.data])
         pattern = _pattern(P, A, G, cones, stage)
@@ -329,106 +313,24 @@ class _Kkt:
             analysis = _Analysis.of(pattern, *_entries(P, A, G, cones),
                                     values.size, _stage_order(A, G, stage))
         self.analysis = a = analysis
-        self.position, self.order = a.position, a.order
-        self._values = np.bincount(a.value_slots, values, a.indices.size)
+        size, fill = a.order.size, int(a.Lp[-1])
+        self.Kx = np.bincount(a.value_slots, values, a.indices.size)
         # REG * sign: K minus diag(reg_sign) is the unregularized matrix.
-        self._reg_sign = np.where(self.order < n, REG, -REG)
-        self._ldl = ldl.Factors(a.indptr, a.indices, a.Lp, a.Rp, a.Ri)
-        self.cones = cones
-        self._w2_args = tuple(map(ldl._address, (a.w2_slots, self._values)))
-        self.ldl_solves = 0
-        # kkt_solve's arguments from Ap to work, and kkt_direction's.
-        self._work = np.empty(6 * self.order.size)
-        self._system = (*self._ldl.kkt_args(self._values, self._reg_sign),
-                        *map(ldl._address, (self.order, self._work)))
-        self._sizes = n, me
-
-    def factor(self, scaling: _NTScaling) -> None:
-        """Write -(W^2 + reg I) from the NT scaling into K, and factor K.
-        Raises ``RuntimeError`` at a NaN pivot."""
-        n_nn, n_soc, d = self.cones.shape
-        ldl._library().cone_w2_scatter(
-            n_nn, n_soc, d, REG,
-            ldl._checked("w_nn", scaling.w_nn, np.float64, n_nn),
-            ldl._checked("W^2", scaling.soc_sq, np.float64, n_soc, d, d),
-            *self._w2_args)
-        if self._ldl.factor(self._values, self._reg_sign) < 0:
-            raise RuntimeError("the KKT factorization met a NaN pivot")
-
-    def context_arrays(self) -> dict:
-        """The addresses of K, its factors, its ordering and workspace, the
-        slots of -(W^2 + reg I) and G, by their ``ldl.IpmContext`` names."""
-        names = "Kp Ki Kx reg_sign Lp Li Lx D order work Rp Ri iwork Gp Gi Gv"
-        return dict(zip(names.split(), (*self._system, *self._ldl.rows_args,
-                                        *self._G)),
-                    w2_slots=self._w2_args[0])
-
-    def solve(self, rhs: np.ndarray, tol: float) -> np.ndarray:
-        """Solve with the last factorization, in K's ordering, refined
-        against the unregularized matrix while the residual is above
-        ``tol * max(1, |rhs|_inf)``, at most REFINE_STEPS times. A step
-        that does not lower the residual is dropped and ends the
-        refinement; at ``tol = inf`` none is taken, and no residual is
-        formed."""
-        sol = np.empty(self.order.size)
-        args = (ldl._checked("rhs", rhs, np.float64, sol.size),
-                ldl._address(sol))
-        self._ldl.check_factored()
-        self.ldl_solves += ldl._library().kkt_solve(
-            sol.size, REFINE_STEPS, tol, *self._system, *args)
-        return sol
-
-
-class _Session:
-    """One solve's compiled context (``ldl.IpmContext``, ``struct
-    ipm_context`` in ``ldl.c``) and every array it points to, each checked
-    once, here (``ldl._checked``, ``ldl.csr_args``): K and its factors
-    (``kkt``, whose G is the program's), the program's P, A, c, b and h,
-    the buffers below, and the iterate ``x``, ``y``, ``z`` and ``s``, which
-    the session takes over and moves in place.
-
-    ``residuals`` (``ipm_residuals``) evaluates the KKT residuals at the
-    iterate: r_dual, r_eq and r_ineq, P x (``Px``) and their norms, with
-    those of A'y + G'z, z and y. ``predictor`` (``ipm_predictor``) writes
-    the cone data of s, z and lambda (rows 0, 1 and 2 of ``norm_sq``,
-    ``norm`` and ``bar``), the NT scaling (``w_nn``, and W, W^{-1} and W^2
-    stacked in ``W``), lambda and lambda o lambda (``lam``), K's factors,
-    the affine direction (``sol_a``, ``ds_a``) and the trial points
-    ``trial_s`` and ``trial_z``. ``corrector`` (``ipm_corrector``) takes
-    sigma and mu, writes the step's direction (``sol``, ``ds``;
-    ``direction``) and returns its step pair. ``step`` is both, with sigma
-    from the trial points' s'z. ``advance`` (``ipm_advance``) moves the
-    iterate along the direction by a step pair and evaluates the residuals
-    there. The KKT system's ``ldl_solves`` counts the solves.
-    """
-
-    def __init__(self, kkt: _Kkt, P, A, c, b, h, obj_offset: float,
-                 iterate):
-        cones = self.cones = kkt.cones
-        n_nn, n_soc, d = cones.shape
-        (n, me), mi, size = kkt._sizes, cones.dim, kkt.order.size
-        if (P.shape, A.shape) != ((n, n), (me, n)):
-            raise ValueError("P and A do not have the KKT system's shapes")
-        self._kkt, self._sizes = kkt, kkt._sizes
-        self._c, self._obj_offset = c, obj_offset
-        self._scales = [max(1.0, _norm_inf(v)) for v in (b, h, c)]
-        self.x, self.y, self.z, self.s = iterate
-        arrays = dict(zip(("Pp", "Pi", "Pv", "Ap", "Ai", "Av"),
-                          (*ldl.csr_args("P", P), *ldl.csr_args("A", A))))
-        arrays.update(
-            c=ldl._checked("c", c, np.float64, n),
-            b=ldl._checked("b", b, np.float64, me),
-            h=cones.address("h", h),
-            x=ldl._checked("x", self.x, np.float64, n),
-            y=ldl._checked("y", self.y, np.float64, me),
-            z=cones.address("z", self.z), s=cones.address("s", self.s))
+        self.reg_sign = np.where(a.order < n, REG, -REG)
+        self.Li, self.iwork = np.empty(fill, np.intc), np.empty(size, np.intc)
+        arrays.update(zip(
+            "Kp Ki Lp Rp Ri order w2_slots Kx reg_sign Li iwork".split(),
+            map(ldl._address, (a.indptr, a.indices, a.Lp, a.Rp, a.Ri,
+                               a.order, a.w2_slots, self.Kx, self.reg_sign,
+                               self.Li, self.iwork))))
         # The buffers, all in one array, each an attribute that views it.
         shapes = dict(
-            Px=(n,), r_dual=(n,), r_eq=(me,), r_ineq=(mi,), norms=(6,),
-            rwork=(2 * n,), u=(2, mi), norm_sq=(3, n_soc),
-            norm=(3, n_soc), bar=(3, n_soc, d), worst=(3,), w_nn=(n_nn,),
-            W=(3, n_soc, d, d), lam=(2, mi), sol_a=(size,), ds_a=(mi,),
-            trial_s=(mi,), trial_z=(mi,), sol=(size,), ds=(mi,),
+            Lx=(fill,), D=(size,), work=(6 * size,), Px=(n,), r_dual=(n,),
+            r_eq=(me,), r_ineq=(mi,), norms=(6,), rwork=(2 * n,),
+            u=(2, mi), norm_sq=(3, cones.n_soc), norm=(3, cones.n_soc),
+            bar=(3, cones.n_soc, cones.d), worst=(3,), w_nn=(cones.n_nn,),
+            W=(3, cones.n_soc, cones.d, cones.d), lam=(2, mi), sol_a=(size,),
+            ds_a=(mi,), trial_s=(mi,), trial_z=(mi,), sol=(size,), ds=(mi,),
             alpha=(2,), cwork=(2 * size + 8 * mi,))
         buffers = np.empty(sum(math.prod(shape) for shape in shapes.values()))
         base, offset = ldl._address(buffers), 0
@@ -437,15 +339,37 @@ class _Session:
             setattr(self, name, buffers[offset:offset + count].reshape(shape))
             arrays[name] = base + buffers.itemsize * offset
             offset += count
-        self._held = kkt, P, A, b, h, buffers   # what the context points to
+        self._held = P, A, G, buffers   # what the context points to
+        n_nn, n_soc, d = cones.shape
         self._context = ldl.IpmContext(
             n=size, nx=n, me=me, n_nn=n_nn, n_soc=n_soc, d=d,
             steps=REFINE_STEPS, tol=REFINE_TOL, reg=REG, common=P.nnz > 0,
             rounds=CENTRALITY_CORRECTORS, damping=STEP_DAMPING,
             enough=GONDZIO_ENOUGH, stretch=GONDZIO_STRETCH,
             lift=GONDZIO_LIFT, lo=GONDZIO_BAND[0], hi=GONDZIO_BAND[1],
-            mu_floor=GONDZIO_MU_FLOOR, gain=GONDZIO_GAIN,
-            **kkt.context_arrays(), **arrays)
+            mu_floor=GONDZIO_MU_FLOOR, gain=GONDZIO_GAIN, **arrays)
+        self.ldl_solves, self.factored = 0, False
+
+    def cold_start(self) -> None:
+        """From the iterate (0, 0, e, e): K factored at s = z = e (W = I,
+        ``ipm_factor``) and one KKT solve of [-c; b; h] at a tolerance of
+        infinity (``kkt_solve``), whose x and y are the start's, and whose
+        z part and its negation, shifted into the cones, its z and s. If
+        the factorization fails (a non-finite P, A or G), the iterate
+        stays, and the first iteration ends the solve as the loop's guards
+        find it: a non-finite residual, or the same factorization."""
+        lib = ldl._library()
+        self.factored = lib.ipm_factor(self._context) == 0
+        if not self.factored:
+            return
+        rhs = np.concatenate([-self._c, self._b, self._h])
+        self.ldl_solves += lib.kkt_solve(self._context, math.inf,
+                                         ldl._address(rhs),
+                                         ldl._address(self.sol))
+        dx, dy, z0, _ = self.direction()
+        self.x[...], self.y[...] = dx, dy
+        self.s[...] = self.cones.shift_into_interior(-z0)
+        self.z[...] = self.cones.shift_into_interior(z0)
 
     def residuals(self) -> tuple:
         """The residuals at the iterate, and what the loop reads of them
@@ -469,14 +393,14 @@ class _Session:
         or OFF_INTERIOR or NAN_PIVOT."""
         code = ldl._library().ipm_predictor(self._context)
         if code != OFF_INTERIOR:
-            self._kkt._ldl._factored = code != NAN_PIVOT
-        self._kkt.ldl_solves += max(code, 0)
+            self.factored = code != NAN_PIVOT
+        self.ldl_solves += max(code, 0)
         return code
 
     def corrector(self, sigma: float, mu: float) -> tuple[float, float]:
         """The corrector at sigma and mu, after ``predictor``: the step
         pair (alpha_p, alpha_d) of its direction."""
-        self._kkt.ldl_solves += ldl._library().ipm_corrector(
+        self.ldl_solves += ldl._library().ipm_corrector(
             self._context, sigma, mu)
         alpha_p, alpha_d = self.alpha.tolist()
         return alpha_p, alpha_d
@@ -500,8 +424,9 @@ class _Session:
         return self.measures()
 
     def direction(self) -> tuple[np.ndarray, ...]:
-        """The corrector's direction (dx, dy, dz, ds), as views of its
-        buffers, which the next iteration overwrites."""
+        """The corrector's direction (dx, dy, dz, ds), or the cold start's
+        solve, as views of its buffers, which the next iteration
+        overwrites."""
         n, me = self._sizes
         return self.sol[:n], self.sol[n:n + me], self.sol[n + me:], self.ds
 
@@ -518,6 +443,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
     """Solve the conic program to the tolerance ``tol``; deterministic for
     identical inputs. The SCP loop solves at a loose one first and at the
     full one once its step is small."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol!r}")
     program.validate()
     n = program.n
     c, b, h = (np.ascontiguousarray(v, dtype=np.float64)
@@ -533,33 +460,20 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
                         (start.s, mi)))
     resumed = warm and start._program is not None \
         and start._program() is program
-    kkt = _Kkt(P, A, G, cones, start._analysis if warm else None,
-               program.stage)
     if warm:
         x, y = start.x.copy(), start.y.copy()
         s, z = (u.copy() if resumed and cones.interior_violation(u) < 0
                 else cones.shift_warm(u, WARM_SHIFT)
                 for u in (start.s, start.z))
     else:
-        # Cold: one KKT solve with W = I, then shift into the cones. If the
-        # factorization fails (a non-finite P, A or G), the solve starts
-        # from (0, 0, e, e), and its first iteration ends it as the loop's
-        # guards find it: a non-finite residual, or the same factorization.
         e = cones.identity()
         x, y, s, z = np.zeros(n), np.zeros(me), e, e.copy()
-        try:
-            kkt.factor(_NTScaling(cones.points(e, e)))
-        except RuntimeError:
-            pass
-        else:
-            init = kkt.solve(np.concatenate([-c, b, h]), math.inf)
-            x = init[:n]
-            y = init[n:n + me]
-            z0 = init[n + me:]
-            s = cones.shift_into_interior(-z0.copy())
-            z = cones.shift_into_interior(z0.copy())
     # The session moves x, y, z and s in place.
-    session = _Session(kkt, P, A, c, b, h, program.obj_offset, (x, y, z, s))
+    session = _Session(P, A, G, c, b, h, cones, program.obj_offset,
+                       (x, y, z, s), start._analysis if warm else None,
+                       program.stage)
+    if not warm:
+        session.cold_start()
 
     best_res = np.inf
     growth_count = 0
@@ -646,8 +560,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
         objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),
         primal_res=pres, dual_res=dres, warm=warm,
-        reordered=kkt.reordered, resumed=resumed,
-        ldl_solves=kkt.ldl_solves, _analysis=kkt.analysis,
+        reordered=session.reordered, resumed=resumed,
+        ldl_solves=session.ldl_solves, _analysis=session.analysis,
         _program=weakref.ref(program),
     )
 

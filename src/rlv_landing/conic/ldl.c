@@ -26,27 +26,21 @@
  * a test built to reach it. Those tests pass with the regularized pivot. A
  * NaN pivot fails the factorization.
  *
- * kkt_solve and kkt_direction are the IPM's KKT solve and Newton
- * direction, each one call: the refined solve in K's ordering, and the
- * direction's right-hand side with its cone rows (cone_rhs in cones.c).
- * Each adds its terms in the order the numpy and scipy code it replaced
- * adds them, so that its results are that code's to the bit, as do the
- * residuals' products with P, A, A', G and G' of the program's CSR
- * matrices: a CSR product adds each row's terms from 0.0 in stored order
- * (scipy's csr_matvec), and a product with a transpose each column's in
- * ascending row order (csr_matvec of scipy's CSR transpose). An infinity
- * norm is NaN if an entry is NaN, as numpy's maximum is.
- *
- * An IPM solve keeps one context, struct ipm_context: its sizes, constants
- * and the address of every array its iterations read or write, the iterate
- * among them. Each iteration is three calls that take the context's
- * address: ipm_predictor, ipm_corrector (with sigma and mu) and
- * ipm_advance (with the step pair), which moves the iterate and evaluates
- * the residuals there (ipm_residuals). They compose the cone algebra of
- * cones.c, ldl_factor and kkt_direction, unchanged, in the order the IPM's
- * Python loop called them, and take Python's min and max where that loop
- * did, so that the iterates are the loop's to the bit. The dot products
- * between the calls stay the caller's (numpy's). */
+ * The IPM's calls take its solve's context, struct ipm_context, and only
+ * the vectors and scalars that change per call: kkt_solve, the refined KKT
+ * solve, and kkt_direction, a Newton direction; ipm_factor, K factored at
+ * the iterate's NT scaling; ipm_residuals; and each iteration's three
+ * calls, ipm_predictor, ipm_corrector (with sigma and mu) and ipm_advance
+ * (with the step pair), which moves the iterate and evaluates the
+ * residuals there. They compose the cone algebra of cones.c and
+ * ldl_factor in the order the IPM's Python loop called them, each adding
+ * its terms in the order of the numpy and scipy code it replaced and
+ * taking Python's min and max where that code did, so that the iterates
+ * are that code's to the bit: a CSR product adds each row's terms from 0.0
+ * in stored order (scipy's csr_matvec), a product with a transpose each
+ * column's in ascending row order (csr_matvec of scipy's CSR transpose),
+ * and an infinity norm is NaN if an entry is NaN, as numpy's maximum is.
+ * The dot products between the calls stay the caller's (numpy's). */
 
 #include <math.h>
 #include <stddef.h>
@@ -235,130 +229,15 @@ static double norm_inf(int n, const double *v)
     return m;
 }
 
-/* r = b - (A x - reg o x), A the symmetric matrix of (Ap, Ai, Ax), so that
- * A - diag(reg) is the unregularized matrix; returns |r|_inf. */
-static double kkt_residual(int n, const int *Ap, const int *Ai,
-                           const double *Ax, const double *reg,
-                           const double *b, const double *x, double *r)
-{
-    ldl_symv(n, Ap, Ai, Ax, x, r);
-    for (int i = 0; i < n; i++)
-        r[i] = b[i] - (r[i] - reg[i] * x[i]);
-    return norm_inf(n, r);
-}
-
-/* Solve A x = rhs with the factors of A (ldl_factor's Lp, Li, Lx, D),
- * where row i of A is row order[i] of the system: rhs and sol are in the
- * system's order. The solve is refined against A - diag(reg) while the
- * residual is above tol max(1, |rhs|_inf) and each step lowers it, at most
- * steps times; a step that does not lower it is dropped and ends the
- * refinement. work holds 5n doubles. Returns the number of LDL' solves. */
-int kkt_solve(int n, int steps, double tol, const int *Ap, const int *Ai,
-              const double *Ax, const double *reg, const int *Lp,
-              const int *Li, const double *Lx, const double *D,
-              const int *order, double *work, const double *rhs, double *sol)
-{
-    double *b = work, *x = work + n, *r = work + 2 * (ptrdiff_t)n;
-    double *t = work + 3 * (ptrdiff_t)n, *rt = work + 4 * (ptrdiff_t)n;
-    for (int i = 0; i < n; i++)
-        x[i] = b[i] = rhs[order[i]];
-    ldl_solve(n, Lp, Li, Lx, D, x);
-    int solves = 1;
-    double scale = norm_inf(n, b);
-    double target = tol * (scale > 1.0 ? scale : 1.0);
-    /* No residual is above a target of +inf (the cold start's tol) or NaN,
-     * so none is formed. */
-    double size = target < INFINITY
-        ? kkt_residual(n, Ap, Ai, Ax, reg, b, x, r) : 0.0;
-    for (int k = 0; k < steps && size > target; k++) {
-        for (int i = 0; i < n; i++)
-            t[i] = r[i];
-        ldl_solve(n, Lp, Li, Lx, D, t);
-        solves++;
-        for (int i = 0; i < n; i++)
-            t[i] = x[i] + t[i];
-        double refined = kkt_residual(n, Ap, Ai, Ax, reg, b, t, rt);
-        if (!(refined < size))
-            break;
-        double *swap = x;
-        x = t;
-        t = swap;
-        swap = r;
-        r = rt;
-        rt = swap;
-        size = refined;
-    }
-    for (int i = 0; i < n; i++)
-        sol[order[i]] = x[i];
-    return solves;
-}
-
-/* y = M x for the rows x m CSR matrix M = (Mp, Mi, Mx). */
-static void csr_matvec(int rows, const int *Mp, const int *Mi,
-                       const double *Mx, const double *x, double *y)
-{
-    for (int i = 0; i < rows; i++) {
-        double sum = 0.0;
-        for (int p = Mp[i]; p < Mp[i + 1]; p++)
-            sum += Mx[p] * x[Mi[p]];
-        y[i] = sum;
-    }
-}
-
-/* y = M' x for the rows x cols CSR matrix M = (Mp, Mi, Mx). */
-static void csr_matvec_t(int rows, int cols, const int *Mp, const int *Mi,
-                         const double *Mx, const double *x, double *y)
-{
-    for (int j = 0; j < cols; j++)
-        y[j] = 0.0;
-    for (int i = 0; i < rows; i++)
-        for (int p = Mp[i]; p < Mp[i + 1]; p++)
-            y[Mi[p]] += Mx[p] * x[i];
-}
-
-/* The Newton direction of the KKT system of n = nx + me + mi rows, given
- * by kkt_solve's arguments from Ap to work (6n doubles here): sol solves
- * it for [-r_dual; -r_eq; -r_ineq + W (lam \ v)], refined as kkt_solve
- * refines, and ds = -r_ineq - G dx for its first nx entries dx and the
- * mi x nx CSR matrix G = (Gp, Gi, Gx). The cone rows' arguments are
- * cone_rhs's. Returns the number of LDL' solves. */
-int kkt_direction(int n, int steps, double tol, const int *Ap,
-                  const int *Ai, const double *Ax, const double *reg,
-                  const int *Lp, const int *Li, const double *Lx,
-                  const double *D, const int *order, double *work, int nx,
-                  int me, int n_nn, int n_soc, int d, const double *lam,
-                  const double *lam_norm_sq, const double *w_nn,
-                  const double *W, const int *Gp, const int *Gi,
-                  const double *Gx, const double *r_dual,
-                  const double *r_eq, const double *r_ineq, const double *v,
-                  double *sol, double *ds)
-{
-    const int mi = n - nx - me;
-    double *rhs = work + 5 * (ptrdiff_t)n, *cone = rhs + nx + me;
-    for (int i = 0; i < nx; i++)
-        rhs[i] = -r_dual[i];
-    for (int i = 0; i < me; i++)
-        rhs[nx + i] = -r_eq[i];
-    cone_rhs(n_nn, n_soc, d, lam, lam_norm_sq, w_nn, W, v, cone);
-    for (int i = 0; i < mi; i++)
-        cone[i] = -r_ineq[i] + cone[i];
-    int solves = kkt_solve(n, steps, tol, Ap, Ai, Ax, reg, Lp, Li, Lx, D,
-                           order, work, rhs, sol);
-    csr_matvec(mi, Gp, Gi, Gx, sol, ds);
-    for (int i = 0; i < mi; i++)
-        ds[i] = -r_ineq[i] - ds[i];
-    return solves;
-}
-
 /* The context of one IPM solve (ipm._Session fills it, once): its sizes,
- * its constants and every array its iterations read or write, so that each
- * call of an iteration takes its address and at most two doubles. The KKT
- * system has n = nx + me + mi rows: the program's nx variables, me
- * equality rows and mi = n_nn + n_soc d cone rows, n_soc SOC blocks of
- * dimension d. ldl.IpmContext mirrors it, field for field. */
+ * its constants and every array its calls read or write, so that each call
+ * takes its address and at most the vectors or scalars that change per
+ * call. The KKT system has n = nx + me + mi rows: the program's nx
+ * variables, me equality rows and mi = n_nn + n_soc d cone rows, n_soc SOC
+ * blocks of dimension d. ldl.IpmContext mirrors it, field for field. */
 struct ipm_context {
     int n, nx, me, n_nn, n_soc, d;
-    /* kkt_solve's refinement: at most steps steps, to tol. */
+    /* kkt_solve's refinement: at most steps steps; a direction's to tol. */
     int steps;
     double tol;
     /* The static regularization of -(W^2 + reg I). */
@@ -387,11 +266,11 @@ struct ipm_context {
     /* ipm_residuals' results: Px (nx), r_dual (nx), r_eq (me), r_ineq
      * (mi), norms (6); rwork holds 2 nx doubles. */
     double *Px, *r_dual, *r_eq, *r_ineq, *norms, *rwork;
-    /* ipm_predictor's results: the cone data of s, z and lam (u (2 mi),
+    /* ipm_factor's results: the cone data of s, z and lam (u (2 mi),
      * norm_sq and norm (3 n_soc), bar (3 n_soc d), worst (3)), the NT
-     * scaling (w_nn (n_nn), W (3 n_soc d d)), lam and lam o lam (lam
-     * (2 mi)), the affine direction (sol_a (n), ds_a (mi)) and the trial
-     * points (trial_s and trial_z, mi each). */
+     * scaling (w_nn (n_nn), W (3 n_soc d d)) and lam and lam o lam (lam
+     * (2 mi)); ipm_predictor's: the affine direction (sol_a (n), ds_a
+     * (mi)) and the trial points (trial_s and trial_z, mi each). */
     double *u, *norm_sq, *norm, *bar, *worst, *w_nn, *W, *lam;
     double *sol_a, *ds_a, *trial_s, *trial_z;
     /* ipm_corrector's results: its direction (sol (n), ds (mi)) and step
@@ -406,6 +285,110 @@ struct ipm_context {
 int ipm_context_size(void)
 {
     return (int)sizeof(struct ipm_context);
+}
+
+/* r = b - (K x - reg_sign o x), K less diag(reg_sign) being the
+ * unregularized matrix; returns |r|_inf. */
+static double kkt_residual(const struct ipm_context *c, const double *b,
+                           const double *x, double *r)
+{
+    ldl_symv(c->n, c->Kp, c->Ki, c->Kx, x, r);
+    for (int i = 0; i < c->n; i++)
+        r[i] = b[i] - (r[i] - c->reg_sign[i] * x[i]);
+    return norm_inf(c->n, r);
+}
+
+/* Solve K x = rhs with K's factors, in K's ordering: rhs and sol are in
+ * the system's order. The solve is refined against K less diag(reg_sign)
+ * while the residual is above tol max(1, |rhs|_inf) and each step lowers
+ * it, at most steps times; a step that does not lower it is dropped and
+ * ends the refinement. It uses the first 5n doubles of work. Returns the
+ * number of LDL' solves. */
+int kkt_solve(const struct ipm_context *c, double tol, const double *rhs,
+              double *sol)
+{
+    const int n = c->n;
+    double *b = c->work, *x = b + n, *r = x + n, *t = r + n, *rt = t + n;
+    for (int i = 0; i < n; i++)
+        x[i] = b[i] = rhs[c->order[i]];
+    ldl_solve(n, c->Lp, c->Li, c->Lx, c->D, x);
+    int solves = 1;
+    double scale = norm_inf(n, b);
+    double target = tol * (scale > 1.0 ? scale : 1.0);
+    /* No residual is above a target of +inf (the cold start's tol) or NaN,
+     * so none is formed. */
+    double size = target < INFINITY ? kkt_residual(c, b, x, r) : 0.0;
+    for (int k = 0; k < c->steps && size > target; k++) {
+        for (int i = 0; i < n; i++)
+            t[i] = r[i];
+        ldl_solve(n, c->Lp, c->Li, c->Lx, c->D, t);
+        solves++;
+        for (int i = 0; i < n; i++)
+            t[i] = x[i] + t[i];
+        double refined = kkt_residual(c, b, t, rt);
+        if (!(refined < size))
+            break;
+        double *swap = x;
+        x = t;
+        t = swap;
+        swap = r;
+        r = rt;
+        rt = swap;
+        size = refined;
+    }
+    for (int i = 0; i < n; i++)
+        sol[c->order[i]] = x[i];
+    return solves;
+}
+
+/* y = M x for the rows x m CSR matrix M = (Mp, Mi, Mx). */
+static void csr_matvec(int rows, const int *Mp, const int *Mi,
+                       const double *Mx, const double *x, double *y)
+{
+    for (int i = 0; i < rows; i++) {
+        double sum = 0.0;
+        for (int p = Mp[i]; p < Mp[i + 1]; p++)
+            sum += Mx[p] * x[Mi[p]];
+        y[i] = sum;
+    }
+}
+
+/* y = M' x for the rows x cols CSR matrix M = (Mp, Mi, Mx). */
+static void csr_matvec_t(int rows, int cols, const int *Mp, const int *Mi,
+                         const double *Mx, const double *x, double *y)
+{
+    for (int j = 0; j < cols; j++)
+        y[j] = 0.0;
+    for (int i = 0; i < rows; i++)
+        for (int p = Mp[i]; p < Mp[i + 1]; p++)
+            y[Mi[p]] += Mx[p] * x[i];
+}
+
+/* The Newton direction of the KKT system, factored at the context's NT
+ * scaling: sol solves it for [-r_dual; -r_eq; -r_ineq + W (lam \ v)] to
+ * tol (kkt_solve; the cone rows are cone_rhs's in cones.c, from lam, lam's
+ * J-norm squares and the scaling), and ds = -r_ineq - G dx for its first
+ * nx entries dx. The right-hand side goes to the last n doubles of work.
+ * Returns the number of LDL' solves. */
+int kkt_direction(const struct ipm_context *c, const double *r_dual,
+                  const double *r_eq, const double *r_ineq, const double *v,
+                  double *sol, double *ds)
+{
+    const int nx = c->nx, me = c->me, mi = c->n - nx - me;
+    double *rhs = c->work + 5 * (ptrdiff_t)c->n, *cone = rhs + nx + me;
+    for (int i = 0; i < nx; i++)
+        rhs[i] = -r_dual[i];
+    for (int i = 0; i < me; i++)
+        rhs[nx + i] = -r_eq[i];
+    cone_rhs(c->n_nn, c->n_soc, c->d, c->lam, c->norm_sq + 2 * c->n_soc,
+             c->w_nn, c->W, v, cone);
+    for (int i = 0; i < mi; i++)
+        cone[i] = -r_ineq[i] + cone[i];
+    int solves = kkt_solve(c, c->tol, rhs, sol);
+    csr_matvec(mi, c->Gp, c->Gi, c->Gv, sol, ds);
+    for (int i = 0; i < mi; i++)
+        ds[i] = -r_ineq[i] - ds[i];
+    return solves;
 }
 
 /* The KKT residuals at the context's iterate (x, y, z, s), from the
@@ -477,42 +460,24 @@ static void step_pair(const struct ipm_context *c, const double *ds,
         *ap = *ad = py_min(*ap, *ad);
 }
 
-/* kkt_direction on the context's KKT system, factored at its NT scaling,
- * for these residuals and v: the direction (sol, ds). */
-static int direction(const struct ipm_context *c, const double *r_dual,
-                     const double *r_eq, const double *r_ineq,
-                     const double *v, double *sol, double *ds)
-{
-    return kkt_direction(c->n, c->steps, c->tol, c->Kp, c->Ki, c->Kx,
-                         c->reg_sign, c->Lp, c->Li, c->Lx, c->D, c->order,
-                         c->work, c->nx, c->me, c->n_nn, c->n_soc, c->d,
-                         c->lam, c->norm_sq + 2 * c->n_soc, c->w_nn, c->W,
-                         c->Gp, c->Gi, c->Gv, r_dual, r_eq, r_ineq, v, sol,
-                         ds);
-}
-
-/* The predictor of an IPM iteration at the context's (s, z), with the
- * residuals of ipm_residuals. In order: the cone data of the stack u =
- * (s, z) (cone_points' norm_sq, norm, bar and worst, rows 0 and 1) and the
- * interior test; the NT scaling (w_nn, and W, W^{-1} and W^2 in the
- * (3, n_soc, d, d) stack W), lam and lam o lam (the (2, mi) stack lam) and
- * lam's cone data (row 2 of norm_sq, norm and bar, worst[2]); -(W^2 +
- * reg I) written into Kx at w2_slots (cone_w2_scatter) and the LDL'
- * factorization (ldl_factor, on the row patterns Rp and Ri); the affine
- * direction (sol_a, ds_a) for v = lam o lam; and the trial points trial_s
- * = s + a_s ds_a and trial_z = z + a_z dz_a, each a = min(1, the step to
- * the cone boundary). Returns the number of LDL' solves, -1 if s or z is
- * not inside the cones, or -2 at a NaN pivot. */
-int ipm_predictor(struct ipm_context *c)
+/* K factored at the NT scaling of the context's (s, z). In order: the cone
+ * data of the stack u = (s, z) (cone_points' norm_sq, norm, bar and worst,
+ * rows 0 and 1) and the interior test; the NT scaling (w_nn, and W, W^{-1}
+ * and W^2 in the (3, n_soc, d, d) stack W), lam and lam o lam (the
+ * (2, mi) stack lam) and lam's cone data (row 2 of norm_sq, norm and bar,
+ * worst[2]); -(W^2 + reg I) written into Kx at w2_slots (cone_w2_scatter)
+ * and the LDL' factorization (ldl_factor, on the row patterns Rp and Ri).
+ * Returns 0, -1 if s or z is not inside the cones, or -2 at a NaN
+ * pivot. */
+int ipm_factor(struct ipm_context *c)
 {
     const int n_nn = c->n_nn, n_soc = c->n_soc, d = c->d;
     const ptrdiff_t mi = c->n - c->nx - c->me;
     const ptrdiff_t dd = (ptrdiff_t)n_soc * d * d, nb = (ptrdiff_t)n_soc * d;
-    const double *s = c->s, *z = c->z;
-    double *u = c->u, *lam = c->lam, *lam_sq = c->lam + mi;
+    double *u = c->u, *lam = c->lam;
     for (ptrdiff_t i = 0; i < mi; i++) {
-        u[i] = s[i];
-        u[mi + i] = z[i];
+        u[i] = c->s[i];
+        u[mi + i] = c->z[i];
     }
     cone_points(2, n_nn, n_soc, d, u, c->norm_sq, c->norm, c->bar,
                 c->worst);
@@ -522,21 +487,36 @@ int ipm_predictor(struct ipm_context *c)
                     c->W + dd, c->W + 2 * dd, lam);
     cone_points(1, n_nn, n_soc, d, lam, c->norm_sq + 2 * n_soc,
                 c->norm + 2 * n_soc, c->bar + 2 * nb, c->worst + 2);
-    cone_product(n_nn, n_soc, d, lam, lam, lam_sq);
+    cone_product(n_nn, n_soc, d, lam, lam, lam + mi);
     cone_w2_scatter(n_nn, n_soc, d, c->reg, c->w_nn, c->W + 2 * dd,
                     c->w2_slots, c->Kx);
     if (ldl_factor(c->n, c->Kp, c->Ki, c->Kx, c->reg_sign, c->Lp, c->Rp,
                    c->Ri, c->Li, c->Lx, c->D, c->iwork, c->work) < 0)
         return -2;
-    int solves = direction(c, c->r_dual, c->r_eq, c->r_ineq, lam_sq,
-                           c->sol_a, c->ds_a);
+    return 0;
+}
+
+/* The predictor of an IPM iteration at the context's (s, z), with the
+ * residuals of ipm_residuals: ipm_factor, then the affine direction
+ * (sol_a, ds_a) for v = lam o lam, and the trial points trial_s = s + a_s
+ * ds_a and trial_z = z + a_z dz_a, each a = min(1, the step to the cone
+ * boundary). Returns the number of LDL' solves, or ipm_factor's -1 or
+ * -2. */
+int ipm_predictor(struct ipm_context *c)
+{
+    int code = ipm_factor(c);
+    if (code < 0)
+        return code;
+    const ptrdiff_t mi = c->n - c->nx - c->me;
+    int solves = kkt_direction(c, c->r_dual, c->r_eq, c->r_ineq, c->lam + mi,
+                               c->sol_a, c->ds_a);
     const double *ds = c->ds_a, *dz = c->sol_a + c->nx + c->me;
     double alpha[2];
     iterate_steps(c, ds, dz, alpha);
     double a_s = py_min(1.0, alpha[0]), a_z = py_min(1.0, alpha[1]);
     for (ptrdiff_t i = 0; i < mi; i++) {
-        c->trial_s[i] = s[i] + a_s * ds[i];
-        c->trial_z[i] = z[i] + a_z * dz[i];
+        c->trial_s[i] = c->s[i] + a_s * ds[i];
+        c->trial_z[i] = c->z[i] + a_z * dz[i];
     }
     return solves;
 }
@@ -570,7 +550,7 @@ int ipm_corrector(struct ipm_context *c, double sigma, double mu)
         double e = i < n_nn || (i - n_nn) % d == 0 ? 1.0 : 0.0;
         v[i] = lam_sq[i] - sigma_mu * e + v[i];
     }
-    int solves = direction(c, c->r_dual, c->r_eq, c->r_ineq, v, sol, ds);
+    int solves = kkt_direction(c, c->r_dual, c->r_eq, c->r_ineq, v, sol, ds);
     double ap, ad;
     step_pair(c, ds, dz, &ap, &ad);
 
@@ -591,7 +571,7 @@ int ipm_corrector(struct ipm_context *c, double sigma, double mu)
                               v_t, dv);
         for (ptrdiff_t i = 0; i < mi; i++)
             dv[i] = v_t[i] - dv[i];
-        solves += direction(c, zero, zero, zero, dv, sol_c, ds_c);
+        solves += kkt_direction(c, zero, zero, zero, dv, sol_c, ds_c);
         for (ptrdiff_t i = 0; i < mi; i++) {
             ds_sum[i] = ds[i] + ds_c[i];
             dz_sum[i] = dz[i] + sol_c[nz + i];

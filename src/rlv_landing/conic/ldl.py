@@ -18,24 +18,23 @@ pattern. ``Factors`` is the numeric factorization for it, which walks no
 tree, the solves, and the product with the symmetric matrix (``ldl_symv``),
 which adds as scipy's product with the whole matrix does. ``csc_pattern``
 forms a sparse pattern by a counting sort (the IPM's KKT upper triangle and
-the planner's constraint matrices). ``cones`` and the IPM's cold start
-call the cone algebra (``cone_points``, ``cone_nt_scaling``,
-``cone_w2_scatter``), and the cold start's KKT solve is ``kkt_solve``.
-Each IPM solve fills one ``IpmContext`` (``struct ipm_context`` in
-``ldl.c``) with its sizes, its constants and the addresses of its arrays:
-K and the factors (``Factors.kkt_args`` and ``Factors.rows_args``), the
-program's CSR matrices (``csr_args``) and vectors, its buffers and its
-iterate. The entry points that take it, ``ipm_residuals``,
-``ipm_predictor``, ``ipm_corrector`` and ``ipm_advance``, are its
-residuals and each iteration's three calls; they compose the cone
-algebra, the factorization and ``kkt_direction``, the refined solve for a
-Newton direction, and ``ipm_context_size`` is the struct's size in C. The
-other entry points of ``cones.c`` (``cone_max_steps``, ``cone_product``,
-``cone_scaled_product``, ``cone_clip_eigenvalues``) and ``kkt_direction``
-have no Python caller in the package; the tests call them through
-wrappers, to hold each to the numpy code it replaced. Every array is
-checked for dtype, C-contiguity and shape (``_checked``) before it reaches
-C. The entry points are ``_ENTRY_POINTS``.
+the planner's constraint matrices). ``cones`` calls ``cone_points``.
+
+The IPM's entry points take one IPM solve's context, ``IpmContext``
+(``struct ipm_context`` in ``ldl.c``), which ``ipm._Session`` fills once
+with the solve's sizes, its constants and the address of every array its
+calls read or write, and otherwise only the vectors and scalars that change
+per call: ``kkt_solve`` (a tolerance, the right-hand side and the
+solution), ``kkt_direction`` (the residuals, v and the direction),
+``ipm_factor``, ``ipm_residuals``, ``ipm_predictor``, ``ipm_corrector``
+(sigma and mu) and ``ipm_advance`` (the step pair); ``ipm_context_size`` is
+the struct's size in C. The package calls ``kkt_direction`` and the cone
+algebra's other entry points (``cone_nt_scaling``, ``cone_max_steps``,
+``cone_product``, ``cone_scaled_product``, ``cone_clip_eigenvalues``,
+``cone_w2_scatter``) only from C; the tests call them through wrappers, to
+hold each to the numpy code it replaced. Every array is checked for dtype,
+C-contiguity and shape (``_checked``) before it reaches C. The entry points
+are ``_ENTRY_POINTS``.
 """
 
 from __future__ import annotations
@@ -88,10 +87,10 @@ _ENTRY_POINTS = {
     "ldl_factor": ([_INT] + [_PTR] * 12, _INT),
     "ldl_solve": ([_INT] + [_PTR] * 5, None),
     "ldl_symv": ([_INT] + [_PTR] * 5, None),
-    "kkt_solve": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 12, _INT),
-    "kkt_direction": ([_INT] * 2 + [_DOUBLE] + [_PTR] * 10 + [_INT] * 5
-                      + [_PTR] * 13, _INT),
+    "kkt_solve": ([_CONTEXT, _DOUBLE] + [_PTR] * 2, _INT),
+    "kkt_direction": ([_CONTEXT] + [_PTR] * 6, _INT),
     "ipm_context_size": ([], _INT),
+    "ipm_factor": ([_CONTEXT], _INT),
     "ipm_residuals": ([_CONTEXT], None),
     "ipm_predictor": ([_CONTEXT], _INT),
     "ipm_corrector": ([_CONTEXT] + [_DOUBLE] * 2, _INT),
@@ -296,10 +295,6 @@ class Factors:
         iwork, dwork = map(_address, work)
         self._factor_args = (ap, ai), (lp, rp, ri, li, lx, d, iwork, dwork)
         self._solve_args = lp, li, lx, d
-        # What ldl_factor reads besides kkt_args and n doubles of workspace,
-        # as the IPM's context takes it: L's row patterns and the int
-        # workspace.
-        self.rows_args = rp, ri, iwork
         self._factored = False   # whether the last factor succeeded
 
     def factor(self, values: np.ndarray, reg: np.ndarray) -> int:
@@ -329,16 +324,6 @@ class Factors:
         self.check_factored()
         _library().ldl_solve(self.n, *self._solve_args, address)
         return x
-
-    def kkt_args(self, values: np.ndarray, reg: np.ndarray) -> tuple:
-        """``kkt_solve``'s arguments from ``Ap`` to ``D``, for the matrix of
-        these upper-triangle values with its static regularization ``reg``
-        (its refinement is against the matrix less diag(reg)), solved with
-        these factors. The arrays must outlive every call that takes
-        them."""
-        return (*self._factor_args[0],
-                _checked("values", values, np.float64, self.nnz),
-                _checked("reg", reg, np.float64, self.n), *self._solve_args)
 
     def product(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A x, in a new array, for the symmetric A of these upper-triangle

@@ -126,12 +126,15 @@ def propagate_coast(r0: np.ndarray, v0: np.ndarray, m0: float,
     ``env.coast_dynamics`` on floats in the array form's order of
     operations, so the samples equal RK4 over the kernel,
     ``env.translational_dynamics`` at T = 0 and Gamma = 0, bit for bit. A
-    stage with m <= 0 or a non-finite state raises ``DegenerateStateError``.
+    stage with m <= 0 or a non-finite state raises ``DegenerateStateError``,
+    and a horizon or step that is not finite, or out of range, a
+    ``ValueError`` naming it.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if not step > 0:
-        raise ValueError("step must be positive")
+    if not 0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, not "
+                         f"{horizon!r}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, not {step!r}")
     f = env.coast_dynamics
     x = [*map(float, r0), *map(float, v0), float(m0)]
     half, sixth = 0.5 * step, step / 6.0

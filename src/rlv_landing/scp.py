@@ -224,8 +224,11 @@ def run_scp(adapter: SubproblemAdapter, initial_reference: Any,
     onto the rebuilt rows) at most EPS_FEASIBLE, and a relaxation gap of
     that reference at most RELAXATION_TOL. Raises ScpFailure when a
     subproblem is not solved to optimality; otherwise the loop runs to
-    ``settings.max_iter``, whatever J_tr does.
+    ``settings.max_iter``, whatever J_tr does. A ``tol`` that is not
+    positive raises ``ValueError`` before the first build.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol!r}")
     reference = initial_reference
     log: list[ScpIterationRecord] = []
     inexact = max(tol, INEXACT_TOL)

@@ -9,9 +9,11 @@ stores only that triangle of its KKT matrix), the up-looking LDL' that
 walks the elimination tree for every row, in Python, and the numpy and
 scipy refined KKT solve, Newton direction and residuals that the IPM's
 ``kkt_solve``, ``kkt_direction`` and ``ipm_residuals`` replaced; the
-Python wrappers of the cone algebra and of ``kkt_direction`` that the IPM
-called before ``ipm_predictor`` and ``ipm_corrector``, and the IPM
-iteration they replaced, composed of those wrappers."""
+IPM's session of a program; the Python wrappers of the cone algebra, of
+``kkt_solve`` and of ``kkt_direction`` that the IPM called before
+``ipm_factor``, ``ipm_predictor`` and ``ipm_corrector``, with the NT
+scaling and the factorization it took in Python, and the IPM iteration
+they replaced, composed of those wrappers."""
 
 from __future__ import annotations
 
@@ -371,10 +373,11 @@ def symmetric(indptr, indices, values):
           np.concatenate([cols, indices[strict]]))), shape=(n, n))
 
 
-def kkt_matrix(kkt):
-    """The whole KKT matrix of the IPM's KKT system ``kkt`` (``ipm._Kkt``),
-    in its own ordering, from the upper triangle it stores."""
-    return symmetric(kkt.analysis.indptr, kkt.analysis.indices, kkt._values)
+def kkt_matrix(session):
+    """The whole KKT matrix of the IPM's session (``ipm._Session``), in its
+    own ordering, from the upper triangle it stores."""
+    a = session.analysis
+    return symmetric(a.indptr, a.indices, session.Kx)
 
 
 def tree_walking_ldl(indptr, indices, values, reg):
@@ -442,47 +445,63 @@ def _norm_inf(v):
     return float(np.abs(v).max()) if v.size else 0.0
 
 
+def ldl_solve(session, rhs):
+    """The solution of L D L' x = rhs (in K's ordering) with the factors of
+    the session's K, in a new array."""
+    a, x = session.analysis, np.array(rhs, dtype=np.float64)
+    ldl._library().ldl_solve(x.size, *map(ldl._address, (
+        a.Lp, session.Li, session.Lx, session.D, x)))
+    return x
+
+
+def kkt_product(session, x):
+    """K x (in K's ordering) for the session's K, by ``ldl_symv``."""
+    a = session.analysis
+    return ldl.Factors(a.indptr, a.indices, a.Lp, a.Rp, a.Ri).product(
+        session.Kx, x)
+
+
 @np.errstate(all="ignore")
-def numpy_kkt_solve(kkt, rhs, tol, steps=2):
-    """``ipm._Kkt.solve``: the solve with ``kkt``'s factors in K's
+def numpy_kkt_solve(session, rhs, tol, steps=2):
+    """``kkt_solve``: the solve with the session's factors in K's
     ordering, refined against K less diag(reg) while the residual is above
     ``tol * max(1, |rhs|_inf)`` and each step lowers it, at most ``steps``
     times (``ipm.REFINE_STEPS``). Returns the solution and the number of
     LDL' solves."""
-    rhs = rhs[kkt.order]
+    rhs = rhs[session.analysis.order]
 
     def residual(sol):
-        r = rhs - (kkt._ldl.product(kkt._values, sol)
-                   - kkt._reg_sign * sol)
+        r = rhs - (kkt_product(session, sol) - session.reg_sign * sol)
         return r, _norm_inf(r)
 
-    sol = kkt._ldl.solve(rhs)
+    sol = ldl_solve(session, rhs)
     solves = 1
     r, size = residual(sol)
     target = tol * max(1.0, _norm_inf(rhs))
     for _ in range(steps):
         if not size > target:
             break
-        refined = sol + kkt._ldl.solve(r)
+        refined = sol + ldl_solve(session, r)
         solves += 1
         r_refined, size_refined = residual(refined)
         if not size_refined < size:
             break
         sol, r, size = refined, r_refined, size_refined
-    return sol[kkt.position], solves
+    return sol[session.analysis.position], solves
 
 
 @np.errstate(all="ignore")
-def numpy_direction(kkt, scaling, G, r_dual, r_eq, r_ineq, v, tol,
+def numpy_direction(session, scaling, G, r_dual, r_eq, r_ineq, v, tol,
                     steps=2):
-    """``ipm._Kkt.direction``: the solve of [-r_dual; -r_eq; -r_ineq +
+    """``kkt_direction``: the solve of [-r_dual; -r_eq; -r_ineq +
     W (lam \\ v)] (``numpy_rhs``) to ``tol``, and ds = -r_ineq - G dx.
     Returns (dx, dy, dz, ds) and the number of LDL' solves."""
     n, me = r_dual.size, r_eq.size
     cone = numpy_rhs(scaling.cones, scaling.w_nn, scaling.soc_mats,
                      scaling.lam.u[0], v)
     sol, solves = numpy_kkt_solve(
-        kkt, np.concatenate([-r_dual, -r_eq, -r_ineq + cone]), tol, steps)
+        session, np.concatenate([-r_dual, -r_eq, -r_ineq + cone]), tol,
+        steps)
     dx = sol[:n]
     return (dx, sol[n:n + me], sol[n + me:], -r_ineq - G @ dx), solves
 
@@ -500,10 +519,118 @@ def numpy_residuals(P, A, G, c, b, h, x, y, z, s):
     return Px, vectors, [_norm_inf(v) for v in (*vectors, ATy + GTz, z, y)]
 
 
-# The Python wrappers of compiled entry points that the IPM's iteration
-# called before ``ipm_predictor`` and ``ipm_corrector`` took it over: the
-# seams of the entry points' bit-for-bit tests and of the iteration's
-# oracle. Each checks its arrays before any call (``ldl._checked``).
+# The IPM's session of a program, and the Python wrappers of compiled
+# entry points that the IPM called before ``ipm_factor``, ``ipm_predictor``
+# and ``ipm_corrector`` took them over: the seams of the entry points'
+# bit-for-bit tests and of the iteration's oracle. Each checks its arrays
+# before any call (``ldl._checked``).
+
+def ipm_session(prog, iterate=None, analysis=None):
+    """The IPM's session of the program as ``ipm.solve`` makes it
+    (``ipm._Session``), on a fresh analysis in the stage ordering or on
+    ``analysis``, at a copy of the iterate (x, y, z, s), by default the
+    cold start's (0, 0, e, e)."""
+    P, A, G = (ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G))
+    c, b, h = (np.ascontiguousarray(v, dtype=np.float64)
+               for v in (prog.c, prog.b, prog.h))
+    if iterate is None:
+        e = prog.cones.identity()
+        iterate = np.zeros(prog.n), np.zeros(b.size), e, e
+    return ipm._Session(P, A, G, c, b, h, prog.cones, prog.obj_offset,
+                        [np.array(v, dtype=np.float64) for v in iterate],
+                        analysis, prog.stage)
+
+
+class NTScaling:
+    """Nesterov-Todd scaling point: W z = W^{-1} s = lambda, W symmetric,
+    as the IPM built it in Python before ``ipm_factor``.
+
+    SOC blocks use W = eta * Wbar with
+    Wbar = [[w0, w1'], [w1, I + w1 w1'/(1+w0)]] built from the
+    hyperbolic-unit vector wbar; the dense per-block matrices W, W^{-1} and
+    W^2 are each one (n_soc, d, d) stack. It is built from the cone data
+    of a point (s, z), ``Cones.points(s, z)``, by ``cone_nt_scaling`` in
+    ``cones.c``, and holds lambda's cone data (``lam``).
+    """
+
+    def __init__(self, iterate):
+        cones = self.cones = iterate.cones
+        n_nn, n_soc, d = cones.shape
+        u = ldl._checked("iterate", iterate.u, np.float64, 2, cones.dim)
+        self.w_nn = np.empty(n_nn)
+        self.soc_mats, self.soc_inv, self.soc_sq = np.empty((3, n_soc, d, d))
+        lam = np.empty(cones.dim)
+        ldl._library().cone_nt_scaling(
+            *cones.shape, u, *iterate._addresses[1:],
+            *map(ldl._address, (self.w_nn, self.soc_mats, self.soc_inv,
+                                self.soc_sq, lam)))
+        self.lam = cones.points(lam)
+
+
+def factor(session, scaling):
+    """The session's K factored at the NT scaling ``scaling`` as the IPM
+    factored it before ``ipm_factor``: -(W^2 + reg I) written into K by
+    ``cone_w2_scatter``, then the LDL' factorization. Raises
+    ``RuntimeError`` at a NaN pivot."""
+    cones, a = session.cones, session.analysis
+    n_nn, n_soc, d = cones.shape
+    scaled = (ldl._checked("w_nn", scaling.w_nn, np.float64, n_nn),
+              ldl._checked("W^2", scaling.soc_sq, np.float64, n_soc, d, d))
+    lib = ldl._library()
+    lib.cone_w2_scatter(n_nn, n_soc, d, ipm.REG, *scaled,
+                        *map(ldl._address, (a.w2_slots, session.Kx)))
+    positive = lib.ldl_factor(a.order.size, *map(ldl._address, (
+        a.indptr, a.indices, session.Kx, session.reg_sign, a.Lp, a.Rp, a.Ri,
+        session.Li, session.Lx, session.D, session.iwork, session.work)))
+    session.factored = positive >= 0
+    if not session.factored:
+        raise RuntimeError("the KKT factorization met a NaN pivot")
+
+
+def _check_factored(session):
+    if not session.factored:
+        raise RuntimeError("no successful factorization to solve with")
+
+
+def kkt_solve(session, rhs, tol):
+    """``kkt_solve``: the solve of K x = rhs with the session's last
+    factorization, in K's ordering, refined against the unregularized
+    matrix while the residual is above ``tol * max(1, |rhs|_inf)``, at
+    most ``ipm.REFINE_STEPS`` times; at ``tol = inf`` no step is taken, and
+    no residual formed. Its LDL' solves count in ``session.ldl_solves``."""
+    sol = np.empty(session.analysis.order.size)
+    args = (ldl._checked("rhs", rhs, np.float64, sol.size),
+            ldl._address(sol))
+    _check_factored(session)
+    session.ldl_solves += ldl._library().kkt_solve(session._context, tol,
+                                                   *args)
+    return sol
+
+
+def kkt_direction(session, scaling, r_dual, r_eq, r_ineq, v):
+    """``kkt_direction``: the Newton step (dx, dy, dz, ds) that cancels
+    the residuals and sets lam o (W^{-1} ds + W dz) = -v, for the
+    session's K factored at the NT scaling ``scaling``, which it writes
+    where the call reads it (lambda, lambda's J-norm squares, w_nn and W):
+    the solve of [-r_dual; -r_eq; -r_ineq + W (lam \\ v)] to
+    ``ipm.REFINE_TOL``, and ds = -r_ineq - G dx. Its LDL' solves count in
+    ``session.ldl_solves``."""
+    n, me = session._sizes
+    cones = session.cones
+    if scaling.cones.shape != cones.shape:
+        raise ValueError("the scaling is of another cone layout")
+    sol, ds = np.empty(session.analysis.order.size), np.empty(cones.dim)
+    args = (ldl._checked("r_dual", r_dual, np.float64, n),
+            ldl._checked("r_eq", r_eq, np.float64, me),
+            cones.address("r_ineq", r_ineq), cones.address("v", v),
+            ldl._address(sol), ldl._address(ds))
+    _check_factored(session)
+    session.lam[0], session.w_nn[...] = scaling.lam.u[0], scaling.w_nn
+    session.norm_sq[2], session.W[0] = scaling.lam.norm_sq[0], scaling.soc_mats
+    session.ldl_solves += ldl._library().kkt_direction(session._context,
+                                                       *args)
+    return sol[:n], sol[n:n + me], sol[n + me:], ds
+
 
 def max_steps(points, *du):
     """``cone_max_steps``: for each point u of ``points`` (a
@@ -539,7 +666,7 @@ def clip_eigenvalues(cones, v, lo, hi):
 
 def scaled_product(scaling, u, v):
     """``cone_scaled_product``: (W^{-1} u) o (W v) at the NT scaling
-    ``scaling`` (``ipm._NTScaling``)."""
+    ``scaling`` (``NTScaling``)."""
     cones = scaling.cones
     args = cones.address("u", u), cones.address("v", v)
     out = np.empty(cones.dim)
@@ -550,32 +677,6 @@ def scaled_product(scaling, u, v):
     return out
 
 
-def kkt_direction(kkt, scaling, r_dual, r_eq, r_ineq, v):
-    """``kkt_direction``: the Newton step (dx, dy, dz, ds) that cancels
-    the residuals and sets lam o (W^{-1} ds + W dz) = -v, for the KKT
-    system ``kkt`` (``ipm._Kkt``) factored at the NT scaling ``scaling``:
-    the solve of [-r_dual; -r_eq; -r_ineq + W (lam \\ v)] to
-    ``ipm.REFINE_TOL``, and ds = -r_ineq - G dx. Its LDL' solves count in
-    ``kkt.ldl_solves``."""
-    n, me = kkt._sizes
-    cones = kkt.cones
-    if scaling.cones.shape != cones.shape:
-        raise ValueError("the scaling is of another cone layout")
-    sol, ds = np.empty(kkt.order.size), np.empty(cones.dim)
-    args = (ldl._checked("r_dual", r_dual, np.float64, n),
-            ldl._checked("r_eq", r_eq, np.float64, me),
-            cones.address("r_ineq", r_ineq), cones.address("v", v),
-            ldl._address(sol), ldl._address(ds))
-    rhs = (*cones.shape, scaling.lam._addresses[0],
-           *map(ldl._address, (scaling.lam.norm_sq, scaling.w_nn,
-                               scaling.soc_mats)))
-    kkt._ldl.check_factored()
-    kkt.ldl_solves += ldl._library().kkt_direction(
-        sol.size, ipm.REFINE_STEPS, ipm.REFINE_TOL, *kkt._system, n, me,
-        *rhs, *kkt._G, *args)
-    return sol[:n], sol[n:n + me], sol[n + me:], ds
-
-
 # The IPM's iteration from the iterate's cone data to its step, as
 # ``ipm.solve`` ran it in Python on the wrappers above: the oracle of
 # ``ipm_predictor`` and ``ipm_corrector`` and of ``ipm._Session.step``.
@@ -583,7 +684,7 @@ def kkt_direction(kkt, scaling, r_dual, r_eq, r_ineq, v):
 @dataclass
 class Predicted:
     """What the predictor leaves the corrector: the iterate's cone data
-    (a ``ConePoints``), its NT scaling (``ipm._NTScaling``), lam o lam,
+    (a ``ConePoints``), its NT scaling (``NTScaling``), lam o lam,
     the affine direction (dx, dy, dz, ds) and the trial points
     (s + a_s ds, z + a_z dz)."""
     iterate: object
@@ -594,32 +695,33 @@ class Predicted:
 
 
 @np.errstate(all="ignore")
-def python_predictor(kkt, r, s, z):
+def python_predictor(session, r, s, z):
     """The predictor at (s, z) with the residuals r = (r_dual, r_eq,
-    r_ineq), factoring ``kkt``: (the LDL' solves, a ``Predicted``), or
-    (``ipm.OFF_INTERIOR``, None) or (``ipm.NAN_PIVOT``, None)."""
-    cones = kkt.cones
+    r_ineq), factoring the session's K (``NTScaling``, ``factor``): (the
+    LDL' solves, a ``Predicted``), or (``ipm.OFF_INTERIOR``, None) or
+    (``ipm.NAN_PIVOT``, None)."""
+    cones = session.cones
     iterate = cones.points(s, z)
     if any(v >= 0.0 for v in iterate.violations()):
         return ipm.OFF_INTERIOR, None
-    scaling = ipm._NTScaling(iterate)
+    scaling = NTScaling(iterate)
     lam = scaling.lam.u[0]
     lam_sq = cone_product(cones, lam, lam)
     try:
-        kkt.factor(scaling)
+        factor(session, scaling)
     except RuntimeError:
         return ipm.NAN_PIVOT, None
-    before = kkt.ldl_solves
-    direction = kkt_direction(kkt, scaling, *r, lam_sq)
+    before = session.ldl_solves
+    direction = kkt_direction(session, scaling, *r, lam_sq)
     _, _, dz_a, ds_a = direction
     ap_aff, ad_aff = (min(1.0, a) for a in max_steps(iterate, ds_a, dz_a))
     trial = s + ap_aff * ds_a, z + ad_aff * dz_a
-    return kkt.ldl_solves - before, Predicted(iterate, scaling, lam_sq,
-                                              direction, trial)
+    return session.ldl_solves - before, Predicted(iterate, scaling, lam_sq,
+                                                  direction, trial)
 
 
 @np.errstate(all="ignore")
-def python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
+def python_corrector(session, predicted, r, s, z, sigma, mu, common,
                      events=None):
     """The corrector at sigma and mu after ``python_predictor``: the step
     pair (alpha_p, alpha_d) and the direction (dx, dy, dz, ds), with the
@@ -628,8 +730,9 @@ def python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
     each Gondzio round's end: "enough" (no round run), "accepted" or
     "rejected"."""
     events = [] if events is None else events
-    cones, iterate, scaling = kkt.cones, predicted.iterate, predicted.scaling
-    n, me = kkt._sizes
+    cones, iterate = session.cones, predicted.iterate
+    scaling = predicted.scaling
+    n, me = session._sizes
     zeros = np.zeros(n), np.zeros(me), np.zeros(cones.dim)   # no residual
 
     def step_pair(ds_, dz_):
@@ -644,7 +747,7 @@ def python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
     _, _, dz_a, ds_a = predicted.direction
     corr = scaled_product(scaling, ds_a, dz_a)
     dx, dy, dz, ds = kkt_direction(
-        kkt, scaling, *r, predicted.lam_sq - sigma * mu * cones.identity()
+        session, scaling, *r, predicted.lam_sq - sigma * mu * cones.identity()
         + corr)
     alpha_p, alpha_d = step_pair(ds, dz)
     mu_target = max(sigma * mu, ipm.GONDZIO_MU_FLOOR * mu)
@@ -658,7 +761,7 @@ def python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
         v_trial = scaled_product(scaling, s + ap_t * ds, z + ad_t * dz)
         target = clip_eigenvalues(cones, v_trial, lo * mu_target,
                                   hi * mu_target)
-        dx_c, dy_c, dz_c, ds_c = kkt_direction(kkt, scaling, *zeros,
+        dx_c, dy_c, dz_c, ds_c = kkt_direction(session, scaling, *zeros,
                                                v_trial - target)
         ap_new, ad_new = step_pair(ds + ds_c, dz + dz_c)
         if min(ap_new, ad_new) <= min(alpha_p, alpha_d) * ipm.GONDZIO_GAIN:
@@ -671,16 +774,36 @@ def python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
 
 
 @np.errstate(all="ignore")
-def python_step(kkt, r, s, z, gap, mu, common, events=None):
+def python_cold_start(session, c, b, h):
+    """``ipm._Session.cold_start`` as the IPM took it in Python, on the
+    session's K: the NT scaling at (e, e) (``NTScaling``), the
+    factorization (``factor``), the solve of [-c; b; h] at a tolerance of
+    infinity (``kkt_solve``) and the shifts of its z part and that part's
+    negation into the cones. Returns the start (x, y, z, s): (0, 0, e, e)
+    if the factorization meets a NaN pivot."""
+    cones, (n, me) = session.cones, session._sizes
+    e = cones.identity()
+    try:
+        factor(session, NTScaling(cones.points(e, e)))
+    except RuntimeError:
+        return np.zeros(n), np.zeros(me), e, e
+    init = kkt_solve(session, np.concatenate([-c, b, h]), math.inf)
+    z0 = init[n + me:]
+    return (init[:n], init[n:n + me], cones.shift_into_interior(z0.copy()),
+            cones.shift_into_interior(-z0.copy()))
+
+
+@np.errstate(all="ignore")
+def python_step(session, r, s, z, gap, mu, common, events=None):
     """``ipm._Session.step``: the step pair and direction of the iteration
     at (s, z), whose s'z is ``gap``, with sigma from the trial points'
     s'z, or None if the gap is not positive or the predictor fails."""
     if gap <= 0.0:
         return None
-    code, predicted = python_predictor(kkt, r, s, z)
+    code, predicted = python_predictor(session, r, s, z)
     if code < 0:
         return None
     gap_aff = float(predicted.trial[0] @ predicted.trial[1])
     sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
-    return python_corrector(kkt, predicted, r, s, z, sigma, mu, common,
+    return python_corrector(session, predicted, r, s, z, sigma, mu, common,
                             events)

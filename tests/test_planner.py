@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from rlv_landing import env, planner, scp
 from rlv_landing.conic import ipm, ldl, scaling
 from rlv_landing.conic.cones import ConePoints, Cones
-from rlv_landing.conic.ipm import _Analysis, _Kkt, _NTScaling, _Session
+from rlv_landing.conic.ipm import _Analysis, _Session
 from rlv_landing.params import PlanningConfig, VehicleParams
 from rlv_landing.planner import (
     NZ,
@@ -37,9 +37,9 @@ from rlv_landing.planner import (
 )
 from rlv_landing.scp import ScpSettings, run_scp
 
-from helpers import (central_diff_jacobian, coo_csr, flat_arrays,
-                     kkt_matrix, python_step, rel_jac_error, splu_calls,
-                     superlu, total_aoa)
+from helpers import (NTScaling, central_diff_jacobian, coo_csr, factor,
+                     flat_arrays, ipm_session, kkt_matrix, python_step,
+                     rel_jac_error, splu_calls, superlu, total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -83,9 +83,10 @@ class TestCoast:
         assert coast.truncated
         assert coast.times[-1] < 15.0
 
-    @pytest.mark.parametrize("horizon, step, name", [(-1.0, 0.25, "horizon"),
-                                                     (5.0, 0.0, "step"),
-                                                     (5.0, -0.25, "step")])
+    @pytest.mark.parametrize("horizon, step, name", [
+        (-1.0, 0.25, "horizon"), (5.0, 0.0, "step"), (5.0, -0.25, "step"),
+        (math.inf, 0.25, "horizon"), (math.nan, 0.25, "horizon"),
+        (5.0, math.inf, "step"), (5.0, math.nan, "step")])
     def test_bad_horizon_or_step_raises(self, horizon, step, name):
         with pytest.raises(ValueError, match=name):
             propagate_coast(R0, V0, VP.m0, VP, horizon=horizon, step=step)
@@ -514,14 +515,14 @@ def first_subproblem(prob, cfg):
 def first_kkt(N=30):
     """The IPM's first KKT matrix (W = I) of the first subproblem at N, whole
     (``helpers.kkt_matrix``) and in its own row and column order, and the
-    IPM's KKT system that holds its upper triangle."""
+    IPM's session that holds its upper triangle."""
     prob, cfg = make_problem(N=N)
     prog = first_subproblem(prob, cfg)
     cones = prog.cones
-    kkt = _Kkt(prog.P, prog.A.tocsr(), prog.G.tocsr(), cones,
-               stage=prog.stage)
-    kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
-    return kkt_matrix(kkt)[kkt.position][:, kkt.position].tocsc(), kkt
+    kkt = ipm_session(prog)
+    factor(kkt, NTScaling(cones.points(cones.identity(), cones.identity())))
+    position = kkt.analysis.position
+    return kkt_matrix(kkt)[position][:, position].tocsc(), kkt
 
 
 def stage_rule_position(prog, variables_first=False):
@@ -692,11 +693,9 @@ class TestKktFactorization:
         assert out.converged
         directions = 0
         for program, r, s, z, gap, mu in steps:
-            P, A, G = (ipm._kernel_csr(M)
-                       for M in (program.P, program.A, program.G))
             events = []
-            assert python_step(_Kkt(P, A, G, program.cones), r, s, z, gap,
-                               mu, P.nnz > 0, events) is not None
+            assert python_step(ipm_session(program), r, s, z, gap, mu,
+                               program.P.nnz > 0, events) is not None
             directions += 2 + sum(e in ("accepted", "rejected")
                                   for e in events)
         direction_solves = sum(sol.ldl_solves - (not sol.warm)
@@ -928,9 +927,9 @@ class TestConeLayout:
         # the stack (s, z), once per iteration that takes a step, in its
         # predictor call (``ipm_predictor``, whose data the corrector
         # reads); the last iteration meets the tolerances at its top and
-        # takes none. In Python only the cold start forms cone data: the
-        # stack (e, e) and lambda, for its factorization at W = I, and its
-        # two shifts into the cones, one point each.
+        # takes none. In Python only the cold start forms cone data: its
+        # two shifts into the cones, one point each; its factorization at
+        # W = I forms the data of (e, e) and lambda in C (ipm_factor).
         stacks, predictors = [], []
         init, predictor = ConePoints.__init__, _Session.predictor
 
@@ -947,5 +946,5 @@ class TestConeLayout:
         prob, cfg = make_problem(N=30)
         sol = ipm.solve(first_subproblem(prob, cfg))
         assert sol.status == "optimal" and not sol.warm
-        assert stacks == [2, 1, 1, 1]
+        assert stacks == [1, 1]
         assert len(predictors) == sol.iterations - 1

@@ -53,9 +53,10 @@ def test_reference_set_keeps_its_clean_plans(planbench, workload,
 
 def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
     # On the replan-n100 reference set (3 plans): a run saved, compared
-    # with itself (exit 0), and compared with a copy whose first plan has
-    # another z_hash (exit 1). Each run is a subprocess, since the script
-    # leaves its counting wrappers on planner and scp.
+    # with itself (exit 0), with a copy whose first plan has another
+    # z_hash (exit 1), and with one whose first plan made one fresh KKT
+    # analysis more, all else the same (exit 1). Each run is a subprocess,
+    # since the script leaves its counting wrappers on planner and scp.
     def corpus(*args):
         done = subprocess.run(
             [sys.executable, str(ROOT / "benches" / "corpus.py"),
@@ -66,11 +67,17 @@ def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
 
     code, lines = corpus()
     assert code == 0 and len(lines) == 4     # 3 plans and the totals
-    saved, moved = tmp_path / "saved.jsonl", tmp_path / "moved.jsonl"
-    saved.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    lines[0]["z_hash"] = "0" * 16
-    moved.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    for path, expected, count in ((saved, 0, 0), (moved, 1, 1)):
+    def saved_run(name, **changed):
+        """The run, its first plan's fields ``changed``, as a file."""
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in [
+            lines[0] | changed, *lines[1:]]))
+        return path
+
+    saved, moved = saved_run("saved"), saved_run("moved", z_hash="0" * 16)
+    reordered = saved_run("reordered", reorders=lines[0]["reorders"] + 1)
+    for path, expected, count in ((saved, 0, 0), (moved, 1, 1),
+                                  (reordered, 1, 1)):
         code, out = corpus("--diff", str(path))
         assert code == expected
         assert out[-1]["diff"] == {"compared": 3, "moved": count,

@@ -3,11 +3,13 @@ fixture (one-iteration convergence), the fixed-point stopping rule and its
 projection on a nonlinear fixture, logging discipline, and failure paths.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from rlv_landing.conic import Cones, ConicProgram, make_scaling, solve
+from rlv_landing.conic import Cones, ConicProgram, ldl, make_scaling, solve
 from rlv_landing.scp import (
     ACTIVE_TOL,
     EPS_FEASIBLE,
@@ -99,6 +101,26 @@ class _SquareRootFixture:
 
     def relaxation_gap(self, reference):
         return 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+@pytest.mark.parametrize("entry", ["solve", "run_scp"])
+def test_tolerance_not_positive_raises(monkeypatch, entry, tol):
+    # No iterate meets such a tolerance: ipm.solve ran all its MAX_ITER
+    # iterations and returned max_iter. It raises ValueError naming tol
+    # before any library call, and run_scp, which passes its tol to the
+    # solver, before its first build.
+    fixture = _LinearFixture()
+    program = fixture.build(0.0)
+    calls = []
+    monkeypatch.setattr(ldl, "_library", lambda: calls.append("library"))
+    monkeypatch.setattr(fixture, "build", lambda ref: calls.append("build"))
+    with pytest.raises(ValueError, match="tol"):
+        if entry == "solve":
+            solve(program, tol)
+        else:
+            run_scp(fixture, 0.0, ScpSettings(1e-10, 10, 1e-9), tol)
+    assert not calls
 
 
 class TestRunScp:

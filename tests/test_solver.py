@@ -30,17 +30,19 @@ from rlv_landing.conic import (
 )
 from rlv_landing.conic import ipm, ldl
 from rlv_landing.conic.cones import ConePoints
-from rlv_landing.conic.ipm import _Kkt, _NTScaling
 from rlv_landing.conic.scaling import equilibrate_rows
 
-from helpers import (MULTI_BLOCK_CONES, clip_eigenvalues, cone_blocks,
-                     cone_product, flat_arrays, kkt_direction, max_steps,
-                     nt_apply, numpy_clip_eigenvalues, numpy_direction,
-                     numpy_kkt_solve, numpy_max_steps, numpy_points,
-                     numpy_product, numpy_residuals, numpy_scaled_product,
+from helpers import (MULTI_BLOCK_CONES, NTScaling, clip_eigenvalues,
+                     cone_blocks, cone_product, factor, flat_arrays,
+                     ipm_session, kkt_direction, kkt_solve, ldl_solve,
+                     max_steps, nt_apply, numpy_clip_eigenvalues,
+                     numpy_direction, numpy_kkt_solve, numpy_max_steps,
+                     numpy_points, numpy_product, numpy_residuals,
+                     numpy_scaled_product, python_cold_start,
                      python_corrector, python_predictor, python_step,
-                     same_bits, scaled_product, splu_calls, superlu,
-                     symmetric, kkt_matrix, tree_walking_ldl, unique_pattern,
+                     same_bits,
+                     scaled_product, splu_calls, superlu, symmetric,
+                     kkt_matrix, tree_walking_ldl, unique_pattern,
                      verify_kkt, w2_entries)
 
 
@@ -401,9 +403,10 @@ LAYOUTS = st.one_of(CONE_LAYOUTS, cone_layouts(n_soc=st.just(0)),
 
 
 class TestQuasiDefiniteKkt:
-    """The IPM's KKT matrix: refilled in place in a pattern permuted by the
-    stage ordering of a fresh analysis, or by a reused analysis, factored
-    without pivoting and solved in that ordering."""
+    """The IPM's KKT matrix, held by its session: refilled in place in a
+    pattern permuted by the stage ordering of a fresh analysis, or by a
+    reused analysis, factored without pivoting and solved in that
+    ordering."""
 
     @staticmethod
     def fresh(prog, scaling, reg):
@@ -425,17 +428,19 @@ class TestQuasiDefiniteKkt:
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         reg = ipm.REG
         cones = prog.cones
-        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-        kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
-        dim = kkt.position.size
-        assert not np.array_equal(kkt.position, np.arange(dim))
+        kkt = ipm_session(prog)
+        factor(kkt, NTScaling(cones.points(cones.identity(),
+                                           cones.identity())))
+        position, order = kkt.analysis.position, kkt.analysis.order
+        dim = position.size
+        assert not np.array_equal(position, np.arange(dim))
         for _ in range(5):
-            scaling = _NTScaling(cones.points(interior_point(rng, cones),
-                                              interior_point(rng, cones)))
-            kkt.factor(scaling)
+            scaling = NTScaling(cones.points(interior_point(rng, cones),
+                                             interior_point(rng, cones)))
+            factor(kkt, scaling)
             coo = kkt_matrix(kkt).tocoo()
             refilled = sp.csc_matrix(
-                (coo.data, (kkt.order[coo.row], kkt.order[coo.col])),
+                (coo.data, (order[coo.row], order[coo.col])),
                 shape=(dim, dim))
             fresh = self.fresh(prog, scaling, reg)
             np.testing.assert_array_equal(refilled.indptr, fresh.indptr)
@@ -449,7 +454,7 @@ class TestQuasiDefiniteKkt:
             expected = lu.solve(rhs)
             for _ in range(2):
                 expected = expected + lu.solve(rhs - unreg @ expected)
-            np.testing.assert_allclose(kkt.solve(rhs, tol=0.0), expected,
+            np.testing.assert_allclose(kkt_solve(kkt, rhs, 0.0), expected,
                                        rtol=0, atol=1e-10 * np.abs(expected).max())
 
     def test_solves_in_the_factor_ordering(self):
@@ -459,16 +464,17 @@ class TestQuasiDefiniteKkt:
         rng = np.random.default_rng(53)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = prog.cones
-        first = _Kkt(prog.P, prog.A, prog.G, cones)
+        first = ipm_session(prog)
         for i in range(3):
             kkt = first if i < 2 else \
-                _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
-            scaling = _NTScaling(cones.points(interior_point(rng, cones),
-                                              interior_point(rng, cones)))
-            kkt.factor(scaling)
+                ipm_session(prog, analysis=first.analysis)
+            scaling = NTScaling(cones.points(interior_point(rng, cones),
+                                             interior_point(rng, cones)))
+            factor(kkt, scaling)
             assert kkt.reordered == (kkt is first)
-            rhs = rng.normal(size=kkt.position.size)
-            residual = rhs - self.fresh(prog, scaling, 0.0) @ kkt.solve(rhs, 0.0)
+            rhs = rng.normal(size=kkt.analysis.position.size)
+            residual = rhs - self.fresh(prog, scaling, 0.0) @ kkt_solve(
+                kkt, rhs, 0.0)
             assert np.abs(residual).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_program_without_stages_is_one_stage(self):
@@ -478,38 +484,42 @@ class TestQuasiDefiniteKkt:
         rng = np.random.default_rng(37)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = prog.cones
-        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-        kkt.factor(_NTScaling(cones.points(cones.identity(), cones.identity())))
-        dim = kkt.position.size
+        kkt = ipm_session(prog)
+        factor(kkt, NTScaling(cones.points(cones.identity(),
+                                           cones.identity())))
+        dim = kkt.analysis.position.size
         np.testing.assert_array_equal(
-            kkt.order, np.r_[np.arange(prog.n, dim), np.arange(prog.n)])
+            kkt.analysis.order,
+            np.r_[np.arange(prog.n, dim), np.arange(prog.n)])
 
     @staticmethod
     def factored(seed):
         rng = np.random.default_rng(seed)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = prog.cones
-        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-        scaling = _NTScaling(cones.points(interior_point(rng, cones),
-                                          interior_point(rng, cones)))
-        kkt.factor(scaling)
-        return prog, scaling, kkt, rng.normal(size=kkt.position.size)
+        kkt = ipm_session(prog)
+        scaling = NTScaling(cones.points(interior_point(rng, cones),
+                                         interior_point(rng, cones)))
+        factor(kkt, scaling)
+        return prog, scaling, kkt, rng.normal(
+            size=kkt.analysis.position.size)
 
     def test_refines_only_while_the_residual_needs_it(self):
         prog, scaling, kkt, rhs = self.factored(61)
-        first = kkt.solve(rhs, math.inf)
+        first = kkt_solve(kkt, rhs, math.inf)
         residual = rhs - self.fresh(prog, scaling, 0.0) @ first
         relative = np.abs(residual).max() / max(1.0, np.abs(rhs).max())
         assert relative > 0.0
         # The first residual meets the tolerance: one LDL' solve, no residual
         # step.
         before = kkt.ldl_solves
-        np.testing.assert_array_equal(kkt.solve(rhs, 2.0 * relative), first)
+        np.testing.assert_array_equal(kkt_solve(kkt, rhs, 2.0 * relative),
+                                      first)
         assert kkt.ldl_solves - before == 1
         # It misses it: one refinement step meets it, and ends the
         # refinement.
         before = kkt.ldl_solves
-        refined = kkt.solve(rhs, 0.5 * relative)
+        refined = kkt_solve(kkt, rhs, 0.5 * relative)
         assert kkt.ldl_solves - before == 2
         after = rhs - self.fresh(prog, scaling, 0.0) @ refined
         assert np.abs(after).max() < np.abs(residual).max()
@@ -519,39 +529,38 @@ class TestQuasiDefiniteKkt:
         # against three times the matrix the factors solve with, so its
         # first step doubles the residual, and is dropped.
         prog, scaling, kkt, rhs = self.factored(67)
-        first = kkt.solve(rhs, math.inf)
-        kkt._values *= 3.0
+        first = kkt_solve(kkt, rhs, math.inf)
+        kkt.Kx *= 3.0
         before = kkt.ldl_solves
-        np.testing.assert_array_equal(kkt.solve(rhs, 0.0), first)
+        np.testing.assert_array_equal(kkt_solve(kkt, rhs, 0.0), first)
         assert kkt.ldl_solves - before == 2
 
     def test_reused_analysis_fills_the_same_matrix(self):
         rng = np.random.default_rng(59)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = prog.cones
-        scaling = _NTScaling(cones.points(interior_point(rng, cones),
-                                          interior_point(rng, cones)))
-        first = _Kkt(prog.P, prog.A, prog.G, cones)
-        first.factor(scaling)
-        again = _Kkt(prog.P, prog.A, prog.G, cones, first.analysis)
-        again.factor(scaling)
+        scaling = NTScaling(cones.points(interior_point(rng, cones),
+                                         interior_point(rng, cones)))
+        first = ipm_session(prog)
+        factor(first, scaling)
+        again = ipm_session(prog, analysis=first.analysis)
+        factor(again, scaling)
         assert again.analysis is first.analysis
-        assert again._values.tobytes() == first._values.tobytes()
+        assert again.Kx.tobytes() == first.Kx.tobytes()
 
     def test_analysis_holds_only_index_arrays_of_its_own(self):
         # It outlives the solve on its solution: after the factorization
-        # that makes it and after one of a KKT system that reuses it, none
-        # of its arrays is a view of P, A, G or K's values, and its slots
-        # and row patterns are int32. The factors read the row patterns from it,
-        # and hold no copy of them.
+        # that makes it and after one of a session that reuses it, none of
+        # its arrays is a view of P, A, G or K's values, and its slots and
+        # row patterns are int32. The factorization reads the row patterns
+        # from it, and the session holds no copy of them.
         rng = np.random.default_rng(71)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        P, A, G = prog.P.tocsr(), prog.A.tocsr(), prog.G.tocsr()
         cones = prog.cones
 
         def factored(analysis=None):
-            kkt = _Kkt(P, A, G, cones, analysis)
-            kkt.factor(_NTScaling(cones.points(interior_point(rng, cones),
+            kkt = ipm_session(prog, analysis=analysis)
+            factor(kkt, NTScaling(cones.points(interior_point(rng, cones),
                                                interior_point(rng, cones))))
             return kkt
 
@@ -562,8 +571,9 @@ class TestQuasiDefiniteKkt:
             held = [*analysis.pattern] + [
                 getattr(analysis, f.name) for f in fields(analysis)
                 if f.name != "pattern"]
+            P, A, G = kkt._held[:3]
             for array in held:
-                for other in (kkt._values, *(
+                for other in (kkt.Kx, *(
                         getattr(M, name) for M in (P, A, G)
                         for name in ("data", "indices", "indptr"))):
                     assert not np.shares_memory(array, other)
@@ -571,11 +581,11 @@ class TestQuasiDefiniteKkt:
             assert analysis.w2_slots.dtype == np.int32
             own = held[len(analysis.pattern):]
             assert all(array.dtype == np.int32 for array in own)
-            sized = [a for a in flat_arrays(vars(kkt._ldl))
+            sized = [a for a in flat_arrays(vars(kkt))
                      if a.dtype == np.int32 and a.size == analysis.Ri.size]
-            assert any(a is analysis.Ri for a in sized)
+            assert kkt._context.Ri == ldl._address(analysis.Ri)
             # The rest is L's row indices, which each factorization writes.
-            assert all(a is analysis.Ri or a is kkt._ldl.L[0] for a in sized)
+            assert all(a is kkt.Li for a in sized)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 6),
@@ -593,31 +603,31 @@ class TestQuasiDefiniteKkt:
         rows = np.concatenate([nn, np.repeat(soc, cones.d, axis=1).ravel()])
         cols = np.concatenate([nn, np.tile(soc, (1, cones.d)).ravel()])
         z = slice(n + me, None)
-        first = _Kkt(prog.P, prog.A, prog.G, cones)
-        for kkt in (first, _Kkt(prog.P, prog.A, prog.G, cones,
-                                first.analysis)):
+        first = ipm_session(prog)
+        for kkt in (first, ipm_session(prog, analysis=first.analysis)):
             for _ in range(2):
-                scaling = _NTScaling(cones.points(interior_point(rng, cones),
-                                                  interior_point(rng, cones)))
-                kkt.factor(scaling)
+                scaling = NTScaling(cones.points(interior_point(rng, cones),
+                                                 interior_point(rng, cones)))
+                factor(kkt, scaling)
                 expected = np.zeros((cones.dim, cones.dim))
                 expected[rows, cols] = -w2_entries(scaling, ipm.REG)
-                K = kkt_matrix(kkt)[kkt.position][:, kkt.position]
+                position = kkt.analysis.position
+                K = kkt_matrix(kkt)[position][:, position]
                 assert K[z, z].toarray().tobytes() == expected.tobytes()
 
     def test_freed_without_the_cycle_collector(self):
-        # Each solve's KKT system and LU factors go when the solve returns;
-        # a reference cycle would keep them until a collection and show up
-        # in the plans' peak memory.
+        # Each solve's session, with its KKT system and factors, goes when
+        # the solve returns; a reference cycle would keep it until a
+        # collection and show up in the plans' peak memory.
         rng = np.random.default_rng(43)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = prog.cones
         gc.disable()
         try:
-            kkt = _Kkt(prog.P, prog.A, prog.G, cones)
+            kkt = ipm_session(prog)
             for _ in range(2):
-                kkt.factor(_NTScaling(cones.points(interior_point(rng, cones),
-                                                   interior_point(rng, cones))))
+                factor(kkt, NTScaling(cones.points(
+                    interior_point(rng, cones), interior_point(rng, cones))))
             ref = weakref.ref(kkt)
             del kkt
             assert ref() is None
@@ -778,7 +788,7 @@ class TestStepLength:
         # lambda = W z.
         rng = np.random.default_rng(seed)
         s, z = interior_point(rng, cones), interior_point(rng, cones)
-        scaling = _NTScaling(cones.points(s, z))
+        scaling = NTScaling(cones.points(s, z))
         w_nn, mats, inv, sq, lam = nt_reference(cones, s, z)
         assert scaling.w_nn.tobytes() == w_nn.tobytes()
         assert scaling.soc_mats.tobytes() == mats.tobytes()
@@ -859,7 +869,7 @@ class TestConeKernel:
            special=SPECIAL)
     def test_nt_scaling_is_numpy_s(self, seed, cones, special):
         cones, u, du = kernel_case(seed, cones, special)
-        scaling = _NTScaling(cones.points(*u))
+        scaling = NTScaling(cones.points(*u))
         with np.errstate(all="ignore"):
             w_nn, mats, inv, sq, lam = nt_reference(cones, *u)
         assert same_bits(scaling.w_nn, w_nn)
@@ -874,7 +884,7 @@ class TestConeKernel:
     def test_products_are_numpy_s(self, seed, cones, special):
         # Each from the same inputs as the oracle: the kernel's scaling.
         cones, u, du = kernel_case(seed, cones, special)
-        scaling = _NTScaling(cones.points(*u))
+        scaling = NTScaling(cones.points(*u))
         w_nn, mats, inv = scaling.w_nn, scaling.soc_mats, scaling.soc_inv
         assert same_bits(scaled_product(scaling, *du), numpy_scaled_product(
             cones, w_nn, mats, inv, *du))
@@ -897,24 +907,24 @@ class TestConeKernel:
         # A wrong dtype, a non-contiguous array or a short one raises
         # ValueError at every entry point, before the library is loaded:
         # the cone algebra's, the KKT solve's and direction's (kkt_solve,
-        # kkt_direction), and the IPM session's, whose context the
-        # residuals and each iteration's calls read; the CSR matrices of
-        # the KKT system and the session also raise at int64 or
-        # non-contiguous index arrays, float32 values, short row pointers
-        # or a column out of range, and the session at P or A of another
-        # shape than the KKT system's.
+        # kkt_direction), and the IPM session's, whose context the cold
+        # start, the residuals and each iteration's calls read; its CSR
+        # matrices P, A and G also raise at int64 or non-contiguous index
+        # arrays, float32 values, short row pointers or a column out of
+        # range, and it raises at P or A of another shape than the rest of
+        # its KKT system.
         cones = MIXED_CONES
         rng = np.random.default_rng(5)
         s, z = (interior_point(rng, MIXED_CONES) for _ in range(2))
         iterate, single = cones.points(s, z), cones.points(s)
-        scaling = _NTScaling(iterate)
+        scaling = NTScaling(iterate)
         prog = random_feasible_conic(rng, n=4, me=2, cones=MIXED_CONES,
                                      rank=2)
         P, A, G, c, b, h = prog.P, prog.A, prog.G, prog.c, prog.b, prog.h
         x, y, rhs = np.ones(4), np.ones(2), np.ones(6 + cones.dim)
-        kkt = _Kkt(P, A, G, cones)
-        kkt.factor(scaling)
-        other = _NTScaling(Cones(1, 1, 3).points(
+        kkt = ipm_session(prog)
+        factor(kkt, scaling)
+        other = NTScaling(Cones(1, 1, 3).points(
             np.array([1.0, 2.0, 0.0, 0.0]), np.array([1.0, 2.0, 0.0, 0.0])))
         calls = []
         monkeypatch.setattr(ldl, "_library", lambda: calls.append(1))
@@ -926,9 +936,12 @@ class TestConeKernel:
         def session(**changed):
             """The session of the program at (x, y, z, s), with
             ``changed``'s arrays in place of its own."""
-            a = dict(P=P, A=A, c=c, b=b, h=h, x=x, y=y, z=z, s=s) | changed
-            return ipm._Session(kkt, a["P"], a["A"], a["c"], a["b"], a["h"],
-                                0.0, (a["x"], a["y"], a["z"], a["s"]))
+            a = dict(P=P, A=A, G=G, c=c, b=b, h=h, x=x, y=y, z=z,
+                     s=s) | changed
+            return ipm._Session(a["P"], a["A"], a["G"], a["c"], a["b"],
+                                a["h"], cones, 0.0,
+                                (a["x"], a["y"], a["z"], a["s"]),
+                                kkt.analysis)
 
         s32, z32 = s.astype(np.float32), z.astype(np.float32)
         bad = [
@@ -938,7 +951,7 @@ class TestConeKernel:
             lambda: max_steps(iterate, s32, z32),
             lambda: max_steps(iterate, s[:-1], z[:-1]),
             lambda: max_steps(iterate, s),
-            lambda: _NTScaling(single),
+            lambda: NTScaling(single),
             lambda: kkt_direction(kkt, other, x, y, s, z),
         ]
         for v in wrong(s):
@@ -961,7 +974,8 @@ class TestConeKernel:
                     lambda v=v: session(b=v)]
         bad += [lambda: session(P=sp.eye(5, format="csr")),
                 lambda: session(A=A[:-1])]
-        bad += [lambda v=v: kkt.solve(v, ipm.REFINE_TOL) for v in wrong(rhs)]
+        bad += [lambda v=v: kkt_solve(kkt, v, ipm.REFINE_TOL)
+                for v in wrong(rhs)]
         for M in (P, A, G):
             for name, array in (("indptr", M.indptr.astype(np.int64)),
                                 ("indices", M.indices.astype(np.int64)),
@@ -972,11 +986,8 @@ class TestConeKernel:
                                 ("indices", M.indices + M.shape[1])):
                 broken = M.copy()
                 setattr(broken, name, array)
-                if M is G:
-                    bad.append(lambda g=broken: _Kkt(P, A, g, cones))
-                else:
-                    bad.append(lambda m=broken, name="PA"[M is A]:
-                               session(**{name: m}))
+                name = "PAG"[(M is A) + 2 * (M is G)]
+                bad.append(lambda m=broken, name=name: session(**{name: m}))
         for call in bad:
             with pytest.raises(ValueError):
                 call()
@@ -985,18 +996,18 @@ class TestConeKernel:
 
 def factored_kkt(seed, cones, me, perturbed=False):
     """A random program with the cone layout ``cones`` (n = 4 variables
-    and ``me`` equality rows), its KKT system factored at a random interior
-    NT scaling, with K's values scaled after the factorization when
-    ``perturbed``, so that refinement steps can raise the residual, and
-    the random generator."""
+    and ``me`` equality rows), its session's KKT system factored at a
+    random interior NT scaling, with K's values scaled after the
+    factorization when ``perturbed``, so that refinement steps can raise
+    the residual, and the random generator."""
     rng = np.random.default_rng(seed)
     prog = random_feasible_conic(rng, 4, me, cones, 2)
-    kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-    scaling = _NTScaling(cones.points(interior_point(rng, cones),
-                                      interior_point(rng, cones)))
-    kkt.factor(scaling)
+    kkt = ipm_session(prog)
+    scaling = NTScaling(cones.points(interior_point(rng, cones),
+                                     interior_point(rng, cones)))
+    factor(kkt, scaling)
     if perturbed:
-        kkt._values *= rng.uniform(0.5, 3.0)
+        kkt.Kx *= rng.uniform(0.5, 3.0)
     return prog, kkt, scaling, rng
 
 
@@ -1038,8 +1049,8 @@ EQUALITY_ROWS = st.integers(0, 3)
 
 class TestKktKernel:
     """The IPM's KKT solve, Newton direction and residuals, one compiled
-    call each (``kkt_solve``, ``kkt_direction`` and ``ipm_residuals`` in
-    ``conic/ldl.c``, the last through ``ipm._Session``), against the numpy
+    call each on an IPM session's context (``kkt_solve``, ``kkt_direction``
+    and ``ipm_residuals`` in ``conic/ldl.c``), against the numpy
     and scipy code they replaced (``helpers``), bit for bit, every NaN read
     as one NaN, with NaN, +-inf and +-0 entries in their vectors, and in
     the residuals' matrices."""
@@ -1052,10 +1063,11 @@ class TestKktKernel:
     def test_solve_is_numpy_s(self, seed, cones, me, perturbed, tol,
                               special):
         _, kkt, _, rng = factored_kkt(seed, cones, me, perturbed)
-        rhs = rng.normal(size=kkt.order.size) * 10.0 ** rng.uniform(-3, 3)
+        rhs = rng.normal(size=kkt.analysis.order.size) \
+            * 10.0 ** rng.uniform(-3, 3)
         overwrite([rhs], special)
         before = kkt.ldl_solves
-        sol = kkt.solve(rhs, tol)
+        sol = kkt_solve(kkt, rhs, tol)
         expected, solves = numpy_kkt_solve(kkt, rhs, tol, ipm.REFINE_STEPS)
         assert same_bits(sol, expected)
         assert kkt.ldl_solves - before == solves
@@ -1100,8 +1112,7 @@ class TestKktKernel:
                    for size in (4, me, mi, 4, me, mi, mi)]
         overwrite([*vectors, P.data, A.data, G.data], special)
         c, b, h, x, y, z, s = vectors
-        session = ipm._Session(_Kkt(P, A, G, cones), P, A, c, b, h, 0.5,
-                               (x, y, z, s))
+        session = ipm._Session(P, A, G, c, b, h, cones, 0.5, (x, y, z, s))
         with np.errstate(all="ignore"):
             measures = session.residuals()
         Px, expected, norms = numpy_residuals(P, A, G, c, b, h, x, y, z, s)
@@ -1144,14 +1155,15 @@ class TestKktKernel:
                                                      special):
         # The cold start's solve: at tol = inf no refinement step can run,
         # and kkt_solve forms no residual. The solution is the LDL' solve's
-        # (ldl.Factors.solve) in K's ordering, to the byte, in one solve.
+        # (ldl_solve) in K's ordering, to the byte, in one solve.
         _, kkt, _, rng = factored_kkt(seed, cones, me)
-        rhs = rng.normal(size=kkt.order.size) * 10.0 ** rng.uniform(-3, 3)
+        a = kkt.analysis
+        rhs = rng.normal(size=a.order.size) * 10.0 ** rng.uniform(-3, 3)
         overwrite([rhs], special)
         before = kkt.ldl_solves
-        sol = kkt.solve(rhs, math.inf)
+        sol = kkt_solve(kkt, rhs, math.inf)
         assert kkt.ldl_solves - before == 1
-        expected = kkt._ldl.solve(rhs[kkt.order])[kkt.position]
+        expected = ldl_solve(kkt, rhs[a.order])[a.position]
         assert sol.tobytes() == expected.tobytes()
 
 
@@ -1173,25 +1185,24 @@ def iteration_case(seed, cones, me, rank, special=()):
 
 
 def twin_session(P, A, G, cones, r, s, z):
-    """``ipm._Session`` on its own KKT system of P, A and G, at an iterate
-    with copies of s and z, with the residual vectors r written into its
-    buffers, where its calls read them, and a second KKT system of the same
-    matrices for the Python loop it replaced."""
-    kkt, twin = (_Kkt(P, A, G, cones) for _ in range(2))
-    n, me = kkt._sizes
-    session = ipm._Session(
-        kkt, P, A, np.zeros(n), np.zeros(me), np.zeros(cones.dim), 0.0,
-        (np.zeros(n), np.zeros(me), z.copy(), s.copy()))
+    """``ipm._Session`` of P, A and G, at an iterate with copies of s and
+    z, with the residual vectors r written into its buffers, where its
+    calls read them, and a second session of the same matrices for the
+    Python loop it replaced."""
+    n, me = P.shape[0], A.shape[0]
+    session, twin = (ipm._Session(
+        P, A, G, np.zeros(n), np.zeros(me), np.zeros(cones.dim), cones, 0.0,
+        (np.zeros(n), np.zeros(me), z.copy(), s.copy())) for _ in range(2))
     for buffer, v in zip((session.r_dual, session.r_eq, session.r_ineq), r):
         buffer[...] = v
-    return session, kkt, twin
+    return session, twin
 
 
 def assert_step_is_the_python_loop_s(P, A, G, cones, r, s, z, gap, mu):
     """The step at (s, z) by ``ipm._Session`` and by the Python loop
     (``helpers.python_step``) give the same bits and LDL' solves; returns
     the loop's events."""
-    session, kkt, twin = twin_session(P, A, G, cones, r, s, z)
+    session, twin = twin_session(P, A, G, cones, r, s, z)
     events = []
     got = session.step(gap, mu)
     expected = python_step(twin, r, s, z, gap, mu, P.nnz > 0, events)
@@ -1200,7 +1211,7 @@ def assert_step_is_the_python_loop_s(P, A, G, cones, r, s, z, gap, mu):
         assert same_bits(got, expected[0])
         assert all(same_bits(a, b)
                    for a, b in zip(session.direction(), expected[1]))
-    assert kkt.ldl_solves == twin.ldl_solves
+    assert session.ldl_solves == twin.ldl_solves
     return events
 
 
@@ -1210,11 +1221,11 @@ def assert_predictor_is_the_python_loop_s(P, A, G, cones, r, s, z):
     and, when it factored K, leaves the same bits: the cone data of s, z
     and lambda, the NT scaling, lambda o lambda, the affine direction and
     the trial points."""
-    session, kkt, twin = twin_session(P, A, G, cones, r, s, z)
+    session, twin = twin_session(P, A, G, cones, r, s, z)
     code = session.predictor()
     expected, predicted = python_predictor(twin, r, s, z)
     assert code == expected
-    assert kkt.ldl_solves == twin.ldl_solves
+    assert session.ldl_solves == twin.ldl_solves
     if code < 0:
         return
     iterate, scaling = predicted.iterate, predicted.scaling
@@ -1237,7 +1248,7 @@ def assert_corrector_is_the_python_loop_s(P, A, G, cones, r, s, z, sigma):
     and mu = s'z / degree by ``ipm._Session`` and by the Python loop
     (``helpers.python_corrector``) gives the same step pair, direction and
     LDL' solves; returns the loop's events."""
-    session, kkt, twin = twin_session(P, A, G, cones, r, s, z)
+    session, twin = twin_session(P, A, G, cones, r, s, z)
     code, predicted = session.predictor(), python_predictor(twin, r, s,
                                                             z)[1]
     assert code >= 0
@@ -1248,7 +1259,7 @@ def assert_corrector_is_the_python_loop_s(P, A, G, cones, r, s, z, sigma):
     assert same_bits(got, expected)
     assert all(same_bits(a, b)
                for a, b in zip(session.direction(), direction))
-    assert kkt.ldl_solves == twin.ldl_solves
+    assert session.ldl_solves == twin.ldl_solves
     return events
 
 
@@ -1297,6 +1308,36 @@ class TestIterationKernel:
         (P, A, G), r, s, z = iteration_case(
             seed, cones, me, rank, [(w % 3, e, v) for w, e, v in special])
         assert_corrector_is_the_python_loop_s(P, A, G, cones, r, s, z, sigma)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), cones=KERNEL_LAYOUTS,
+           me=EQUALITY_ROWS, rank=RANKS, special=VECTOR_SPECIAL)
+    def test_cold_start_is_the_python_one(self, seed, cones, me, rank,
+                                          special):
+        # K factored at s = z = e in C (ipm_factor) and solved at a
+        # tolerance of infinity, then shifted into the cones, against the
+        # cold start in Python on the same session's K (the NT scaling at
+        # (e, e), the factorization, the solve and the shifts), with NaN,
+        # +-inf and +-0 in c, b, h and G's values: a NaN pivot leaves the
+        # iterate at (0, 0, e, e), unsolved, in both.
+        rng = np.random.default_rng(seed)
+        prog = random_feasible_conic(rng, 4, me, cones, rank)
+        P, A, G = (ipm._kernel_csr(M) for M in (prog.P, prog.A, prog.G))
+        c, b, h = (np.array(v, dtype=np.float64)
+                   for v in (prog.c, prog.b, prog.h))
+        overwrite([c, b, h, G.data], special)
+        e = cones.identity()
+        session, twin = (ipm._Session(
+            P, A, G, c, b, h, cones, 0.0,
+            (np.zeros(4), np.zeros(me), e.copy(), e.copy()))
+            for _ in range(2))
+        with np.errstate(all="ignore"):
+            session.cold_start()
+        expected = python_cold_start(twin, c, b, h)
+        assert all(same_bits(a, b) for a, b in zip(
+            (session.x, session.y, session.z, session.s), expected))
+        assert session.factored == twin.factored
+        assert session.ldl_solves == twin.ldl_solves == twin.factored
 
     @pytest.mark.parametrize("rank", [0, 3], ids=["split", "common"])
     def test_steps_of_solves_are_the_python_loop_s(self, monkeypatch, rank):
@@ -1383,10 +1424,10 @@ class TestIterationKernel:
         for u, v, code in ((negative, z, ipm.OFF_INTERIOR),
                            (s, outside, ipm.OFF_INTERIOR),
                            (nan, z, ipm.NAN_PIVOT)):
-            session, kkt, twin = twin_session(P, A, G, cones, r, u, v)
+            session, twin = twin_session(P, A, G, cones, r, u, v)
             assert session.predictor() == code
             assert python_predictor(twin, r, u, v) == (code, None)
-            assert kkt.ldl_solves == twin.ldl_solves == 0
+            assert session.ldl_solves == twin.ldl_solves == 0
             assert session.step(1.0, 1.0) is None
 
 
@@ -1409,8 +1450,8 @@ class TestIterationKernel:
                    for k in (4, me, dim, dim, size, dim)]
         overwrite(vectors, special)
         x, y, z, s, sol, ds = vectors
-        session = ipm._Session(_Kkt(P, A, G, cones), P, A, prog.c, prog.b,
-                               prog.h, 0.0, [v.copy() for v in (x, y, z, s)])
+        session = ipm._Session(P, A, G, prog.c, prog.b, prog.h, cones, 0.0,
+                               [v.copy() for v in (x, y, z, s)])
         session.sol[...], session.ds[...] = sol, ds
         alpha_p, alpha_d = alphas
         with np.errstate(all="ignore"):
@@ -1738,9 +1779,9 @@ class TestLdlKernel:
         rng = np.random.default_rng(29)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
         cones = prog.cones
-        kkt = _Kkt(prog.P, prog.A, prog.G, cones)
-        identity = _NTScaling(cones.points(cones.identity(), cones.identity()))
-        kkt.factor(identity)
+        kkt = ipm_session(prog)
+        identity = NTScaling(cones.points(cones.identity(), cones.identity()))
+        factor(kkt, identity)
         a, first = kkt.analysis, prog.n + prog.A.shape[0]
         leaves = [i for i in range(cones.n_nn) if np.diff(
             a.indptr)[a.position[first + i]] == 1]
@@ -1750,15 +1791,16 @@ class TestLdlKernel:
         w_nn = identity.w_nn.copy()
         w_nn[leaves[0]] = 0.0
         with mock.patch.object(ipm, "REG", 0.0):
-            kkt.factor(mock.Mock(w_nn=w_nn, soc_sq=identity.soc_sq))
+            factor(kkt, mock.Mock(w_nn=w_nn, soc_sq=identity.soc_sq))
         leaf = a.position[first + leaves[0]]
         K = kkt_matrix(kkt)
         assert K[leaf, leaf] == 0.0
-        assert kkt._ldl.L[2][leaf] == kkt._reg_sign[leaf]
-        unregularized = K.toarray() - np.diag(kkt._reg_sign)
+        assert kkt.D[leaf] == kkt.reg_sign[leaf]
+        unregularized = K.toarray() - np.diag(kkt.reg_sign)
         rhs = rng.normal(size=K.shape[0])
-        expected = np.linalg.solve(unregularized, rhs[kkt.order])[kkt.position]
-        np.testing.assert_allclose(kkt.solve(rhs, 0.0), expected, rtol=0,
+        expected = np.linalg.solve(unregularized, rhs[a.order])[a.position]
+        np.testing.assert_allclose(kkt_solve(kkt, rhs, 0.0), expected,
+                                   rtol=0,
                                    atol=1e-10 * np.abs(expected).max())
 
     def test_solve_needs_a_successful_factorization(self):
@@ -1781,9 +1823,9 @@ class TestLdlKernel:
             factors.solve(rhs)
         rng = np.random.default_rng(7)
         prog = random_feasible_conic(rng, n=6, me=2, cones=MIXED_CONES, rank=3)
-        kkt = _Kkt(prog.P, prog.A, prog.G, prog.cones)
+        kkt = ipm_session(prog)
         with pytest.raises(RuntimeError, match="no successful"):
-            kkt.solve(rng.normal(size=kkt.position.size), 0.0)
+            kkt_solve(kkt, rng.normal(size=kkt.analysis.position.size), 0.0)
 
     def test_entry_points_match_their_c_definitions(self):
         # Each entry point's ctypes argument and result types have the
@@ -1895,9 +1937,6 @@ class TestLdlKernel:
             lambda: factors.product(values[:-1], x),
             lambda: factors.product(values, x[:-1]),
             lambda: factors.product(values, x.astype(np.float32)),
-            lambda: factors.kkt_args(values.astype(np.float32), reg),
-            lambda: factors.kkt_args(np.repeat(values, 2)[::2], reg),
-            lambda: factors.kkt_args(values, reg[:-1]),
         ]
         for call in bad:
             with pytest.raises(ValueError):
