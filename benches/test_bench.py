@@ -3,15 +3,18 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_35.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_36.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
 The fixture is the first SCP subproblem of the plan from that state, with
 the trust region ``run_scp`` adds. Its ``PlanningProblem.build`` is timed
-twice: by a fresh problem (with the plan's scaling), which makes the
-build's template, and by the problem that built it, which reuses that
-template and writes only values. Then one IPM solve of the subproblem, and
+twice, at N=100 and on the first N=30 subproblem, where the build weighs
+most in a plan: by a fresh problem (with the plan's scaling), which makes
+the build's template, and by the problem that built it, which reuses that
+template and writes only values. ``program_sha256`` hashes the built
+program's A and G (CSR arrays), b, h and c. Then one IPM solve of the
+subproblem, and
 one factorization of the IPM's first KKT matrix by SuperLU at its defaults,
 for scale. A refactorization of that matrix is timed at N=100 and on the
 first N=30 subproblem, by the IPM's LDL' kernel (``ldl.Factors``) on the
@@ -170,25 +173,51 @@ def first_kkt(prog, reg=ipm.REG) -> sp.csc_matrix:
                          shape=(dim, dim))
 
 
-def test_build_first_n100(benchmark, subproblem):
+def program_sha256(prog) -> str:
+    """The first 16 hex digits of the SHA-256 of a program's A and G (CSR
+    arrays), b, h and c bytes."""
+    digest = hashlib.sha256()
+    for a in (*(getattr(M, name) for M in (prog.A, prog.G)
+                for name in ("indptr", "indices", "data")),
+              prog.b, prog.h, prog.c):
+        digest.update(a.tobytes())
+    return digest.hexdigest()[:16]
+
+
+def build_first(benchmark, prob, ref):
     """A build by a fresh problem with the plan's scaling: it makes its
     template."""
-    prob, ref, _ = subproblem
-
     def fresh():
         other = PlanningProblem(prob.boundary, VP, prob.cfg)
         other._scaling = prob.scaling(ref)
         return (other, ref), {}
 
-    benchmark.pedantic(PlanningProblem.build, setup=fresh, rounds=100,
-                       warmup_rounds=5)
+    prog = benchmark.pedantic(PlanningProblem.build, setup=fresh, rounds=100,
+                              warmup_rounds=5)
+    benchmark.extra_info["program_sha256"] = program_sha256(prog)
+
+
+def build_repeat(benchmark, prob, ref):
+    """A build by the problem that built about ``ref`` before: it reuses
+    the template and writes only values."""
+    prog = benchmark(prob.build, ref)
+    benchmark.extra_info["program_sha256"] = program_sha256(prog)
+
+
+def test_build_first_n100(benchmark, subproblem):
+    build_first(benchmark, *subproblem[:2])
 
 
 def test_build_repeat_n100(benchmark, subproblem):
-    """A build by the problem that built about ``ref`` before: it reuses
-    the template and writes only values."""
-    prob, ref, _ = subproblem
-    benchmark(prob.build, ref)
+    build_repeat(benchmark, *subproblem[:2])
+
+
+def test_build_first_n30(benchmark):
+    build_first(benchmark, *first_subproblem(30)[:2])
+
+
+def test_build_repeat_n30(benchmark):
+    build_repeat(benchmark, *first_subproblem(30)[:2])
 
 
 def test_ipm_solve_n100(benchmark, subproblem):

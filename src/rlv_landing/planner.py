@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
@@ -265,15 +266,14 @@ class _Entries:
     def __init__(self, pieces, shape: tuple[int, int]):
         self.pieces = [tuple(np.asarray(x, np.intc) for x in piece)
                        for piece in pieces]
-        self.sizes = [np.broadcast(*piece).size for piece in self.pieces]
+        self.shapes = [np.broadcast(*piece).shape for piece in self.pieces]
         self.shape = shape
         self.zeros = None           # no call yet
 
     def csr(self, values) -> sp.csr_matrix:
-        """The matrix with one value, or a scalar, per piece."""
-        vals = np.concatenate([np.full(size, v) if np.ndim(v) == 0
-                               else v.ravel()
-                               for v, size in zip(values, self.sizes)])
+        """The matrix with one value per piece, broadcast to its shape."""
+        vals = np.concatenate([np.broadcast_to(v, shape).ravel()
+                               for v, shape in zip(values, self.shapes)])
         zeros = np.flatnonzero(vals == 0.0)
         if not np.array_equal(zeros, self.zeros):
             n_rows, n_cols = self.shape
@@ -294,22 +294,91 @@ class _Entries:
                              shape=self.shape)
 
 
+# The row families of A and G: (name, where, over, width, pieces, rhs). A
+# family has ``width`` rows per member of ``over`` (``_template``'s
+# ``sets``, each member's first column): in A ("zero"), or in G in each
+# node's run of rows ("node"), after them ("orthant") or in the SOC blocks
+# ("soc"), in the table's order. A piece maps the problem, the rows (count,
+# width) and the set to the (rows, cols) of entries, or None if the problem
+# lacks the column, and gives their value, broadcast; ``rhs``, the rows' b
+# or h. A value is a constant or a function of the problem and build data.
+_FAMILIES = {"A": (
+    # Trapezoidal dynamics on interval k: X_{k+1} - X_k - sum_j (Abar_j Z_j +
+    # Cbar_j eta) / 2N = sum_j Dbar_j / 2N over its ends j = k, k+1.
+    ("dynamics", "zero", "intervals", NX, (
+        (lambda p, r, n: (r[..., None], (n + range(NZ))[:, None]),
+         lambda p, d: -d.half * d.A[:-1]),
+        (lambda p, r, n: (r[..., None], (n + NZ + range(NZ))[:, None]),
+         lambda p, d: -d.half * d.A[1:]),
+        (lambda p, r, n: (r, n + range(NX)), -1.0),
+        (lambda p, r, n: (r, n + NZ + range(NX)), 1.0),
+        (lambda p, r, n: (r, p.idx_eta),
+         lambda p, d: -d.half * (d.C[:-1] + d.C[1:]))),
+     lambda p, d: d.half * (d.D[:-1] + d.D[1:])),
+    # Initial r, v and m: the current state or, in ignition-fit mode, the
+    # coast fit linearized about t_c, (r, v) - slope t_c = start.
+    ("initial", "zero", "first", NX, (
+        (lambda p, r, n: (r, n + range(NX)), 1.0),
+        (lambda p, r, n: (r[:, :6], p.idx_tc) if p.with_tc else None,
+         lambda p, d: -d.slope)), lambda p, d: d.start),
+    # The pad, r = v = 0.
+    ("terminal", "zero", "last", 6,
+     ((lambda p, r, n: (r, n + range(6)), 1.0),), 0.0),
+    # Vertical thrust, T_x = T_y = T_z + Gamma = 0, where the tilt bound is
+    # numerically zero (the taper end) and would pin the cone to a ray.
+    ("vertical", "zero", "vertical", 3,
+     ((lambda p, r, n: (r[:, [0, 1, 2, 2]], n + [7, 8, 9, IDX_GAMMA]), 1.0),),
+     0.0)), "G": (
+    # Thrust bounds net of the back-pressure loss A_exit P_e(h) at the
+    # reference, the lower along the reference thrust direction: -Tbar . T /
+    # ||Tbar|| <= loss - T_min (1 + mu_T), Gamma <= T_max (1 - mu_T) - loss.
+    ("thrust", "node", "nodes", 2, (
+        (lambda p, r, n: (r[:, :1], n + [7, 8, 9]), lambda p, d: -d.direction),
+        (lambda p, r, n: (r[:, 1:], n + IDX_GAMMA), 1.0)),
+     lambda p, d: np.stack([d.loss - p.vp.T_min * (1.0 + p.cfg.mu_T),
+                            p.vp.T_max * (1.0 - p.cfg.mu_T) - d.loss], 1)),
+    # Tilt, T_z + cos(theta_lim) Gamma <= 0, where it is not vertical. An
+    # eta column for the taper's cos(theta_lim(eta (1 - s_k))) fails the
+    # first subproblem: its tangent passes 1 once eta drops by an eighth,
+    # and the first step from the initial guess cuts more.
+    ("tilt", "node", "tilted", 1, (
+        (lambda p, r, n: (r, n + 9), 1.0),
+        (lambda p, r, n: (r, n + IDX_GAMMA),
+         lambda p, d: np.cos(d.theta_lim[~d.vertical])[:, None])), 0.0),
+    # Aerodynamic load linearized, grad . Z <= grad . Zbar - g; none at the
+    # current state, nor where q_bar <= L_lim/pi, as the cone implies it.
+    ("load", "node", "load", 1,
+     ((lambda p, r, n: (r, n + range(NZ)), lambda p, d: d.grad_load[d.load]),),
+     lambda p, d: (np.einsum("ki,ki->k", d.grad_load[d.load], d.Z[d.load])
+                   - d.g_load[d.load])[:, None]),
+    # Thrust-magnitude rate, |Gamma_{k+1} - Gamma_k| <= Tdot_lim eta / N at
+    # the reference eta. An eta column here and an r_z column for the thrust
+    # bounds' loss raised the N=100 KKT fill 0.19M -> 0.27M and by 1/6 under
+    # SuperLU's column ordering; under the IPM's stage ordering they add no
+    # and 202 entries to the 30,179 of the first N=100 KKT matrix's L.
+    ("rate", "orthant", "intervals", 2, (
+        (lambda p, r, n: (r, n + NZ + IDX_GAMMA), [1.0, -1.0]),
+        (lambda p, r, n: (r, n + IDX_GAMMA), [-1.0, 1.0])),
+     lambda p, d: p.vp.Tdot_lim / p.N * d.eta),
+    # The box lo <= x <= hi of eta (and t_c), as -x <= -lo and x <= hi.
+    ("box", "orthant", "boxed", 2, ((lambda p, r, n: (r, n), [-1.0, 1.0]),),
+     lambda p, d: [(-lo, hi) for lo, hi in p.box]),
+    # The thrust cone ||T_k|| <= Gamma_k, an SOC block per tilted node.
+    ("cone", "soc", "tilted", 4,
+     ((lambda p, r, n: (r, n + [IDX_GAMMA, 7, 8, 9]), -1.0),), 0.0))}
+
+
 @dataclass(frozen=True, eq=False)
 class _BuildTemplate:
-    """The index work of ``PlanningProblem.build`` for one gate set: the
-    nodes whose thrust is vertical and those with a load row, the
-    candidate entries of A and G, the rows of h a build writes, and the
-    cone layout: the orthant rows, then a 4-dimensional SOC block
-    ||T_k|| <= Gamma_k per tilted node. Its arrays are all int32."""
+    """The index work of ``PlanningProblem.build`` for one gate set: each
+    family's rows, A's and G's entries and values, and the cones, in int32."""
 
-    vertical: np.ndarray     # nodes whose tilt bound is numerically zero
-    load: np.ndarray         # nodes with a load row
+    vertical: np.ndarray
+    load: np.ndarray
+    rows: dict
     A: _Entries
     G: _Entries
-    first: np.ndarray        # each node's lower thrust bound row
-    load_rows: np.ndarray
-    rate: np.ndarray         # the first of each pair of rate rows
-    box: np.ndarray
+    values: dict
     cones: Cones
 
 
@@ -336,6 +405,8 @@ class PlanningProblem:
         # The IPM's KKT ordering: node k's columns in stage k, eta and t_c
         # in stage N + 1.
         self.stage = np.repeat(np.arange(self.N + 2), NZ)[:self.n_vars]
+        self.box = [cfg.eta_bounds] + (     # [lo, hi] of eta and t_c
+            [boundary.coast_fit.window] if self.with_tc else [])
         self._scaling_bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._scaling: VariableScaling | None = None
         self._last_template: _BuildTemplate | None = None
@@ -391,28 +462,19 @@ class PlanningProblem:
 
     def build(self, ref: PlanningReference) -> ConicProgram:
         """The scaled SOCP subproblem linearized about ``ref``, with the
-        cost -m_N only: ``run_scp`` adds the trust region.
-
-        The index work depends only on the gates, the vertical nodes and
-        the load rows: a build makes it once per gate set (``_template``),
-        and keeps the last one's, with the CSR pattern of A's and G's last
-        nonzero mask (``_Entries``). A build whose gates and masks match
-        the last build's writes only values. Either way, it calls
+        cost -m_N only: ``run_scp`` adds the trust region. It writes the
+        values of ``_FAMILIES`` into the last template (``_template``) if
+        it has its gates, the vertical nodes and the load rows, and calls
         ``linearize_planning``, ``scale_program`` and ``equilibrate_rows``
-        once each.
-
-        Three row families depend on reference values they carry no column
-        for. An r_z column in the thrust bounds' back-pressure loss
-        A_exit P_e(h) and an eta column in the rate bound Tdot_lim eta / N
-        raised the N=100 KKT fill by 1/6 and 0.19M -> 0.27M under SuperLU's
-        column ordering; under the IPM's stage ordering they add 202 and no
-        entries to the 30,179 of the first N=100 KKT matrix's L. An eta
-        column in the taper tilt bound cos(theta_lim(eta (1 - s_k))) fails
-        the first subproblem: its tangent passes 1 once eta drops by an
-        eighth, and the first step from the initial guess cuts more.
-        """
-        N, vp, cfg = self.N, self.vp, self.cfg
-        eta_ref, Z = ref.eta, ref.Z
+        once each. It rejects a Z not (N+1, 11), and an eta (or in
+        ignition-fit mode t_c) not finite, or eta not positive."""
+        N, vp, cfg, eta_ref, Z = self.N, self.vp, self.cfg, ref.eta, ref.Z
+        if np.shape(Z) != (N + 1, NZ):
+            raise ValueError(f"reference Z has shape {np.shape(Z)}")
+        if not 0.0 < eta_ref < math.inf:
+            raise DegenerateStateError(f"reference eta = {eta_ref!r}")
+        if self.with_tc and (ref.t_c is None or not math.isfinite(ref.t_c)):
+            raise DegenerateStateError(f"reference t_c = {ref.t_c!r}")
         lin = linearize_planning(Z, eta_ref, vp, cfg, self.opts)
         T_norm = np.linalg.norm(Z[:, 7:10], axis=1)
         if not np.all(T_norm > 0.0):
@@ -420,71 +482,34 @@ class PlanningProblem:
                 "zero reference thrust at node "
                 f"{int(np.flatnonzero(~(T_norm > 0.0))[0])}")
 
-        # The gates. Nodes whose tilt bound is numerically zero (the taper
-        # end) would pin their SOC cone to a boundary ray; their thrust is
-        # vertical, by equalities, and their cone dropped. In the clamped
-        # regime (q_bar <= L_lim/pi) the true load constraint
-        # T.v <= Gamma ||v|| is already implied by the cone, so the load
-        # row is dropped there, as it is at the current state.
         theta_lim = tilt_limit_profile(eta_ref * np.arange(N + 1) / N, eta_ref,
                                        cfg.t_theta, cfg.theta_lim_max)
         vertical = theta_lim < 1e-5
         speed = np.linalg.norm(Z[:, 3:6], axis=1)
         q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
         load = (q_bar > cfg.L_lim / math.pi) & (speed >= env.V_EPS)
-        if self.boundary.mode == "current-state":
-            load[0] = False
+        load[0] &= self.with_tc          # none at the current state
         t = self._template(vertical, load)
-
-        # Equality rows, in _template's order: the trapezoidal dynamics
-        # X_{k+1} - X_k - (1/2N)(...) = rhs, the boundary rows (initial
-        # position, velocity and mass, then the terminal pad condition
-        # r = v = 0) and the vertical thrust.
-        half = 1.0 / (2.0 * N)
-        n_dyn = NX * N
-        M = -half * lin.A
-        eq = [M[:-1], M[1:], -1.0, 1.0, -half * (lin.C[:-1] + lin.C[1:]),
-              1.0]
+        data = SimpleNamespace(
+            **vars(lin), Z=Z, eta=eta_ref, half=1.0 / (2.0 * N), load=load,
+            vertical=vertical, theta_lim=theta_lim,
+            direction=Z[:, 7:10] / T_norm[:, None],
+            loss=vp.A_exit * env.ambient_pressure(-Z[:, 2]))
+        start = (self.boundary.r_now, self.boundary.v_now)
         if self.with_tc:
-            fit = self.boundary.coast_fit
-            tc_ref = ref.t_c
+            fit, tc_ref = self.boundary.coast_fit, ref.t_c
             lin_vec = np.array([2.0 * tc_ref, 1.0, 0.0])
             const_vec = np.array([-tc_ref * tc_ref, 0.0, 1.0])
-            slope = np.concatenate([fit.K_r @ lin_vec, fit.K_v @ lin_vec])
-            eq.append(-slope)
-            start = np.concatenate([fit.K_r @ const_vec, fit.K_v @ const_vec])
-        else:
-            start = np.concatenate([self.boundary.r_now, self.boundary.v_now])
-        A_mat = t.A.csr(eq + [1.0, 1.0, 1.0])
-        b_vec = np.zeros(A_mat.shape[0])
-        b_vec[:n_dyn] = (half * (lin.D[:-1] + lin.D[1:])).ravel()
-        b_vec[n_dyn:n_dyn + NX] = np.append(start, self.boundary.m0)
-
-        # Inequality rows, in _template's order: the Gamma bounds, the tilt
-        # rows T_z + cos(theta_lim) Gamma <= 0, the linearized aerodynamic
-        # load rows, the lower thrust bound on the thrust along its
-        # reference direction, the thrust-magnitude rate rows, the box
-        # bounds and the SOC blocks ||T_k|| <= Gamma_k. The thrust bounds
-        # are net of the back-pressure loss at the reference altitude.
-        tilt = ~vertical
-        direction = Z[:, 7:10] / T_norm[:, None]
-        G_mat = t.G.csr([1.0, 1.0, np.cos(theta_lim[tilt]),
-                         lin.grad_load[t.load], -direction,
-                         1.0, -1.0, 1.0, -1.0,
-                         np.tile([-1.0, 1.0], t.box.size // 2), -1.0])
-
-        loss = vp.A_exit * env.ambient_pressure(-Z[:, 2])
-        h_vec = np.zeros(G_mat.shape[0])
-        h_vec[t.first] = loss - vp.T_min * (1.0 + cfg.mu_T)
-        h_vec[t.first + 1] = vp.T_max * (1.0 - cfg.mu_T) - loss
-        h_vec[t.rate] = h_vec[t.rate + 1] = vp.Tdot_lim / N * eta_ref
-        h_vec[t.load_rows] = (np.einsum("ki,ki->k", lin.grad_load[t.load],
-                                        Z[t.load]) - lin.g_load[t.load])
-        bounds = [-cfg.eta_bounds[0], cfg.eta_bounds[1]]
-        if self.with_tc:
-            lo_tc, hi_tc = self.boundary.coast_fit.window
-            bounds += [-lo_tc, hi_tc]
-        h_vec[t.box] = bounds
+            data.slope = np.concatenate([fit.K_r @ lin_vec, fit.K_v @ lin_vec])
+            start = (fit.K_r @ const_vec, fit.K_v @ const_vec)
+        data.start = np.concatenate([*start, [self.boundary.m0]])
+        A_mat, G_mat = (entries.csr([v(self, data) if callable(v) else v
+                                     for v in t.values[name]])
+                        for name, entries in (("A", t.A), ("G", t.G)))
+        b_vec, h_vec = np.zeros(A_mat.shape[0]), np.zeros(G_mat.shape[0])
+        for vec, families in zip((b_vec, h_vec), _FAMILIES.values()):
+            for name, _, _, _, _, rhs in families:
+                vec[t.rows[name]] = rhs(self, data) if callable(rhs) else rhs
 
         program = ConicProgram(c=np.zeros(self.n_vars), A=A_mat, b=b_vec,
                                G=G_mat, h=h_vec, cones=t.cones,
@@ -503,61 +528,36 @@ class PlanningProblem:
         """The last build's template if it has these gates, else a new one,
         which replaces it."""
         t = self._last_template
-        if t is not None and np.array_equal(t.vertical,
-                                            np.flatnonzero(vertical)) \
-                and np.array_equal(t.load, np.flatnonzero(load)):
+        gates = [np.flatnonzero(g).astype(np.intc) for g in (vertical, load)]
+        if t is not None and all(map(np.array_equal, (t.vertical, t.load),
+                                     gates)):
             return t
-        N = self.N
-        node = NZ * np.arange(N + 1)          # first column of each node
-        col_gamma = node + IDX_GAMMA
-
-        n_dyn = NX * N
-        dyn = np.arange(n_dyn).reshape(N, NX)
-        cols_k = node[:-1, None] + np.arange(NZ)
-        state_k = node[:-1, None] + np.arange(NX)
-        initial = n_dyn + np.arange(NX)
-        eq = [(dyn[:, :, None], cols_k[:, None, :]),
-              (dyn[:, :, None], cols_k[:, None, :] + NZ),
-              (dyn, state_k), (dyn, state_k + NZ), (dyn, self.idx_eta),
-              (initial, np.arange(NX))]
-        if self.with_tc:
-            eq.append((initial[:6], self.idx_tc))
-        vert = node[vertical]
-        vrows = n_dyn + NX + 6 + np.arange(3 * vert.size).reshape(-1, 3)
-        eq += [(n_dyn + NX + np.arange(6), node[-1] + np.arange(6)),
-               (vrows, vert[:, None] + np.array([7, 8, 9])),
-               (vrows[:, 2], vert + IDX_GAMMA)]
-        n_eq = n_dyn + NX + 6 + vrows.size
-
-        # Each node owns a run of orthant rows: its two Gamma bounds, its
-        # tilt row unless vertical, and its load row; then the rate rows,
-        # the box bounds on eta (and t_c) and, below the orthant rows, the
-        # SOC blocks.
-        tilt = ~vertical
-        count = 2 + tilt + load
-        first = np.cumsum(count) - count
-        tilt_rows = (first + 2)[tilt]
-        load_rows = (first + 2 + tilt)[load]
-        rate = count.sum() + 2 * np.arange(N)
-        box_cols = [self.idx_eta] + ([self.idx_tc] if self.with_tc else [])
-        box = rate[-1] + 2 + np.arange(2 * len(box_cols))
-        n_soc = int(tilt.sum())
-        soc = box[-1] + 1 + np.arange(4 * n_soc).reshape(-1, 4)
-        ineq = [(first + 1, col_gamma),
-                (tilt_rows, node[tilt] + 9),
-                (tilt_rows, col_gamma[tilt]),
-                (load_rows[:, None], node[load, None] + np.arange(NZ)),
-                (first[:, None], node[:, None] + np.array([7, 8, 9])),
-                (rate, col_gamma[1:]), (rate, col_gamma[:-1]),
-                (rate + 1, col_gamma[:-1]), (rate + 1, col_gamma[1:]),
-                (box, np.repeat(box_cols, 2)),
-                (soc, node[tilt, None] + np.array([IDX_GAMMA, 7, 8, 9]))]
+        node = NZ * np.arange(self.N + 1)[:, None]     # first columns
+        sets = dict(nodes=node, intervals=node[:-1], first=node[:1],
+                    last=node[-1:], vertical=node[vertical],
+                    tilted=node[~vertical], load=node[load],
+                    boxed=self.idx_eta + np.arange(len(self.box))[:, None])
+        rows, entries, values = {}, [], {}
+        for matrix, families in _FAMILIES.items():
+            # Each node's run of rows, then the rest, by the table's order.
+            rank = np.argsort(np.argsort(np.concatenate([
+                np.repeat(np.where(where == "node", sets[over], self.n_vars),
+                          width) for _, where, over, width, _, _ in families]),
+                kind="stable")).astype(np.intc)
+            pieces, values[matrix], n_rows = [], [], rank.size
+            for name, _, over, width, family, _ in families:
+                size = sets[over].size * width
+                rows[name], rank = rank[:size].reshape(-1, width), rank[size:]
+                for index, value in family:
+                    piece = index(self, rows[name], sets[over])
+                    if piece is not None:
+                        pieces.append(piece)
+                        values[matrix].append(value)
+            entries.append(_Entries(pieces, (n_rows, self.n_vars)))
+        soc = rows["cone"]
         t = self._last_template = _BuildTemplate(
-            *(np.flatnonzero(gate).astype(np.intc) for gate in (vertical, load)),
-            _Entries(eq, (n_eq, self.n_vars)),
-            _Entries(ineq, (box[-1] + 1 + soc.size, self.n_vars)),
-            *(rows.astype(np.intc) for rows in (first, load_rows, rate, box)),
-            Cones(box[-1] + 1, n_soc, 4))
+            *gates, rows, *entries, values,
+            Cones(entries[1].shape[0] - soc.size, *soc.shape))
         return t
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:

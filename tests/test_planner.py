@@ -293,6 +293,33 @@ class TestLinearization:
         with pytest.raises(env.DegenerateStateError, match="node 5"):
             prob.build(bad)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("eta", math.nan, env.DegenerateStateError),
+        ("eta", -5.0, env.DegenerateStateError),
+        ("eta", 0.0, env.DegenerateStateError),
+        ("eta", math.inf, env.DegenerateStateError),
+        ("t_c", None, env.DegenerateStateError),
+        ("t_c", math.nan, env.DegenerateStateError),
+        ("Z", "other N", ValueError),
+    ])
+    def test_reference_it_cannot_linearize_about_raises(self, monkeypatch,
+                                                       field, value, error):
+        # Before linearizing, the build rejects a reference naming what it
+        # cannot use: an eta that is not finite and positive, a t_c that is
+        # not finite in ignition-fit mode, a Z of another grid.
+        prob, cfg = make_problem()
+        ref = initial_guess_planning(prob.boundary, cfg, VP)
+        if value == "other N":
+            value = initial_guess_planning(prob.boundary,
+                                           PlanningConfig(N=cfg.N - 1), VP).Z
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("linearized a reference it should reject")
+
+        monkeypatch.setattr(planner, "linearize_planning", unreached)
+        with pytest.raises(error, match=field):
+            prob.build(replace(ref, **{field: value}))
+
 
 class TestBuildStructure:
     def test_dimensions_and_counts(self):
@@ -359,6 +386,28 @@ class TestBuildStructure:
                            + 2 * N + 2)
         assert prog.cones.n_nn == expected_nonneg
 
+    @pytest.mark.parametrize("mode", ["ignition-fit", "current-state"])
+    def test_row_families_partition_the_rows(self, mode):
+        # Every row of A and of G belongs to exactly one named family, and
+        # the SOC family's rows are the cone layout's SOC blocks.
+        prob, cfg = make_problem()
+        if mode == "current-state":
+            prob = PlanningProblem(PlanningBoundary(
+                mode=mode, m0=33000.0, r_now=np.array([-300.0, -250.0, -3500.0]),
+                v_now=np.array([40.0, 35.0, 230.0])), VP, cfg)
+        prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
+        t = prob._last_template
+        assert t.vertical.size > 0 and t.load.size > 0
+        families = planner._FAMILIES
+        names = [f[0] for matrix in families.values() for f in matrix]
+        assert len(set(names)) == len(names) and set(names) == set(t.rows)
+        for matrix, M in (("A", prog.A), ("G", prog.G)):
+            rows = np.concatenate([t.rows[f[0]].ravel()
+                                   for f in families[matrix]])
+            assert np.array_equal(np.sort(rows), np.arange(M.shape[0]))
+        soc, = [t.rows[f[0]] for f in families["G"] if f[1] == "soc"]
+        assert np.array_equal(soc, prog.cones.split(np.arange(prog.G.shape[0]))[1])
+
     def test_rows_stored_in_descending_column_order(self):
         # The IPM's products add up each row in its stored order, and the
         # planner's answers were fixed with rows stored this way (see
@@ -406,18 +455,18 @@ class TestBuildStructure:
 
     @staticmethod
     def reference_sequence(prob, cfg):
-        """References one problem builds about in turn: the initial guess,
-        whose vertical thrust zeros the x and y entries of the lower thrust
-        bound rows; an SCP iterate (the same gates, another nonzero mask);
-        that iterate slowed at the last node with a load row, which drops
-        that row (a change of the load gate alone); that iterate with eta
-        cut, so that three taper nodes turn vertical; and the initial guess
-        again."""
+        """References one problem builds about in turn, each chosen by its
+        gates rather than taken from a solve: the initial guess, whose
+        vertical thrust zeros the x and y entries of the lower thrust bound
+        rows; the guess with its thrust tilted (the same gates, another
+        nonzero mask); the tilted guess slowed at the last node with a load
+        row, which drops that row (a change of the load gate alone); the
+        tilted guess with eta cut, so that three taper nodes turn vertical;
+        and the initial guess again."""
         guess = initial_guess_planning(prob.boundary, cfg, VP)
-        prog = prob.build(guess)
-        scp.add_trust_region(prog, prob.reference_vector(guess), cfg.W_tr)
-        iterate = prob.decode(guess, ipm.solve(prog, scp.INEXACT_TOL).x)
-        Z = iterate.Z.copy()
+        Z = guess.Z.copy()
+        Z[:, 7:9] = 0.1 * Z[:, 9:10]
+        tilted = replace(guess, Z=Z.copy())
         speed = np.linalg.norm(Z[:, 3:6], axis=1)
         q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
         last = np.flatnonzero(q_bar > cfg.L_lim / math.pi)[-1]
@@ -425,8 +474,8 @@ class TestBuildStructure:
         # Node k is vertical where eta (1 - k/N) is below the taper's
         # threshold, t_theta sqrt(1e-5 / theta_lim_max).
         cut = cfg.N * cfg.t_theta * math.sqrt(1e-5 / cfg.theta_lim_max) / 2.5
-        return [guess, iterate, replace(iterate, Z=Z),
-                replace(iterate, eta=cut), guess]
+        return [guess, tilted, replace(tilted, Z=Z),
+                replace(tilted, eta=cut), guess]
 
     def test_reused_template_builds_what_a_fresh_problem_builds(self):
         # Each build equals, bit for bit, that of a fresh problem with the
@@ -456,7 +505,7 @@ class TestBuildStructure:
                 M.data[:], M.indices[:], M.indptr[:] = -1.0, 0, 0
             for name in ("b", "h", "c"):
                 getattr(prog, name)[:] = np.nan
-        # The SCP iterate reused the guess's template, without the guess's
+        # The tilted guess reused the guess's template, without the guess's
         # zero values, and every later reference changed a gate.
         (t0, zeros0), (t1, zeros1) = templates[:2]
         assert t1 is t0 and not np.array_equal(zeros0, zeros1)
