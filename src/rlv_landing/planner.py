@@ -272,8 +272,8 @@ class _Entries:
 
     def csr(self, values) -> sp.csr_matrix:
         """The matrix with one value per piece, broadcast to its shape."""
-        vals = np.concatenate([np.broadcast_to(v, shape).ravel()
-                               for v, shape in zip(values, self.shapes)])
+        vals = np.concatenate([np.full(shape, v) for v, shape
+                               in zip(values, self.shapes)], axis=None)
         zeros = np.flatnonzero(vals == 0.0)
         if not np.array_equal(zeros, self.zeros):
             n_rows, n_cols = self.shape

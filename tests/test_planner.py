@@ -392,9 +392,11 @@ class TestBuildStructure:
         # the SOC family's rows are the cone layout's SOC blocks.
         prob, cfg = make_problem()
         if mode == "current-state":
-            prob = PlanningProblem(PlanningBoundary(
-                mode=mode, m0=33000.0, r_now=np.array([-300.0, -250.0, -3500.0]),
-                v_now=np.array([40.0, 35.0, 230.0])), VP, cfg)
+            boundary = PlanningBoundary(
+                mode=mode, m0=33000.0,
+                r_now=np.array([-300.0, -250.0, -3500.0]),
+                v_now=np.array([40.0, 35.0, 230.0]))
+            prob = PlanningProblem(boundary, VP, cfg)
         prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
         t = prob._last_template
         assert t.vertical.size > 0 and t.load.size > 0
@@ -406,7 +408,8 @@ class TestBuildStructure:
                                    for f in families[matrix]])
             assert np.array_equal(np.sort(rows), np.arange(M.shape[0]))
         soc, = [t.rows[f[0]] for f in families["G"] if f[1] == "soc"]
-        assert np.array_equal(soc, prog.cones.split(np.arange(prog.G.shape[0]))[1])
+        _, soc_part = prog.cones.split(np.arange(prog.G.shape[0]))
+        assert np.array_equal(soc, soc_part)
 
     def test_rows_stored_in_descending_column_order(self):
         # The IPM's products add up each row in its stored order, and the
