@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_36.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_37.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -13,9 +13,11 @@ twice, at N=100 and on the first N=30 subproblem, where the build weighs
 most in a plan: by a fresh problem (with the plan's scaling), which makes
 the build's template, and by the problem that built it, which reuses that
 template and writes only values. ``program_sha256`` hashes the built
-program's A and G (CSR arrays), b, h and c. Then one IPM solve of the
-subproblem, and
-one factorization of the IPM's first KKT matrix by SuperLU at its defaults,
+program's A and G (CSR arrays), b, h and c. The trust-region cases time
+``scp.add_trust_region`` on a copy of the first subproblem's program, at
+N=30 and N=100, as each SCP iteration adds it: P + 2 W_tr I, the linear
+cost and the constant; ``trust_region_sha256`` hashes P (CSR arrays) and
+c. Then one IPM solve of the subproblem, and one factorization of the IPM's first KKT matrix by SuperLU at its defaults,
 for scale. A refactorization of that matrix is timed at N=100 and on the
 first N=30 subproblem, by the IPM's LDL' kernel (``ldl.Factors``) on the
 upper-triangle values the IPM's session (``ipm._Session``) holds, in its
@@ -218,6 +220,33 @@ def test_build_first_n30(benchmark):
 
 def test_build_repeat_n30(benchmark):
     build_repeat(benchmark, *first_subproblem(30)[:2])
+
+
+def trust_region(benchmark, prob, ref):
+    """``scp.add_trust_region`` on a copy of the program built about
+    ``ref``, as ``run_scp`` adds it once per SCP iteration."""
+    prog, x_ref = prob.build(ref), prob.reference_vector(ref)
+    last = []
+
+    def fresh():
+        last[:] = [replace(prog)]
+        return (last[0], x_ref, prob.cfg.W_tr), {}
+
+    benchmark.pedantic(scp.add_trust_region, setup=fresh, rounds=500,
+                       warmup_rounds=5)
+    digest = hashlib.sha256()
+    P = last[0].P
+    for a in (P.indptr, P.indices, P.data, last[0].c):
+        digest.update(a.tobytes())
+    benchmark.extra_info["trust_region_sha256"] = digest.hexdigest()[:16]
+
+
+def test_trust_region_n100(benchmark, subproblem):
+    trust_region(benchmark, *subproblem[:2])
+
+
+def test_trust_region_n30(benchmark):
+    trust_region(benchmark, *first_subproblem(30)[:2])
 
 
 def test_ipm_solve_n100(benchmark, subproblem):

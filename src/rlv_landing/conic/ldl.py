@@ -310,18 +310,13 @@ class Factors:
         self._factored = positive >= 0
         return positive
 
-    def check_factored(self) -> None:
-        """``RuntimeError`` unless the last ``factor`` succeeded: L is not
-        all written, and no solve may read it."""
-        if not self._factored:
-            raise RuntimeError("no successful factorization to solve with")
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution of L D L' x = rhs, in a new array, after
-        ``check_factored``."""
+        """The solution of L D L' x = rhs, in a new array; ``RuntimeError``
+        unless the last ``factor`` succeeded, as L is not all written."""
         x = np.array(rhs, dtype=np.float64)
         address = _checked("rhs", x, np.float64, self.n)
-        self.check_factored()
+        if not self._factored:
+            raise RuntimeError("no successful factorization to solve with")
         _library().ldl_solve(self.n, *self._solve_args, address)
         return x
 

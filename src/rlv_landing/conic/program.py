@@ -25,27 +25,18 @@ import scipy.sparse as sp
 from .cones import Cones
 
 
-def _left_out() -> sp.csr_matrix:
-    """The default of a matrix block, sized by ``ConicProgram.__post_init__``."""
-    return sp.csr_matrix((0, 0))
-
-
-def _no_rows() -> np.ndarray:
-    return np.zeros(0)
-
-
 @dataclass
 class ConicProgram:
     """A program in the canonical form; ``validate`` checks it."""
 
     c: np.ndarray
-    A: sp.spmatrix = field(default_factory=_left_out)
-    b: np.ndarray = field(default_factory=_no_rows)
-    G: sp.spmatrix = field(default_factory=_left_out)
-    h: np.ndarray = field(default_factory=_no_rows)
+    A: sp.spmatrix | None = None
+    b: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    G: sp.spmatrix | None = None
+    h: np.ndarray = field(default_factory=lambda: np.zeros(0))
     cones: Cones = field(default_factory=Cones)
     # Symmetric: the IPM's KKT matrix reads its upper triangle.
-    P: sp.spmatrix = field(default_factory=_left_out)
+    P: sp.spmatrix | None = None
     obj_offset: float = 0.0
     # The stage of each variable, such as the node of an optimal control
     # problem's node columns: the IPM orders its KKT matrix by stage (see
@@ -62,7 +53,7 @@ class ConicProgram:
         # all zeros.
         n = self.n
         for name, rows in (("A", 0), ("G", 0), ("P", n)):
-            if getattr(self, name).shape == (0, 0):
+            if getattr(self, name) is None:
                 setattr(self, name, sp.csr_matrix((rows, n)))
 
     @property

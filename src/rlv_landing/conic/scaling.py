@@ -1,10 +1,10 @@
-"""Affine variable normalization and row equilibration of conic programs.
+"""Affine variable normalization and row equilibration of constraint blocks.
 
 Each variable with box [lo, hi] is mapped to x_scaled in [-1, 1] via
-x = offset + half * x_scaled. Constraints and the objective transform
-consistently; cone constraints survive because the map is affine row-wise.
-Both steps rewrite a program's values in place, on its sparsity pattern,
-and neither changes a matrix the caller passed in.
+x = offset + half * x_scaled; cone constraints survive because the map is
+affine row-wise. A block, A x = b or G x + s = h, is (pattern, data, rhs):
+a ``RowPattern``, which does its CSR pattern's index work once, and one
+program's values on it. Both steps return new values and write none.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .program import ConicProgram
+from .cones import Cones
 
 
 @dataclass(frozen=True)
@@ -43,77 +43,77 @@ def make_scaling(lo: np.ndarray, hi: np.ndarray) -> VariableScaling:
     return VariableScaling(offset=0.5 * (lo + hi), half_range=0.5 * (hi - lo))
 
 
-def scale_program(program: ConicProgram,
-                  record: VariableScaling) -> ConicProgram:
-    """Rewrite the program in place in the variables ``record`` scales."""
-    o, half = record.offset, record.half_range
-    c = np.asarray(program.c, float)
-    P = program.P.tocsr()
-    Po = P @ o
-    program.obj_offset = program.obj_offset + float(c @ o) \
-        + 0.5 * float(o @ Po)
-    program.c = half * (c + Po)
-    program.P = _with_data(P, P.data * half[_rows(P)] * half[P.indices])
-    A, G = program.A.tocsr(), program.G.tocsr()
-    program.b = np.asarray(program.b, float) - A @ o
-    program.h = np.asarray(program.h, float) - G @ o
-    program.A, program.G = _scale_columns(A, half), _scale_columns(G, half)
-    return program
+class RowPattern:
+    """A CSR pattern, int32 ``indptr`` and ``indices`` with each row's
+    columns ascending, over the variables of ``half_range``, and what the
+    scaling reads of it: the row of each stored entry, the permutation that
+    reverses each row (``flip``), the columns in that order (``reversed``)
+    and the half range there, and the first entry of each row that stores
+    one (``starts``).
 
-
-def _scale_columns(M: sp.csr_matrix, half: np.ndarray) -> sp.csr_matrix:
-    """M times diag(half), each row stored in reverse order.
-
-    The reverse order is the one the product M @ diag(half) left before
-    scaling worked on values, and the IPM's products add up each row in its
-    stored order. With rows kept in M's ascending order, 98 of 129 benchmark
-    plans (ignition-n100, replan-n100 and ignition-n30: reference sets and
-    16 states each of seeds 5 and 6) end at other last bits, and two
-    ignition-n100 plans that converge fail.
+    The scaled matrix stores each row in reverse, the order the product
+    M @ diag(half) left before scaling worked on values; the IPM's products
+    add up each row in its stored order. With rows kept in ascending order,
+    98 of 129 benchmark plans (ignition-n100, replan-n100 and ignition-n30:
+    reference sets and 16 states each of seeds 5 and 6) end at other last
+    bits, and two ignition-n100 plans that converge fail.
     """
-    rows = _rows(M)
-    flip = M.indptr[rows] + M.indptr[rows + 1] - 1 - np.arange(rows.size)
-    indices = M.indices[flip]
-    return _with_data(M, M.data[flip] * half[indices], indices)
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
+                 half_range: np.ndarray):
+        self.indptr, self.indices = indptr, indices
+        self.shape = (indptr.size - 1, half_range.size)
+        counts = np.diff(indptr)
+        self.rows = np.repeat(np.arange(self.shape[0], dtype=np.intc), counts)
+        self.flip = np.repeat(indptr[:-1] + indptr[1:] - 1, counts) \
+            - np.arange(indices.size, dtype=np.intc)
+        self.reversed = indices[self.flip]
+        self.half = half_range[self.reversed]
+        self.stored = counts > 0
+        self.starts = indptr[:-1][self.stored]
+
+    def row_max(self, data: np.ndarray) -> np.ndarray:
+        """Largest |entry| of each row, 0 for a row without entries."""
+        out = np.zeros(self.shape[0])
+        out[self.stored] = np.maximum.reduceat(np.abs(data), self.starts)
+        return out
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix of scaled ``data``, each row reversed, on copies of
+        the index arrays, which no other matrix shares."""
+        return sp.csr_matrix((data, self.reversed.copy(), self.indptr.copy()),
+                             shape=self.shape)
 
 
-def equilibrate_rows(program: ConicProgram) -> ConicProgram:
-    """Normalize constraint rows to unit infinity-norm, in place.
+def scale_program(eq: tuple, ineq: tuple, offset: np.ndarray) -> list:
+    """The blocks of A x = b and G x + s = h in the scaled variables: the
+    data with each row reversed times the half range at its columns, and
+    rhs - M offset, whose bincount adds each row's products from 0.0 in
+    the stored order, as scipy's CSR product does. (A linear cost c scales
+    to half_range * c, plus the constant c' offset.)"""
+    return [(pattern, data[pattern.flip] * pattern.half,
+             rhs - np.bincount(pattern.rows, data * offset[pattern.indices],
+                               rhs.size))
+            for pattern, data, rhs in (eq, ineq)]
+
+
+def equilibrate_rows(eq: tuple, ineq: tuple, cones: Cones) -> list:
+    """The scaled blocks with their rows normalized to unit infinity-norm.
 
     Equality rows and nonnegative-orthant rows are scaled individually;
     each second-order cone block is scaled by a single positive scalar so
     the cone is preserved. The solution set is unchanged (duals rescale).
     """
-    A, G = program.A.tocsr(), program.G.tocsr()
-    scale = np.maximum(_row_max(A), 1e-300)
-    program.A = _with_data(A, A.data * (1.0 / scale)[_rows(A)])
-    program.b = np.asarray(program.b, float) / scale
-    h = np.asarray(program.h, float)
-    scale = np.maximum(np.maximum(_row_max(G), np.abs(h)), 1e-12)
-    _, blocks = program.cones.split(scale)
+    pattern, data, b = eq
+    scale = np.maximum(pattern.row_max(data), 1e-300)
+    eq = pattern, data * (1.0 / scale)[pattern.rows], b / scale
+    pattern, data, h = ineq
+    scale = np.maximum(np.maximum(pattern.row_max(data), np.abs(h)), 1e-12)
+    _, blocks = cones.split(scale)
     blocks[:] = blocks.max(axis=1, keepdims=True)
-    program.G = _with_data(G, G.data * (1.0 / scale)[_rows(G)])
-    program.h = h / scale
-    return program
-
-
-def _row_max(M: sp.csr_matrix) -> np.ndarray:
-    """Largest |entry| of each row, 0 for a row without entries."""
-    out = np.zeros(M.shape[0])
-    stored = np.diff(M.indptr) > 0
-    out[stored] = np.maximum.reduceat(np.abs(M.data), M.indptr[:-1][stored])
-    return out
+    return [eq, (pattern, data * (1.0 / scale)[pattern.rows], h / scale)]
 
 
 def _rows(M: sp.csr_matrix) -> np.ndarray:
     """The row of each stored entry."""
     return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-
-
-def _with_data(M: sp.csr_matrix, data: np.ndarray,
-               indices: np.ndarray | None = None) -> sp.csr_matrix:
-    """A new CSR matrix on M's row pointers, and M's column indices unless
-    others are given."""
-    return sp.csr_matrix(
-        (data, M.indices if indices is None else indices, M.indptr),
-        shape=M.shape)

@@ -32,15 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import env
-from .conic import (
-    Cones,
-    ConicProgram,
-    VariableScaling,
-    make_scaling,
-    scale_program,
-)
-from .conic import ldl
-from .conic.scaling import equilibrate_rows
+from .conic import Cones, ConicProgram, VariableScaling, ldl, make_scaling
+from .conic.scaling import RowPattern, equilibrate_rows, scale_program
 from .env import AeroOptions, DegenerateStateError
 from .params import PlanningConfig, VehicleParams
 
@@ -252,46 +245,62 @@ def linearize_planning(Z: np.ndarray, eta_ref: float,
 
 
 class _Entries:
-    """The candidate entries of one constraint matrix for a gate set, given
-    as (rows, cols) pieces that broadcast to a common shape each, and the
-    CSR pattern of the last call's zero values. ``csr`` stores the entries
-    whose values are nonzero, in a pattern from the kernel's counting sort
+    """One constraint block of a gate set: its candidate entries, as
+    (rows, cols) pieces that broadcast to a common shape each, a value per
+    piece and a right-hand side per family. A value is a constant, written
+    once into the block's ``vals`` (one per candidate entry) or ``rhs``, or
+    a function of the problem and build data, which each build writes.
+
+    ``block`` stores the nonzero entries in a pattern from a counting sort
     (``ldl.csc_pattern``), repeated positions summed, as ``sp.csr_matrix``
-    stores such a COO list, to the bit: no position
-    repeats more than twice, and a sum of two is the same in either order.
-    A call whose values are zero where the last call's were writes only
-    values, by one bincount: ``slots`` sends each entry to its stored
-    entry, and a zero one to a spare slot past them."""
+    stores such a COO list, to the bit: no position repeats more than
+    twice, and a sum of two is the same in either order. A build with the
+    last one's zeros writes only values, by one bincount: ``slots`` sends
+    each entry to its stored entry, and a zero one to a spare slot. A new
+    zero mask makes a new ``pattern``, a ``RowPattern`` over the variables
+    of ``half_range``, which does the scaling's index work once."""
 
-    def __init__(self, pieces, shape: tuple[int, int]):
+    def __init__(self, pieces, rhs, n_rows: int, half_range: np.ndarray):
         self.pieces = [tuple(np.asarray(x, np.intc) for x in piece)
-                       for piece in pieces]
-        self.shapes = [np.broadcast(*piece).shape for piece in self.pieces]
-        self.shape = shape
-        self.zeros = None           # no call yet
+                       for piece, _ in pieces]
+        shapes = [np.broadcast(*piece).shape for piece in self.pieces]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        self.vals, self.rhs = np.empty(ends[-1]), np.zeros(n_rows)
+        self.half_range = half_range
+        self.zeros = None           # no build yet
+        # Each value's place, (array, index, value): a constant is written
+        # here, once, and a function by each build (``written``).
+        places = [(self.rhs, rows, value) for rows, value in rhs] + [
+            (part.reshape(shape), ..., value) for part, shape, (_, value)
+            in zip(np.split(self.vals, ends[:-1]), shapes, pieces)]
+        self.written = [place for place in places if callable(place[2])]
+        for target, at, value in places:
+            if not callable(value):
+                target[at] = value
 
-    def csr(self, values) -> sp.csr_matrix:
-        """The matrix with one value per piece, broadcast to its shape."""
-        vals = np.concatenate([np.full(shape, v) for v, shape
-                               in zip(values, self.shapes)], axis=None)
-        zeros = np.flatnonzero(vals == 0.0)
+    def block(self, problem, data) -> tuple:
+        """This build's (pattern, data, rhs): the values written, the data
+        in the pattern's stored order and the template's rhs vector."""
+        for target, at, value in self.written:
+            target[at] = value(problem, data)
+        zeros = np.flatnonzero(self.vals == 0.0)
         if not np.array_equal(zeros, self.zeros):
-            n_rows, n_cols = self.shape
             rows, cols = (np.concatenate(part) for part in zip(*(
                 [x.ravel() for x in np.broadcast_arrays(*piece)]
                 for piece in self.pieces)))
-            kept = np.ones(vals.size, bool)
-            kept[zeros] = False
+            kept = self.vals != 0.0
+            n_rows = self.rhs.size
             # CSR is the CSC of the transpose: its rows as columns.
-            indptr, self.indices, slots = ldl.csc_pattern(
-                cols[kept], rows[kept], max(n_rows, n_cols))
-            self.indptr = indptr[:n_rows + 1].copy()
-            self.slots = np.full(vals.size, self.indices.size, np.intc)
+            indptr, indices, slots = ldl.csc_pattern(
+                cols[kept], rows[kept], max(n_rows, self.half_range.size))
+            self.pattern = RowPattern(indptr[:n_rows + 1].copy(), indices,
+                                      self.half_range)
+            self.slots = np.full(self.vals.size, indices.size, np.intc)
             self.slots[kept] = slots
             self.zeros = zeros.astype(np.intc)
-        data = np.bincount(self.slots, vals, self.indices.size + 1)[:-1]
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
-                             shape=self.shape)
+        data = np.bincount(self.slots, self.vals,
+                           self.pattern.rows.size + 1)[:-1]
+        return self.pattern, data, self.rhs
 
 
 # The row families of A and G: (name, where, over, width, pieces, rhs). A
@@ -371,14 +380,13 @@ _FAMILIES = {"A": (
 @dataclass(frozen=True, eq=False)
 class _BuildTemplate:
     """The index work of ``PlanningProblem.build`` for one gate set: each
-    family's rows, A's and G's entries and values, and the cones, in int32."""
+    family's rows (int32), the blocks of A and G, and the cones."""
 
     vertical: np.ndarray
     load: np.ndarray
     rows: dict
     A: _Entries
     G: _Entries
-    values: dict
     cones: Cones
 
 
@@ -410,6 +418,9 @@ class PlanningProblem:
         self._scaling_bounds: tuple[np.ndarray, np.ndarray] | None = None
         self._scaling: VariableScaling | None = None
         self._last_template: _BuildTemplate | None = None
+        # The subproblems' P, none: every build's program holds this one,
+        # and ``run_scp``'s trust region replaces it with a new matrix.
+        self._no_cost = sp.csr_matrix((self.n_vars, self.n_vars))
 
     # -- variable layout helpers -------------------------------------------------
 
@@ -462,12 +473,14 @@ class PlanningProblem:
 
     def build(self, ref: PlanningReference) -> ConicProgram:
         """The scaled SOCP subproblem linearized about ``ref``, with the
-        cost -m_N only: ``run_scp`` adds the trust region. It writes the
-        values of ``_FAMILIES`` into the last template (``_template``) if
-        it has its gates, the vertical nodes and the load rows, and calls
-        ``linearize_planning``, ``scale_program`` and ``equilibrate_rows``
-        once each. It rejects a Z not (N+1, 11), and an eta (or in
-        ignition-fit mode t_c) not finite, or eta not positive."""
+        cost -m_N only: ``run_scp`` adds the trust region. It calls
+        ``linearize_planning``, writes the values of ``_FAMILIES`` that are
+        functions into the last template (``_template``) if it has its
+        gates, the vertical nodes and the load rows, and passes once over
+        the values: ``scale_program`` and ``equilibrate_rows``, each once
+        and looked up in this module so that a wrapper sees every call, and
+        one matrix each of A and G. It rejects a Z not (N+1, 11), and an
+        eta (or in ignition-fit mode t_c) not finite, or eta not positive."""
         N, vp, cfg, eta_ref, Z = self.N, self.vp, self.cfg, ref.eta, ref.Z
         if np.shape(Z) != (N + 1, NZ):
             raise ValueError(f"reference Z has shape {np.shape(Z)}")
@@ -489,7 +502,8 @@ class PlanningProblem:
         q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
         load = (q_bar > cfg.L_lim / math.pi) & (speed >= env.V_EPS)
         load[0] &= self.with_tc          # none at the current state
-        t = self._template(vertical, load)
+        record = self.scaling(ref)
+        t = self._template(vertical, load, record.half_range)
         data = SimpleNamespace(
             **vars(lin), Z=Z, eta=eta_ref, half=1.0 / (2.0 * N), load=load,
             vertical=vertical, theta_lim=theta_lim,
@@ -503,30 +517,19 @@ class PlanningProblem:
             data.slope = np.concatenate([fit.K_r @ lin_vec, fit.K_v @ lin_vec])
             start = (fit.K_r @ const_vec, fit.K_v @ const_vec)
         data.start = np.concatenate([*start, [self.boundary.m0]])
-        A_mat, G_mat = (entries.csr([v(self, data) if callable(v) else v
-                                     for v in t.values[name]])
-                        for name, entries in (("A", t.A), ("G", t.G)))
-        b_vec, h_vec = np.zeros(A_mat.shape[0]), np.zeros(G_mat.shape[0])
-        for vec, families in zip((b_vec, h_vec), _FAMILIES.values()):
-            for name, _, _, _, _, rhs in families:
-                vec[t.rows[name]] = rhs(self, data) if callable(rhs) else rhs
-
-        program = ConicProgram(c=np.zeros(self.n_vars), A=A_mat, b=b_vec,
-                               G=G_mat, h=h_vec, cones=t.cones,
-                               stage=self.stage)
-        # Looked up in this module at call time, so a wrapper of either sees
-        # every call.
-        scaled = equilibrate_rows(scale_program(program, self.scaling(ref)))
+        (A, a, b), (G, g, h) = equilibrate_rows(*scale_program(
+            t.A.block(self, data), t.G.block(self, data), record.offset),
+            t.cones)
         # Objective: -m_N in scaled units.
         c = np.zeros(self.n_vars)
         c[NZ * self.N + 6] = -1.0
-        scaled.c = scaled.c + c     # scaled cost of the affine program is zero
-        return scaled
+        return ConicProgram(c=c, A=A.matrix(a), b=b, G=G.matrix(g), h=h,
+                            cones=t.cones, P=self._no_cost, stage=self.stage)
 
-    def _template(self, vertical: np.ndarray,
-                  load: np.ndarray) -> _BuildTemplate:
-        """The last build's template if it has these gates, else a new one,
-        which replaces it."""
+    def _template(self, vertical: np.ndarray, load: np.ndarray,
+                  half_range: np.ndarray) -> _BuildTemplate:
+        """The last build's template if it has these gates, else a new one
+        over the variables of ``half_range``, which replaces it."""
         t = self._last_template
         gates = [np.flatnonzero(g).astype(np.intc) for g in (vertical, load)]
         if t is not None and all(map(np.array_equal, (t.vertical, t.load),
@@ -537,27 +540,27 @@ class PlanningProblem:
                     last=node[-1:], vertical=node[vertical],
                     tilted=node[~vertical], load=node[load],
                     boxed=self.idx_eta + np.arange(len(self.box))[:, None])
-        rows, entries, values = {}, [], {}
-        for matrix, families in _FAMILIES.items():
+        rows, entries = {}, []
+        for families in _FAMILIES.values():
             # Each node's run of rows, then the rest, by the table's order.
             rank = np.argsort(np.argsort(np.concatenate([
                 np.repeat(np.where(where == "node", sets[over], self.n_vars),
                           width) for _, where, over, width, _, _ in families]),
                 kind="stable")).astype(np.intc)
-            pieces, values[matrix], n_rows = [], [], rank.size
-            for name, _, over, width, family, _ in families:
+            pieces, rhs, n_rows = [], [], rank.size
+            for name, _, over, width, family, side in families:
                 size = sets[over].size * width
                 rows[name], rank = rank[:size].reshape(-1, width), rank[size:]
+                rhs.append((rows[name], side))
                 for index, value in family:
                     piece = index(self, rows[name], sets[over])
                     if piece is not None:
-                        pieces.append(piece)
-                        values[matrix].append(value)
-            entries.append(_Entries(pieces, (n_rows, self.n_vars)))
+                        pieces.append((piece, value))
+            entries.append(_Entries(pieces, rhs, n_rows, half_range))
         soc = rows["cone"]
         t = self._last_template = _BuildTemplate(
-            *gates, rows, *entries, values,
-            Cones(entries[1].shape[0] - soc.size, *soc.shape))
+            *gates, rows, *entries,
+            Cones(entries[1].rhs.size - soc.size, *soc.shape))
         return t
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:

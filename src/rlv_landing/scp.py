@@ -130,8 +130,19 @@ def trust_region_cost(Z: np.ndarray, Z_ref: np.ndarray, W_tr: float) -> float:
 
 def add_trust_region(program: ConicProgram, x_ref_scaled: np.ndarray,
                      weight: float) -> None:
-    """Fold J_tr = weight * ||x - x_ref||^2 into the (scaled) objective."""
-    program.P = program.P + 2.0 * weight * sp.eye(program.n, format="csr")
+    """Fold J_tr = weight * ||x - x_ref||^2 into the (scaled) objective:
+    P + 2 weight I as one CSR matrix, placed by a counting sort
+    (``ldl.csc_pattern``), each sum in the order scipy's sum adds it."""
+    P, n = program.P, program.n
+    diagonal = np.arange(n, dtype=np.intc)
+    # CSR is the CSC of the transpose: its rows as columns.
+    indptr, indices, slots = ldl.csc_pattern(
+        np.concatenate([P.indices, diagonal], dtype=np.intc),
+        np.concatenate([_rows(P), diagonal], dtype=np.intc), n)
+    values = np.concatenate([P.data, np.full(n, 2.0 * weight)])
+    program.P = sp.csr_matrix(
+        (np.bincount(slots, values, indices.size), indices, indptr),
+        shape=(n, n))
     program.c = np.asarray(program.c, float) - 2.0 * weight * x_ref_scaled
     program.obj_offset += weight * float(x_ref_scaled @ x_ref_scaled)
 

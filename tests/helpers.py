@@ -4,9 +4,11 @@ oracles the kernels are tested against: SuperLU's LU, the aero model at
 one angle of attack, the KKT residuals of a solution, the numpy cone
 algebra that the compiled one (``conic/cones.c``) replaced, the numpy
 -(W^2 + reg I) values and ``np.unique`` KKT pattern that the IPM's kernel
-calls replaced, the whole symmetric matrix of an upper triangle (the IPM
-stores only that triangle of its KKT matrix), the up-looking LDL' that
-walks the elimination tree for every row, in Python, and the numpy and
+calls replaced, the scipy scaling and equilibration of a program that
+the build's pass over its blocks' values replaced, the whole symmetric
+matrix of an upper triangle (the IPM stores only that triangle of its KKT
+matrix), the up-looking LDL' that walks the elimination tree for every
+row, in Python, and the numpy and
 scipy refined KKT solve, Newton direction and residuals that the IPM's
 ``kkt_solve``, ``kkt_direction`` and ``ipm_residuals`` replaced; the
 IPM's session of a program; the Python wrappers of the cone algebra, of
@@ -326,8 +328,8 @@ def same_bits(a, b, signed_zeros=True) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# The assembly that the planner's build template and the IPM's kernel
-# library replaced, kept as their oracle.
+# The assembly and scaling that the planner's build template and the
+# IPM's kernel library replaced, kept as their oracle.
 
 def coo_csr(entries, shape):
     """CSR matrix from (rows, cols, vals) triples, each broadcast to a
@@ -337,6 +339,74 @@ def coo_csr(entries, shape):
     rows, cols, vals = (np.concatenate(part) for part in zip(*flat))
     keep = vals != 0.0
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+
+
+def scipy_scale_program(program: ConicProgram, record) -> ConicProgram:
+    """The program in the variables ``record`` scales, rewritten in place
+    on scipy matrices, P and the objective included: the scaling the
+    planner's build made before it worked on its blocks' values
+    (``conic.scaling.scale_program``), kept as its bit-for-bit oracle."""
+    o, half = record.offset, record.half_range
+    c = np.asarray(program.c, float)
+    P = program.P.tocsr()
+    Po = P @ o
+    program.obj_offset = program.obj_offset + float(c @ o) \
+        + 0.5 * float(o @ Po)
+    program.c = half * (c + Po)
+    program.P = _with_data(P, P.data * half[_rows(P)] * half[P.indices])
+    A, G = program.A.tocsr(), program.G.tocsr()
+    program.b = np.asarray(program.b, float) - A @ o
+    program.h = np.asarray(program.h, float) - G @ o
+    program.A = scipy_scale_columns(A, half)
+    program.G = scipy_scale_columns(G, half)
+    return program
+
+
+def scipy_scale_columns(M: sp.csr_matrix, half: np.ndarray) -> sp.csr_matrix:
+    """M times diag(half), each row stored in reverse order."""
+    rows = _rows(M)
+    flip = M.indptr[rows] + M.indptr[rows + 1] - 1 - np.arange(rows.size)
+    indices = M.indices[flip]
+    return _with_data(M, M.data[flip] * half[indices], indices)
+
+
+def scipy_equilibrate_rows(program: ConicProgram) -> ConicProgram:
+    """The program's constraint rows normalized to unit infinity-norm, in
+    place on scipy matrices, one scalar per SOC block: the oracle of
+    ``conic.scaling.equilibrate_rows``."""
+    A, G = program.A.tocsr(), program.G.tocsr()
+    scale = np.maximum(_row_max(A), 1e-300)
+    program.A = _with_data(A, A.data * (1.0 / scale)[_rows(A)])
+    program.b = np.asarray(program.b, float) / scale
+    h = np.asarray(program.h, float)
+    scale = np.maximum(np.maximum(_row_max(G), np.abs(h)), 1e-12)
+    _, blocks = program.cones.split(scale)
+    blocks[:] = blocks.max(axis=1, keepdims=True)
+    program.G = _with_data(G, G.data * (1.0 / scale)[_rows(G)])
+    program.h = h / scale
+    return program
+
+
+def _row_max(M: sp.csr_matrix) -> np.ndarray:
+    """Largest |entry| of each row, 0 for a row without entries."""
+    out = np.zeros(M.shape[0])
+    stored = np.diff(M.indptr) > 0
+    out[stored] = np.maximum.reduceat(np.abs(M.data), M.indptr[:-1][stored])
+    return out
+
+
+def _rows(M: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry."""
+    return np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+
+
+def _with_data(M: sp.csr_matrix, data: np.ndarray,
+               indices: np.ndarray | None = None) -> sp.csr_matrix:
+    """A new CSR matrix on M's row pointers, and M's column indices unless
+    others are given."""
+    return sp.csr_matrix(
+        (data, M.indices if indices is None else indices, M.indptr),
+        shape=M.shape)
 
 
 def w2_entries(scaling, reg):

@@ -19,7 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 from rlv_landing import env, planner, scp
-from rlv_landing.conic import ipm, ldl, scaling
+from rlv_landing.conic import ConicProgram, ipm, ldl, scaling
 from rlv_landing.conic.cones import ConePoints, Cones
 from rlv_landing.conic.ipm import _Analysis, _Session
 from rlv_landing.params import PlanningConfig, VehicleParams
@@ -39,7 +39,8 @@ from rlv_landing.scp import ScpSettings, run_scp
 
 from helpers import (NTScaling, central_diff_jacobian, coo_csr, factor,
                      flat_arrays, ipm_session, kkt_matrix, python_step,
-                     rel_jac_error, splu_calls, superlu, total_aoa)
+                     rel_jac_error, scipy_equilibrate_rows,
+                     scipy_scale_program, splu_calls, superlu, total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -439,21 +440,25 @@ class TestBuildStructure:
 
     def test_entries_store_what_a_coo_list_stores(self):
         # Pieces of entries whose positions repeat at most twice, as the
-        # build's do, with zero values among them: each call stores, bit
+        # build's do, with zero values among them: each build stores, bit
         # for bit, what scipy's COO conversion stores, whether its mask is
-        # the last call's or not.
+        # the last build's or not. Two of the values are functions of the
+        # build data, which each build writes, and one a constant.
         rng = np.random.default_rng(5)
         rows, cols = np.arange(40).reshape(8, 5), rng.integers(0, 9, (8, 5))
         pieces = [(rows, cols), (rows[:, 0], cols[:, 0]), (rows[1:4], 9)]
-        entries = planner._Entries(pieces, (40, 10))
+        entries = planner._Entries(
+            list(zip(pieces, [lambda p, d: d[0], -1.0, lambda p, d: d[2]])),
+            [], 40, np.ones(10))
         for zeros in (0.0, 0.0, 0.5, 0.5, 0.0):
             values = [rng.normal(size=(8, 5)), -1.0, rng.normal(size=(3, 5))]
             values[0][rng.random((8, 5)) < zeros] = 0.0
-            got = entries.csr(values)
+            pattern, data, _ = entries.block(None, values)
             expected = coo_csr([(r, c, v) for (r, c), v in zip(pieces, values)],
                                (40, 10))
-            for name in ("indptr", "indices", "data"):
-                a, e = getattr(got, name), getattr(expected, name)
+            for name, a in (("indptr", pattern.indptr),
+                            ("indices", pattern.indices), ("data", data)):
+                e = getattr(expected, name)
                 assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
 
     @staticmethod
@@ -520,7 +525,9 @@ class TestBuildStructure:
 
     def test_template_holds_only_the_last_patterns_int32_arrays(self):
         # After the reference sequence, the problem holds one template, the
-        # one a fresh problem makes for the last reference, of int32 arrays.
+        # one a fresh problem makes for the last reference, of int32 arrays
+        # but for the values the builds write, the constant ones included,
+        # the half range of the scaling and which rows store entries.
         prob, cfg = make_problem()
         refs = self.reference_sequence(prob, cfg)
         for ref in refs:
@@ -531,11 +538,18 @@ class TestBuildStructure:
                 if isinstance(v, planner._BuildTemplate)]
         assert held == [prob._last_template]
         arrays, expected = (
-            flat_arrays([vars(t), vars(t.A), vars(t.G)])
+            flat_arrays([vars(t), *(vars(x) for block in (t.A, t.G)
+                                    for x in (block, block.pattern))])
             for t in (prob._last_template, fresh._last_template))
         assert len(arrays) == len(expected)
+        t = prob._last_template
+        values = [x for block in (t.A, t.G) for x in (
+            block.vals, block.rhs, block.half_range, block.pattern.half,
+            block.pattern.stored)]
         for a, e in zip(arrays, expected):
-            assert a.dtype == np.int32 and np.array_equal(a, e)
+            assert a.dtype == e.dtype and np.array_equal(a, e)
+            assert a.dtype == np.int32 or any(np.shares_memory(a, v)
+                                              for v in values)
 
     def test_reference_feasible_after_convergence(self):
         prob, cfg = make_problem(N=30)
@@ -553,6 +567,137 @@ class TestBuildStructure:
         slack = prog.h - prog.G @ x_ref
         nonneg = prog.cones.n_nn
         assert slack[:nonneg].min() > -1e-7
+
+
+def nominal_problem(mode, N):
+    """The nominal problem at N: ignition-fit from the planner tests'
+    initial state, or current-state from the replan tests' mid-course
+    state."""
+    if mode == "ignition-fit":
+        return make_problem(N=N)
+    cfg = PlanningConfig(N=N)
+    boundary = PlanningBoundary(
+        mode="current-state", m0=33000.0,
+        r_now=np.array([-300.0, -250.0, -3500.0]),
+        v_now=np.array([40.0, 35.0, 230.0]))
+    return PlanningProblem(boundary, VP, cfg), cfg
+
+
+class TestValuePass:
+    def test_every_build_is_the_scipy_scaling_of_its_blocks(self,
+                                                            monkeypatch):
+        # Every build of the nominal N=30 and N=100 plans in both boundary
+        # modes, the projection's included, equals byte for byte the scipy
+        # scaling and equilibration that the build's pass over its blocks'
+        # values replaced (``helpers.scipy_scale_program`` and
+        # ``scipy_equilibrate_rows``) of the same unscaled blocks: A, G, b,
+        # h and c. The builds cross zero-mask changes (another pattern on
+        # the same template) and gate-set changes (another template).
+        blocks, built = [], []
+        scale, build = planner.scale_program, PlanningProblem.build
+
+        def recorded_scale(eq, ineq, offset):
+            blocks.append([(p, d.copy(), r.copy()) for p, d, r in (eq, ineq)])
+            return scale(eq, ineq, offset)
+
+        def recorded_build(self, ref):
+            # run_scp's trust region replaces c and obj_offset later.
+            prog = build(self, ref)
+            t = self._last_template
+            built.append((replace(prog), t, t.A.pattern, t.G.pattern))
+            return prog
+
+        monkeypatch.setattr(planner, "scale_program", recorded_scale)
+        monkeypatch.setattr(PlanningProblem, "build", recorded_build)
+        gates = masks = 0
+        for mode in ("ignition-fit", "current-state"):
+            for N in (30, 100):
+                blocks.clear()
+                built.clear()
+                prob, cfg = nominal_problem(mode, N)
+                out = run_scp(prob, initial_guess_planning(prob.boundary, cfg,
+                                                           VP),
+                              ScpSettings(cfg.eps_scp, cfg.max_scp_iter,
+                                          cfg.W_tr))
+                assert out.converged and len(blocks) == len(built)
+                record = prob.scaling(out.reference)
+                cost = np.zeros(prob.n_vars)
+                cost[NZ * N + 6] = -1.0
+                for (prog, *_), ((A, a, b), (G, g, h)) in zip(built, blocks):
+                    expected = scipy_equilibrate_rows(scipy_scale_program(
+                        ConicProgram(c=np.zeros(prob.n_vars), b=b, h=h,
+                                     cones=prog.cones, **{
+                            name: sp.csr_matrix((data, M.indices, M.indptr),
+                                                shape=M.shape)
+                            for name, M, data in (("A", A, a), ("G", G, g))}),
+                        record))
+                    expected.c = expected.c + cost
+                    for got, want in [
+                            *((getattr(getattr(p, name), part)
+                               for p in (prog, expected))
+                              for name in ("A", "G")
+                              for part in ("indptr", "indices", "data")),
+                            *((getattr(p, name) for p in (prog, expected))
+                              for name in ("b", "h", "c"))]:
+                        assert got.dtype == want.dtype, (mode, N)
+                        assert got.tobytes() == want.tobytes(), (mode, N)
+                    assert prog.obj_offset == expected.obj_offset
+                for (_, t0, *p0), (_, t1, *p1) in zip(built, built[1:]):
+                    gates += t1 is not t0
+                    masks += t1 is t0 and any(
+                        a is not b for a, b in zip(p0, p1))
+        assert gates and masks
+
+    def test_matrices_made_and_taken_as_they_are(self, monkeypatch):
+        # A build makes two scipy sparse matrices, A and G, whether it
+        # makes its template or reuses it; the trust region makes P + 2 w I
+        # as one matrix, byte for byte scipy's sum, and adds no two; and
+        # the IPM takes A, G and P as they are (``ipm._kernel_csr``).
+        made, added = [], []
+        init, add = sp._base._spbase.__init__, sp._base._spbase.__add__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        def counted_add(self, other):
+            added.append(type(self).__name__)
+            return add(self, other)
+
+        prob, cfg = make_problem(N=30)
+        ref = initial_guess_planning(prob.boundary, cfg, VP)
+        x_ref, w = prob.reference_vector(ref), cfg.W_tr
+        with monkeypatch.context() as patch:
+            patch.setattr(sp._base._spbase, "__init__", counted_init)
+            patch.setattr(sp._base._spbase, "__add__", counted_add)
+            for _ in range(2):
+                prog = prob.build(ref)
+                assert made == ["csr_matrix"] * 2 and not added
+                made.clear()
+            P = prog.P
+            scp.add_trust_region(prog, x_ref, w)
+            assert made == ["csr_matrix"] and not added
+        expected = P + 2.0 * w * sp.eye(prog.n, format="csr")
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(prog.P, part), getattr(expected, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for M in (prog.A, prog.G, prog.P):
+            assert ipm._kernel_csr(M) is M
+
+    def test_trust_region_adds_onto_a_stored_diagonal(self):
+        # On a P that stores part of its diagonal and entries off it, the
+        # trust region's P + 2 w I is scipy's sum byte for byte.
+        rng = np.random.default_rng(11)
+        M = sp.random(9, 9, density=0.3, format="csr", random_state=rng)
+        P = (M + M.T).tocsr()
+        assert 0 < P.diagonal().astype(bool).sum() < 9
+        prog = ConicProgram(c=np.zeros(9), P=P, G=sp.csr_matrix(-np.eye(9)),
+                            h=np.ones(9), cones=Cones(9))
+        scp.add_trust_region(prog, np.zeros(9), 0.7)
+        expected = P + 1.4 * sp.eye(9, format="csr")
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(prog.P, part), getattr(expected, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def first_subproblem(prob, cfg):

@@ -30,7 +30,7 @@ from rlv_landing.conic import (
 )
 from rlv_landing.conic import ipm, ldl
 from rlv_landing.conic.cones import ConePoints
-from rlv_landing.conic.scaling import equilibrate_rows
+from rlv_landing.conic.scaling import RowPattern, equilibrate_rows
 
 from helpers import (MULTI_BLOCK_CONES, NTScaling, clip_eigenvalues,
                      cone_blocks, cone_product, factor, flat_arrays,
@@ -2019,6 +2019,33 @@ class TestLdlKernel:
         assert len(keys) == 3
 
 
+def blocks(prog, half_range):
+    """The program's blocks (pattern, data, rhs), patterns over the
+    variables of ``half_range``."""
+    return [(RowPattern(M.indptr, M.indices, half_range), M.data, rhs)
+            for M, rhs in ((prog.A, prog.b), (prog.G, prog.h))]
+
+
+def scaled(prog, record):
+    """The program in the variables ``record`` scales (``scale_program``),
+    with its linear cost half_range * c and the constant c' offset."""
+    (A, a, b), (G, g, h) = scale_program(*blocks(prog, record.half_range),
+                                         record.offset)
+    return replace(prog, A=A.matrix(a), b=b, G=G.matrix(g), h=h,
+                   c=record.half_range * prog.c,
+                   obj_offset=prog.obj_offset + prog.c @ record.offset)
+
+
+def equilibrated(prog):
+    """The program with its rows equilibrated (``equilibrate_rows``), each
+    row's entries in its stored order."""
+    (A, a, b), (G, g, h) = equilibrate_rows(*blocks(prog, np.ones(prog.n)),
+                                            prog.cones)
+    return replace(prog, b=b, h=h, **{
+        name: sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+        for name, M, data in (("A", A, a), ("G", G, g))})
+
+
 class TestScaling:
     def test_midpoint_maps_to_zero(self):
         rec = make_scaling(np.array([0.0]), np.array([10.0]))
@@ -2037,21 +2064,24 @@ class TestScaling:
     def test_scaled_lp_same_argmin(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
-            P, q, G, h, A, b = random_feasible_qp(rng, n=4, m=6, with_eq=True)
-            prog = ConicProgram(c=q, P=sp.csr_matrix(P), G=sp.csr_matrix(G), h=h,
+            _, q, G, h, A, b = random_feasible_qp(rng, n=4, m=6, with_eq=True)
+            # The box |x| <= 10 keeps the linear program bounded.
+            G = np.vstack([G, np.eye(4), -np.eye(4)])
+            h = np.concatenate([h, np.full(8, 10.0)])
+            prog = ConicProgram(c=q, G=sp.csr_matrix(G), h=h,
                                 cones=Cones(G.shape[0]),
                                 A=sp.csr_matrix(A), b=np.atleast_1d(b))
             direct = solve(prog)
             lo = direct.x - rng.uniform(1.0, 5.0, size=4)
             hi = direct.x + rng.uniform(1.0, 5.0, size=4)
             record = make_scaling(lo, hi)
-            kept = [M.copy() for M in (prog.A, prog.G, prog.P)]
-            scaled = scale_program(replace(prog), record)
+            kept = [M.copy() for M in (prog.A, prog.G)]
+            program = scaled(prog, record)
             # The caller's matrices are left as they were.
-            for M, copy in zip((prog.A, prog.G, prog.P), kept):
+            for M, copy in zip((prog.A, prog.G), kept):
                 assert np.array_equal(M.data, copy.data)
                 assert np.array_equal(M.indices, copy.indices)
-            sol_scaled = solve(scaled)
+            sol_scaled = solve(program)
             assert sol_scaled.optimal
             np.testing.assert_allclose(record.unscale(sol_scaled.x), direct.x,
                                        atol=1e-6)
@@ -2063,7 +2093,7 @@ class TestScaling:
         G = np.array([[3.0, -4.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
         h = np.array([1.0, 2.0, 0.25, 0.0])
         prog = lp([1.0, 1.0], G, h, A=[[0.0, 0.0], [2.0, -8.0]], b=[0.0, 4.0])
-        eq = equilibrate_rows(replace(prog))
+        eq = equilibrated(prog)
         divisor = np.array([4.0, 2.0, 0.5, 1e-12])
         np.testing.assert_allclose(eq.h, h / divisor, rtol=1e-15, atol=0)
         np.testing.assert_allclose(eq.G.toarray(), G / divisor[:, None],
@@ -2085,7 +2115,7 @@ class TestScaling:
         for block in soc_blocks:
             # Rows of one block need different scalars of their own.
             assert row_scale[block].min() < 0.9 * row_scale[block].max()
-        eq = equilibrate_rows(replace(prog))
+        eq = equilibrated(prog)
         divisor = h / eq.h
         np.testing.assert_allclose(eq.G.toarray() * divisor[:, None], G,
                                    rtol=1e-15, atol=0)
