@@ -19,6 +19,10 @@ plan prints one JSON line:
   their KKT matrix (``reordered``), having no start whose analysis matched;
 - ``builds``: the subproblem builds (calls of
   ``planner.linearize_planning``, which every build makes once);
+- ``templates``: the build templates made (``planner._BuildTemplate``
+  constructions), one per gate set the plan's builds enter, so that
+  ``reorders`` <= ``templates`` says no solve analysed a gate set's KKT
+  pattern twice;
 - ``projection_steps``: the Gauss-Newton steps (calls of
   ``scp.project_onto_rows``);
 - ``propellant_kg``: the propellant of a converged plan, else null;
@@ -40,13 +44,14 @@ the totals, which hold timings and counts) are the same.
 another tree. After the totals, one line names each plan of this run whose
 ``outcome``, ``scp_iters``, ``propellant_kg``, ``z_hash`` or any of the
 counts (``solves``, ``ipm_iters``, ``ldl_solves``, ``reorders``,
-``builds``, ``projection_steps``) differs from its line in SAVED, with the
-old and new values, so that "the same plans" covers the solver's work,
-its fresh KKT analyses included, as well as the answer. A field that the
-saved lines lack (``solves``, in runs of trees whose lines did not carry
-it) is not compared, and the last line lists it as ``uncompared``. That
-line counts the plans compared, moved, moved in class (``outcome`` or
-``scp_iters``), and missing from SAVED. The script then exits 1 if any plan moved or is missing, so that the
+``builds``, ``templates``, ``projection_steps``) differs from its line in
+SAVED, with the old and new values, so that "the same plans" covers the
+solver's work, its fresh KKT analyses included, as well as the answer. A
+field that the saved lines lack (``solves`` or ``templates``, in runs of
+trees whose lines did not carry it) is not compared, and the last line
+lists it as ``uncompared``. That line counts the plans compared, moved,
+moved in class (``outcome`` or ``scp_iters``), and missing from SAVED. The
+script then exits 1 if any plan moved or is missing, so that the
 comparison serves as a check, and 0 if none did:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 > old.jsonl
@@ -78,7 +83,7 @@ ROOT = Path(__file__).resolve().parent.parent
 VERDICTS = ("optimal", "infeasible")
 # The counts of a plan, each in its line and summed in the totals.
 COUNTS = ("solves", "ipm_iters", "ldl_solves", "reorders", "builds",
-          "projection_steps")
+          "templates", "projection_steps")
 # The fields of a plan line that ``--diff`` compares.
 COMPARED = ("outcome", "scp_iters", "propellant_kg", "z_hash", *COUNTS)
 # The fields whose change moves a plan's class, not only its last bits.
@@ -162,6 +167,7 @@ def main(argv=None) -> int:
 
     recorder = SolveRecorder(ipm)
     recorder.count(planner, "linearize_planning", "builds")
+    recorder.count(planner, "_BuildTemplate", "templates")
     recorder.count(scp, "project_onto_rows", "projection_steps")
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
               **dict.fromkeys(COUNTS, 0), "stalls": 0, "outcomes": {}}

@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_37.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_38.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.

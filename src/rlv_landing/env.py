@@ -118,8 +118,8 @@ def _outer(a, b):
 def _pow(x, p):
     """x**p through the C library's pow at every element. numpy's vectorized
     power rounds differently, and the terms of dP/dT cancel at vertical
-    thrust, so the rounding decides which Jacobian entries are exact zeros
-    and with them the sparsity pattern of the subproblem."""
+    thrust, so the rounding decides which Jacobian entries are exact zeros:
+    not the subproblem's pattern, which stores them, only its last bits."""
     return np.asarray(np.frompyfunc(math.pow, 2, 1)(x, p), float)
 
 
@@ -212,6 +212,12 @@ def aero_force_jac(r_z, v, T, vp: VehicleParams, opts: AeroOptions):
             np.where(on3, dF_dv, 0.0), np.where(on3, dF_dT, 0.0))
 
 
+# The (rows, columns) of J that ``translational_dynamics`` can make nonzero,
+# row by row: r' at its own v, v' at r_z, v, m and T, m' at r_z and Gamma.
+JACOBIAN_ENTRIES = (np.repeat(np.arange(7), [1, 1, 1, 8, 8, 8, 2]),
+                    np.r_[3, 4, 5, np.tile(np.arange(2, 10), 3), 2, 10])
+
+
 def translational_dynamics(z, vp: VehicleParams,
                            opts: AeroOptions = AeroOptions()):
     """The translational model f(z) (..., 7) and J = df/dz (..., 7, 11).
@@ -291,6 +297,11 @@ def _load_angle(q_bar, L_lim: float):
     q = np.where(clamp, 1.0, q_bar)
     return (np.where(clamp, math.pi, L_lim / q),
             np.where(clamp, 0.0, -L_lim / (q * q)))
+
+
+# The columns of z that ``load_constraint_planner``'s gradient writes: r_z,
+# v, T and Gamma. Its r_x, r_y and m entries are exactly 0.
+LOAD_COLUMNS = np.array([2, 3, 4, 5, 7, 8, 9, 10])
 
 
 def load_constraint_planner(z, vp: VehicleParams, L_lim: float):

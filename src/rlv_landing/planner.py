@@ -245,34 +245,35 @@ def linearize_planning(Z: np.ndarray, eta_ref: float,
 
 
 class _Entries:
-    """One constraint block of a gate set: its candidate entries, as
-    (rows, cols) pieces that broadcast to a common shape each, a value per
-    piece and a right-hand side per family. A value is a constant, written
-    once into the block's ``vals`` (one per candidate entry) or ``rhs``, or
-    a function of the problem and build data, which each build writes.
-
-    ``block`` stores the nonzero entries in a pattern from a counting sort
-    (``ldl.csc_pattern``), repeated positions summed, as ``sp.csr_matrix``
-    stores such a COO list, to the bit: no position repeats more than
-    twice, and a sum of two is the same in either order. A build with the
-    last one's zeros writes only values, by one bincount: ``slots`` sends
-    each entry to its stored entry, and a zero one to a spare slot. A new
-    zero mask makes a new ``pattern``, a ``RowPattern`` over the variables
-    of ``half_range``, which does the scaling's index work once."""
+    """One constraint block of a gate set: its entries, as (rows, cols)
+    pieces that broadcast to a common shape each, a value per piece and a
+    right-hand side per family. A value is a constant, written once into
+    ``vals`` (one per entry) or ``rhs``, or a function of the problem and
+    build data, which each build writes. Every entry is stored, zeros
+    included, in one ``pattern`` made here: a counting sort
+    (``ldl.csc_pattern``), as a ``RowPattern`` over the variables of
+    ``half_range``. ``slots`` sends each entry to its stored entry, so a
+    build's data is one bincount, which sums a repeated position (none
+    repeats more than twice) as ``sp.csr_matrix`` sums a COO list's, to the
+    bit but for the sign of a zero."""
 
     def __init__(self, pieces, rhs, n_rows: int, half_range: np.ndarray):
-        self.pieces = [tuple(np.asarray(x, np.intc) for x in piece)
-                       for piece, _ in pieces]
-        shapes = [np.broadcast(*piece).shape for piece in self.pieces]
-        ends = np.cumsum([math.prod(shape) for shape in shapes])
-        self.vals, self.rhs = np.empty(ends[-1]), np.zeros(n_rows)
-        self.half_range = half_range
-        self.zeros = None           # no build yet
+        index = [np.broadcast_arrays(*(np.asarray(x, np.intc) for x in piece))
+                 for piece, _ in pieces]
+        rows, cols = (np.concatenate([x.ravel() for x in part])
+                      for part in zip(*index))
+        # CSR is the CSC of the transpose: its rows as columns.
+        indptr, indices, self.slots = ldl.csc_pattern(
+            cols, rows, max(n_rows, half_range.size))
+        self.pattern = RowPattern(indptr[:n_rows + 1].copy(), indices,
+                                  half_range)
+        self.vals, self.rhs = np.empty(rows.size), np.zeros(n_rows)
+        ends = np.cumsum([part.size for part, _ in index])
         # Each value's place, (array, index, value): a constant is written
         # here, once, and a function by each build (``written``).
-        places = [(self.rhs, rows, value) for rows, value in rhs] + [
-            (part.reshape(shape), ..., value) for part, shape, (_, value)
-            in zip(np.split(self.vals, ends[:-1]), shapes, pieces)]
+        places = [(self.rhs, at, value) for at, value in rhs] + [
+            (part.reshape(at.shape), ..., value) for part, (at, _), (_, value)
+            in zip(np.split(self.vals, ends[:-1]), index, pieces)]
         self.written = [place for place in places if callable(place[2])]
         for target, at, value in places:
             if not callable(value):
@@ -283,24 +284,7 @@ class _Entries:
         in the pattern's stored order and the template's rhs vector."""
         for target, at, value in self.written:
             target[at] = value(problem, data)
-        zeros = np.flatnonzero(self.vals == 0.0)
-        if not np.array_equal(zeros, self.zeros):
-            rows, cols = (np.concatenate(part) for part in zip(*(
-                [x.ravel() for x in np.broadcast_arrays(*piece)]
-                for piece in self.pieces)))
-            kept = self.vals != 0.0
-            n_rows = self.rhs.size
-            # CSR is the CSC of the transpose: its rows as columns.
-            indptr, indices, slots = ldl.csc_pattern(
-                cols[kept], rows[kept], max(n_rows, self.half_range.size))
-            self.pattern = RowPattern(indptr[:n_rows + 1].copy(), indices,
-                                      self.half_range)
-            self.slots = np.full(self.vals.size, indices.size, np.intc)
-            self.slots[kept] = slots
-            self.zeros = zeros.astype(np.intc)
-        data = np.bincount(self.slots, self.vals,
-                           self.pattern.rows.size + 1)[:-1]
-        return self.pattern, data, self.rhs
+        return self.pattern, np.bincount(self.slots, self.vals), self.rhs
 
 
 # The row families of A and G: (name, where, over, width, pieces, rhs). A
@@ -311,14 +295,16 @@ class _Entries:
 # width) and the set to the (rows, cols) of entries, or None if the problem
 # lacks the column, and gives their value, broadcast; ``rhs``, the rows' b
 # or h. A value is a constant or a function of the problem and build data.
+# A piece lists the entries its value can make nonzero: of Abar, _J.
+_J = env.JACOBIAN_ENTRIES
 _FAMILIES = {"A": (
     # Trapezoidal dynamics on interval k: X_{k+1} - X_k - sum_j (Abar_j Z_j +
     # Cbar_j eta) / 2N = sum_j Dbar_j / 2N over its ends j = k, k+1.
     ("dynamics", "zero", "intervals", NX, (
-        (lambda p, r, n: (r[..., None], (n + range(NZ))[:, None]),
-         lambda p, d: -d.half * d.A[:-1]),
-        (lambda p, r, n: (r[..., None], (n + NZ + range(NZ))[:, None]),
-         lambda p, d: -d.half * d.A[1:]),
+        (lambda p, r, n: (r[:, _J[0]], n + _J[1]),
+         lambda p, d: -d.half * d.A[:-1, *_J]),
+        (lambda p, r, n: (r[:, _J[0]], n + NZ + _J[1]),
+         lambda p, d: -d.half * d.A[1:, *_J]),
         (lambda p, r, n: (r, n + range(NX)), -1.0),
         (lambda p, r, n: (r, n + NZ + range(NX)), 1.0),
         (lambda p, r, n: (r, p.idx_eta),
@@ -357,14 +343,15 @@ _FAMILIES = {"A": (
     # Aerodynamic load linearized, grad . Z <= grad . Zbar - g; none at the
     # current state, nor where q_bar <= L_lim/pi, as the cone implies it.
     ("load", "node", "load", 1,
-     ((lambda p, r, n: (r, n + range(NZ)), lambda p, d: d.grad_load[d.load]),),
+     ((lambda p, r, n: (r, n + env.LOAD_COLUMNS),
+       lambda p, d: d.grad_load[d.load][:, env.LOAD_COLUMNS]),),
      lambda p, d: (np.einsum("ki,ki->k", d.grad_load[d.load], d.Z[d.load])
                    - d.g_load[d.load])[:, None]),
     # Thrust-magnitude rate, |Gamma_{k+1} - Gamma_k| <= Tdot_lim eta / N at
     # the reference eta. An eta column here and an r_z column for the thrust
     # bounds' loss raised the N=100 KKT fill 0.19M -> 0.27M and by 1/6 under
     # SuperLU's column ordering; under the IPM's stage ordering they add no
-    # and 202 entries to the 30,179 of the first N=100 KKT matrix's L.
+    # and 202 entries to the first N=100 KKT L's 30,179 (zeros then dropped).
     ("rate", "orthant", "intervals", 2, (
         (lambda p, r, n: (r, n + NZ + IDX_GAMMA), [1.0, -1.0]),
         (lambda p, r, n: (r, n + IDX_GAMMA), [-1.0, 1.0])),
@@ -380,7 +367,7 @@ _FAMILIES = {"A": (
 @dataclass(frozen=True, eq=False)
 class _BuildTemplate:
     """The index work of ``PlanningProblem.build`` for one gate set: each
-    family's rows (int32), the blocks of A and G, and the cones."""
+    family's rows, the blocks of A and G, one pattern each, and the cones."""
 
     vertical: np.ndarray
     load: np.ndarray
@@ -475,12 +462,13 @@ class PlanningProblem:
         """The scaled SOCP subproblem linearized about ``ref``, with the
         cost -m_N only: ``run_scp`` adds the trust region. It calls
         ``linearize_planning``, writes the values of ``_FAMILIES`` that are
-        functions into the last template (``_template``) if it has its
-        gates, the vertical nodes and the load rows, and passes once over
-        the values: ``scale_program`` and ``equilibrate_rows``, each once
-        and looked up in this module so that a wrapper sees every call, and
-        one matrix each of A and G. It rejects a Z not (N+1, 11), and an
-        eta (or in ignition-fit mode t_c) not finite, or eta not positive."""
+        functions into the last template (``_template``), whose patterns it
+        keeps, if it has its gates, the vertical nodes and the load rows,
+        and passes once over the values: ``scale_program`` and
+        ``equilibrate_rows``, each once and looked up in this module so that
+        a wrapper sees every call, and one matrix each of A and G. It
+        rejects a Z not (N+1, 11), and an eta (or in ignition-fit mode t_c)
+        not finite, or eta not positive."""
         N, vp, cfg, eta_ref, Z = self.N, self.vp, self.cfg, ref.eta, ref.Z
         if np.shape(Z) != (N + 1, NZ):
             raise ValueError(f"reference Z has shape {np.shape(Z)}")

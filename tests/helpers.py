@@ -333,12 +333,11 @@ def same_bits(a, b, signed_zeros=True) -> bool:
 
 def coo_csr(entries, shape):
     """CSR matrix from (rows, cols, vals) triples, each broadcast to a
-    common shape; zero values are not stored and repeated positions are
-    summed, by scipy's COO conversion, as the planner's build did."""
+    common shape, by scipy's COO conversion: every position is stored, zero
+    values included, and repeated positions are summed."""
     flat = [[x.ravel() for x in np.broadcast_arrays(*e)] for e in entries]
     rows, cols, vals = (np.concatenate(part) for part in zip(*flat))
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    return sp.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 def scipy_scale_program(program: ConicProgram, record) -> ConicProgram:

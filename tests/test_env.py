@@ -445,3 +445,59 @@ class TestKernelBranches:
                 lambda zz: np.array(
                     [load_constraint_planner(zz, VP, self.L_LIM)[0]]), z)
             assert rel_jac_error(gk[None, :], grad_fd) < 1e-5
+
+
+class TestStructure:
+    """J and the load gradient are exactly 0 outside the entries
+    ``env.JACOBIAN_ENTRIES`` and ``env.LOAD_COLUMNS`` state, which are all
+    the planner's build template stores of them: an entry outside would be
+    dropped from every subproblem without a word."""
+
+    @staticmethod
+    def _nodes():
+        """Random nodes, then the corner cases of the kernels' branches."""
+        node = TestKernelBranches._node
+        rng = np.random.default_rng(47)
+        return np.array([random_planner_node(rng, VP) for _ in range(20)] + [
+            # vertical thrust with v along z, where dP/dT's terms cancel
+            node([50, -20, -3000], [0, 0, 150], [0, 0, -5e5]),
+            # speed below V_EPS
+            node([30, 10, -800], [0.05, 0, 0.02], [1e4, 0, -5e5]),
+            # altitude <= 0: on the pad at rest, and below ground
+            node([0, 0, 0], [0, 0, 0], [0, 0, -4.5e5]),
+            node([40, 0, 5], [3, 2, 40], [3e4, 1e4, -6e5]),
+            # thrust below T_EPS
+            node([100, -50, -3000], [20, 5, 150], [1e-10, 0, 0], 4.2e5)])
+
+    def test_corner_cases_are_reached(self):
+        Z = self._nodes()[20:]
+        speed = np.linalg.norm(Z[:, 3:6], axis=1)
+        assert np.all(Z[0, 7:9] == 0.0) and np.all(Z[0, 3:5] == 0.0)
+        assert speed[1] < env.V_EPS
+        assert np.all(-Z[2:4, 2] <= 0.0)
+        assert np.linalg.norm(Z[4, 7:10]) < env.T_EPS
+
+    def test_jacobian_is_zero_outside_its_entries(self):
+        Z = self._nodes()
+        listed = np.zeros((7, 11), bool)
+        listed[env.JACOBIAN_ENTRIES] = True
+        assert listed.sum() == len(env.JACOBIAN_ENTRIES[0]) == 29
+        for opts in TestKernelBranches.MODES:
+            _, J = planner_jacobian(Z, VP, opts)
+            assert not J[:, ~listed].any()
+            for z in Z:
+                assert not planner_jacobian(z, VP, opts)[1][~listed].any()
+            # No listed entry is zero at every node.
+            assert (J != 0.0).any(axis=0)[listed].all()
+
+    def test_load_gradient_is_zero_outside_its_columns(self):
+        Z = self._nodes()
+        listed = np.zeros(11, bool)
+        listed[env.LOAD_COLUMNS] = True
+        assert listed.sum() == len(env.LOAD_COLUMNS) == 8
+        _, grad = load_constraint_planner(Z, VP, TestKernelBranches.L_LIM)
+        assert not grad[:, ~listed].any()
+        for z in Z:
+            _, g = load_constraint_planner(z, VP, TestKernelBranches.L_LIM)
+            assert not g[~listed].any()
+        assert (grad != 0.0).any(axis=0)[listed].all()

@@ -441,19 +441,22 @@ class TestBuildStructure:
     def test_entries_store_what_a_coo_list_stores(self):
         # Pieces of entries whose positions repeat at most twice, as the
         # build's do, with zero values among them: each build stores, bit
-        # for bit, what scipy's COO conversion stores, whether its mask is
-        # the last build's or not. Two of the values are functions of the
-        # build data, which each build writes, and one a constant.
+        # for bit, what scipy's COO conversion stores, explicit zeros
+        # included, on the one pattern the block made, whatever its zeros.
+        # Two of the values are functions of the build data, which each
+        # build writes, and one a constant.
         rng = np.random.default_rng(5)
         rows, cols = np.arange(40).reshape(8, 5), rng.integers(0, 9, (8, 5))
         pieces = [(rows, cols), (rows[:, 0], cols[:, 0]), (rows[1:4], 9)]
         entries = planner._Entries(
             list(zip(pieces, [lambda p, d: d[0], -1.0, lambda p, d: d[2]])),
             [], 40, np.ones(10))
+        made = entries.pattern
         for zeros in (0.0, 0.0, 0.5, 0.5, 0.0):
             values = [rng.normal(size=(8, 5)), -1.0, rng.normal(size=(3, 5))]
             values[0][rng.random((8, 5)) < zeros] = 0.0
             pattern, data, _ = entries.block(None, values)
+            assert pattern is made
             expected = coo_csr([(r, c, v) for (r, c), v in zip(pieces, values)],
                                (40, 10))
             for name, a in (("indptr", pattern.indptr),
@@ -466,8 +469,8 @@ class TestBuildStructure:
         """References one problem builds about in turn, each chosen by its
         gates rather than taken from a solve: the initial guess, whose
         vertical thrust zeros the x and y entries of the lower thrust bound
-        rows; the guess with its thrust tilted (the same gates, another
-        nonzero mask); the tilted guess slowed at the last node with a load
+        rows; the guess with its thrust tilted (the same gates, other exact
+        zeros); the tilted guess slowed at the last node with a load
         row, which drops that row (a change of the load gate alone); the
         tilted guess with eta cut, so that three taper nodes turn vertical;
         and the initial guess again."""
@@ -492,7 +495,7 @@ class TestBuildStructure:
         # returned program's arrays changes no later build.
         prob, cfg = make_problem()
         refs = self.reference_sequence(prob, cfg)
-        templates = []
+        templates, sessions = [], []
         for ref in refs:
             prog = prob.build(ref)
             fresh = PlanningProblem(prob.boundary, VP, cfg)
@@ -507,31 +510,50 @@ class TestBuildStructure:
                 assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
             assert prog.obj_offset == expected.obj_offset
             assert prog.cones.shape == expected.cones.shape
-            templates.append((prob._last_template,
-                              prob._last_template.G.zeros))
+            t = prob._last_template
+            templates.append((t, t.A.pattern, t.G.pattern,
+                              np.flatnonzero(t.G.vals == 0.0)))
+            if len(sessions) < 2:
+                last = sessions[-1].analysis if sessions else None
+                sessions.append(ipm_session(prog, analysis=last))
             for M in (prog.A, prog.G):
                 M.data[:], M.indices[:], M.indptr[:] = -1.0, 0, 0
             for name in ("b", "h", "c"):
                 getattr(prog, name)[:] = np.nan
-        # The tilted guess reused the guess's template, without the guess's
-        # zero values, and every later reference changed a gate.
-        (t0, zeros0), (t1, zeros1) = templates[:2]
+        # The tilted guess, which has other exact zeros than the guess,
+        # reused the guess's template and its patterns, and a session on its
+        # program the guess's KKT analysis; every later reference changed a
+        # gate.
+        (t0, *patterns0, zeros0), (t1, *patterns1, zeros1) = templates[:2]
         assert t1 is t0 and not np.array_equal(zeros0, zeros1)
-        assert len({id(t) for t, _ in templates[1:]}) == 4
-        vertical = [t.vertical.size for t, _ in templates]
-        loads = [t.load.size for t, _ in templates]
+        assert all(a is b for a, b in zip(patterns0, patterns1))
+        assert [s.reordered for s in sessions] == [True, False]
+        assert sessions[1].analysis is sessions[0].analysis
+        assert len({id(t) for t, *_ in templates[1:]}) == 4
+        vertical = [t.vertical.size for t, *_ in templates]
+        loads = [t.load.size for t, *_ in templates]
         assert vertical[2] == vertical[1] and loads[2] == loads[1] - 1
         assert vertical[3] == vertical[1] + 2
 
     def test_template_holds_only_the_last_patterns_int32_arrays(self):
         # After the reference sequence, the problem holds one template, the
-        # one a fresh problem makes for the last reference, of int32 arrays
-        # but for the values the builds write, the constant ones included,
-        # the half range of the scaling and which rows store entries.
+        # one a fresh problem makes for the last reference, and each of its
+        # blocks one pattern, made with it, which builds with other exact
+        # zeros (the tilted guess, then the guess again) keep. It holds
+        # int32 arrays but for the values the builds write, the constant
+        # ones included, the half range of the scaling there and which rows
+        # store entries.
         prob, cfg = make_problem()
         refs = self.reference_sequence(prob, cfg)
         for ref in refs:
             prob.build(ref)
+        t = prob._last_template
+        patterns = t.A.pattern, t.G.pattern
+        for ref in (refs[1], refs[-1]):
+            prob.build(ref)
+            assert prob._last_template is t
+            assert all(a is b for a, b in zip((t.A.pattern, t.G.pattern),
+                                              patterns))
         fresh = PlanningProblem(prob.boundary, VP, cfg)
         fresh.build(refs[-1])
         held = [v for v in vars(prob).values()
@@ -542,10 +564,8 @@ class TestBuildStructure:
                                     for x in (block, block.pattern))])
             for t in (prob._last_template, fresh._last_template))
         assert len(arrays) == len(expected)
-        t = prob._last_template
         values = [x for block in (t.A, t.G) for x in (
-            block.vals, block.rhs, block.half_range, block.pattern.half,
-            block.pattern.stored)]
+            block.vals, block.rhs, block.pattern.half, block.pattern.stored)]
         for a, e in zip(arrays, expected):
             assert a.dtype == e.dtype and np.array_equal(a, e)
             assert a.dtype == np.int32 or any(np.shares_memory(a, v)
@@ -591,8 +611,9 @@ class TestValuePass:
         # scaling and equilibration that the build's pass over its blocks'
         # values replaced (``helpers.scipy_scale_program`` and
         # ``scipy_equilibrate_rows``) of the same unscaled blocks: A, G, b,
-        # h and c. The builds cross zero-mask changes (another pattern on
-        # the same template) and gate-set changes (another template).
+        # h and c. The builds cross gate-set changes (another template) and
+        # builds with other exact zeros on the same template, which keep its
+        # patterns.
         blocks, built = [], []
         scale, build = planner.scale_program, PlanningProblem.build
 
@@ -604,12 +625,13 @@ class TestValuePass:
             # run_scp's trust region replaces c and obj_offset later.
             prog = build(self, ref)
             t = self._last_template
-            built.append((replace(prog), t, t.A.pattern, t.G.pattern))
+            built.append((replace(prog), t, t.A.pattern, t.G.pattern,
+                          [np.flatnonzero(x.vals == 0.0) for x in (t.A, t.G)]))
             return prog
 
         monkeypatch.setattr(planner, "scale_program", recorded_scale)
         monkeypatch.setattr(PlanningProblem, "build", recorded_build)
-        gates = masks = 0
+        gates = zeros = 0
         for mode in ("ignition-fit", "current-state"):
             for N in (30, 100):
                 blocks.clear()
@@ -642,11 +664,14 @@ class TestValuePass:
                         assert got.dtype == want.dtype, (mode, N)
                         assert got.tobytes() == want.tobytes(), (mode, N)
                     assert prog.obj_offset == expected.obj_offset
-                for (_, t0, *p0), (_, t1, *p1) in zip(built, built[1:]):
+                for (_, t0, *p0, z0), (_, t1, *p1, z1) in zip(built,
+                                                              built[1:]):
                     gates += t1 is not t0
-                    masks += t1 is t0 and any(
-                        a is not b for a, b in zip(p0, p1))
-        assert gates and masks
+                    if t1 is t0:
+                        assert all(a is b for a, b in zip(p0, p1))
+                        zeros += any(not np.array_equal(a, b)
+                                     for a, b in zip(z0, z1))
+        assert gates and zeros
 
     def test_matrices_made_and_taken_as_they_are(self, monkeypatch):
         # A build makes two scipy sparse matrices, A and G, whether it
@@ -789,9 +814,9 @@ class TestStageOrdering:
             np.argsort(order), stage_rule_position(rows, variables_first=True))
 
     def test_fill_at_n100_is_at_most_minimum_degree(self):
-        # nnz(L) of the first N=100 KKT matrix: 30,179 in the stage
-        # ordering, 30,376 by SuperLU's minimum degree. (At N=30 the stage
-        # ordering fills more: 9,095 against 8,508.)
+        # nnz(L) of the first N=100 KKT matrix: 30,383 in the stage
+        # ordering, 30,745 by SuperLU's minimum degree. (At N=30 the stage
+        # ordering fills more: 9,159 against 8,015.)
         K, kkt = first_kkt(N=100)
         order = np.argsort(superlu(K).perm_c)
         upper = sp.triu(K[order][:, order], format="csc")
@@ -905,8 +930,9 @@ class TestPlanningScp:
     def test_one_kkt_analysis_is_alive_at_each_build(self, monkeypatch):
         # A build holds the KKT analysis of the last solution alone: the
         # solution before last, the start of the last solve, goes with its
-        # analysis once that solve returns. The nominal N=30 plan starts a
-        # solve whose pattern is not its start's, so two differ there.
+        # analysis once that solve returns. The nominal N=100 plan crosses a
+        # gate set, where a solve makes a fresh analysis while its start
+        # holds another, so two differ there.
         alive, build = [], PlanningProblem.build
 
         def analyses():
@@ -920,11 +946,12 @@ class TestPlanningScp:
 
         def recorded_solve(program, tol):
             sol = ipm.solve(program, tol)
-            fresh_from_a_start.append(sol.warm and sol.reordered)
+            fresh_from_a_start.append(program.start is not None
+                                      and sol.reordered)
             return sol
 
         monkeypatch.setattr(PlanningProblem, "build", counted_build)
-        prob, cfg = make_problem(N=30)
+        prob, cfg = make_problem(N=100)
         gc.collect()
         before = analyses()     # those other tests left alive
         out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
