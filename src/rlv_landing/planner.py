@@ -302,9 +302,9 @@ _FAMILIES = {"A": (
     # Cbar_j eta) / 2N = sum_j Dbar_j / 2N over its ends j = k, k+1.
     ("dynamics", "zero", "intervals", NX, (
         (lambda p, r, n: (r[:, _J[0]], n + _J[1]),
-         lambda p, d: -d.half * d.A[:-1, *_J]),
+         lambda p, d: -d.half * d.A[:-1, _J[0], _J[1]]),
         (lambda p, r, n: (r[:, _J[0]], n + NZ + _J[1]),
-         lambda p, d: -d.half * d.A[1:, *_J]),
+         lambda p, d: -d.half * d.A[1:, _J[0], _J[1]]),
         (lambda p, r, n: (r, n + range(NX)), -1.0),
         (lambda p, r, n: (r, n + NZ + range(NX)), 1.0),
         (lambda p, r, n: (r, p.idx_eta),
@@ -351,7 +351,7 @@ _FAMILIES = {"A": (
     # the reference eta. An eta column here and an r_z column for the thrust
     # bounds' loss raised the N=100 KKT fill 0.19M -> 0.27M and by 1/6 under
     # SuperLU's column ordering; under the IPM's stage ordering they add no
-    # and 202 entries to the first N=100 KKT L's 30,179 (zeros then dropped).
+    # and 202 entries to the 30,383 of the first N=100 KKT matrix's L.
     ("rate", "orthant", "intervals", 2, (
         (lambda p, r, n: (r, n + NZ + IDX_GAMMA), [1.0, -1.0]),
         (lambda p, r, n: (r, n + IDX_GAMMA), [-1.0, 1.0])),

@@ -930,9 +930,10 @@ class TestPlanningScp:
     def test_one_kkt_analysis_is_alive_at_each_build(self, monkeypatch):
         # A build holds the KKT analysis of the last solution alone: the
         # solution before last, the start of the last solve, goes with its
-        # analysis once that solve returns. The nominal N=100 plan crosses a
-        # gate set, where a solve makes a fresh analysis while its start
-        # holds another, so two differ there.
+        # analysis once that solve returns. A plan from the slowed reference
+        # of ``TestBuildStructure.reference_sequence`` crosses a gate set:
+        # its first solution brings back the dropped load row, so the next
+        # solve makes a fresh analysis while its start holds another.
         alive, build = [], PlanningProblem.build
 
         def analyses():
@@ -951,10 +952,11 @@ class TestPlanningScp:
             return sol
 
         monkeypatch.setattr(PlanningProblem, "build", counted_build)
-        prob, cfg = make_problem(N=100)
+        prob, cfg = make_problem(N=30)
+        slowed = TestBuildStructure.reference_sequence(prob, cfg)[2]
         gc.collect()
         before = analyses()     # those other tests left alive
-        out = run_scp(prob, initial_guess_planning(prob.boundary, cfg, VP),
+        out = run_scp(prob, slowed,
                       ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr),
                       solve_fn=recorded_solve)
         assert out.converged and any(fresh_from_a_start)
