@@ -60,6 +60,13 @@ on one tree, then on the other:
 
     python3 benches/corpus.py --workload replan-n100 --seeds 41 --diff old.jsonl
 
+``--jobs J`` plans the states in J worker processes, at most one per
+core, each with its own counting wrappers. It prints the same plan lines
+in the same order as one process; only the totals' ``plan_s`` reads other
+timings:
+
+    python3 benches/corpus.py --workload ignition-n30 --seeds 41 --jobs 2
+
 ``--jitter K`` plans each state a second time with its component K (0-2
 r, 3-5 v, 6 m) moved up by one ulp (``np.nextafter``), and prints a line
 for each plan whose ``outcome`` or ``scp_iters`` moved, then one that
@@ -74,6 +81,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 from contextlib import nullcontext
@@ -138,6 +146,64 @@ def saved_plans(path: str) -> dict:
     return {plan_key(line): line for line in lines if "plan" in line}
 
 
+class Run:
+    """The plans of one workload's states in this process: planbench's
+    ``plan`` with a ``SolveRecorder``, whose counting wrappers it puts on
+    planner and scp, and under --jitter (``jitter``, the component) a
+    second plan of each state with that component one ulp up."""
+
+    def __init__(self, workload: str, jitter: int | None):
+        import planning
+        from rlv_landing import planner, scp
+        from rlv_landing.conic import ipm
+
+        self.planning, self.jitter = planning, jitter
+        self.workload = planning.WORKLOADS[workload]
+        self.recorder = SolveRecorder(ipm)
+        self.recorder.count(planner, "linearize_planning", "builds")
+        self.recorder.count(planner, "_BuildTemplate", "templates")
+        self.recorder.count(scp, "project_onto_rows", "projection_steps")
+
+    def plan(self, task: tuple) -> tuple:
+        """Plan one state, ``task`` = (set, index, state): its plan line
+        and result, and the jittered plan's result (None without
+        --jitter)."""
+        import numpy as np
+
+        name, i, state = task
+        recorder = self.recorder
+        result = self.planning.plan(self.workload, state, recorder)
+        line = {
+            "workload": self.workload.name, "set": name, "plan": i,
+            "outcome": result.outcome, "scp_iters": result.scp_iters,
+            **recorder.counts,
+            "propellant_kg": result.propellant_kg
+            if result.converged else None,
+            "problems": result.problems,
+            "z_hash": None if result.Z is None else
+            hashlib.sha256(result.Z.tobytes()).hexdigest()[:16],
+            "stalls": recorder.stalls}
+        again = None
+        if self.jitter is not None:
+            other = state.copy()
+            other[self.jitter] = np.nextafter(other[self.jitter], np.inf)
+            again = self.planning.plan(self.workload, other, recorder)
+        return line, result, again
+
+
+# A --jobs worker process's Run, made once by ``start_worker``.
+_worker_run = None
+
+
+def start_worker(workload: str, jitter: int | None) -> None:
+    global _worker_run
+    _worker_run = Run(workload, jitter)
+
+
+def plan_in_worker(task: tuple) -> tuple:
+    return _worker_run.plan(task)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
@@ -148,56 +214,49 @@ def main(argv=None) -> int:
                    help="a saved run of another tree to compare plans with")
     p.add_argument("--jitter", metavar="K", type=int, choices=range(7),
                    help="plan each state again with component K one ulp up")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per core")
     args = p.parse_args(argv)
+    cores = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cores:
+        p.error(f"--jobs must be from 1 to {cores}, the cores")
     saved = None if args.diff is None else saved_plans(args.diff)
 
+    # Spawned workers start with this sys.path.
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "planbench")]
-    import numpy as np
-    import planning
     import scenarios
-    from rlv_landing import planner, scp
-    from rlv_landing.conic import ipm
 
-    workload = planning.WORKLOADS[args.workload]
+    run = Run(args.workload, args.jitter)
+    workload = run.workload
     sets = [("reference", scenarios.reference_states(
         workload.nominal, workload.reference_count))]
     sets += [(seed, scenarios.dispersed_states(seed, workload.nominal,
                                                args.count))
              for seed in args.seeds]
+    tasks = [(name, i, state) for name, states in sets
+             for i, state in enumerate(states)]
 
-    recorder = SolveRecorder(ipm)
-    recorder.count(planner, "linearize_planning", "builds")
-    recorder.count(planner, "_BuildTemplate", "templates")
-    recorder.count(scp, "project_onto_rows", "projection_steps")
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
               **dict.fromkeys(COUNTS, 0), "stalls": 0, "outcomes": {}}
     moved, missing, status, uncompared = [], 0, 0, set()
     jittered, jitter_moves = [], []
-    for name, states in sets:
-        for i, state in enumerate(states):
-            result = planning.plan(workload, state, recorder)
+    with (nullcontext() if args.jobs == 1 else
+          multiprocessing.get_context("spawn").Pool(
+              args.jobs, start_worker, (args.workload, args.jitter))) as pool:
+        # Pool.imap returns the plans in task order, as map does.
+        planned = map(run.plan, tasks) if pool is None else \
+            pool.imap(plan_in_worker, tasks)
+        for line, result, again in planned:
+            name, i = line["set"], line["plan"]
             totals["plans"] += 1
             totals["plan_s"] += result.seconds
-            for key, count in recorder.counts.items():
-                totals[key] += count
-            totals["stalls"] += len(recorder.stalls)
+            for key in COUNTS:
+                totals[key] += line[key]
+            totals["stalls"] += len(line["stalls"])
             outcomes = totals["outcomes"]
             outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
-            line = {
-                "workload": workload.name, "set": name, "plan": i,
-                "outcome": result.outcome, "scp_iters": result.scp_iters,
-                **recorder.counts,
-                "propellant_kg": result.propellant_kg
-                if result.converged else None,
-                "problems": result.problems,
-                "z_hash": None if result.Z is None else
-                hashlib.sha256(result.Z.tobytes()).hexdigest()[:16],
-                "stalls": recorder.stalls}
             print(json.dumps(line), flush=True)
-            if args.jitter is not None:
-                other = state.copy()
-                other[args.jitter] = np.nextafter(other[args.jitter], np.inf)
-                again = planning.plan(workload, other, recorder)
+            if again is not None:
                 jittered.append((name, i, result, again))
             if saved is None:
                 continue
@@ -205,8 +264,10 @@ def main(argv=None) -> int:
             if old is None:
                 missing += 1
                 continue
-            uncompared.update(field for field in COMPARED if field not in old)
-            changes = {field: [old[field], line[field]] for field in COMPARED
+            uncompared.update(field for field in COMPARED
+                              if field not in old)
+            changes = {field: [old[field], line[field]]
+                       for field in COMPARED
                        if field in old and old[field] != line[field]}
             if changes:
                 moved.append({"set": name, "plan": i, **changes})

@@ -76,12 +76,13 @@ points), the corrector (the combined direction, its step pair and the
 Gondzio rounds) and the advance (the step, and the residuals at the next
 iterate). They compose the compiled pieces that replaced the numpy and
 scipy code of the iteration, each adding in that code's order, so the
-iterates are its, to the bit. The dot products (s'z, c'x, x'Px, b'y, h'z,
-and the affine gap from the predictor's trial points) stay numpy's,
-between the calls, on the session's arrays, because C would not add them
-in the order of numpy's BLAS; so do sigma, the verdicts and the stall
-test, which comes before the update, so that a step it rejects is never
-taken. A solution counts the LDL' solves it took (``ldl_solves``).
+iterates are its, to the bit. The dot products (s'z, the affine gap from
+the predictor's trial points, and c'x and x'Px of the objective, formed
+once, at the solve's end) stay numpy's, on the session's arrays, because C
+would not add them in the order of numpy's BLAS; so do sigma, the verdicts
+and the stall test, which comes before the update, so that a step it
+rejects is never taken. A solution counts the LDL' solves it took
+(``ldl_solves``).
 
 The initial point is either cold, from one KKT solve with W = I (K
 factored at s = z = e, as a predictor factors it), or warm, from
@@ -96,15 +97,17 @@ the program is ignored, and the solve is then the same as a cold one.
 
 A call is one solve, with its numerics fixed by the constants below, as in
 Clarabel; the caller chooses only the tolerance ``tol`` (positive, else a
-``ValueError``), which the scaled primal and dual residuals and the gap
-must each meet. A solve that ends without a verdict returns as it ended:
-nothing retries it under other numerics.
+``ValueError``), which the scaled primal and dual residuals and mu, the
+gap s'z over the cones' degree, must each meet. A solve that ends without
+a verdict returns as it ended: nothing retries it under other numerics.
 
 A solve ends ``optimal`` (tolerance met: the best iterate of a few polish
-iterations, also if the solve then stalls), ``infeasible`` (an approximate
-Farkas certificate, or a stall far from feasibility), ``numerical_failure``
-(a non-finite residual, an iterate off the cone interior, a failed
-factorization or a stall near feasibility) or ``max_iter``.
+iterations, also if the solve then stalls), ``infeasible`` (a stall
+farther than FAR_FROM_FEASIBLE from feasibility), ``numerical_failure`` (a
+non-finite residual, an iterate off the cone interior, a failed
+factorization or a stall near feasibility) or ``max_iter``. A stall is a
+hard stall (short steps that do not lower mu) or the growth window
+(INFEAS_WINDOW iterations without progress); no certificate is formed.
 """
 
 from __future__ import annotations
@@ -174,19 +177,22 @@ def _pattern(P, A, G, cones: Cones, stage) -> list[np.ndarray]:
 def _stage_order(A, G, stage, variables_first=False) -> np.ndarray:
     """The KKT rows and columns in the stage ordering (module docstring),
     or with each stage's variables before its rows; without ``stage``,
-    every variable is in stage 0."""
+    every variable is in stage 0. A and G are CSR."""
     n = A.shape[1]
     stage = np.zeros(n) if stage is None else np.asarray(stage, float)
     last = stage.max(initial=0.0)
     inner = stage < last
-    rows = sp.vstack([A, G], format="csr")
-    touched = sp.csr_matrix((np.ones(rows.nnz), rows.indices, rows.indptr),
-                            shape=rows.shape) @ np.column_stack(
-        [stage * inner, inner])
-    row_stage = np.full(rows.shape[0], last)
-    np.divide(touched[:, 0], touched[:, 1], out=row_stage,
-              where=touched[:, 1] > 0)
-    is_variable = np.arange(n + rows.shape[0]) < n
+
+    def per_row(weights):
+        """The sum of ``weights`` over each row's stored columns."""
+        return np.concatenate([
+            np.bincount(_rows(M), weights[M.indices], M.shape[0])
+            for M in (A, G)])
+
+    total, count = per_row(stage * inner), per_row(inner.astype(float))
+    row_stage = np.full(total.size, last)
+    np.divide(total, count, out=row_stage, where=count > 0)
+    is_variable = np.arange(n + total.size) < n
     return np.lexsort((is_variable != variables_first,
                        np.concatenate([stage, row_stage])))
 
@@ -270,9 +276,10 @@ class _Session:
     factorizations, and an exact zero pivot takes its row's ``reg_sign``.
     ``cold_start`` moves the iterate to the cold start's. ``residuals``
     (``ipm_residuals``) evaluates the KKT residuals at the iterate: r_dual,
-    r_eq and r_ineq, P x (``Px``) and their norms, with those of A'y + G'z,
-    z and y. ``predictor`` (``ipm_predictor``) writes the cone data of s, z
-    and lambda (rows 0, 1 and 2 of ``norm_sq``, ``norm`` and ``bar``), the
+    r_eq and r_ineq, their infinity norms (``norms``) and P x (``Px``),
+    which the objective reads at the solve's end. ``predictor``
+    (``ipm_predictor``) writes the cone data of s, z and lambda (rows 0, 1
+    and 2 of ``norm_sq``, ``norm`` and ``bar``), the
     NT scaling (``w_nn``, and W, W^{-1} and W^2 stacked in ``W``), lambda
     and lambda o lambda (``lam``), K's factors (``Li``, ``Lx``, ``D``), the
     affine direction (``sol_a``, ``ds_a``) and the trial points
@@ -285,14 +292,14 @@ class _Session:
     whether the last factorization succeeded.
     """
 
-    def __init__(self, P, A, G, c, b, h, cones: Cones, obj_offset: float,
-                 iterate, analysis: _Analysis | None = None, stage=None):
+    def __init__(self, P, A, G, c, b, h, cones: Cones, iterate,
+                 analysis: _Analysis | None = None, stage=None):
         n, me, mi = P.shape[0], A.shape[0], cones.dim
         if (P.shape, A.shape, G.shape) != ((n, n), (me, n), (mi, n)):
             raise ValueError("P, A and G are not the blocks of one KKT "
                              "system")
         self.cones, self._sizes = cones, (n, me)
-        self._c, self._b, self._h, self._obj_offset = c, b, h, obj_offset
+        self._c, self._b, self._h = c, b, h
         self._scales = [max(1.0, _norm_inf(v)) for v in (b, h, c)]
         self.x, self.y, self.z, self.s = iterate
         arrays = dict(zip("Pp Pi Pv Ap Ai Av Gp Gi Gv".split(), (
@@ -326,7 +333,7 @@ class _Session:
         # The buffers, all in one array, each an attribute that views it.
         shapes = dict(
             Lx=(fill,), D=(size,), work=(6 * size,), Px=(n,), r_dual=(n,),
-            r_eq=(me,), r_ineq=(mi,), norms=(6,), rwork=(2 * n,),
+            r_eq=(me,), r_ineq=(mi,), norms=(3,), rwork=(2 * n,),
             u=(2, mi), norm_sq=(3, cones.n_soc), norm=(3, cones.n_soc),
             bar=(3, cones.n_soc, cones.d), worst=(3,), w_nn=(cones.n_nn,),
             W=(3, cones.n_soc, cones.d, cones.d), lam=(2, mi), sol_a=(size,),
@@ -371,22 +378,18 @@ class _Session:
         self.s[...] = self.cones.shift_into_interior(-z0)
         self.z[...] = self.cones.shift_into_interior(z0)
 
-    def residuals(self) -> tuple:
+    def residuals(self) -> tuple[float, float]:
         """The residuals at the iterate, and what the loop reads of them
         (``measures``)."""
         ldl._library().ipm_residuals(self._context)
         return self.measures()
 
-    def measures(self) -> tuple:
+    def measures(self) -> tuple[float, float]:
         """Of the last evaluation: the scaled primal and dual residuals the
-        tolerances judge, the objective, |A'y + G'z|_inf for the Farkas
-        test, and |z|_inf and |y|_inf."""
-        dual, eq, ineq, rows, z_norm, y_norm = self.norms.tolist()
+        tolerances judge."""
+        dual, eq, ineq = self.norms.tolist()
         b_scale, h_scale, c_scale = self._scales
-        pobj = float(self._c @ self.x) + self._obj_offset \
-            + 0.5 * float(self.x @ self.Px)
-        return (max(eq / b_scale, ineq / h_scale), dual / c_scale, pobj,
-                rows, z_norm, y_norm)
+        return max(eq / b_scale, ineq / h_scale), dual / c_scale
 
     def predictor(self) -> int:
         """The predictor at the iterate: the number of LDL' solves it took,
@@ -416,7 +419,8 @@ class _Session:
         sigma = min((max(gap_aff, 0.0) / gap) ** 3, 1.0)
         return self.corrector(sigma, mu)
 
-    def advance(self, alpha_p: float, alpha_d: float) -> tuple:
+    def advance(self, alpha_p: float,
+                alpha_d: float) -> tuple[float, float]:
         """Move the iterate along the corrector's direction, x and s by
         alpha_p and y and z by alpha_d, and evaluate the residuals there:
         their ``measures``."""
@@ -469,9 +473,8 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         e = cones.identity()
         x, y, s, z = np.zeros(n), np.zeros(me), e, e.copy()
     # The session moves x, y, z and s in place.
-    session = _Session(P, A, G, c, b, h, cones, program.obj_offset,
-                       (x, y, z, s), start._analysis if warm else None,
-                       program.stage)
+    session = _Session(P, A, G, c, b, h, cones, (x, y, z, s),
+                       start._analysis if warm else None, program.stage)
     if not warm:
         session.cold_start()
 
@@ -486,18 +489,15 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
 
     # The residual vectors stay in the session's buffers, where the step
     # reads them; each step's advance evaluates them at the next iterate.
-    measures = session.residuals()
+    pres, dres = session.residuals()
     for iteration in range(1, MAX_ITER + 1):
-        pres, dres, pobj, dual_rows, z_norm, y_norm = measures
         gap = float(s @ z)
         mu = gap / cones.degree
-        rel_gap = gap / max(1.0, abs(pobj))
 
         if not math.isfinite(pres + dres + gap):
             status = "numerical_failure"
             break
-        gap_ok = mu < tol or rel_gap < 0.1 * tol
-        if pres < tol and dres < tol and gap_ok:
+        if pres < tol and dres < tol and mu < tol:
             # Tolerances met: polish a few more iterations while the KKT
             # score keeps dropping, then return the best iterate.
             score = max(pres, dres, mu)
@@ -509,22 +509,13 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
                 status = "optimal"
                 break
 
-        # Infeasibility: approximate Farkas certificate carried by the duals,
-        # confirmed after sustained lack of progress.
-        dual_scale = max(z_norm, y_norm, 1.0)
-        certificate = False
-        if dual_rows / dual_scale < 1e-8:
-            farkas_gap = (float(b @ y) + float(h @ z)) / dual_scale
-            certificate = farkas_gap < -1e-10
+        # Growth window: INFEAS_WINDOW iterations without progress.
         total_res = max(pres, dres, mu)
         if total_res < best_res * 0.999:
             best_res = total_res
             growth_count = 0
         else:
             growth_count += 1
-        if certificate and (growth_count >= 3 or farkas_gap < -1e-6):
-            status = "infeasible"
-            break
         if growth_count >= INFEAS_WINDOW and mu > tol:
             status = _stall_status(pres)
             break
@@ -546,23 +537,24 @@ def solve(program: ConicProgram, tol: float = 1e-8) -> SolverSolution:
         if stall_count >= 3 or max(alpha_p, alpha_d) < 1e-10:
             status = _stall_status(pres)
             break
-        measures = session.advance(alpha_p, alpha_d)
+        pres, dres = session.advance(alpha_p, alpha_d)
 
     if candidate is not None:
         status = "optimal"
         for v, best in zip((x, y, z, s), candidate):
             v[...] = best
-        measures = session.residuals()
+        pres, dres = session.residuals()
 
     gap = float(s @ z)
-    pres, dres, pobj, *_ = measures
+    objective = float(c @ x) + program.obj_offset \
+        + 0.5 * float(x @ session.Px)
     return SolverSolution(
         x=x, y=y, z=z, s=s, status=status, iterations=iteration,
-        objective=pobj, gap=gap, rel_gap=gap / max(1.0, abs(pobj)),
-        primal_res=pres, dual_res=dres, warm=warm,
-        reordered=session.reordered, resumed=resumed,
-        ldl_solves=session.ldl_solves, _analysis=session.analysis,
-        _program=weakref.ref(program),
+        objective=objective, gap=gap,
+        rel_gap=gap / max(1.0, abs(objective)), primal_res=pres,
+        dual_res=dres, warm=warm, reordered=session.reordered,
+        resumed=resumed, ldl_solves=session.ldl_solves,
+        _analysis=session.analysis, _program=weakref.ref(program),
     )
 
 

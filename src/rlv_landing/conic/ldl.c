@@ -264,7 +264,7 @@ struct ipm_context {
     const int *Pp, *Pi, *Ap, *Ai, *Gp, *Gi;
     const double *Pv, *Av, *Gv, *c, *b, *h;
     /* ipm_residuals' results: Px (nx), r_dual (nx), r_eq (me), r_ineq
-     * (mi), norms (6); rwork holds 2 nx doubles. */
+     * (mi), norms (3); rwork holds 2 nx doubles. */
     double *Px, *r_dual, *r_eq, *r_ineq, *norms, *rwork;
     /* ipm_factor's results: the cone data of s, z and lam (u (2 mi),
      * norm_sq and norm (3 n_soc), bar (3 n_soc d), worst (3)), the NT
@@ -394,7 +394,7 @@ int kkt_direction(const struct ipm_context *c, const double *r_dual,
 /* The KKT residuals at the context's iterate (x, y, z, s), from the
  * program's CSR matrices P, A and G: Px = P x, r_dual = P x + c + A'y +
  * G'z, r_eq = A x - b and r_ineq = G x + s - h, and norms = the infinity
- * norms of r_dual, r_eq, r_ineq, A'y + G'z, z and y. */
+ * norms of r_dual, r_eq and r_ineq. */
 void ipm_residuals(struct ipm_context *c)
 {
     const int nx = c->nx, me = c->me, mi = c->n - nx - me;
@@ -402,10 +402,8 @@ void ipm_residuals(struct ipm_context *c)
     csr_matvec(nx, c->Pp, c->Pi, c->Pv, c->x, c->Px);
     csr_matvec_t(me, nx, c->Ap, c->Ai, c->Av, c->y, ATy);
     csr_matvec_t(mi, nx, c->Gp, c->Gi, c->Gv, c->z, GTz);
-    for (int j = 0; j < nx; j++) {
+    for (int j = 0; j < nx; j++)
         c->r_dual[j] = c->Px[j] + c->c[j] + ATy[j] + GTz[j];
-        ATy[j] += GTz[j];   /* now A'y + G'z */
-    }
     csr_matvec(me, c->Ap, c->Ai, c->Av, c->x, c->r_eq);
     for (int i = 0; i < me; i++)
         c->r_eq[i] = c->r_eq[i] - c->b[i];
@@ -415,9 +413,6 @@ void ipm_residuals(struct ipm_context *c)
     c->norms[0] = norm_inf(nx, c->r_dual);
     c->norms[1] = norm_inf(me, c->r_eq);
     c->norms[2] = norm_inf(mi, c->r_ineq);
-    c->norms[3] = norm_inf(nx, ATy);
-    c->norms[4] = norm_inf(mi, c->z);
-    c->norms[5] = norm_inf(me, c->y);
 }
 
 /* Python's min(a, b) and max(a, b): a, unless b compares below (above) it,

@@ -107,8 +107,9 @@ class SubproblemAdapter(Protocol):
     """What the SCP loop needs from a problem family.
 
     ``build``'s program is the convexified subproblem without a trust
-    region: ``run_scp`` solves it once it has added one, and it holds the
-    rows of the fixed-point test and the Gauss-Newton projection.
+    region, and with no quadratic term: ``run_scp`` solves it once it has
+    added the trust region (its P), and it holds the rows of the
+    fixed-point test and the Gauss-Newton projection.
     ``relaxation_gap`` measures how far the reference is from the solution
     of the problem the subproblems relax (0 for a family without one).
     """
@@ -130,19 +131,16 @@ def trust_region_cost(Z: np.ndarray, Z_ref: np.ndarray, W_tr: float) -> float:
 
 def add_trust_region(program: ConicProgram, x_ref_scaled: np.ndarray,
                      weight: float) -> None:
-    """Fold J_tr = weight * ||x - x_ref||^2 into the (scaled) objective:
-    P + 2 weight I as one CSR matrix, placed by a counting sort
-    (``ldl.csc_pattern``), each sum in the order scipy's sum adds it."""
-    P, n = program.P, program.n
-    diagonal = np.arange(n, dtype=np.intc)
-    # CSR is the CSC of the transpose: its rows as columns.
-    indptr, indices, slots = ldl.csc_pattern(
-        np.concatenate([P.indices, diagonal], dtype=np.intc),
-        np.concatenate([_rows(P), diagonal], dtype=np.intc), n)
-    values = np.concatenate([P.data, np.full(n, 2.0 * weight)])
+    """Fold J_tr = weight * ||x - x_ref||^2 into the (scaled) objective of
+    a program without a quadratic term: P = 2 weight I, the linear cost
+    and the constant. A P that stores an entry raises ``ValueError``."""
+    n = program.n
+    if program.P.nnz:
+        raise ValueError("the trust region is the subproblem's only "
+                         "quadratic term, but its P stores entries")
     program.P = sp.csr_matrix(
-        (np.bincount(slots, values, indices.size), indices, indptr),
-        shape=(n, n))
+        (np.full(n, 2.0 * weight), np.arange(n, dtype=np.intc),
+         np.arange(n + 1, dtype=np.intc)), shape=(n, n))
     program.c = np.asarray(program.c, float) - 2.0 * weight * x_ref_scaled
     program.obj_offset += weight * float(x_ref_scaled @ x_ref_scaled)
 
@@ -197,7 +195,7 @@ def project_onto_rows(program: ConicProgram, x: np.ndarray) -> np.ndarray:
     rows = np.concatenate([diagonal, _rows(J) + n]).astype(np.intc)
     cols = np.concatenate([diagonal, J.indices]).astype(np.intc)
     values = np.concatenate([np.ones(n), np.full(m, -eps), J.data])
-    order = ipm._stage_order(program.A, WG, program.stage,
+    order = ipm._stage_order(program.A.tocsr(), WG, program.stage,
                              variables_first=True)
     a = ipm._Analysis.of([], rows, cols, values.size, order)
     K = np.bincount(a.value_slots, values, a.indices.size)

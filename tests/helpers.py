@@ -7,8 +7,8 @@ algebra that the compiled one (``conic/cones.c``) replaced, the numpy
 calls replaced, the scipy scaling and equilibration of a program that
 the build's pass over its blocks' values replaced, the whole symmetric
 matrix of an upper triangle (the IPM stores only that triangle of its KKT
-matrix), the up-looking LDL' that walks the elimination tree for every
-row, in Python, and the numpy and
+matrix), the scipy stage ordering, the up-looking LDL' that walks the
+elimination tree for every row, in Python, and the numpy and
 scipy refined KKT solve, Newton direction and residuals that the IPM's
 ``kkt_solve``, ``kkt_direction`` and ``ipm_residuals`` replaced; the
 IPM's session of a program; the Python wrappers of the cone algebra, of
@@ -428,6 +428,27 @@ def unique_pattern(rows, cols, n):
             slots.astype(np.intc))
 
 
+def scipy_stage_order(A, G, stage, variables_first=False):
+    """``ipm._stage_order`` by scipy, as the IPM formed it before it summed
+    each row's inner stages with ``np.bincount``: the rows of [A; G]
+    times the stages of the columns outside the last stage, and times
+    their indicator, in one sparse product."""
+    n = A.shape[1]
+    stage = np.zeros(n) if stage is None else np.asarray(stage, float)
+    last = stage.max(initial=0.0)
+    inner = stage < last
+    rows = sp.vstack([A, G], format="csr")
+    touched = sp.csr_matrix((np.ones(rows.nnz), rows.indices, rows.indptr),
+                            shape=rows.shape) @ np.column_stack(
+        [stage * inner, inner])
+    row_stage = np.full(rows.shape[0], last)
+    np.divide(touched[:, 0], touched[:, 1], out=row_stage,
+              where=touched[:, 1] > 0)
+    is_variable = np.arange(n + rows.shape[0]) < n
+    return np.lexsort((is_variable != variables_first,
+                       np.concatenate([stage, row_stage])))
+
+
 def symmetric(indptr, indices, values):
     """The whole symmetric matrix, in CSC, whose upper triangle is the CSC
     matrix (indptr, indices, values): the upper triangle plus its strict
@@ -578,14 +599,13 @@ def numpy_direction(session, scaling, G, r_dual, r_eq, r_ineq, v, tol,
 @np.errstate(all="ignore")
 def numpy_residuals(P, A, G, c, b, h, x, y, z, s):
     """The IPM's residual evaluation (``ipm_residuals``) by scipy and
-    numpy: P x; r_dual, r_eq and r_ineq; and the infinity norms of those,
-    of A'y + G'z, of z and of y."""
+    numpy: P x; r_dual, r_eq and r_ineq; and the infinity norms of those."""
     Px, ATy, GTz = P @ x, A.T.tocsr() @ y, G.T.tocsr() @ z
     r_dual = Px + c + ATy + GTz
     r_eq = A @ x - b
     r_ineq = G @ x + s - h
     vectors = r_dual, r_eq, r_ineq
-    return Px, vectors, [_norm_inf(v) for v in (*vectors, ATy + GTz, z, y)]
+    return Px, vectors, [_norm_inf(v) for v in vectors]
 
 
 # The IPM's session of a program, and the Python wrappers of compiled
@@ -605,7 +625,7 @@ def ipm_session(prog, iterate=None, analysis=None):
     if iterate is None:
         e = prog.cones.identity()
         iterate = np.zeros(prog.n), np.zeros(b.size), e, e
-    return ipm._Session(P, A, G, c, b, h, prog.cones, prog.obj_offset,
+    return ipm._Session(P, A, G, c, b, h, prog.cones,
                         [np.array(v, dtype=np.float64) for v in iterate],
                         analysis, prog.stage)
 

@@ -40,7 +40,8 @@ from rlv_landing.scp import ScpSettings, run_scp
 from helpers import (NTScaling, central_diff_jacobian, coo_csr, factor,
                      flat_arrays, ipm_session, kkt_matrix, python_step,
                      rel_jac_error, scipy_equilibrate_rows,
-                     scipy_scale_program, splu_calls, superlu, total_aoa)
+                     scipy_scale_program, scipy_stage_order, splu_calls,
+                     superlu, total_aoa)
 
 VP = VehicleParams()
 R0 = np.array([-700.0, -700.0, -6000.0])
@@ -709,20 +710,18 @@ class TestValuePass:
         for M in (prog.A, prog.G, prog.P):
             assert ipm._kernel_csr(M) is M
 
-    def test_trust_region_adds_onto_a_stored_diagonal(self):
-        # On a P that stores part of its diagonal and entries off it, the
-        # trust region's P + 2 w I is scipy's sum byte for byte.
-        rng = np.random.default_rng(11)
-        M = sp.random(9, 9, density=0.3, format="csr", random_state=rng)
-        P = (M + M.T).tocsr()
-        assert 0 < P.diagonal().astype(bool).sum() < 9
-        prog = ConicProgram(c=np.zeros(9), P=P, G=sp.csr_matrix(-np.eye(9)),
-                            h=np.ones(9), cones=Cones(9))
-        scp.add_trust_region(prog, np.zeros(9), 0.7)
-        expected = P + 1.4 * sp.eye(9, format="csr")
-        for part in ("indptr", "indices", "data"):
-            got, want = getattr(prog.P, part), getattr(expected, part)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    def test_trust_region_refuses_a_quadratic_term(self):
+        # The trust region is a subproblem's only quadratic term: on a
+        # program whose P stores an entry, even an explicit zero, it raises
+        # and leaves the program as it was.
+        for P in (sp.csr_matrix(np.diag([0.0, 1.0, 0.0])),
+                  sp.csr_matrix(([0.0], [1], [0, 0, 1, 1]), shape=(3, 3))):
+            prog = ConicProgram(c=np.ones(3), P=P, G=sp.csr_matrix(-np.eye(3)),
+                                h=np.ones(3), cones=Cones(3))
+            with pytest.raises(ValueError, match="quadratic term"):
+                scp.add_trust_region(prog, np.zeros(3), 0.7)
+            assert prog.P is P and prog.obj_offset == 0.0
+            np.testing.assert_array_equal(prog.c, np.ones(3))
 
 
 def first_subproblem(prob, cfg):
@@ -812,6 +811,32 @@ class TestStageOrdering:
         rows = SimpleNamespace(n=prog.n, stage=prog.stage, A=A, G=WG)
         np.testing.assert_array_equal(
             np.argsort(order), stage_rule_position(rows, variables_first=True))
+
+    def test_stage_order_is_scipy_s(self, monkeypatch):
+        # The stage sums by np.bincount order as the scipy product they
+        # replaced (helpers.scipy_stage_order): on the first N=30
+        # subproblem, on its projection's (A, W G) with each stage's
+        # variables first, and on that subproblem without stages.
+        calls, stage_order = [], ipm._stage_order
+
+        def recorded(A, G, stage, variables_first=False):
+            calls.append((A, G, stage, variables_first))
+            return stage_order(A, G, stage, variables_first)
+
+        monkeypatch.setattr(ipm, "_stage_order", recorded)
+        prob, cfg = make_problem(N=30)
+        prog = first_subproblem(prob, cfg)
+        x = prob.reference_vector(initial_guess_planning(prob.boundary, cfg,
+                                                         VP))
+        scp.project_onto_rows(prog, x)
+        (projection,) = calls
+        assert projection[3]      # variables_first
+        for A, G, stage, variables_first in [
+                (prog.A, prog.G, prog.stage, False), projection,
+                (prog.A, prog.G, None, False)]:
+            np.testing.assert_array_equal(
+                stage_order(A, G, stage, variables_first),
+                scipy_stage_order(A, G, stage, variables_first))
 
     def test_fill_at_n100_is_at_most_minimum_degree(self):
         # nnz(L) of the first N=100 KKT matrix: 30,383 in the stage

@@ -55,8 +55,10 @@ def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
     # On the replan-n100 reference set (3 plans): a run saved, compared
     # with itself (exit 0), with a copy whose first plan has another
     # z_hash (exit 1), and with one whose first plan made one fresh KKT
-    # analysis more, all else the same (exit 1). Each run is a subprocess,
-    # since the script leaves its counting wrappers on planner and scp.
+    # analysis more, all else the same (exit 1). The self-comparison plans
+    # in two worker processes (--jobs 2), which must print the same plan
+    # lines in the same order. Each run is a subprocess, since the script
+    # leaves its counting wrappers on planner and scp.
     def corpus(*args):
         done = subprocess.run(
             [sys.executable, str(ROOT / "benches" / "corpus.py"),
@@ -76,9 +78,10 @@ def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
 
     saved, moved = saved_run("saved"), saved_run("moved", z_hash="0" * 16)
     reordered = saved_run("reordered", reorders=lines[0]["reorders"] + 1)
-    for path, expected, count in ((saved, 0, 0), (moved, 1, 1),
-                                  (reordered, 1, 1)):
-        code, out = corpus("--diff", str(path))
+    for path, expected, count, jobs in ((saved, 0, 0, "2"), (moved, 1, 1, "1"),
+                                        (reordered, 1, 1, "1")):
+        code, out = corpus("--diff", str(path), "--jobs", jobs)
         assert code == expected
+        assert out[:3] == lines[:3]
         assert out[-1]["diff"] == {"compared": 3, "moved": count,
                                    "class_moved": 0, "missing": 0}

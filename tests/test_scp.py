@@ -47,8 +47,9 @@ class TestTrustRegionCost:
 
 
 class _LinearFixture:
-    """A convex-from-the-start problem: min (x-3)^2 s.t. x >= 1, 'linearized'
-    about any reference identically. SCP must converge in exactly one
+    """A convex-from-the-start problem: min -x s.t. x <= 3, 'linearized'
+    about any reference identically, with no quadratic term (the trust
+    region is a subproblem's only one). SCP must converge in exactly one
     iteration because the subproblem does not depend on the reference."""
 
     def __init__(self):
@@ -56,12 +57,10 @@ class _LinearFixture:
 
     def build(self, reference):
         return ConicProgram(
-            c=np.array([-6.0 * 10.0]),           # d/dx of (x-3)^2 linear part, scaled
-            P=sp.csr_matrix([[2.0 * 100.0]]),    # x = 10 * x_scaled
-            G=sp.csr_matrix([[-10.0]]),
-            h=np.array([-1.0]),
+            c=np.array([-10.0]),                 # x = 10 * x_scaled
+            G=sp.csr_matrix([[10.0]]),
+            h=np.array([3.0]),
             cones=Cones(1),
-            obj_offset=9.0,
         )
 
     def reference_vector(self, reference):

@@ -183,10 +183,11 @@ class TestHandFixtures:
         np.testing.assert_allclose(sol.x, [3.0, 0.5], atol=1e-7)
 
     def test_infeasible_lp(self):
-        # x >= 1 and x <= 0 cannot both hold.
+        # x >= 1 and x <= 0 cannot both hold. The verdict is a stall's,
+        # farther from feasibility than FAR_FROM_FEASIBLE.
         sol = solve(lp([1.0], [[-1.0], [1.0]], [-1.0, 0.0]))
-        assert sol.status in ("infeasible", "max_iter", "numerical_failure")
         assert sol.status == "infeasible"
+        assert sol.primal_res > ipm.FAR_FROM_FEASIBLE
 
     @pytest.mark.parametrize("delta, tol, status, primal_res", [
         (1e-3, 1e-4, "infeasible", 5e-4),
@@ -204,9 +205,9 @@ class TestHandFixtures:
 
     def test_hard_stall_far_from_feasibility_is_infeasible(self):
         # min x^2 / 2 s.t. x >= 1 and x <= 0: three short steps that do not
-        # lower mu end the solve (the hard stall) before the duals form a
-        # Farkas certificate or the growth window fills. Either exit labels
-        # a stall by its distance to feasibility.
+        # lower mu end the solve (the hard stall) before the growth window
+        # fills. Either exit labels a stall by its distance to
+        # feasibility.
         prog = lp([0.0], [[-1.0], [1.0]], [-1.0, 0.0])
         prog.P = sp.csr_matrix([[1.0]])
         sol = solve(prog)
@@ -939,7 +940,7 @@ class TestConeKernel:
             a = dict(P=P, A=A, G=G, c=c, b=b, h=h, x=x, y=y, z=z,
                      s=s) | changed
             return ipm._Session(a["P"], a["A"], a["G"], a["c"], a["b"],
-                                a["h"], cones, 0.0,
+                                a["h"], cones,
                                 (a["x"], a["y"], a["z"], a["s"]),
                                 kkt.analysis)
 
@@ -1112,7 +1113,7 @@ class TestKktKernel:
                    for size in (4, me, mi, 4, me, mi, mi)]
         overwrite([*vectors, P.data, A.data, G.data], special)
         c, b, h, x, y, z, s = vectors
-        session = ipm._Session(P, A, G, c, b, h, cones, 0.5, (x, y, z, s))
+        session = ipm._Session(P, A, G, c, b, h, cones, (x, y, z, s))
         with np.errstate(all="ignore"):
             measures = session.residuals()
         Px, expected, norms = numpy_residuals(P, A, G, c, b, h, x, y, z, s)
@@ -1122,11 +1123,9 @@ class TestKktKernel:
         assert same_bits(session.norms, norms)
         scale = [max(1.0, float(np.abs(v).max(initial=0.0)))
                  for v in (b, h, c)]
-        with np.errstate(all="ignore"):
-            objective = float(c @ x) + 0.5 + 0.5 * float(x @ Px)
         assert same_bits(
             measures, [max(norms[1] / scale[0], norms[2] / scale[1]),
-                       norms[0] / scale[2], objective, *norms[3:]])
+                       norms[0] / scale[2]])
 
     def test_int64_arrays_solve_as_the_kernel_s(self):
         # The kernel reads int32 index arrays and float64 values: a program
@@ -1191,7 +1190,7 @@ def twin_session(P, A, G, cones, r, s, z):
     Python loop it replaced."""
     n, me = P.shape[0], A.shape[0]
     session, twin = (ipm._Session(
-        P, A, G, np.zeros(n), np.zeros(me), np.zeros(cones.dim), cones, 0.0,
+        P, A, G, np.zeros(n), np.zeros(me), np.zeros(cones.dim), cones,
         (np.zeros(n), np.zeros(me), z.copy(), s.copy())) for _ in range(2))
     for buffer, v in zip((session.r_dual, session.r_eq, session.r_ineq), r):
         buffer[...] = v
@@ -1328,7 +1327,7 @@ class TestIterationKernel:
         overwrite([c, b, h, G.data], special)
         e = cones.identity()
         session, twin = (ipm._Session(
-            P, A, G, c, b, h, cones, 0.0,
+            P, A, G, c, b, h, cones,
             (np.zeros(4), np.zeros(me), e.copy(), e.copy()))
             for _ in range(2))
         with np.errstate(all="ignore"):
@@ -1450,7 +1449,7 @@ class TestIterationKernel:
                    for k in (4, me, dim, dim, size, dim)]
         overwrite(vectors, special)
         x, y, z, s, sol, ds = vectors
-        session = ipm._Session(P, A, G, prog.c, prog.b, prog.h, cones, 0.0,
+        session = ipm._Session(P, A, G, prog.c, prog.b, prog.h, cones,
                                [v.copy() for v in (x, y, z, s)])
         session.sol[...], session.ds[...] = sol, ds
         alpha_p, alpha_d = alphas
