@@ -20,9 +20,9 @@ plan prints one JSON line:
 - ``builds``: the subproblem builds (calls of
   ``planner.linearize_planning``, which every build makes once);
 - ``templates``: the build templates made (``planner._BuildTemplate``
-  constructions), one per gate set the plan's builds enter, so that
-  ``reorders`` <= ``templates`` says no solve analysed a gate set's KKT
-  pattern twice;
+  constructions), one per set of vertical nodes the plan's builds enter,
+  so that ``reorders`` <= ``templates`` says no solve analysed a
+  template's KKT pattern twice;
 - ``projection_steps``: the Gauss-Newton steps (calls of
   ``scp.project_onto_rows``);
 - ``propellant_kg``: the propellant of a converged plan, else null;
@@ -33,8 +33,9 @@ plan prints one JSON line:
   flag of each subproblem solve that ended without a verdict (optimal,
   infeasible).
 
-A last line holds the totals of those counts, the plan time and the
-outcomes. The same file runs on any tree whose
+A last line holds the totals of those counts, the plan time, the
+outcomes and ``clean``, the plans converged with no ``planning.check``
+problem. The same file runs on any tree whose
 ``ipm.solve`` takes a program and its tolerance argument and returns a
 solution that counts its ``ldl_solves``, so it compares two commits plan
 by plan: two trees give the same answers when their plan lines (all but
@@ -50,7 +51,10 @@ solver's work, its fresh KKT analyses included, as well as the answer. A
 field that the saved lines lack (``solves`` or ``templates``, in runs of
 trees whose lines did not carry it) is not compared, and the last line
 lists it as ``uncompared``. That line counts the plans compared, moved,
-moved in class (``outcome`` or ``scp_iters``), and missing from SAVED. The
+moved in class (``outcome`` or ``scp_iters``), and missing from SAVED,
+gives the clean plans among those compared in SAVED and in this run
+(``clean``, [old, new]), and lists the plans clean in SAVED alone
+(``lost``) and in this run alone (``won``), each as [set, plan]. The
 script then exits 1 if any plan moved or is missing, so that the
 comparison serves as a check, and 0 if none did:
 
@@ -137,6 +141,11 @@ class SolveRecorder:
 
 def plan_key(line: dict) -> tuple:
     return line["workload"], line["set"], line["plan"]
+
+
+def is_clean(line: dict) -> bool:
+    """Converged with no ``planning.check`` problem."""
+    return line["outcome"] == "converged" and not line["problems"]
 
 
 def saved_plans(path: str) -> dict:
@@ -237,8 +246,10 @@ def main(argv=None) -> int:
              for i, state in enumerate(states)]
 
     totals = {"workload": workload.name, "plans": 0, "plan_s": 0.0,
-              **dict.fromkeys(COUNTS, 0), "stalls": 0, "outcomes": {}}
+              **dict.fromkeys(COUNTS, 0), "stalls": 0, "clean": 0,
+              "outcomes": {}}
     moved, missing, status, uncompared = [], 0, 0, set()
+    clean, lost, won = [0, 0], [], []
     jittered, jitter_moves = [], []
     with (nullcontext() if args.jobs == 1 else
           multiprocessing.get_context("spawn").Pool(
@@ -253,6 +264,7 @@ def main(argv=None) -> int:
             for key in COUNTS:
                 totals[key] += line[key]
             totals["stalls"] += len(line["stalls"])
+            totals["clean"] += is_clean(line)
             outcomes = totals["outcomes"]
             outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
             print(json.dumps(line), flush=True)
@@ -266,6 +278,11 @@ def main(argv=None) -> int:
                 continue
             uncompared.update(field for field in COMPARED
                               if field not in old)
+            was, now = is_clean(old), is_clean(line)
+            clean[0] += was
+            clean[1] += now
+            if was != now:
+                (won if now else lost).append([name, i])
             changes = {field: [old[field], line[field]]
                        for field in COMPARED
                        if field in old and old[field] != line[field]}
@@ -281,7 +298,8 @@ def main(argv=None) -> int:
         print(json.dumps({"diff": {"compared": totals["plans"] - missing,
                                    "moved": len(moved),
                                    "class_moved": class_moved,
-                                   "missing": missing,
+                                   "missing": missing, "clean": clean,
+                                   "lost": lost, "won": won,
                                    **({"uncompared": sorted(uncompared)}
                                       if uncompared else {})}}))
         status = int(bool(moved or missing))

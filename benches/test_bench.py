@@ -3,7 +3,7 @@
 Run from the repository root (outside tier-1, whose testpaths is tests/),
 with the ``bench`` extra (pytest-benchmark) installed:
 
-    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_38.json
+    PYTHONPATH=src python -m pytest benches --benchmark-json BENCH_41.json
 
 The coast case makes the nominal ignition-fit boundary (the planner tests'
 initial state): the 16 s ``propagate_coast`` and ``fit_coast_polynomial``.
@@ -44,10 +44,10 @@ their sub-millisecond medians moved more between runs than a kernel change
 moves them.
 The warm case solves the plan's third subproblem as ``run_scp`` does: at
 ``scp.INEXACT_TOL``, from the second subproblem's solution at that
-tolerance. (The second subproblem has one load row fewer than the first, so
-the first solution is no start for it.) The re-solve case solves that
-subproblem again at the default tolerance, from its own inexact solution,
-as ``run_scp`` does once a step is small.
+tolerance, which started from the first's. (The second subproblem's load
+gate holds one node fewer than the first's; that node's row stores zeros.)
+The re-solve case solves that subproblem again at the default tolerance,
+from its own inexact solution, as ``run_scp`` does once a step is small.
 The cone-algebra cases time one IPM iteration's cone work at the eighth
 iterate of the cold solve of the first subproblem (15 and 16 iterations at
 N=30 and N=100), one entry point of ``cones.c`` per call, as the IPM took

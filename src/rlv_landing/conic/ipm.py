@@ -35,8 +35,8 @@ planner's eta and t_c, which touch every dynamics row), or the last stage
 if it touches no other. Rows and variables are sorted by (stage, rows
 before variables, index); a program without stages is one stage. No
 ordering call is made, and the planner's first N=100 KKT matrix (W = I) has
-30,179 entries in L below the diagonal, against 30,376 under SuperLU's
-minimum degree (9,095 against 8,508 at N=30). A solve leaves its analysis
+30,471 entries in L below the diagonal, against 31,868 under SuperLU's
+minimum degree (9,191 against 8,574 at N=30). A solve leaves its analysis
 on its result, and a warm solve whose P, A, G, cones and stages have the
 start's pattern reuses it, so a run of same-pattern SCP subproblems takes
 one symbolic analysis. Every factorization, the first iterate's included,

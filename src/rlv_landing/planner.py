@@ -245,7 +245,7 @@ def linearize_planning(Z: np.ndarray, eta_ref: float,
 
 
 class _Entries:
-    """One constraint block of a gate set: its entries, as (rows, cols)
+    """One constraint block of a build template: its entries, as (rows, cols)
     pieces that broadcast to a common shape each, a value per piece and a
     right-hand side per family. A value is a constant, written once into
     ``vals`` (one per entry) or ``rhs``, or a function of the problem and
@@ -340,18 +340,20 @@ _FAMILIES = {"A": (
         (lambda p, r, n: (r, n + 9), 1.0),
         (lambda p, r, n: (r, n + IDX_GAMMA),
          lambda p, d: np.cos(d.theta_lim[~d.vertical])[:, None])), 0.0),
-    # Aerodynamic load linearized, grad . Z <= grad . Zbar - g; none at the
-    # current state, nor where q_bar <= L_lim/pi, as the cone implies it.
-    ("load", "node", "load", 1,
+    # Aerodynamic load linearized, grad . Z <= grad . Zbar - g, at each node
+    # but the current state. The cone implies it where q_bar <= L_lim/pi: out
+    # of that gate (a value, ``d.load``) the row stays, as 0 . Z <= 1.
+    ("load", "node", "loadable", 1,
      ((lambda p, r, n: (r, n + env.LOAD_COLUMNS),
-       lambda p, d: d.grad_load[d.load][:, env.LOAD_COLUMNS]),),
-     lambda p, d: (np.einsum("ki,ki->k", d.grad_load[d.load], d.Z[d.load])
-                   - d.g_load[d.load])[:, None]),
+       lambda p, d: np.where(d.load[:, None],
+                             d.grad_load[p.loadable, env.LOAD_COLUMNS], 0.0)),),
+     lambda p, d: np.where(d.load, (np.einsum("ki,ki->k", d.grad_load, d.Z)
+                                    - d.g_load)[p.loadable], 1.0)[:, None]),
     # Thrust-magnitude rate, |Gamma_{k+1} - Gamma_k| <= Tdot_lim eta / N at
     # the reference eta. An eta column here and an r_z column for the thrust
     # bounds' loss raised the N=100 KKT fill 0.19M -> 0.27M and by 1/6 under
     # SuperLU's column ordering; under the IPM's stage ordering they add no
-    # and 202 entries to the 30,383 of the first N=100 KKT matrix's L.
+    # and 202 entries to the 30,471 of the first N=100 KKT matrix's L.
     ("rate", "orthant", "intervals", 2, (
         (lambda p, r, n: (r, n + NZ + IDX_GAMMA), [1.0, -1.0]),
         (lambda p, r, n: (r, n + IDX_GAMMA), [-1.0, 1.0])),
@@ -366,11 +368,10 @@ _FAMILIES = {"A": (
 
 @dataclass(frozen=True, eq=False)
 class _BuildTemplate:
-    """The index work of ``PlanningProblem.build`` for one gate set: each
-    family's rows, the blocks of A and G, one pattern each, and the cones."""
+    """The index work of ``PlanningProblem.build`` for its vertical nodes:
+    each family's rows, the blocks of A and G, one pattern each, the cones."""
 
     vertical: np.ndarray
-    load: np.ndarray
     rows: dict
     A: _Entries
     G: _Entries
@@ -400,6 +401,7 @@ class PlanningProblem:
         # The IPM's KKT ordering: node k's columns in stage k, eta and t_c
         # in stage N + 1.
         self.stage = np.repeat(np.arange(self.N + 2), NZ)[:self.n_vars]
+        self.loadable = slice(1 - self.with_tc, None)   # nodes with a load row
         self.box = [cfg.eta_bounds] + (     # [lo, hi] of eta and t_c
             [boundary.coast_fit.window] if self.with_tc else [])
         self._scaling_bounds: tuple[np.ndarray, np.ndarray] | None = None
@@ -462,8 +464,8 @@ class PlanningProblem:
         """The scaled SOCP subproblem linearized about ``ref``, with the
         cost -m_N only: ``run_scp`` adds the trust region. It calls
         ``linearize_planning``, writes the values of ``_FAMILIES`` that are
-        functions into the last template (``_template``), whose patterns it
-        keeps, if it has its gates, the vertical nodes and the load rows,
+        functions into the last template (``_template``), kept with its
+        patterns while the vertical nodes stay (the load gate is a value),
         and passes once over the values: ``scale_program`` and
         ``equilibrate_rows``, each once and looked up in this module so that
         a wrapper sees every call, and one matrix each of A and G. It
@@ -488,10 +490,10 @@ class PlanningProblem:
         vertical = theta_lim < 1e-5
         speed = np.linalg.norm(Z[:, 3:6], axis=1)
         q_bar = 0.5 * env.air_density(-Z[:, 2]) * speed * speed
-        load = (q_bar > cfg.L_lim / math.pi) & (speed >= env.V_EPS)
-        load[0] &= self.with_tc          # none at the current state
+        load = ((q_bar > cfg.L_lim / math.pi)
+                & (speed >= env.V_EPS))[self.loadable]
         record = self.scaling(ref)
-        t = self._template(vertical, load, record.half_range)
+        t = self._template(vertical, record.half_range)
         data = SimpleNamespace(
             **vars(lin), Z=Z, eta=eta_ref, half=1.0 / (2.0 * N), load=load,
             vertical=vertical, theta_lim=theta_lim,
@@ -514,19 +516,18 @@ class PlanningProblem:
         return ConicProgram(c=c, A=A.matrix(a), b=b, G=G.matrix(g), h=h,
                             cones=t.cones, P=self._no_cost, stage=self.stage)
 
-    def _template(self, vertical: np.ndarray, load: np.ndarray,
+    def _template(self, vertical: np.ndarray,
                   half_range: np.ndarray) -> _BuildTemplate:
-        """The last build's template if it has these gates, else a new one
-        over the variables of ``half_range``, which replaces it."""
+        """The last build's template if it has these vertical nodes, else a
+        new one over the variables of ``half_range``, which replaces it."""
         t = self._last_template
-        gates = [np.flatnonzero(g).astype(np.intc) for g in (vertical, load)]
-        if t is not None and all(map(np.array_equal, (t.vertical, t.load),
-                                     gates)):
+        nodes = np.flatnonzero(vertical).astype(np.intc)
+        if t is not None and np.array_equal(t.vertical, nodes):
             return t
         node = NZ * np.arange(self.N + 1)[:, None]     # first columns
         sets = dict(nodes=node, intervals=node[:-1], first=node[:1],
                     last=node[-1:], vertical=node[vertical],
-                    tilted=node[~vertical], load=node[load],
+                    tilted=node[~vertical], loadable=node[self.loadable],
                     boxed=self.idx_eta + np.arange(len(self.box))[:, None])
         rows, entries = {}, []
         for families in _FAMILIES.values():
@@ -546,10 +547,9 @@ class PlanningProblem:
                         pieces.append((piece, value))
             entries.append(_Entries(pieces, rhs, n_rows, half_range))
         soc = rows["cone"]
-        t = self._last_template = _BuildTemplate(
-            *gates, rows, *entries,
-            Cones(entries[1].rhs.size - soc.size, *soc.shape))
-        return t
+        self._last_template = _BuildTemplate(nodes, rows, *entries, Cones(
+            entries[1].rhs.size - soc.size, *soc.shape))
+        return self._last_template
 
     def reference_vector(self, ref: PlanningReference) -> np.ndarray:
         return self.scaling(ref).scale(self.stack(ref))

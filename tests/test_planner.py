@@ -345,21 +345,24 @@ class TestBuildStructure:
         assert prog.cones.n_soc == N + 1 - n_vertical
         assert prog.cones.d == 4
         # Orthant rows: 2 Gamma bounds per node, tilt rows on non-vertical
-        # nodes, load rows where dynamic pressure is meaningful, 2N rate
-        # rows, 2 eta bounds, 2 ignition-window bounds.
+        # nodes, a load row at every node, 2N rate rows, 2 eta bounds, 2
+        # ignition-window bounds. The load gate, where dynamic pressure is
+        # meaningful, leaves nodes out, and their rows are kept.
         n_load = 0
         for k in range(N + 1):
             speed = np.linalg.norm(ref.Z[k, 3:6])
             q_bar = 0.5 * env.air_density(-ref.Z[k, 2]) * speed * speed
             if q_bar > cfg.L_lim / math.pi and speed >= env.V_EPS:
                 n_load += 1
-        expected_nonneg = 2 * (N + 1) + (N + 1 - n_vertical) + n_load + 2 * N + 4
+        assert 0 < n_load < N + 1
+        expected_nonneg = 2 * (N + 1) + (N + 1 - n_vertical) + (N + 1) \
+            + 2 * N + 4
         assert prog.cones.n_nn == expected_nonneg
 
     def test_current_state_counts(self):
         # Current-state boundary: no t_c column, 7 boundary rows (r, v, m
-        # pinned to the state), no load row at the first node and no
-        # ignition-window bounds.
+        # pinned to the state), no load row at the first node, one at every
+        # other node, and no ignition-window bounds.
         cfg = PlanningConfig(N=40)
         boundary = PlanningBoundary(
             mode="current-state", m0=33000.0,
@@ -383,8 +386,8 @@ class TestBuildStructure:
             q_bar = 0.5 * env.air_density(-ref.Z[k, 2]) * speed * speed
             loaded.append(q_bar > cfg.L_lim / math.pi and speed >= env.V_EPS)
         assert loaded[0]          # the first node would carry a load row
-        n_load = sum(loaded[1:])
-        expected_nonneg = (2 * (N + 1) + (N + 1 - n_vertical) + n_load
+        assert not all(loaded[1:])      # rows outside the gate are kept
+        expected_nonneg = (2 * (N + 1) + (N + 1 - n_vertical) + N
                            + 2 * N + 2)
         assert prog.cones.n_nn == expected_nonneg
 
@@ -401,7 +404,7 @@ class TestBuildStructure:
             prob = PlanningProblem(boundary, VP, cfg)
         prog = prob.build(initial_guess_planning(prob.boundary, cfg, VP))
         t = prob._last_template
-        assert t.vertical.size > 0 and t.load.size > 0
+        assert t.vertical.size > 0 and t.rows["load"].size > 0
         families = planner._FAMILIES
         names = [f[0] for matrix in families.values() for f in matrix]
         assert len(set(names)) == len(names) and set(names) == set(t.rows)
@@ -471,10 +474,10 @@ class TestBuildStructure:
         gates rather than taken from a solve: the initial guess, whose
         vertical thrust zeros the x and y entries of the lower thrust bound
         rows; the guess with its thrust tilted (the same gates, other exact
-        zeros); the tilted guess slowed at the last node with a load
-        row, which drops that row (a change of the load gate alone); the
-        tilted guess with eta cut, so that three taper nodes turn vertical;
-        and the initial guess again."""
+        zeros); the tilted guess slowed at the last node inside the load
+        gate, which leaves that node's row storing zeros (a change of the
+        load gate alone); the tilted guess with eta cut, so that three
+        taper nodes turn vertical; and the initial guess again."""
         guess = initial_guess_planning(prob.boundary, cfg, VP)
         Z = guess.Z.copy()
         Z[:, 7:9] = 0.1 * Z[:, 9:10]
@@ -492,8 +495,9 @@ class TestBuildStructure:
     def test_reused_template_builds_what_a_fresh_problem_builds(self):
         # Each build equals, bit for bit, that of a fresh problem with the
         # same scaling, whether it reuses the last build's template (the
-        # SCP iterate) or makes its own (a gate changed). Writing into a
-        # returned program's arrays changes no later build.
+        # SCP iterate, or a change of the load gate) or makes its own (the
+        # vertical nodes changed). Writing into a returned program's arrays
+        # changes no later build.
         prob, cfg = make_problem()
         refs = self.reference_sequence(prob, cfg)
         templates, sessions = [], []
@@ -512,27 +516,33 @@ class TestBuildStructure:
             assert prog.obj_offset == expected.obj_offset
             assert prog.cones.shape == expected.cones.shape
             t = prob._last_template
+            load = prog.G[t.rows["load"].ravel()]
             templates.append((t, t.A.pattern, t.G.pattern,
-                              np.flatnonzero(t.G.vals == 0.0)))
-            if len(sessions) < 2:
+                              np.flatnonzero(t.G.vals == 0.0),
+                              np.count_nonzero(abs(load).sum(axis=1))))
+            if len(sessions) < 3:
                 last = sessions[-1].analysis if sessions else None
                 sessions.append(ipm_session(prog, analysis=last))
             for M in (prog.A, prog.G):
                 M.data[:], M.indices[:], M.indptr[:] = -1.0, 0, 0
             for name in ("b", "h", "c"):
                 getattr(prog, name)[:] = np.nan
-        # The tilted guess, which has other exact zeros than the guess,
-        # reused the guess's template and its patterns, and a session on its
-        # program the guess's KKT analysis; every later reference changed a
-        # gate.
-        (t0, *patterns0, zeros0), (t1, *patterns1, zeros1) = templates[:2]
-        assert t1 is t0 and not np.array_equal(zeros0, zeros1)
-        assert all(a is b for a, b in zip(patterns0, patterns1))
-        assert [s.reordered for s in sessions] == [True, False]
-        assert sessions[1].analysis is sessions[0].analysis
-        assert len({id(t) for t, *_ in templates[1:]}) == 4
+        # The tilted guess, which has other exact zeros than the guess, and
+        # the slowed one, which has one load row fewer inside the gate,
+        # reused the guess's template and its patterns, and sessions on
+        # their programs the guess's KKT analysis; the two later references
+        # changed the vertical nodes.
+        (t0, *patterns0, zeros0, _), (t1, *patterns1, zeros1, _), \
+            (t2, *patterns2, _, _) = templates[:3]
+        assert t1 is t0 and t2 is t0 and not np.array_equal(zeros0, zeros1)
+        assert all(a is b is c for a, b, c in zip(patterns0, patterns1,
+                                                  patterns2))
+        assert [s.reordered for s in sessions] == [True, False, False]
+        assert sessions[2].analysis is sessions[1].analysis \
+            is sessions[0].analysis
+        assert len({id(t) for t, *_ in templates[1:]}) == 3
         vertical = [t.vertical.size for t, *_ in templates]
-        loads = [t.load.size for t, *_ in templates]
+        loads = [gated for *_, gated in templates]
         assert vertical[2] == vertical[1] and loads[2] == loads[1] - 1
         assert vertical[3] == vertical[1] + 2
 
@@ -612,9 +622,9 @@ class TestValuePass:
         # scaling and equilibration that the build's pass over its blocks'
         # values replaced (``helpers.scipy_scale_program`` and
         # ``scipy_equilibrate_rows``) of the same unscaled blocks: A, G, b,
-        # h and c. The builds cross gate-set changes (another template) and
-        # builds with other exact zeros on the same template, which keep its
-        # patterns.
+        # h and c. Every build of a plan is on its one template and keeps its
+        # patterns; the builds cross changes of the load gate, and builds
+        # with the same load gate have other exact zeros.
         blocks, built = [], []
         scale, build = planner.scale_program, PlanningProblem.build
 
@@ -626,8 +636,10 @@ class TestValuePass:
             # run_scp's trust region replaces c and obj_offset later.
             prog = build(self, ref)
             t = self._last_template
+            load = prog.G[t.rows["load"].ravel()]
             built.append((replace(prog), t, t.A.pattern, t.G.pattern,
-                          [np.flatnonzero(x.vals == 0.0) for x in (t.A, t.G)]))
+                          [np.flatnonzero(x.vals == 0.0) for x in (t.A, t.G)],
+                          np.flatnonzero(abs(load).sum(axis=1))))
             return prog
 
         monkeypatch.setattr(planner, "scale_program", recorded_scale)
@@ -665,13 +677,15 @@ class TestValuePass:
                         assert got.dtype == want.dtype, (mode, N)
                         assert got.tobytes() == want.tobytes(), (mode, N)
                     assert prog.obj_offset == expected.obj_offset
-                for (_, t0, *p0, z0), (_, t1, *p1, z1) in zip(built,
-                                                              built[1:]):
-                    gates += t1 is not t0
-                    if t1 is t0:
-                        assert all(a is b for a, b in zip(p0, p1))
+                for (_, t0, *p0, z0, g0), (_, t1, *p1, z1, g1) in zip(
+                        built, built[1:]):
+                    assert t1 is t0
+                    assert all(a is b for a, b in zip(p0, p1))
+                    if np.array_equal(g0, g1):
                         zeros += any(not np.array_equal(a, b)
                                      for a, b in zip(z0, z1))
+                    else:
+                        gates += 1
         assert gates and zeros
 
     def test_matrices_made_and_taken_as_they_are(self, monkeypatch):
@@ -839,9 +853,9 @@ class TestStageOrdering:
                 scipy_stage_order(A, G, stage, variables_first))
 
     def test_fill_at_n100_is_at_most_minimum_degree(self):
-        # nnz(L) of the first N=100 KKT matrix: 30,383 in the stage
-        # ordering, 30,745 by SuperLU's minimum degree. (At N=30 the stage
-        # ordering fills more: 9,159 against 8,015.)
+        # nnz(L) of the first N=100 KKT matrix: 30,471 in the stage
+        # ordering, 31,868 by SuperLU's minimum degree. (At N=30 the stage
+        # ordering fills more: 9,191 against 8,574.)
         K, kkt = first_kkt(N=100)
         order = np.argsort(superlu(K).perm_c)
         upper = sp.triu(K[order][:, order], format="csc")
@@ -955,10 +969,12 @@ class TestPlanningScp:
     def test_one_kkt_analysis_is_alive_at_each_build(self, monkeypatch):
         # A build holds the KKT analysis of the last solution alone: the
         # solution before last, the start of the last solve, goes with its
-        # analysis once that solve returns. A plan from the slowed reference
-        # of ``TestBuildStructure.reference_sequence`` crosses a gate set:
-        # its first solution brings back the dropped load row, so the next
-        # solve makes a fresh analysis while its start holds another.
+        # analysis once that solve returns, and the projection's analysis
+        # with its step. A plan from the slowed reference of
+        # ``TestBuildStructure.reference_sequence`` crosses a load gate: its
+        # first solution brings back the load row the slowed node stored as
+        # zeros. Every solve from a start reuses that start's analysis, and
+        # the projection makes one of its own.
         alive, build = [], PlanningProblem.build
 
         def analyses():
@@ -968,7 +984,8 @@ class TestPlanningScp:
             alive.append(analyses())
             return build(self, reference)
 
-        fresh_from_a_start = []
+        fresh_from_a_start, made = [], []
+        of = _Analysis.of.__func__
 
         def recorded_solve(program, tol):
             sol = ipm.solve(program, tol)
@@ -976,7 +993,12 @@ class TestPlanningScp:
                                       and sol.reordered)
             return sol
 
+        def counted_of(cls, *args):
+            made.append(cls.__name__)
+            return of(cls, *args)
+
         monkeypatch.setattr(PlanningProblem, "build", counted_build)
+        monkeypatch.setattr(_Analysis, "of", classmethod(counted_of))
         prob, cfg = make_problem(N=30)
         slowed = TestBuildStructure.reference_sequence(prob, cfg)[2]
         gc.collect()
@@ -984,8 +1006,59 @@ class TestPlanningScp:
         out = run_scp(prob, slowed,
                       ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr),
                       solve_fn=recorded_solve)
-        assert out.converged and any(fresh_from_a_start)
+        assert out.converged and not any(fresh_from_a_start)
+        assert any(rec.projected for rec in out.log) and len(made) == 2
         assert alive[0] == before and max(alive) == before + 1
+
+    def test_a_load_gate_crossing_keeps_the_template_and_warm_start(
+            self, monkeypatch):
+        # The plan from the slowed reference of
+        # ``TestBuildStructure.reference_sequence`` drops a load row from
+        # the gate and gets it back. The gate is a value: the plan makes
+        # one build template, and every solve after the first starts warm
+        # on the first one's KKT analysis. Each build's load rows outside
+        # the gate store only zeros, 0 . x <= 1 after equilibration, and
+        # the rows inside it store some nonzero.
+        templates, builds, solutions = [], [], []
+        make, build = planner._BuildTemplate, PlanningProblem.build
+
+        def counted_make(*args):
+            templates.append(make(*args))
+            return templates[-1]
+
+        def recorded_build(self, ref):
+            prog = build(self, ref)
+            builds.append((ref, prog, self._last_template))
+            return prog
+
+        def recorded_solve(program, tol):
+            solutions.append(ipm.solve(program, tol))
+            return solutions[-1]
+
+        monkeypatch.setattr(planner, "_BuildTemplate", counted_make)
+        monkeypatch.setattr(PlanningProblem, "build", recorded_build)
+        prob, cfg = make_problem(N=30)
+        slowed = TestBuildStructure.reference_sequence(prob, cfg)[2]
+        out = run_scp(prob, slowed,
+                      ScpSettings(cfg.eps_scp, cfg.max_scp_iter, cfg.W_tr),
+                      solve_fn=recorded_solve)
+        assert out.converged and len(templates) == 1
+        assert all(t is templates[0] for *_, t in builds)
+        assert [(s.warm, s.reordered) for s in solutions[1:]] == \
+            [(True, False)] * (len(solutions) - 1)
+        gates = []
+        for ref, prog, t in builds:
+            speed = np.linalg.norm(ref.v, axis=1)
+            q_bar = 0.5 * env.air_density(-ref.r[:, 2]) * speed * speed
+            gate = (q_bar > cfg.L_lim / math.pi) & (speed >= env.V_EPS)
+            rows = t.rows["load"].ravel()
+            stored = abs(prog.G[rows]).sum(axis=1).A1 > 0
+            assert np.array_equal(stored, gate) and not gate.all()
+            assert np.all(np.diff(prog.G.indptr)[rows]
+                          == env.LOAD_COLUMNS.size)
+            assert np.all(prog.h[rows[~gate]] == 1.0)
+            gates.append(np.flatnonzero(gate))
+        assert gates[1].size == gates[0].size + 1
 
     def test_converges_small_grid(self):
         prob, cfg = make_problem(N=30)

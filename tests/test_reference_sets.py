@@ -52,10 +52,11 @@ def test_reference_set_keeps_its_clean_plans(planbench, workload,
 
 
 def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
-    # On the replan-n100 reference set (3 plans): a run saved, compared
-    # with itself (exit 0), with a copy whose first plan has another
-    # z_hash (exit 1), and with one whose first plan made one fresh KKT
-    # analysis more, all else the same (exit 1). The self-comparison plans
+    # On the replan-n100 reference set (3 plans, all clean): a run saved,
+    # compared with itself (exit 0), with a copy whose first plan has
+    # another z_hash (exit 1), and with one whose first plan made one fresh
+    # KKT analysis more and failed a check, all else the same (exit 1),
+    # which this run wins back. The self-comparison plans
     # in two worker processes (--jobs 2), which must print the same plan
     # lines in the same order. Each run is a subprocess, since the script
     # leaves its counting wrappers on planner and scp.
@@ -69,6 +70,7 @@ def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
 
     code, lines = corpus()
     assert code == 0 and len(lines) == 4     # 3 plans and the totals
+    assert lines[3]["totals"]["clean"] == 3
     def saved_run(name, **changed):
         """The run, its first plan's fields ``changed``, as a file."""
         path = tmp_path / f"{name}.jsonl"
@@ -77,11 +79,15 @@ def test_corpus_diff_exits_1_when_a_plan_moves(tmp_path):
         return path
 
     saved, moved = saved_run("saved"), saved_run("moved", z_hash="0" * 16)
-    reordered = saved_run("reordered", reorders=lines[0]["reorders"] + 1)
-    for path, expected, count, jobs in ((saved, 0, 0, "2"), (moved, 1, 1, "1"),
-                                        (reordered, 1, 1, "1")):
+    reordered = saved_run("reordered", reorders=lines[0]["reorders"] + 1,
+                          problems=["terminal velocity not zero"])
+    for path, expected, count, jobs, won in (
+            (saved, 0, 0, "2", []), (moved, 1, 1, "1", []),
+            (reordered, 1, 1, "1", [["reference", 0]])):
         code, out = corpus("--diff", str(path), "--jobs", jobs)
         assert code == expected
         assert out[:3] == lines[:3]
         assert out[-1]["diff"] == {"compared": 3, "moved": count,
-                                   "class_moved": 0, "missing": 0}
+                                   "class_moved": 0, "missing": 0,
+                                   "clean": [3 - len(won), 3], "lost": [],
+                                   "won": won}
